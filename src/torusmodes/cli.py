@@ -96,12 +96,17 @@ def cmd_verify_suite(args) -> int:
     return 0 if report["status"] == "pass" else 1
 
 
-def cmd_reduce(args) -> int:
-    spec = _load_spec(args.spec)
-    gens = hha.parse_zero_mode_correlator(args.correlator)
+def _zero_mode_generators(spec: hha.HHASpec, correlator: str) -> tuple:
+    gens = hha.parse_zero_mode_correlator(correlator)
     unknown = [g_ for g_ in gens if g_ not in spec.weights]
     if unknown:
         raise UsageError(f"correlator references unknown generators {unknown}")
+    return gens
+
+
+def cmd_reduce(args) -> int:
+    spec = _load_spec(args.spec)
+    gens = _zero_mode_generators(spec, args.correlator)
     expr = hha.invert_to_full(spec, gens)
     _emit({"correlator": args.correlator, "spec": args.spec,
            "full_correlator_expansion": expr.to_json()})
@@ -110,7 +115,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_anomaly(args) -> int:
     spec = _load_spec(args.spec)
-    gens = hha.parse_zero_mode_correlator(args.correlator)
+    gens = _zero_mode_generators(spec, args.correlator)
     graded = hha.anomaly_of_zero_modes(spec, gens)
     out = {}
     for k, bucket in graded:
@@ -129,6 +134,8 @@ def cmd_anomaly(args) -> int:
 
 
 def cmd_lattice_trace(args) -> int:
+    if args.n < 0:
+        raise UsageError("--n must be >= 0")
     lat = _load_lattice(args.lattice)
     closed = lt.quasimod_rhs(lat, args.axis, args.n, args.order)
     result = {"lattice": args.lattice, "n": args.n, "order": args.order,

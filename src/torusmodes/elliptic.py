@@ -18,6 +18,7 @@ this module to the combinatorics of permutation descents.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .combinatorics import eulerian_polynomial
@@ -30,7 +31,7 @@ class BivariateExpansion:
     __slots__ = ("tpi", "layers", "truncation")
 
     def __init__(self, tpi: int, layers, truncation: int):
-        layers = list(layers)
+        layers = tuple(layers)
         if len(layers) != truncation + 1:
             raise ValueError("layer list does not match truncation")
         self.tpi = tpi
@@ -149,6 +150,7 @@ def _divisor_layer(power: int, m: int) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
+@lru_cache(maxsize=None)
 def p_expansion(k: int, truncation: int = DEFAULT_ORDER) -> BivariateExpansion:
     """P_k/(2*pi*i)**k at grade k.
 
@@ -173,6 +175,7 @@ def p_tilde_1(truncation: int = DEFAULT_ORDER) -> BivariateExpansion:
     return BivariateExpansion(1, layers, truncation)
 
 
+@lru_cache(maxsize=None)
 def g_expansion(i: int, j: int, truncation: int = DEFAULT_ORDER) -> BivariateExpansion:
     """g^i_j/(2*pi*i)**(i+j) at grade i+j.
 

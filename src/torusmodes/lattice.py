@@ -13,10 +13,14 @@ which keeps every <h,a>^2 rational.  The oracle recomputes the same traces
 by direct enumeration of the Fock basis (lattice vectors times colored
 oscillator partitions), organized by counting but using no series identity.
 
-Vector enumeration is a Fincke-Pohst box search on the exact LDL^T
-decomposition of the Gram matrix; float bounds carry a safety margin and
-every candidate is confirmed with exact integer arithmetic, so shells are
-complete.
+Every lattice sum goes through one Fincke-Pohst walk on the exact LDL^T
+decomposition of the Gram matrix.  Float bounds carry a safety margin, so no
+vector is missed; the walk carries the exact integer norm (and optionally an
+integer pairing) down the recursion, so each candidate is confirmed exactly
+without recomputing its norm, and shells are complete.  The walk hands each
+vector to a leaf function: shell sizes and the grouped (norm/2, <f,a>^2)
+counts behind theta moments, traces and chi are tallied at the leaves and
+cached per (block, order); only ``enumerate_vectors`` keeps the vectors.
 """
 
 from __future__ import annotations
@@ -158,42 +162,69 @@ class VectorShell:
     vectors: list
 
 
-def enumerate_vectors(lat: EvenLattice, max_norm_half: int):
-    """All shells <a,a>/2 = 0..max_norm_half, complete and duplicate-free."""
+def _walk(gram: tuple, max_norm_half: int, leaf, row=None) -> None:
+    """Fincke-Pohst walk: leaf(x, <x,x>/2, <row,x>) for every x with <x,x>/2 <= max_norm_half.
+
+    Coordinates are fixed from the last down to the first.  Float bounds from
+    the exact LDL^T prune the box with a safety margin; the exact integer norm
+    and the integer pairing with ``row`` are carried down the recursion, each
+    level adding G_ii v^2 + 2 v sum_{j>i} G_ij x_j and row_i v, and the exact
+    norm decides at the leaf.  ``x`` is the walk's working list: a leaf that
+    keeps it must copy it.
+    """
     if max_norm_half < 0:
         raise LatticeError("max_norm_half must be >= 0")
-    n = lat.rank
-    L, D = _ldl(lat.gram)
+    n = len(gram)
+    if row is None:
+        row = (0,) * n
+    bound = 2 * max_norm_half
+    x = [0] * n
+    if n == 0:
+        leaf(x, 0, 0)
+        return
+    L, D = _ldl(gram)
     Lf = [[float(L[i][j]) for j in range(n)] for i in range(n)]
     Df = [float(d) for d in D]
-    bound = 2 * max_norm_half
-    shells = {m: [] for m in range(max_norm_half + 1)}
-    x = [0] * n
 
-    def rec(i, remaining):
+    def rec(i, remaining, norm, ip):
         # remaining = bound - sum_{k>i} D_k (x_k + sum_{j>k} L_jk x_j)^2  (float, padded)
-        if i < 0:
-            norm = lat.norm2(x)
-            if 0 <= norm <= bound:
-                shells[norm // 2].append(tuple(x))
-            return
         c = sum(Lf[j][i] * x[j] for j in range(i + 1, n))
+        cross = 2 * sum(gram[i][j] * x[j] for j in range(i + 1, n))
         half_width = math.sqrt(max(remaining, 0.0) / Df[i])
         lo = math.ceil(-c - half_width - 1e-9)
         hi = math.floor(-c + half_width + 1e-9)
+        gii, ri = gram[i][i], row[i]
+        if i:
+            for v in range(lo, hi + 1):
+                x[i] = v
+                rec(i - 1, remaining - Df[i] * (v + c) ** 2,
+                    norm + v * (gii * v + cross), ip + ri * v)
+            return
         for v in range(lo, hi + 1):
-            x[i] = v
-            rec(i - 1, remaining - Df[i] * (v + c) ** 2)
-        x[i] = 0
+            exact = norm + v * (gii * v + cross)
+            if exact <= bound:
+                x[0] = v
+                leaf(x, exact // 2, ip + ri * v)
 
-    rec(n - 1, bound + 1e-6)
-    return [VectorShell(m, sorted(shells[m])) for m in range(max_norm_half + 1)]
+    rec(n - 1, bound + 1e-6, 0, 0)
+
+
+def enumerate_vectors(lat: EvenLattice, max_norm_half: int):
+    """All shells <a,a>/2 = 0..max_norm_half, complete and duplicate-free."""
+    shells = [[] for _ in range(max_norm_half + 1)]
+    _walk(lat.gram, max_norm_half, lambda x, nh, ip: shells[nh].append(tuple(x)))
+    return [VectorShell(m, sorted(vecs)) for m, vecs in enumerate(shells)]
 
 
 @lru_cache(maxsize=None)
 def _shell_sizes(gram: tuple, max_norm_half: int) -> tuple:
-    lat = EvenLattice(gram)
-    return tuple(len(s.vectors) for s in enumerate_vectors(lat, max_norm_half))
+    sizes = [0] * (max_norm_half + 1)
+
+    def leaf(x, nh, ip):
+        sizes[nh] += 1
+
+    _walk(gram, max_norm_half, leaf)
+    return tuple(sizes)
 
 
 def theta_series(lat: EvenLattice, truncation: int) -> QExpansion:
@@ -254,25 +285,25 @@ def axis_pairing_sq(lat: EvenLattice, axis: int, block, gvec, gnorm, x) -> Fract
 
 @lru_cache(maxsize=None)
 def _axis_shell_data(lat: EvenLattice, axis: int, max_norm_half: int):
-    """[(norm_half, <f,a>^2, count)] over the axis block's shells, grouped."""
+    """((norm_half, <f,a>^2, count), ...) over the axis block's shells, grouped."""
     block, gvec, gnorm = gram_schmidt_axis(lat, axis)
-    sub = lat.sublattice(block)
-    sub_gram = sub.gram
-    k = sub.rank
-    # inner products <g, x> with denominators cleared for speed
+    sub_gram = lat.sublattice(block).gram
+    k = len(block)
+    # inner products <g, x> with denominators cleared, so the walk stays integral
     den = 1
     for c in gvec:
         den = den * c.denominator // math.gcd(den, c.denominator)
     gv = [int(c * den) for c in gvec]
     row = tuple(sum(gv[i] * sub_gram[i][j] for i in range(k)) for j in range(k))
     grouped = {}
-    for shell in enumerate_vectors(sub, max_norm_half):
-        for x in shell.vectors:
-            ip = sum(r * xi for r, xi in zip(row, x))
-            key = (shell.norm_half, ip * ip)
-            grouped[key] = grouped.get(key, 0) + 1
-    return [(nh, Fraction(ip2, den * den) / gnorm, cnt)
-            for (nh, ip2), cnt in sorted(grouped.items())], block
+
+    def leaf(x, nh, ip):
+        key = (nh, ip * ip)
+        grouped[key] = grouped.get(key, 0) + 1
+
+    _walk(sub_gram, max_norm_half, leaf, row)
+    return tuple((nh, Fraction(ip2, den * den) / gnorm, cnt)
+                 for (nh, ip2), cnt in sorted(grouped.items())), block
 
 
 def theta_moment(lat: EvenLattice, axis: int, power: int, truncation: int) -> QExpansion:
@@ -488,23 +519,20 @@ def chi_weight1(lat: EvenLattice, axis: int, z: complex, tau: complex,
     """chi(tau, z) = Tr e^{2 pi i z a_0} q^{L0 - l/24}, numerically.
 
     Factorizes over blocks: only the axis block carries the charge phase.
+    The axis block enters through the counts (norm/2, t = <f,a>^2, count)
+    that the walk, carrying the exact norm and pairing, tallies at its leaves;
+    they are cached and shared with the theta moments, and no vector is
+    stored.  As each shell is closed under a -> -a, a group contributes
+    count * cos(2 pi z sqrt(t)) q^{norm/2}.
     """
     if series_order is None:
         series_order = 4 * shell_truncation + 8
     if tau.imag <= 0:
         raise LatticeError("need Im tau > 0")
     q = cmath.exp(TWO_PI_I * tau)
-    block, gvec, gnorm = gram_schmidt_axis(lat, axis)
-    sub = lat.sublattice(block)
-    k = sub.rank
-    rows = [sum(float(gvec[i]) * sub.gram[i][j] for i in range(k)) for j in range(k)]
-    scale = 1.0 / math.sqrt(float(gnorm))
-    charged = 0j
-    for shell in enumerate_vectors(sub, shell_truncation):
-        qn = q ** shell.norm_half
-        for x in shell.vectors:
-            pairing = scale * sum(r * xi for r, xi in zip(rows, x))
-            charged += cmath.exp(TWO_PI_I * z * pairing) * qn
+    data, block = _axis_shell_data(lat, axis, shell_truncation)
+    charged = sum((cnt * cmath.cos(2 * math.pi * z * math.sqrt(t2)) * q ** nh
+                   for nh, t2, cnt in data), 0j)
     rest = 1.0 + 0j
     for idx in lat.blocks():
         if idx != block:

@@ -40,7 +40,7 @@ class QExpansion:
 
     def __init__(self, offset, lower: int, coeffs, truncation: int):
         offset = as_fraction(offset)
-        coeffs = [TpiSum.of(c) for c in coeffs]
+        coeffs = tuple(TpiSum.of(c) for c in coeffs)
         if len(coeffs) != truncation - lower + 1:
             raise ValueError("coefficient list does not match [lower, truncation]")
         self.offset = offset
@@ -299,6 +299,7 @@ def sigma(k: int, n: int) -> int:
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
+@lru_cache(maxsize=None)
 def eisenstein(two_k: int, truncation: int = DEFAULT_ORDER) -> QExpansion:
     """G_{2k} with every coefficient carried at 2*pi*i grade 2k.
 
@@ -323,6 +324,7 @@ def euler_product(truncation: int) -> QExpansion:
     return result
 
 
+@lru_cache(maxsize=None)
 def eta_power(ell: int, truncation: int = DEFAULT_ORDER) -> QExpansion:
     """eta(q)**ell = q**(ell/24) prod (1-q**n)**ell, offset ell/24."""
     base = euler_product(truncation)

@@ -160,6 +160,11 @@ class ZetaRational:
         if k:
             den = den.shift(-k)
             num = num.shift(-k)
+        if den.coeffs == {0: 1}:
+            # already reduced; ascending keys keep evaluate's summation order
+            self.num = LaurentPoly({e: num.coeffs[e] for e in sorted(num.coeffs)})
+            self.den = den
+            return
         nshift = min(num.min_exp(), 0)
         dn, dd = _dense(num.shift(-nshift)), _dense(den)
         g = _poly_gcd(dn, dd)

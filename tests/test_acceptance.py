@@ -107,7 +107,7 @@ def test_ac2_formal_series_identities():
 
 
 def test_ac3_numeric_transformation_laws():
-    with _Timer("AC3 numeric transformation laws", 30.0):
+    with _Timer("AC3 numeric transformation laws", 10.0):
         gammas = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 1, 0), (1, 0, 1, 1))
         pts = nm.sample_points(20, gammas=gammas)
         assert len(pts) == 20
@@ -189,7 +189,7 @@ def test_ac6_lattice_oracle():
 
 
 def test_ac7_end_to_end_numeric_closure():
-    with _Timer("AC7 end-to-end numeric closure", 60.0):
+    with _Timer("AC7 end-to-end numeric closure", 15.0):
         E83 = lt.e8_cubed()
         tau = 1.3j
         gt = -1 / tau  # gamma = S

@@ -133,3 +133,19 @@ def test_anomaly_custom_spec_pairing(capsys, tmp_path):
     code, out, _ = run(capsys, "anomaly", "--spec", str(path), "--correlator", "a0^2")
     assert code == 0
     assert json.loads(out) == {"k1": [["3/2", "F()"]]}
+
+
+def test_anomaly_unknown_generator(capsys):
+    code, out, err = run(capsys, "anomaly", "--spec", "weight1", "--correlator", "y0")
+    assert code == 2 and out == ""
+    assert err == "error: correlator references unknown generators ['y']\n"
+
+
+def test_lattice_trace_negative_inputs(capsys):
+    code, out, err = run(capsys, "lattice-trace", "--lattice", "a1", "--n", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --n must be >= 0\n"
+    code, out, err = run(capsys, "lattice-trace", "--lattice", "e8", "--n", "1",
+                         "--order", "-2")
+    assert code == 2 and out == ""
+    assert err == "error: max_norm_half must be >= 0\n"

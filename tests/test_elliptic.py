@@ -21,6 +21,29 @@ def test_ratfunc_normalization():
     assert (f + (-f)).is_zero()
 
 
+def test_constant_denominator_skips_gcd_with_same_numerator():
+    # a denominator of 2 goes through the gcd route and reduces to the same
+    # numerator, in the same (ascending) key order evaluate sums in
+    for p in (el._divisor_layer(3, 12), el._divisor_layer(0, 7) * Fraction(1, 6),
+              LaurentPoly({5: 1, -3: 2, 0: -1, 1: Fraction(1, 3)})):
+        fast = ZetaRational.from_poly(p)
+        slow = ZetaRational(p * 2, LaurentPoly.const(2))
+        assert fast.den == slow.den == LaurentPoly.const(1)
+        assert list(fast.num.coeffs.items()) == list(slow.num.coeffs.items())
+        assert list(fast.num.coeffs) == sorted(p.coeffs)
+
+
+def test_cached_builders_match_fresh_builds():
+    for build, args in ((el.p_expansion, (3, 12)), (el.g_expansion, (2, 3, 12)),
+                        (qs.eisenstein, (6, 12)), (qs.eta_power, (-8, 12))):
+        cached = build(*args)
+        assert build(*args) is cached
+        fresh = build.__wrapped__(*args)
+        assert cached.to_json() == fresh.to_json()
+        stored = cached.layers if isinstance(cached, el.BivariateExpansion) else cached.coeffs
+        assert isinstance(stored, tuple)
+
+
 def test_zeta_rational_derivative():
     f = ZetaRational(LaurentPoly({1: 1}), LaurentPoly({0: 1, 1: -1}))
     df = f.zeta_ddzeta()  # zeta d/dzeta [zeta/(1-zeta)] = zeta/(1-zeta)^2

@@ -171,3 +171,89 @@ def test_tail_estimate_shrinks_with_order():
         _, tail = lt.eval_trace_numeric(series, 1.5j)
         tails.append(tail)
     assert tails[0] > tails[1] > tails[2]
+
+
+def _small_even_lattices():
+    """A1, A2, a two-block rank 3, D4, and seeded random rank <= 4 sublattices."""
+    import random
+    fixed = [((2,),), ((2, -1), (-1, 2)), ((2, -1, 0), (-1, 2, 0), (0, 0, 4)),
+             ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))]
+    rng = random.Random(2024)
+    out = [lt.EvenLattice(g) for g in fixed]
+    while len(out) < len(fixed) + 6:
+        base = fixed[rng.randrange(1, len(fixed))]
+        k = len(base)
+        b = [[rng.choice((-1, 0, 0, 1)) for _ in range(k)] for _ in range(k)]
+        for i in range(k):
+            b[i][i] += rng.choice((1, 2))
+        gram = tuple(tuple(sum(b[r][i] * base[r][s] * b[s][j]
+                               for r in range(k) for s in range(k))
+                           for j in range(k)) for i in range(k))
+        try:
+            out.append(lt.EvenLattice(gram))
+        except lt.LatticeError:  # singular change of basis
+            continue
+    return out
+
+
+def _box(lat, max_norm_half):
+    """Every x in a box that holds the ellipsoid <x,x> <= 2N: |x_i|^2 <= 2N (G^-1)_ii."""
+    from itertools import product
+    from math import isqrt
+    n = lat.rank
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    m = [[Fraction(v) for v in row] for row in lat.gram]
+    for c in range(n):  # Gauss-Jordan inverse
+        p = m[c][c]
+        m[c] = [v / p for v in m[c]]
+        inv[c] = [v / p for v in inv[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+                inv[r] = [a - f * b for a, b in zip(inv[r], inv[c])]
+    radii = [isqrt(int(2 * max_norm_half * inv[i][i])) + 1 for i in range(n)]
+    return product(*(range(-r, r + 1) for r in radii))
+
+
+def test_walk_counts_match_box_enumeration():
+    N = 5
+    for lat in _small_even_lattices():
+        sizes = [0] * (N + 1)
+        shells = [[] for _ in range(N + 1)]
+        for x in _box(lat, N):
+            norm = lat.norm2(x)
+            if norm <= 2 * N:
+                sizes[norm // 2] += 1
+                shells[norm // 2].append(x)
+        assert lt._shell_sizes(lat.gram, N) == tuple(sizes), lat.gram
+        assert [s.vectors for s in lt.enumerate_vectors(lat, N)] == \
+            [sorted(s) for s in shells], lat.gram
+        for axis in range(lat.rank):
+            block, gvec, gnorm = lt.gram_schmidt_axis(lat, axis)
+            sub = lat.sublattice(block)
+            grouped = {}
+            for x in _box(sub, N):
+                norm = sub.norm2(x)
+                if norm <= 2 * N:
+                    t2 = lt.axis_pairing_sq(lat, axis, block, gvec, gnorm, x)
+                    grouped[(norm // 2, t2)] = grouped.get((norm // 2, t2), 0) + 1
+            data, got_block = lt._axis_shell_data(lat, axis, N)
+            assert got_block == block
+            assert data == tuple((nh, t2, cnt) for (nh, t2), cnt in sorted(grouped.items()))
+
+
+def test_e8_shell_sizes_are_240_sigma3():
+    sizes = lt._shell_sizes(lt.e8().gram, 6)
+    assert sizes == (1,) + tuple(240 * qs.sigma(3, n) for n in range(1, 7))
+
+
+def test_negative_order_raises_on_every_walk_route():
+    lat = lt.e8()
+    for call in (lambda: lt.enumerate_vectors(lat, -1),
+                 lambda: lt._shell_sizes(lat.gram, -1),
+                 lambda: lt._axis_shell_data(lat, 0, -1),
+                 lambda: lt.theta_series(lat, -1),
+                 lambda: lt.chi_weight1(lat, 0, 0.1, 1.2j, -1)):
+        with pytest.raises(lt.LatticeError, match="max_norm_half must be >= 0"):
+            call()
