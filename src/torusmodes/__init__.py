@@ -3,7 +3,7 @@ symbolic zero-mode correlator recursion engine with a lattice backend."""
 
 __version__ = "0.1.0"
 
-from .scaled import ScaledRational, TpiSum
+from .scaled import ScaledRational
 from .qseries import (QExpansion, bernoulli, eisenstein, eta_power,
                       geometric_inverse_factor, dtau_inverse_factor)
 from .ratfunc import LaurentPoly, ZetaRational
@@ -23,7 +23,7 @@ from .numerics import (g_value, p_value, wp_value, eisenstein_value,
                        verify_modular, sample_points)
 
 __all__ = [
-    "ScaledRational", "TpiSum", "QExpansion", "bernoulli", "eisenstein",
+    "ScaledRational", "QExpansion", "bernoulli", "eisenstein",
     "eta_power", "geometric_inverse_factor", "dtau_inverse_factor",
     "LaurentPoly", "ZetaRational", "BivariateExpansion", "ZSeries",
     "g_expansion", "p_expansion", "p_tilde_1", "wp_laurent",

@@ -2,7 +2,8 @@
 
 Commands: expand, verify-suite, reduce, anomaly, lattice-trace,
 transform-check.  JSON goes to stdout, diagnostics to stderr; exit codes:
-0 success / all checks pass, 1 verification failure, 2 usage error.
+0 success / all checks pass, 1 verification failure, 2 usage error,
+3 valid input that needs mathematics the engine does not have yet.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import lattice as lt
 from . import numerics as nm
 from . import qseries as qs
 from . import verify
-from .scaled import format_fraction
+from .symbols import DeltaUnknownError
 
 
 class UsageError(ValueError):
@@ -69,24 +70,45 @@ def _zero_mode_name(sym: hha.CorrSymbol) -> str:
     return f"F({inner})"
 
 
-def cmd_expand(args) -> int:
-    fn = args.function
-    order = args.order
-    if fn.startswith("G_"):
-        _emit(qs.eisenstein(int(fn[2:]), order).to_json())
-    elif fn.startswith("eta_"):
-        _emit(qs.eta_power(int(fn[4:]), order).to_json())
-    elif fn in ("Ptilde_1", "P~1"):
-        _emit(el.p_tilde_1(order).to_json())
-    elif fn.startswith("P_"):
-        _emit(el.p_expansion(int(fn[2:]), order).to_json())
-    elif fn.startswith("g_"):
-        i, j = (int(t) for t in fn[2:].split("_"))
-        _emit(el.g_expansion(i, j, order).to_json())
-    elif fn.startswith("wp_"):
-        _emit(el.wp_laurent(int(fn[3:]), args.z_order, order).to_json())
-    else:
+# expand ids by name; each "_" in a form stands before one integer index
+_EXPAND_FORMS = {"G": "G_2k", "P": "P_k", "g": "g_i_j", "wp": "wp_k", "eta": "eta_l"}
+
+
+def _parse_function_id(fn: str):
+    """Split an expand id such as "g_1_3" into its name and integer indices."""
+    if fn in ("Ptilde_1", "P~1"):
+        return "Ptilde_1", ()
+    name, _, rest = fn.partition("_")
+    form = _EXPAND_FORMS.get(name)
+    if form is None:
         raise UsageError(f"unknown function id {fn!r}")
+    try:
+        indices = tuple(int(t) for t in rest.split("_"))
+    except ValueError:
+        indices = ()
+    if len(indices) != form.count("_"):
+        raise UsageError(f"--function {fn!r} is not of the form {form} with integer indices")
+    return name, indices
+
+
+def cmd_expand(args) -> int:
+    name, idx = _parse_function_id(args.function)
+    order = args.order
+    if order < 0:
+        raise UsageError("--order must be >= 0")
+    if name == "G":
+        series = qs.eisenstein(idx[0], order)
+    elif name == "eta":
+        series = qs.eta_power(idx[0], order)
+    elif name == "Ptilde_1":
+        series = el.p_tilde_1(order)
+    elif name == "P":
+        series = el.p_expansion(idx[0], order)
+    elif name == "g":
+        series = el.g_expansion(idx[0], idx[1], order)
+    else:
+        series = el.wp_laurent(idx[0], args.z_order, order)
+    _emit(series.to_json())
     return 0
 
 
@@ -122,12 +144,7 @@ def cmd_anomaly(args) -> int:
         rows = []
         for sym, coeff in sorted(bucket.items(), key=lambda kv: repr(kv[0])):
             beta = coeff.shift(2 * k)  # report against beta = c/(2 pi i (c tau + d))
-            comps = beta.comps
-            if set(comps) <= {0}:
-                coeff_str = format_fraction(comps.get(0, 0))
-            else:
-                coeff_str = repr(beta)
-            rows.append([coeff_str, _zero_mode_name(sym)])
+            rows.append([repr(beta), _zero_mode_name(sym)])
         out[f"k{k}"] = rows
     _emit(out)
     return 0
@@ -218,6 +235,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except DeltaUnknownError as exc:
+        print(f"unsupported: {exc.args[0]}", file=sys.stderr)
+        return 3
     except (UsageError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from math import comb, factorial
 from .combinatorics import eulerian_polynomial
 from .qseries import DEFAULT_ORDER, QExpansion, eisenstein
 from .ratfunc import LaurentPoly, ZetaRational
-from .scaled import ScaledRational, TpiSum
+from .scaled import TWO_PI_I, ScaledRational
 
 
 class BivariateExpansion:
@@ -118,8 +118,8 @@ class BivariateExpansion:
         r = max(abs(q), abs(q / zeta), abs(q * zeta))
         scale = max(recent[-5:]) if recent else 0.0
         tail = scale * r / max(1e-300, 1 - r)
-        grade = abs(complex(TpiSum.term(1, self.tpi)))
-        return complex(TpiSum.term(1, self.tpi)) * total, grade * tail
+        unit = TWO_PI_I ** self.tpi
+        return unit * total, abs(unit) * tail
 
     def to_json(self) -> dict:
         return {"tpi": self.tpi, "truncation": self.truncation,
@@ -294,7 +294,7 @@ def g1m_z_expansion(m: int, z_order: int, q_order: int) -> ZSeries:
         denom = 1
         for f in range(2 * n + 2, 2 * n + 2 + m):
             denom *= f
-        coeffs[2 * n + 1 + m] = g.scalar_mul(TpiSum.term(Fraction(1, denom), m))
+        coeffs[2 * n + 1 + m] = g.scalar_mul(ScaledRational(Fraction(1, denom), m))
         n += 1
     for k in range(1, m + 1, 2):
         if m - k > z_order:
@@ -305,9 +305,9 @@ def g1m_z_expansion(m: int, z_order: int, q_order: int) -> ZSeries:
             for d in range(1, bign + 1):
                 if bign % d == 0:
                     total += Fraction(d) ** (m - k) * Fraction(bign // d) ** m
-            ck[bign] = TpiSum.term(2 * total, m + 1)
+            ck[bign] = ScaledRational(2 * total, m + 1)
         correction = QExpansion.from_dict(ck, q_order).scalar_mul(
-            TpiSum.term(Fraction(1, factorial(m - k)), m - k))
+            ScaledRational(Fraction(1, factorial(m - k)), m - k))
         e = m - k
         coeffs[e] = coeffs[e] + correction if e in coeffs else correction
     return ZSeries(coeffs)

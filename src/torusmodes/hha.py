@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .combinatorics import descent_count, recursion_coefficient
-from .scaled import ScaledRational, TpiSum, as_fraction, format_fraction
+from .scaled import ScaledRational, as_fraction, format_fraction
 from .symbols import CoeffPoly, ONE, P, delta_transform, p_layer_coefficient
 
 
@@ -136,8 +136,7 @@ class HHASpec:
             for coeff, dpow, target in outs:
                 if target not in self.weights:
                     raise ClosureError(f"structure target {target!r} not a generator")
-                if not isinstance(coeff, ScaledRational):
-                    coeff = ScaledRational(coeff)
+                coeff = ScaledRational.of(coeff)
                 if not coeff:
                     continue
                 if target == identity and dpow > 0:
@@ -407,11 +406,6 @@ class CorrExpression:
     def __neg__(self):
         return CorrExpression({s: -p for s, p in self.terms.items()})
 
-    def scale(self, poly) -> "CorrExpression":
-        if isinstance(poly, (int, Fraction, ScaledRational, TpiSum)):
-            poly = CoeffPoly.scalar(poly)
-        return CorrExpression({s: p * poly for s, p in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, CorrExpression):
             return NotImplemented
@@ -621,7 +615,7 @@ def reduce_once_ordered(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
                             rc = recursion_coefficient(u, des, t)
                             if rc:
                                 layer = layer + p_layer_coefficient(t, m, pj, p1) * \
-                                    TpiSum.term(rc, u - t)
+                                    ScaledRational(rc, u - t)
                         tail = attach_insertion(spec, kept_modes, other, pj, st,
                                                 poly * layer, ordered=True)
                         for tsym, tpoly in tail.terms.items():
@@ -717,7 +711,8 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions,
             tails = CorrExpression(
                 {s: p for s, p in expansion.terms.items() if s != sym})
             replacement = CorrExpression.single(target) - tails
-            out = out + replacement.scale(poly)
+            for s, p in replacement.terms.items():
+                out.add_term(s, p * poly)
         expr = out
         rounds += 1
 
@@ -744,7 +739,7 @@ def weight1_configuration_formula(n: int, s: int, pairing=1) -> CorrExpression:
         for idx, partner in enumerate(rest):
             if first <= s or partner <= s:
                 rec(rest[:idx] + rest[idx + 1:], unpaired,
-                    coeff * P(2, partner, first) * TpiSum.term(-pairing, -2))
+                    coeff * P(2, partner, first) * ScaledRational(-pairing, -2))
 
     rec(indices, (), ONE)
     return out
@@ -774,7 +769,8 @@ def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
             if red is None:
                 red = reduce_to_zero_modes(spec, CorrExpression.single(sym))
                 cache[sym] = red
-            result = result + red.scale(poly)
+            for s, p in red.terms.items():
+                result.add_term(s, p * poly)
         else:
             result.add_term(sym, poly)
 
@@ -795,7 +791,7 @@ def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
                     raise ResidueError(
                         f"anomaly produced an ungraded (B^0) term on {sym!r}")
                 bucket = graded.setdefault(k, {})
-                bucket[sym] = bucket.get(sym, TpiSum()) + coeff
+                bucket[sym] = bucket.get(sym, ScaledRational()) + coeff
     out = []
     for k in sorted(graded):
         clean = {s: c for s, c in graded[k].items() if c}

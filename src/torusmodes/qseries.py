@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .scaled import ScaledRational, TpiSum, as_fraction, format_fraction
+from .scaled import ScaledRational, as_fraction, format_fraction
 
 
 class OffsetError(ValueError):
@@ -40,7 +40,7 @@ class QExpansion:
 
     def __init__(self, offset, lower: int, coeffs, truncation: int):
         offset = as_fraction(offset)
-        coeffs = tuple(TpiSum.of(c) for c in coeffs)
+        coeffs = tuple(ScaledRational.of(c) for c in coeffs)
         if len(coeffs) != truncation - lower + 1:
             raise ValueError("coefficient list does not match [lower, truncation]")
         self.offset = offset
@@ -52,11 +52,11 @@ class QExpansion:
 
     @classmethod
     def zero(cls, truncation: int = DEFAULT_ORDER, offset=0) -> "QExpansion":
-        return cls(offset, 0, [TpiSum()] * (truncation + 1), truncation)
+        return cls(offset, 0, [ScaledRational()] * (truncation + 1), truncation)
 
     @classmethod
     def one(cls, truncation: int = DEFAULT_ORDER) -> "QExpansion":
-        c = [TpiSum.term(1)] + [TpiSum()] * truncation
+        c = [ScaledRational(1)] + [ScaledRational()] * truncation
         return cls(0, 0, c, truncation)
 
     @classmethod
@@ -66,7 +66,7 @@ class QExpansion:
             lower = min(min(d), 0)
         else:
             lower = 0
-        coeffs = [TpiSum.of(d.get(m, 0)) for m in range(lower, truncation + 1)]
+        coeffs = [ScaledRational.of(d.get(m, 0)) for m in range(lower, truncation + 1)]
         return cls(offset, lower, coeffs, truncation)
 
     @classmethod
@@ -75,12 +75,12 @@ class QExpansion:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def coefficient(self, m: int) -> TpiSum:
+    def coefficient(self, m: int) -> ScaledRational:
         """Coefficient of q**(offset + m); m must not exceed the truncation."""
         if m > self.truncation:
             raise IndexError(f"coefficient q^(offset+{m}) beyond truncation {self.truncation}")
         if m < self.lower:
-            return TpiSum()
+            return ScaledRational()
         return self.coeffs[m - self.lower]
 
     def is_zero(self) -> bool:
@@ -111,24 +111,21 @@ class QExpansion:
         d = self._aligned(other)
         lower = min(self.lower, other.lower + d)
         trunc = min(self.truncation, other.truncation + d)
-        coeffs = []
-        for m in range(lower, trunc + 1):
-            a = self.coefficient(m) if m >= self.lower else TpiSum()
-            b = other.coefficient(m - d) if m - d >= other.lower else TpiSum()
-            coeffs.append(a + b)
+        coeffs = [self.coefficient(m) + other.coefficient(m - d)
+                  for m in range(lower, trunc + 1)]
         return QExpansion(self.offset, lower, coeffs, trunc)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ScaledRational, TpiSum)):
+        if isinstance(other, (int, Fraction, ScaledRational)):
             return self.scalar_mul(other)
         if not isinstance(other, QExpansion):
             return NotImplemented
         lower = self.lower + other.lower
         trunc = min(self.truncation + other.lower, other.truncation + self.lower)
-        out = [TpiSum() for _ in range(trunc - lower + 1)]
+        out = [ScaledRational() for _ in range(trunc - lower + 1)]
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -143,7 +140,7 @@ class QExpansion:
     __rmul__ = __mul__
 
     def scalar_mul(self, s) -> "QExpansion":
-        s = TpiSum.of(s)
+        s = ScaledRational.of(s)
         return QExpansion(self.offset, self.lower, [c * s for c in self.coeffs], self.truncation)
 
     def power(self, k: int) -> "QExpansion":
@@ -162,21 +159,16 @@ class QExpansion:
         return result
 
     def invert_unit(self) -> "QExpansion":
-        """Inverse of a series with invertible (single-grade) leading coefficient."""
+        """Inverse of a series with nonzero leading coefficient."""
         low = next((m for m in range(self.lower, self.truncation + 1) if self.coefficient(m)), None)
         if low is None:
             raise NonUnitError("cannot invert the zero series")
-        try:
-            c0 = self.coefficient(low).single()
-        except ValueError:
-            raise NonUnitError("leading coefficient is a mixed-grade sum; not invertible "
-                               "in Q*(2*pi*i)^Z") from None
-        b0 = c0.inverse()
+        b0 = self.coefficient(low).inverse()
         n = self.truncation - low  # number of reliable unit-part coefficients beyond leading
         u = [self.coefficient(low + j) for j in range(n + 1)]
-        inv = [TpiSum.of(b0)]
+        inv = [b0]
         for m in range(1, n + 1):
-            acc = TpiSum()
+            acc = ScaledRational()
             for j in range(1, m + 1):
                 if u[j]:
                     acc = acc + u[j] * inv[m - j]
@@ -253,7 +245,7 @@ class QExpansion:
     @classmethod
     def from_json(cls, data) -> "QExpansion":
         return cls(Fraction(data["offset"]), data["lower"],
-                   [TpiSum.from_pairs(p) for p in data["coeffs"]], data["truncation"])
+                   [ScaledRational.from_pairs(p) for p in data["coeffs"]], data["truncation"])
 
     def __repr__(self):
         parts = []
@@ -309,10 +301,10 @@ def eisenstein(two_k: int, truncation: int = DEFAULT_ORDER) -> QExpansion:
     if two_k < 2 or two_k % 2:
         raise ValueError("weight must be a positive even integer")
     const = -bernoulli(two_k) / factorial(two_k)
-    coeffs = [TpiSum.term(const, two_k)]
+    coeffs = [ScaledRational(const, two_k)]
     pref = Fraction(2, factorial(two_k - 1))
     for n in range(1, truncation + 1):
-        coeffs.append(TpiSum.term(pref * sigma(two_k - 1, n), two_k))
+        coeffs.append(ScaledRational(pref * sigma(two_k - 1, n), two_k))
     return QExpansion(0, 0, coeffs, truncation)
 
 

@@ -6,9 +6,11 @@ rational multiple of an integer power of 2*pi*i.  Tracking that power as an
 explicit grade keeps all arithmetic exact; nothing transcendental is
 evaluated until an explicit numeric call.
 
-``ScaledRational`` is a single graded component.  ``TpiSum`` is a finite sum
-of components of different grades; it is the coefficient object used by
-q-expansions and by the symbolic correlator engine.
+``ScaledRational`` is the one coefficient type, used by q-expansions and by
+the symbolic correlator engine.  It holds a single grade: the correlators
+are quasi-modular (zero modes) or quasi-Jacobi (mixed) forms of fixed
+weight, so a sum of nonzero terms of different grades never arises, and
+building one raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -32,37 +34,45 @@ def format_fraction(x: Fraction) -> str:
 
 
 class ScaledRational:
-    """value * (2*pi*i)**tpi with rational value.
+    """value * (2*pi*i)**tpi with rational value; zero by default.
 
-    Zero is normalized to grade 0.  Addition is defined only between equal
-    grades; mixed-grade sums live in :class:`TpiSum`.
+    Zero is normalized to grade 0 and adds to any grade; nonzero values add
+    only within one grade.  int and Fraction operands are grade-0 values.
     """
 
     __slots__ = ("value", "tpi")
 
-    def __init__(self, value, tpi: int = 0):
+    def __init__(self, value=0, tpi: int = 0):
         value = as_fraction(value)
         if value == 0:
             tpi = 0
         self.value = value
         self.tpi = tpi
 
+    @classmethod
+    def of(cls, x) -> "ScaledRational":
+        return x if isinstance(x, ScaledRational) else cls(x)
+
     def __bool__(self):
         return self.value != 0
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.tpi == 0 and self.value == other
         if not isinstance(other, ScaledRational):
             return NotImplemented
         return self.value == other.value and self.tpi == other.tpi
 
     def __hash__(self):
-        return hash((self.value, self.tpi))
+        return hash(self.value) if self.tpi == 0 else hash((self.value, self.tpi))
 
     def __neg__(self):
         return ScaledRational(-self.value, self.tpi)
 
     def __add__(self, other):
-        if not isinstance(other, ScaledRational):
+        if isinstance(other, (int, Fraction)):
+            other = ScaledRational(other)
+        elif not isinstance(other, ScaledRational):
             return NotImplemented
         if not self:
             return other
@@ -70,10 +80,13 @@ class ScaledRational:
             return self
         if self.tpi != other.tpi:
             raise ValueError(
-                f"cannot add grades (2*pi*i)^{self.tpi} and (2*pi*i)^{other.tpi}; "
-                "use TpiSum for graded sums"
-            )
+                f"cannot add grades (2*pi*i)^{self.tpi} and (2*pi*i)^{other.tpi}")
         return ScaledRational(self.value + other.value, self.tpi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-ScaledRational.of(other))
 
     def __mul__(self, other):
         if isinstance(other, ScaledRational):
@@ -91,120 +104,30 @@ class ScaledRational:
 
     def shift(self, k: int) -> "ScaledRational":
         """Multiply by (2*pi*i)**k."""
-        if not self:
-            return self
         return ScaledRational(self.value, self.tpi + k)
+
+    def scale(self, rational) -> "ScaledRational":
+        """Multiply by a rational, keeping the grade."""
+        return ScaledRational(self.value * as_fraction(rational), self.tpi)
 
     def __complex__(self):
         return complex(self.value) * TWO_PI_I ** self.tpi
+
+    def to_pairs(self):
+        """[] for zero, else [[grade, "p/q"]], for JSON output."""
+        return [[self.tpi, format_fraction(self.value)]] if self else []
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "ScaledRational":
+        """Inverse of :meth:`to_pairs`; more than one pair is a mixed-grade sum."""
+        if len(pairs) > 1:
+            raise ValueError(f"expected at most one (grade, value) pair, got {len(pairs)}")
+        if not pairs:
+            return cls()
+        ((e, s),) = pairs
+        return cls(Fraction(s), int(e))
 
     def __repr__(self):
         if self.tpi == 0:
             return format_fraction(self.value)
         return f"{format_fraction(self.value)}*(2*pi*i)^{self.tpi}"
-
-
-class TpiSum:
-    """A finite graded sum sum_e c_e * (2*pi*i)**e with rational c_e."""
-
-    __slots__ = ("comps",)
-
-    def __init__(self, comps=None):
-        # comps: dict grade -> Fraction, zeros dropped
-        if comps is None:
-            comps = {}
-        self.comps = {e: c for e, c in comps.items() if c != 0}
-
-    @classmethod
-    def term(cls, value, tpi: int = 0) -> "TpiSum":
-        value = as_fraction(value)
-        return cls({tpi: value} if value else {})
-
-    @classmethod
-    def of(cls, x) -> "TpiSum":
-        if isinstance(x, TpiSum):
-            return x
-        if isinstance(x, ScaledRational):
-            return cls.term(x.value, x.tpi)
-        if isinstance(x, (int, Fraction)):
-            return cls.term(x, 0)
-        raise TypeError(f"cannot coerce {type(x).__name__} to TpiSum")
-
-    def __bool__(self):
-        return bool(self.comps)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ScaledRational)):
-            other = TpiSum.of(other)
-        if not isinstance(other, TpiSum):
-            return NotImplemented
-        return self.comps == other.comps
-
-    def __hash__(self):
-        return hash(frozenset(self.comps.items()))
-
-    def __neg__(self):
-        return TpiSum({e: -c for e, c in self.comps.items()})
-
-    def __add__(self, other):
-        other = TpiSum.of(other)
-        comps = dict(self.comps)
-        for e, c in other.comps.items():
-            comps[e] = comps.get(e, 0) + c
-        return TpiSum(comps)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-TpiSum.of(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TpiSum({e: c * other for e, c in self.comps.items()})
-        if isinstance(other, ScaledRational):
-            if not other:
-                return TpiSum()
-            return TpiSum({e + other.tpi: c * other.value for e, c in self.comps.items()})
-        if isinstance(other, TpiSum):
-            comps = {}
-            for e1, c1 in self.comps.items():
-                for e2, c2 in other.comps.items():
-                    e = e1 + e2
-                    comps[e] = comps.get(e, 0) + c1 * c2
-            return TpiSum(comps)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "TpiSum":
-        """Multiply by (2*pi*i)**k."""
-        return TpiSum({e + k: c for e, c in self.comps.items()})
-
-    def scale(self, rational) -> "TpiSum":
-        rational = as_fraction(rational)
-        return TpiSum({e: c * rational for e, c in self.comps.items()})
-
-    def single(self) -> ScaledRational:
-        """The unique component, for sums known to be monomial."""
-        if not self.comps:
-            return ScaledRational(0)
-        if len(self.comps) != 1:
-            raise ValueError(f"not a single-grade sum: {self!r}")
-        ((e, c),) = self.comps.items()
-        return ScaledRational(c, e)
-
-    def __complex__(self):
-        return sum((complex(c) * TWO_PI_I ** e for e, c in self.comps.items()), 0j)
-
-    def to_pairs(self):
-        """Sorted [(grade, "p/q"), ...] pairs for JSON output."""
-        return [[e, format_fraction(c)] for e, c in sorted(self.comps.items())]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "TpiSum":
-        return cls({int(e): Fraction(s) for e, s in pairs})
-
-    def __repr__(self):
-        if not self.comps:
-            return "0"
-        return " + ".join(repr(ScaledRational(c, e)) for e, c in sorted(self.comps.items()))

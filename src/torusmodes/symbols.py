@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scaled import ScaledRational, TpiSum
+from .scaled import ScaledRational
 
 _KIND_RANK = {"G": 0, "P": 1, "Pt": 2, "g": 3, "B": 4, "z": 5, "pi": 6}
 
@@ -73,7 +73,11 @@ def sym_str(sym) -> str:
 
 
 class CoeffPoly:
-    """Multivariate polynomial: map sorted-monomial -> TpiSum coefficient."""
+    """Multivariate polynomial: map sorted monomial -> nonzero ScaledRational.
+
+    Each monomial's coefficient has one 2*pi*i grade; adding coefficients of
+    different grades to the same monomial raises ValueError.
+    """
 
     __slots__ = ("terms",)
 
@@ -81,7 +85,7 @@ class CoeffPoly:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = TpiSum.of(c)
+                c = ScaledRational.of(c)
                 if c:
                     self.terms[mono] = c
 
@@ -91,11 +95,11 @@ class CoeffPoly:
 
     @classmethod
     def scalar(cls, c) -> "CoeffPoly":
-        return cls({(): TpiSum.of(c)})
+        return cls({(): ScaledRational.of(c)})
 
     @classmethod
     def symbol(cls, sym, coeff=1) -> "CoeffPoly":
-        return cls({((sym, 1),): TpiSum.of(coeff)})
+        return cls({((sym, 1),): ScaledRational.of(coeff)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -112,7 +116,7 @@ class CoeffPoly:
         return CoeffPoly({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, ScaledRational, TpiSum)):
+        if isinstance(other, (int, Fraction, ScaledRational)):
             other = CoeffPoly.scalar(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -123,8 +127,6 @@ class CoeffPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, ScaledRational, TpiSum)):
-            other = CoeffPoly.scalar(other)
         return self + (-other)
 
     @staticmethod
@@ -135,9 +137,8 @@ class CoeffPoly:
         return tuple(sorted(d.items(), key=lambda p: _sym_key(p[0])))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ScaledRational, TpiSum)):
-            s = TpiSum.of(other)
-            return CoeffPoly({m: c * s for m, c in self.terms.items()})
+        if isinstance(other, (int, Fraction, ScaledRational)):
+            return CoeffPoly({m: c * other for m, c in self.terms.items()})
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -155,15 +156,15 @@ class CoeffPoly:
     def contains_kind(self, *kinds) -> bool:
         return any(s[0] in kinds for m in self.terms for s, _ in m)
 
-    def pure_b_grading(self) -> dict[int, TpiSum]:
+    def pure_b_grading(self) -> dict[int, ScaledRational]:
         """Split a polynomial known to be a polynomial in B alone by B-power."""
-        out: dict[int, TpiSum] = {}
+        out: dict[int, ScaledRational] = {}
         for m, c in self.terms.items():
             if not m:
-                out[0] = out.get(0, TpiSum()) + c
+                out[0] = out.get(0, ScaledRational()) + c
             elif len(m) == 1 and m[0][0] == ("B",):
                 k = m[0][1]
-                out[k] = out.get(k, TpiSum()) + c
+                out[k] = out.get(k, ScaledRational()) + c
             else:
                 raise ValueError(f"not a pure B-polynomial: contains {m}")
         return out
@@ -229,7 +230,7 @@ def G(two_k: int) -> CoeffPoly:
 
 
 def B(power: int = 1) -> CoeffPoly:
-    return CoeffPoly({((("B",), power),): TpiSum.term(1)})
+    return CoeffPoly({((("B",), power),): ScaledRational(1)})
 
 
 def zvar(a: int) -> CoeffPoly:

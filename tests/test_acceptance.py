@@ -17,7 +17,7 @@ from torusmodes import lattice as lt
 from torusmodes import numerics as nm
 from torusmodes import qseries as qs
 from torusmodes.hha import CorrExpression, CorrSymbol
-from torusmodes.scaled import TWO_PI_I, ScaledRational, TpiSum
+from torusmodes.scaled import TWO_PI_I, ScaledRational
 from torusmodes.symbols import ONE, P, g
 
 
@@ -67,7 +67,7 @@ def test_ac2_formal_series_identities():
                 rhs = None
                 for r in range(n):
                     term = derivs[r].scalar_mul(
-                        TpiSum.term(Fraction(comb(n, r)) * k ** (n - r), n - r))
+                        ScaledRational(Fraction(comb(n, r)) * k ** (n - r), n - r))
                     rhs = term if rhs is None else rhs + term
                 assert (derivs[n] - w * rhs).is_zero()
             for m in range(6):
@@ -76,7 +76,7 @@ def test_ac2_formal_series_identities():
                     S = cb.stirling_second(m, i)
                     if S:
                         term = (base * w.power(i)).scalar_mul(
-                            TpiSum.term(Fraction(factorial(i) * S) * k ** m, m))
+                            ScaledRational(Fraction(factorial(i) * S) * k ** m, m))
                         rhs = term if rhs is None else rhs + term
                 assert (derivs[m] - rhs).is_zero()
             for l in range(6):
@@ -84,7 +84,7 @@ def test_ac2_formal_series_identities():
                 for m in range(l + 1):
                     s = cb.stirling_first(l, m)
                     if s:
-                        term = derivs[m].scalar_mul(TpiSum.term(
+                        term = derivs[m].scalar_mul(ScaledRational(
                             Fraction(s, factorial(l)) * Fraction(1, k ** m), -m))
                         rhs = term if rhs is None else rhs + term
                 assert (base * w.power(l) - rhs).is_zero()
@@ -129,18 +129,18 @@ def test_ac4_symbolic_recursion_fixtures():
         want = CorrExpression()
         want.add_term(CorrSymbol((), ((1, 0, "x"), (2, 0, "x"))), ONE)
         want.add_term(CorrSymbol((), ((2, 0, "x"),)),
-                      -(P(2, 2, 1) * TpiSum.term(4, -2)))
-        want.add_term(CorrSymbol((), ()), -(P(4, 2, 1) * TpiSum.term(2, -4)))
+                      -(P(2, 2, 1) * ScaledRational(4, -2)))
+        want.add_term(CorrSymbol((), ()), -(P(4, 2, 1) * ScaledRational(2, -4)))
         assert inv2 == want
         step2 = hha.invert_to_full(w2, ("x",) * 3, steps=2)
         want3 = CorrExpression()
         want3.add_term(CorrSymbol(("x",), ((2, 0, "x"), (3, 0, "x"))), ONE)
         want3.add_term(CorrSymbol(("x",), ((3, 0, "x"),)),
-                       -(P(2, 3, 2) * TpiSum.term(4, -2)))
-        want3.add_term(CorrSymbol(("x",), ()), -(P(4, 3, 2) * TpiSum.term(2, -4)))
+                       -(P(2, 3, 2) * ScaledRational(4, -2)))
+        want3.add_term(CorrSymbol(("x",), ()), -(P(4, 3, 2) * ScaledRational(2, -4)))
         want3.add_term(CorrSymbol((), ((3, 0, "x"),)),
-                       -(g(1, 3, 3, 2) * TpiSum.term(16, -4)))
-        want3.add_term(CorrSymbol((), ()), -(g(1, 5, 3, 2) * TpiSum.term(16, -6)))
+                       -(g(1, 3, 3, 2) * ScaledRational(16, -4)))
+        want3.add_term(CorrSymbol((), ()), -(g(1, 5, 3, 2) * ScaledRational(16, -6)))
         assert step2 == want3
         w1 = hha.weight1_spec()
         for s in range(0, 7):
@@ -161,14 +161,14 @@ def test_ac5_anomaly_fixtures():
             want = {}
             for k in range(1, s // 2 + 1):
                 c = Fraction(factorial(s), 2 ** k * factorial(k) * factorial(s - 2 * k))
-                want[k] = {CorrSymbol(("a",) * (s - 2 * k), ()): TpiSum.term(c, -2 * k)}
+                want[k] = {CorrSymbol(("a",) * (s - 2 * k), ()): ScaledRational(c, -2 * k)}
             assert got == want, s
         w2 = hha.weight2_spec()
         F = lambda s: CorrSymbol(("x",) * s, ())
         assert dict(hha.anomaly_of_zero_modes(w2, ("x",) * 2)) == \
-            {1: {F(1): TpiSum.term(4, -2)}}
+            {1: {F(1): ScaledRational(4, -2)}}
         assert dict(hha.anomaly_of_zero_modes(w2, ("x",) * 3)) == \
-            {1: {F(2): TpiSum.term(12, -2)}, 2: {F(1): TpiSum.term(24, -4)}}
+            {1: {F(2): ScaledRational(12, -2)}, 2: {F(1): ScaledRational(24, -4)}}
 
 
 def test_ac6_lattice_oracle():
@@ -185,7 +185,7 @@ def test_ac6_lattice_oracle():
             assert (a - b).is_zero(), n
         ch = lt.quasimod_rhs(E83, 0, 0, 3)
         for m in range(4):
-            assert ch.coefficient(m) == TpiSum.term(lt.J_CHARACTER[m])
+            assert ch.coefficient(m) == ScaledRational(lt.J_CHARACTER[m])
 
 
 def test_ac7_end_to_end_numeric_closure():

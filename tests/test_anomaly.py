@@ -5,7 +5,7 @@ import pytest
 
 from torusmodes import hha
 from torusmodes.hha import CorrSymbol, anomaly_of_zero_modes, weight1_spec, weight2_spec
-from torusmodes.scaled import TpiSum
+from torusmodes.scaled import ScaledRational
 from torusmodes.symbols import (B, CoeffPoly, DeltaUnknownError, P, Pt,
                                 delta_anomaly, delta_of_symbol, delta_transform,
                                 g, zvar)
@@ -54,14 +54,14 @@ def test_weight1_anomaly_closed_form():
         want = {}
         for k in range(1, s // 2 + 1):
             c = Fraction(factorial(s), 2 ** k * factorial(k) * factorial(s - 2 * k))
-            want[k] = {CorrSymbol(("a",) * (s - 2 * k), ()): TpiSum.term(c, -2 * k)}
+            want[k] = {CorrSymbol(("a",) * (s - 2 * k), ()): ScaledRational(c, -2 * k)}
         assert got == want, s
 
 
 def test_weight1_anomaly_scales_with_pairing():
     spec = weight1_spec(pairing=Fraction(3, 2))
     got = dict(anomaly_of_zero_modes(spec, ("a", "a")))
-    assert got == {1: {CorrSymbol((), ()): TpiSum.term(Fraction(3, 2), -2)}}
+    assert got == {1: {CorrSymbol((), ()): ScaledRational(Fraction(3, 2), -2)}}
 
 
 def test_weight2_anomalies():
@@ -69,9 +69,9 @@ def test_weight2_anomalies():
     F = lambda s: CorrSymbol(("x",) * s, ())
     assert anomaly_of_zero_modes(spec, ("x",)) == []
     got2 = dict(anomaly_of_zero_modes(spec, ("x",) * 2))
-    assert got2 == {1: {F(1): TpiSum.term(4, -2)}}
+    assert got2 == {1: {F(1): ScaledRational(4, -2)}}
     got3 = dict(anomaly_of_zero_modes(spec, ("x",) * 3))
-    assert got3 == {1: {F(2): TpiSum.term(12, -2)}, 2: {F(1): TpiSum.term(24, -4)}}
+    assert got3 == {1: {F(2): ScaledRational(12, -2)}, 2: {F(1): ScaledRational(24, -4)}}
 
 
 def test_weight2_s4_needs_untabulated_depth():

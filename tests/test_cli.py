@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from torusmodes import cli, hha, lattice
 
 
@@ -149,3 +151,26 @@ def test_lattice_trace_negative_inputs(capsys):
                          "--order", "-2")
     assert code == 2 and out == ""
     assert err == "error: max_norm_half must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--function", "g_1"],
+     "error: --function 'g_1' is not of the form g_i_j with integer indices"),
+    (["--function", "g_1_2_3"],
+     "error: --function 'g_1_2_3' is not of the form g_i_j with integer indices"),
+    (["--function", "G_x"], "error: --function 'G_x' is not of the form G_2k with integer indices"),
+    (["--function", "eta_x"],
+     "error: --function 'eta_x' is not of the form eta_l with integer indices"),
+    (["--function", "P_"], "error: --function 'P_' is not of the form P_k with integer indices"),
+    (["--function", "P_2", "--order", "-1"], "error: --order must be >= 0"),
+])
+def test_expand_malformed_input(capsys, argv, message):
+    code, out, err = run(capsys, "expand", *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+def test_anomaly_beyond_tabulated_depth_is_unsupported(capsys):
+    code, out, err = run(capsys, "anomaly", "--spec", "weight2", "--correlator", "x0^4")
+    assert code == 3 and out == ""
+    assert err == "unsupported: Delta g^2_4 is outside the tabulated depth-one set\n"

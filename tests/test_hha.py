@@ -11,7 +11,7 @@ from torusmodes.hha import (CorrExpression, CorrSymbol, HHAError, State,
                             reduce_to_zero_modes, square_action, to_commuting,
                             weight1_configuration_formula, weight1_spec,
                             weight2_spec)
-from torusmodes.scaled import ScaledRational, TpiSum
+from torusmodes.scaled import ScaledRational
 from torusmodes.symbols import ONE, P, g
 
 
@@ -108,8 +108,8 @@ def test_two_zero_mode_expansion_fixture(w2):
     inv = invert_to_full(w2, ("x", "x"))
     want = CorrExpression()
     want.add_term(CorrSymbol((), ((1, 0, "x"), (2, 0, "x"))), ONE)
-    want.add_term(CorrSymbol((), ((2, 0, "x"),)), -(P(2, 2, 1) * TpiSum.term(4, -2)))
-    want.add_term(CorrSymbol((), ()), -(P(4, 2, 1) * TpiSum.term(2, -4)))
+    want.add_term(CorrSymbol((), ((2, 0, "x"),)), -(P(2, 2, 1) * ScaledRational(4, -2)))
+    want.add_term(CorrSymbol((), ()), -(P(4, 2, 1) * ScaledRational(2, -4)))
     assert inv == want
 
 
@@ -117,10 +117,10 @@ def test_three_zero_mode_first_peel_fixture(w2):
     two = invert_to_full(w2, ("x",) * 3, steps=2)
     want = CorrExpression()
     want.add_term(CorrSymbol(("x",), ((2, 0, "x"), (3, 0, "x"))), ONE)
-    want.add_term(CorrSymbol(("x",), ((3, 0, "x"),)), -(P(2, 3, 2) * TpiSum.term(4, -2)))
-    want.add_term(CorrSymbol(("x",), ()), -(P(4, 3, 2) * TpiSum.term(2, -4)))
-    want.add_term(CorrSymbol((), ((3, 0, "x"),)), -(g(1, 3, 3, 2) * TpiSum.term(16, -4)))
-    want.add_term(CorrSymbol((), ()), -(g(1, 5, 3, 2) * TpiSum.term(16, -6)))
+    want.add_term(CorrSymbol(("x",), ((3, 0, "x"),)), -(P(2, 3, 2) * ScaledRational(4, -2)))
+    want.add_term(CorrSymbol(("x",), ()), -(P(4, 3, 2) * ScaledRational(2, -4)))
+    want.add_term(CorrSymbol((), ((3, 0, "x"),)), -(g(1, 3, 3, 2) * ScaledRational(16, -4)))
+    want.add_term(CorrSymbol((), ()), -(g(1, 5, 3, 2) * ScaledRational(16, -6)))
     assert two == want
 
 
@@ -150,7 +150,7 @@ def test_weight1_reduction_to_zero_modes(w1):
     red = reduce_to_zero_modes(w1, expr)
     want = CorrExpression()
     want.add_term(CorrSymbol(("a", "a"), ()), ONE)
-    want.add_term(CorrSymbol((), ()), P(2, 2, 1) * TpiSum.term(1, -2))
+    want.add_term(CorrSymbol((), ()), P(2, 2, 1) * ScaledRational(1, -2))
     assert red == want
 
 
@@ -162,7 +162,7 @@ def test_repeated_zero_mode_binomial_multiplicity(w2):
     # the g^1_3(2/1)-coefficient term comes with d^(1)[2]x = 16/(2pi i)^4 x and binom(3,1)
     target = CorrSymbol(("x",) * (r - 1), ((2, 0, "x"),))
     poly = red.terms[target]
-    want = -(g(1, 3, 2, 1) * TpiSum.term(3 * 16, -4))
+    want = -(g(1, 3, 2, 1) * ScaledRational(3 * 16, -4))
     mono = next(iter(want.terms))
     assert poly.terms[mono] == want.terms[mono] * (-1)
 
@@ -184,7 +184,7 @@ def test_ordered_r1_tail_is_g1(w2):
     poly = red.terms[target]
     # coefficient should contain g^1_3(2/1) * 16/(2pi i)^4 exactly (2 pi i)^{1-1} rc(1,0,1)=1
     mono = next(iter(g(1, 3, 2, 1).terms))
-    assert poly.terms[mono] == TpiSum.term(16, -4)
+    assert poly.terms[mono] == ScaledRational(16, -4)
 
 
 def test_a0_cancellation_pair(w2):
@@ -264,7 +264,7 @@ def test_two_generator_multiset_reduction():
     assert back == CorrExpression.single(CorrSymbol(("a", "a", "b", "b"), ()))
     poly = inv2.terms[CorrSymbol((), ())]
     (mono, coeff), = poly.terms.items()
-    assert coeff == TpiSum.term(2, -4)  # (-1)(-2) from the two species pairings
+    assert coeff == ScaledRational(2, -4)  # (-1)(-2) from the two species pairings
     assert {s[0] for s, _ in mono} == {"P"}
 
 

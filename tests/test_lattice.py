@@ -5,7 +5,7 @@ import pytest
 
 from torusmodes import lattice as lt
 from torusmodes import qseries as qs
-from torusmodes.scaled import TWO_PI_I, TpiSum
+from torusmodes.scaled import TWO_PI_I, ScaledRational
 
 
 def test_lattice_validation():
@@ -37,8 +37,8 @@ def test_e8_shells():
 
 def test_theta_series_block_convolution():
     th = lt.theta_series(lt.e8_cubed(), 3)
-    assert th.coefficient(1) == TpiSum.term(720)
-    assert th.coefficient(2) == TpiSum.term(3 * 2160 + 3 * 240 * 240)
+    assert th.coefficient(1) == ScaledRational(720)
+    assert th.coefficient(2) == ScaledRational(3 * 2160 + 3 * 240 * 240)
 
 
 def test_gram_schmidt_axis_exact():
@@ -55,9 +55,9 @@ def test_gram_schmidt_axis_exact():
 
 def test_theta_moment_values():
     tm0 = lt.theta_moment(lt.e8(), 0, 0, 3)
-    assert tm0.coefficient(1) == TpiSum.term(240)
+    assert tm0.coefficient(1) == ScaledRational(240)
     tm2 = lt.theta_moment(lt.e8(), 0, 2, 3)
-    assert tm2.coefficient(1) == TpiSum.term(60)
+    assert tm2.coefficient(1) == ScaledRational(60)
     assert not tm2.coefficient(0)
     # odd moments vanish identically
     assert lt.theta_moment(lt.e8(), 0, 3, 3).is_zero()
@@ -85,7 +85,7 @@ def test_character_is_j():
     ch = lt.quasimod_rhs(lt.e8_cubed(), 0, 0, 3)
     assert ch.offset == -1
     for m in range(4):
-        assert ch.coefficient(m) == TpiSum.term(lt.J_CHARACTER[m])
+        assert ch.coefficient(m) == ScaledRational(lt.J_CHARACTER[m])
 
 
 def test_literal_oracle_matches_counting():
@@ -107,7 +107,7 @@ def test_fock_labels_levels():
     # graded dimensions of the rank-1 lattice VOA (A1): theta/eta structure
     char = lt.quasimod_rhs(lt.a1(), 0, 0, 2)
     for lvl, dim in dim_by_level.items():
-        assert char.coefficient(lvl) == TpiSum.term(dim)
+        assert char.coefficient(lvl) == ScaledRational(dim)
 
 
 def test_eval_trace_numeric():

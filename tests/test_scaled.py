@@ -1,0 +1,91 @@
+"""Properties of ScaledRational, the one exact coefficient type."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from torusmodes import qseries as qs
+from torusmodes.scaled import ScaledRational
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+nonzero = rationals.filter(bool)
+grades = st.integers(min_value=-6, max_value=6)
+scaled = st.builds(ScaledRational, rationals, grades)
+
+
+@given(rationals, rationals, rationals, grades)
+def test_addition_within_one_grade(x, y, z, e):
+    a, b, c = (ScaledRational(v, e) for v in (x, y, z))
+    assert a + b == b + a == ScaledRational(x + y, e)
+    assert (a + b) + c == a + (b + c)
+    assert a + ScaledRational() == a == ScaledRational() + a
+    assert a - b == ScaledRational(x - y, e)
+    assert a - a == 0
+
+
+@given(scaled, rationals, rationals, grades)
+def test_multiplication_laws(a, x, y, e):
+    b, c = ScaledRational(x, e), ScaledRational(y, e)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * 1 == a == 1 * a
+    assert a.scale(x) == a * x
+    if a:
+        assert a * a.inverse() == 1
+
+
+@given(rationals, st.integers(min_value=-5, max_value=5))
+def test_int_and_fraction_operands_are_grade_zero(x, n):
+    a = ScaledRational(x)
+    assert a == x and hash(a) == hash(x)
+    assert a + n == n + a == ScaledRational(x + n)
+    assert a - n == ScaledRational(x - n)
+    assert a + Fraction(1, 3) == x + Fraction(1, 3)
+    assert ScaledRational(x, 1) != x or x == 0
+
+
+@given(nonzero, nonzero, grades, st.integers(min_value=1, max_value=6))
+def test_mixed_grade_addition_raises(x, y, e, d):
+    with pytest.raises(ValueError):
+        ScaledRational(x, e) + ScaledRational(y, e + d)
+    with pytest.raises(ValueError):
+        ScaledRational(x, e) - ScaledRational(y, e - d)
+    if e + d != 0:
+        with pytest.raises(ValueError):
+            ScaledRational(x, e + d) + y
+
+
+@given(scaled, grades)
+def test_zero_normalizes_to_grade_zero(a, e):
+    for zero in (ScaledRational(0, e), a - a, a * 0, ScaledRational(0, e).shift(e)):
+        assert not zero and zero.tpi == 0
+        assert zero == 0 == ScaledRational()
+        assert zero.to_pairs() == [] and repr(zero) == "0"
+
+
+@given(scaled)
+def test_pairs_round_trip(a):
+    pairs = json.loads(json.dumps(a.to_pairs()))
+    assert ScaledRational.from_pairs(pairs) == a
+    assert pairs == ([[a.tpi, str(a.value)]] if a else [])
+
+
+@given(nonzero, nonzero, grades, grades)
+def test_from_pairs_rejects_two_pairs(x, y, e1, e2):
+    pairs = [[e1, str(x)], [e2, str(y)]]
+    with pytest.raises(ValueError, match="at most one"):
+        ScaledRational.from_pairs(pairs)
+
+
+@given(rationals, st.integers(min_value=-3, max_value=2), st.integers(min_value=0, max_value=6),
+       st.data())
+def test_qexpansion_json_round_trip(offset, lower, span, data):
+    coeffs = data.draw(st.lists(scaled, min_size=span + 1, max_size=span + 1))
+    series = qs.QExpansion(offset, lower, coeffs, lower + span)
+    back = qs.QExpansion.from_json(json.loads(json.dumps(series.to_json())))
+    assert (back.offset, back.lower, back.truncation) == \
+        (series.offset, series.lower, series.truncation)
+    assert back.coeffs == series.coeffs
