@@ -2,8 +2,10 @@
 
 Commands: expand, verify-suite, reduce, anomaly, lattice-trace,
 transform-check.  JSON goes to stdout, diagnostics to stderr; exit codes:
-0 success / all checks pass, 1 verification failure, 2 usage error,
-3 valid input that needs mathematics the engine does not have yet.
+0 success / all checks pass, 1 a failed check (a verification report, or an
+engine invariant: pi*i marker cancellation, anomaly residue, weight
+bookkeeping), 2 usage error, 3 valid input that needs mathematics the engine
+does not have yet.
 """
 
 from __future__ import annotations
@@ -119,7 +121,10 @@ def cmd_verify_suite(args) -> int:
 
 
 def _zero_mode_generators(spec: hha.HHASpec, correlator: str) -> tuple:
-    gens = hha.parse_zero_mode_correlator(correlator)
+    try:
+        gens = hha.parse_zero_mode_correlator(correlator)
+    except ValueError as exc:
+        raise UsageError(f"--correlator {exc}") from None
     unknown = [g_ for g_ in gens if g_ not in spec.weights]
     if unknown:
         raise UsageError(f"correlator references unknown generators {unknown}")
@@ -238,6 +243,9 @@ def main(argv=None) -> int:
     except DeltaUnknownError as exc:
         print(f"unsupported: {exc.args[0]}", file=sys.stderr)
         return 3
+    except (hha.CancellationError, hha.ResidueError, hha.WeightBookkeepingError) as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,8 @@ spec the module implements:
 Correlator symbols are kept in a normal form in which identity insertions
 are dropped and a lone insertion of an L[-1]-descendant annihilates the
 trace; states are always expanded onto the (L-power, generator) basis.
+Each spec memoizes the commuting recursion step by symbol shape (zero modes
+plus the (L-power, generator) of each insertion), for the life of the spec.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ class CancellationError(HHAError):
 
 class ResidueError(HHAError):
     """An anomaly computation left position- or function-symbol residue."""
+
+
+class WeightBookkeepingError(HHAError):
+    """A recursion tail broke the conservation of coefficient + symbol weight."""
 
 
 def _falling(m: int, l: int) -> int:
@@ -152,6 +158,9 @@ class HHASpec:
                 self.table[(a, b, m)] = tuple(cleaned)
                 max_m = max(max_m, m)
         self.max_m = max_m
+        # reduce_once results by canonical shape; valid because the table is
+        # fixed from here on
+        self.shape_memo = {}
 
     def weight_of(self, gen: str) -> Fraction:
         return self.weights[gen]
@@ -481,7 +490,7 @@ def _m_bound(spec: HHASpec, d: State, target_dpow: int) -> int:
 # the recursion
 # ---------------------------------------------------------------------------
 
-def reduce_once(spec: HHASpec, expr: CorrExpression, check_weights: bool = True) -> CorrExpression:
+def reduce_once(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
     """One elimination step of the commuting recursion on every mixed term.
 
     The lowest-position insertion a^1 of each term is removed: the head
@@ -492,6 +501,10 @@ def reduce_once(spec: HHASpec, expr: CorrExpression, check_weights: bool = True)
 
     is produced.  The depth-zero m = 0 layer enters as P~_1 minus the pi*i
     marker; the markers cancel once reduction reaches zero-mode level.
+
+    The step depends on the insertion positions only through their order, so
+    each shape is reduced once at positions 1..n (see :func:`_reduce_shape`)
+    and relabeled onto the positions of every later symbol of that shape.
     """
     if not spec.commuting:
         raise HHAError("spec declares non-commuting zero modes; use reduce_once_ordered")
@@ -502,52 +515,85 @@ def reduce_once(spec: HHASpec, expr: CorrExpression, check_weights: bool = True)
         if not sym.insertions:
             out.add_term(sym, poly)
             continue
-        (p1, d1, g1), rest = sym.insertions[0], sym.insertions[1:]
-        W = sym.weight(spec) if check_weights else None
-        if d1 == 0:
-            head = CorrSymbol(sym.modes + (g1,), rest)
-            out.add_term(head, poly)
-        counts = {}
-        for g_ in sym.modes:
-            counts[g_] = counts.get(g_, 0) + 1
-        if not rest:
-            continue
-        first = State.basis(g1, d1)
-        for s_gens, mult in _sub_multisets(counts):
-            d = d_state(spec, s_gens, first)
-            if not d:
-                continue
-            remaining = list(sym.modes)
-            for g_ in s_gens:
-                remaining.remove(g_)
-            for pj, dj, gj in rest:
-                other = [ins for ins in rest if ins[0] != pj]
-                for m in range(0, _m_bound(spec, d, dj) + 1):
-                    st = square_action(spec, d, m, State.basis(gj, dj))
-                    if not st:
-                        continue
-                    layer = p_layer_coefficient(len(s_gens), m, pj, p1)
-                    tail = attach_insertion(spec, tuple(remaining), other, pj, st,
-                                            poly * layer * mult)
-                    if check_weights:
-                        _assert_tail_weight(spec, tail, poly, W)
-                    for tsym, tpoly in tail.terms.items():
-                        out.add_term(tsym, tpoly)
+        key = (sym.modes, tuple((d, g_) for _, d, g_ in sym.insertions))
+        canon = spec.shape_memo.get(key)
+        if canon is None:
+            canon = spec.shape_memo[key] = _reduce_shape(spec, *key)
+        label = (None,) + tuple(sym.positions())
+        for tsym, tpoly in canon:
+            out.add_term(_relabel_symbol(tsym, label), poly * _relabel_poly(tpoly, label))
     return out
 
 
-def _assert_tail_weight(spec, tail: CorrExpression, base_poly: CoeffPoly, W):
+def _reduce_shape(spec: HHASpec, modes, shape) -> tuple:
+    """reduce_once of F(modes; shape at positions 1..n) with coefficient ONE, as term pairs."""
+    sym = CorrSymbol(modes, tuple((p, d, g_) for p, (d, g_) in enumerate(shape, 1)))
+    (p1, d1, g1), rest = sym.insertions[0], sym.insertions[1:]
+    out = CorrExpression()
+    if d1 == 0:
+        out.add_term(CorrSymbol(modes + (g1,), rest), ONE)
+    if not rest:
+        return tuple(out.terms.items())
+    W = sym.weight(spec)
+    counts = {}
+    for g_ in modes:
+        counts[g_] = counts.get(g_, 0) + 1
+    first = State.basis(g1, d1)
+    for s_gens, mult in _sub_multisets(counts):
+        d = d_state(spec, s_gens, first)
+        if not d:
+            continue
+        remaining = list(modes)
+        for g_ in s_gens:
+            remaining.remove(g_)
+        for pj, dj, gj in rest:
+            other = [ins for ins in rest if ins[0] != pj]
+            for m in range(0, _m_bound(spec, d, dj) + 1):
+                st = square_action(spec, d, m, State.basis(gj, dj))
+                if not st:
+                    continue
+                layer = p_layer_coefficient(len(s_gens), m, pj, p1)
+                tail = attach_insertion(spec, tuple(remaining), other, pj, st, layer * mult)
+                _assert_tail_weight(spec, tail, W)
+                for tsym, tpoly in tail.terms.items():
+                    out.add_term(tsym, tpoly)
+    return tuple(out.terms.items())
+
+
+def _assert_tail_weight(spec, tail: CorrExpression, W):
     """Tail grading bookkeeping: coefficient weight + symbol weight is conserved."""
-    base_weights = set(base_poly.monomial_weights().values()) or {0}
-    if len(base_weights) > 1:
-        return  # inherited inhomogeneity; nothing sharp to check
-    base_w = base_weights.pop()
     for sym, poly in tail.terms.items():
-        for mono, w in poly.monomial_weights().items():
-            if w - base_w + sym.weight(spec) != W:
-                raise HHAError(
+        for w in poly.monomial_weights().values():
+            if w + sym.weight(spec) != W:
+                raise WeightBookkeepingError(
                     f"weight bookkeeping violated: {sym!r} with coefficient weight "
-                    f"{w - base_w} against head weight {W}")
+                    f"{w} against head weight {W}")
+
+
+# position-carrying coefficient symbols: the slice of the symbol tuple holding positions
+_POSITION_SLOTS = {"P": slice(2, 4), "Pt": slice(1, 3), "g": slice(3, 5), "z": slice(1, 2)}
+
+
+def _relabel_symbol(sym: CorrSymbol, label) -> CorrSymbol:
+    return CorrSymbol(sym.modes, tuple((label[p], d, g_) for p, d, g_ in sym.insertions))
+
+
+def _relabel_poly(poly: CoeffPoly, label) -> CoeffPoly:
+    """Map position i to label[i] in every coefficient symbol.
+
+    ``label`` is increasing, so every hi > lo orientation and the monomial
+    order are kept: no sign changes and nothing is re-sorted.
+    """
+    terms = {}
+    for mono, c in poly.terms.items():
+        moved = []
+        for s, e in mono:
+            slots = _POSITION_SLOTS.get(s[0])
+            if slots is not None:
+                s = s[:slots.start] + tuple(label[p] for p in s[slots]) + s[slots.stop:]
+            moved.append((s, e))
+        terms[tuple(moved)] = c
+    return CoeffPoly._of_terms(terms)
 
 
 def reduce_once_ordered(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
@@ -657,12 +703,9 @@ def _referenced_positions(sym: CorrSymbol, poly: CoeffPoly):
     used = set(sym.positions())
     for mono in poly.terms:
         for s, _ in mono:
-            if s[0] in ("P", "Pt"):
-                used.update(s[-2:])
-            elif s[0] == "g":
-                used.update(s[-2:])
-            elif s[0] == "z":
-                used.add(s[1])
+            slots = _POSITION_SLOTS.get(s[0])
+            if slots is not None:
+                used.update(s[slots])
     return used
 
 
@@ -761,14 +804,10 @@ def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
         if dpoly:
             delta_expr.add_term(sym, dpoly)
 
-    cache: dict[CorrSymbol, CorrExpression] = {}
     result = CorrExpression()
     for sym, poly in delta_expr.terms.items():
         if sym.insertions:
-            red = cache.get(sym)
-            if red is None:
-                red = reduce_to_zero_modes(spec, CorrExpression.single(sym))
-                cache[sym] = red
+            red = reduce_to_zero_modes(spec, CorrExpression.single(sym))
             for s, p in red.terms.items():
                 result.add_term(s, p * poly)
         else:
@@ -807,16 +846,28 @@ def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
 _CORR_TOKEN = re.compile(r"([A-Za-z_]\w*?)0(?:\^(\d+))?$")
 
 
+# zero modes one correlator string may hold; the engine's cost grows steeply
+# with their number (weight-2 inversion at 7 already gives 1059 terms)
+MAX_ZERO_MODES = 16
+
+
 def parse_zero_mode_correlator(text: str) -> tuple[str, ...]:
-    """Parse strings like "x0^3" or "a0 a0" into a generator multiset."""
-    gens: list[str] = []
+    """Parse strings like "x0^3" or "a0 a0" into a generator multiset.
+
+    A string with more than MAX_ZERO_MODES zero modes is rejected before the
+    multiset is built.
+    """
+    factors: list[tuple[str, int]] = []
     for token in re.split(r"[\s*]+", text.strip()):
         if not token:
             continue
         m = _CORR_TOKEN.match(token)
         if not m:
             raise ValueError(f"cannot parse zero-mode factor {token!r}")
-        gens.extend([m.group(1)] * int(m.group(2) or 1))
-    if not gens:
+        factors.append((m.group(1), int(m.group(2) or 1)))
+    count = sum(n for _, n in factors)
+    if not count:
         raise ValueError(f"no zero modes in correlator string {text!r}")
-    return tuple(gens)
+    if count > MAX_ZERO_MODES:
+        raise ValueError(f"{text!r} has {count} zero modes; at most {MAX_ZERO_MODES} are supported")
+    return tuple(gen for gen, n in factors for _ in range(n))

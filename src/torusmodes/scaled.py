@@ -50,6 +50,14 @@ class ScaledRational:
         self.tpi = tpi
 
     @classmethod
+    def _make(cls, value: Fraction, tpi: int) -> "ScaledRational":
+        """Build from a Fraction the arithmetic produced, skipping ``as_fraction``."""
+        obj = object.__new__(cls)
+        obj.value = value
+        obj.tpi = tpi if value else 0
+        return obj
+
+    @classmethod
     def of(cls, x) -> "ScaledRational":
         return x if isinstance(x, ScaledRational) else cls(x)
 
@@ -67,7 +75,7 @@ class ScaledRational:
         return hash(self.value) if self.tpi == 0 else hash((self.value, self.tpi))
 
     def __neg__(self):
-        return ScaledRational(-self.value, self.tpi)
+        return ScaledRational._make(-self.value, self.tpi)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -81,7 +89,7 @@ class ScaledRational:
         if self.tpi != other.tpi:
             raise ValueError(
                 f"cannot add grades (2*pi*i)^{self.tpi} and (2*pi*i)^{other.tpi}")
-        return ScaledRational(self.value + other.value, self.tpi)
+        return ScaledRational._make(self.value + other.value, self.tpi)
 
     __radd__ = __add__
 
@@ -90,9 +98,9 @@ class ScaledRational:
 
     def __mul__(self, other):
         if isinstance(other, ScaledRational):
-            return ScaledRational(self.value * other.value, self.tpi + other.tpi)
+            return ScaledRational._make(self.value * other.value, self.tpi + other.tpi)
         if isinstance(other, (int, Fraction)):
-            return ScaledRational(self.value * other, self.tpi)
+            return ScaledRational._make(self.value * other, self.tpi)
         return NotImplemented
 
     __rmul__ = __mul__

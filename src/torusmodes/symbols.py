@@ -90,6 +90,13 @@ class CoeffPoly:
                     self.terms[mono] = c
 
     @classmethod
+    def _of_terms(cls, terms: dict) -> "CoeffPoly":
+        """Wrap a fresh dict of sorted monomials -> nonzero coefficients as is."""
+        obj = object.__new__(cls)
+        obj.terms = terms
+        return obj
+
+    @classmethod
     def zero(cls) -> "CoeffPoly":
         return cls()
 
@@ -113,7 +120,7 @@ class CoeffPoly:
         return self.terms == other.terms
 
     def __neg__(self):
-        return CoeffPoly({m: -c for m, c in self.terms.items()})
+        return CoeffPoly._of_terms({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, ScaledRational)):
@@ -121,8 +128,15 @@ class CoeffPoly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             cur = terms.get(m)
-            terms[m] = c if cur is None else cur + c
-        return CoeffPoly(terms)
+            if cur is None:
+                terms[m] = c
+                continue
+            c = cur + c
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+        return CoeffPoly._of_terms(terms)
 
     __radd__ = __add__
 
@@ -131,6 +145,10 @@ class CoeffPoly:
 
     @staticmethod
     def _mono_mul(m1, m2):
+        if not m1:
+            return m2
+        if not m2:
+            return m1
         d = dict(m1)
         for s, e in m2:
             d[s] = d.get(s, 0) + e
@@ -138,15 +156,18 @@ class CoeffPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ScaledRational)):
-            return CoeffPoly({m: c * other for m, c in self.terms.items()})
+            if not other:
+                return CoeffPoly()
+            return CoeffPoly._of_terms({m: c * other for m, c in self.terms.items()})
         terms = {}
+        mono_mul = self._mono_mul
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = self._mono_mul(m1, m2)
+                m = mono_mul(m1, m2)
                 c = c1 * c2
                 cur = terms.get(m)
                 terms[m] = c if cur is None else cur + c
-        return CoeffPoly(terms)
+        return CoeffPoly._of_terms({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 

@@ -174,3 +174,31 @@ def test_anomaly_beyond_tabulated_depth_is_unsupported(capsys):
     code, out, err = run(capsys, "anomaly", "--spec", "weight2", "--correlator", "x0^4")
     assert code == 3 and out == ""
     assert err == "unsupported: Delta g^2_4 is outside the tabulated depth-one set\n"
+
+
+@pytest.mark.parametrize("command, engine_call, error", [
+    ("reduce", "invert_to_full", hha.CancellationError("pi*i residual failed to cancel")),
+    ("anomaly", "anomaly_of_zero_modes", hha.ResidueError("anomaly left z-dependence")),
+    ("reduce", "invert_to_full", hha.WeightBookkeepingError("weight bookkeeping violated")),
+])
+def test_failed_engine_check_exits_1(capsys, monkeypatch, command, engine_call, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(hha, engine_call, fail)
+    code, out, err = run(capsys, command, "--spec", "weight2", "--correlator", "x0^2")
+    assert code == 1 and out == ""
+    assert err == f"check failed: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["reduce", "anomaly"])
+def test_correlator_size_guard(capsys, command):
+    code, out, err = run(capsys, command, "--spec", "weight1", "--correlator", "a0^100000")
+    assert code == 2 and out == ""
+    assert err == ("error: --correlator 'a0^100000' has 100000 zero modes; "
+                   f"at most {hha.MAX_ZERO_MODES} are supported\n")
+    code, _, err = run(capsys, command, "--spec", "weight1",
+                       "--correlator", f"a0 a0^{hha.MAX_ZERO_MODES}")
+    assert code == 2 and "at most" in err
+    code, _, _ = run(capsys, command, "--spec", "weight1", "--correlator", "a0^2")
+    assert code == 0

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torusmodes import hha
 from torusmodes.hha import (CorrExpression, CorrSymbol, HHAError, State,
@@ -12,7 +13,7 @@ from torusmodes.hha import (CorrExpression, CorrSymbol, HHAError, State,
                             weight1_configuration_formula, weight1_spec,
                             weight2_spec)
 from torusmodes.scaled import ScaledRational
-from torusmodes.symbols import ONE, P, g
+from torusmodes.symbols import ONE, CoeffPoly, G, P, Pt, g, zvar
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +222,9 @@ def test_parse_zero_mode_correlator():
         parse_zero_mode_correlator("bogus")
     with pytest.raises(ValueError):
         parse_zero_mode_correlator("")
+    assert parse_zero_mode_correlator(f"x0^{hha.MAX_ZERO_MODES}") == ("x",) * hha.MAX_ZERO_MODES
+    with pytest.raises(ValueError, match="at most"):
+        parse_zero_mode_correlator(f"x0 x0^{hha.MAX_ZERO_MODES}")
 
 
 def test_expression_serialization(w2):
@@ -271,3 +275,100 @@ def test_two_generator_multiset_reduction():
 def test_invert_pool_too_small(w2):
     with pytest.raises(HHAError):
         hha.invert_to_full(w2, ("x", "x"), positions=[1])
+
+
+# -- the shape memo of reduce_once ---------------------------------------------
+
+SPECS = {"weight1": weight1_spec, "weight2": weight2_spec,
+         "two-heisenberg": _two_heisenberg_spec}
+WARM_SPECS = {name: make() for name, make in SPECS.items()}  # memos fill across examples
+# a caller coefficient on positions outside every drawn symbol, of mixed weight
+BASE = P(2, 100, 99) * ScaledRational(3) + G(4)
+
+
+@st.composite
+def placed_shapes(draw):
+    """A spec name, zero modes, a shape of (L-power, generator) and increasing positions."""
+    name = draw(st.sampled_from(sorted(SPECS)))
+    gens = [gen for gen in SPECS[name]().generators() if gen != "1"]
+    modes = draw(st.lists(st.sampled_from(gens), max_size=3))
+    shape = draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(gens)),
+                          min_size=1, max_size=3))
+    positions = sorted(draw(st.sets(st.integers(1, 40), min_size=len(shape),
+                                    max_size=len(shape))))
+    return name, tuple(modes), shape, positions
+
+
+def _placed(modes, shape, positions):
+    return CorrSymbol(modes, tuple((p, d, gen) for p, (d, gen) in zip(positions, shape)))
+
+
+def _moved(sym, label):
+    kind = sym[0]
+    if kind == "P":
+        return P(sym[1], label[sym[2]], label[sym[3]])
+    if kind == "Pt":
+        return Pt(label[sym[1]], label[sym[2]])
+    if kind == "g":
+        return g(sym[1], sym[2], label[sym[3]], label[sym[4]])
+    if kind == "z":
+        return zvar(label[sym[1]])
+    return CoeffPoly.symbol(sym)
+
+
+def _relabeled(expr, label):
+    """Move position i to label[i], rebuilding every coefficient through the
+    orienting symbol constructors and the sorting product."""
+    out = CorrExpression()
+    for sym, poly in expr.terms.items():
+        moved = CoeffPoly.zero()
+        for mono, c in poly.terms.items():
+            term = CoeffPoly.scalar(c)
+            for s, e in mono:
+                for _ in range(e):
+                    term = term * _moved(s, label)
+            moved = moved + term
+        out.add_term(_placed(sym.modes, [(d, gen) for _, d, gen in sym.insertions],
+                             [label[p] for p in sym.positions()]), moved)
+    return out
+
+
+def _memo_snapshot(spec):
+    return {key: [(sym, dict(poly.terms)) for sym, poly in terms]
+            for key, terms in spec.shape_memo.items()}
+
+
+@given(placed_shapes())
+def test_reduce_once_is_position_equivariant(case):
+    name, modes, shape, positions = case
+    sym = _placed(modes, shape, positions)
+    warm = WARM_SPECS[name]
+    got = reduce_once(warm, CorrExpression.single(sym))
+    assert got == reduce_once(SPECS[name](), CorrExpression.single(sym))
+    canonical = reduce_once(SPECS[name](), CorrExpression.single(
+        _placed(modes, shape, range(1, len(shape) + 1))))
+    assert got == _relabeled(canonical, (None,) + tuple(positions))
+    scaled = reduce_once(warm, CorrExpression.single(sym, BASE))
+    assert scaled.terms == {s: p * BASE for s, p in got.terms.items()}
+
+
+@given(placed_shapes())
+def test_repeated_reduce_once_leaves_memo_unchanged(case):
+    name, modes, shape, positions = case
+    spec = SPECS[name]()
+    sym = _placed(modes, shape, positions)
+    first = reduce_once(spec, CorrExpression.single(sym))
+    snapshot = _memo_snapshot(spec)
+    assert reduce_once(spec, CorrExpression.single(sym)) == first
+    reduce_once(spec, CorrExpression.single(_placed(modes, shape, [2 * p for p in positions])))
+    assert _memo_snapshot(spec) == snapshot
+
+
+def test_weight_check_runs_on_memo_miss(monkeypatch):
+    # a layer coefficient of the wrong weight is caught even under a caller
+    # coefficient of mixed weight
+    layer = hha.p_layer_coefficient
+    monkeypatch.setattr(hha, "p_layer_coefficient", lambda *args: layer(*args) * G(2))
+    sym = CorrSymbol(("x",), ((3, 0, "x"), (7, 0, "x")))
+    with pytest.raises(hha.WeightBookkeepingError, match="weight bookkeeping"):
+        reduce_once(weight2_spec(), CorrExpression.single(sym, ONE + P(2, 9, 8)))

@@ -1,0 +1,48 @@
+"""Ring laws of CoeffPoly, the coefficient ring of correlator expressions."""
+
+from hypothesis import given, strategies as st
+
+from torusmodes.scaled import ScaledRational
+from torusmodes.symbols import CoeffPoly, sym_weight
+
+# one symbol of each kind; a monomial's coefficient takes its weight as its
+# 2*pi*i grade, so sums and products stay within one grade per monomial
+SYMBOLS = [("G", 4), ("P", 2, 2, 1), ("Pt", 3, 1), ("g", 1, 3, 3, 2), ("B",), ("z", 1), ("pi",)]
+
+monomials = st.dictionaries(st.sampled_from(range(len(SYMBOLS))), st.integers(1, 2),
+                            max_size=3).map(
+    lambda d: tuple((SYMBOLS[i], e) for i, e in sorted(d.items())))
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+def _poly(terms):
+    return CoeffPoly({m: ScaledRational(c, sum(e * sym_weight(s) for s, e in m))
+                      for m, c in terms.items()})
+
+
+polys = st.dictionaries(monomials, rationals, max_size=4).map(_poly)
+
+
+def _normalized(p):
+    return all(c for c in p.terms.values())
+
+
+@given(polys, polys, polys)
+def test_ring_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a * CoeffPoly.scalar(1) == a == a + CoeffPoly.zero()
+
+
+@given(polys, polys, rationals)
+def test_no_stored_zero_coefficient(a, b, x):
+    assert not (a - a).terms
+    assert not (a + (-a)).terms and not (a * 0).terms
+    assert a + (b - a) == b
+    assert (a + b) * (a - b) == a * a - b * b
+    for result in (a + b, a - b, a * b, -a, a * x, a * ScaledRational(x, 2), a + (b - a),
+                   (a + b) * (a - b)):
+        assert _normalized(result)
