@@ -11,6 +11,7 @@ does not have yet.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -20,25 +21,34 @@ from . import lattice as lt
 from . import numerics as nm
 from . import qseries as qs
 from . import verify
-from .symbols import DeltaUnknownError
+from .symbols import UnsupportedError, function_symbol
 
 
 class UsageError(ValueError):
     pass
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_complex(flag: str, text: str) -> complex:
     try:
-        return complex(text.replace("i", "j"))
+        value = complex(text.replace("i", "j"))
     except ValueError:
-        raise UsageError(f"cannot parse complex number {text!r}")
+        raise UsageError(f"{flag} cannot parse complex number {text!r}") from None
+    if not cmath.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {text!r}")
+    return value
 
 
 def _parse_gamma(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise UsageError("gamma must be four comma-separated integers a,b,c,d")
-    return tuple(int(p) for p in parts)
+    try:
+        gamma = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        gamma = ()
+    if len(gamma) != 4:
+        raise UsageError(f"--gamma {text!r} is not four comma-separated integers a,b,c,d")
+    try:
+        return nm.sl2_check(gamma)
+    except ValueError:
+        raise UsageError(f"--gamma {text!r} is not in SL(2,Z)") from None
 
 
 def _emit(obj) -> None:
@@ -174,9 +184,24 @@ def cmd_lattice_trace(args) -> int:
     return status
 
 
+# the ids with a tabulated transformation law
+_LAW_IDS = "Ptilde_1 | P_k (k>=2) | G_2k | g_1_j (g^1_j)"
+
+
 def cmd_transform_check(args) -> int:
-    report = nm.verify_modular(args.function, _parse_gamma(args.gamma),
-                               _parse_complex(args.z), _parse_complex(args.tau),
+    try:
+        function_symbol(args.function)
+    except KeyError:
+        raise UsageError(f"--function {args.function!r}: unknown function id; "
+                         f"expected {_LAW_IDS}") from None
+    gamma = _parse_gamma(args.gamma)
+    z = _parse_complex("--z", args.z)
+    tau = _parse_complex("--tau", args.tau)
+    if tau.imag <= 0:
+        raise UsageError(f"--tau {args.tau!r} must have a positive imaginary part")
+    if args.order < 0:
+        raise UsageError("--order must be >= 0")
+    report = nm.verify_modular(args.function, gamma, z, tau,
                                truncation=args.order, tol=args.tol)
     _emit(report)
     return 0 if report["status"] == "pass" else 1
@@ -222,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice_trace)
 
     p = sub.add_parser("transform-check", help="check one modular transformation law")
-    p.add_argument("--function", required=True)
+    p.add_argument("--function", required=True, help=_LAW_IDS)
     p.add_argument("--gamma", required=True, help="a,b,c,d")
     p.add_argument("--z", default="0.1+0.3i")
     p.add_argument("--tau", default="1.2i")
@@ -240,7 +265,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except DeltaUnknownError as exc:
+    except UnsupportedError as exc:
         print(f"unsupported: {exc.args[0]}", file=sys.stderr)
         return 3
     except (hha.CancellationError, hha.ResidueError, hha.WeightBookkeepingError) as exc:

@@ -34,7 +34,8 @@ from math import comb, factorial
 
 from .combinatorics import descent_count, recursion_coefficient
 from .scaled import ScaledRational, as_fraction, format_fraction
-from .symbols import CoeffPoly, ONE, P, delta_transform, p_layer_coefficient
+from .symbols import (CoeffPoly, ONE, P, UnsupportedError, delta_transform,
+                      p_layer_coefficient)
 
 
 class HHAError(ValueError):
@@ -123,14 +124,13 @@ class HHASpec:
     w(a) - m - 1 + w(b) = k + w(target) is enforced for every entry.
     """
 
-    def __init__(self, weights, table, identity: str = "1", commuting: bool = True):
+    def __init__(self, weights, table, identity: str = "1"):
         self.identity = identity
         self.weights = {name: as_fraction(w) for name, w in weights.items()}
         if identity not in self.weights:
             self.weights[identity] = Fraction(0)
         if self.weights[identity] != 0:
             raise HHAError("the identity must have weight 0")
-        self.commuting = commuting
         self.table = {}
         max_m = 0
         for (a, b, m), outs in table.items():
@@ -174,7 +174,8 @@ class HHASpec:
         return sorted(self.weights)
 
     # JSON wire format:
-    # {generators:[{name, weight}], structure:[{i, j, m, out:[{coeff, tpi, gen, dpow}]}]}
+    # {generators:[{name, weight}], structure:[{i, j, m, out:[{coeff, tpi, gen, dpow}]}],
+    #  identity}.  A "commuting" key may only be true: every spec's zero modes commute.
     def to_json(self) -> dict:
         gens = [{"name": n, "weight": format_fraction(w)}
                 for n, w in sorted(self.weights.items())]
@@ -185,11 +186,16 @@ class HHASpec:
                 "out": [{"coeff": format_fraction(c.value), "tpi": c.tpi,
                          "gen": t, "dpow": d} for c, d, t in outs],
             })
-        return {"generators": gens, "structure": struct, "identity": self.identity,
-                "commuting": self.commuting}
+        return {"generators": gens, "structure": struct, "identity": self.identity}
 
     @classmethod
     def from_json(cls, data) -> "HHASpec":
+        commuting = data.get("commuting", True)
+        if not isinstance(commuting, bool):
+            raise HHAError(f'"commuting" must be true or false, got {commuting!r}')
+        if not commuting:
+            raise UnsupportedError('"commuting": false: the reduction of non-commuting '
+                                   'zero modes to zero-mode correlators is not implemented')
         weights = {e["name"]: Fraction(e["weight"]) for e in data["generators"]}
         table = {}
         for e in data["structure"]:
@@ -198,8 +204,7 @@ class HHASpec:
                  int(o.get("dpow", 0)), o["gen"])
                 for o in e["out"])
             table[(e["i"], e["j"], int(e["m"]))] = outs
-        return cls(weights, table, identity=data.get("identity", "1"),
-                   commuting=bool(data.get("commuting", True)))
+        return cls(weights, table, identity=data.get("identity", "1"))
 
     @classmethod
     def load(cls, path) -> "HHASpec":
@@ -506,8 +511,6 @@ def reduce_once(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
     each shape is reduced once at positions 1..n (see :func:`_reduce_shape`)
     and relabeled onto the positions of every later symbol of that shape.
     """
-    if not spec.commuting:
-        raise HHAError("spec declares non-commuting zero modes; use reduce_once_ordered")
     out = CorrExpression()
     for sym, poly in expr.terms.items():
         if sym.ordered:

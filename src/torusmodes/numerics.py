@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -34,6 +33,7 @@ from .combinatorics import eulerian_polynomial
 from .elliptic import g_expansion, p_expansion
 from .qseries import eisenstein
 from .scaled import TWO_PI_I
+from .symbols import delta_of_symbol, function_symbol, sym_weight
 
 SL2Z_S = (0, -1, 1, 0)
 SL2Z_T = (1, 1, 0, 1)
@@ -207,69 +207,36 @@ def strip_reduce(z: complex, tau: complex):
     return zr, lam
 
 
-# transformation descriptors: weight, depth (z-tail, tau-tail), elliptic shift
-# polynomial in lam (as multiple of 2*pi*i), all at index 0
-class TransformDescriptor:
-    __slots__ = ("fn_id", "weight", "depth", "index", "elliptic_shift")
-
-    def __init__(self, fn_id, weight, depth, elliptic_shift):
-        self.fn_id = fn_id
-        self.weight = weight
-        self.depth = depth
-        self.index = 0
-        self.elliptic_shift = elliptic_shift  # dict power -> rational multiple of 2*pi*i
-
-    def shift_value(self, lam: int) -> complex:
-        return sum(complex(c) * TWO_PI_I * lam ** p for p, c in self.elliptic_shift.items())
+def elliptic_shift(k: int, lam: int):
+    """P_k(z + lam*tau) - P_k(z): 2*pi*i*lam for k = 1, zero for k >= 2."""
+    return TWO_PI_I * lam if k == 1 else 0
 
 
-def transform_descriptor(fn_id: str) -> TransformDescriptor:
-    if fn_id in ("P_1",):
-        return TransformDescriptor(fn_id, 1, (1, 0), {1: Fraction(1)})
-    if fn_id in ("Ptilde_1", "P~1"):
-        return TransformDescriptor(fn_id, 1, (1, 0), {1: Fraction(1)})
-    if fn_id.startswith("P_"):
-        k = int(fn_id[2:])
-        return TransformDescriptor(fn_id, k, (0, 1) if k == 2 else (0, 0), {})
-    if fn_id == "G_2":
-        return TransformDescriptor(fn_id, 2, (0, 1), {})
-    if fn_id.startswith("G_"):
-        return TransformDescriptor(fn_id, int(fn_id[2:]), (0, 0), {})
-    if fn_id.startswith("g_"):
-        i, j = (int(t) for t in fn_id[2:].split("_"))
-        return TransformDescriptor(fn_id, i + j, (i, i), {})
-    raise KeyError(f"unknown function id {fn_id!r}")
-
-
-def _parse_g_id(fn_id):
-    i, j = (int(t) for t in fn_id[2:].split("_"))
-    return i, j
-
-
-def function_value(fn_id: str, z: complex, tau: complex, truncation: int = 60,
-                   route: str = "layers") -> complex:
-    """Evaluate a named function, reducing z into the fundamental strip first.
+def symbol_value(sym, z: complex, tau: complex, truncation: int = 60,
+                 route: str = "layers") -> complex:
+    """Evaluate a coefficient symbol; two-point symbols take the argument z.
 
     route="layers" uses the truncated layer expansion after strip reduction
-    and applies the recorded elliptic shift; route="lambert" uses the closed
-    Lambert sums directly (no reduction needed).
+    and applies the elliptic shift; route="lambert" uses the closed Lambert
+    sums directly (no reduction needed).
     """
-    if fn_id == "G_2" or (fn_id.startswith("G_") and fn_id[2:].isdigit()):
-        return eisenstein_value(int(fn_id[2:]), tau, truncation)
-    if fn_id in ("Ptilde_1", "P~1"):
-        return function_value("P_1", z, tau, truncation, route) + 1j * cmath.pi
-    if fn_id.startswith("P_"):
-        i, j = 0, int(fn_id[2:])
-    elif fn_id.startswith("g_"):
-        i, j = _parse_g_id(fn_id)
+    kind = sym[0]
+    if kind == "G":
+        return eisenstein_value(sym[1], tau, truncation)
+    if kind == "Pt":
+        return symbol_value(("P", 1) + sym[1:], z, tau, truncation, route) + 1j * cmath.pi
+    if kind == "P":
+        i, j = 0, sym[1]
+    elif kind == "g":
+        i, j = sym[1], sym[2]
     else:
-        raise KeyError(f"unknown function id {fn_id!r}")
+        raise KeyError(f"no numeric value for symbol {sym!r}")
     if route == "lambert":
         return g_value(i, j, z, tau)
     zr, lam = strip_reduce(z, tau)
     if i == 0:
         series = p_expansion(j, truncation)
-        shift = transform_descriptor(f"P_{j}").shift_value(lam)
+        shift = elliptic_shift(j, lam)
     else:
         if lam != 0:
             raise ValueError("g^i_j layer evaluation requires z in the fundamental strip "
@@ -280,34 +247,58 @@ def function_value(fn_id: str, z: complex, tau: complex, truncation: int = 60,
     return value + shift
 
 
+def function_value(fn_id: str, z: complex, tau: complex, truncation: int = 60,
+                   route: str = "layers") -> complex:
+    """Evaluate a named function (an id of :func:`symbols.function_symbol`)."""
+    return symbol_value(function_symbol(fn_id), z, tau, truncation, route)
+
+
+def poly_value(poly, gamma, z: complex, tau: complex, truncation: int = 60,
+               route: str = "layers") -> complex:
+    """Numeric value of a coefficient polynomial over positions 2 and 1.
+
+    Position 2 sits at z and position 1 at 0, so every two-point symbol takes
+    the argument z; B = 2*pi*i*c/(c*tau + d) for gamma.
+    """
+    _, _, c, d = gamma
+    bval = TWO_PI_I * c / (c * tau + d)
+    total = 0j
+    for mono, coeff in poly.terms.items():
+        val = complex(coeff)
+        for sym, e in mono:
+            if sym[0] == "B":
+                base = bval
+            elif sym[0] == "z":
+                base = z if sym[1] == 2 else 0.0
+            else:
+                base = symbol_value(sym, z, tau, truncation, route)
+            val *= base ** e
+        total += val
+    return total
+
+
 def modular_rhs(fn_id: str, gamma, z: complex, tau: complex, truncation: int = 60) -> complex:
-    """Right-hand side of the tabulated transformation law at (z, tau)."""
-    _, _, c, d = sl2_check(gamma)
-    j = c * tau + d
-    if fn_id in ("Ptilde_1", "P~1"):
-        return j * function_value(fn_id, z, tau, truncation) - TWO_PI_I * c * z
-    if fn_id == "P_2":
-        return j ** 2 * function_value(fn_id, z, tau, truncation) - TWO_PI_I * c * j
-    if fn_id == "G_2":
-        return j ** 2 * eisenstein_value(2, tau, truncation) - TWO_PI_I * c * j
-    if fn_id.startswith("P_"):
-        k = int(fn_id[2:])
-        if k <= 2:
-            raise KeyError("use Ptilde_1 / P_2 for the low-weight laws")
-        return j ** k * function_value(fn_id, z, tau, truncation)
-    if fn_id.startswith("G_"):
-        k = int(fn_id[2:])
-        return j ** k * eisenstein_value(k, tau, truncation)
-    raise KeyError(f"no tabulated modular law for {fn_id!r}")
+    """(c*tau + d)**w (f + Delta f) at (z, tau), with Delta f from the anomaly table.
+
+    The law is looked up before anything is evaluated, so an id without one
+    raises DeltaUnknownError at every point.
+    """
+    gamma = sl2_check(gamma)
+    _, _, c, d = gamma
+    sym = function_symbol(fn_id)
+    delta = delta_of_symbol(sym)
+    f = symbol_value(sym, z, tau, truncation)
+    return (c * tau + d) ** sym_weight(sym) * (f + poly_value(delta, gamma, z, tau, truncation))
 
 
 def verify_modular(fn_id: str, gamma, z: complex, tau: complex,
                    truncation: int = 60, tol: float | None = None) -> dict:
     """Check one tabulated modular law; returns a residual report."""
     gamma = sl2_check(gamma)
+    # the right-hand side first: an id without a law fails before any evaluation
+    rhs = modular_rhs(fn_id, gamma, z, tau, truncation)
     gz, gt = apply_gamma(gamma, z, tau)
     lhs = function_value(fn_id, gz, gt, truncation)
-    rhs = modular_rhs(fn_id, gamma, z, tau, truncation)
     scale = max(1.0, abs(lhs), abs(rhs))
     residual = abs(lhs - rhs) / scale
     if tol is None:
@@ -327,9 +318,9 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex,
 
 
 def verify_elliptic_shift(k: int, z: complex, tau: complex, truncation: int = 60) -> dict:
-    """Check P_k(z+tau) - P_k(z) against the recorded shift, via Lambert values."""
+    """Check P_k(z+tau) - P_k(z) against the elliptic shift, via Lambert values."""
     lhs = p_value(k, z + tau, tau) - p_value(k, z, tau)
-    expected = TWO_PI_I if k == 1 else 0j
+    expected = elliptic_shift(k, 1)
     residual = abs(lhs - expected) / max(1.0, abs(expected))
     return {"function": f"P_{k}", "shift": "z -> z+tau", "residual": residual,
             "z": [z.real, z.imag], "tau": [tau.real, tau.imag]}

@@ -25,7 +25,11 @@ from .scaled import ScaledRational
 _KIND_RANK = {"G": 0, "P": 1, "Pt": 2, "g": 3, "B": 4, "z": 5, "pi": 6}
 
 
-class DeltaUnknownError(KeyError):
+class UnsupportedError(Exception):
+    """Valid input that needs mathematics the engine does not have yet."""
+
+
+class DeltaUnknownError(UnsupportedError, KeyError):
     """Anomaly requested for a function outside the tabulated depth-one set."""
 
 
@@ -276,31 +280,42 @@ def p_layer_coefficient(s_len: int, m: int, hi: int, lo: int) -> CoeffPoly:
 
 # -- the anomaly table --------------------------------------------------------
 
-def delta_anomaly(fn_id: str, hi: int = 2, lo: int = 1) -> CoeffPoly:
-    """Tabulated Delta for a named function, as a ring element.
+def function_symbol(fn_id: str, hi: int = 2, lo: int = 1) -> tuple:
+    """The symbol a function id names, at positions (hi, lo).
 
-    fn ids: "Ptilde_1", "P_k", "g_1_j" (depth-one g^1_j), "G_2k".  Anomalies
-    of g^i_j with i >= 2 are not tabulated and raise DeltaUnknownError.
+    Ids: "Ptilde_1" (or "P~1"), "P_k" (k >= 1), "G_2k" (even 2k >= 2) and
+    "g_i_j" (g^i_j, i, j >= 1).  Any other id raises KeyError.  "P_1" names a
+    symbol the engine never stores; it exists here to be evaluated.
     """
     if fn_id in ("Ptilde_1", "P~1"):
-        return delta_of_symbol(("Pt", hi, lo))
-    if fn_id.startswith("P_"):
-        k = int(fn_id[2:])
-        if k < 2:
-            raise DeltaUnknownError("P_1 is not in the tabulated set; use Ptilde_1")
-        return delta_of_symbol(("P", k, hi, lo))
-    if fn_id.startswith("G_"):
-        return delta_of_symbol(("G", int(fn_id[2:])))
-    if fn_id.startswith("g_"):
-        i, j = (int(t) for t in fn_id[2:].split("_"))
-        return delta_of_symbol(("g", i, j, hi, lo))
-    raise DeltaUnknownError(f"unknown function id {fn_id!r}")
+        return ("Pt", hi, lo)
+    name, _, rest = fn_id.partition("_")
+    parts = rest.split("_")
+    idx = tuple(int(t) for t in parts) if all(t.isdecimal() for t in parts) else ()
+    if name == "P" and len(idx) == 1 and idx[0] >= 1:
+        return ("P", idx[0], hi, lo)
+    if name == "G" and len(idx) == 1 and idx[0] >= 2 and idx[0] % 2 == 0:
+        return ("G", idx[0])
+    if name == "g" and len(idx) == 2 and min(idx) >= 1:
+        return ("g", idx[0], idx[1], hi, lo)
+    raise KeyError(f"unknown function id {fn_id!r}")
+
+
+def delta_anomaly(fn_id: str, hi: int = 2, lo: int = 1) -> CoeffPoly:
+    """Tabulated Delta of a function id (see :func:`function_symbol`).
+
+    P_1 and g^i_j with i >= 2 have no tabulated law and raise
+    DeltaUnknownError.
+    """
+    return delta_of_symbol(function_symbol(fn_id, hi, lo))
 
 
 def delta_of_symbol(sym) -> CoeffPoly:
     kind = sym[0]
     if kind == "P":
         k = sym[1]
+        if k < 2:
+            raise DeltaUnknownError("P_1 is not in the tabulated set; use Ptilde_1")
         if k == 2:
             return -B()
         return CoeffPoly.zero()

@@ -23,7 +23,7 @@ from . import numerics as nm
 from . import qseries as qs
 from .ratfunc import ZetaRational
 from .scaled import TWO_PI_I, ScaledRational
-from .symbols import ONE, P, g
+from .symbols import ONE, P, delta_of_symbol, function_symbol, g, sym_weight
 
 SUITES = {}
 
@@ -376,35 +376,13 @@ def suite_hha_weight1(order=None, tol=None, seed=None):
 
 def _delta_residual(fn_id, gamma, z, tau):
     """Residual of the tabulated Delta law against the actual transform."""
-    from .symbols import delta_anomaly
     a, b, c, d = gamma
     gz, gt = nm.apply_gamma(gamma, z, tau)
-    desc = nm.transform_descriptor(fn_id)
-    if fn_id.startswith("G_"):
-        lhs = (c * tau + d) ** (-desc.weight) * nm.eisenstein_value(int(fn_id[2:]), gt) \
-            - nm.eisenstein_value(int(fn_id[2:]), tau)
-    else:
-        lhs = (c * tau + d) ** (-desc.weight) * nm.function_value(fn_id, gz, gt,
+    sym = function_symbol(fn_id)
+    lhs = (c * tau + d) ** (-sym_weight(sym)) * nm.function_value(fn_id, gz, gt,
                                                                   route="lambert") \
-            - nm.function_value(fn_id, z, tau, route="lambert")
-    table = delta_anomaly(fn_id, hi=2, lo=1)
-    bval = TWO_PI_I * c / (c * tau + d)
-    rhs = 0j
-    for mono, coeff in table.terms.items():
-        val = complex(coeff)
-        for sym, e in mono:
-            if sym[0] == "B":
-                base = bval
-            elif sym[0] == "P":
-                base = nm.p_value(sym[1], z, tau)
-            elif sym[0] == "Pt":
-                base = nm.p_tilde_1_value(z, tau)
-            elif sym[0] == "z":
-                base = z if sym[1] == 2 else 0.0
-            else:
-                raise KeyError(sym)
-            val *= base ** e
-        rhs += val
+        - nm.function_value(fn_id, z, tau, route="lambert")
+    rhs = nm.poly_value(delta_of_symbol(sym), gamma, z, tau, route="lambert")
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 

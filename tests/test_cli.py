@@ -202,3 +202,61 @@ def test_correlator_size_guard(capsys, command):
     assert code == 2 and "at most" in err
     code, _, _ = run(capsys, command, "--spec", "weight1", "--correlator", "a0^2")
     assert code == 0
+
+
+_LAW_IDS = "expected Ptilde_1 | P_k (k>=2) | G_2k | g_1_j (g^1_j)"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # unknown or malformed ids are usage errors
+    (["--function", "nosuch"], 2, f"error: --function 'nosuch': unknown function id; {_LAW_IDS}"),
+    (["--function", "G_x"], 2, f"error: --function 'G_x': unknown function id; {_LAW_IDS}"),
+    (["--function", "P_x"], 2, f"error: --function 'P_x': unknown function id; {_LAW_IDS}"),
+    # ids without a tabulated law are unsupported at every point
+    (["--function", "P_1"], 3, "unsupported: P_1 is not in the tabulated set; use Ptilde_1"),
+    (["--function", "g_2_4"], 3,
+     "unsupported: Delta g^2_4 is outside the tabulated depth-one set"),
+    (["--function", "g_2_4", "--z", "0.1+2.3i"], 3,
+     "unsupported: Delta g^2_4 is outside the tabulated depth-one set"),
+    # malformed points, orders and matrices name their flag
+    (["--function", "P_3", "--tau", "1.2"], 2,
+     "error: --tau '1.2' must have a positive imaginary part"),
+    (["--function", "Ptilde_1", "--tau", "1.2"], 2,
+     "error: --tau '1.2' must have a positive imaginary part"),
+    (["--function", "P_3", "--tau=-1.2i"], 2,
+     "error: --tau '-1.2i' must have a positive imaginary part"),
+    (["--function", "P_3", "--order", "-3"], 2, "error: --order must be >= 0"),
+    (["--function", "P_3", "--gamma", "a,b,c,d"], 2,
+     "error: --gamma 'a,b,c,d' is not four comma-separated integers a,b,c,d"),
+    (["--function", "P_3", "--gamma", "1,1,1,1"], 2, "error: --gamma '1,1,1,1' is not in SL(2,Z)"),
+    (["--function", "P_3", "--z", "nan"], 2, "error: --z must be finite, got 'nan'"),
+    (["--function", "P_3", "--z", "x"], 2, "error: --z cannot parse complex number 'x'"),
+])
+def test_transform_check_exit_table(capsys, argv, code, message):
+    if "--gamma" not in argv:
+        argv = argv + ["--gamma", "0,-1,1,0"]
+    got, out, err = run(capsys, "transform-check", *argv)
+    assert got == code and out == ""
+    assert err == message + "\n"
+
+
+def test_transform_check_depth_one_law(capsys):
+    # z and gamma z both lie in the fundamental strip, where g^1_3 has layers
+    code, out, _ = run(capsys, "transform-check", "--function", "g_1_3",
+                       "--gamma", "0,-1,1,0", "--z=-0.5+0.5i", "--tau", "1.2i")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "pass" and report["residual"] < 1e-14
+
+
+@pytest.mark.parametrize("value, code, message", [
+    (False, 3, 'unsupported: "commuting": false: the reduction of non-commuting zero modes '
+               "to zero-mode correlators is not implemented"),
+    ("no", 2, "error: \"commuting\" must be true or false, got 'no'"),
+])
+def test_noncommuting_spec_file_rejected_at_load(capsys, tmp_path, value, code, message):
+    path = tmp_path / "w2.json"
+    path.write_text(json.dumps({**hha.weight2_spec().to_json(), "commuting": value}))
+    got, out, err = run(capsys, "reduce", "--spec", str(path), "--correlator", "x0^2")
+    assert got == code and out == ""
+    assert err == message + "\n"

@@ -13,7 +13,7 @@ from torusmodes.hha import (CorrExpression, CorrSymbol, HHAError, State,
                             weight1_configuration_formula, weight1_spec,
                             weight2_spec)
 from torusmodes.scaled import ScaledRational
-from torusmodes.symbols import ONE, CoeffPoly, G, P, Pt, g, zvar
+from torusmodes.symbols import ONE, CoeffPoly, G, P, Pt, UnsupportedError, g, zvar
 
 
 @pytest.fixture(scope="module")
@@ -233,17 +233,14 @@ def test_expression_serialization(w2):
     assert any(entry["symbol"] == "F((x,1),(x,2))" for entry in data)
 
 
-def test_noncommuting_spec_rejected_by_commuting_reducer():
-    spec = hha.HHASpec({"1": 0, "x": 2},
-                       {("x", "x", 1): ((ScaledRational(4, -2), 0, "x"),)},
-                       commuting=False)
-    expr = CorrExpression.single(CorrSymbol((), ((1, 0, "x"), (2, 0, "x"))))
-    with pytest.raises(HHAError):
-        reduce_once(spec, expr)
-    # the ordered reducer accepts it
-    expr_o = CorrExpression.single(
-        CorrSymbol((), ((1, 0, "x"), (2, 0, "x")), ordered=True))
-    reduce_once_ordered(spec, expr_o)
+def test_noncommuting_spec_rejected_at_load(w2):
+    data = w2.to_json()
+    with pytest.raises(UnsupportedError, match='"commuting": false'):
+        hha.HHASpec.from_json({**data, "commuting": False})
+    # bool("no") would read as True; only JSON booleans are accepted
+    with pytest.raises(HHAError, match='"commuting" must be true or false'):
+        hha.HHASpec.from_json({**data, "commuting": "no"})
+    assert hha.HHASpec.from_json({**data, "commuting": True}).table == w2.table
 
 
 def _two_heisenberg_spec():

@@ -5,6 +5,8 @@ import pytest
 from torusmodes import elliptic as el
 from torusmodes import numerics as nm
 from torusmodes.scaled import TWO_PI_I
+from torusmodes.symbols import (DeltaUnknownError, delta_anomaly, function_symbol,
+                               sym_weight)
 
 
 def test_weierstrass_oracle_matches_p_values():
@@ -77,35 +79,31 @@ def test_gamma_checks():
     assert nm.sl2_check((0, -1, 1, 0)) == (0, -1, 1, 0)
 
 
-def test_transform_descriptors():
-    d = nm.transform_descriptor("P_2")
-    assert d.weight == 2 and d.index == 0 and d.depth == (0, 1)
-    d = nm.transform_descriptor("Ptilde_1")
-    assert d.weight == 1 and d.shift_value(1) == complex(TWO_PI_I)
-    d = nm.transform_descriptor("g_1_3")
-    assert d.weight == 4
-    with pytest.raises(KeyError):
-        nm.transform_descriptor("nosuch")
-
-
 def test_corrected_delta_g_laws_numeric():
-    # Delta g^1_{m+1} = B P_m + B z P_{m+1} (+ -B^2/2 at m=2, -B^2 z at m=1),
-    # checked against the actual transforms
+    # the tabulated Delta g^1_j, z-tails included, against the actual transforms
     z, tau = 0.11 + 0.23j, 0.13 + 1.21j
     for gamma in ((0, -1, 1, 0), (1, 0, 1, 1)):
         a, b, c, d = gamma
         gz, gt = nm.apply_gamma(gamma, z, tau)
-        B = TWO_PI_I * c / (c * tau + d)
         for j in (2, 3, 4, 5):
             lhs = (c * tau + d) ** (-(1 + j)) * nm.g_value(1, j, gz, gt) \
                 - nm.g_value(1, j, z, tau)
-            m = j - 1
-            if m == 1:
-                rhs = B * nm.p_tilde_1_value(z, tau) \
-                    + B * z * nm.p_value(2, z, tau) - B ** 2 * z
-            elif m == 2:
-                rhs = B * nm.p_value(2, z, tau) - B ** 2 / 2 \
-                    + B * z * nm.p_value(3, z, tau)
-            else:
-                rhs = B * nm.p_value(m, z, tau) + B * z * nm.p_value(m + 1, z, tau)
+            rhs = nm.poly_value(delta_anomaly(f"g_1_{j}"), gamma, z, tau, route="lambert")
             assert abs(lhs - rhs) < 1e-10, (gamma, j)
+
+
+def test_function_symbols_and_weights():
+    assert nm.elliptic_shift(1, 1) == TWO_PI_I and nm.elliptic_shift(2, 3) == 0
+    for fn_id, sym, weight in (("Ptilde_1", ("Pt", 2, 1), 1), ("P~1", ("Pt", 2, 1), 1),
+                               ("P_2", ("P", 2, 2, 1), 2), ("G_4", ("G", 4), 4),
+                               ("g_1_3", ("g", 1, 3, 2, 1), 4)):
+        assert function_symbol(fn_id) == sym and sym_weight(sym) == weight
+    for bad in ("nosuch", "G_x", "P_x", "P_0", "G_3", "g_1", "g_0_2", "g_1_2_3", "P_+2"):
+        with pytest.raises(KeyError):
+            function_symbol(bad)
+    with pytest.raises(KeyError):
+        nm.function_value("nosuch", 0.1 + 0.3j, 1.2j)
+    # an unknown id is not missing mathematics
+    with pytest.raises(KeyError) as info:
+        delta_anomaly("nosuch")
+    assert not isinstance(info.value, DeltaUnknownError)
