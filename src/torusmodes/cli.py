@@ -184,6 +184,9 @@ def cmd_lattice_trace(args) -> int:
     return status
 
 
+# a default tolerance above this would let a truncated check pass at any residual
+MAX_DEFAULT_TOL = 1e-6
+
 # the ids with a tabulated transformation law
 _LAW_IDS = "Ptilde_1 | P_k (k>=2) | G_2k | g_1_j (g^1_j)"
 
@@ -201,8 +204,13 @@ def cmd_transform_check(args) -> int:
         raise UsageError(f"--tau {args.tau!r} must have a positive imaginary part")
     if args.order < 0:
         raise UsageError("--order must be >= 0")
-    report = nm.verify_modular(args.function, gamma, z, tau,
-                               truncation=args.order, tol=args.tol)
+    tol = args.tol
+    if tol is None:
+        tol = nm.default_tolerance(gamma, tau, args.order)
+        if tol > MAX_DEFAULT_TOL:
+            raise UsageError(f"--order {args.order} is too low: the default tolerance would be "
+                             f"{tol:.3g}, above {MAX_DEFAULT_TOL:g}; raise --order or pass --tol")
+    report = nm.verify_modular(args.function, gamma, z, tau, truncation=args.order, tol=tol)
     _emit(report)
     return 0 if report["status"] == "pass" else 1
 

@@ -5,10 +5,10 @@ A :class:`BivariateExpansion` collects the layers of a double expansion
     (2*pi*i)**tpi * sum_{m=0}^{N} layer_m(zeta) * q**m
 
 convergent on |q| < |zeta| < 1.  Only the m = 0 layer may be a genuine
-rational function of zeta; all higher layers are Laurent polynomials built
-from a divisor rule.  The n < 0 half of the defining sums is expanded as
--sum_{i>=1} zeta**n q**(-n*i), the unique rewriting convergent in the
-region.
+rational function of zeta, N(zeta)/(1-zeta)**k; all higher layers are
+Laurent polynomials built from a divisor rule.  The n < 0 half of the
+defining sums is expanded as -sum_{i>=1} zeta**n q**(-n*i), the unique
+rewriting convergent in the region.
 
 The q**0 layers come from the Eulerian closed form
 sum_{n>0} n**(k-1) zeta**n = zeta A_{k-1}(zeta) / (1-zeta)**k, which ties
@@ -129,12 +129,7 @@ class BivariateExpansion:
 def _positive_sum_closed_form(k: int) -> ZetaRational:
     """sum_{n>0} n**(k-1) zeta**n = zeta A_{k-1}(zeta) / (1-zeta)**k."""
     a = eulerian_polynomial(k - 1)
-    num = LaurentPoly({1 + j: c for j, c in enumerate(a)})
-    den = LaurentPoly.const(1)
-    one_minus = LaurentPoly({0: 1, 1: -1})
-    for _ in range(k):
-        den = den * one_minus
-    return ZetaRational(num, den)
+    return ZetaRational(LaurentPoly({1 + j: c for j, c in enumerate(a)}), k)
 
 
 def _divisor_layer(power: int, m: int) -> LaurentPoly:

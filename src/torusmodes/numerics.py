@@ -33,7 +33,7 @@ from .combinatorics import eulerian_polynomial
 from .elliptic import g_expansion, p_expansion
 from .qseries import eisenstein
 from .scaled import TWO_PI_I
-from .symbols import delta_of_symbol, function_symbol, sym_weight
+from .symbols import UnsupportedError, delta_of_symbol, function_symbol, sym_weight
 
 SL2Z_S = (0, -1, 1, 0)
 SL2Z_T = (1, 1, 0, 1)
@@ -44,12 +44,6 @@ def sl2_check(gamma) -> tuple[int, int, int, int]:
     if a * d - b * c != 1:
         raise ValueError(f"gamma={gamma} is not in SL(2,Z)")
     return a, b, c, d
-
-
-def sl2_compose(g1, g2):
-    a1, b1, c1, d1 = g1
-    a2, b2, c2, d2 = g2
-    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
 
 
 def apply_gamma(gamma, z: complex, tau: complex) -> tuple[complex, complex]:
@@ -239,8 +233,9 @@ def symbol_value(sym, z: complex, tau: complex, truncation: int = 60,
         shift = elliptic_shift(j, lam)
     else:
         if lam != 0:
-            raise ValueError("g^i_j layer evaluation requires z in the fundamental strip "
-                             "(elliptic shifts of g are not polynomial with known constants)")
+            raise UnsupportedError(
+                f"g^{i}_{j} at z={z}, tau={tau}: the layer route needs z in the strip "
+                f"0 < Im z < Im tau, and the elliptic shift of g^i_j is not tabulated")
         series = g_expansion(i, j, truncation)
         shift = 0
     value, _tail = series.eval_numeric(zr, tau)
@@ -291,6 +286,12 @@ def modular_rhs(fn_id: str, gamma, z: complex, tau: complex, truncation: int = 6
     return (c * tau + d) ** sym_weight(sym) * (f + poly_value(delta, gamma, z, tau, truncation))
 
 
+def default_tolerance(gamma, tau: complex, truncation: int) -> float:
+    """max(1e-10, 10 |q(gamma tau)|**(truncation/5)): the layer sums' truncation scale."""
+    _, gt = apply_gamma(gamma, 0j, tau)
+    return max(1e-10, 10 * abs(cmath.exp(TWO_PI_I * gt)) ** (truncation * 0.2))
+
+
 def verify_modular(fn_id: str, gamma, z: complex, tau: complex,
                    truncation: int = 60, tol: float | None = None) -> dict:
     """Check one tabulated modular law; returns a residual report."""
@@ -302,8 +303,7 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex,
     scale = max(1.0, abs(lhs), abs(rhs))
     residual = abs(lhs - rhs) / scale
     if tol is None:
-        q = cmath.exp(TWO_PI_I * gt)
-        tol = max(1e-10, 10 * abs(q) ** (truncation * 0.2))
+        tol = default_tolerance(gamma, tau, truncation)
     return {
         "function": fn_id,
         "gamma": list(gamma),

@@ -1,14 +1,18 @@
-"""Laurent polynomials and reduced rational functions in the variable zeta.
+"""Laurent polynomials and the zeta-rational functions N(zeta)/(1-zeta)**k.
 
-These carry the q**0 layer of the two-variable expansions: the m = 0 layer
-of P_k is a genuine rational function (e.g. zeta/(1-zeta) for P_1), while
-every higher layer is a Laurent polynomial.  Coefficients are plain
+These carry the layers of the two-variable expansions: the m = 0 layer of
+P_k is the Eulerian closed form zeta A_{k-1}(zeta)/(1-zeta)**k (e.g.
+zeta/(1-zeta) for P_1), while every higher layer is a Laurent polynomial
+(k = 0).  Sums and zeta d/dzeta stay in this family, so the only reduction
+ever needed is cancelling factors of (1-zeta).  Coefficients are plain
 Fractions; the global 2*pi*i grade lives on the enclosing expansion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 from .scaled import as_fraction, format_fraction
 
@@ -27,26 +31,13 @@ class LaurentPoly:
     def const(cls, c) -> "LaurentPoly":
         return cls({0: c})
 
-    @classmethod
-    def zeta(cls, e: int = 1) -> "LaurentPoly":
-        return cls({e: 1})
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def min_exp(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
-
-    def max_exp(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
@@ -57,9 +48,6 @@ class LaurentPoly:
             coeffs[e] = coeffs.get(e, 0) + c
         return LaurentPoly(coeffs)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
@@ -68,8 +56,6 @@ class LaurentPoly:
             for e2, c2 in other.coeffs.items():
                 coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly(coeffs)
-
-    __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
@@ -84,10 +70,6 @@ class LaurentPoly:
     def to_pairs(self):
         return [[e, format_fraction(c)] for e, c in sorted(self.coeffs.items())]
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "LaurentPoly":
-        return cls({int(e): Fraction(s) for e, s in pairs})
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -99,91 +81,54 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _dense(p: LaurentPoly) -> list[Fraction]:
-    """Dense coefficient list of a genuine polynomial (min exponent >= 0)."""
-    if p.is_zero():
-        return []
-    if p.min_exp() < 0:
-        raise ValueError("not a polynomial")
-    out = [Fraction(0)] * (p.max_exp() + 1)
-    for e, c in p.coeffs.items():
-        out[e] = c
-    return out
+@lru_cache(maxsize=None)
+def _one_minus_zeta_power(j: int) -> LaurentPoly:
+    """(1 - zeta)**j."""
+    return LaurentPoly({e: (-1) ** e * comb(j, e) for e in range(j + 1)})
 
 
-def _from_dense(c: list[Fraction]) -> LaurentPoly:
-    return LaurentPoly({e: v for e, v in enumerate(c)})
+@lru_cache(maxsize=None)
+def _monic_den(k: int) -> LaurentPoly:
+    """(zeta - 1)**k, the monic form of the denominator."""
+    return _one_minus_zeta_power(k) * (-1) ** k
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] * inv
-        q[i] = f
-        if f:
-            for j, bj in enumerate(b):
-                a[i + j] -= f * bj
-    while a and not a[-1]:
-        a.pop()
-    return q, a
+def _lift(num: LaurentPoly, j: int) -> LaurentPoly:
+    """num * (1 - zeta)**j: the numerator over a denominator raised by j."""
+    return num * _one_minus_zeta_power(j) if j else num
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]
-    return a
+def _normal_form(num: LaurentPoly, k: int) -> tuple[LaurentPoly, int]:
+    """Cancel factors of (1 - zeta) until k = 0 or num(1) != 0.
+
+    The numerator comes back with ascending keys, the order evaluate sums in.
+    """
+    coeffs = {e: num.coeffs[e] for e in sorted(num.coeffs)}
+    if not coeffs:
+        return LaurentPoly(), 0
+    while k and not sum(coeffs.values()):
+        # num = (1 - zeta) * quot, and quot's coefficients are num's prefix sums
+        quot, run = {}, 0
+        for e in range(min(coeffs), max(coeffs)):
+            run += coeffs.get(e, 0)
+            if run:
+                quot[e] = run
+        coeffs, k = quot, k - 1
+    return LaurentPoly(coeffs), k
 
 
 class ZetaRational:
-    """Reduced fraction of Laurent polynomials, denominator monic with nonzero
-    constant term (zeta powers are shifted into the numerator)."""
+    """N(zeta)/(1-zeta)**k with k >= 0, in the normal form k = 0 or N(1) != 0.
 
-    __slots__ = ("num", "den")
+    The normal form is unique, so equal values have equal (num, k).
+    """
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = LaurentPoly.const(1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = LaurentPoly()
-            self.den = LaurentPoly.const(1)
-            return
-        # move the denominator's zeta content into the numerator
-        k = den.min_exp()
-        if k:
-            den = den.shift(-k)
-            num = num.shift(-k)
-        if den.coeffs == {0: 1}:
-            # already reduced; ascending keys keep evaluate's summation order
-            self.num = LaurentPoly({e: num.coeffs[e] for e in sorted(num.coeffs)})
-            self.den = den
-            return
-        nshift = min(num.min_exp(), 0)
-        dn, dd = _dense(num.shift(-nshift)), _dense(den)
-        g = _poly_gcd(dn, dd)
-        if len(g) > 1:
-            dn, _ = _poly_divmod(dn, g)
-            dd, _ = _poly_divmod(dd, g)
-        lead = dd[-1]
-        if lead != 1:
-            inv = 1 / lead
-            dn = [c * inv for c in dn]
-            dd = [c * inv for c in dd]
-        num = _from_dense(dn).shift(nshift)
-        den = _from_dense(dd)
-        k = den.min_exp()
-        if k:  # cancellation can re-expose a zeta factor
-            den = den.shift(-k)
-            num = num.shift(-k)
-        self.num = num
-        self.den = den
+    __slots__ = ("num", "k")
+
+    def __init__(self, num: LaurentPoly, k: int = 0):
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        self.num, self.k = _normal_form(num, k)
 
     @classmethod
     def const(cls, c) -> "ZetaRational":
@@ -193,58 +138,54 @@ class ZetaRational:
     def from_poly(cls, p: LaurentPoly) -> "ZetaRational":
         return cls(p)
 
+    @property
+    def den(self) -> LaurentPoly:
+        """The monic denominator (zeta - 1)**k."""
+        return _monic_den(self.k)
+
+    def _monic_num(self) -> LaurentPoly:
+        """The numerator over the monic denominator: N * (-1)**k."""
+        return -self.num if self.k % 2 else self.num
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den == LaurentPoly.const(1)
-
-    def as_poly(self) -> LaurentPoly:
-        if not self.is_polynomial():
-            raise ValueError("not a Laurent polynomial")
-        return self.num
 
     def __eq__(self, other):
         if not isinstance(other, ZetaRational):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.k == other.k and self.num == other.num
 
     def __neg__(self):
-        return ZetaRational(-self.num, self.den)
+        return ZetaRational(-self.num, self.k)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ZetaRational.const(other)
-        return ZetaRational(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
+        k = max(self.k, other.k)
+        return ZetaRational(_lift(self.num, k - self.k) + _lift(other.num, k - other.k), k)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ZetaRational(self.num * other, self.den)
-        return ZetaRational(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
+    def __mul__(self, c):
+        """Multiplication by an int or Fraction scalar."""
+        return ZetaRational(self.num * c, self.k)
 
     def zeta_ddzeta(self) -> "ZetaRational":
-        """zeta d/dzeta by the quotient rule."""
-        n, d = self.num, self.den
-        return ZetaRational(n.zeta_ddzeta() * d - n * d.zeta_ddzeta(), d * d)
+        """zeta d/dzeta [N/(1-zeta)**k] = (zeta N'(1-zeta) + k zeta N)/(1-zeta)**(k+1)."""
+        n, k = self.num, self.k
+        return ZetaRational(_lift(n.zeta_ddzeta(), 1) + n.shift(1) * k, k + 1)
 
     def evaluate(self, z: complex, pole_tol: float = 1e-12) -> complex:
-        dv = self.den.evaluate(z)
-        scale = max(abs(complex(c)) * abs(z) ** e for e, c in self.den.coeffs.items())
+        den = self.den
+        dv = den.evaluate(z)
+        scale = max(abs(complex(c)) * abs(z) ** e for e, c in den.coeffs.items())
         if abs(dv) <= pole_tol * max(scale, 1.0):
             raise ZeroDivisionError(f"evaluation too close to a pole at zeta={z}")
-        return self.num.evaluate(z) / dv
+        return self._monic_num().evaluate(z) / dv
 
     def to_json(self) -> dict:
-        return {"num": self.num.to_pairs(), "den": self.den.to_pairs()}
+        return {"num": self._monic_num().to_pairs(), "den": self.den.to_pairs()}
 
     def __repr__(self):
-        if self.is_polynomial():
+        if not self.k:
             return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
+        return f"({self._monic_num()!r})/({self.den!r})"

@@ -231,6 +231,15 @@ _LAW_IDS = "expected Ptilde_1 | P_k (k>=2) | G_2k | g_1_j (g^1_j)"
     (["--function", "P_3", "--gamma", "1,1,1,1"], 2, "error: --gamma '1,1,1,1' is not in SL(2,Z)"),
     (["--function", "P_3", "--z", "nan"], 2, "error: --z must be finite, got 'nan'"),
     (["--function", "P_3", "--z", "x"], 2, "error: --z cannot parse complex number 'x'"),
+    # a truncation whose default tolerance would be 10 is refused, not passed
+    (["--function", "P_3", "--order", "0"], 2,
+     "error: --order 0 is too low: the default tolerance would be 10, above 1e-06; "
+     "raise --order or pass --tol"),
+    # gamma z = z/tau leaves the strip, where g^1_3 has no layer value
+    (["--function", "g_1_3"], 3,
+     "unsupported: g^1_3 at z=(0.25-0.08333333333333334j), tau=0.8333333333333334j: the "
+     "layer route needs z in the strip 0 < Im z < Im tau, and the elliptic shift of g^i_j "
+     "is not tabulated"),
 ])
 def test_transform_check_exit_table(capsys, argv, code, message):
     if "--gamma" not in argv:

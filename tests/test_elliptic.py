@@ -10,27 +10,22 @@ from torusmodes.scaled import ScaledRational
 
 
 def test_ratfunc_normalization():
-    # zeta/(1-zeta) times (1-zeta) reduces to the polynomial zeta
-    f = ZetaRational(LaurentPoly({1: 1}), LaurentPoly({0: 1, 1: -1}))
-    g = f * ZetaRational.from_poly(LaurentPoly({0: 1, 1: -1}))
-    assert g.is_polynomial() and g.as_poly() == LaurentPoly({1: 1})
-    # laurent shifts move into the numerator
-    h = ZetaRational(LaurentPoly({0: 1}), LaurentPoly({-1: 1, 0: -1}))
-    assert h.den.min_exp() == 0
-    # addition with common denominators cancels
-    assert (f + (-f)).is_zero()
-
-
-def test_constant_denominator_skips_gcd_with_same_numerator():
-    # a denominator of 2 goes through the gcd route and reduces to the same
-    # numerator, in the same (ascending) key order evaluate sums in
+    # zeta/(1-zeta) - 1/(1-zeta) = -1: the factor (1-zeta) cancels
+    f = ZetaRational(LaurentPoly({1: 1}), 1)
+    g = f - ZetaRational(LaurentPoly.const(1), 1)
+    assert (g.num, g.k) == (LaurentPoly.const(-1), 0)
+    # (zeta^-1 - 2 + zeta)/(1-zeta)^3 = zeta^-1/(1-zeta): two factors cancel
+    h = ZetaRational(LaurentPoly({-1: 1, 0: -2, 1: 1}), 3)
+    assert (h.num, h.k) == (LaurentPoly({-1: 1}), 1)
+    # reports use the numerator over the monic denominator (zeta-1)^k
+    assert h.to_json() == {"num": [[-1, "-1"]], "den": [[0, "-1"], [1, "1"]]}
+    assert (f + (-f)).is_zero() and (f - f).k == 0
+    # from_poly keeps ascending keys, the order evaluate sums in
     for p in (el._divisor_layer(3, 12), el._divisor_layer(0, 7) * Fraction(1, 6),
               LaurentPoly({5: 1, -3: 2, 0: -1, 1: Fraction(1, 3)})):
-        fast = ZetaRational.from_poly(p)
-        slow = ZetaRational(p * 2, LaurentPoly.const(2))
-        assert fast.den == slow.den == LaurentPoly.const(1)
-        assert list(fast.num.coeffs.items()) == list(slow.num.coeffs.items())
-        assert list(fast.num.coeffs) == sorted(p.coeffs)
+        r = ZetaRational.from_poly(p)
+        assert r.k == 0 and r.den == LaurentPoly.const(1)
+        assert list(r.num.coeffs) == sorted(p.coeffs)
 
 
 def test_cached_builders_match_fresh_builds():
@@ -45,21 +40,20 @@ def test_cached_builders_match_fresh_builds():
 
 
 def test_zeta_rational_derivative():
-    f = ZetaRational(LaurentPoly({1: 1}), LaurentPoly({0: 1, 1: -1}))
+    f = ZetaRational(LaurentPoly({1: 1}), 1)
     df = f.zeta_ddzeta()  # zeta d/dzeta [zeta/(1-zeta)] = zeta/(1-zeta)^2
-    assert df == ZetaRational(LaurentPoly({1: 1}), LaurentPoly({0: 1, 1: -2, 2: 1}))
+    assert df == ZetaRational(LaurentPoly({1: 1}), 2)
 
 
 def test_p_expansion_layers():
     p1 = el.p_expansion(1, 3)
     assert p1.tpi == 1
-    assert p1.layer(0) == ZetaRational(LaurentPoly({1: 1}), LaurentPoly({0: 1, 1: -1}))
+    assert p1.layer(0) == ZetaRational(LaurentPoly({1: 1}), 1)
     assert p1.layer(1) == ZetaRational.from_poly(LaurentPoly({1: 1, -1: -1}))
     assert p1.layer(2) == ZetaRational.from_poly(
         LaurentPoly({2: 1, 1: 1, -1: -1, -2: -1}))
     p2 = el.p_expansion(2, 2)
-    assert p2.layer(0) == ZetaRational(LaurentPoly({1: 1}),
-                                       LaurentPoly({0: 1, 1: -2, 2: 1}))
+    assert p2.layer(0) == ZetaRational(LaurentPoly({1: 1}), 2)
 
 
 def test_p_tilde_offset():
