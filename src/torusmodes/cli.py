@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 
 from . import elliptic as el
@@ -49,6 +50,14 @@ def _parse_gamma(text: str):
         return nm.sl2_check(gamma)
     except ValueError:
         raise UsageError(f"--gamma {text!r} is not in SL(2,Z)") from None
+
+
+def _check_order_tol(order, tol=None) -> None:
+    """--order, when given, must be >= 0 and --tol, when given, finite and > 0."""
+    if order is not None and order < 0:
+        raise UsageError("--order must be >= 0")
+    if tol is not None and not 0 < tol < math.inf:
+        raise UsageError(f"--tol must be finite and > 0, got {tol:g}")
 
 
 def _emit(obj) -> None:
@@ -106,8 +115,7 @@ def _parse_function_id(fn: str):
 def cmd_expand(args) -> int:
     name, idx = _parse_function_id(args.function)
     order = args.order
-    if order < 0:
-        raise UsageError("--order must be >= 0")
+    _check_order_tol(order)
     if name == "G":
         series = qs.eisenstein(idx[0], order)
     elif name == "eta":
@@ -125,6 +133,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify_suite(args) -> int:
+    _check_order_tol(args.order, args.tol)
     report = verify.run_suite(args.suite, order=args.order, tol=args.tol, seed=args.seed)
     _emit(report)
     return 0 if report["status"] == "pass" else 1
@@ -202,8 +211,7 @@ def cmd_transform_check(args) -> int:
     tau = _parse_complex("--tau", args.tau)
     if tau.imag <= 0:
         raise UsageError(f"--tau {args.tau!r} must have a positive imaginary part")
-    if args.order < 0:
-        raise UsageError("--order must be >= 0")
+    _check_order_tol(args.order, args.tol)
     tol = args.tol
     if tol is None:
         tol = nm.default_tolerance(gamma, tau, args.order)

@@ -382,7 +382,12 @@ class CorrSymbol:
 
 
 class CorrExpression:
-    """Formal sum of coefficient-polynomial times correlator-symbol terms."""
+    """Formal sum of coefficient-polynomial times correlator-symbol terms.
+
+    An expression owns its polynomials: it stores a copy of each one it is
+    given and accumulates into that copy in place, so no caller's polynomial
+    (the global ONE included) is ever changed.
+    """
 
     __slots__ = ("terms",)
 
@@ -391,7 +396,7 @@ class CorrExpression:
         if terms:
             for sym, poly in terms.items():
                 if poly:
-                    self.terms[sym] = poly
+                    self.terms[sym] = poly.copy()
 
     @classmethod
     def single(cls, sym: CorrSymbol, poly: CoeffPoly = ONE) -> "CorrExpression":
@@ -399,20 +404,20 @@ class CorrExpression:
 
     def add_term(self, sym: CorrSymbol, poly: CoeffPoly):
         cur = self.terms.get(sym)
-        new = poly if cur is None else cur + poly
-        if new:
-            self.terms[sym] = new
-        else:
-            self.terms.pop(sym, None)
+        if cur is None:
+            if poly:
+                self.terms[sym] = poly.copy()
+        elif not cur.iadd(poly):
+            del self.terms[sym]
 
     def __add__(self, other):
-        out = CorrExpression(dict(self.terms))
+        out = CorrExpression(self.terms)
         for sym, poly in other.terms.items():
             out.add_term(sym, poly)
         return out
 
     def __sub__(self, other):
-        out = CorrExpression(dict(self.terms))
+        out = CorrExpression(self.terms)
         for sym, poly in other.terms.items():
             out.add_term(sym, -poly)
         return out

@@ -11,6 +11,11 @@ the symbolic correlator engine.  It holds a single grade: the correlators
 are quasi-modular (zero modes) or quasi-Jacobi (mixed) forms of fixed
 weight, so a sum of nonzero terms of different grades never arises, and
 building one raises ``ValueError``.
+
+An integral value is stored as an ``int`` and any other as a ``Fraction``:
+almost every product the correlator engine forms is integer by integer,
+and ``int`` arithmetic skips the gcd of ``Fraction``.  The two forms compare,
+hash and print alike, so the choice never shows in results.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ def format_fraction(x: Fraction) -> str:
 
 
 class ScaledRational:
-    """value * (2*pi*i)**tpi with rational value; zero by default.
+    """value * (2*pi*i)**tpi with rational value (int when integral); zero by default.
 
     Zero is normalized to grade 0 and adds to any grade; nonzero values add
     only within one grade.  int and Fraction operands are grade-0 values.
@@ -43,16 +48,19 @@ class ScaledRational:
     __slots__ = ("value", "tpi")
 
     def __init__(self, value=0, tpi: int = 0):
-        value = as_fraction(value)
-        if value == 0:
-            tpi = 0
+        if type(value) is not int:
+            value = as_fraction(value)
+            if value.denominator == 1:
+                value = value.numerator
         self.value = value
-        self.tpi = tpi
+        self.tpi = tpi if value else 0
 
     @classmethod
-    def _make(cls, value: Fraction, tpi: int) -> "ScaledRational":
-        """Build from a Fraction the arithmetic produced, skipping ``as_fraction``."""
+    def _make(cls, value, tpi: int) -> "ScaledRational":
+        """Build from an int or Fraction the arithmetic produced, skipping type checks."""
         obj = object.__new__(cls)
+        if value.__class__ is not int and value.denominator == 1:
+            value = value.numerator
         obj.value = value
         obj.tpi = tpi if value else 0
         return obj
@@ -108,7 +116,7 @@ class ScaledRational:
     def inverse(self) -> "ScaledRational":
         if not self:
             raise ZeroDivisionError("inverse of zero ScaledRational")
-        return ScaledRational(1 / self.value, -self.tpi)
+        return ScaledRational(Fraction(1, self.value), -self.tpi)
 
     def shift(self, k: int) -> "ScaledRational":
         """Multiply by (2*pi*i)**k."""

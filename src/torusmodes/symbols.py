@@ -19,6 +19,8 @@ marker, whose final cancellation is a theorem the engine asserts.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import mul
 
 from .scaled import ScaledRational
 
@@ -53,6 +55,7 @@ def sym_weight(sym) -> int:
     raise KeyError(f"unknown symbol {sym!r}")
 
 
+@lru_cache(maxsize=None)
 def _sym_key(sym):
     return (_KIND_RANK[sym[0]],) + tuple(sym[1:])
 
@@ -126,10 +129,12 @@ class CoeffPoly:
     def __neg__(self):
         return CoeffPoly._of_terms({m: -c for m, c in self.terms.items()})
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, ScaledRational)):
-            other = CoeffPoly.scalar(other)
-        terms = dict(self.terms)
+    def copy(self) -> "CoeffPoly":
+        return CoeffPoly._of_terms(dict(self.terms))
+
+    def iadd(self, other: "CoeffPoly") -> "CoeffPoly":
+        """Add ``other`` into this polynomial in place; returns self."""
+        terms = self.terms
         for m, c in other.terms.items():
             cur = terms.get(m)
             if cur is None:
@@ -140,7 +145,12 @@ class CoeffPoly:
                 terms[m] = c
             else:
                 del terms[m]
-        return CoeffPoly._of_terms(terms)
+        return self
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction, ScaledRational)):
+            other = CoeffPoly.scalar(other)
+        return self.copy().iadd(other)
 
     __radd__ = __add__
 
@@ -149,14 +159,29 @@ class CoeffPoly:
 
     @staticmethod
     def _mono_mul(m1, m2):
+        """Product of two sorted monomials: a linear merge in ``_sym_key`` order."""
         if not m1:
             return m2
         if not m2:
             return m1
-        d = dict(m1)
-        for s, e in m2:
-            d[s] = d.get(s, 0) + e
-        return tuple(sorted(d.items(), key=lambda p: _sym_key(p[0])))
+        out = []
+        i = j = 0
+        n1, n2 = len(m1), len(m2)
+        while i < n1 and j < n2:
+            s1, e1 = p1 = m1[i]
+            s2, e2 = p2 = m2[j]
+            if s1 == s2:
+                out.append((s1, e1 + e2))
+                i += 1
+                j += 1
+            elif _sym_key(s1) < _sym_key(s2):
+                out.append(p1)
+                i += 1
+            else:
+                out.append(p2)
+                j += 1
+        out.extend(m1[i:] or m2[j:])
+        return tuple(out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ScaledRational)):
@@ -351,13 +376,18 @@ def delta_transform(poly: CoeffPoly) -> CoeffPoly:
 
     This implements the multiplicativity of weight-normalized transforms
     (equivalently Delta(fg) = f Delta g + (Delta f) g + (Delta f)(Delta g)).
+    Each power (f + Delta f)**e is expanded once per call.
     """
+    powers = {}
     total = CoeffPoly.zero()
     for mono, c in poly.terms.items():
         transformed = CoeffPoly.scalar(c)
-        for s, e in mono:
-            factor = CoeffPoly.symbol(s) + delta_of_symbol(s)
-            for _ in range(e):
-                transformed = transformed * factor
-        total = total + transformed
-    return total - poly
+        for factor in mono:
+            power = powers.get(factor)
+            if power is None:
+                s, e = factor
+                base = CoeffPoly.symbol(s) + delta_of_symbol(s)
+                power = powers[factor] = reduce(mul, [base] * e)
+            transformed = transformed * power
+        total.iadd(transformed)
+    return total.iadd(-poly)

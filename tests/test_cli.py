@@ -127,6 +127,19 @@ def test_verify_suite_flag_passthrough(capsys):
     assert json.loads(out)["parameters"]["order"] == 4
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--tol", "nan"], "error: --tol must be finite and > 0, got nan"),
+    (["--tol", "-1"], "error: --tol must be finite and > 0, got -1"),
+    (["--tol", "inf"], "error: --tol must be finite and > 0, got inf"),
+    (["--tol", "0"], "error: --tol must be finite and > 0, got 0"),
+    (["--order", "-3"], "error: --order must be >= 0"),
+])
+def test_verify_suite_flag_checks(capsys, argv, message):
+    code, out, err = run(capsys, "verify-suite", "elliptic-numeric", *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
 def test_anomaly_custom_spec_pairing(capsys, tmp_path):
     from fractions import Fraction
     spec = hha.weight1_spec(pairing=Fraction(3, 2))
@@ -240,6 +253,11 @@ _LAW_IDS = "expected Ptilde_1 | P_k (k>=2) | G_2k | g_1_j (g^1_j)"
      "unsupported: g^1_3 at z=(0.25-0.08333333333333334j), tau=0.8333333333333334j: the "
      "layer route needs z in the strip 0 < Im z < Im tau, and the elliptic shift of g^i_j "
      "is not tabulated"),
+    # a tolerance that is not a finite positive number is a usage error, not a check
+    (["--function", "P_2", "--tol", "-1"], 2, "error: --tol must be finite and > 0, got -1"),
+    (["--function", "P_2", "--tol", "nan"], 2, "error: --tol must be finite and > 0, got nan"),
+    (["--function", "P_2", "--tol", "inf"], 2, "error: --tol must be finite and > 0, got inf"),
+    (["--function", "P_2", "--tol", "0"], 2, "error: --tol must be finite and > 0, got 0"),
 ])
 def test_transform_check_exit_table(capsys, argv, code, message):
     if "--gamma" not in argv:

@@ -369,3 +369,27 @@ def test_weight_check_runs_on_memo_miss(monkeypatch):
     sym = CorrSymbol(("x",), ((3, 0, "x"), (7, 0, "x")))
     with pytest.raises(hha.WeightBookkeepingError, match="weight bookkeeping"):
         reduce_once(weight2_spec(), CorrExpression.single(sym, ONE + P(2, 9, 8)))
+
+
+def test_accumulation_leaves_shared_polynomials_unchanged():
+    # a CorrExpression accumulates in place into its own copies: the global ONE,
+    # a caller's polynomial and the shape memo's entries are never changed
+    spec = weight2_spec()
+    invert_to_full(spec, ("x",) * 4)
+    snapshot = _memo_snapshot(spec)
+    invert_to_full(spec, ("x",) * 4)
+    hha.anomaly_of_zero_modes(spec, ("x",) * 3)
+    hha.anomaly_of_zero_modes(weight1_spec(), ("a",) * 6)
+    assert ONE == CoeffPoly.scalar(1)
+    assert {k: v for k, v in _memo_snapshot(spec).items() if k in snapshot} == snapshot
+
+    sym = CorrSymbol((), ((1, 0, "x"),))
+    expr = CorrExpression.single(sym)
+    expr.add_term(sym, ONE)
+    assert ONE == CoeffPoly.scalar(1) and expr.terms[sym] == CoeffPoly.scalar(2)
+    poly = P(2, 2, 1) + ONE
+    before = dict(poly.terms)
+    expr = CorrExpression()
+    expr.add_term(sym, poly)
+    expr.add_term(sym, poly)
+    assert poly.terms == before and expr.terms[sym] == poly * 2

@@ -89,3 +89,30 @@ def test_qexpansion_json_round_trip(offset, lower, span, data):
     assert (back.offset, back.lower, back.truncation) == \
         (series.offset, series.lower, series.truncation)
     assert back.coeffs == series.coeffs
+
+
+def _fraction_valued(a):
+    """``a`` with its value held as a Fraction, bypassing the int normalization."""
+    obj = object.__new__(ScaledRational)
+    obj.value, obj.tpi = Fraction(a.value), a.tpi
+    return obj
+
+
+@given(scaled, scaled, st.integers(min_value=-30, max_value=30), grades)
+def test_integral_values_are_ints(a, b, n, e):
+    for r in (a + ScaledRational(n, a.tpi), a * b, a * n, -a, a.shift(e), a.scale(n),
+              ScaledRational(Fraction(2 * n, 2), e), ScaledRational.from_pairs([[e, str(n)]])):
+        assert type(r.value) is (int if r.value.denominator == 1 else Fraction)
+    assert type((ScaledRational(Fraction(n, 3), e) * 3).value) is int
+    for r in (a, ScaledRational(n, e)):
+        c = _fraction_valued(r)
+        assert repr(c) == repr(r) and c.to_pairs() == r.to_pairs()
+        assert c == r == c.value * ScaledRational(1, c.tpi) and hash(c) == hash(r)
+
+
+@given(st.integers(min_value=-30, max_value=30).filter(bool), grades)
+def test_inverse_of_an_integral_value_is_exact(n, e):
+    inv = ScaledRational(n, e).inverse()
+    assert inv.value == Fraction(1, n) and inv.tpi == -e
+    assert type(inv.value) is (int if n in (1, -1) else Fraction)
+    assert inv * ScaledRational(n, e) == 1

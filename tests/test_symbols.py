@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from torusmodes.scaled import ScaledRational
-from torusmodes.symbols import CoeffPoly, sym_weight
+from torusmodes.symbols import CoeffPoly, _sym_key, sym_weight
 
 # one symbol of each kind; a monomial's coefficient takes its weight as its
 # 2*pi*i grade, so sums and products stay within one grade per monomial
@@ -46,3 +46,24 @@ def test_no_stored_zero_coefficient(a, b, x):
     for result in (a + b, a - b, a * b, -a, a * x, a * ScaledRational(x, 2), a + (b - a),
                    (a + b) * (a - b)):
         assert _normalized(result)
+
+
+# several symbols of every kind, so monomials share symbols and interleave
+MERGE_SYMBOLS = SYMBOLS + [("G", 2), ("P", 3, 2, 1), ("P", 2, 3, 1), ("P", 2, 3, 2), ("Pt", 2, 1),
+                           ("g", 1, 3, 2, 1), ("g", 2, 4, 3, 1), ("z", 2), ("z", 3)]
+sorted_monomials = st.dictionaries(st.sampled_from(MERGE_SYMBOLS), st.integers(1, 3),
+                                   max_size=6).map(
+    lambda d: tuple(sorted(d.items(), key=lambda p: _sym_key(p[0]))))
+
+
+def _reference_mono_mul(m1, m2):
+    d = dict(m1)
+    for s, e in m2:
+        d[s] = d.get(s, 0) + e
+    return tuple(sorted(d.items(), key=lambda p: _sym_key(p[0])))
+
+
+@given(sorted_monomials, sorted_monomials)
+def test_mono_mul_is_the_sorted_product(m1, m2):
+    for a, b in ((m1, m2), (m2, m1), (m1, m1), (m1, ()), ((), m2), ((), ())):
+        assert CoeffPoly._mono_mul(a, b) == _reference_mono_mul(a, b)
