@@ -13,14 +13,16 @@ which keeps every <h,a>^2 rational.  The oracle recomputes the same traces
 by direct enumeration of the Fock basis (lattice vectors times colored
 oscillator partitions), organized by counting but using no series identity.
 
-Every lattice sum goes through one Fincke-Pohst walk on the exact LDL^T
-decomposition of the Gram matrix.  Float bounds carry a safety margin, so no
-vector is missed; the walk carries the exact integer norm (and optionally an
-integer pairing) down the recursion, so each candidate is confirmed exactly
-without recomputing its norm, and shells are complete.  The walk hands each
-vector to a leaf function: shell sizes and the grouped (norm/2, <f,a>^2)
-counts behind theta moments, traces and chi are tallied at the leaves and
-cached per (block, order); only ``enumerate_vectors`` keeps the vectors.
+Every lattice sum goes through one Fincke-Pohst walk.  It prunes with float
+bounds padded from the exact LDL^T decomposition of the Gram matrix, so no
+vector is missed, and carries the exact integer norm (and optionally an
+integer pairing) down the recursion, so each candidate is confirmed by its
+exact norm at the leaf and shells are complete.  It visits one of each pair
+x, -x and hands the leaf a multiplicity (2, or 1 for x = 0); every tally here
+is even in x.  Per (block Gram, pairing row, order) one walk is grouped into
+(norm/2, <row,a>^2) counts and cached: shell sizes read the walk of the
+block's first axis, so theta moments along that axis, theta series, traces
+and chi share it.  Only ``enumerate_vectors`` keeps the vectors, both signs.
 """
 
 from __future__ import annotations
@@ -163,14 +165,17 @@ class VectorShell:
 
 
 def _walk(gram: tuple, max_norm_half: int, leaf, row=None) -> None:
-    """Fincke-Pohst walk: leaf(x, <x,x>/2, <row,x>) for every x with <x,x>/2 <= max_norm_half.
+    """Fincke-Pohst walk over one of each pair x, -x with <x,x>/2 <= max_norm_half.
 
-    Coordinates are fixed from the last down to the first.  Float bounds from
-    the exact LDL^T prune the box with a safety margin; the exact integer norm
-    and the integer pairing with ``row`` are carried down the recursion, each
-    level adding G_ii v^2 + 2 v sum_{j>i} G_ij x_j and row_i v, and the exact
-    norm decides at the leaf.  ``x`` is the walk's working list: a leaf that
-    keeps it must copy it.
+    Calls leaf(x, <x,x>/2, <row,x>, mult) for the x whose highest nonzero
+    coordinate is positive, with mult = 2 for the pair x, -x and mult = 1 for
+    x = 0.  Coordinates are fixed from the last down to the first.  Float
+    bounds from the exact LDL^T prune the box with a safety margin.  Each level
+    hands the levels below it their partial centers sum_{j>i} L_ji x_j and
+    cross sums 2 sum_{j>i} G_ij x_j, so a node at level i costs O(i).  The
+    exact integer norm and the integer pairing with ``row`` are carried down
+    the recursion, and the exact norm decides at the leaf.  ``x`` is the
+    walk's working list: a leaf that keeps it must copy it.
     """
     if max_norm_half < 0:
         raise LatticeError("max_norm_half must be >= 0")
@@ -180,66 +185,102 @@ def _walk(gram: tuple, max_norm_half: int, leaf, row=None) -> None:
     bound = 2 * max_norm_half
     x = [0] * n
     if n == 0:
-        leaf(x, 0, 0)
+        leaf(x, 0, 0, 1)
         return
     L, D = _ldl(gram)
-    Lf = [[float(L[i][j]) for j in range(n)] for i in range(n)]
+    # row i of L and of 2G left of the diagonal: x_i's share of the levels below
+    Lf = [[float(L[i][j]) for j in range(i)] for i in range(n)]
+    G2 = [[2 * gram[i][j] for j in range(i)] for i in range(n)]
     Df = [float(d) for d in D]
 
-    def rec(i, remaining, norm, ip):
-        # remaining = bound - sum_{k>i} D_k (x_k + sum_{j>k} L_jk x_j)^2  (float, padded)
-        c = sum(Lf[j][i] * x[j] for j in range(i + 1, n))
-        cross = 2 * sum(gram[i][j] * x[j] for j in range(i + 1, n))
+    def rec(i, remaining, norm, ip, centers, crosses, lead):
+        # remaining = bound - sum_{k>i} D_k (x_k + sum_{j>k} L_jk x_j)^2  (float, padded);
+        # lead: every coordinate above i is zero, so x_i >= 0 keeps one of each pair
+        c, cross = centers[i], crosses[i]
         half_width = math.sqrt(max(remaining, 0.0) / Df[i])
-        lo = math.ceil(-c - half_width - 1e-9)
+        lo = 0 if lead else math.ceil(-c - half_width - 1e-9)
         hi = math.floor(-c + half_width + 1e-9)
         gii, ri = gram[i][i], row[i]
         if i:
+            di, li, gi = Df[i], Lf[i], G2[i]
             for v in range(lo, hi + 1):
                 x[i] = v
-                rec(i - 1, remaining - Df[i] * (v + c) ** 2,
-                    norm + v * (gii * v + cross), ip + ri * v)
+                rec(i - 1, remaining - di * (v + c) ** 2, norm + v * (gii * v + cross),
+                    ip + ri * v, [a + b * v for a, b in zip(centers, li)],
+                    [a + b * v for a, b in zip(crosses, gi)], lead and not v)
             return
+        if lead:
+            x[0] = 0
+            leaf(x, 0, 0, 1)
+            lo = 1
         for v in range(lo, hi + 1):
             exact = norm + v * (gii * v + cross)
             if exact <= bound:
                 x[0] = v
-                leaf(x, exact // 2, ip + ri * v)
+                leaf(x, exact // 2, ip + ri * v, 2)
 
-    rec(n - 1, bound + 1e-6, 0, 0)
+    rec(n - 1, bound + 1e-6, 0, 0, [0.0] * n, [0] * n, True)
 
 
 def enumerate_vectors(lat: EvenLattice, max_norm_half: int):
     """All shells <a,a>/2 = 0..max_norm_half, complete and duplicate-free."""
     shells = [[] for _ in range(max_norm_half + 1)]
-    _walk(lat.gram, max_norm_half, lambda x, nh, ip: shells[nh].append(tuple(x)))
+
+    def leaf(x, nh, ip, mult):
+        shells[nh].append(tuple(x))
+        if mult == 2:
+            shells[nh].append(tuple(-v for v in x))
+
+    _walk(lat.gram, max_norm_half, leaf)
     return [VectorShell(m, sorted(vecs)) for m, vecs in enumerate(shells)]
+
+
+@lru_cache(maxsize=None)
+def _grouped_walk(gram: tuple, row: tuple, max_norm_half: int) -> tuple:
+    """The one walk of a block: ((norm_half, <row,x>^2, count), ...), sorted.
+
+    <row,x>^2 is even in x, so the pair x, -x joins one group.  Shell sizes
+    and the theta moments of the block's first axis read the same walk.
+    """
+    grouped = {}
+
+    def leaf(x, nh, ip, mult):
+        key = (nh, ip * ip)
+        grouped[key] = grouped.get(key, 0) + mult
+
+    _walk(gram, max_norm_half, leaf, row)
+    return tuple((nh, ip2, cnt) for (nh, ip2), cnt in sorted(grouped.items()))
 
 
 @lru_cache(maxsize=None)
 def _shell_sizes(gram: tuple, max_norm_half: int) -> tuple:
     sizes = [0] * (max_norm_half + 1)
-
-    def leaf(x, nh, ip):
-        sizes[nh] += 1
-
-    _walk(gram, max_norm_half, leaf)
+    # the pairing row of the first basis vector: the walk of axis 0's moments
+    for nh, _, cnt in _grouped_walk(gram, gram[0], max_norm_half):
+        sizes[nh] += cnt
     return tuple(sizes)
+
+
+def _rest_counts(lat: EvenLattice, skip, truncation: int) -> list:
+    """Vectors of the blocks other than ``skip`` by norm/2: their shell sizes convolved."""
+    counts = [1] + [0] * truncation
+    for idx in lat.blocks():
+        if idx == skip:
+            continue
+        sizes = _shell_sizes(lat.sublattice(idx).gram, truncation)
+        new = [0] * (truncation + 1)
+        for a, ca in enumerate(counts):
+            if ca:
+                for b in range(truncation + 1 - a):
+                    new[a + b] += ca * sizes[b]
+        counts = new
+    return counts
 
 
 def theta_series(lat: EvenLattice, truncation: int) -> QExpansion:
     """Theta series of the lattice, via per-block enumeration and convolution."""
-    coeffs = [1] + [0] * truncation
-    for idx in lat.blocks():
-        sizes = _shell_sizes(lat.sublattice(idx).gram, truncation)
-        new = [0] * (truncation + 1)
-        for a, ca in enumerate(coeffs):
-            if ca:
-                for b in range(0, truncation + 1 - a):
-                    if sizes[b]:
-                        new[a + b] += ca * sizes[b]
-        coeffs = new
-    return QExpansion.from_dict(dict(enumerate(coeffs)), truncation)
+    return QExpansion.from_dict(dict(enumerate(_rest_counts(lat, None, truncation))),
+                                truncation)
 
 
 def gram_schmidt_axis(lat: EvenLattice, axis: int):
@@ -295,15 +336,8 @@ def _axis_shell_data(lat: EvenLattice, axis: int, max_norm_half: int):
         den = den * c.denominator // math.gcd(den, c.denominator)
     gv = [int(c * den) for c in gvec]
     row = tuple(sum(gv[i] * sub_gram[i][j] for i in range(k)) for j in range(k))
-    grouped = {}
-
-    def leaf(x, nh, ip):
-        key = (nh, ip * ip)
-        grouped[key] = grouped.get(key, 0) + 1
-
-    _walk(sub_gram, max_norm_half, leaf, row)
     return tuple((nh, Fraction(ip2, den * den) / gnorm, cnt)
-                 for (nh, ip2), cnt in sorted(grouped.items())), block
+                 for nh, ip2, cnt in _grouped_walk(sub_gram, row, max_norm_half)), block
 
 
 def theta_moment(lat: EvenLattice, axis: int, power: int, truncation: int) -> QExpansion:
@@ -318,13 +352,9 @@ def theta_moment(lat: EvenLattice, axis: int, power: int, truncation: int) -> QE
     moments = {}
     for nh, t2, cnt in data:
         moments[nh] = moments.get(nh, Fraction(0)) + cnt * t2 ** (power // 2)
-    series = QExpansion.from_dict(moments, truncation)
     # other blocks contribute their plain theta series
-    rest = [idx for idx in lat.blocks() if idx != block]
-    for idx in rest:
-        sizes = _shell_sizes(lat.sublattice(idx).gram, truncation)
-        series = series * QExpansion.from_dict(dict(enumerate(sizes)), truncation)
-    return series
+    rest = QExpansion.from_dict(dict(enumerate(_rest_counts(lat, block, truncation))), truncation)
+    return QExpansion.from_dict(moments, truncation) * rest
 
 
 def eta_derivative_factor(ell: int, r: int, truncation: int) -> QExpansion:
@@ -437,17 +467,7 @@ def fock_trace_oracle(lat: EvenLattice, axis: int, n: int, truncation: int) -> Q
     ell = lat.rank
     data, block = _axis_shell_data(lat, axis, truncation)
     # rest-norm counts: lattice vectors of the other blocks by total norm/2
-    rest = [1] + [0] * truncation
-    for idx in lat.blocks():
-        if idx == block:
-            continue
-        sizes = _shell_sizes(lat.sublattice(idx).gram, truncation)
-        new = [0] * (truncation + 1)
-        for a, ca in enumerate(rest):
-            if ca:
-                for b in range(0, truncation + 1 - a):
-                    new[a + b] += ca * sizes[b]
-        rest = new
+    rest = _rest_counts(lat, block, truncation)
     # oscillators: axis color counted with its eigenvalue, other ell-1 colors counted
     p_axis = partition_counts(1, truncation)
     p_rest = partition_counts(ell - 1, truncation)

@@ -9,6 +9,7 @@ suite asserts on them.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 import platform
 from fractions import Fraction
@@ -266,15 +267,23 @@ def suite_elliptic_formal(order=30, tol=None, seed=None):
     return _report("elliptic-formal", cases, {"order": order})
 
 
+_ELLIPTIC_GAMMAS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 1, 0), (1, 0, 1, 1), (-1, 0, -1, -1))
+
+
+def _elliptic_numeric_truncation(order, seed):
+    """The layer sums' truncation scale at the worst sample point and gamma."""
+    pts = nm.sample_points(20, seed=seed, gammas=_ELLIPTIC_GAMMAS)
+    return max(nm.default_tolerance(gamma, tau, order)
+               for gamma in _ELLIPTIC_GAMMAS for _, tau in pts)
+
+
 @suite("elliptic-numeric")
 def suite_elliptic_numeric(order=60, tol=1e-6, seed=20409):
     cases = []
-    gammas = {"S": (0, -1, 1, 0), "T": (1, 1, 0, 1), "ST": (1, -1, 1, 0),
-              "TS": (1, 0, 1, 1), "STiS": (-1, 0, -1, -1)}
-    pts = nm.sample_points(20, seed=seed, gammas=tuple(gammas.values()))
+    pts = nm.sample_points(20, seed=seed, gammas=_ELLIPTIC_GAMMAS)
     for fn in ("Ptilde_1", "P_2", "P_3", "P_4", "G_2", "G_4"):
         worst = 0.0
-        for gname, gamma in gammas.items():
+        for gamma in _ELLIPTIC_GAMMAS:
             for z, tau in pts:
                 rep = nm.verify_modular(fn, gamma, z, tau, truncation=order, tol=tol)
                 worst = max(worst, rep["residual"])
@@ -489,6 +498,25 @@ def suite_lattice_oracle(order=4, tol=None, seed=None):
     return _report("lattice-oracle", cases, {"order": order})
 
 
+# the point of the E8^3 closure cases; gamma = S takes it to -1/tau
+_LATTICE_TAU = 1.3j
+
+
+def _lattice_modular_truncation(order, seed):
+    """10x the largest relative tail of the E8^3 theta moments at q(-1/tau).
+
+    ``QExpansion.tail_estimate`` scales by the last computed coefficients;
+    the factor 10 covers their growth (about 5x per order near order 8).
+    """
+    q = cmath.exp(TWO_PI_I * (-1 / _LATTICE_TAU))
+    worst = 0.0
+    for p in (0, 2, 4, 6):
+        series = lt.theta_moment(lt.e8_cubed(), 0, p, order)
+        value = abs(series.evaluate(q=q))
+        worst = max(worst, series.tail_estimate(q=q) / value if value else math.inf)
+    return 10 * worst
+
+
 @suite("lattice-modular")
 def suite_lattice_modular(order=8, tol=1e-5, seed=None):
     cases = []
@@ -536,7 +564,7 @@ def suite_lattice_modular(order=8, tol=1e-5, seed=None):
         okp = resid < tol and head_dev < 1e-4
         _case(cases, f"theta_moment_weight_grading_2j={p}", okp,
               residual=repr(resid), head_dev=repr(head_dev), tolerance=repr(tol))
-    tau = 1.3j
+    tau = _LATTICE_TAU
     gt = -1 / tau
     N = order
     beta = 1 / (TWO_PI_I * tau)
@@ -574,6 +602,24 @@ def suite_lattice_modular(order=8, tol=1e-5, seed=None):
     _case(cases, "weight1_jacobi_law_chi", res < tol, residual=repr(res),
           tolerance=repr(tol))
     return _report("lattice-modular", cases, {"order": order, "tol": repr(tol)})
+
+
+# suite -> estimate(order, seed) of the truncation error of its order-dependent cases
+TRUNCATION = {"elliptic-numeric": _elliptic_numeric_truncation,
+              "lattice-modular": _lattice_modular_truncation}
+
+
+def truncation_shortfall(name, order=None, tol=None, seed=None):
+    """(order, estimate, tol) when the suite's truncation estimate at ``order``
+    exceeds its tolerance, so that its numeric cases would fail for want of
+    terms rather than of a law; None otherwise, and for suites without one."""
+    if name not in TRUNCATION:
+        return None
+    defaults = {k: p.default for k, p in inspect.signature(SUITES[name]).parameters.items()}
+    order = defaults["order"] if order is None else order
+    tol = defaults["tol"] if tol is None else tol
+    estimate = TRUNCATION[name](order, defaults["seed"] if seed is None else seed)
+    return (order, estimate, tol) if estimate > tol else None
 
 
 def run_suite(name, **kwargs):

@@ -68,8 +68,8 @@ def test_ac4_symbolic_recursion_fixtures():
 
 
 def test_ac6_lattice_oracle():
-    _suites_pass("AC6 lattice oracle", 60.0, "lattice-oracle")
+    _suites_pass("AC6 lattice oracle", 10.0, "lattice-oracle")
 
 
 def test_ac7_end_to_end_numeric_closure():
-    _suites_pass("AC7 end-to-end numeric closure", 15.0, "lattice-modular")
+    _suites_pass("AC7 end-to-end numeric closure", 8.0, "lattice-modular")

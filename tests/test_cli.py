@@ -287,3 +287,25 @@ def test_noncommuting_spec_file_rejected_at_load(capsys, tmp_path, value, code, 
     got, out, err = run(capsys, "reduce", "--spec", str(path), "--correlator", "x0^2")
     assert got == code and out == ""
     assert err == message + "\n"
+
+
+def _too_low(suite, order, estimate, tol):
+    return (f"error: --order {order} is too low for {suite}: the truncation estimate "
+            f"{estimate} is above the tolerance {tol}; raise --order or pass a larger --tol")
+
+
+@pytest.mark.parametrize("suite, argv, message", [
+    # a truncation too short for the suite's tolerance is refused, not failed
+    ("elliptic-numeric", ["--order", "0"], _too_low("elliptic-numeric", 0, "10", "1e-06")),
+    ("elliptic-numeric", ["--order", "30"],
+     _too_low("elliptic-numeric", 30, "1.14e-05", "1e-06")),
+    ("elliptic-numeric", ["--tol", "1e-12"],
+     _too_low("elliptic-numeric", 60, "1e-10", "1e-12")),
+    ("lattice-modular", ["--order", "0"], _too_low("lattice-modular", 0, "inf", "1e-05")),
+    ("lattice-modular", ["--order", "3"], _too_low("lattice-modular", 3, "0.0428", "1e-05")),
+    ("lattice-modular", ["--order", "7"], _too_low("lattice-modular", 7, "1.99e-05", "1e-05")),
+])
+def test_verify_suite_truncation_table(capsys, suite, argv, message):
+    code, out, err = run(capsys, "verify-suite", suite, *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"

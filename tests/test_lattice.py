@@ -2,6 +2,7 @@ import cmath
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from torusmodes import lattice as lt
 from torusmodes import qseries as qs
@@ -257,3 +258,64 @@ def test_negative_order_raises_on_every_walk_route():
                  lambda: lt.chi_weight1(lat, 0, 0.1, 1.2j, -1)):
         with pytest.raises(lt.LatticeError, match="max_norm_half must be >= 0"):
             call()
+
+
+# even bases: any integer change of basis M keeps M B M^T even
+_EVEN_BASES = {1: ((2,),), 2: ((2, -1), (-1, 2)), 3: ((2, -1, 0), (-1, 2, 0), (0, 0, 4)),
+               4: ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))}
+
+
+@st.composite
+def _lattice_and_row(draw):
+    """A random even lattice of rank <= 4 (M B M^T) and an integer pairing row."""
+    k = draw(st.integers(1, 4))
+    base = _EVEN_BASES[k]
+    m = [[draw(st.integers(-1, 1)) + (i == j) * draw(st.integers(0, 2)) for j in range(k)]
+         for i in range(k)]
+    gram = tuple(tuple(sum(m[i][r] * base[r][t] * m[j][t] for r in range(k) for t in range(k))
+                       for j in range(k)) for i in range(k))
+    try:
+        lat = lt.EvenLattice(gram)
+    except lt.LatticeError:  # singular change of basis
+        assume(False)
+    row = tuple(draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)))
+    return lat, row
+
+
+@given(_lattice_and_row(), st.integers(0, 3))
+def test_half_walk_matches_box(lat_row, N):
+    lat, row = lat_row
+    box = [x for x in _box(lat, N) if lat.norm2(x) <= 2 * N]
+    assume(len(box) <= 4000)
+    sizes = [0] * (N + 1)
+    shells = [[] for _ in range(N + 1)]
+    grouped = {}
+    for x in box:
+        nh = lat.norm2(x) // 2
+        ip = sum(r * v for r, v in zip(row, x))
+        sizes[nh] += 1
+        shells[nh].append(x)
+        grouped[(nh, ip * ip)] = grouped.get((nh, ip * ip), 0) + 1
+    assert sizes[0] == 1  # the zero vector, once
+    assert lt._shell_sizes(lat.gram, N) == tuple(sizes)
+    assert [s.vectors for s in lt.enumerate_vectors(lat, N)] == [sorted(s) for s in shells]
+    assert lt._grouped_walk(lat.gram, row, N) == \
+        tuple((nh, ip2, cnt) for (nh, ip2), cnt in sorted(grouped.items()))
+
+
+def test_one_walk_per_block_gram_and_order(monkeypatch):
+    for cached in (lt._grouped_walk, lt._shell_sizes, lt._axis_shell_data):
+        cached.cache_clear()
+    walks = []
+    walk = lt._walk
+
+    def counted(gram, max_norm_half, leaf, row=None):
+        walks.append((gram, max_norm_half))
+        walk(gram, max_norm_half, leaf, row)
+
+    monkeypatch.setattr(lt, "_walk", counted)
+    e8, e8_cubed = lt.e8(), lt.e8_cubed()
+    lt.theta_series(e8, 8)
+    lt.theta_moment(e8_cubed, 0, 2, 8)
+    lt.chi_weight1(e8_cubed, 0, 0.1 + 0.2j, 1.3j, 8)
+    assert walks == [(e8.gram, 8)]
