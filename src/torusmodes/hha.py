@@ -410,10 +410,13 @@ class CorrExpression:
         elif not cur.iadd(poly):
             del self.terms[sym]
 
+    def add_terms(self, other: "CorrExpression"):
+        for sym, poly in other.terms.items():
+            self.add_term(sym, poly)
+
     def __add__(self, other):
         out = CorrExpression(self.terms)
-        for sym, poly in other.terms.items():
-            out.add_term(sym, poly)
+        out.add_terms(other)
         return out
 
     def __sub__(self, other):
@@ -554,18 +557,22 @@ def _reduce_shape(spec: HHASpec, modes, shape) -> tuple:
         remaining = list(modes)
         for g_ in s_gens:
             remaining.remove(g_)
-        for pj, dj, gj in rest:
-            other = [ins for ins in rest if ins[0] != pj]
-            for m in range(0, _m_bound(spec, d, dj) + 1):
-                st = square_action(spec, d, m, State.basis(gj, dj))
-                if not st:
-                    continue
-                layer = p_layer_coefficient(len(s_gens), m, pj, p1)
-                tail = attach_insertion(spec, tuple(remaining), other, pj, st, layer * mult)
-                _assert_tail_weight(spec, tail, W)
-                for tsym, tpoly in tail.terms.items():
-                    out.add_term(tsym, tpoly)
+        layer = lambda m, pj: p_layer_coefficient(len(s_gens), m, pj, p1) * mult
+        for tail in _tails(spec, d, rest, tuple(remaining), layer):
+            _assert_tail_weight(spec, tail, W)
+            out.add_terms(tail)
     return tuple(out.terms.items())
+
+
+def _tails(spec: HHASpec, d: State, rest, modes, layer, ordered=False):
+    """The recursion tails of one d-state: for every other insertion (p_j, a^j)
+    and every m >= 0, d[m] a^j attached at p_j with coefficient layer(m, p_j)."""
+    for pj, dj, gj in rest:
+        other = [ins for ins in rest if ins[0] != pj]
+        for m in range(0, _m_bound(spec, d, dj) + 1):
+            st = square_action(spec, d, m, State.basis(gj, dj))
+            if st:
+                yield attach_insertion(spec, modes, other, pj, st, layer(m, pj), ordered)
 
 
 def _assert_tail_weight(spec, tail: CorrExpression, W):
@@ -638,43 +645,27 @@ def reduce_once_ordered(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
             kept = tuple(i for i in indices if kept_mask >> i & 1)
             comp = tuple(i for i in indices if not kept_mask >> i & 1)
             kept_modes = tuple(modes[i] for i in kept)
-            if not comp:
-                # s = full tuple: the depth-zero layer
-                for pj, dj, gj in rest:
-                    other = [ins for ins in rest if ins[0] != pj]
-                    for m in range(0, _m_bound(spec, first, dj) + 1):
-                        st = square_action(spec, first, m, State.basis(gj, dj))
-                        if not st:
-                            continue
-                        layer = p_layer_coefficient(0, m, pj, p1)
-                        tail = attach_insertion(spec, kept_modes, other, pj, st,
-                                                poly * layer, ordered=True)
-                        for tsym, tpoly in tail.terms.items():
-                            out.add_term(tsym, tpoly)
-                continue
-            for perm in permutations(comp):
-                u = len(perm)
-                des = descent_count(perm)
+            for perm in permutations(comp):  # s = full tuple: the one empty permutation
                 d = d_state(spec, tuple(modes[i] for i in perm), first)
-                if not d:
-                    continue
-                for pj, dj, gj in rest:
-                    other = [ins for ins in rest if ins[0] != pj]
-                    for m in range(0, _m_bound(spec, d, dj) + 1):
-                        st = square_action(spec, d, m, State.basis(gj, dj))
-                        if not st:
-                            continue
-                        layer = CoeffPoly.zero()
-                        for t in range(1, u + 1):
-                            rc = recursion_coefficient(u, des, t)
-                            if rc:
-                                layer = layer + p_layer_coefficient(t, m, pj, p1) * \
-                                    ScaledRational(rc, u - t)
-                        tail = attach_insertion(spec, kept_modes, other, pj, st,
-                                                poly * layer, ordered=True)
-                        for tsym, tpoly in tail.terms.items():
-                            out.add_term(tsym, tpoly)
+                if d:
+                    des = descent_count(perm)
+                    layer = lambda m, pj: poly * _ordered_layer(len(perm), des, m, pj, p1)
+                    for tail in _tails(spec, d, rest, kept_modes, layer, ordered=True):
+                        out.add_terms(tail)
     return out
+
+
+def _ordered_layer(u: int, des: int, m: int, pj: int, p1: int) -> CoeffPoly:
+    """One ordered tail layer: sum_t (2*pi*i)**(u-t) rc(u, des, t) g^t_{m+1}(zeta_j/zeta_1),
+    or the depth-zero g^0_{m+1} when u = 0."""
+    if not u:
+        return p_layer_coefficient(0, m, pj, p1)
+    layer = CoeffPoly.zero()
+    for t in range(1, u + 1):
+        rc = recursion_coefficient(u, des, t)
+        if rc:
+            layer = layer + p_layer_coefficient(t, m, pj, p1) * ScaledRational(rc, u - t)
+    return layer
 
 
 def to_commuting(expr: CorrExpression) -> CorrExpression:

@@ -553,11 +553,7 @@ def chi_weight1(lat: EvenLattice, axis: int, z: complex, tau: complex,
     data, block = _axis_shell_data(lat, axis, shell_truncation)
     charged = sum((cnt * cmath.cos(2 * math.pi * z * math.sqrt(t2)) * q ** nh
                    for nh, t2, cnt in data), 0j)
-    rest = 1.0 + 0j
-    for idx in lat.blocks():
-        if idx != block:
-            sizes = _shell_sizes(lat.sublattice(idx).gram, shell_truncation)
-            rest *= sum(c * q ** m for m, c in enumerate(sizes))
+    rest = sum(c * q ** m for m, c in enumerate(_rest_counts(lat, block, shell_truncation)))
     return charged * rest * eta_power(-lat.rank, series_order).evaluate(q=q)
 
 

@@ -38,6 +38,11 @@ from .symbols import UnsupportedError, delta_of_symbol, function_symbol, sym_wei
 SL2Z_S = (0, -1, 1, 0)
 SL2Z_T = (1, 1, 0, 1)
 
+LAMBERT_TOL = 1e-14  # a Lambert sum stops once its terms and tail bound are below this
+ZETA_TERMS = 200000  # terms of the direct zeta(2k) sum before its integral tail
+WP_ROWS = 60  # lattice rows m tau, |m| <= WP_ROWS, of the Weierstrass sums
+EISENSTEIN_ROWS = 80  # lattice rows of the G_{2k} double sum
+
 
 def sl2_check(gamma) -> tuple[int, int, int, int]:
     a, b, c, d = (int(x) for x in gamma)
@@ -71,7 +76,7 @@ def li_neg(p: int, w: complex) -> complex:
     return num / omw ** (p + 1)
 
 
-def g_value(i: int, j: int, z: complex, tau: complex, tol: float = 1e-14) -> complex:
+def g_value(i: int, j: int, z: complex, tau: complex) -> complex:
     """g^i_j(z, tau) by geometrically convergent Lambert sums.
 
     Valid for any z off the poles and Im tau > 0; in particular outside the
@@ -95,7 +100,7 @@ def g_value(i: int, j: int, z: complex, tau: complex, tol: float = 1e-14) -> com
         term += sign * l ** i * li_neg(j - 1, q ** l / zeta)
         total += term
         bound = max(abs(zeta), 1 / abs(zeta)) * abs(q) ** (l + 1)
-        if bound < 1 and abs(term) < tol and l ** i * bound / (1 - abs(q)) < tol:
+        if bound < 1 and max(abs(term), l ** i * bound / (1 - abs(q))) < LAMBERT_TOL:
             break
         l += 1
         if l > 4000:
@@ -141,29 +146,29 @@ def _sum_over_integers(k: int, w: complex) -> complex:
     return (-1) ** (k - 1) / factorial(k - 1) * cmath.pi ** k * val
 
 
-def zeta_even_numeric(two_k: int, terms: int = 200000) -> float:
+def zeta_even_numeric(two_k: int) -> float:
     """sum n**-2k by direct summation with an integral tail correction."""
-    s = sum(n ** (-two_k) for n in range(1, terms))
-    s += terms ** (1 - two_k) / (two_k - 1)
+    s = sum(n ** (-two_k) for n in range(1, ZETA_TERMS))
+    s += ZETA_TERMS ** (1 - two_k) / (two_k - 1)
     return s
 
 
-def wp_value(k: int, z: complex, tau: complex, m_max: int = 60) -> complex:
+def wp_value(k: int, z: complex, tau: complex) -> complex:
     """wp_k(z, tau) by grouped lattice sums (independent of any q-expansion)."""
     if k >= 3:
         total = 0j
-        for m in range(-m_max, m_max + 1):
+        for m in range(-WP_ROWS, WP_ROWS + 1):
             total += _sum_over_integers(k, z - m * tau)
         return total
     if k == 2:
         total = _sum_over_integers(2, z)
-        for m in range(1, m_max + 1):
+        for m in range(1, WP_ROWS + 1):
             total += (_sum_over_integers(2, z - m * tau) - _sum_over_integers(2, m * tau)
                       + _sum_over_integers(2, z + m * tau) - _sum_over_integers(2, m * tau))
         return total - 2 * zeta_even_numeric(2)
     if k == 1:
         total = cmath.pi / cmath.tan(cmath.pi * z) + 2 * z * zeta_even_numeric(2)
-        for m in range(1, m_max + 1):
+        for m in range(1, WP_ROWS + 1):
             for sgn in (1, -1):
                 total += (cmath.pi / cmath.tan(cmath.pi * (z - sgn * m * tau))
                           + cmath.pi / cmath.tan(cmath.pi * (sgn * m * tau))
@@ -172,12 +177,12 @@ def wp_value(k: int, z: complex, tau: complex, m_max: int = 60) -> complex:
     raise ValueError("k must be >= 1")
 
 
-def eisenstein_lattice_value(two_k: int, tau: complex, m_max: int = 80) -> complex:
+def eisenstein_lattice_value(two_k: int, tau: complex) -> complex:
     """G_{2k}(tau) summed over the lattice with closed inner sums (2k >= 4)."""
     if two_k < 4 or two_k % 2:
         raise ValueError("absolutely convergent double sum needs even weight >= 4")
     total = 2 * zeta_even_numeric(two_k)
-    for m in range(1, m_max + 1):
+    for m in range(1, EISENSTEIN_ROWS + 1):
         total += _sum_over_integers(two_k, m * tau) + _sum_over_integers(two_k, -m * tau)
     return total
 

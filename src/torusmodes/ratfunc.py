@@ -16,6 +16,8 @@ from math import comb
 
 from .scaled import as_fraction, format_fraction
 
+POLE_TOL = 1e-12  # evaluate refuses a zeta where |den| is this small against its terms
+
 
 class LaurentPoly:
     """Laurent polynomial in zeta with Fraction coefficients."""
@@ -174,11 +176,11 @@ class ZetaRational:
         n, k = self.num, self.k
         return ZetaRational(_lift(n.zeta_ddzeta(), 1) + n.shift(1) * k, k + 1)
 
-    def evaluate(self, z: complex, pole_tol: float = 1e-12) -> complex:
+    def evaluate(self, z: complex) -> complex:
         den = self.den
         dv = den.evaluate(z)
         scale = max(abs(complex(c)) * abs(z) ** e for e, c in den.coeffs.items())
-        if abs(dv) <= pole_tol * max(scale, 1.0):
+        if abs(dv) <= POLE_TOL * max(scale, 1.0):
             raise ZeroDivisionError(f"evaluation too close to a pole at zeta={z}")
         return self._monic_num().evaluate(z) / dv
 

@@ -203,9 +203,6 @@ class CoeffPoly:
     def monomial_weights(self):
         return {m: sum(e * sym_weight(s) for s, e in m) for m in self.terms}
 
-    def contains_kind(self, *kinds) -> bool:
-        return any(s[0] in kinds for m in self.terms for s, _ in m)
-
     def pure_b_grading(self) -> dict[int, ScaledRational]:
         """Split a polynomial known to be a polynomial in B alone by B-power."""
         out: dict[int, ScaledRational] = {}

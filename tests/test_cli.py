@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +313,19 @@ def test_verify_suite_truncation_table(capsys, suite, argv, message):
     code, out, err = run(capsys, "verify-suite", suite, *argv)
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+def test_suites_run_without_numpy():
+    # the package needs only the standard library: with numpy unimportable, the
+    # two suites that check polynomial structure numerically still pass
+    script = ("import json, sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from torusmodes import verify\n"
+              "print(json.dumps({s: verify.run_suite(s)['status'] for s in sys.argv[1:]}))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script, "elliptic-numeric", "lattice-modular"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"elliptic-numeric": "pass", "lattice-modular": "pass"}

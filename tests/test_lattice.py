@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from torusmodes import lattice as lt
 from torusmodes import qseries as qs
+from torusmodes import verify
 from torusmodes.scaled import TWO_PI_I, ScaledRational
 
 
@@ -318,4 +319,5 @@ def test_one_walk_per_block_gram_and_order(monkeypatch):
     lt.theta_series(e8, 8)
     lt.theta_moment(e8_cubed, 0, 2, 8)
     lt.chi_weight1(e8_cubed, 0, 0.1 + 0.2j, 1.3j, 8)
+    assert verify.run_suite("lattice-modular")["status"] == "pass"
     assert walks == [(e8.gram, 8)]
