@@ -72,6 +72,8 @@ def _load_spec(name: str) -> hha.HHASpec:
         return hha.HHASpec.load(name)
     except FileNotFoundError:
         raise UsageError(f"no such HHA spec file or builtin: {name!r}")
+    except OSError as exc:
+        raise UsageError(f"cannot read spec file {name!r}: {exc.strerror}")
 
 
 def _load_lattice(name: str) -> lt.EvenLattice:
@@ -81,6 +83,8 @@ def _load_lattice(name: str) -> lt.EvenLattice:
         return lt.EvenLattice.load(name)
     except FileNotFoundError:
         raise UsageError(f"no such lattice file or preset: {name!r}")
+    except OSError as exc:
+        raise UsageError(f"cannot read lattice file {name!r}: {exc.strerror}")
 
 
 def _zero_mode_name(sym: hha.CorrSymbol) -> str:

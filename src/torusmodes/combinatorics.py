@@ -6,8 +6,8 @@ maximal increasing runs, the run-counting polynomials C_u in the variable
 w = q**k/(1-q**k), and the Kronecker-delta collapse identity that reduces
 the ordered zero-mode recursion to the commuting one.
 
-Everything here is arbitrary precision; brute-force enumerations live only
-in the test suite.
+Everything here is arbitrary precision; the brute-force enumerations that
+check it live in ``torusmodes.verify``.
 """
 
 from __future__ import annotations

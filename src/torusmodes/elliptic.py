@@ -192,10 +192,6 @@ def g_expansion(i: int, j: int, truncation: int = DEFAULT_ORDER) -> BivariateExp
     return BivariateExpansion(i + j, layers, truncation)
 
 
-def zeta_derivative(b: BivariateExpansion) -> BivariateExpansion:
-    return b.zeta_derivative()
-
-
 class ZSeries:
     """Laurent series in z whose coefficients are exact QExpansions in q."""
 

@@ -116,6 +116,33 @@ class State:
 # the algebra specification
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+_JSON_TYPE_NAMES = {int: "an integer", float: "a decimal number", str: "a string", list: "a list"}
+
+
+def _json_field(obj, key, at, *kinds, default=_REQUIRED):
+    """obj[key] of one of the JSON types ``kinds`` (a boolean is not an
+    integer, and a float is not truncated); an HHAError names the field."""
+    if type(obj) is not dict:
+        raise HHAError(f"{at} must be a JSON object, got {obj!r}")
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise HHAError(f'{at} has no "{key}"')
+    if type(value) not in kinds:
+        *others, last = [_JSON_TYPE_NAMES[k] for k in kinds]
+        want = f"{', '.join(others)} or {last}" if others else last
+        raise HHAError(f"{at}.{key} must be {want}, got {value!r}")
+    return value
+
+
+def _json_rational(obj, key, at) -> Fraction:
+    value = _json_field(obj, key, at, int, float, str)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise HHAError(f"{at}.{key} must be a finite rational number, got {value!r}") from None
+
+
 class HHASpec:
     """Generators with weights plus the square-bracket structure table.
 
@@ -190,21 +217,33 @@ class HHASpec:
 
     @classmethod
     def from_json(cls, data) -> "HHASpec":
+        if type(data) is not dict:
+            raise HHAError(f"spec must be a JSON object, got {data!r}")
         commuting = data.get("commuting", True)
         if not isinstance(commuting, bool):
             raise HHAError(f'"commuting" must be true or false, got {commuting!r}')
         if not commuting:
             raise UnsupportedError('"commuting": false: the reduction of non-commuting '
                                    'zero modes to zero-mode correlators is not implemented')
-        weights = {e["name"]: Fraction(e["weight"]) for e in data["generators"]}
+        weights = {}
+        for n, e in enumerate(_json_field(data, "generators", "spec", list)):
+            at = f"spec.generators[{n}]"
+            weights[_json_field(e, "name", at, str)] = _json_rational(e, "weight", at)
         table = {}
-        for e in data["structure"]:
-            outs = tuple(
-                (ScaledRational(Fraction(o["coeff"]), int(o.get("tpi", 0))),
-                 int(o.get("dpow", 0)), o["gen"])
-                for o in e["out"])
-            table[(e["i"], e["j"], int(e["m"]))] = outs
-        return cls(weights, table, identity=data.get("identity", "1"))
+        for n, e in enumerate(_json_field(data, "structure", "spec", list)):
+            at = f"spec.structure[{n}]"
+            outs = []
+            for k, o in enumerate(_json_field(e, "out", at, list)):
+                out_at = f"{at}.out[{k}]"
+                coeff = ScaledRational(_json_rational(o, "coeff", out_at),
+                                       _json_field(o, "tpi", out_at, int, default=0))
+                outs.append((coeff, _json_field(o, "dpow", out_at, int, default=0),
+                             _json_field(o, "gen", out_at, str)))
+            key = (_json_field(e, "i", at, str), _json_field(e, "j", at, str),
+                   _json_field(e, "m", at, int))
+            table[key] = tuple(outs)
+        identity = _json_field(data, "identity", "spec", str, default="1")
+        return cls(weights, table, identity=identity)
 
     @classmethod
     def load(cls, path) -> "HHASpec":

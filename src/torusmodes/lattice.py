@@ -116,7 +116,14 @@ class EvenLattice:
 
     @classmethod
     def from_json(cls, data) -> "EvenLattice":
-        return cls(tuple(tuple(int(v) for v in row) for row in data["gram"]))
+        gram = data.get("gram") if isinstance(data, dict) else None
+        if not isinstance(gram, list) or not all(isinstance(row, list) for row in gram):
+            raise LatticeError('a lattice is a JSON object whose "gram" is a list of rows')
+        for row in gram:
+            for v in row:
+                if type(v) is not int:  # a JSON float is not truncated, nor a bool read as 0/1
+                    raise LatticeError(f'"gram" entries must be JSON integers, got {v!r}')
+        return cls(tuple(tuple(row) for row in gram))
 
     @classmethod
     def load(cls, path) -> "EvenLattice":

@@ -1,14 +1,18 @@
 from fractions import Fraction
-from math import factorial
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torusmodes import hha
 from torusmodes.hha import CorrSymbol, anomaly_of_zero_modes, weight1_spec, weight2_spec
 from torusmodes.scaled import ScaledRational
-from torusmodes.symbols import (B, CoeffPoly, DeltaUnknownError, P, Pt,
+from torusmodes.symbols import (B, CoeffPoly, DeltaUnknownError, G, P, Pt,
                                 delta_anomaly, delta_of_symbol, delta_transform,
                                 g, zvar)
+
+from suite_cases import assert_case
 
 
 def test_delta_table_entries():
@@ -48,14 +52,8 @@ def test_symbol_parity_canonicalization():
 
 
 def test_weight1_anomaly_closed_form():
-    spec = weight1_spec()
-    for s in range(1, 7):
-        got = dict(anomaly_of_zero_modes(spec, ("a",) * s))
-        want = {}
-        for k in range(1, s // 2 + 1):
-            c = Fraction(factorial(s), 2 ** k * factorial(k) * factorial(s - 2 * k))
-            want[k] = {CorrSymbol(("a",) * (s - 2 * k), ()): ScaledRational(c, -2 * k)}
-        assert got == want, s
+    # s!/(2^k k! (s-2k)!) beta^k F(a0^(s-2k)) for s <= 6
+    assert_case("hha-weight1", "pairing_anomaly_closed_form_s<=6")
 
 
 def test_weight1_anomaly_scales_with_pairing():
@@ -65,13 +63,9 @@ def test_weight1_anomaly_scales_with_pairing():
 
 
 def test_weight2_anomalies():
-    spec = weight2_spec()
-    F = lambda s: CorrSymbol(("x",) * s, ())
-    assert anomaly_of_zero_modes(spec, ("x",)) == []
-    got2 = dict(anomaly_of_zero_modes(spec, ("x",) * 2))
-    assert got2 == {1: {F(1): ScaledRational(4, -2)}}
-    got3 = dict(anomaly_of_zero_modes(spec, ("x",) * 3))
-    assert got3 == {1: {F(2): ScaledRational(12, -2)}, 2: {F(1): ScaledRational(24, -4)}}
+    assert anomaly_of_zero_modes(weight2_spec(), ("x",)) == []
+    assert_case("hha-weight2", "anomaly_s2_(1,4)")
+    assert_case("hha-weight2", "anomaly_s3_(1,12,24)")
 
 
 def test_weight2_s4_needs_untabulated_depth():
@@ -109,3 +103,18 @@ def test_pure_b_grading():
 def test_p1_redirects_to_ptilde():
     with pytest.raises(DeltaUnknownError):
         delta_anomaly("P_1")
+
+
+# every symbol at positions (2, 1) whose Delta is tabulated, B excepted
+_TABULATED = ([P(k, 2, 1) for k in (2, 3, 4, 5)] + [Pt(2, 1)]
+              + [g(1, j, 2, 1) for j in (2, 3, 4, 5)] + [G(2), G(4), zvar(1), zvar(2)])
+_monomials = st.builds(lambda c, factors: reduce(mul, factors, CoeffPoly.scalar(c)),
+                       st.fractions(-3, 3, max_denominator=4),
+                       st.lists(st.sampled_from(_TABULATED), max_size=2))
+_b_free_polys = st.lists(_monomials, max_size=3).map(lambda ms: sum(ms, CoeffPoly.zero()))
+
+
+@given(_b_free_polys, _b_free_polys)
+def test_delta_product_rule_random_polynomials(f, h):
+    df, dh = delta_transform(f), delta_transform(h)
+    assert delta_transform(f * h) == f * dh + df * h + df * dh

@@ -329,3 +329,44 @@ def test_suites_run_without_numpy():
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"elliptic-numeric": "pass", "lattice-modular": "pass"}
+
+
+_W2 = hha.weight2_spec().to_json()
+_ENTRY = _W2["structure"][1]  # x[1]x = 4/(2 pi i)^2 x
+
+
+def _w2_with(**fields):
+    """The weight2 spec document with only its x[1]x entry, some fields replaced."""
+    return json.dumps({**_W2, "structure": [{**_ENTRY, **fields}]})
+
+
+def _w2_weight(weight):
+    return json.dumps({**_W2, "generators": [{"name": "x", "weight": "W"}]}).replace('"W"', weight)
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("reduce", None, id="spec-directory"),
+    pytest.param("lattice-trace", None, id="lattice-directory"),
+    pytest.param("lattice-trace", '{"gram": 5}', id="gram-not-rows"),
+    pytest.param("lattice-trace", "[1, 2]", id="lattice-not-object"),
+    pytest.param("lattice-trace", '{"gram": [[2.7]]}', id="gram-float"),
+    pytest.param("reduce", json.dumps({**_W2, "generators": 5}), id="generators-not-list"),
+    pytest.param("reduce", "[1]", id="spec-not-object"),
+    pytest.param("reduce", _w2_with(out=5), id="out-not-list"),
+    pytest.param("reduce", _w2_weight("null"), id="weight-null"),
+    pytest.param("reduce", _w2_weight("1e400"), id="weight-overflow"),
+    pytest.param("reduce", _w2_with(m=1.9), id="m-float"),
+    pytest.param("reduce", _w2_with(out=[{**_ENTRY["out"][0], "tpi": -2.7}]), id="tpi-float"),
+])
+def test_malformed_spec_and_lattice_files(capsys, tmp_path, command, text):
+    # a bad input file is a usage error on one line: no traceback, no truncated read
+    path = tmp_path / "input.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    flags = {"reduce": ["--spec", str(path), "--correlator", "x0^2"],
+             "lattice-trace": ["--lattice", str(path), "--n", "0"]}[command]
+    code, out, err = run(capsys, command, *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), err

@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 from torusmodes import combinatorics as cb
+from torusmodes import verify
+
+from suite_cases import assert_case
 
 
 def test_stirling_first_examples():
@@ -88,26 +91,8 @@ def test_run_count_is_descents_plus_one():
         assert sum(runs, ()) == perm
 
 
-def _brute_c_polynomial(u):
-    n = len(u)
-    if not u:
-        return cb.WPolynomial.one()
-    coeffs = {}
-    for mask in range(1 << (n - 1)):
-        pieces = []
-        start = 0
-        for j in range(n - 1):
-            if mask >> j & 1:
-                pieces.append(u[start:j + 1])
-                start = j + 1
-        pieces.append(u[start:])
-        if all(all(a < b for a, b in zip(p, p[1:])) for p in pieces):
-            coeffs[len(pieces)] = coeffs.get(len(pieces), 0) + 1
-    return cb.WPolynomial(coeffs)
-
-
 def test_c_polynomial_worked_example():
-    assert cb.c_polynomial((2, 3, 1, 4)).coeffs == {4: 1, 3: 2, 2: 1}
+    assert_case("combinatorics", "worked_example_C_2314")
     assert cb.c_polynomial(()).coeffs == {0: 1}
 
 
@@ -120,11 +105,7 @@ def test_c_polynomial_increasing_tuple():
 
 
 def test_c_polynomial_three_routes_exhaustive():
-    for n in range(0, 7):
-        for perm in itertools.permutations(range(1, n + 1)):
-            closed = cb.c_polynomial(perm)
-            assert closed == _brute_c_polynomial(perm)
-            assert closed == cb.c_polynomial_by_runs(perm)
+    assert_case("combinatorics", "c_polynomial_three_routes")
 
 
 def test_c_polynomial_three_routes_sampled_n8():
@@ -133,7 +114,7 @@ def test_c_polynomial_three_routes_sampled_n8():
         for _ in range(400):
             perm = tuple(rng.sample(range(1, n + 1), n))
             closed = cb.c_polynomial(perm)
-            assert closed == _brute_c_polynomial(perm)
+            assert closed == verify._brute_c_polynomial(perm)
             assert closed == cb.c_polynomial_by_runs(perm)
 
 
@@ -147,23 +128,12 @@ def test_recursion_coefficient_examples():
 
 
 def test_identity_comm_is_kronecker_delta():
-    for u in range(1, 9):
-        for t in range(0, u + 1):
-            assert cb.identity_comm_lhs(u, t) == (1 if u == t else 0)
+    assert_case("combinatorics", "identity_comm_delta_u<=8")
 
 
 def test_stirling_pair_inversion():
-    for n in range(0, 13):
-        for k in range(0, n + 1):
-            total = sum(cb.stirling_second(n, j) * cb.stirling_first(j, k)
-                        for j in range(k, n + 1))
-            assert total == (1 if n == k else 0)
+    assert_case("combinatorics", "stirling_inverse_pair_n<=12")
 
 
 def test_eulerian_stirling_identity():
-    from math import comb, factorial
-    for n in range(1, 13):
-        for k in range(1, n + 1):
-            rhs = Fraction(sum(cb.eulerian(n, j) * comb(n - j - 1, k - j - 1)
-                               for j in range(k)), factorial(k))
-            assert cb.stirling_second(n, k) == rhs
+    assert_case("combinatorics", "eulerian_to_stirling_n<=12")

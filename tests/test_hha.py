@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 from torusmodes import hha
 from torusmodes.hha import (CorrExpression, CorrSymbol, HHAError, State,
                             bracket_conversion, d_state, invert_to_full,
-                            parse_zero_mode_correlator, peel_zero_modes,
-                            reduce_once, reduce_once_ordered,
-                            reduce_to_zero_modes, square_action, to_commuting,
-                            weight1_configuration_formula, weight1_spec,
+                            parse_zero_mode_correlator, reduce_once, reduce_once_ordered,
+                            reduce_to_zero_modes, square_action, weight1_spec,
                             weight2_spec)
 from torusmodes.scaled import ScaledRational
 from torusmodes.symbols import ONE, CoeffPoly, G, P, Pt, UnsupportedError, g, zvar
+
+from suite_cases import assert_case
 
 
 @pytest.fixture(scope="module")
@@ -105,44 +105,21 @@ def test_reduce_head_only_without_other_positions(w2):
     assert reduce_once(w2, expr).is_zero()
 
 
-def test_two_zero_mode_expansion_fixture(w2):
-    inv = invert_to_full(w2, ("x", "x"))
-    want = CorrExpression()
-    want.add_term(CorrSymbol((), ((1, 0, "x"), (2, 0, "x"))), ONE)
-    want.add_term(CorrSymbol((), ((2, 0, "x"),)), -(P(2, 2, 1) * ScaledRational(4, -2)))
-    want.add_term(CorrSymbol((), ()), -(P(4, 2, 1) * ScaledRational(2, -4)))
-    assert inv == want
+def test_two_zero_mode_expansion_fixture():
+    assert_case("hha-weight2", "two_zero_modes_expansion_termwise")
 
 
-def test_three_zero_mode_first_peel_fixture(w2):
-    two = invert_to_full(w2, ("x",) * 3, steps=2)
-    want = CorrExpression()
-    want.add_term(CorrSymbol(("x",), ((2, 0, "x"), (3, 0, "x"))), ONE)
-    want.add_term(CorrSymbol(("x",), ((3, 0, "x"),)), -(P(2, 3, 2) * ScaledRational(4, -2)))
-    want.add_term(CorrSymbol(("x",), ()), -(P(4, 3, 2) * ScaledRational(2, -4)))
-    want.add_term(CorrSymbol((), ((3, 0, "x"),)), -(g(1, 3, 3, 2) * ScaledRational(16, -4)))
-    want.add_term(CorrSymbol((), ()), -(g(1, 5, 3, 2) * ScaledRational(16, -6)))
-    assert two == want
+def test_three_zero_mode_first_peel_fixture():
+    assert_case("hha-weight2", "three_zero_modes_first_peel_termwise")
 
 
-def test_round_trip_triangularity(w1, w2):
-    for spec, gen in ((w1, "a"), (w2, "x")):
-        for s in range(1, 5):
-            inv = invert_to_full(spec, (gen,) * s)
-            back = reduce_to_zero_modes(spec, inv)
-            assert back == CorrExpression.single(CorrSymbol((gen,) * s, ()))
+def test_round_trip_triangularity():
+    assert_case("hha-weight1", "round_trip_s<=4")
+    assert_case("hha-weight2", "round_trip_s<=4")
 
 
-def test_weight1_recursion_matches_configurations(w1):
-    for s in range(0, 7):
-        for n in range(0, 7 - s):
-            if s == 0 and n == 0:
-                continue
-            start = CorrExpression.single(
-                CorrSymbol(("a",) * s,
-                           tuple((p, 0, "a") for p in range(s + 1, s + n + 1))))
-            engine = peel_zero_modes(w1, start, list(range(1, s + 1)))
-            assert engine == weight1_configuration_formula(n, s)
+def test_weight1_recursion_matches_configurations():
+    assert_case("hha-weight1", "configuration_formula_n+s<=6")
 
 
 def test_weight1_reduction_to_zero_modes(w1):
@@ -168,13 +145,8 @@ def test_repeated_zero_mode_binomial_multiplicity(w2):
     assert poly.terms[mono] == want.terms[mono] * (-1)
 
 
-def test_ordered_collapse(w2):
-    for r in range(0, 5):
-        ins = ((1, 0, "x"), (2, 0, "x"), (3, 0, "x"))
-        red_c = reduce_once(w2, CorrExpression.single(CorrSymbol(("x",) * r, ins)))
-        red_o = to_commuting(reduce_once_ordered(
-            w2, CorrExpression.single(CorrSymbol(("x",) * r, ins, ordered=True))))
-        assert red_c == red_o
+def test_ordered_collapse():
+    assert_case("hha-weight2", "ordered_collapse_r<=4")
 
 
 def test_ordered_r1_tail_is_g1(w2):
@@ -188,11 +160,8 @@ def test_ordered_r1_tail_is_g1(w2):
     assert poly.terms[mono] == ScaledRational(16, -4)
 
 
-def test_a0_cancellation_pair(w2):
-    e = CorrExpression()
-    e.add_term(CorrSymbol((), ((2, 1, "x"), (3, 0, "x"))), ONE)
-    e.add_term(CorrSymbol((), ((2, 0, "x"), (3, 1, "x"))), ONE)
-    assert reduce_to_zero_modes(w2, e).is_zero()
+def test_a0_cancellation_pair():
+    assert_case("hha-weight2", "zero_action_position_sum_cancels")
 
 
 def test_pi_marker_present_mid_reduction_absent_at_end(w2):

@@ -9,6 +9,8 @@ from torusmodes import qseries as qs
 from torusmodes import verify
 from torusmodes.scaled import TWO_PI_I, ScaledRational
 
+from suite_cases import assert_case
+
 
 def test_lattice_validation():
     with pytest.raises(lt.LatticeError):
@@ -28,13 +30,8 @@ def test_blocks():
 
 
 def test_e8_shells():
-    shells = lt.enumerate_vectors(lt.e8(), 4)
-    assert [s.norm_half for s in shells] == [0, 1, 2, 3, 4]
-    assert [len(s.vectors) for s in shells] == [1, 240, 2160, 6720, 17520]
-    assert [240 * qs.sigma(3, n) for n in (1, 2, 3, 4)] == [240, 2160, 6720, 17520]
-    # closed under negation
-    for s in shells:
-        assert sorted(tuple(-v for v in vec) for vec in s.vectors) == s.vectors
+    assert_case("lattice-oracle", "e8_shell_sizes")
+    assert_case("lattice-oracle", "shells_negation_symmetric")
 
 
 def test_theta_series_block_convolution():
@@ -69,25 +66,17 @@ def test_theta_moment_values():
 
 
 def test_quasimod_vs_oracle_e8():
-    for n in range(0, 4):
-        a = lt.quasimod_rhs(lt.e8(), 0, n, 4)
-        b = lt.fock_trace_oracle(lt.e8(), 0, n, 4)
-        assert a.offset == Fraction(-1, 3)
-        assert (a - b).is_zero(), n
+    assert_case("lattice-oracle", "e8_closed_form_equals_oracle_n<=3")
+    assert lt.quasimod_rhs(lt.e8(), 0, 0, 4).offset == Fraction(-1, 3)
 
 
 def test_quasimod_vs_oracle_e8cubed():
-    for n in range(0, 2):
-        a = lt.quasimod_rhs(lt.e8_cubed(), 0, n, 3)
-        b = lt.fock_trace_oracle(lt.e8_cubed(), 0, n, 3)
-        assert (a - b).is_zero(), n
+    assert_case("lattice-oracle", "e8cubed_closed_form_equals_oracle_n<=1")
 
 
 def test_character_is_j():
-    ch = lt.quasimod_rhs(lt.e8_cubed(), 0, 0, 3)
-    assert ch.offset == -1
-    for m in range(4):
-        assert ch.coefficient(m) == ScaledRational(lt.J_CHARACTER[m])
+    assert_case("lattice-oracle", "e8cubed_character_is_j")
+    assert lt.quasimod_rhs(lt.e8_cubed(), 0, 0, 3).offset == -1
 
 
 def test_literal_oracle_matches_counting():

@@ -1,5 +1,3 @@
-import cmath
-
 import pytest
 
 from torusmodes import elliptic as el
@@ -8,16 +6,12 @@ from torusmodes.scaled import TWO_PI_I
 from torusmodes.symbols import (DeltaUnknownError, delta_anomaly, function_symbol,
                                sym_weight)
 
+from suite_cases import assert_case
+
 
 def test_weierstrass_oracle_matches_p_values():
-    z, tau = 0.3j, 1.1j
-    assert abs(nm.p_value(1, z, tau)
-               - (-nm.wp_value(1, z, tau) + nm.eisenstein_value(2, tau) * z
-                  - 1j * cmath.pi)) < 1e-8
-    assert abs(nm.p_value(2, z, tau)
-               - (nm.wp_value(2, z, tau) + nm.eisenstein_value(2, tau))) < 1e-8
-    for k in (3, 4, 5):
-        assert abs(nm.p_value(k, z, tau) - (-1) ** k * nm.wp_value(k, z, tau)) < 1e-8
+    for k in (1, 2, 3, 4, 5):
+        assert_case("elliptic-numeric", f"weierstrass_match_P_{k}")
 
 
 def test_layer_eval_matches_lambert():
@@ -51,14 +45,9 @@ def test_elliptic_shifts():
 
 
 def test_modular_laws_at_samples():
-    pts = nm.sample_points(20)
-    assert len(pts) == 20
-    gammas = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 1, 0), (1, 0, 1, 1))
+    # at the suite's five gammas and all 20 of its sample points
     for fn in ("Ptilde_1", "P_2", "P_3", "P_4", "G_2", "G_4"):
-        for gamma in gammas:
-            for z, tau in pts[:5]:
-                rep = nm.verify_modular(fn, gamma, z, tau, truncation=60)
-                assert rep["residual"] < 1e-6, (fn, gamma, rep)
+        assert_case("elliptic-numeric", f"modular_law_{fn}")
 
 
 def test_sample_points_deterministic():

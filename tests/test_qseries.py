@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from torusmodes import combinatorics as cb
 from torusmodes import qseries as qs
 from torusmodes.scaled import ScaledRational
+
+from suite_cases import assert_case
 
 
 def test_scaled_rational_grades():
@@ -105,51 +106,43 @@ def test_dtau_inverse_factor_examples():
 
 
 def test_tau_derivative_recurrence():
-    N = 30
     for k in (1, 2, 3):
-        w = qs.w_factor(k, N)
-        derivs = [qs.geometric_inverse_factor(k, N)]
-        for _ in range(5):
-            derivs.append(derivs[-1].tau_derivative())
-        for n in range(1, 6):
-            rhs = None
-            for r in range(n):
-                term = derivs[r].scalar_mul(
-                    ScaledRational(Fraction(comb(n, r)) * k ** (n - r), n - r))
-                rhs = term if rhs is None else rhs + term
-            assert (derivs[n] - w * rhs).is_zero()
+        assert_case("qseries-identities", f"tau_derivative_recurrence_k={k}_n<=5")
 
 
 def test_stirling_expansion_and_inversion():
     from math import factorial
-    N = 30
-    for k in (1, 2, -1):
-        base = qs.geometric_inverse_factor(k, N)
-        w = qs.w_factor(k, N)
-        derivs = [base]
-        for _ in range(5):
-            derivs.append(derivs[-1].tau_derivative())
-        for m in range(6):
-            rhs = None
-            for i in range(m + 1):
-                S = cb.stirling_second(m, i)
-                if not S:
-                    continue
-                term = (base * w.power(i)).scalar_mul(
-                    ScaledRational(Fraction(factorial(i) * S) * k ** m, m))
-                rhs = term if rhs is None else rhs + term
-            assert (derivs[m] - rhs).is_zero()
-        for l in range(6):
-            lhs = base * w.power(l)
-            rhs = None
-            for m in range(l + 1):
-                s = cb.stirling_first(l, m)
-                if not s:
-                    continue
-                term = derivs[m].scalar_mul(
-                    ScaledRational(Fraction(s, factorial(l)) * Fraction(1, k ** m), -m))
-                rhs = term if rhs is None else rhs + term
-            assert (lhs - rhs).is_zero()
+    for k in (1, 2):
+        assert_case("qseries-identities", f"stirling_closed_form_k={k}_m<=5")
+        assert_case("qseries-identities", f"stirling_inversion_k={k}_l<=5")
+    # k = -1, outside the suite's k = 1, 2, 3
+    N, k = 30, -1
+    base = qs.geometric_inverse_factor(k, N)
+    w = qs.w_factor(k, N)
+    derivs = [base]
+    for _ in range(5):
+        derivs.append(derivs[-1].tau_derivative())
+    for m in range(6):
+        rhs = None
+        for i in range(m + 1):
+            S = cb.stirling_second(m, i)
+            if not S:
+                continue
+            term = (base * w.power(i)).scalar_mul(
+                ScaledRational(Fraction(factorial(i) * S) * k ** m, m))
+            rhs = term if rhs is None else rhs + term
+        assert (derivs[m] - rhs).is_zero()
+    for l in range(6):
+        lhs = base * w.power(l)
+        rhs = None
+        for m in range(l + 1):
+            s = cb.stirling_first(l, m)
+            if not s:
+                continue
+            term = derivs[m].scalar_mul(
+                ScaledRational(Fraction(s, factorial(l)) * Fraction(1, k ** m), -m))
+            rhs = term if rhs is None else rhs + term
+        assert (lhs - rhs).is_zero()
 
 
 small_series = st.builds(
