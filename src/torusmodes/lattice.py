@@ -69,14 +69,15 @@ class EvenLattice:
         for row in g:
             if len(row) != n:
                 raise LatticeError("Gram matrix must be square")
+            for v in row:
+                if type(v) is not int:  # neither a float truncated nor a bool read as 0/1
+                    raise LatticeError(f"Gram entries must be integers, got {v!r}")
         for i in range(n):
             if g[i][i] % 2:
                 raise LatticeError("even lattice needs even diagonal")
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise LatticeError("Gram matrix must be symmetric")
-                if not isinstance(g[i][j], int):
-                    raise LatticeError("Gram entries must be integers")
         _ldl(g)  # positive definiteness
 
     @property
@@ -119,10 +120,6 @@ class EvenLattice:
         gram = data.get("gram") if isinstance(data, dict) else None
         if not isinstance(gram, list) or not all(isinstance(row, list) for row in gram):
             raise LatticeError('a lattice is a JSON object whose "gram" is a list of rows')
-        for row in gram:
-            for v in row:
-                if type(v) is not int:  # a JSON float is not truncated, nor a bool read as 0/1
-                    raise LatticeError(f'"gram" entries must be JSON integers, got {v!r}')
         return cls(tuple(tuple(row) for row in gram))
 
     @classmethod

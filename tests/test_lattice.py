@@ -32,6 +32,9 @@ def test_blocks():
 def test_e8_shells():
     assert_case("lattice-oracle", "e8_shell_sizes")
     assert_case("lattice-oracle", "shells_negation_symmetric")
+    shells = lt.enumerate_vectors(lt.e8(), 4)
+    assert [s.norm_half for s in shells] == [0, 1, 2, 3, 4]
+    assert [240 * qs.sigma(3, n) for n in (1, 2, 3, 4)] == [240, 2160, 6720, 17520]
 
 
 def test_theta_series_block_convolution():
@@ -67,7 +70,8 @@ def test_theta_moment_values():
 
 def test_quasimod_vs_oracle_e8():
     assert_case("lattice-oracle", "e8_closed_form_equals_oracle_n<=3")
-    assert lt.quasimod_rhs(lt.e8(), 0, 0, 4).offset == Fraction(-1, 3)
+    for n in range(0, 4):
+        assert lt.quasimod_rhs(lt.e8(), 0, n, 4).offset == Fraction(-1, 3), n
 
 
 def test_quasimod_vs_oracle_e8cubed():
