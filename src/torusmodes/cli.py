@@ -138,13 +138,14 @@ def cmd_expand(args) -> int:
 
 def cmd_verify_suite(args) -> int:
     _check_order_tol(args.order, args.tol)
-    shortfall = verify.truncation_shortfall(args.suite, args.order, args.tol, args.seed)
+    flags = {"order": args.order, "tol": args.tol, "seed": args.seed}
+    shortfall = verify.truncation_shortfall(args.suite, **flags)
     if shortfall:
         order, estimate, tol = shortfall
         raise UsageError(f"--order {order} is too low for {args.suite}: the truncation "
                          f"estimate {estimate:.3g} is above the tolerance {tol:g}; "
                          f"raise --order or pass a larger --tol")
-    report = verify.run_suite(args.suite, order=args.order, tol=args.tol, seed=args.seed)
+    report = verify.run_suite(args.suite, **flags)
     _emit(report)
     return 0 if report["status"] == "pass" else 1
 

@@ -197,9 +197,6 @@ class HHASpec:
             return ()
         return self.table.get((a, b, m), ())
 
-    def generators(self):
-        return sorted(self.weights)
-
     # JSON wire format:
     # {generators:[{name, weight}], structure:[{i, j, m, out:[{coeff, tpi, gen, dpow}]}],
     #  identity}.  A "commuting" key may only be true: every spec's zero modes commute.
@@ -323,33 +320,6 @@ def d_state(spec: HHASpec, modes, a: State) -> State:
     return d
 
 
-def bracket_conversion(h, i: int, s: int) -> Fraction:
-    """Coefficient c(h, i, s): [z**i] (1/s!) (log(1+z))**s (1+z)**(h-1)."""
-    h = as_fraction(h)
-    if i < 0 or s < 0:
-        raise ValueError("need i, s >= 0")
-    # log(1+z)**s / s! to order i
-    logpow = [Fraction(0)] * (i + 1)
-    logpow[0] = Fraction(1)
-    log1p = [Fraction(0)] + [Fraction((-1) ** (n + 1), n) for n in range(1, i + 1)]
-    for _ in range(s):
-        new = [Fraction(0)] * (i + 1)
-        for e1, c1 in enumerate(logpow):
-            if not c1:
-                continue
-            for e2 in range(1, i + 1 - e1):
-                new[e1 + e2] += c1 * log1p[e2]
-        logpow = new
-    total = Fraction(0)
-    binom = Fraction(1)
-    for n in range(0, i + 1):  # C(h-1, n) z**n
-        if logpow[i - n]:
-            total += logpow[i - n] * binom
-        binom *= (h - 1 - n)
-        binom /= (n + 1)
-    return total / factorial(s)
-
-
 # ---------------------------------------------------------------------------
 # correlator symbols and expressions
 # ---------------------------------------------------------------------------
@@ -391,13 +361,6 @@ class CorrSymbol:
         for _, dpow, g_ in self.insertions:
             w += dpow + spec.weight_of(g_)
         return w
-
-    def kind(self) -> str:
-        if not self.insertions:
-            return "zero-mode"
-        if not self.modes:
-            return "full"
-        return "mixed"
 
     def positions(self):
         return [p for p, _, _ in self.insertions]

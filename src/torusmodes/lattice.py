@@ -498,24 +498,20 @@ def fock_trace_oracle(lat: EvenLattice, axis: int, n: int, truncation: int) -> Q
 
 # -- numerics ----------------------------------------------------------------
 
-def eval_trace_numeric(series: QExpansion, tau: complex):
-    """Numeric value of a trace series with a geometric tail estimate."""
-    q = cmath.exp(TWO_PI_I * tau)
-    if abs(q) >= 1:
-        raise LatticeError("divergent evaluation: |q| >= 1")
-    return series.evaluate(q=q), series.tail_estimate(q=q)
+def _eta_order(shell_truncation: int) -> int:
+    """The q-order of the eta factors of a numeric trace: about 4x the shell
+    order, so the truncation error is dominated by the stated shell bound."""
+    return 4 * shell_truncation + 8
 
 
 def trace_value(lat: EvenLattice, axis: int, n: int, tau: complex,
-                shell_truncation: int, series_order: int | None = None) -> complex:
+                shell_truncation: int) -> complex:
     """Numeric Tr v_0^n q^{L0-l/24}, factor-wise.
 
-    Theta moments are evaluated at their shell truncation; the eta factors at
-    ``series_order`` (default 4x shell order), so the truncation error is
-    dominated by the stated shell bound.
+    Theta moments are evaluated at their shell truncation, the eta factors
+    at ``_eta_order`` of it.
     """
-    if series_order is None:
-        series_order = 4 * shell_truncation + 8
+    series_order = _eta_order(shell_truncation)
     ell = lat.rank
     q = cmath.exp(TWO_PI_I * tau)
     total = 0j
@@ -527,19 +523,17 @@ def trace_value(lat: EvenLattice, axis: int, n: int, tau: complex,
 
 
 def moment_trace_value(lat: EvenLattice, axis: int, s: int, tau: complex,
-                       shell_truncation: int, series_order: int | None = None) -> complex:
+                       shell_truncation: int) -> complex:
     """Numeric Tr (a_0)^s q^{L0-l/24} for the weight-1 field a = h(-1)1."""
-    if series_order is None:
-        series_order = 4 * shell_truncation + 8
     if s % 2:
         return 0j
     q = cmath.exp(TWO_PI_I * tau)
     tm = theta_moment(lat, axis, s, shell_truncation).evaluate(q=q)
-    return tm * eta_power(-lat.rank, series_order).evaluate(q=q)
+    return tm * eta_power(-lat.rank, _eta_order(shell_truncation)).evaluate(q=q)
 
 
 def chi_weight1(lat: EvenLattice, axis: int, z: complex, tau: complex,
-                shell_truncation: int, series_order: int | None = None) -> complex:
+                shell_truncation: int) -> complex:
     """chi(tau, z) = Tr e^{2 pi i z a_0} q^{L0 - l/24}, numerically.
 
     Factorizes over blocks: only the axis block carries the charge phase.
@@ -549,8 +543,6 @@ def chi_weight1(lat: EvenLattice, axis: int, z: complex, tau: complex,
     stored.  As each shell is closed under a -> -a, a group contributes
     count * cos(2 pi z sqrt(t)) q^{norm/2}.
     """
-    if series_order is None:
-        series_order = 4 * shell_truncation + 8
     if tau.imag <= 0:
         raise LatticeError("need Im tau > 0")
     q = cmath.exp(TWO_PI_I * tau)
@@ -558,7 +550,7 @@ def chi_weight1(lat: EvenLattice, axis: int, z: complex, tau: complex,
     charged = sum((cnt * cmath.cos(2 * math.pi * z * math.sqrt(t2)) * q ** nh
                    for nh, t2, cnt in data), 0j)
     rest = sum(c * q ** m for m, c in enumerate(_rest_counts(lat, block, shell_truncation)))
-    return charged * rest * eta_power(-lat.rank, series_order).evaluate(q=q)
+    return charged * rest * eta_power(-lat.rank, _eta_order(shell_truncation)).evaluate(q=q)
 
 
 J_CHARACTER = {0: 1, 1: 744, 2: 196884, 3: 21493760, 4: 864299970}

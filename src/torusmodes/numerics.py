@@ -112,10 +112,6 @@ def p_value(k: int, z: complex, tau: complex) -> complex:
     return g_value(0, k, z, tau)
 
 
-def p_tilde_1_value(z: complex, tau: complex) -> complex:
-    return p_value(1, z, tau) + 1j * cmath.pi
-
-
 # -- Weierstrass oracles ------------------------------------------------------
 
 @lru_cache(maxsize=None)

@@ -69,10 +69,6 @@ class QExpansion:
         coeffs = [ScaledRational.of(d.get(m, 0)) for m in range(lower, truncation + 1)]
         return cls(offset, lower, coeffs, truncation)
 
-    @classmethod
-    def q_power(cls, m: int, truncation: int = DEFAULT_ORDER) -> "QExpansion":
-        return cls.from_dict({m: 1}, truncation)
-
     # -- bookkeeping -------------------------------------------------------
 
     def coefficient(self, m: int) -> ScaledRational:
@@ -348,11 +344,3 @@ def w_factor(k: int, truncation: int = DEFAULT_ORDER) -> QExpansion:
     return QExpansion.from_dict({0: -1}, truncation) - w_factor(a, truncation)
 
 
-def dtau_inverse_factor(k: int, n: int, truncation: int = DEFAULT_ORDER) -> QExpansion:
-    """d/dtau applied n times to (1-q**k)**-1, by direct differentiation."""
-    if k == 0:
-        raise ValueError("k must be nonzero")
-    result = geometric_inverse_factor(k, truncation)
-    for _ in range(n):
-        result = result.tau_derivative()
-    return result

@@ -1,9 +1,14 @@
 """Named verification suites producing deterministic JSON reports.
 
-Each suite runs a fixed list of cases (exact identities or numeric residual
-checks with recorded tolerances) and returns a report dict; identical inputs
-give byte-identical reports.  The CLI front end serializes these; the test
-suite asserts on them.
+Each suite appends a fixed list of cases (exact identities or numeric residual
+checks with recorded tolerances) to the list it is given, and declares as
+keyword parameters, with their defaults, only the flags it reads.
+``run_suite`` owns the rest: it binds the given flags to that signature
+(refusing a flag the suite does not read), records the bound values as the
+report's ``parameters``, guards the suite call so that an exception becomes a
+final ``error`` case of a report that is still returned, and assembles the
+status and toolchain.  Identical inputs give byte-identical reports.  The CLI
+front end serializes these; the test suite asserts on them.
 """
 
 from __future__ import annotations
@@ -42,18 +47,6 @@ def _case(cases, cid, ok, **detail):
     cases.append(entry)
 
 
-def _report(name, cases, parameters):
-    status = "pass" if all(c["status"] == "pass" for c in cases) else "fail"
-    return {
-        "suite": name,
-        "status": status,
-        "parameters": parameters,
-        "cases": cases,
-        "toolchain": {"package": "torusmodes", "version": __version__,
-                      "python": platform.python_version()},
-    }
-
-
 # ---------------------------------------------------------------------------
 
 def _brute_c_polynomial(u):
@@ -82,10 +75,9 @@ def _brute_c_polynomial(u):
 
 
 @suite("combinatorics")
-def suite_combinatorics(order=None, tol=None, seed=20409):
+def suite_combinatorics(cases, seed=20409):
     import itertools
     import random
-    cases = []
     ok = all(cb.identity_comm_lhs(u, t) == (1 if u == t else 0)
              for u in range(1, 9) for t in range(0, u + 1))
     _case(cases, "identity_comm_delta_u<=8", ok)
@@ -138,12 +130,10 @@ def suite_combinatorics(order=None, tol=None, seed=20409):
             if seen.get(k, 0) != cb.eulerian(n, k):
                 ok = False
     _case(cases, "eulerian_counts_descents_n<=6", ok)
-    return _report("combinatorics", cases, {"seed": seed})
 
 
 @suite("qseries-identities")
-def suite_qseries(order=30, tol=1e-8, seed=20409):
-    cases = []
+def suite_qseries(cases, order=30, tol=1e-8, seed=20409):
     N = order
     for k in (1, 2, 3):
         base = qs.geometric_inverse_factor(k, N)
@@ -208,12 +198,10 @@ def suite_qseries(order=30, tol=1e-8, seed=20409):
         if not (A * (B_ + C) - (A * B_ + A * C)).is_zero():
             ok = False
     _case(cases, "ring_laws_randomized", ok)
-    return _report("qseries-identities", cases, {"order": order, "tol": repr(tol), "seed": seed})
 
 
 @suite("elliptic-formal")
-def suite_elliptic_formal(order=30, tol=None, seed=None):
-    cases = []
+def suite_elliptic_formal(cases, order=30):
     N = order
     ok = all(el.g_expansion(0, j, N) == el.p_expansion(j, N) for j in (1, 2, 3, 4))
     _case(cases, "g_j0_equals_P_j", ok)
@@ -264,7 +252,6 @@ def suite_elliptic_formal(order=30, tol=None, seed=None):
         if any((e - (1 + m)) % 2 for e in zser.exponents()):
             ok = False
     _case(cases, "g1m_z_parity", ok)
-    return _report("elliptic-formal", cases, {"order": order})
 
 
 _ELLIPTIC_GAMMAS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 1, 0), (1, 0, 1, 1), (-1, 0, -1, -1))
@@ -301,8 +288,7 @@ def _interpolation_miss(xs, ys, degree):
 
 
 @suite("elliptic-numeric")
-def suite_elliptic_numeric(order=60, tol=1e-6, seed=20409):
-    cases = []
+def suite_elliptic_numeric(cases, order=60, tol=1e-6, seed=20409):
     pts = nm.sample_points(20, seed=seed, gammas=_ELLIPTIC_GAMMAS)
     for fn in ("Ptilde_1", "P_2", "P_3", "P_4", "G_2", "G_4"):
         worst = 0.0
@@ -355,12 +341,10 @@ def suite_elliptic_numeric(order=60, tol=1e-6, seed=20409):
         resid, _ = _interpolation_miss(lam_vals, ys, m + 1)
         _case(cases, f"g1{m}_shift_polynomiality", resid < 1e-5, residual=repr(resid),
               tolerance=repr(1e-5))
-    return _report("elliptic-numeric", cases, {"order": order, "tol": repr(tol), "seed": seed})
 
 
 @suite("hha-weight1")
-def suite_hha_weight1(order=None, tol=None, seed=None):
-    cases = []
+def suite_hha_weight1(cases):
     spec = hha.weight1_spec()
     ok = True
     for s in range(0, 7):
@@ -395,9 +379,10 @@ def suite_hha_weight1(order=None, tol=None, seed=None):
         if got != want:
             ok = False
     _case(cases, "pairing_anomaly_closed_form_s<=6", ok)
-    ok = len(list(_configs_count(0, 4))) == 10  # involutions of 4
+    # one monomial per configuration: the involutions of 4
+    ok = sum(len(poly.terms) for poly in
+             hha.weight1_configuration_formula(0, 4).terms.values()) == 10
     _case(cases, "configuration_count_involutions", ok)
-    return _report("hha-weight1", cases, {})
 
 
 def _delta_residual(fn_id, gamma, z, tau):
@@ -412,24 +397,8 @@ def _delta_residual(fn_id, gamma, z, tau):
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def _configs_count(n, s):
-    def rec(remaining):
-        if not remaining:
-            yield ()
-            return
-        first, rest = remaining[0], remaining[1:]
-        for tail in rec(rest):
-            yield tail
-        for i, partner in enumerate(rest):
-            if first <= s or partner <= s:
-                for tail in rec(rest[:i] + rest[i + 1:]):
-                    yield ((first, partner),) + tail
-    return rec(tuple(range(1, n + s + 1)))
-
-
 @suite("hha-weight2")
-def suite_hha_weight2(order=None, tol=None, seed=None):
-    cases = []
+def suite_hha_weight2(cases):
     spec = hha.weight2_spec()
     F = lambda *mods: hha.CorrSymbol(mods, ())
     inv2 = hha.invert_to_full(spec, ("x", "x"))
@@ -476,12 +445,10 @@ def suite_hha_weight2(order=None, tol=None, seed=None):
     e.add_term(hha.CorrSymbol((), ((2, 0, "x"), (3, 1, "x"))), ONE)
     _case(cases, "zero_action_position_sum_cancels",
           hha.reduce_to_zero_modes(spec, e).is_zero())
-    return _report("hha-weight2", cases, {})
 
 
 @suite("lattice-oracle")
-def suite_lattice_oracle(order=4, tol=None, seed=None):
-    cases = []
+def suite_lattice_oracle(cases, order=4):
     E8 = lt.e8()
     shells = lt.enumerate_vectors(E8, 4)
     sizes = [len(s.vectors) for s in shells]
@@ -512,7 +479,6 @@ def suite_lattice_oracle(order=4, tol=None, seed=None):
     ok = all((lt.fock_trace_literal(A1, 0, n, 4)
               - lt.fock_trace_oracle(A1, 0, n, 4)).is_zero() for n in range(0, 3))
     _case(cases, "literal_vs_counted_oracle_a1", ok)
-    return _report("lattice-oracle", cases, {"order": order})
 
 
 # the point of the E8^3 closure cases; gamma = S takes it to -1/tau
@@ -535,8 +501,7 @@ def _lattice_modular_truncation(order, seed):
 
 
 @suite("lattice-modular")
-def suite_lattice_modular(order=8, tol=1e-5, seed=None):
-    cases = []
+def suite_lattice_modular(cases, order=8, tol=1e-5):
     E8 = lt.e8()
     E83 = lt.e8_cubed()
     # theta-moment quasi-modularity: the S-transform is a polynomial in 1/(tau+n).
@@ -608,7 +573,6 @@ def suite_lattice_modular(order=8, tol=1e-5, seed=None):
     res = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
     _case(cases, "weight1_jacobi_law_chi", res < tol, residual=repr(res),
           tolerance=repr(tol))
-    return _report("lattice-modular", cases, {"order": order, "tol": repr(tol)})
 
 
 # suite -> estimate(order, seed) of the truncation error of its order-dependent cases
@@ -616,21 +580,49 @@ TRUNCATION = {"elliptic-numeric": _elliptic_numeric_truncation,
               "lattice-modular": _lattice_modular_truncation}
 
 
-def truncation_shortfall(name, order=None, tol=None, seed=None):
-    """(order, estimate, tol) when the suite's truncation estimate at ``order``
-    exceeds its tolerance, so that its numeric cases would fail for want of
-    terms rather than of a law; None otherwise, and for suites without one."""
-    if name not in TRUNCATION:
-        return None
-    defaults = {k: p.default for k, p in inspect.signature(SUITES[name]).parameters.items()}
-    order = defaults["order"] if order is None else order
-    tol = defaults["tol"] if tol is None else tol
-    estimate = TRUNCATION[name](order, defaults["seed"] if seed is None else seed)
-    return (order, estimate, tol) if estimate > tol else None
-
-
-def run_suite(name, **kwargs):
+def _bind(name, flags):
+    """Suite ``name``'s arguments: its defaults, overridden by the flags given
+    (a flag of None is not given).  A flag the suite does not read is refused."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    return SUITES[name](**kwargs)
+    args = {k: p.default for k, p in inspect.signature(SUITES[name]).parameters.items()
+            if k != "cases"}
+    for flag, value in flags.items():
+        if value is None:
+            continue
+        if flag not in args:
+            takes = ", ".join(f"--{k}" for k in args) or "no flags"
+            raise ValueError(f"suite {name} does not read --{flag}; it takes {takes}")
+        args[flag] = value
+    return args
+
+
+def truncation_shortfall(name, **flags):
+    """(order, estimate, tol) when the suite's truncation estimate at its
+    order exceeds its tolerance, so that its numeric cases would fail for want
+    of terms rather than of a law; None otherwise, and for suites without one."""
+    args = _bind(name, flags)
+    if name not in TRUNCATION:
+        return None
+    estimate = TRUNCATION[name](args["order"], args.get("seed"))
+    return (args["order"], estimate, args["tol"]) if estimate > args["tol"] else None
+
+
+def run_suite(name, **flags):
+    """The report of suite ``name`` run with ``flags``.  An exception ends the
+    suite with a failing ``error`` case after the cases already recorded."""
+    args = _bind(name, flags)
+    cases = []
+    try:
+        SUITES[name](cases, **args)
+    except Exception as exc:
+        cases.append({"id": "error", "status": "fail",
+                      "error": f"{type(exc).__name__}: {exc}"})
+    return {
+        "suite": name,
+        "status": "pass" if all(c["status"] == "pass" for c in cases) else "fail",
+        "parameters": {k: repr(v) if k == "tol" else v for k, v in args.items()},
+        "cases": cases,
+        "toolchain": {"package": "torusmodes", "version": __version__,
+                      "python": platform.python_version()},
+    }

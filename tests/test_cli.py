@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from torusmodes import cli, hha, lattice
+from torusmodes import cli, hha, lattice, verify
 
 
 def run(capsys, *argv):
@@ -370,3 +370,30 @@ def test_malformed_spec_and_lattice_files(capsys, tmp_path, command, text):
     code, out, err = run(capsys, command, *flags)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize("suite, flag, value", [
+    ("hha-weight1", "--order", "3"), ("hha-weight2", "--seed", "1"),
+    ("combinatorics", "--tol", "1e-3"), ("elliptic-formal", "--seed", "2"),
+    ("lattice-oracle", "--tol", "1"), ("lattice-modular", "--seed", "3"),
+])
+def test_verify_suite_refuses_unread_flag(capsys, suite, flag, value):
+    # a flag the suite does not read is a usage error, not silently ignored
+    code, out, err = run(capsys, "verify-suite", suite, flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: suite {suite} does not read {flag}") and err.count("\n") == 1
+
+
+def test_suite_that_raises_still_reports(capsys, monkeypatch):
+    # the exception becomes a last failing case, after the cases already recorded
+    def fail(*args, **kwargs):
+        raise hha.ResidueError("anomaly left z-dependence")
+
+    monkeypatch.setattr(hha, "anomaly_of_zero_modes", fail)
+    report = verify.run_suite("hha-weight2")
+    assert [case["status"] for case in report["cases"][:3]] == ["pass"] * 3
+    assert report["cases"][3:] == [{"id": "error", "status": "fail",
+                                     "error": "ResidueError: anomaly left z-dependence"}]
+    code, out, err = run(capsys, "verify-suite", "hha-weight2")
+    assert code == 1 and err == ""
+    assert json.loads(out) == report

@@ -1,12 +1,11 @@
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from torusmodes import hha
 from torusmodes.hha import (CorrExpression, CorrSymbol, HHAError, State,
-                            bracket_conversion, d_state, invert_to_full,
+                            d_state, invert_to_full,
                             parse_zero_mode_correlator, reduce_once, reduce_once_ordered,
                             reduce_to_zero_modes, square_action, weight1_spec,
                             weight2_spec)
@@ -74,25 +73,11 @@ def test_d_states(w2, w1):
     assert d_state(w1, ("a",), State.basis("a")).terms == {}
 
 
-def test_bracket_conversion():
-    assert bracket_conversion(1, 0, 0) == 1
-    assert bracket_conversion(1, 2, 0) == 0  # c(1,i,0) = delta_{i,0}
-    for h in (Fraction(5, 2), 3, Fraction(1, 3)):
-        # c(h, i, 0) = binom(h-1, i)
-        b = Fraction(1)
-        for i in range(4):
-            assert bracket_conversion(h, i, 0) == b
-            b *= (Fraction(h) - 1 - i)
-            b /= (i + 1)
-    assert bracket_conversion(2, 1, 1) == 1
-
-
 def test_corr_symbol_normal_form(w2):
     with pytest.raises(HHAError):
         CorrSymbol((), ((1, 0, "x"), (1, 0, "x")))  # duplicate positions
     sym = CorrSymbol(("x", "x"), ((2, 0, "x"),))
     assert sym.weight(w2) == 6
-    assert sym.kind() == "mixed"
     assert repr(CorrSymbol(("x",) * 2, ())) == "F(x0^2)"
 
 
@@ -256,7 +241,7 @@ BASE = P(2, 100, 99) * ScaledRational(3) + G(4)
 def placed_shapes(draw):
     """A spec name, zero modes, a shape of (L-power, generator) and increasing positions."""
     name = draw(st.sampled_from(sorted(SPECS)))
-    gens = [gen for gen in SPECS[name]().generators() if gen != "1"]
+    gens = [gen for gen in sorted(SPECS[name]().weights) if gen != "1"]
     modes = draw(st.lists(st.sampled_from(gens), max_size=3))
     shape = draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(gens)),
                           min_size=1, max_size=3))

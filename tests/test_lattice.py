@@ -107,7 +107,7 @@ def test_fock_labels_levels():
 
 def test_eval_trace_numeric():
     ch = lt.quasimod_rhs(lt.e8(), 0, 0, 6)
-    val, tail = lt.eval_trace_numeric(ch, 1.5j)
+    val = ch.evaluate(tau=1.5j)
     # independent: theta/eta^8 at tau=1.5i by direct summation
     q = cmath.exp(TWO_PI_I * 1.5j)
     theta = sum(len(s.vectors) * q ** s.norm_half
@@ -115,8 +115,8 @@ def test_eval_trace_numeric():
     eta8 = (q ** Fraction(8, 24) *
             __import__("math").prod((1 - q ** n) ** 8 for n in range(1, 200)))
     assert abs(val - theta / eta8) < 1e-6
-    with pytest.raises(lt.LatticeError):
-        lt.eval_trace_numeric(ch, -1.5j)
+    with pytest.raises(ValueError):
+        ch.evaluate(tau=-1.5j)
 
 
 def test_json_round_trip(tmp_path):
@@ -131,15 +131,15 @@ def test_chi_weight1_at_zero_is_character():
     lat = lt.e8()
     tau = 1.4j
     chi0 = lt.chi_weight1(lat, 0, 0.0, tau, 6)
-    val, _ = lt.eval_trace_numeric(lt.quasimod_rhs(lat, 0, 0, 6), tau)
+    val = lt.quasimod_rhs(lat, 0, 0, 6).evaluate(tau=tau)
     assert abs(chi0 - val) / abs(val) < 1e-8
 
 
 def test_trace_value_matches_series_eval():
     lat = lt.e8()
     tau = 1.4j
-    direct, _ = lt.eval_trace_numeric(lt.quasimod_rhs(lat, 0, 2, 6), tau)
-    factored = lt.trace_value(lat, 0, 2, tau, 6, series_order=6)
+    direct = lt.quasimod_rhs(lat, 0, 2, 6).evaluate(tau=tau)
+    factored = lt.trace_value(lat, 0, 2, tau, 6)
     assert abs(direct - factored) / abs(direct) < 1e-12
 
 
@@ -152,7 +152,7 @@ def test_chi_z_derivatives_match_moments():
     vals = [lt.chi_weight1(lat, 0, z, tau, 6) for z in zs]
     # second derivative: (f1 - 2 f0 + f-1)/h^2 = (2 pi i)^2 Tr a_0^2 q^{...}
     d2 = (vals[3] - 2 * vals[2] + vals[1]) / h ** 2
-    m2 = lt.moment_trace_value(lat, 0, 2, tau, 6, series_order=40)
+    m2 = lt.moment_trace_value(lat, 0, 2, tau, 6)
     assert abs(d2 / TWO_PI_I ** 2 - m2) / abs(m2) < 1e-4
     # first derivative vanishes (odd moments are zero)
     d1 = (vals[3] - vals[1]) / (2 * h)
@@ -163,8 +163,7 @@ def test_tail_estimate_shrinks_with_order():
     tails = []
     for order in (3, 5, 8):
         series = lt.quasimod_rhs(lt.e8(), 0, 0, order)
-        _, tail = lt.eval_trace_numeric(series, 1.5j)
-        tails.append(tail)
+        tails.append(series.tail_estimate(tau=1.5j))
     assert tails[0] > tails[1] > tails[2]
 
 

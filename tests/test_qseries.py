@@ -82,7 +82,7 @@ def test_truncation_bookkeeping():
 
 
 def test_tau_derivative():
-    dq = qs.QExpansion.q_power(1, 6).tau_derivative()
+    dq = qs.QExpansion.from_dict({1: 1}, 6).tau_derivative()
     assert dq.coefficient(1) == ScaledRational(1, 1)
     const = qs.QExpansion.one(6).tau_derivative()
     assert const.is_zero()
@@ -93,15 +93,16 @@ def test_tau_derivative():
 
 
 def test_dtau_inverse_factor_examples():
-    d1 = qs.dtau_inverse_factor(1, 1, 9)
+    # d/dtau applied n times to (1-q**k)**-1
+    d1 = qs.geometric_inverse_factor(1, 9).tau_derivative()
     # (2 pi i) q/(1-q)^2 = (2 pi i) sum n q^n
     for n in range(1, 10):
         assert d1.coefficient(n) == ScaledRational(n, 1)
-    d2 = qs.dtau_inverse_factor(1, 2, 9)
+    d2 = d1.tau_derivative()
     # (2 pi i)^2 (q/(1-q)^2 + 2 q^2/(1-q)^3) = (2 pi i)^2 sum n^2 q^n
     for n in range(1, 10):
         assert d2.coefficient(n) == ScaledRational(n * n, 2)
-    d0 = qs.dtau_inverse_factor(2, 0, 9)
+    d0 = qs.geometric_inverse_factor(2, 9)
     assert all(d0.coefficient(2 * i) == ScaledRational(1) for i in range(5))
 
 

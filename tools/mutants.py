@@ -1,0 +1,93 @@
+"""Standing mutation check: each seeded fault must fail the suites named for it.
+
+Each entry is (file under src/torusmodes, exact old text, new text, suites
+expected to exit 1).  For every entry the script copies src/ to a temporary
+directory, replaces the old text, which must occur exactly once, and runs each
+named suite through the CLI on that copy.  A suite kills the mutant when it
+exits 1 with a JSON report on stdout whose status is "fail".
+
+The script exits 1 when an entry's old text is missing or not unique, when a
+mutant survives one of its suites, or when a killing suite gives no JSON
+report.  Standard library only; run it from anywhere:
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+MUTANTS = [
+    ("symbols.py", "if k == 2:\n            return -B()", "if k == 2:\n            return B()",
+     ("elliptic-numeric", "hha-weight1", "hha-weight2", "lattice-modular")),
+    ("combinatorics.py", "stirling_first(n - 1, k - 1) - (n - 1) *",
+     "stirling_first(n - 1, k - 1) + (n - 1) *",
+     ("combinatorics", "qseries-identities", "hha-weight2")),
+    ("lattice.py", "x[0] = 0\n            leaf(x, 0, 0, 1)", "x[0] = 0\n            leaf(x, 0, 0, 2)",
+     ("lattice-oracle", "lattice-modular")),
+    ("ratfunc.py", "_lift(n.zeta_ddzeta(), 1) + n.shift(1) * k", "_lift(n.zeta_ddzeta(), 1)",
+     ("elliptic-formal",)),
+    ("verify.py", "w = 4 + p", "w = 5 + p", ("lattice-modular",)),
+    ("verify.py", "ys, m + 1)", "ys, m)", ("elliptic-numeric",)),
+]
+
+
+def run_suite(src: Path, suite: str) -> tuple[int, dict | None]:
+    """The exit code of ``verify-suite suite`` on the copy, and its report if any."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "torusmodes.cli", "verify-suite", suite],
+                          capture_output=True, text=True, env=env)
+    try:
+        report = json.loads(done.stdout)
+    except ValueError:
+        report = None
+    return done.returncode, report
+
+
+def check(entry, scratch: Path) -> list[str]:
+    """The problems with one entry: an empty list when every suite kills it."""
+    name, old, new, suites = entry
+    label = f"{name}: {old!r} -> {new!r}"
+    text = (SRC / "torusmodes" / name).read_text()
+    if text.count(old) != 1:
+        return [f"{label}: old text occurs {text.count(old)} times, not once"]
+    src = scratch / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    (src / "torusmodes" / name).write_text(text.replace(old, new))
+    problems = []
+    for suite in suites:
+        code, report = run_suite(src, suite)
+        if code != 1:
+            problems.append(f"{label}: survives {suite} (exit {code})")
+        elif report is None or report.get("status") != "fail":
+            problems.append(f"{label}: {suite} exits 1 without a failing JSON report")
+        else:
+            failed = [case["id"] for case in report["cases"] if case["status"] != "pass"]
+            print(f"killed by {suite}: {', '.join(failed)}")
+    return problems
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for entry in MUTANTS:
+            print(f"mutant {entry[0]}: {entry[1]!r} -> {entry[2]!r}")
+            problems += check(entry, Path(scratch))
+    for problem in problems:
+        print(f"FAIL {problem}", file=sys.stderr)
+    print(f"{len(MUTANTS)} mutants, {len(problems)} problems")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
