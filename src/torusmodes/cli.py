@@ -188,6 +188,7 @@ def cmd_anomaly(args) -> int:
 def cmd_lattice_trace(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
+    _check_order_tol(args.order)
     lat = _load_lattice(args.lattice)
     closed = lt.quasimod_rhs(lat, args.axis, args.n, args.order)
     result = {"lattice": args.lattice, "n": args.n, "order": args.order,
@@ -204,9 +205,6 @@ def cmd_lattice_trace(args) -> int:
     return status
 
 
-# a default tolerance above this would let a truncated check pass at any residual
-MAX_DEFAULT_TOL = 1e-6
-
 # the ids with a tabulated transformation law
 _LAW_IDS = "Ptilde_1 | P_k (k>=2) | G_2k | g_1_j (g^1_j)"
 
@@ -222,14 +220,12 @@ def cmd_transform_check(args) -> int:
     tau = _parse_complex("--tau", args.tau)
     if tau.imag <= 0:
         raise UsageError(f"--tau {args.tau!r} must have a positive imaginary part")
-    _check_order_tol(args.order, args.tol)
-    tol = args.tol
-    if tol is None:
-        tol = nm.default_tolerance(gamma, tau, args.order)
-        if tol > MAX_DEFAULT_TOL:
-            raise UsageError(f"--order {args.order} is too low: the default tolerance would be "
-                             f"{tol:.3g}, above {MAX_DEFAULT_TOL:g}; raise --order or pass --tol")
-    report = nm.verify_modular(args.function, gamma, z, tau, truncation=args.order, tol=tol)
+    _check_order_tol(None, args.tol)
+    try:
+        report = nm.verify_modular(args.function, gamma, z, tau, tol=args.tol)
+    except ZeroDivisionError:
+        raise UsageError(f"--z {args.z!r} is at or too near a pole of {args.function}: "
+                         f"z must stay off the lattice Z + tau Z") from None
     _emit(report)
     return 0 if report["status"] == "pass" else 1
 
@@ -278,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", required=True, help="a,b,c,d")
     p.add_argument("--z", default="0.1+0.3i")
     p.add_argument("--tau", default="1.2i")
-    p.add_argument("--order", type=int, default=60)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_transform_check)
     return parser
 

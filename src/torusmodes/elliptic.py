@@ -42,9 +42,6 @@ class BivariateExpansion:
     def zero(cls, truncation: int, tpi: int = 0) -> "BivariateExpansion":
         return cls(tpi, [ZetaRational.const(0) for _ in range(truncation + 1)], truncation)
 
-    def layer(self, m: int) -> ZetaRational:
-        return self.layers[m]
-
     def is_zero(self) -> bool:
         return all(l.is_zero() for l in self.layers)
 
@@ -92,11 +89,6 @@ class BivariateExpansion:
         """zeta d/dzeta applied layerwise; grade unchanged."""
         return BivariateExpansion(self.tpi, [l.zeta_ddzeta() for l in self.layers],
                                   self.truncation)
-
-    def truncate(self, n: int) -> "BivariateExpansion":
-        if n > self.truncation:
-            raise ValueError("cannot extend a truncated expansion")
-        return BivariateExpansion(self.tpi, self.layers[: n + 1], n)
 
     def eval_numeric(self, z: complex, tau: complex):
         """Numeric value and crude tail estimate on 0 < Im z < Im tau.

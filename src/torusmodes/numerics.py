@@ -1,21 +1,21 @@
 """Numeric evaluation and transformation-law checks.
 
-Two independent numeric routes are provided for the two-variable functions:
+The coefficient functions are evaluated by closed Lambert-type sums,
 
-* the truncated layer expansion of :class:`~torusmodes.elliptic.BivariateExpansion`,
-  valid in the strip 0 < Im z < Im tau, and
-* closed Lambert-type sums
+      g^i_j/(2*pi*i)**(i+j) = (1/(j-1)!) [ [i = 0] Li_{1-j}(zeta)
+          + sum_{l>=1} l**i (Li_{1-j}(zeta q**l) + (-1)**(j-i) Li_{1-j}(zeta**-1 q**l)) ]
 
-      P_k/(2*pi*i)**k = (1/(k-1)!) [ sum_{l>=0} Li_{1-k}(zeta q**l)
-                                     + (-1)**k sum_{l>=1} Li_{1-k}(zeta**-1 q**l) ]
+with P_k = g^0_k and P~_1 = P_1 + pi*i, where Li_{1-k}(w) = w A_{k-1}(w)/(1-w)**k
+is a rational function.  The sums converge geometrically for any z off the
+lattice Z + tau Z, with no reduction into a strip.  G_{2k} is the same l >= 1
+sum at zeta = 1 plus its constant term -B_{2k}/(2k)!, so one stopping rule and
+one term cap serve every symbol.  The truncated layer expansions of
+:class:`~torusmodes.elliptic.BivariateExpansion` are evaluated only where they
+are under test: the ``elliptic-numeric`` suite passes its own evaluator to
+:func:`verify_modular`.
 
-  where Li_{1-k}(w) = w A_{k-1}(w)/(1-w)**k is a rational function; these
-  converge geometrically and analytically continue the functions beyond the
-  strip (needed for elliptic-shift checks).
-
-Weierstrass functions are evaluated by a third route, independent of any
-q-expansion: grouped lattice sums with the inner sum in closed cotangent
-form,
+Weierstrass functions and G_{2k} (2k >= 4) have oracles independent of any
+q-expansion: grouped lattice sums with the inner sum in closed cotangent form,
 
       sum_{n in Z} (w+n)**-k = ((-1)**(k-1)/(k-1)!) (d/dw)**(k-1) [pi cot(pi w)],
 
@@ -30,8 +30,7 @@ from functools import lru_cache
 from math import factorial
 
 from .combinatorics import eulerian_polynomial
-from .elliptic import g_expansion, p_expansion
-from .qseries import eisenstein
+from .qseries import bernoulli, eisenstein
 from .scaled import TWO_PI_I
 from .symbols import UnsupportedError, delta_of_symbol, function_symbol, sym_weight
 
@@ -39,6 +38,7 @@ SL2Z_S = (0, -1, 1, 0)
 SL2Z_T = (1, 1, 0, 1)
 
 LAMBERT_TOL = 1e-14  # a Lambert sum stops once its terms and tail bound are below this
+LAMBERT_TERMS = 4000  # a Lambert sum that needs more terms is refused as unsupported
 ZETA_TERMS = 200000  # terms of the direct zeta(2k) sum before its integral tail
 WP_ROWS = 60  # lattice rows m tau, |m| <= WP_ROWS, of the Weierstrass sums
 EISENSTEIN_ROWS = 80  # lattice rows of the G_{2k} double sum
@@ -57,7 +57,7 @@ def apply_gamma(gamma, z: complex, tau: complex) -> tuple[complex, complex]:
     return z / j, (a * tau + b) / j
 
 
-# -- Lambert-route evaluation -------------------------------------------------
+# -- Lambert sums -------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _li_neg_poly(p: int):
@@ -76,6 +76,32 @@ def li_neg(p: int, w: complex) -> complex:
     return num / omw ** (p + 1)
 
 
+def _lambert_sum(i: int, j: int, zeta: complex, tau: complex, total: complex = 0j) -> complex:
+    """total + sum_{l>=1} l**i [Li_{1-j}(zeta q**l) + (-1)**(j-i) Li_{1-j}(q**l/zeta)].
+
+    Both arguments decay geometrically in l.  The sum stops once its last term
+    and its geometric tail bound are below LAMBERT_TOL; one that needs more
+    than LAMBERT_TERMS terms (Im tau too small) raises UnsupportedError.
+    """
+    q = cmath.exp(TWO_PI_I * tau)
+    if abs(q) >= 1:
+        raise ValueError("Im tau must be positive")
+    sign = (-1) ** (j - i)
+    l = 1
+    while True:
+        term = l ** i * li_neg(j - 1, zeta * q ** l)
+        term += sign * l ** i * li_neg(j - 1, q ** l / zeta)
+        total += term
+        bound = max(abs(zeta), 1 / abs(zeta)) * abs(q) ** (l + 1)
+        if bound < 1 and max(abs(term), l ** i * bound / (1 - abs(q))) < LAMBERT_TOL:
+            return total
+        l += 1
+        if l > LAMBERT_TERMS:
+            raise UnsupportedError(
+                f"the Lambert sums at tau={tau} need more than {LAMBERT_TERMS} terms; "
+                f"Im tau is too small for them")
+
+
 def g_value(i: int, j: int, z: complex, tau: complex) -> complex:
     """g^i_j(z, tau) by geometrically convergent Lambert sums.
 
@@ -84,28 +110,13 @@ def g_value(i: int, j: int, z: complex, tau: complex) -> complex:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    q = cmath.exp(TWO_PI_I * tau)
+    # li_neg takes w**j with |w| up to exp(2*pi*|Im z|), times Eulerian numbers below (j-1)!
+    if j * 2 * math.pi * abs(z.imag) + math.lgamma(j) > 700:
+        raise UnsupportedError(f"the Lambert sums of g^{i}_{j} at z={z} leave the "
+                               f"floating-point range: |Im z| is too large for them")
     zeta = cmath.exp(TWO_PI_I * z)
-    if abs(q) >= 1:
-        raise ValueError("Im tau must be positive")
-    pref = TWO_PI_I ** (i + j) / factorial(j - 1)
-    sign = (-1) ** (j - i)
-    total = 0j
-    if i == 0:
-        total += li_neg(j - 1, zeta)
-    l = 1
-    # both |zeta q**l| and |zeta**-1 q**l| decay geometrically in l
-    while True:
-        term = l ** i * li_neg(j - 1, zeta * q ** l)
-        term += sign * l ** i * li_neg(j - 1, q ** l / zeta)
-        total += term
-        bound = max(abs(zeta), 1 / abs(zeta)) * abs(q) ** (l + 1)
-        if bound < 1 and max(abs(term), l ** i * bound / (1 - abs(q))) < LAMBERT_TOL:
-            break
-        l += 1
-        if l > 4000:
-            raise RuntimeError("Lambert sum failed to converge")
-    return pref * total
+    total = li_neg(j - 1, zeta) if i == 0 else 0j
+    return TWO_PI_I ** (i + j) / factorial(j - 1) * _lambert_sum(i, j, zeta, tau, total)
 
 
 def p_value(k: int, z: complex, tau: complex) -> complex:
@@ -187,7 +198,7 @@ def eisenstein_value(two_k: int, tau: complex, truncation: int = 60) -> complex:
     return eisenstein(two_k, truncation).evaluate(tau=tau)
 
 
-# -- strip reduction and modular laws ----------------------------------------
+# -- symbol values and modular laws ------------------------------------------
 
 def strip_reduce(z: complex, tau: complex):
     """Shift z by an integer multiple of tau into 0 < Im z < Im tau.
@@ -207,50 +218,28 @@ def elliptic_shift(k: int, lam: int):
     return TWO_PI_I * lam if k == 1 else 0
 
 
-def symbol_value(sym, z: complex, tau: complex, truncation: int = 60,
-                 route: str = "layers") -> complex:
-    """Evaluate a coefficient symbol; two-point symbols take the argument z.
-
-    route="layers" uses the truncated layer expansion after strip reduction
-    and applies the elliptic shift; route="lambert" uses the closed Lambert
-    sums directly (no reduction needed).
-    """
+def symbol_value(sym, z: complex, tau: complex) -> complex:
+    """Evaluate a coefficient symbol by Lambert sums; two-point symbols take the argument z."""
     kind = sym[0]
     if kind == "G":
-        return eisenstein_value(sym[1], tau, truncation)
+        two_k = sym[1]
+        return TWO_PI_I ** two_k * (_lambert_sum(0, two_k, 1.0, tau) / factorial(two_k - 1)
+                                    - float(bernoulli(two_k) / factorial(two_k)))
     if kind == "Pt":
-        return symbol_value(("P", 1) + sym[1:], z, tau, truncation, route) + 1j * cmath.pi
+        return g_value(0, 1, z, tau) + 1j * cmath.pi
     if kind == "P":
-        i, j = 0, sym[1]
-    elif kind == "g":
-        i, j = sym[1], sym[2]
-    else:
-        raise KeyError(f"no numeric value for symbol {sym!r}")
-    if route == "lambert":
-        return g_value(i, j, z, tau)
-    zr, lam = strip_reduce(z, tau)
-    if i == 0:
-        series = p_expansion(j, truncation)
-        shift = elliptic_shift(j, lam)
-    else:
-        if lam != 0:
-            raise UnsupportedError(
-                f"g^{i}_{j} at z={z}, tau={tau}: the layer route needs z in the strip "
-                f"0 < Im z < Im tau, and the elliptic shift of g^i_j is not tabulated")
-        series = g_expansion(i, j, truncation)
-        shift = 0
-    value, _tail = series.eval_numeric(zr, tau)
-    return value + shift
+        return g_value(0, sym[1], z, tau)
+    if kind == "g":
+        return g_value(sym[1], sym[2], z, tau)
+    raise KeyError(f"no numeric value for symbol {sym!r}")
 
 
-def function_value(fn_id: str, z: complex, tau: complex, truncation: int = 60,
-                   route: str = "layers") -> complex:
+def function_value(fn_id: str, z: complex, tau: complex) -> complex:
     """Evaluate a named function (an id of :func:`symbols.function_symbol`)."""
-    return symbol_value(function_symbol(fn_id), z, tau, truncation, route)
+    return symbol_value(function_symbol(fn_id), z, tau)
 
 
-def poly_value(poly, gamma, z: complex, tau: complex, truncation: int = 60,
-               route: str = "layers") -> complex:
+def poly_value(poly, gamma, z: complex, tau: complex) -> complex:
     """Numeric value of a coefficient polynomial over positions 2 and 1.
 
     Position 2 sits at z and position 1 at 0, so every two-point symbol takes
@@ -267,44 +256,31 @@ def poly_value(poly, gamma, z: complex, tau: complex, truncation: int = 60,
             elif sym[0] == "z":
                 base = z if sym[1] == 2 else 0.0
             else:
-                base = symbol_value(sym, z, tau, truncation, route)
+                base = symbol_value(sym, z, tau)
             val *= base ** e
         total += val
     return total
 
 
-def modular_rhs(fn_id: str, gamma, z: complex, tau: complex, truncation: int = 60) -> complex:
-    """(c*tau + d)**w (f + Delta f) at (z, tau), with Delta f from the anomaly table.
+def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-10,
+                   value=symbol_value) -> dict:
+    """Check one tabulated law (c*tau + d)**-w f(gamma z, gamma tau) = f + Delta f.
 
-    The law is looked up before anything is evaluated, so an id without one
-    raises DeltaUnknownError at every point.
+    ``value(sym, z, tau)`` evaluates f at both points; Delta f comes from the
+    anomaly table through :func:`poly_value`.  The law is looked up before
+    anything is evaluated, so an id without one raises DeltaUnknownError at
+    every point.  Returns a residual report.
     """
     gamma = sl2_check(gamma)
     _, _, c, d = gamma
     sym = function_symbol(fn_id)
     delta = delta_of_symbol(sym)
-    f = symbol_value(sym, z, tau, truncation)
-    return (c * tau + d) ** sym_weight(sym) * (f + poly_value(delta, gamma, z, tau, truncation))
-
-
-def default_tolerance(gamma, tau: complex, truncation: int) -> float:
-    """max(1e-10, 10 |q(gamma tau)|**(truncation/5)): the layer sums' truncation scale."""
-    _, gt = apply_gamma(gamma, 0j, tau)
-    return max(1e-10, 10 * abs(cmath.exp(TWO_PI_I * gt)) ** (truncation * 0.2))
-
-
-def verify_modular(fn_id: str, gamma, z: complex, tau: complex,
-                   truncation: int = 60, tol: float | None = None) -> dict:
-    """Check one tabulated modular law; returns a residual report."""
-    gamma = sl2_check(gamma)
-    # the right-hand side first: an id without a law fails before any evaluation
-    rhs = modular_rhs(fn_id, gamma, z, tau, truncation)
+    rhs = (c * tau + d) ** sym_weight(sym) * (value(sym, z, tau)
+                                              + poly_value(delta, gamma, z, tau))
     gz, gt = apply_gamma(gamma, z, tau)
-    lhs = function_value(fn_id, gz, gt, truncation)
+    lhs = value(sym, gz, gt)
     scale = max(1.0, abs(lhs), abs(rhs))
     residual = abs(lhs - rhs) / scale
-    if tol is None:
-        tol = default_tolerance(gamma, tau, truncation)
     return {
         "function": fn_id,
         "gamma": list(gamma),
@@ -318,7 +294,7 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex,
     }
 
 
-def verify_elliptic_shift(k: int, z: complex, tau: complex, truncation: int = 60) -> dict:
+def verify_elliptic_shift(k: int, z: complex, tau: complex) -> dict:
     """Check P_k(z+tau) - P_k(z) against the elliptic shift, via Lambert values."""
     lhs = p_value(k, z + tau, tau) - p_value(k, z, tau)
     expected = elliptic_shift(k, 1)

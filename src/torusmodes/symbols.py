@@ -323,15 +323,6 @@ def function_symbol(fn_id: str, hi: int = 2, lo: int = 1) -> tuple:
     raise KeyError(f"unknown function id {fn_id!r}")
 
 
-def delta_anomaly(fn_id: str, hi: int = 2, lo: int = 1) -> CoeffPoly:
-    """Tabulated Delta of a function id (see :func:`function_symbol`).
-
-    P_1 and g^i_j with i >= 2 have no tabulated law and raise
-    DeltaUnknownError.
-    """
-    return delta_of_symbol(function_symbol(fn_id, hi, lo))
-
-
 def delta_of_symbol(sym) -> CoeffPoly:
     kind = sym[0]
     if kind == "P":

@@ -29,7 +29,7 @@ from . import numerics as nm
 from . import qseries as qs
 from .ratfunc import ZetaRational
 from .scaled import TWO_PI_I, ScaledRational
-from .symbols import ONE, P, delta_of_symbol, function_symbol, g, sym_weight
+from .symbols import ONE, P, g
 
 SUITES = {}
 
@@ -258,10 +258,31 @@ _ELLIPTIC_GAMMAS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 1, 0), (1, 0, 1, 1), (-
 
 
 def _elliptic_numeric_truncation(order, seed):
-    """The layer sums' truncation scale at the worst sample point and gamma."""
+    """The layer sums' truncation scale, max(1e-10, 10 |q(gamma tau)|**(order/5)),
+    at the worst sample point and gamma."""
     pts = nm.sample_points(20, seed=seed, gammas=_ELLIPTIC_GAMMAS)
-    return max(nm.default_tolerance(gamma, tau, order)
-               for gamma in _ELLIPTIC_GAMMAS for _, tau in pts)
+    worst_q = max(abs(cmath.exp(TWO_PI_I * nm.apply_gamma(gamma, 0j, tau)[1]))
+                  for gamma in _ELLIPTIC_GAMMAS for _, tau in pts)
+    return max(1e-10, 10 * worst_q ** (order * 0.2))
+
+
+def _layer_value(order):
+    """An evaluator of P_k, P~_1 and G_2k through their exact series at ``order``.
+
+    P_k sums its layer expansion after reducing z into the strip, plus the
+    elliptic shift that reduction costs P_1; P~_1 adds pi*i to P_1; G_2k sums
+    its q-expansion.  The modular_law cases put these series under test.
+    """
+    def value(sym, z, tau):
+        if sym[0] == "G":
+            return nm.eisenstein_value(sym[1], tau, order)
+        if sym[0] == "Pt":
+            return value(("P", 1) + sym[1:], z, tau) + 1j * cmath.pi
+        k = sym[1]
+        zr, lam = nm.strip_reduce(z, tau)
+        layers, _tail = el.p_expansion(k, order).eval_numeric(zr, tau)
+        return layers + nm.elliptic_shift(k, lam)
+    return value
 
 
 def _interpolation_miss(xs, ys, degree):
@@ -290,11 +311,12 @@ def _interpolation_miss(xs, ys, degree):
 @suite("elliptic-numeric")
 def suite_elliptic_numeric(cases, order=60, tol=1e-6, seed=20409):
     pts = nm.sample_points(20, seed=seed, gammas=_ELLIPTIC_GAMMAS)
+    layers = _layer_value(order)
     for fn in ("Ptilde_1", "P_2", "P_3", "P_4", "G_2", "G_4"):
         worst = 0.0
         for gamma in _ELLIPTIC_GAMMAS:
             for z, tau in pts:
-                rep = nm.verify_modular(fn, gamma, z, tau, truncation=order, tol=tol)
+                rep = nm.verify_modular(fn, gamma, z, tau, tol=tol, value=layers)
                 worst = max(worst, rep["residual"])
         _case(cases, f"modular_law_{fn}", worst < tol, residual=repr(worst),
               tolerance=repr(tol))
@@ -303,7 +325,7 @@ def suite_elliptic_numeric(cases, order=60, tol=1e-6, seed=20409):
         worst = 0.0
         for gamma in ((0, -1, 1, 0), (1, 0, 1, 1)):
             for z, tau in pts[:6]:
-                worst = max(worst, _delta_residual(fn, gamma, z, tau))
+                worst = max(worst, nm.verify_modular(fn, gamma, z, tau, tol=tol)["residual"])
         _case(cases, f"delta_anomaly_{fn}", worst < tol, residual=repr(worst),
               tolerance=repr(tol))
     for k in (1, 2):
@@ -383,18 +405,6 @@ def suite_hha_weight1(cases):
     ok = sum(len(poly.terms) for poly in
              hha.weight1_configuration_formula(0, 4).terms.values()) == 10
     _case(cases, "configuration_count_involutions", ok)
-
-
-def _delta_residual(fn_id, gamma, z, tau):
-    """Residual of the tabulated Delta law against the actual transform."""
-    a, b, c, d = gamma
-    gz, gt = nm.apply_gamma(gamma, z, tau)
-    sym = function_symbol(fn_id)
-    lhs = (c * tau + d) ** (-sym_weight(sym)) * nm.function_value(fn_id, gz, gt,
-                                                                  route="lambert") \
-        - nm.function_value(fn_id, z, tau, route="lambert")
-    rhs = nm.poly_value(delta_of_symbol(sym), gamma, z, tau, route="lambert")
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 @suite("hha-weight2")

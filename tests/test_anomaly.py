@@ -9,25 +9,25 @@ from torusmodes import hha
 from torusmodes.hha import CorrSymbol, anomaly_of_zero_modes, weight1_spec, weight2_spec
 from torusmodes.scaled import ScaledRational
 from torusmodes.symbols import (B, CoeffPoly, DeltaUnknownError, G, P, Pt,
-                                delta_anomaly, delta_of_symbol, delta_transform,
+                                delta_of_symbol, delta_transform, function_symbol,
                                 g, zvar)
 
 from suite_cases import assert_case
 
 
 def test_delta_table_entries():
-    assert delta_anomaly("P_4").is_zero()
-    assert delta_anomaly("P_2") == -B()
-    assert delta_anomaly("G_2") == -B()
-    assert delta_anomaly("G_4").is_zero()
-    d = delta_anomaly("Ptilde_1", hi=2, lo=1)
+    assert delta_of_symbol(function_symbol("P_4")).is_zero()
+    assert delta_of_symbol(function_symbol("P_2")) == -B()
+    assert delta_of_symbol(function_symbol("G_2")) == -B()
+    assert delta_of_symbol(function_symbol("G_4")).is_zero()
+    d = delta_of_symbol(function_symbol("Ptilde_1", hi=2, lo=1))
     assert d == -B() * (zvar(2) - zvar(1))
-    d = delta_anomaly("g_1_3", hi=3, lo=2)
+    d = delta_of_symbol(function_symbol("g_1_3", hi=3, lo=2))
     assert d == B() * P(2, 3, 2) - B(2) * Fraction(1, 2) + B() * (zvar(3) - zvar(2)) * P(3, 3, 2)
-    d = delta_anomaly("g_1_5", hi=3, lo=2)
+    d = delta_of_symbol(function_symbol("g_1_5", hi=3, lo=2))
     assert d == B() * P(4, 3, 2) + B() * (zvar(3) - zvar(2)) * P(5, 3, 2)
     with pytest.raises(DeltaUnknownError):
-        delta_anomaly("g_2_4")
+        delta_of_symbol(function_symbol("g_2_4"))
     with pytest.raises(DeltaUnknownError):
         delta_of_symbol(("g", 2, 4, 2, 1))
 
@@ -102,7 +102,7 @@ def test_pure_b_grading():
 
 def test_p1_redirects_to_ptilde():
     with pytest.raises(DeltaUnknownError):
-        delta_anomaly("P_1")
+        delta_of_symbol(function_symbol("P_1"))
 
 
 # every symbol at positions (2, 1) whose Delta is tabulated, B excepted

@@ -167,7 +167,7 @@ def test_lattice_trace_negative_inputs(capsys):
     code, out, err = run(capsys, "lattice-trace", "--lattice", "e8", "--n", "1",
                          "--order", "-2")
     assert code == 2 and out == ""
-    assert err == "error: max_norm_half must be >= 0\n"
+    assert err == "error: --order must be >= 0\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -242,21 +242,20 @@ _LAW_IDS = "expected Ptilde_1 | P_k (k>=2) | G_2k | g_1_j (g^1_j)"
      "error: --tau '1.2' must have a positive imaginary part"),
     (["--function", "P_3", "--tau=-1.2i"], 2,
      "error: --tau '-1.2i' must have a positive imaginary part"),
-    (["--function", "P_3", "--order", "-3"], 2, "error: --order must be >= 0"),
+    # a point on the lattice Z + tau Z is a pole, not a failed law
+    (["--function", "P_2", "--z", "1e-13i"], 2,
+     "error: --z '1e-13i' is at or too near a pole of P_2: z must stay off the lattice Z + tau Z"),
     (["--function", "P_3", "--gamma", "a,b,c,d"], 2,
      "error: --gamma 'a,b,c,d' is not four comma-separated integers a,b,c,d"),
     (["--function", "P_3", "--gamma", "1,1,1,1"], 2, "error: --gamma '1,1,1,1' is not in SL(2,Z)"),
     (["--function", "P_3", "--z", "nan"], 2, "error: --z must be finite, got 'nan'"),
     (["--function", "P_3", "--z", "x"], 2, "error: --z cannot parse complex number 'x'"),
-    # a truncation whose default tolerance would be 10 is refused, not passed
-    (["--function", "P_3", "--order", "0"], 2,
-     "error: --order 0 is too low: the default tolerance would be 10, above 1e-06; "
-     "raise --order or pass --tol"),
-    # gamma z = z/tau leaves the strip, where g^1_3 has no layer value
-    (["--function", "g_1_3"], 3,
-     "unsupported: g^1_3 at z=(0.25-0.08333333333333334j), tau=0.8333333333333334j: the "
-     "layer route needs z in the strip 0 < Im z < Im tau, and the elliptic shift of g^i_j "
-     "is not tabulated"),
+    (["--function", "P_3", "--z", "0"], 2,
+     "error: --z '0' is at or too near a pole of P_3: z must stay off the lattice Z + tau Z"),
+    # a valid point whose Lambert sums need more terms than the cap
+    (["--function", "P_4", "--tau", "0.0005i", "--z", "0.0001i"], 3,
+     "unsupported: the Lambert sums at tau=0.0005j need more than 4000 terms; "
+     "Im tau is too small for them"),
     # a tolerance that is not a finite positive number is a usage error, not a check
     (["--function", "P_2", "--tol", "-1"], 2, "error: --tol must be finite and > 0, got -1"),
     (["--function", "P_2", "--tol", "nan"], 2, "error: --tol must be finite and > 0, got nan"),
@@ -272,7 +271,7 @@ def test_transform_check_exit_table(capsys, argv, code, message):
 
 
 def test_transform_check_depth_one_law(capsys):
-    # z and gamma z both lie in the fundamental strip, where g^1_3 has layers
+    # the depth-one law of g^1_3, z-tails included, holds to rounding
     code, out, _ = run(capsys, "transform-check", "--function", "g_1_3",
                        "--gamma", "0,-1,1,0", "--z=-0.5+0.5i", "--tau", "1.2i")
     assert code == 0
@@ -397,3 +396,20 @@ def test_suite_that_raises_still_reports(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-suite", "hha-weight2")
     assert code == 1 and err == ""
     assert json.loads(out) == report
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--function", "P_9"], id="P_9"),
+    pytest.param(["--function", "P_4"], id="P_4"),
+    # gamma z = z/tau leaves the fundamental strip
+    pytest.param(["--function", "g_1_3"], id="g_1_3"),
+    # Im tau = 0.002: |q| = 0.987, far beyond any layer truncation
+    pytest.param(["--function", "P_4", "--tau", "0.01+0.002i", "--z", "0.001i"],
+                 id="P_4-small-Im-tau"),
+])
+def test_transform_check_lambert_laws_pass(capsys, argv):
+    # the law holds to the default tolerance 1e-10 wherever the Lambert sums reach
+    code, out, err = run(capsys, "transform-check", "--gamma", "0,-1,1,0", *argv)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["status"] == "pass" and report["tolerance"] == 1e-10

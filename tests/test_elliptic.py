@@ -49,20 +49,20 @@ def test_zeta_rational_derivative():
 def test_p_expansion_layers():
     p1 = el.p_expansion(1, 3)
     assert p1.tpi == 1
-    assert p1.layer(0) == ZetaRational(LaurentPoly({1: 1}), 1)
-    assert p1.layer(1) == ZetaRational.from_poly(LaurentPoly({1: 1, -1: -1}))
-    assert p1.layer(2) == ZetaRational.from_poly(
+    assert p1.layers[0] == ZetaRational(LaurentPoly({1: 1}), 1)
+    assert p1.layers[1] == ZetaRational.from_poly(LaurentPoly({1: 1, -1: -1}))
+    assert p1.layers[2] == ZetaRational.from_poly(
         LaurentPoly({2: 1, 1: 1, -1: -1, -2: -1}))
     p2 = el.p_expansion(2, 2)
-    assert p2.layer(0) == ZetaRational(LaurentPoly({1: 1}), 2)
+    assert p2.layers[0] == ZetaRational(LaurentPoly({1: 1}), 2)
 
 
 def test_p_tilde_offset():
     pt = el.p_tilde_1(4)
     p1 = el.p_expansion(1, 4)
     diff = pt - p1
-    assert diff.layer(0) == ZetaRational.const(Fraction(1, 2))
-    assert all(diff.layer(m).is_zero() for m in range(1, 5))
+    assert diff.layers[0] == ZetaRational.const(Fraction(1, 2))
+    assert all(diff.layers[m].is_zero() for m in range(1, 5))
 
 
 def test_g_reduces_to_p():

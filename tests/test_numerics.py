@@ -3,7 +3,7 @@ import pytest
 from torusmodes import elliptic as el
 from torusmodes import numerics as nm
 from torusmodes.scaled import TWO_PI_I
-from torusmodes.symbols import (DeltaUnknownError, delta_anomaly, function_symbol,
+from torusmodes.symbols import (DeltaUnknownError, delta_of_symbol, function_symbol,
                                sym_weight)
 
 from suite_cases import assert_case
@@ -74,7 +74,7 @@ def test_corrected_delta_g_laws_numeric():
         for j in (2, 3, 4, 5):
             lhs = (c * tau + d) ** (-(1 + j)) * nm.g_value(1, j, gz, gt) \
                 - nm.g_value(1, j, z, tau)
-            rhs = nm.poly_value(delta_anomaly(f"g_1_{j}"), gamma, z, tau, route="lambert")
+            rhs = nm.poly_value(delta_of_symbol(function_symbol(f"g_1_{j}")), gamma, z, tau)
             assert abs(lhs - rhs) < 1e-10, (gamma, j)
 
 
@@ -91,5 +91,17 @@ def test_function_symbols_and_weights():
         nm.function_value("nosuch", 0.1 + 0.3j, 1.2j)
     # an unknown id is not missing mathematics
     with pytest.raises(KeyError) as info:
-        delta_anomaly("nosuch")
+        delta_of_symbol(function_symbol("nosuch"))
     assert not isinstance(info.value, DeltaUnknownError)
+
+
+def test_eisenstein_lambert_sum():
+    # G_2k from the Lambert sum at zeta = 1 against the lattice double sum,
+    # and G_2 (no absolutely convergent double sum) against its q-expansion
+    for tau in (1.3j, 0.3 + 0.9j):
+        for two_k in (4, 6, 8, 10):
+            lambert = nm.function_value(f"G_{two_k}", 0j, tau)
+            lattice = nm.eisenstein_lattice_value(two_k, tau)
+            assert abs(lambert - lattice) < 1e-8 * max(1.0, abs(lattice)), (tau, two_k)
+    g2 = nm.function_value("G_2", 0j, 1.3j)
+    assert abs(g2 - nm.eisenstein_value(2, 1.3j, truncation=120)) < 1e-12

@@ -37,6 +37,8 @@ MUTANTS = [
      ("elliptic-formal",)),
     ("verify.py", "w = 4 + p", "w = 5 + p", ("lattice-modular",)),
     ("verify.py", "ys, m + 1)", "ys, m)", ("elliptic-numeric",)),
+    ("numerics.py", "_lambert_sum(0, two_k, 1.0, tau) / factorial",
+     "_lambert_sum(0, two_k, 1.0, tau) / 2 / factorial", ("elliptic-numeric",)),
 ]
 
 
