@@ -19,10 +19,11 @@ vector is missed, and carries the exact integer norm (and optionally an
 integer pairing) down the recursion, so each candidate is confirmed by its
 exact norm at the leaf and shells are complete.  It visits one of each pair
 x, -x and hands the leaf a multiplicity (2, or 1 for x = 0); every tally here
-is even in x.  Per (block Gram, pairing row, order) one walk is grouped into
-(norm/2, <row,a>^2) counts and cached: shell sizes read the walk of the
-block's first axis, so theta moments along that axis, theta series, traces
-and chi share it.  Only ``enumerate_vectors`` keeps the vectors, both signs.
+is even in x.  Per (block Gram, pairing row) one walk is grouped into
+(norm/2, <row,a>^2) counts and cached, and a lower order reads the deepest
+walk's groups: shell sizes read the walk of the block's first axis, so theta
+moments along that axis, theta series, traces and chi share it.  Only
+``enumerate_vectors`` keeps the vectors, both signs.
 """
 
 from __future__ import annotations
@@ -239,13 +240,21 @@ def enumerate_vectors(lat: EvenLattice, max_norm_half: int):
     return [VectorShell(m, sorted(vecs)) for m, vecs in enumerate(shells)]
 
 
-@lru_cache(maxsize=None)
+_DEEPEST_WALK = {}  # (gram, row) -> (max_norm_half, groups) of the deepest walk so far
+
+
 def _grouped_walk(gram: tuple, row: tuple, max_norm_half: int) -> tuple:
     """The one walk of a block: ((norm_half, <row,x>^2, count), ...), sorted.
 
     <row,x>^2 is even in x, so the pair x, -x joins one group.  Shell sizes
-    and the theta moments of the block's first axis read the same walk.
+    and the theta moments of the block's first axis read the same walk.  Only
+    the deepest walk per (gram, row) is kept: a lower order reads its groups
+    with norm_half <= max_norm_half, which are the groups a walk to that
+    order tallies.
     """
+    deepest = _DEEPEST_WALK.get((gram, row))
+    if deepest is not None and 0 <= max_norm_half <= deepest[0]:
+        return tuple(g for g in deepest[1] if g[0] <= max_norm_half)
     grouped = {}
 
     def leaf(x, nh, ip, mult):
@@ -253,7 +262,12 @@ def _grouped_walk(gram: tuple, row: tuple, max_norm_half: int) -> tuple:
         grouped[key] = grouped.get(key, 0) + mult
 
     _walk(gram, max_norm_half, leaf, row)
-    return tuple((nh, ip2, cnt) for (nh, ip2), cnt in sorted(grouped.items()))
+    groups = tuple((nh, ip2, cnt) for (nh, ip2), cnt in sorted(grouped.items()))
+    _DEEPEST_WALK[(gram, row)] = (max_norm_half, groups)
+    return groups
+
+
+_grouped_walk.cache_clear = _DEEPEST_WALK.clear  # as on the lru caches that read it
 
 
 @lru_cache(maxsize=None)
@@ -344,6 +358,7 @@ def _axis_shell_data(lat: EvenLattice, axis: int, max_norm_half: int):
                  for nh, ip2, cnt in _grouped_walk(sub_gram, row, max_norm_half)), block
 
 
+@lru_cache(maxsize=None)
 def theta_moment(lat: EvenLattice, axis: int, power: int, truncation: int) -> QExpansion:
     """sum_a <f_axis, a>**power q^{<a,a>/2} to the given order (exact).
 
@@ -361,6 +376,7 @@ def theta_moment(lat: EvenLattice, axis: int, power: int, truncation: int) -> QE
     return QExpansion.from_dict(moments, truncation) * rest
 
 
+@lru_cache(maxsize=None)
 def eta_derivative_factor(ell: int, r: int, truncation: int) -> QExpansion:
     """eta**(-(ell-1)) (2 q d/dq)**r eta**(-1), exact, offset -ell/24."""
     d = eta_power(-1, truncation)
@@ -442,20 +458,31 @@ def _compositions(total_max, k):
             yield (first,) + rest
 
 
-def fock_trace_literal(lat: EvenLattice, axis: int, n: int, truncation: int) -> QExpansion:
-    """Tr v_0^n q^{L0-l/24} by literal Fock-label enumeration (tiny lattices).
+@lru_cache(maxsize=None)
+def _literal_eigenvalues(lat: EvenLattice, axis: int, truncation: int) -> tuple:
+    """((level, v_0 eigenvalue), ...), one pair per Fock label up to ``truncation``.
 
     Oscillator color ``axis`` is the frame direction of v; the lattice pairing
     only sees the component of alpha in the axis block.
     """
     block, gvec, gnorm = gram_schmidt_axis(lat, axis)
-    coeffs = {}
+    out = []
     for label in fock_labels(lat, truncation):
-        lvl = label.level(lat)
         alpha_block = tuple(label.alpha[i] for i in block)
         t2 = axis_pairing_sq(lat, axis, block, gvec, gnorm, alpha_block)
-        eig = t2 + 2 * sum(label.partitions[axis]) - Fraction(1, 12)
-        m = int(lvl)
+        out.append((int(label.level(lat)),
+                    t2 + 2 * sum(label.partitions[axis]) - Fraction(1, 12)))
+    return tuple(out)
+
+
+def fock_trace_literal(lat: EvenLattice, axis: int, n: int, truncation: int) -> QExpansion:
+    """Tr v_0^n q^{L0-l/24} by literal Fock-label enumeration (tiny lattices).
+
+    The labels are enumerated once per (lattice, axis, truncation) and serve
+    every n.
+    """
+    coeffs = {}
+    for m, eig in _literal_eigenvalues(lat, axis, truncation):
         coeffs[m] = coeffs.get(m, Fraction(0)) + eig ** n
     series = QExpansion.from_dict(coeffs, truncation)
     return QExpansion(Fraction(-lat.rank, 24), series.lower, series.coeffs, series.truncation)

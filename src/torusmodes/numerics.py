@@ -76,6 +76,25 @@ def li_neg(p: int, w: complex) -> complex:
     return num / omw ** (p + 1)
 
 
+def _too_many_terms(tau: complex) -> UnsupportedError:
+    return UnsupportedError(f"the Lambert sums at tau={tau} need more than {LAMBERT_TERMS} "
+                            f"terms; Im tau is too small for them")
+
+
+def _lambert_nome(tau: complex) -> complex:
+    """q = exp(2*pi*i*tau), refused up front when no Lambert sum at it can stop.
+
+    The tail bound of term l is at least |q|**(l+1), so at a |q| with
+    |q|**(LAMBERT_TERMS+1) >= LAMBERT_TOL every sum would run into the term cap.
+    """
+    if tau.imag <= 0:
+        raise ValueError("Im tau must be positive")
+    q = cmath.exp(TWO_PI_I * tau)
+    if abs(q) ** (LAMBERT_TERMS + 1) >= LAMBERT_TOL:
+        raise _too_many_terms(tau)
+    return q
+
+
 def _lambert_sum(i: int, j: int, zeta: complex, tau: complex, total: complex = 0j) -> complex:
     """total + sum_{l>=1} l**i [Li_{1-j}(zeta q**l) + (-1)**(j-i) Li_{1-j}(q**l/zeta)].
 
@@ -83,9 +102,7 @@ def _lambert_sum(i: int, j: int, zeta: complex, tau: complex, total: complex = 0
     and its geometric tail bound are below LAMBERT_TOL; one that needs more
     than LAMBERT_TERMS terms (Im tau too small) raises UnsupportedError.
     """
-    q = cmath.exp(TWO_PI_I * tau)
-    if abs(q) >= 1:
-        raise ValueError("Im tau must be positive")
+    q = _lambert_nome(tau)
     sign = (-1) ** (j - i)
     l = 1
     while True:
@@ -97,9 +114,7 @@ def _lambert_sum(i: int, j: int, zeta: complex, tau: complex, total: complex = 0
             return total
         l += 1
         if l > LAMBERT_TERMS:
-            raise UnsupportedError(
-                f"the Lambert sums at tau={tau} need more than {LAMBERT_TERMS} terms; "
-                f"Im tau is too small for them")
+            raise _too_many_terms(tau)
 
 
 def g_value(i: int, j: int, z: complex, tau: complex) -> complex:
@@ -114,6 +129,7 @@ def g_value(i: int, j: int, z: complex, tau: complex) -> complex:
     if j * 2 * math.pi * abs(z.imag) + math.lgamma(j) > 700:
         raise UnsupportedError(f"the Lambert sums of g^{i}_{j} at z={z} leave the "
                                f"floating-point range: |Im z| is too large for them")
+    _lambert_nome(tau)  # a tau the sums cannot finish at is refused before the l = 0 term
     zeta = cmath.exp(TWO_PI_I * z)
     total = li_neg(j - 1, zeta) if i == 0 else 0j
     return TWO_PI_I ** (i + j) / factorial(j - 1) * _lambert_sum(i, j, zeta, tau, total)
@@ -275,8 +291,13 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-
     _, _, c, d = gamma
     sym = function_symbol(fn_id)
     delta = delta_of_symbol(sym)
-    rhs = (c * tau + d) ** sym_weight(sym) * (value(sym, z, tau)
-                                              + poly_value(delta, gamma, z, tau))
+    w = sym_weight(sym)
+    try:
+        factor = (c * tau + d) ** w
+    except OverflowError:
+        raise UnsupportedError(f"(c*tau + d)**{w} at tau={tau} leaves the floating-point "
+                               f"range: |tau| is too large for it") from None
+    rhs = factor * (value(sym, z, tau) + poly_value(delta, gamma, z, tau))
     gz, gt = apply_gamma(gamma, z, tau)
     lhs = value(sym, gz, gt)
     scale = max(1.0, abs(lhs), abs(rhs))

@@ -13,6 +13,9 @@ are known to vanish.
 Named series: Eisenstein series G_{2k} (constants rationalized through
 Bernoulli numbers), Dedekind eta powers, and the geometric factors
 (1-q**k)**-1 together with their tau-derivatives.
+
+An expansion converts its nonzero coefficients to complex once, on its first
+numeric evaluation, and every later evaluation sums over those values.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ DEFAULT_ORDER = 40
 
 
 class QExpansion:
-    __slots__ = ("offset", "lower", "coeffs", "truncation")
+    __slots__ = ("offset", "lower", "coeffs", "truncation", "_floats")
 
     def __init__(self, offset, lower: int, coeffs, truncation: int):
         offset = as_fraction(offset)
@@ -47,6 +50,7 @@ class QExpansion:
         self.lower = lower
         self.coeffs = coeffs
         self.truncation = truncation
+        self._floats = None
 
     # -- constructors ------------------------------------------------------
 
@@ -208,11 +212,12 @@ class QExpansion:
         if abs(q) >= 1:
             raise ValueError("divergent evaluation: |q| >= 1")
         qo = q ** complex(self.offset)
+        if self._floats is None:
+            self._floats = tuple((m, complex(c)) for m, c in
+                                 enumerate(self.coeffs, self.lower) if c)
         total = 0j
-        for m in range(self.lower, self.truncation + 1):
-            c = self.coefficient(m)
-            if c:
-                total += complex(c) * q ** m
+        for m, c in self._floats:
+            total += c * q ** m
         return qo * total
 
     def tail_estimate(self, tau=None, q=None) -> float:

@@ -5,7 +5,9 @@ P_k is the Eulerian closed form zeta A_{k-1}(zeta)/(1-zeta)**k (e.g.
 zeta/(1-zeta) for P_1), while every higher layer is a Laurent polynomial
 (k = 0).  Sums and zeta d/dzeta stay in this family, so the only reduction
 ever needed is cancelling factors of (1-zeta).  Coefficients are plain
-Fractions; the global 2*pi*i grade lives on the enclosing expansion.
+Fractions; the global 2*pi*i grade lives on the enclosing expansion.  Each
+object converts its Fractions to complex once, on its first evaluation, and
+every later evaluation sums over those values.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ POLE_TOL = 1e-12  # evaluate refuses a zeta where |den| is this small against it
 class LaurentPoly:
     """Laurent polynomial in zeta with Fraction coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs=None):
         if coeffs is None:
             coeffs = {}
         self.coeffs = {e: as_fraction(c) for e, c in coeffs.items() if c != 0}
+        self._floats = None
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
@@ -66,8 +69,14 @@ class LaurentPoly:
         """zeta d/dzeta."""
         return LaurentPoly({e: e * c for e, c in self.coeffs.items()})
 
+    def _float_terms(self) -> tuple:
+        """((e, complex(c)), ...) in ``coeffs`` order, converted on the first call."""
+        if self._floats is None:
+            self._floats = tuple((e, complex(c)) for e, c in self.coeffs.items())
+        return self._floats
+
     def evaluate(self, z: complex) -> complex:
-        return sum((complex(c) * z ** e for e, c in self.coeffs.items()), 0j)
+        return sum((c * z ** e for e, c in self._float_terms()), 0j)
 
     def to_pairs(self):
         return [[e, format_fraction(c)] for e, c in sorted(self.coeffs.items())]
@@ -125,12 +134,13 @@ class ZetaRational:
     The normal form is unique, so equal values have equal (num, k).
     """
 
-    __slots__ = ("num", "k")
+    __slots__ = ("num", "k", "_monic")
 
     def __init__(self, num: LaurentPoly, k: int = 0):
         if k < 0:
             raise ValueError("k must be >= 0")
         self.num, self.k = _normal_form(num, k)
+        self._monic = None
 
     @classmethod
     def const(cls, c) -> "ZetaRational":
@@ -146,8 +156,10 @@ class ZetaRational:
         return _monic_den(self.k)
 
     def _monic_num(self) -> LaurentPoly:
-        """The numerator over the monic denominator: N * (-1)**k."""
-        return -self.num if self.k % 2 else self.num
+        """The numerator over the monic denominator: N * (-1)**k, built once."""
+        if self._monic is None:
+            self._monic = -self.num if self.k % 2 else self.num
+        return self._monic
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -179,7 +191,7 @@ class ZetaRational:
     def evaluate(self, z: complex) -> complex:
         den = self.den
         dv = den.evaluate(z)
-        scale = max(abs(complex(c)) * abs(z) ** e for e, c in den.coeffs.items())
+        scale = max(abs(c) * abs(z) ** e for e, c in den._float_terms())
         if abs(dv) <= POLE_TOL * max(scale, 1.0):
             raise ZeroDivisionError(f"evaluation too close to a pole at zeta={z}")
         return self._monic_num().evaluate(z) / dv

@@ -261,6 +261,14 @@ _LAW_IDS = "expected Ptilde_1 | P_k (k>=2) | G_2k | g_1_j (g^1_j)"
     (["--function", "P_2", "--tol", "nan"], 2, "error: --tol must be finite and > 0, got nan"),
     (["--function", "P_2", "--tol", "inf"], 2, "error: --tol must be finite and > 0, got inf"),
     (["--function", "P_2", "--tol", "0"], 2, "error: --tol must be finite and > 0, got 0"),
+    # a huge tau is refused naming tau: the law's factor overflows, or gamma tau has
+    # so small an imaginary part that the Lambert sums cannot finish there
+    (["--function", "G_12", "--tau", "1e30i"], 3,
+     "unsupported: (c*tau + d)**12 at tau=1e+30j leaves the floating-point range: "
+     "|tau| is too large for it"),
+    (["--function", "P_9", "--tau", "1e30i"], 3,
+     "unsupported: the Lambert sums at tau=9.999999999999999e-31j need more than 4000 terms; "
+     "Im tau is too small for them"),
 ])
 def test_transform_check_exit_table(capsys, argv, code, message):
     if "--gamma" not in argv:

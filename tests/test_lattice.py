@@ -313,3 +313,21 @@ def test_one_walk_per_block_gram_and_order(monkeypatch):
     lt.chi_weight1(e8_cubed, 0, 0.1 + 0.2j, 1.3j, 8)
     assert verify.run_suite("lattice-modular")["status"] == "pass"
     assert walks == [(e8.gram, 8)]
+
+
+def test_one_walk_per_gram_and_order_in_lattice_oracle(monkeypatch):
+    for cached in (lt._grouped_walk, lt._shell_sizes, lt._axis_shell_data,
+                   lt.theta_moment, lt._literal_eigenvalues):
+        cached.cache_clear()
+    walks = []
+    walk = lt._walk
+
+    def counted(gram, max_norm_half, leaf, row=None):
+        walks.append((len(gram), max_norm_half))
+        walk(gram, max_norm_half, leaf, row)
+
+    monkeypatch.setattr(lt, "_walk", counted)
+    assert verify.run_suite("lattice-oracle")["status"] == "pass"
+    # E8: its shells, then the grouped walk at order 4, which the E8^3 cases read at
+    # order 3; A1: the literal Fock labels for every n, then the counted oracle's walk
+    assert walks == [(8, 4), (8, 4), (1, 4), (1, 4)]

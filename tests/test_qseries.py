@@ -1,7 +1,8 @@
+import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torusmodes import combinatorics as cb
 from torusmodes import qseries as qs
@@ -180,3 +181,48 @@ def test_truncation_access_guards():
     assert not g2.truncate(3).coefficient(3) == ScaledRational(99)
     with pytest.raises(ValueError):
         g2.truncate(9)
+
+
+# -- the complex values each expansion keeps for evaluate -----------------------
+
+@st.composite
+def offset_series(draw, offset, tpi):
+    """An expansion with lower < 0, the given offset and grade, and some zero coefficients."""
+    lower = draw(st.integers(-3, -1))
+    truncation = draw(st.integers(lower, 6))
+    values = draw(st.lists(st.integers(-4, 4), min_size=truncation - lower + 1,
+                           max_size=truncation - lower + 1))
+    return qs.QExpansion(offset, lower, [ScaledRational(v, tpi) for v in values], truncation)
+
+
+nomes = st.builds(lambda re, im: cmath.exp(2j * cmath.pi * complex(re, im)),
+                  st.floats(-0.5, 0.5), st.floats(0.2, 1.5))
+
+
+def per_term(x, q):
+    """The sum evaluate makes, with every nonzero coefficient converted afresh."""
+    total = 0j
+    for m in range(x.lower, x.truncation + 1):
+        c = x.coefficient(m)
+        if c:
+            total += complex(c) * q ** m
+    return q ** complex(x.offset) * total
+
+
+def same(a, b):
+    """Bit-for-bit equality of two complex values, signed zeros included."""
+    return repr(a) == repr(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(-24, 24), st.integers(0, 2), nomes, nomes)
+def test_evaluate_keeps_the_per_term_sum(data, offset, tpi, q, r):
+    x = data.draw(offset_series(Fraction(offset, 24), tpi))
+    y = data.draw(offset_series(Fraction(offset, 24), tpi))
+    for point in (q, r, q):  # a second point gets its own value, the first its old one
+        assert same(x.evaluate(q=point), per_term(x, point))
+    # expansions derived after the first evaluate convert their own coefficients
+    derived = [-x, x + y, x * y, x.scalar_mul(ScaledRational(Fraction(2, 3), 1)),
+               x.truncate(x.lower)]
+    for d in derived:
+        assert same(d.evaluate(q=q), per_term(d, q))

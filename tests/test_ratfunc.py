@@ -1,8 +1,10 @@
 """Properties of the ZetaRational normal form N(zeta)/(1-zeta)**k."""
 
 from fractions import Fraction
+from math import comb
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import assume, given, strategies as st
 
 from torusmodes.ratfunc import LaurentPoly, ZetaRational
 
@@ -77,3 +79,58 @@ def test_equal_values_have_equal_pairs(m, k, j, other, k2):
     assert (s - z) == x and (s - z).k == x.k
     assert (x == z) == ((x.num, x.k) == (z.num, z.k))
     assert x != ZetaRational(m, k + 1) or m.is_zero()
+
+
+# -- the complex values each object keeps for evaluate -------------------------
+
+points = st.complex_numbers(min_magnitude=0.2, max_magnitude=3, allow_nan=False,
+                            allow_infinity=False)
+
+
+def per_term(coeffs, z):
+    """The sum evaluate makes, with every coefficient converted afresh."""
+    return sum((complex(c) * z ** e for e, c in coeffs.items()), 0j)
+
+
+def rational_per_term(r, z):
+    """N(-1)**k / (zeta - 1)**k, both sums converted afresh."""
+    sign = (-1) ** r.k
+    den = {e: sign * (-1) ** e * comb(r.k, e) for e in range(r.k + 1)}
+    return per_term({e: sign * c for e, c in r.num.coeffs.items()}, z) / per_term(den, z)
+
+
+def same(a, b):
+    """Bit-for-bit equality of two complex values, signed zeros included."""
+    return repr(a) == repr(b)
+
+
+@given(laurent, laurent, scalars, st.integers(-2, 2), points, points)
+def test_laurent_evaluate_keeps_the_per_term_sum(p, other, c, k, z, w):
+    for x in (z, w, z):  # a second point gets its own value, the first its old one
+        assert same(p.evaluate(x), per_term(p.coeffs, x))
+    # objects derived after the first evaluate convert their own coefficients
+    for derived in (-p, p + other, p * other, p * c, p.shift(k), p.zeta_ddzeta()):
+        assert same(derived.evaluate(z), per_term(derived.coeffs, z))
+
+
+@given(laurent, powers, inputs(), scalars, points, points)
+def test_rational_evaluate_keeps_the_per_term_sum(num, k, b, c, z, w):
+    assume(sum(num.coeffs.values()) != 0)  # keeps k, so both parities occur
+    r = ZetaRational(num, k)
+    assert r.k == k
+    assume(abs(z - 1) > 0.1 and abs(w - 1) > 0.1)
+    for x in (z, w, z):
+        assert same(r.evaluate(x), rational_per_term(r, x))
+    for derived in (-r, r + ZetaRational(*b), r * c, r.zeta_ddzeta()):
+        assert same(derived.evaluate(z), rational_per_term(derived, z))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pole_still_refused_after_a_cached_evaluate(k):
+    r = ZetaRational(LaurentPoly({1: 1}), k)
+    r.evaluate(0.5)
+    for _ in range(2):
+        for zeta in (1, 1 + 1e-14, 1 - 1e-14j):
+            with pytest.raises(ZeroDivisionError):
+                r.evaluate(zeta)
+    assert same(r.evaluate(0.5), rational_per_term(r, 0.5))

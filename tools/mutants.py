@@ -39,6 +39,8 @@ MUTANTS = [
     ("verify.py", "ys, m + 1)", "ys, m)", ("elliptic-numeric",)),
     ("numerics.py", "_lambert_sum(0, two_k, 1.0, tau) / factorial",
      "_lambert_sum(0, two_k, 1.0, tau) / 2 / factorial", ("elliptic-numeric",)),
+    ("ratfunc.py", "self._monic = -self.num if self.k % 2 else self.num",
+     "self._monic = self.num", ("elliptic-numeric",)),
 ]
 
 
