@@ -30,23 +30,22 @@ from .scaled import TWO_PI_I, ScaledRational
 class BivariateExpansion:
     __slots__ = ("tpi", "layers", "truncation")
 
-    def __init__(self, tpi: int, layers, truncation: int):
-        layers = tuple(layers)
-        if len(layers) != truncation + 1:
-            raise ValueError("layer list does not match truncation")
+    def __init__(self, tpi: int, layers):
         self.tpi = tpi
-        self.layers = layers
-        self.truncation = truncation
+        self.layers = tuple(layers)
+        if not self.layers:
+            raise ValueError("truncation must be >= 0")
+        self.truncation = len(self.layers) - 1
 
     @classmethod
     def zero(cls, truncation: int, tpi: int = 0) -> "BivariateExpansion":
-        return cls(tpi, [ZetaRational.const(0) for _ in range(truncation + 1)], truncation)
+        return cls(tpi, [ZetaRational.const(0) for _ in range(truncation + 1)])
 
     def is_zero(self) -> bool:
         return all(l.is_zero() for l in self.layers)
 
     def __neg__(self):
-        return BivariateExpansion(self.tpi, [-l for l in self.layers], self.truncation)
+        return BivariateExpansion(self.tpi, [-l for l in self.layers])
 
     def _check_grade(self, other):
         if self.tpi != other.tpi:
@@ -60,9 +59,7 @@ class BivariateExpansion:
         if other.is_zero():
             return self
         self._check_grade(other)
-        n = min(self.truncation, other.truncation)
-        return BivariateExpansion(self.tpi,
-                                  [self.layers[m] + other.layers[m] for m in range(n + 1)], n)
+        return BivariateExpansion(self.tpi, [a + b for a, b in zip(self.layers, other.layers)])
 
     def __sub__(self, other):
         return self + (-other)
@@ -76,19 +73,16 @@ class BivariateExpansion:
         """Multiply by a ScaledRational, tracking its 2*pi*i grade."""
         if not s:
             return BivariateExpansion.zero(self.truncation)
-        return BivariateExpansion(self.tpi + s.tpi,
-                                  [l * s.value for l in self.layers], self.truncation)
+        return BivariateExpansion(self.tpi + s.tpi, [l * s.value for l in self.layers])
 
     def tau_derivative(self) -> "BivariateExpansion":
         """d/dtau: multiplies layer m by m and raises the grade."""
         return BivariateExpansion(self.tpi + 1,
-                                  [l * Fraction(m) for m, l in enumerate(self.layers)],
-                                  self.truncation)
+                                  [l * Fraction(m) for m, l in enumerate(self.layers)])
 
     def zeta_derivative(self) -> "BivariateExpansion":
         """zeta d/dzeta applied layerwise; grade unchanged."""
-        return BivariateExpansion(self.tpi, [l.zeta_ddzeta() for l in self.layers],
-                                  self.truncation)
+        return BivariateExpansion(self.tpi, [l.zeta_ddzeta() for l in self.layers])
 
     def eval_numeric(self, z: complex, tau: complex):
         """Numeric value and crude tail estimate on 0 < Im z < Im tau.
@@ -148,10 +142,10 @@ def p_expansion(k: int, truncation: int = DEFAULT_ORDER) -> BivariateExpansion:
     if k < 1:
         raise ValueError("k must be >= 1")
     pref = Fraction(1, factorial(k - 1))
-    layers = [_positive_sum_closed_form(k) * pref]
-    for m in range(1, truncation + 1):
-        layers.append(ZetaRational.from_poly(_divisor_layer(k - 1, m) * pref))
-    return BivariateExpansion(k, layers, truncation)
+    return BivariateExpansion(k, [
+        ZetaRational.from_poly(_divisor_layer(k - 1, m) * pref) if m
+        else _positive_sum_closed_form(k) * pref
+        for m in range(truncation + 1)])
 
 
 def p_tilde_1(truncation: int = DEFAULT_ORDER) -> BivariateExpansion:
@@ -159,7 +153,7 @@ def p_tilde_1(truncation: int = DEFAULT_ORDER) -> BivariateExpansion:
     p1 = p_expansion(1, truncation)
     layers = list(p1.layers)
     layers[0] = layers[0] + ZetaRational.const(Fraction(1, 2))
-    return BivariateExpansion(1, layers, truncation)
+    return BivariateExpansion(1, layers)
 
 
 @lru_cache(maxsize=None)
@@ -177,11 +171,10 @@ def g_expansion(i: int, j: int, truncation: int = DEFAULT_ORDER) -> BivariateExp
     if i == 0:
         return p_expansion(j, truncation)
     pref = Fraction(1, factorial(j - 1))
-    layers = [ZetaRational.const(0)]
-    for m in range(1, truncation + 1):
-        layers.append(ZetaRational.from_poly(
-            _divisor_layer(j - i - 1, m) * (pref * Fraction(m) ** i)))
-    return BivariateExpansion(i + j, layers, truncation)
+    return BivariateExpansion(i + j, [
+        ZetaRational.from_poly(_divisor_layer(j - i - 1, m) * (pref * Fraction(m) ** i)) if m
+        else ZetaRational.const(0)
+        for m in range(truncation + 1)])
 
 
 class ZSeries:

@@ -14,7 +14,8 @@ by direct enumeration of the Fock basis (lattice vectors times colored
 oscillator partitions), organized by counting but using no series identity.
 
 Every lattice sum goes through one Fincke-Pohst walk.  It prunes with float
-bounds padded from the exact LDL^T decomposition of the Gram matrix, so no
+bounds padded from the exact LDL^T decomposition of the Gram matrix (made once
+per Gram, and shared with the check that a lattice is positive definite), so no
 vector is missed, and carries the exact integer norm (and optionally an
 integer pairing) down the recursion, so each candidate is confirmed by its
 exact norm at the leaf and shells are complete.  It visits one of each pair
@@ -44,8 +45,13 @@ class LatticeError(ValueError):
     pass
 
 
-def _ldl(gram):
-    """Exact LDL^T of a symmetric positive definite Fraction matrix."""
+@lru_cache(maxsize=None)
+def _ldl(gram: tuple) -> tuple:
+    """Exact LDL^T of a symmetric positive definite integer Gram, once per Gram.
+
+    Returns (L, D) as tuples: the validation of every lattice built and every
+    walk over it share one decomposition.
+    """
     n = len(gram)
     L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     D = []
@@ -57,7 +63,7 @@ def _ldl(gram):
         for j in range(i + 1, n):
             L[j][i] = (Fraction(gram[j][i])
                        - sum(D[k] * L[i][k] * L[j][k] for k in range(i))) / d
-    return L, D
+    return tuple(map(tuple, L)), tuple(D)
 
 
 @dataclass(frozen=True)
@@ -484,8 +490,7 @@ def fock_trace_literal(lat: EvenLattice, axis: int, n: int, truncation: int) -> 
     coeffs = {}
     for m, eig in _literal_eigenvalues(lat, axis, truncation):
         coeffs[m] = coeffs.get(m, Fraction(0)) + eig ** n
-    series = QExpansion.from_dict(coeffs, truncation)
-    return QExpansion(Fraction(-lat.rank, 24), series.lower, series.coeffs, series.truncation)
+    return QExpansion.from_dict(coeffs, truncation, Fraction(-lat.rank, 24))
 
 
 def fock_trace_oracle(lat: EvenLattice, axis: int, n: int, truncation: int) -> QExpansion:
@@ -519,8 +524,7 @@ def fock_trace_oracle(lat: EvenLattice, axis: int, n: int, truncation: int) -> Q
                 if blind[u]:
                     m = nh + v + u
                     coeffs[m] = coeffs.get(m, Fraction(0)) + weight * blind[u]
-    series = QExpansion.from_dict(coeffs, truncation)
-    return QExpansion(Fraction(-ell, 24), series.lower, series.coeffs, series.truncation)
+    return QExpansion.from_dict(coeffs, truncation, Fraction(-ell, 24))
 
 
 # -- numerics ----------------------------------------------------------------

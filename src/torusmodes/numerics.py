@@ -169,6 +169,7 @@ def _sum_over_integers(k: int, w: complex) -> complex:
     return (-1) ** (k - 1) / factorial(k - 1) * cmath.pi ** k * val
 
 
+@lru_cache(maxsize=None)
 def zeta_even_numeric(two_k: int) -> float:
     """sum n**-2k by direct summation with an integral tail correction."""
     s = sum(n ** (-two_k) for n in range(1, ZETA_TERMS))
@@ -255,24 +256,28 @@ def function_value(fn_id: str, z: complex, tau: complex) -> complex:
     return symbol_value(function_symbol(fn_id), z, tau)
 
 
-def poly_value(poly, gamma, z: complex, tau: complex) -> complex:
-    """Numeric value of a coefficient polynomial over positions 2 and 1.
+def poly_value(poly, zs, tau: complex, b: complex = 0) -> complex:
+    """Numeric value of a coefficient polynomial with position a at z = zs[a].
 
-    Position 2 sits at z and position 1 at 0, so every two-point symbol takes
-    the argument z; B = 2*pi*i*c/(c*tau + d) for gamma.
+    A two-point symbol at (hi, lo) takes the argument zs[hi] - zs[lo], z_a
+    takes zs[a], B takes ``b`` and the pi*i marker 1 (its value lives in its
+    coefficient); G_2k takes no z.
     """
-    _, _, c, d = gamma
-    bval = TWO_PI_I * c / (c * tau + d)
     total = 0j
     for mono, coeff in poly.terms.items():
         val = complex(coeff)
         for sym, e in mono:
-            if sym[0] == "B":
-                base = bval
-            elif sym[0] == "z":
-                base = z if sym[1] == 2 else 0.0
+            kind = sym[0]
+            if kind == "B":
+                base = b
+            elif kind == "z":
+                base = zs[sym[1]]
+            elif kind == "pi":
+                base = 1.0
+            elif kind == "G":
+                base = symbol_value(sym, None, tau)
             else:
-                base = symbol_value(sym, z, tau)
+                base = symbol_value(sym, zs[sym[-2]] - zs[sym[-1]], tau)
             val *= base ** e
         total += val
     return total
@@ -297,7 +302,8 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-
     except OverflowError:
         raise UnsupportedError(f"(c*tau + d)**{w} at tau={tau} leaves the floating-point "
                                f"range: |tau| is too large for it") from None
-    rhs = factor * (value(sym, z, tau) + poly_value(delta, gamma, z, tau))
+    b = TWO_PI_I * c / (c * tau + d)
+    rhs = factor * (value(sym, z, tau) + poly_value(delta, {2: z, 1: 0.0}, tau, b))
     gz, gt = apply_gamma(gamma, z, tau)
     lhs = value(sym, gz, gt)
     scale = max(1.0, abs(lhs), abs(rhs))

@@ -1,14 +1,15 @@
 """Exact truncated q-expansions over Q * (2*pi*i)**Z.
 
-A :class:`QExpansion` is a truncated Laurent series
+A :class:`QExpansion` is a truncated Laurent series, its start and its
+coefficients:
 
-    sum_{m=lower}^{truncation} c_m * q**(offset + m)
+    sum_{m=0}^{truncation} c_m * q**(offset + m),   truncation = len(coeffs) - 1,
 
-with a single rational global exponent offset (eta powers are the only
-source of fractional exponents and introduce them uniformly).  Coefficients
-beyond the truncation order are *unknown*, not zero; ring operations
-propagate the reliable order pessimistically.  Coefficients below ``lower``
-are known to vanish.
+with a single rational exponent offset (eta powers are the only source of
+fractional exponents and introduce them uniformly).  Coefficients beyond the
+truncation order are *unknown*, not zero; ring operations propagate the
+reliable order pessimistically.  Coefficients below the offset vanish; a
+leading power q**k folds into the offset.
 
 Named series: Eisenstein series G_{2k} (constants rationalized through
 Bernoulli numbers), Dedekind eta powers, and the geometric factors
@@ -39,39 +40,32 @@ DEFAULT_ORDER = 40
 
 
 class QExpansion:
-    __slots__ = ("offset", "lower", "coeffs", "truncation", "_floats")
+    __slots__ = ("offset", "coeffs", "truncation", "_floats")
 
-    def __init__(self, offset, lower: int, coeffs, truncation: int):
-        offset = as_fraction(offset)
-        coeffs = tuple(ScaledRational.of(c) for c in coeffs)
-        if len(coeffs) != truncation - lower + 1:
-            raise ValueError("coefficient list does not match [lower, truncation]")
-        self.offset = offset
-        self.lower = lower
-        self.coeffs = coeffs
-        self.truncation = truncation
+    def __init__(self, offset, coeffs):
+        self.offset = as_fraction(offset)
+        self.coeffs = tuple(ScaledRational.of(c) for c in coeffs)
+        if not self.coeffs:
+            raise ValueError("truncation must be >= 0")
+        self.truncation = len(self.coeffs) - 1
         self._floats = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, truncation: int = DEFAULT_ORDER, offset=0) -> "QExpansion":
-        return cls(offset, 0, [ScaledRational()] * (truncation + 1), truncation)
+        return cls(offset, [ScaledRational()] * (truncation + 1))
 
     @classmethod
     def one(cls, truncation: int = DEFAULT_ORDER) -> "QExpansion":
-        c = [ScaledRational(1)] + [ScaledRational()] * truncation
-        return cls(0, 0, c, truncation)
+        return cls.from_dict({0: 1}, truncation)
 
     @classmethod
     def from_dict(cls, d, truncation: int, offset=0) -> "QExpansion":
-        """d maps integer m -> coefficient, for exponents offset + m."""
-        if d:
-            lower = min(min(d), 0)
-        else:
-            lower = 0
-        coeffs = [ScaledRational.of(d.get(m, 0)) for m in range(lower, truncation + 1)]
-        return cls(offset, lower, coeffs, truncation)
+        """d maps integer m >= 0 -> coefficient, for exponents offset + m."""
+        if d and min(d) < 0:
+            raise ValueError(f"key {min(d)} is negative: a series starts at its offset")
+        return cls(offset, [d.get(m, 0) for m in range(truncation + 1)])
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -79,41 +73,32 @@ class QExpansion:
         """Coefficient of q**(offset + m); m must not exceed the truncation."""
         if m > self.truncation:
             raise IndexError(f"coefficient q^(offset+{m}) beyond truncation {self.truncation}")
-        if m < self.lower:
-            return ScaledRational()
-        return self.coeffs[m - self.lower]
+        return self.coeffs[m] if m >= 0 else ScaledRational()
 
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
 
     def truncate(self, truncation: int) -> "QExpansion":
-        if truncation > self.truncation:
-            raise ValueError("cannot extend a truncated expansion")
-        lower = min(self.lower, truncation)
-        return QExpansion(self.offset, lower,
-                          [self.coefficient(m) for m in range(lower, truncation + 1)],
-                          truncation)
-
-    def _aligned(self, other: "QExpansion") -> int:
-        d = other.offset - self.offset
-        if d.denominator != 1:
-            raise OffsetError(f"offsets {self.offset} and {other.offset} differ by a non-integer")
-        return int(d)
+        if not 0 <= truncation <= self.truncation:
+            raise ValueError(f"truncation {truncation} is outside 0..{self.truncation}")
+        return QExpansion(self.offset, self.coeffs[:truncation + 1])
 
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self):
-        return QExpansion(self.offset, self.lower, [-c for c in self.coeffs], self.truncation)
+        return QExpansion(self.offset, [-c for c in self.coeffs])
 
     def __add__(self, other):
         if not isinstance(other, QExpansion):
             return NotImplemented
-        d = self._aligned(other)
-        lower = min(self.lower, other.lower + d)
-        trunc = min(self.truncation, other.truncation + d)
-        coeffs = [self.coefficient(m) + other.coefficient(m - d)
-                  for m in range(lower, trunc + 1)]
-        return QExpansion(self.offset, lower, coeffs, trunc)
+        offset = min(self.offset, other.offset)
+        a, b = self.offset - offset, other.offset - offset
+        if a.denominator != 1 or b.denominator != 1:
+            raise OffsetError(f"offsets {self.offset} and {other.offset} differ by a non-integer")
+        a, b = int(a), int(b)
+        trunc = min(self.truncation + a, other.truncation + b)
+        return QExpansion(offset, [self.coefficient(m - a) + other.coefficient(m - b)
+                                   for m in range(trunc + 1)])
 
     def __sub__(self, other):
         return self + (-other)
@@ -123,25 +108,20 @@ class QExpansion:
             return self.scalar_mul(other)
         if not isinstance(other, QExpansion):
             return NotImplemented
-        lower = self.lower + other.lower
-        trunc = min(self.truncation + other.lower, other.truncation + self.lower)
-        out = [ScaledRational() for _ in range(trunc - lower + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            mi = self.lower + i
-            jmax = min(other.truncation, trunc - mi)
-            for mj in range(other.lower, jmax + 1):
-                b = other.coeffs[mj - other.lower]
-                if b:
-                    out[mi + mj - lower] = out[mi + mj - lower] + a * b
-        return QExpansion(self.offset + other.offset, lower, out, trunc)
+        trunc = min(self.truncation, other.truncation)
+        out = [ScaledRational() for _ in range(trunc + 1)]
+        for i, a in enumerate(self.coeffs[:trunc + 1]):
+            if a:
+                for j, b in enumerate(other.coeffs[:trunc + 1 - i]):
+                    if b:
+                        out[i + j] = out[i + j] + a * b
+        return QExpansion(self.offset + other.offset, out)
 
     __rmul__ = __mul__
 
     def scalar_mul(self, s) -> "QExpansion":
         s = ScaledRational.of(s)
-        return QExpansion(self.offset, self.lower, [c * s for c in self.coeffs], self.truncation)
+        return QExpansion(self.offset, [c * s for c in self.coeffs])
 
     def power(self, k: int) -> "QExpansion":
         if k < 0:
@@ -154,39 +134,35 @@ class QExpansion:
             k >>= 1
             if k:
                 base = base * base
-        if result is None:
-            return QExpansion.one(self.truncation - self.lower).scalar_mul(1)
-        return result
+        return QExpansion.one(self.truncation) if result is None else result
 
     def invert_unit(self) -> "QExpansion":
-        """Inverse of a series with nonzero leading coefficient."""
-        low = next((m for m in range(self.lower, self.truncation + 1) if self.coefficient(m)), None)
+        """Inverse of q**(offset+low) u with u(0) != 0: q**-(offset+low) u**-1."""
+        low = next((m for m, c in enumerate(self.coeffs) if c), None)
         if low is None:
             raise NonUnitError("cannot invert the zero series")
-        b0 = self.coefficient(low).inverse()
-        n = self.truncation - low  # number of reliable unit-part coefficients beyond leading
-        u = [self.coefficient(low + j) for j in range(n + 1)]
+        u = self.coeffs[low:]
+        b0 = u[0].inverse()
         inv = [b0]
-        for m in range(1, n + 1):
+        for m in range(1, len(u)):
             acc = ScaledRational()
             for j in range(1, m + 1):
                 if u[j]:
                     acc = acc + u[j] * inv[m - j]
             inv.append(acc * (-b0))
-        return QExpansion(-self.offset, -low, inv, -low + n)
+        return QExpansion(-self.offset - low, inv)
 
     # -- derivatives -------------------------------------------------------
 
     def q_derivative(self) -> "QExpansion":
         """q d/dq: multiplies the coefficient of q**(offset+m) by offset+m."""
-        coeffs = [c.scale(self.offset + m)
-                  for m, c in zip(range(self.lower, self.truncation + 1), self.coeffs)]
-        return QExpansion(self.offset, self.lower, coeffs, self.truncation)
+        return QExpansion(self.offset, [c.scale(self.offset + m)
+                                        for m, c in enumerate(self.coeffs)])
 
     def tau_derivative(self) -> "QExpansion":
         """d/dtau = 2*pi*i * q d/dq; raises the 2*pi*i grade by one."""
         d = self.q_derivative()
-        return QExpansion(d.offset, d.lower, [c.shift(1) for c in d.coeffs], d.truncation)
+        return QExpansion(d.offset, [c.shift(1) for c in d.coeffs])
 
     # -- comparisons -------------------------------------------------------
 
@@ -213,8 +189,7 @@ class QExpansion:
             raise ValueError("divergent evaluation: |q| >= 1")
         qo = q ** complex(self.offset)
         if self._floats is None:
-            self._floats = tuple((m, complex(c)) for m, c in
-                                 enumerate(self.coeffs, self.lower) if c)
+            self._floats = tuple((m, complex(c)) for m, c in enumerate(self.coeffs) if c)
         total = 0j
         for m, c in self._floats:
             total += c * q ** m
@@ -228,31 +203,23 @@ class QExpansion:
         aq = abs(q)
         if aq >= 1:
             return float("inf")
-        recent = [abs(complex(self.coefficient(m)))
-                  for m in range(max(self.lower, self.truncation - 4), self.truncation + 1)]
-        scale = max(recent) if recent else 1.0
-        return max(scale, 1.0) * aq ** (self.truncation + 1 - self.lower + max(self.lower, 0)) / (1 - aq)
+        scale = max(abs(complex(c)) for c in self.coeffs[-5:])
+        return max(scale, 1.0) * aq ** (self.truncation + 1) / (1 - aq)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "offset": format_fraction(self.offset),
-            "lower": self.lower,
+            "lower": 0,
             "truncation": self.truncation,
             "coeffs": [c.to_pairs() for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json(cls, data) -> "QExpansion":
-        return cls(Fraction(data["offset"]), data["lower"],
-                   [ScaledRational.from_pairs(p) for p in data["coeffs"]], data["truncation"])
-
     def __repr__(self):
         parts = []
         shown = 0
-        for m in range(self.lower, self.truncation + 1):
-            c = self.coefficient(m)
+        for m, c in enumerate(self.coeffs):
             if c:
                 e = self.offset + m
                 parts.append(f"({c!r})*q^{format_fraction(e)}" if e else f"({c!r})")
@@ -302,11 +269,9 @@ def eisenstein(two_k: int, truncation: int = DEFAULT_ORDER) -> QExpansion:
     if two_k < 2 or two_k % 2:
         raise ValueError("weight must be a positive even integer")
     const = -bernoulli(two_k) / factorial(two_k)
-    coeffs = [ScaledRational(const, two_k)]
     pref = Fraction(2, factorial(two_k - 1))
-    for n in range(1, truncation + 1):
-        coeffs.append(ScaledRational(pref * sigma(two_k - 1, n), two_k))
-    return QExpansion(0, 0, coeffs, truncation)
+    return QExpansion(0, [ScaledRational(pref * sigma(two_k - 1, n) if n else const, two_k)
+                          for n in range(truncation + 1)])
 
 
 def euler_product(truncation: int) -> QExpansion:
@@ -320,9 +285,7 @@ def euler_product(truncation: int) -> QExpansion:
 @lru_cache(maxsize=None)
 def eta_power(ell: int, truncation: int = DEFAULT_ORDER) -> QExpansion:
     """eta(q)**ell = q**(ell/24) prod (1-q**n)**ell, offset ell/24."""
-    base = euler_product(truncation)
-    series = base.power(ell) if ell >= 0 else base.invert_unit().power(-ell)
-    return QExpansion(Fraction(ell, 24), series.lower, series.coeffs, series.truncation)
+    return QExpansion(Fraction(ell, 24), euler_product(truncation).power(ell).coeffs)
 
 
 def geometric_inverse_factor(k: int, truncation: int = DEFAULT_ORDER) -> QExpansion:

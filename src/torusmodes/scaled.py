@@ -133,16 +133,6 @@ class ScaledRational:
         """[] for zero, else [[grade, "p/q"]], for JSON output."""
         return [[self.tpi, format_fraction(self.value)]] if self else []
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "ScaledRational":
-        """Inverse of :meth:`to_pairs`; more than one pair is a mixed-grade sum."""
-        if len(pairs) > 1:
-            raise ValueError(f"expected at most one (grade, value) pair, got {len(pairs)}")
-        if not pairs:
-            return cls()
-        ((e, s),) = pairs
-        return cls(Fraction(s), int(e))
-
     def __repr__(self):
         if self.tpi == 0:
             return format_fraction(self.value)

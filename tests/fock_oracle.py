@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 
+from torusmodes import numerics as nm
+
 TPI = 2j * cmath.pi
 
 
@@ -140,37 +142,10 @@ class HeisenbergOracle:
         return self.corr(len(sym.modes), ins, q)
 
 
-def eval_coeff_poly(poly, zmap, tau):
-    """Numeric value of a CoeffPoly; position arguments looked up in zmap."""
-    from torusmodes import numerics as nm
-
-    total = 0j
-    for mono, c in poly.terms.items():
-        val = complex(c)
-        for sym, e in mono:
-            kind = sym[0]
-            if kind == "P":
-                base = nm.p_value(sym[1], zmap[sym[2]] - zmap[sym[3]], tau)
-            elif kind == "Pt":
-                base = nm.p_value(1, zmap[sym[1]] - zmap[sym[2]], tau) + 1j * cmath.pi
-            elif kind == "g":
-                base = nm.g_value(sym[1], sym[2], zmap[sym[3]] - zmap[sym[4]], tau)
-            elif kind == "G":
-                base = nm.eisenstein_value(sym[1], tau)
-            elif kind == "z":
-                base = zmap[sym[1]]
-            elif kind == "pi":
-                base = 1.0  # marker symbol; its pi*i value lives in the coefficient
-            else:
-                raise ValueError(f"cannot evaluate symbol {sym}")
-            val *= base ** e
-        total += val
-    return total
-
-
 def eval_expression(oracle, expr, zmap, tau):
+    """An engine expression's value: each coefficient by numerics.poly_value at zmap."""
     q = cmath.exp(TPI * tau)
     total = 0j
     for sym, poly in expr.terms.items():
-        total += eval_coeff_poly(poly, zmap, tau) * oracle.corr_symbol(sym, zmap, q)
+        total += nm.poly_value(poly, zmap, tau) * oracle.corr_symbol(sym, zmap, q)
     return total

@@ -331,3 +331,23 @@ def test_one_walk_per_gram_and_order_in_lattice_oracle(monkeypatch):
     # E8: its shells, then the grouped walk at order 4, which the E8^3 cases read at
     # order 3; A1: the literal Fock labels for every n, then the counted oracle's walk
     assert walks == [(8, 4), (8, 4), (1, 4), (1, 4)]
+
+
+@pytest.mark.parametrize("suite, lattices", [("lattice-modular", ("e8", "e8x3")),
+                                             ("lattice-oracle", ("e8", "e8x3", "a1"))])
+def test_one_decomposition_per_gram(monkeypatch, suite, lattices):
+    for cached in (lt._ldl, lt._grouped_walk, lt._shell_sizes, lt._axis_shell_data,
+                   lt.theta_moment, lt.eta_derivative_factor, lt._literal_eigenvalues):
+        cached.cache_clear()
+    grams = []
+    ldl = lt._ldl
+
+    def recorded(gram):
+        grams.append(gram)
+        return ldl(gram)
+
+    monkeypatch.setattr(lt, "_ldl", recorded)
+    assert verify.run_suite(suite)["status"] == "pass"
+    # every lattice built and every walk asks for its Gram's LDL^T; each Gram is decomposed once
+    assert set(grams) == {lt.PRESETS[name]().gram for name in lattices}
+    assert ldl.cache_info().misses == len(lattices) < len(grams)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from torusmodes import elliptic as el
@@ -74,7 +76,8 @@ def test_corrected_delta_g_laws_numeric():
         for j in (2, 3, 4, 5):
             lhs = (c * tau + d) ** (-(1 + j)) * nm.g_value(1, j, gz, gt) \
                 - nm.g_value(1, j, z, tau)
-            rhs = nm.poly_value(delta_of_symbol(function_symbol(f"g_1_{j}")), gamma, z, tau)
+            rhs = nm.poly_value(delta_of_symbol(function_symbol(f"g_1_{j}")), {2: z, 1: 0.0},
+                                tau, TWO_PI_I * c / (c * tau + d))
             assert abs(lhs - rhs) < 1e-10, (gamma, j)
 
 
@@ -105,3 +108,12 @@ def test_eisenstein_lambert_sum():
             assert abs(lambert - lattice) < 1e-8 * max(1.0, abs(lattice)), (tau, two_k)
     g2 = nm.function_value("G_2", 0j, 1.3j)
     assert abs(g2 - nm.eisenstein_value(2, 1.3j, truncation=120)) < 1e-12
+
+
+def test_zeta_sum_once_per_argument():
+    nm.zeta_even_numeric.cache_clear()
+    for two_k in (2, 4, 2, 2):
+        assert nm.zeta_even_numeric(two_k) == pytest.approx(
+            {2: math.pi ** 2 / 6, 4: math.pi ** 4 / 90}[two_k], rel=1e-10)
+    info = nm.zeta_even_numeric.cache_info()
+    assert (info.misses, info.hits) == (2, 2)

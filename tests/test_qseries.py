@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from torusmodes import combinatorics as cb
+from torusmodes import elliptic as el
+from torusmodes import lattice as lt
 from torusmodes import qseries as qs
 from torusmodes.scaled import ScaledRational
 
@@ -161,12 +163,11 @@ def test_ring_laws(a, b, c):
     assert (a * b - b * a).is_zero()
 
 
-def test_json_round_trip():
-    g2 = qs.eisenstein(2, 5)
-    data = g2.to_json()
-    back = qs.QExpansion.from_json(data)
-    assert (g2 - back).is_zero()
-    assert data["offset"] == "0"
+def test_to_json_format():
+    data = qs.eisenstein(2, 2).to_json()
+    assert data == {"offset": "0", "lower": 0, "truncation": 2,
+                    "coeffs": [[[2, "-1/12"]], [[2, "2"]], [[2, "6"]]]}
+    assert qs.eta_power(-1, 1).to_json()["offset"] == "-1/24"
 
 
 def test_numeric_evaluation_guard():
@@ -181,18 +182,20 @@ def test_truncation_access_guards():
     assert not g2.truncate(3).coefficient(3) == ScaledRational(99)
     with pytest.raises(ValueError):
         g2.truncate(9)
+    with pytest.raises(ValueError):
+        g2.truncate(-1)
+    assert g2.coefficient(-3) == 0  # below the offset every coefficient vanishes
 
 
 # -- the complex values each expansion keeps for evaluate -----------------------
 
 @st.composite
 def offset_series(draw, offset, tpi):
-    """An expansion with lower < 0, the given offset and grade, and some zero coefficients."""
-    lower = draw(st.integers(-3, -1))
-    truncation = draw(st.integers(lower, 6))
-    values = draw(st.lists(st.integers(-4, 4), min_size=truncation - lower + 1,
-                           max_size=truncation - lower + 1))
-    return qs.QExpansion(offset, lower, [ScaledRational(v, tpi) for v in values], truncation)
+    """An expansion at the offset moved down by 0-3, of the given grade, with some zero
+    coefficients."""
+    values = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8))
+    return qs.QExpansion(offset - draw(st.integers(0, 3)),
+                         [ScaledRational(v, tpi) for v in values])
 
 
 nomes = st.builds(lambda re, im: cmath.exp(2j * cmath.pi * complex(re, im)),
@@ -202,7 +205,7 @@ nomes = st.builds(lambda re, im: cmath.exp(2j * cmath.pi * complex(re, im)),
 def per_term(x, q):
     """The sum evaluate makes, with every nonzero coefficient converted afresh."""
     total = 0j
-    for m in range(x.lower, x.truncation + 1):
+    for m in range(x.truncation + 1):
         c = x.coefficient(m)
         if c:
             total += complex(c) * q ** m
@@ -223,6 +226,79 @@ def test_evaluate_keeps_the_per_term_sum(data, offset, tpi, q, r):
         assert same(x.evaluate(q=point), per_term(x, point))
     # expansions derived after the first evaluate convert their own coefficients
     derived = [-x, x + y, x * y, x.scalar_mul(ScaledRational(Fraction(2, 3), 1)),
-               x.truncate(x.lower)]
+               x.truncate(0)]
     for d in derived:
         assert same(d.evaluate(q=q), per_term(d, q))
+
+
+# -- a series is its offset and its coefficients --------------------------------
+
+def test_from_dict_refuses_a_negative_key():
+    with pytest.raises(ValueError, match="negative"):
+        qs.QExpansion.from_dict({-1: 1, 0: 2}, 4)
+    # the start goes into the offset instead
+    assert qs.QExpansion.from_dict({0: 1, 1: 2}, 4, offset=-1).coefficient(0) == 1
+
+
+@pytest.mark.parametrize("k, offset", [(0, 0), (2, 0), (3, Fraction(1, 24))])
+def test_invert_unit_folds_the_leading_power(k, offset):
+    # x = q**(offset + k) (1 - q), so 1/x = q**-(offset + k) sum_n q**n
+    x = qs.QExpansion.from_dict({k: 1, k + 1: -1}, 10, offset)
+    inv = x.invert_unit()
+    assert inv.offset == -offset - k and inv.truncation == 10 - k
+    assert all(c == 1 for c in inv.coeffs)
+    assert x * inv == qs.QExpansion.one(10 - k)
+
+
+def test_sum_across_offsets():
+    # offsets 1/24 and 1/24 - 2, both reliable up to q**(1/24 + 6)
+    x = qs.QExpansion(Fraction(1, 24), [1, 0, 3, -1, 2, 5, 1])
+    y = qs.QExpansion(Fraction(1, 24) - 2, [2, -1, 0, 4, 1, 1, 0, 2, 3])
+    for s in (x + y, y + x):
+        assert s.offset == y.offset and s.truncation == 8
+        assert s == x + y
+        for tau in (1.1j, 0.3 + 0.7j):
+            assert s.evaluate(tau=tau) == pytest.approx(x.evaluate(tau=tau) + y.evaluate(tau=tau),
+                                                        rel=1e-12)
+    assert (x - x).is_zero() and (x - y) + y == x.truncate(6)
+
+
+def _builders():
+    a1, e8 = lt.a1(), lt.e8()
+    return {
+        "zero": lambda n: qs.QExpansion.zero(n), "one": lambda n: qs.QExpansion.one(n),
+        "from_dict": lambda n: qs.QExpansion.from_dict({1: 2}, n, Fraction(1, 3)),
+        "eisenstein": lambda n: qs.eisenstein(4, n), "eta_power": lambda n: qs.eta_power(-3, n),
+        "euler_product": qs.euler_product,
+        "geometric_inverse_factor": lambda n: qs.geometric_inverse_factor(-2, n),
+        "w_factor": lambda n: qs.w_factor(-2, n),
+        "power_0": lambda n: qs.eisenstein(4, n).power(0),
+        "q_derivative": lambda n: qs.eta_power(2, n).q_derivative(),
+        "theta_series": lambda n: lt.theta_series(e8, n),
+        "theta_moment": lambda n: lt.theta_moment(e8, 0, 2, n),
+        "quasimod_rhs": lambda n: lt.quasimod_rhs(a1, 0, 2, n),
+        "fock_trace_literal": lambda n: lt.fock_trace_literal(a1, 0, 2, n),
+        "fock_trace_oracle": lambda n: lt.fock_trace_oracle(a1, 0, 2, n),
+        "p_expansion": lambda n: el.p_expansion(3, n), "p_tilde_1": el.p_tilde_1,
+        "g_expansion": lambda n: el.g_expansion(1, 3, n),
+        "bivariate_zero": lambda n: el.BivariateExpansion.zero(n, 2),
+        "bivariate_sum": lambda n: el.p_expansion(2, n) + el.p_expansion(2, n + 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_builders()))
+def test_truncation_is_the_last_index(name):
+    for n in (0, 1, 4):
+        x = _builders()[name](n)
+        items = x.coeffs if isinstance(x, qs.QExpansion) else x.layers
+        assert x.truncation == len(items) - 1 == n, (name, n)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qs.eisenstein(2, -1), lambda: qs.eta_power(1, -1), lambda: qs.eta_power(-2, -1),
+    lambda: el.p_expansion(2, -1), lambda: el.g_expansion(1, 3, -1), lambda: el.p_tilde_1(-1),
+], ids=["eisenstein", "eta_power", "eta_power_negative", "p_expansion", "g_expansion",
+        "p_tilde_1"])
+def test_negative_truncation_is_refused(build):
+    with pytest.raises(ValueError):
+        build()

@@ -41,6 +41,8 @@ MUTANTS = [
      "_lambert_sum(0, two_k, 1.0, tau) / 2 / factorial", ("elliptic-numeric",)),
     ("ratfunc.py", "self._monic = -self.num if self.k % 2 else self.num",
      "self._monic = self.num", ("elliptic-numeric",)),
+    ("qseries.py", "other.coeffs[:trunc + 1 - i]", "other.coeffs[:trunc - i]",
+     ("qseries-identities", "lattice-oracle", "lattice-modular")),
 ]
 
 
