@@ -15,6 +15,7 @@ import cmath
 import json
 import math
 import sys
+from functools import cache
 
 from . import elliptic as el
 from . import hha
@@ -131,6 +132,9 @@ def cmd_expand(args) -> int:
     elif name == "g":
         series = el.g_expansion(idx[0], idx[1], order)
     else:
+        if idx[0] >= 1 and args.z_order < -idx[0]:
+            raise UsageError(f"--z-order {args.z_order} is below -{idx[0]}, the leading z "
+                             f"order of {args.function}")
         series = el.wp_laurent(idx[0], args.z_order, order)
     _emit(series.to_json())
     return 0
@@ -230,7 +234,14 @@ def cmd_transform_check(args) -> int:
     return 0 if report["status"] == "pass" else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call.
+
+    Reuse is safe: ``parse_args`` leaves the parser unchanged and returns a
+    fresh namespace, and argparse looks up ``sys.stdout`` and ``sys.stderr``
+    only when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="torusmodes",
         description="Exact q-expansions, quasi-Jacobi special functions, and "

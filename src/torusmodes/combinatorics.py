@@ -48,23 +48,30 @@ def stirling_second(n: int, k: int) -> int:
     return k * stirling_second(n - 1, k) + stirling_second(n - 1, k - 1)
 
 
-@lru_cache(maxsize=None)
 def eulerian(n: int, k: int) -> int:
     """Eulerian number A(n, k): permutations of (1..n) with k descents."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 0 or k > n - 1:
         return 0
-    if n == 1:
-        return 1 if k == 0 else 0
-    return (k + 1) * eulerian(n - 1, k) + (n - k) * eulerian(n - 1, k - 1)
+    return _eulerian_row(n)[k]
+
+
+@lru_cache(maxsize=None)
+def _eulerian_row(n: int) -> tuple[int, ...]:
+    """(A(n,0), ..., A(n,n-1)), each row built from the previous one; A_0 = (1,)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    row = (1,)
+    for m in range(1, n + 1):
+        p = (0, *row, 0)  # p[k + 1] = A(m-1, k), zero off the row
+        row = tuple((k + 1) * p[k + 1] + (m - k) * p[k] for k in range(m))
+    return row
 
 
 def eulerian_polynomial(n: int) -> list[int]:
     """Coefficient list [A(n,0), ..., A(n,n-1)]; A_0 = [1]."""
-    if n == 0:
-        return [1]
-    return [eulerian(n, k) for k in range(n)]
+    return list(_eulerian_row(n))
 
 
 def _check_distinct(u):

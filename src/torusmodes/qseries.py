@@ -275,11 +275,16 @@ def eisenstein(two_k: int, truncation: int = DEFAULT_ORDER) -> QExpansion:
 
 
 def euler_product(truncation: int) -> QExpansion:
-    """prod_{n>=1} (1 - q**n) to the given order."""
-    result = QExpansion.one(truncation)
+    """prod_{n>=1} (1 - q**n) to the given order.
+
+    Multiplies by each factor in place, the higher coefficients first so that
+    c[m - n] is still the coefficient before this factor: O(truncation**2).
+    """
+    c = [int(m == 0) for m in range(truncation + 1)]
     for n in range(1, truncation + 1):
-        result = result * QExpansion.from_dict({0: 1, n: -1}, truncation)
-    return result
+        for m in range(truncation, n - 1, -1):
+            c[m] -= c[m - n]
+    return QExpansion(0, c)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -46,6 +47,10 @@ def test_expand_eta_and_wp(capsys):
     code, out, _ = run(capsys, "expand", "--function", "wp_2", "--order", "4")
     assert code == 0
     assert "z_coeffs" in json.loads(out)
+    # --z-order -k, the leading z order of wp_k, is the lowest accepted
+    code, out, _ = run(capsys, "expand", "--function", "wp_2", "--order", "0", "--z-order", "-2")
+    assert code == 0
+    assert list(json.loads(out)["z_coeffs"]) == ["-2"]
 
 
 def test_anomaly_weight2(capsys):
@@ -180,11 +185,22 @@ def test_lattice_trace_negative_inputs(capsys):
      "error: --function 'eta_x' is not of the form eta_l with integer indices"),
     (["--function", "P_"], "error: --function 'P_' is not of the form P_k with integer indices"),
     (["--function", "P_2", "--order", "-1"], "error: --order must be >= 0"),
+    (["--function", "wp_2", "--order", "0", "--z-order", "-3"],
+     "error: --z-order -3 is below -2, the leading z order of wp_2"),
+    (["--function", "wp_1", "--z-order", "-5"],
+     "error: --z-order -5 is below -1, the leading z order of wp_1"),
 ])
 def test_expand_malformed_input(capsys, argv, message):
     code, out, err = run(capsys, "expand", *argv)
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+def test_expand_high_p_k(capsys):
+    # P_500 needs the Eulerian row n = 499, built without recursion
+    code, out, err = run(capsys, "expand", "--function", "P_500", "--order", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["tpi"] == 500
 
 
 def test_anomaly_beyond_tabulated_depth_is_unsupported(capsys):
@@ -421,3 +437,47 @@ def test_transform_check_lambert_laws_pass(capsys, argv):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["status"] == "pass" and report["tolerance"] == 1e-10
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    # one parser tree serves every call: a parser and one subparser per command
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    run(capsys, "expand", "--function", "G_4", "--order", "2")
+    tree = len(built)
+    assert tree == 7
+    for _ in range(4):
+        run(capsys, "expand", "--function", "G_4", "--order", "2")
+        run(capsys, "nosuch")
+    assert len(built) == tree
+
+
+_VALID = [
+    ["expand", "--function", "G_4", "--order", "3"],
+    ["expand", "--function", "wp_2", "--order", "2", "--z-order", "2"],
+    ["expand", "--function", "wp_2", "--order", "2"],
+    ["lattice-trace", "--lattice", "a1", "--n", "1", "--order", "2", "--oracle"],
+    ["anomaly", "--spec", "weight1", "--correlator", "a0^2"],
+    ["transform-check", "--function", "P_2", "--gamma", "0,-1,1,0", "--tol", "1e-30"],
+]
+
+
+@pytest.mark.parametrize("failing, code", [
+    pytest.param(["expand", "--order", "3"], 2, id="usage-error"),
+    pytest.param(["nosuch"], 2, id="unknown-subcommand"),
+    pytest.param(["--help"], 0, id="help"),
+    pytest.param(["expand", "--help"], 0, id="subcommand-help"),
+    pytest.param(["expand", "--function", "nosuch"], 2, id="UsageError"),
+])
+def test_parser_reuse_after_failing_queries(capsys, failing, code):
+    # a failed parse or a refused query leaves nothing behind for the next call
+    before = [run(capsys, *argv)[:2] for argv in _VALID]
+    assert run(capsys, *failing)[0] == code
+    assert [run(capsys, *argv)[:2] for argv in _VALID] == before

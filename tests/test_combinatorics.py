@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -68,6 +69,12 @@ def test_eulerian_examples_and_enumeration():
             seen[d] = seen.get(d, 0) + 1
         for k in range(n):
             assert cb.eulerian(n, k) == seen.get(k, 0)
+
+
+def test_eulerian_row_is_built_without_deep_recursion():
+    # row n counts all n! permutations; a recursion n levels deep fails at n = 600
+    assert sum(cb.eulerian_polynomial(600)) == math.factorial(600)
+    assert cb.eulerian_polynomial(0) == [1] and cb.eulerian_polynomial(1) == [1]
 
 
 def test_descents_and_runs():

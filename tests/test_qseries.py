@@ -302,3 +302,12 @@ def test_truncation_is_the_last_index(name):
 def test_negative_truncation_is_refused(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_euler_product_matches_the_product_of_its_factors():
+    # the in-place product against the plain product of the factors (1 - q^n)
+    for order in range(31):
+        want = qs.QExpansion.one(order)
+        for n in range(1, order + 1):
+            want = want * qs.QExpansion.from_dict({0: 1, n: -1}, order)
+        assert qs.euler_product(order) == want, order

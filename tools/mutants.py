@@ -43,6 +43,8 @@ MUTANTS = [
      "self._monic = self.num", ("elliptic-numeric",)),
     ("qseries.py", "other.coeffs[:trunc + 1 - i]", "other.coeffs[:trunc - i]",
      ("qseries-identities", "lattice-oracle", "lattice-modular")),
+    ("qseries.py", "for m in range(truncation, n - 1, -1):", "for m in range(n, truncation + 1):",
+     ("lattice-oracle", "lattice-modular")),
 ]
 
 
