@@ -340,7 +340,7 @@ def gram_schmidt_axis(lat: EvenLattice, axis: int):
     return block, gs[pos], norms[pos]
 
 
-def axis_pairing_sq(lat: EvenLattice, axis: int, block, gvec, gnorm, x) -> Fraction:
+def axis_pairing_sq(lat: EvenLattice, block, gvec, gnorm, x) -> Fraction:
     """<f_axis, x>^2 for integer block coordinates x, exactly rational."""
     sub_gram = [[lat.gram[i][j] for j in block] for i in block]
     k = len(block)
@@ -475,7 +475,7 @@ def _literal_eigenvalues(lat: EvenLattice, axis: int, truncation: int) -> tuple:
     out = []
     for label in fock_labels(lat, truncation):
         alpha_block = tuple(label.alpha[i] for i in block)
-        t2 = axis_pairing_sq(lat, axis, block, gvec, gnorm, alpha_block)
+        t2 = axis_pairing_sq(lat, block, gvec, gnorm, alpha_block)
         out.append((int(label.level(lat)),
                     t2 + 2 * sum(label.partitions[axis]) - Fraction(1, 12)))
     return tuple(out)

@@ -21,6 +21,7 @@ hash and print alike, so the choice never shows in results.
 from __future__ import annotations
 
 import cmath
+from decimal import Decimal
 from fractions import Fraction
 
 TWO_PI_I = 2j * cmath.pi
@@ -34,8 +35,17 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _digits(n: int) -> str:
+    """str(n), also past Python's int-to-str digit limit (Decimal has none)."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def format_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    num = _digits(x.numerator)
+    return f"{num}/{_digits(x.denominator)}" if x.denominator != 1 else num
 
 
 class ScaledRational:

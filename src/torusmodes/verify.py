@@ -1,12 +1,14 @@
 """Named verification suites producing deterministic JSON reports.
 
-Each suite appends a fixed list of cases (exact identities or numeric residual
-checks with recorded tolerances) to the list it is given, and declares as
-keyword parameters, with their defaults, only the flags it reads.
-``run_suite`` owns the rest: it binds the given flags to that signature
-(refusing a flag the suite does not read), records the bound values as the
-report's ``parameters``, guards the suite call so that an exception becomes a
-final ``error`` case of a report that is still returned, and assembles the
+Each suite is a generator of ``(case_id, check)`` pairs, in report order, and
+declares as keyword parameters, with their defaults, only the flags it reads.
+A check returns ``ok`` or ``(ok, detail)``; work two checks share is done once,
+in the suite's set-up or in a cached helper.  ``run_suite`` owns the rest: it
+binds the given flags to that signature (refusing a flag the suite does not
+read), records the bound values as the report's ``parameters``, calls each
+check as soon as it is yielded, under its own guard, so that a check that
+raises fails alone with an ``error`` detail, turns a raise in the set-up into
+a final ``error`` case of a report that is still returned, and assembles the
 status and toolchain.  Identical inputs give byte-identical reports.  The CLI
 front end serializes these; the test suite asserts on them.
 """
@@ -18,7 +20,9 @@ import inspect
 import math
 import platform
 from fractions import Fraction
+from functools import cache, partial, reduce
 from math import comb, factorial
+from operator import add
 
 from . import __version__
 from . import combinatorics as cb
@@ -41,10 +45,9 @@ def suite(name):
     return wrap
 
 
-def _case(cases, cid, ok, **detail):
-    entry = {"id": cid, "status": "pass" if ok else "fail"}
-    entry.update({k: v for k, v in sorted(detail.items())})
-    cases.append(entry)
+def _below(residual, tol):
+    """A numeric check's outcome: whether ``residual < tol``, with both recorded."""
+    return residual < tol, {"residual": repr(residual), "tolerance": repr(tol)}
 
 
 # ---------------------------------------------------------------------------
@@ -75,183 +78,154 @@ def _brute_c_polynomial(u):
 
 
 @suite("combinatorics")
-def suite_combinatorics(cases, seed=20409):
+def suite_combinatorics(seed=20409):
     import itertools
     import random
-    ok = all(cb.identity_comm_lhs(u, t) == (1 if u == t else 0)
-             for u in range(1, 9) for t in range(0, u + 1))
-    _case(cases, "identity_comm_delta_u<=8", ok)
-    ok = all(sum(cb.stirling_second(n, j) * cb.stirling_first(j, k)
-                 for j in range(k, n + 1)) == (1 if n == k else 0)
-             for n in range(0, 13) for k in range(0, n + 1))
-    _case(cases, "stirling_inverse_pair_n<=12", ok)
-    ok = True
-    for n in range(0, 13):
-        for k in range(1, n + 1):
-            lhs = cb.stirling_second(n, k) * factorial(k)
-            rhs = sum(cb.eulerian(n, j) * comb(n - j - 1, k - j - 1)
-                      for j in range(0, k)) if n >= 1 else (k == 0)
-            if n >= k and n >= 1 and lhs != rhs:
-                ok = False
-    _case(cases, "eulerian_to_stirling_n<=12", ok)
-    ok = all(cb.stirling_second(n, k) == k * cb.stirling_second(n - 1, k)
-             + cb.stirling_second(n - 1, k - 1)
-             for n in range(1, 13) for k in range(1, n + 1))
-    ok = ok and all(cb.stirling_second(n + 1, k + 1)
-                    == sum(comb(n, j) * cb.stirling_second(j, k) for j in range(n + 1))
-                    for n in range(0, 12) for k in range(0, n + 1))
-    _case(cases, "stirling_recurrences_n<=12", ok)
-    _case(cases, "worked_example_C_2314",
-          cb.c_polynomial((2, 3, 1, 4)).coeffs == {4: 1, 3: 2, 2: 1})
-    ok = True
-    for n in range(0, 7):
-        for perm in itertools.permutations(range(1, n + 1)):
-            closed = cb.c_polynomial(perm)
-            if closed != _brute_c_polynomial(perm) or closed != cb.c_polynomial_by_runs(perm):
-                ok = False
-    rng = random.Random(seed)
-    for n in (7, 8):
-        for _ in range(300):
-            perm = tuple(rng.sample(range(1, n + 1), n))
-            closed = cb.c_polynomial(perm)
-            if closed != _brute_c_polynomial(perm) or closed != cb.c_polynomial_by_runs(perm):
-                ok = False
-    _case(cases, "c_polynomial_three_routes", ok)
-    ok = True
-    for n in range(1, 7):
-        seen = {}
-        for perm in itertools.permutations(range(1, n + 1)):
-            d = cb.descent_count(perm)
-            seen[d] = seen.get(d, 0) + 1
-            runs = cb.increasing_runs(perm)
-            if len(runs) != d + 1 or sum(runs, ()) != perm:
-                ok = False
-        for k in range(0, n):
-            if seen.get(k, 0) != cb.eulerian(n, k):
-                ok = False
-    _case(cases, "eulerian_counts_descents_n<=6", ok)
+    yield "identity_comm_delta_u<=8", lambda: all(
+        cb.identity_comm_lhs(u, t) == (1 if u == t else 0)
+        for u in range(1, 9) for t in range(0, u + 1))
+    yield "stirling_inverse_pair_n<=12", lambda: all(
+        sum(cb.stirling_second(n, j) * cb.stirling_first(j, k)
+            for j in range(k, n + 1)) == (1 if n == k else 0)
+        for n in range(0, 13) for k in range(0, n + 1))
+    yield "eulerian_to_stirling_n<=12", lambda: all(
+        cb.stirling_second(n, k) * factorial(k)
+        == sum(cb.eulerian(n, j) * comb(n - j - 1, k - j - 1) for j in range(0, k))
+        for n in range(1, 13) for k in range(1, n + 1))
+    yield "stirling_recurrences_n<=12", lambda: all(
+        cb.stirling_second(n, k) == k * cb.stirling_second(n - 1, k)
+        + cb.stirling_second(n - 1, k - 1)
+        for n in range(1, 13) for k in range(1, n + 1)) and all(
+        cb.stirling_second(n + 1, k + 1)
+        == sum(comb(n, j) * cb.stirling_second(j, k) for j in range(n + 1))
+        for n in range(0, 12) for k in range(0, n + 1))
+    yield "worked_example_C_2314", lambda: \
+        cb.c_polynomial((2, 3, 1, 4)).coeffs == {4: 1, 3: 2, 2: 1}
+
+    def three_routes():
+        rng = random.Random(seed)
+        perms = itertools.chain(
+            (perm for n in range(0, 7) for perm in itertools.permutations(range(1, n + 1))),
+            (tuple(rng.sample(range(1, n + 1), n)) for n in (7, 8) for _ in range(300)))
+        return all(cb.c_polynomial(perm) == _brute_c_polynomial(perm)
+                   == cb.c_polynomial_by_runs(perm) for perm in perms)
+    yield "c_polynomial_three_routes", three_routes
+
+    def descents():
+        for n in range(1, 7):
+            seen = {}
+            for perm in itertools.permutations(range(1, n + 1)):
+                d = cb.descent_count(perm)
+                seen[d] = seen.get(d, 0) + 1
+                runs = cb.increasing_runs(perm)
+                if len(runs) != d + 1 or sum(runs, ()) != perm:
+                    return False
+            if any(seen.get(k, 0) != cb.eulerian(n, k) for k in range(0, n)):
+                return False
+        return True
+    yield "eulerian_counts_descents_n<=6", descents
 
 
 @suite("qseries-identities")
-def suite_qseries(cases, order=30, tol=1e-8, seed=20409):
+def suite_qseries(order=30, tol=1e-8, seed=20409):
     N = order
-    for k in (1, 2, 3):
-        base = qs.geometric_inverse_factor(k, N)
-        w = qs.w_factor(k, N)
-        derivs = [base]
+
+    @cache
+    def ladder(k):
+        """(1/(1 - q^k) and its first five tau-derivatives, the factor w_k)."""
+        derivs = [qs.geometric_inverse_factor(k, N)]
         for _ in range(5):
             derivs.append(derivs[-1].tau_derivative())
-        ok = True
-        for n in range(1, 6):
-            rhs = None
-            for r in range(0, n):
-                term = derivs[r].scalar_mul(
-                    ScaledRational(Fraction(comb(n, r)) * k ** (n - r), n - r))
-                rhs = term if rhs is None else rhs + term
-            if not (derivs[n] - w * rhs).is_zero():
-                ok = False
-        _case(cases, f"tau_derivative_recurrence_k={k}_n<=5", ok)
-        ok = True
-        for m in range(0, 6):
-            rhs = None
-            for i in range(0, m + 1):
-                S = cb.stirling_second(m, i)
-                if not S:
-                    continue
-                term = (base * w.power(i)).scalar_mul(
-                    ScaledRational(Fraction(factorial(i) * S) * k ** m, m))
-                rhs = term if rhs is None else rhs + term
-            if not (derivs[m] - rhs).is_zero():
-                ok = False
-        _case(cases, f"stirling_closed_form_k={k}_m<=5", ok)
-        ok = True
-        for l in range(0, 6):
-            lhs = base * w.power(l)
-            rhs = None
-            for m in range(0, l + 1):
-                s = cb.stirling_first(l, m)
-                if not s:
-                    continue
-                term = derivs[m].scalar_mul(
-                    ScaledRational(Fraction(s, factorial(l)) / k ** m, -m))
-                rhs = term if rhs is None else rhs + term
-            if not (lhs - rhs).is_zero():
-                ok = False
-        _case(cases, f"stirling_inversion_k={k}_l<=5", ok)
+        return derivs, qs.w_factor(k, N)
+
+    def recurrence(k):
+        derivs, w = ladder(k)
+        return all((derivs[n] - w * reduce(add, (
+            derivs[r].scalar_mul(ScaledRational(Fraction(comb(n, r)) * k ** (n - r), n - r))
+            for r in range(0, n)))).is_zero() for n in range(1, 6))
+
+    def closed_form(k):
+        derivs, w = ladder(k)
+        return all((derivs[m] - reduce(add, (
+            (derivs[0] * w.power(i)).scalar_mul(
+                ScaledRational(Fraction(factorial(i) * cb.stirling_second(m, i)) * k ** m, m))
+            for i in range(0, m + 1) if cb.stirling_second(m, i)))).is_zero()
+            for m in range(0, 6))
+
+    def inversion(k):
+        derivs, w = ladder(k)
+        return all((derivs[0] * w.power(l) - reduce(add, (
+            derivs[m].scalar_mul(
+                ScaledRational(Fraction(cb.stirling_first(l, m), factorial(l)) / k ** m, -m))
+            for m in range(0, l + 1) if cb.stirling_first(l, m)))).is_zero()
+            for l in range(0, 6))
+
+    for k in (1, 2, 3):
+        yield f"tau_derivative_recurrence_k={k}_n<=5", partial(recurrence, k)
+        yield f"stirling_closed_form_k={k}_m<=5", partial(closed_form, k)
+        yield f"stirling_inversion_k={k}_l<=5", partial(inversion, k)
     tau = 1.3j
-    for two_k in (4, 6, 8, 10):
+
+    def double_sum(two_k):
         a = nm.eisenstein_value(two_k, tau, truncation=60)
         b = nm.eisenstein_lattice_value(two_k, tau)
-        res = abs(a - b) / max(1.0, abs(a))
-        _case(cases, f"eisenstein_double_sum_{two_k}", res < tol, residual=repr(res),
-              tolerance=repr(tol))
-    import random
-    rng = random.Random(seed)
-    ok = True
-    for _ in range(20):
+        return _below(abs(a - b) / max(1.0, abs(a)), tol)
+    for two_k in (4, 6, 8, 10):
+        yield f"eisenstein_double_sum_{two_k}", partial(double_sum, two_k)
+
+    def ring_laws():
+        import random
+        rng = random.Random(seed)
+
         def rnd():
             return qs.QExpansion.from_dict(
                 {m: Fraction(rng.randint(-4, 4)) for m in range(0, 6)}, 12)
-        A, B_, C = rnd(), rnd(), rnd()
-        if not ((A * B_) * C - A * (B_ * C)).is_zero():
-            ok = False
-        if not (A * (B_ + C) - (A * B_ + A * C)).is_zero():
-            ok = False
-    _case(cases, "ring_laws_randomized", ok)
+        for _ in range(20):
+            A, B_, C = rnd(), rnd(), rnd()
+            if not ((A * B_) * C - A * (B_ * C)).is_zero() or \
+                    not (A * (B_ + C) - (A * B_ + A * C)).is_zero():
+                return False
+        return True
+    yield "ring_laws_randomized", ring_laws
 
 
 @suite("elliptic-formal")
-def suite_elliptic_formal(cases, order=30):
+def suite_elliptic_formal(order=30):
     N = order
-    ok = all(el.g_expansion(0, j, N) == el.p_expansion(j, N) for j in (1, 2, 3, 4))
-    _case(cases, "g_j0_equals_P_j", ok)
-    ok = True
-    for i in (1, 2):
-        for m in (1, 2, 3):
-            lhs = el.g_expansion(i, m + i, N)
-            rhs = el.p_expansion(m, N)
-            for _ in range(i):
-                rhs = rhs.tau_derivative()
-            rhs = rhs.scalar_mul(ScaledRational(
-                Fraction(factorial(m - 1), factorial(m + i - 1)), i))
-            if lhs != rhs:
-                ok = False
-    _case(cases, "g_as_tau_derivative_of_P", ok)
-    ok = True
-    for i in (0, 1, 2):
-        for j in (1, 2, 3, 4):
-            lhs = el.g_expansion(i, j, N).tau_derivative()
-            rhs = el.g_expansion(i + 1, j + 1, N).scalar_mul(ScaledRational(j, -1))
-            if lhs != rhs:
-                ok = False
-    _case(cases, "dtau_g_raises_depth", ok)
-    ok = True
-    for k in (1, 2, 3):
-        lhs = el.p_expansion(k, N).zeta_derivative()
-        rhs = el.p_expansion(k + 1, N).scalar_mul(ScaledRational(k, -1))
-        if lhs != rhs:
-            ok = False
-    _case(cases, "zeta_derivative_ladder", ok)
-    ok = (el.p_tilde_1(N) - el.p_expansion(1, N)).layers[0] == ZetaRational.const(Fraction(1, 2))
-    _case(cases, "p_tilde_shift", ok)
-    wp2 = el.wp_laurent(2, 9, 10)
-    ok = wp2.coefficient(-2).coefficient(0) == ScaledRational(1)
-    g4 = qs.eisenstein(4, 10)
-    ok = ok and (wp2.coefficient(2) - g4.scalar_mul(3)).is_zero()
-    _case(cases, "wp2_leading_terms", ok)
-    wp3 = el.wp_laurent(3, 8, 10)
-    _case(cases, "wp_derivative_ladder",
-          (wp2.d_dz().scalar_mul(Fraction(-1, 2)) - wp3).is_zero())
-    wp1 = el.wp_laurent(1, 7, 10)
-    ok = wp1.coefficient(1, 10).is_zero() and \
-        (wp1.coefficient(3) + qs.eisenstein(4, 10)).is_zero()
-    _case(cases, "wp1_has_no_linear_term", ok)
-    ok = True
-    for m in (1, 2, 3):
-        zser = el.g1m_z_expansion(m, 9, 10)
-        if any((e - (1 + m)) % 2 for e in zser.exponents()):
-            ok = False
-    _case(cases, "g1m_z_parity", ok)
+    yield "g_j0_equals_P_j", lambda: all(
+        el.g_expansion(0, j, N) == el.p_expansion(j, N) for j in (1, 2, 3, 4))
+
+    def g_as_tau_derivative():
+        for i in (1, 2):
+            for m in (1, 2, 3):
+                lhs = el.g_expansion(i, m + i, N)
+                rhs = el.p_expansion(m, N)
+                for _ in range(i):
+                    rhs = rhs.tau_derivative()
+                if lhs != rhs.scalar_mul(ScaledRational(
+                        Fraction(factorial(m - 1), factorial(m + i - 1)), i)):
+                    return False
+        return True
+    yield "g_as_tau_derivative_of_P", g_as_tau_derivative
+    yield "dtau_g_raises_depth", lambda: all(
+        el.g_expansion(i, j, N).tau_derivative()
+        == el.g_expansion(i + 1, j + 1, N).scalar_mul(ScaledRational(j, -1))
+        for i in (0, 1, 2) for j in (1, 2, 3, 4))
+    yield "zeta_derivative_ladder", lambda: all(
+        el.p_expansion(k, N).zeta_derivative()
+        == el.p_expansion(k + 1, N).scalar_mul(ScaledRational(k, -1)) for k in (1, 2, 3))
+    yield "p_tilde_shift", lambda: \
+        (el.p_tilde_1(N) - el.p_expansion(1, N)).layers[0] == ZetaRational.const(Fraction(1, 2))
+    wp = cache(lambda k, z_order: el.wp_laurent(k, z_order, 10))
+    yield "wp2_leading_terms", lambda: \
+        wp(2, 9).coefficient(-2).coefficient(0) == ScaledRational(1) and \
+        (wp(2, 9).coefficient(2) - qs.eisenstein(4, 10).scalar_mul(3)).is_zero()
+    yield "wp_derivative_ladder", lambda: \
+        (wp(2, 9).d_dz().scalar_mul(Fraction(-1, 2)) - wp(3, 8)).is_zero()
+    yield "wp1_has_no_linear_term", lambda: wp(1, 7).coefficient(1, 10).is_zero() and \
+        (wp(1, 7).coefficient(3) + qs.eisenstein(4, 10)).is_zero()
+    yield "g1m_z_parity", lambda: not any(
+        (e - (1 + m)) % 2 for m in (1, 2, 3) for e in el.g1m_z_expansion(m, 9, 10).exponents())
 
 
 _ELLIPTIC_GAMMAS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 1, 0), (1, 0, 1, 1), (-1, 0, -1, -1))
@@ -309,186 +283,146 @@ def _interpolation_miss(xs, ys, degree):
 
 
 @suite("elliptic-numeric")
-def suite_elliptic_numeric(cases, order=60, tol=1e-6, seed=20409):
+def suite_elliptic_numeric(order=60, tol=1e-6, seed=20409):
     pts = nm.sample_points(20, seed=seed, gammas=_ELLIPTIC_GAMMAS)
     layers = _layer_value(order)
+
+    def worst_law(fn, gammas, points, **kwargs):
+        return _below(max(nm.verify_modular(fn, gamma, z, tau, tol=tol, **kwargs)["residual"]
+                          for gamma in gammas for z, tau in points), tol)
     for fn in ("Ptilde_1", "P_2", "P_3", "P_4", "G_2", "G_4"):
-        worst = 0.0
-        for gamma in _ELLIPTIC_GAMMAS:
-            for z, tau in pts:
-                rep = nm.verify_modular(fn, gamma, z, tau, tol=tol, value=layers)
-                worst = max(worst, rep["residual"])
-        _case(cases, f"modular_law_{fn}", worst < tol, residual=repr(worst),
-              tolerance=repr(tol))
+        yield f"modular_law_{fn}", partial(worst_law, fn, _ELLIPTIC_GAMMAS, pts, value=layers)
     # tabulated anomalies, including the z-proportional depth-one tails
     for fn in ("Ptilde_1", "P_2", "G_2", "g_1_2", "g_1_3", "g_1_4", "g_1_5"):
-        worst = 0.0
-        for gamma in ((0, -1, 1, 0), (1, 0, 1, 1)):
-            for z, tau in pts[:6]:
-                worst = max(worst, nm.verify_modular(fn, gamma, z, tau, tol=tol)["residual"])
-        _case(cases, f"delta_anomaly_{fn}", worst < tol, residual=repr(worst),
-              tolerance=repr(tol))
+        yield f"delta_anomaly_{fn}", partial(
+            worst_law, fn, ((0, -1, 1, 0), (1, 0, 1, 1)), pts[:6])
+
+    def shift_law(k):
+        return _below(max(nm.verify_elliptic_shift(k, z, tau)["residual"] for z, tau in pts), tol)
     for k in (1, 2):
-        worst = max(nm.verify_elliptic_shift(k, z, tau)["residual"] for z, tau in pts)
-        _case(cases, f"elliptic_shift_P_{k}", worst < tol, residual=repr(worst),
-              tolerance=repr(tol))
+        yield f"elliptic_shift_P_{k}", partial(shift_law, k)
     z0, tau0 = 0.3j, 1.1j
-    checks = {
-        "P_1": abs(nm.p_value(1, z0, tau0)
-                   - (-nm.wp_value(1, z0, tau0) + nm.eisenstein_value(2, tau0) * z0
-                      - 1j * cmath.pi)),
-        "P_2": abs(nm.p_value(2, z0, tau0)
-                   - (nm.wp_value(2, z0, tau0) + nm.eisenstein_value(2, tau0))),
-        "P_3": abs(nm.p_value(3, z0, tau0) + nm.wp_value(3, z0, tau0)),
-        "P_4": abs(nm.p_value(4, z0, tau0) - nm.wp_value(4, z0, tau0)),
-        "P_5": abs(nm.p_value(5, z0, tau0) + nm.wp_value(5, z0, tau0)),
-    }
-    for fn, res in checks.items():
-        _case(cases, f"weierstrass_match_{fn}", res < 1e-8, residual=repr(res),
-              tolerance=repr(1e-8))
+    wp = partial(nm.wp_value, z=z0, tau=tau0)
+    weierstrass = {1: lambda: -wp(1) + nm.eisenstein_value(2, tau0) * z0 - 1j * cmath.pi,
+                   2: lambda: wp(2) + nm.eisenstein_value(2, tau0),
+                   3: lambda: -wp(3), 4: lambda: wp(4), 5: lambda: -wp(5)}
+
+    def weierstrass_match(k):
+        return _below(abs(nm.p_value(k, z0, tau0) - weierstrass[k]()), 1e-8)
+    for k in weierstrass:
+        yield f"weierstrass_match_P_{k}", partial(weierstrass_match, k)
     z1, tau1 = 0.2j, 1.2j
-    for m in (1, 2):
+
+    def z_expansion_match(m):
         za = el.g1m_z_expansion(m, 25, 40)
         qv = cmath.exp(TWO_PI_I * tau1)
         val = sum(complex(za.coefficient(e).evaluate(q=qv)) * z1 ** e
                   for e in za.exponents())
         ref = nm.g_value(m, 1, z1, tau1)
-        res = abs(val - ref) / max(1.0, abs(ref))
-        _case(cases, f"g1{m}_z_expansion_match", res < 1e-6, residual=repr(res),
-              tolerance=repr(1e-6))
-    for m in (1, 2):
+        return _below(abs(val - ref) / max(1.0, abs(ref)), 1e-6)
+
+    def shift_polynomiality(m):
         lam_vals = [1, 2, 3, 4, 5]
         ys = [nm.g_value(m, 1, z1 + lam * tau1, tau1) - nm.g_value(m, 1, z1, tau1)
               for lam in lam_vals]
-        resid, _ = _interpolation_miss(lam_vals, ys, m + 1)
-        _case(cases, f"g1{m}_shift_polynomiality", resid < 1e-5, residual=repr(resid),
-              tolerance=repr(1e-5))
+        return _below(_interpolation_miss(lam_vals, ys, m + 1)[0], 1e-5)
+    for m in (1, 2):
+        yield f"g1{m}_z_expansion_match", partial(z_expansion_match, m)
+    for m in (1, 2):
+        yield f"g1{m}_shift_polynomiality", partial(shift_polynomiality, m)
 
 
 @suite("hha-weight1")
-def suite_hha_weight1(cases):
+def suite_hha_weight1():
     spec = hha.weight1_spec()
-    ok = True
-    for s in range(0, 7):
-        for n in range(0, 7 - s):
-            if n == 0 and s == 0:
-                continue
-            positions = list(range(1, s + 1))
-            start = hha.CorrExpression.single(
-                hha.CorrSymbol(("a",) * s,
-                               tuple((p, 0, "a") for p in range(s + 1, s + n + 1))))
-            from_engine = hha.peel_zero_modes(spec, start, positions)
-            formula = hha.weight1_configuration_formula(n, s)
-            if from_engine != formula:
-                ok = False
-    _case(cases, "configuration_formula_n+s<=6", ok)
-    ok = True
-    for s in range(1, 5):
-        inv = hha.invert_to_full(spec, ("a",) * s)
-        back = hha.reduce_to_zero_modes(spec, inv)
-        if back != hha.CorrExpression.single(hha.CorrSymbol(("a",) * s, ())):
-            ok = False
-    _case(cases, "round_trip_s<=4", ok)
-    ok = True
-    for s in range(1, 7):
-        got = dict(hha.anomaly_of_zero_modes(spec, ("a",) * s))
-        want = {}
-        for k in range(1, s // 2 + 1):
-            want[k] = {hha.CorrSymbol(("a",) * (s - 2 * k), ()):
-                       ScaledRational(Fraction(factorial(s),
-                                               2 ** k * factorial(k) * factorial(s - 2 * k)),
-                                      -2 * k)}
-        if got != want:
-            ok = False
-    _case(cases, "pairing_anomaly_closed_form_s<=6", ok)
+    yield "configuration_formula_n+s<=6", lambda: all(
+        hha.peel_zero_modes(spec, hha.CorrExpression.single(hha.CorrSymbol(
+            ("a",) * s, tuple((p, 0, "a") for p in range(s + 1, s + n + 1)))),
+            list(range(1, s + 1))) == hha.weight1_configuration_formula(n, s)
+        for s in range(0, 7) for n in range(0, 7 - s) if n or s)
+    yield "round_trip_s<=4", lambda: all(
+        hha.reduce_to_zero_modes(spec, hha.invert_to_full(spec, ("a",) * s))
+        == hha.CorrExpression.single(hha.CorrSymbol(("a",) * s, ())) for s in range(1, 5))
+    yield "pairing_anomaly_closed_form_s<=6", lambda: all(
+        dict(hha.anomaly_of_zero_modes(spec, ("a",) * s)) == {
+            k: {hha.CorrSymbol(("a",) * (s - 2 * k), ()): ScaledRational(
+                Fraction(factorial(s), 2 ** k * factorial(k) * factorial(s - 2 * k)), -2 * k)}
+            for k in range(1, s // 2 + 1)}
+        for s in range(1, 7))
     # one monomial per configuration: the involutions of 4
-    ok = sum(len(poly.terms) for poly in
-             hha.weight1_configuration_formula(0, 4).terms.values()) == 10
-    _case(cases, "configuration_count_involutions", ok)
+    yield "configuration_count_involutions", lambda: sum(
+        len(poly.terms) for poly in hha.weight1_configuration_formula(0, 4).terms.values()) == 10
 
 
 @suite("hha-weight2")
-def suite_hha_weight2(cases):
+def suite_hha_weight2():
     spec = hha.weight2_spec()
     F = lambda *mods: hha.CorrSymbol(mods, ())
-    inv2 = hha.invert_to_full(spec, ("x", "x"))
-    want = hha.CorrExpression()
-    want.add_term(hha.CorrSymbol((), ((1, 0, "x"), (2, 0, "x"))), ONE)
-    want.add_term(hha.CorrSymbol((), ((2, 0, "x"),)), -(P(2, 2, 1) * ScaledRational(4, -2)))
-    want.add_term(hha.CorrSymbol((), ()), -(P(4, 2, 1) * ScaledRational(2, -4)))
-    _case(cases, "two_zero_modes_expansion_termwise", inv2 == want)
-    two = hha.invert_to_full(spec, ("x",) * 3, steps=2)
-    want3 = hha.CorrExpression()
-    want3.add_term(hha.CorrSymbol(("x",), ((2, 0, "x"), (3, 0, "x"))), ONE)
-    want3.add_term(hha.CorrSymbol(("x",), ((3, 0, "x"),)), -(P(2, 3, 2) * ScaledRational(4, -2)))
-    want3.add_term(hha.CorrSymbol(("x",), ()), -(P(4, 3, 2) * ScaledRational(2, -4)))
-    want3.add_term(hha.CorrSymbol((), ((3, 0, "x"),)), -(g(1, 3, 3, 2) * ScaledRational(16, -4)))
-    want3.add_term(hha.CorrSymbol((), ()), -(g(1, 5, 3, 2) * ScaledRational(16, -6)))
-    _case(cases, "three_zero_modes_first_peel_termwise", two == want3)
-    ok = True
-    for s in range(1, 5):
-        inv = hha.invert_to_full(spec, ("x",) * s)
-        if hha.reduce_to_zero_modes(spec, inv) != hha.CorrExpression.single(F(*("x",) * s)):
-            ok = False
-    _case(cases, "round_trip_s<=4", ok)
-    got2 = dict(hha.anomaly_of_zero_modes(spec, ("x", "x")))
-    ok = got2 == {1: {F("x"): ScaledRational(4, -2)}}
-    _case(cases, "anomaly_s2_(1,4)", ok)
-    got3 = dict(hha.anomaly_of_zero_modes(spec, ("x",) * 3))
-    ok = got3 == {1: {F("x", "x"): ScaledRational(12, -2)},
-                  2: {F("x"): ScaledRational(24, -4)}}
-    _case(cases, "anomaly_s3_(1,12,24)", ok)
-    ok = True
-    for r in range(0, 5):
-        sym_c = hha.CorrSymbol(("x",) * r, ((1, 0, "x"), (2, 0, "x"), (3, 0, "x")))
-        sym_o = hha.CorrSymbol(("x",) * r, ((1, 0, "x"), (2, 0, "x"), (3, 0, "x")),
-                               ordered=True)
-        red_c = hha.reduce_once(spec, hha.CorrExpression.single(sym_c))
-        red_o = hha.to_commuting(
-            hha.reduce_once_ordered(spec, hha.CorrExpression.single(sym_o)))
-        if red_c != red_o:
-            ok = False
-    _case(cases, "ordered_collapse_r<=4", ok)
+
+    def expression(*terms):
+        out = hha.CorrExpression()
+        for sym, coeff in terms:
+            out.add_term(sym, coeff)
+        return out
+    yield "two_zero_modes_expansion_termwise", lambda: \
+        hha.invert_to_full(spec, ("x", "x")) == expression(
+            (hha.CorrSymbol((), ((1, 0, "x"), (2, 0, "x"))), ONE),
+            (hha.CorrSymbol((), ((2, 0, "x"),)), -(P(2, 2, 1) * ScaledRational(4, -2))),
+            (F(), -(P(4, 2, 1) * ScaledRational(2, -4))))
+    yield "three_zero_modes_first_peel_termwise", lambda: \
+        hha.invert_to_full(spec, ("x",) * 3, steps=2) == expression(
+            (hha.CorrSymbol(("x",), ((2, 0, "x"), (3, 0, "x"))), ONE),
+            (hha.CorrSymbol(("x",), ((3, 0, "x"),)), -(P(2, 3, 2) * ScaledRational(4, -2))),
+            (F("x"), -(P(4, 3, 2) * ScaledRational(2, -4))),
+            (hha.CorrSymbol((), ((3, 0, "x"),)), -(g(1, 3, 3, 2) * ScaledRational(16, -4))),
+            (F(), -(g(1, 5, 3, 2) * ScaledRational(16, -6))))
+    yield "round_trip_s<=4", lambda: all(
+        hha.reduce_to_zero_modes(spec, hha.invert_to_full(spec, ("x",) * s))
+        == hha.CorrExpression.single(F(*("x",) * s)) for s in range(1, 5))
+    yield "anomaly_s2_(1,4)", lambda: \
+        dict(hha.anomaly_of_zero_modes(spec, ("x", "x"))) == {1: {F("x"): ScaledRational(4, -2)}}
+    yield "anomaly_s3_(1,12,24)", lambda: \
+        dict(hha.anomaly_of_zero_modes(spec, ("x",) * 3)) == {
+            1: {F("x", "x"): ScaledRational(12, -2)}, 2: {F("x"): ScaledRational(24, -4)}}
+
+    def collapse(r):
+        positions = ((1, 0, "x"), (2, 0, "x"), (3, 0, "x"))
+        return hha.reduce_once(spec, hha.CorrExpression.single(
+            hha.CorrSymbol(("x",) * r, positions))) == hha.to_commuting(
+            hha.reduce_once_ordered(spec, hha.CorrExpression.single(
+                hha.CorrSymbol(("x",) * r, positions, ordered=True))))
+    yield "ordered_collapse_r<=4", lambda: all(collapse(r) for r in range(0, 5))
     # a0 cancellation: sum over positions of the x[0]x replacement reduces to zero
-    e = hha.CorrExpression()
-    e.add_term(hha.CorrSymbol((), ((2, 1, "x"), (3, 0, "x"))), ONE)
-    e.add_term(hha.CorrSymbol((), ((2, 0, "x"), (3, 1, "x"))), ONE)
-    _case(cases, "zero_action_position_sum_cancels",
-          hha.reduce_to_zero_modes(spec, e).is_zero())
+    yield "zero_action_position_sum_cancels", lambda: hha.reduce_to_zero_modes(spec, expression(
+        (hha.CorrSymbol((), ((2, 1, "x"), (3, 0, "x"))), ONE),
+        (hha.CorrSymbol((), ((2, 0, "x"), (3, 1, "x"))), ONE))).is_zero()
 
 
 @suite("lattice-oracle")
-def suite_lattice_oracle(cases, order=4):
+def suite_lattice_oracle(order=4):
     E8 = lt.e8()
-    shells = lt.enumerate_vectors(E8, 4)
-    sizes = [len(s.vectors) for s in shells]
-    _case(cases, "e8_shell_sizes", sizes == [1, 240, 2160, 6720, 17520], sizes=sizes)
-    ok = all(sorted(tuple(-v for v in vec) for vec in s.vectors) == s.vectors
-             for s in shells)
-    _case(cases, "shells_negation_symmetric", ok)
+    shells = cache(lambda: lt.enumerate_vectors(E8, 4))
+
+    def shell_sizes():
+        sizes = [len(s.vectors) for s in shells()]
+        return sizes == [1, 240, 2160, 6720, 17520], {"sizes": sizes}
+    yield "e8_shell_sizes", shell_sizes
+    yield "shells_negation_symmetric", lambda: all(
+        sorted(tuple(-v for v in vec) for vec in s.vectors) == s.vectors for s in shells())
     level = min(order, 6)  # rank-8 default test profile caps the Fock level at 6
-    ok = True
-    for n in range(0, 4):
-        a = lt.quasimod_rhs(E8, 0, n, level)
-        b = lt.fock_trace_oracle(E8, 0, n, level)
-        if not (a - b).is_zero():
-            ok = False
-    _case(cases, "e8_closed_form_equals_oracle_n<=3", ok, level=level)
+    yield "e8_closed_form_equals_oracle_n<=3", lambda: (all(
+        (lt.quasimod_rhs(E8, 0, n, level) - lt.fock_trace_oracle(E8, 0, n, level)).is_zero()
+        for n in range(0, 4)), {"level": level})
     E83 = lt.e8_cubed()
-    ok = True
-    for n in range(0, 2):
-        a = lt.quasimod_rhs(E83, 0, n, 3)
-        b = lt.fock_trace_oracle(E83, 0, n, 3)
-        if not (a - b).is_zero():
-            ok = False
-    _case(cases, "e8cubed_closed_form_equals_oracle_n<=1", ok)
-    ch = lt.quasimod_rhs(E83, 0, 0, 3)
-    ok = all(ch.coefficient(m) == lt.J_CHARACTER[m] for m in range(4))
-    _case(cases, "e8cubed_character_is_j", ok)
+    yield "e8cubed_closed_form_equals_oracle_n<=1", lambda: all(
+        (lt.quasimod_rhs(E83, 0, n, 3) - lt.fock_trace_oracle(E83, 0, n, 3)).is_zero()
+        for n in range(0, 2))
+    yield "e8cubed_character_is_j", lambda: all(
+        lt.quasimod_rhs(E83, 0, 0, 3).coefficient(m) == lt.J_CHARACTER[m] for m in range(4))
     A1 = lt.a1()
-    ok = all((lt.fock_trace_literal(A1, 0, n, 4)
-              - lt.fock_trace_oracle(A1, 0, n, 4)).is_zero() for n in range(0, 3))
-    _case(cases, "literal_vs_counted_oracle_a1", ok)
+    yield "literal_vs_counted_oracle_a1", lambda: all(
+        (lt.fock_trace_literal(A1, 0, n, 4) - lt.fock_trace_oracle(A1, 0, n, 4)).is_zero()
+        for n in range(0, 3))
 
 
 # the point of the E8^3 closure cases; gamma = S takes it to -1/tau
@@ -510,27 +444,38 @@ def _lattice_modular_truncation(order, seed):
     return 10 * worst
 
 
+def _closure_miss(lhs, terms):
+    """|lhs - sum(terms)| relative to max(1, |lhs|, |each term|)."""
+    return abs(lhs - sum(terms)) / max(1.0, abs(lhs), *(abs(t) for t in terms))
+
+
 @suite("lattice-modular")
-def suite_lattice_modular(cases, order=8, tol=1e-5):
+def suite_lattice_modular(order=8, tol=1e-5):
     E8 = lt.e8()
     E83 = lt.e8_cubed()
-    # theta-moment quasi-modularity: the S-transform is a polynomial in 1/(tau+n).
-    # theta_E8 = E_4 = 720 G_4/(2 pi i)^4 gives the moments c_p (2q d/dq)^(p/2) E_4
-    # to q^60; checked to q^6 against the walk the E8^3 cases share.
-    theta = qs.eisenstein(4, 60).scalar_mul(ScaledRational(720, -4))
-    univ = {0: Fraction(1), 2: Fraction(1, 8), 4: Fraction(3, 80), 6: Fraction(1, 64)}
-    moments = {}
-    for p, c in univ.items():
-        series = theta
-        for _ in range(p // 2):
-            series = series.q_derivative().scalar_mul(2)
-        moments[p] = series.scalar_mul(c)
+
+    @cache
+    def moments():
+        # theta-moment quasi-modularity: the S-transform is a polynomial in 1/(tau+n).
+        # theta_E8 = E_4 = 720 G_4/(2 pi i)^4 gives the moments c_p (2q d/dq)^(p/2) E_4
+        # to q^60; checked to q^6 against the walk the E8^3 cases share.
+        theta = qs.eisenstein(4, 60).scalar_mul(ScaledRational(720, -4))
+        univ = {0: Fraction(1), 2: Fraction(1, 8), 4: Fraction(3, 80), 6: Fraction(1, 64)}
+        out = {}
+        for p, c in univ.items():
+            series = theta
+            for _ in range(p // 2):
+                series = series.q_derivative().scalar_mul(2)
+            out[p] = series.scalar_mul(c)
+        return out
     top = min(order, 6)
-    ok = all((lt.theta_moment(E8, 0, p, order).truncate(top) - series.truncate(top)).is_zero()
-             for p, series in moments.items())
-    _case(cases, "e8_moments_from_theta_derivatives", ok)
+    yield "e8_moments_from_theta_derivatives", lambda: all(
+        (lt.theta_moment(E8, 0, p, order).truncate(top) - series.truncate(top)).is_zero()
+        for p, series in moments().items())
     tau0 = 1.2j
-    for p, series in moments.items():
+
+    def grading(p):
+        series = moments()[p]
         j = p // 2
         w = 4 + p
         xs, ys = [], []
@@ -543,46 +488,36 @@ def suite_lattice_modular(cases, order=8, tol=1e-5):
         resid, head = _interpolation_miss(xs, ys, j)
         head_dev = abs(head - series.evaluate(tau=tau0)) / max(
             1.0, abs(series.evaluate(tau=tau0)))
-        okp = resid < tol and head_dev < 1e-4
-        _case(cases, f"theta_moment_weight_grading_2j={p}", okp,
-              residual=repr(resid), head_dev=repr(head_dev), tolerance=repr(tol))
+        ok, detail = _below(resid, tol)
+        return ok and head_dev < 1e-4, {**detail, "head_dev": repr(head_dev)}
+    for p in (0, 2, 4, 6):
+        yield f"theta_moment_weight_grading_2j={p}", partial(grading, p)
     tau = _LATTICE_TAU
     gt = -1 / tau
     N = order
     beta = 1 / (TWO_PI_I * tau)
-    Fm = {s: lt.moment_trace_value(E83, 0, s, tau, N) for s in range(0, 7)}
-    Fg = {s: lt.moment_trace_value(E83, 0, s, gt, N) for s in range(0, 7)}
+    moment_trace = cache(lambda s, t: lt.moment_trace_value(E83, 0, s, t, N))
+    trace = cache(lambda s, t: lt.trace_value(E83, 0, s, t, N))
+
+    def weight1_law(s):
+        return _below(_closure_miss(tau ** (-s) * moment_trace(s, gt), [
+            beta ** k * factorial(s) / (2 ** k * factorial(k) * factorial(s - 2 * k))
+            * moment_trace(s - 2 * k, tau) for k in range(0, s // 2 + 1)]), tol)
     for s in range(1, 7):
-        lhs = tau ** (-s) * Fg[s]
-        terms = [beta ** k * factorial(s)
-                 / (2 ** k * factorial(k) * factorial(s - 2 * k)) * Fm[s - 2 * k]
-                 for k in range(0, s // 2 + 1)]
-        scale = max(1.0, abs(lhs), *(abs(t) for t in terms))
-        res = abs(lhs - sum(terms)) / scale
-        _case(cases, f"weight1_anomaly_numeric_s={s}", res < tol,
-              residual=repr(res), tolerance=repr(tol))
-    anomalies = dict(
-        (s, dict(hha.anomaly_of_zero_modes(hha.weight2_spec(), ("x",) * s)))
-        for s in (1, 2, 3))
-    T = {s: lt.trace_value(E83, 0, s, tau, N) for s in range(0, 4)}
-    Tg = {s: lt.trace_value(E83, 0, s, gt, N) for s in range(0, 4)}
+        yield f"weight1_anomaly_numeric_s={s}", partial(weight1_law, s)
     Bval = TWO_PI_I / tau  # B = 2 pi i c/(c tau + d) at gamma = S
+
+    def weight2_law(s):
+        anomaly = dict(hha.anomaly_of_zero_modes(hha.weight2_spec(), ("x",) * s))
+        return _below(_closure_miss(tau ** (-2 * s) * trace(s, gt), [trace(s, tau)] + [
+            complex(coeff) * Bval ** k * trace(len(sym.modes), tau)
+            for k, bucket in anomaly.items() for sym, coeff in bucket.items()]), tol)
     for s in (1, 2, 3):
-        lhs = tau ** (-2 * s) * Tg[s]
-        terms = [T[s]]
-        for k, bucket in anomalies[s].items():
-            for sym, coeff in bucket.items():
-                terms.append(complex(coeff) * Bval ** k * T[len(sym.modes)])
-        scale = max(1.0, abs(lhs), *(abs(t) for t in terms))
-        res = abs(lhs - sum(terms)) / scale
-        _case(cases, f"weight2_anomaly_numeric_s={s}", res < tol,
-              residual=repr(res), tolerance=repr(tol))
+        yield f"weight2_anomaly_numeric_s={s}", partial(weight2_law, s)
     z = 0.1 + 0.2j
-    lhs = lt.chi_weight1(E83, 0, z / tau, gt, N)
-    rhs = cmath.exp(1j * cmath.pi * z * z / tau) * lt.chi_weight1(E83, 0, z, tau, N)
-    res = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-    _case(cases, "weight1_jacobi_law_chi", res < tol, residual=repr(res),
-          tolerance=repr(tol))
+    yield "weight1_jacobi_law_chi", lambda: _below(_closure_miss(
+        lt.chi_weight1(E83, 0, z / tau, gt, N),
+        [cmath.exp(1j * cmath.pi * z * z / tau) * lt.chi_weight1(E83, 0, z, tau, N)]), tol)
 
 
 # suite -> estimate(order, seed) of the truncation error of its order-dependent cases
@@ -595,8 +530,7 @@ def _bind(name, flags):
     (a flag of None is not given).  A flag the suite does not read is refused."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    args = {k: p.default for k, p in inspect.signature(SUITES[name]).parameters.items()
-            if k != "cases"}
+    args = {k: p.default for k, p in inspect.signature(SUITES[name]).parameters.items()}
     for flag, value in flags.items():
         if value is None:
             continue
@@ -619,12 +553,20 @@ def truncation_shortfall(name, **flags):
 
 
 def run_suite(name, **flags):
-    """The report of suite ``name`` run with ``flags``.  An exception ends the
-    suite with a failing ``error`` case after the cases already recorded."""
+    """The report of suite ``name`` run with ``flags``.  A check that raises
+    fails with an ``error`` detail and the checks after it still run; a raise
+    in the suite's set-up ends it with a failing ``error`` case."""
     args = _bind(name, flags)
     cases = []
     try:
-        SUITES[name](cases, **args)
+        for cid, check in SUITES[name](**args):
+            try:
+                result = check()
+                ok, detail = result if isinstance(result, tuple) else (result, {})
+            except Exception as exc:
+                ok, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
+            cases.append({"id": cid, "status": "pass" if ok else "fail",
+                          **dict(sorted(detail.items()))})
     except Exception as exc:
         cases.append({"id": "error", "status": "fail",
                       "error": f"{type(exc).__name__}: {exc}"})

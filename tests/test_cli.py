@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from torusmodes import cli, hha, lattice, verify
+from torusmodes import cli, hha, lattice, numerics, verify
+
+import suite_cases
 
 
 def run(capsys, *argv):
@@ -407,19 +409,49 @@ def test_verify_suite_refuses_unread_flag(capsys, suite, flag, value):
     assert err.startswith(f"error: suite {suite} does not read {flag}") and err.count("\n") == 1
 
 
+def default_report(suite):
+    """``suite``'s report at default flags, shared with ``suite_cases``."""
+    if suite not in suite_cases.reports:
+        suite_cases.reports[suite] = verify.run_suite(suite)
+    return suite_cases.reports[suite]
+
+
 def test_suite_that_raises_still_reports(capsys, monkeypatch):
-    # the exception becomes a last failing case, after the cases already recorded
+    # the two anomaly checks fail with the exception; every other check still runs
     def fail(*args, **kwargs):
         raise hha.ResidueError("anomaly left z-dependence")
 
+    ids = [case["id"] for case in default_report("hha-weight2")["cases"]]
     monkeypatch.setattr(hha, "anomaly_of_zero_modes", fail)
     report = verify.run_suite("hha-weight2")
-    assert [case["status"] for case in report["cases"][:3]] == ["pass"] * 3
-    assert report["cases"][3:] == [{"id": "error", "status": "fail",
-                                     "error": "ResidueError: anomaly left z-dependence"}]
+    assert [case["id"] for case in report["cases"]] == ids and len(ids) == 7
+    error = {"status": "fail", "error": "ResidueError: anomaly left z-dependence"}
+    assert {case["id"]: case for case in report["cases"] if case["status"] != "pass"} == {
+        cid: {"id": cid, **error} for cid in ("anomaly_s2_(1,4)", "anomaly_s3_(1,12,24)")}
+    chi = [case for case in verify.run_suite("lattice-modular")["cases"]
+           if case["id"] == "weight1_jacobi_law_chi"]
+    assert [case["status"] for case in chi] == ["pass"]
     code, out, err = run(capsys, "verify-suite", "hha-weight2")
     assert code == 1 and err == ""
     assert json.loads(out) == report
+
+
+def test_a_raise_in_suite_set_up_ends_the_suite(monkeypatch):
+    # the sample points are set up before the first check, so no check runs
+    def fail(*args, **kwargs):
+        raise ValueError("no sample points")
+
+    monkeypatch.setattr(numerics, "sample_points", fail)
+    report = verify.run_suite("elliptic-numeric")
+    assert report["status"] == "fail"
+    assert report["cases"] == [
+        {"id": "error", "status": "fail", "error": "ValueError: no sample points"}]
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_case_ids_are_unique(suite):
+    ids = [case["id"] for case in default_report(suite)["cases"]]
+    assert len(ids) == len(set(ids)), ids
 
 
 @pytest.mark.parametrize("argv", [

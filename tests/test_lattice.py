@@ -230,7 +230,7 @@ def test_walk_counts_match_box_enumeration():
             for x in _box(sub, N):
                 norm = sub.norm2(x)
                 if norm <= 2 * N:
-                    t2 = lt.axis_pairing_sq(lat, axis, block, gvec, gnorm, x)
+                    t2 = lt.axis_pairing_sq(lat, block, gvec, gnorm, x)
                     grouped[(norm // 2, t2)] = grouped.get((norm // 2, t2), 0) + 1
             data, got_block = lt._axis_shell_data(lat, axis, N)
             assert got_block == block

@@ -1,6 +1,8 @@
 """Properties of ScaledRational, the one exact coefficient type."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -107,3 +109,15 @@ def test_inverse_of_an_integral_value_is_exact(n, e):
     assert inv.value == Fraction(1, n) and inv.tpi == -e
     assert type(inv.value) is (int if n in (1, -1) else Fraction)
     assert inv * ScaledRational(n, e) == 1
+
+
+def test_format_fraction_past_the_int_str_digit_limit():
+    # Eulerian coefficients of P_2000 have more digits than str(int) prints by default
+    n = 10 ** 5000 + 7
+    lifted = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.set_int_max_str_digits(0); n = 10 ** 5000 + 7; print(n, -n)"],
+        capture_output=True, text=True, check=True).stdout.split()
+    assert [format_fraction(n), format_fraction(-n)] == lifted
+    assert [format_fraction(Fraction(n, 3)), format_fraction(Fraction(-n, 3))] == \
+        [f"{digits}/3" for digits in lifted]

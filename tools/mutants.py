@@ -4,11 +4,14 @@ Each entry is (file under src/torusmodes, exact old text, new text, suites
 expected to exit 1).  For every entry the script copies src/ to a temporary
 directory, replaces the old text, which must occur exactly once, and runs each
 named suite through the CLI on that copy.  A suite kills the mutant when it
-exits 1 with a JSON report on stdout whose status is "fail".
+exits 1 with a JSON report on stdout whose status is "fail".  Each case runs
+under its own guard, so the killing report must also list every case id of
+the suite's report on the unmutated src/, in order.
 
 The script exits 1 when an entry's old text is missing or not unique, when a
-mutant survives one of its suites, or when a killing suite gives no JSON
-report.  Standard library only; run it from anywhere:
+mutant survives one of its suites, when a killing suite gives no JSON report,
+or when that report drops or reorders a case.  Standard library only; run it
+from anywhere:
 
     python tools/mutants.py
 """
@@ -61,8 +64,13 @@ def run_suite(src: Path, suite: str) -> tuple[int, dict | None]:
     return done.returncode, report
 
 
-def check(entry, scratch: Path) -> list[str]:
-    """The problems with one entry: an empty list when every suite kills it."""
+def case_ids(report: dict) -> list[str]:
+    return [case["id"] for case in report["cases"]]
+
+
+def check(entry, scratch: Path, pristine: dict) -> list[str]:
+    """The problems with one entry: an empty list when every suite kills it
+    and reports every case id of ``pristine[suite]``, the unmutated ids."""
     name, old, new, suites = entry
     label = f"{name}: {old!r} -> {new!r}"
     text = (SRC / "torusmodes" / name).read_text()
@@ -79,6 +87,9 @@ def check(entry, scratch: Path) -> list[str]:
             problems.append(f"{label}: survives {suite} (exit {code})")
         elif report is None or report.get("status") != "fail":
             problems.append(f"{label}: {suite} exits 1 without a failing JSON report")
+        elif case_ids(report) != pristine[suite]:
+            problems.append(f"{label}: {suite} reports cases {case_ids(report)}, "
+                            f"not the unmutated {pristine[suite]}")
         else:
             failed = [case["id"] for case in report["cases"] if case["status"] != "pass"]
             print(f"killed by {suite}: {', '.join(failed)}")
@@ -87,10 +98,17 @@ def check(entry, scratch: Path) -> list[str]:
 
 def main() -> int:
     problems = []
+    pristine = {}
+    for suite in sorted({suite for entry in MUTANTS for suite in entry[3]}):
+        code, report = run_suite(SRC, suite)
+        if code != 0 or report is None:
+            print(f"FAIL unmutated {suite} exits {code}", file=sys.stderr)
+            return 1
+        pristine[suite] = case_ids(report)
     with tempfile.TemporaryDirectory() as scratch:
         for entry in MUTANTS:
             print(f"mutant {entry[0]}: {entry[1]!r} -> {entry[2]!r}")
-            problems += check(entry, Path(scratch))
+            problems += check(entry, Path(scratch), pristine)
     for problem in problems:
         print(f"FAIL {problem}", file=sys.stderr)
     print(f"{len(MUTANTS)} mutants, {len(problems)} problems")
