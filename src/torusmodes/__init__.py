@@ -10,7 +10,7 @@ from .ratfunc import LaurentPoly, ZetaRational
 from .elliptic import (BivariateExpansion, ZSeries, g_expansion, p_expansion,
                        p_tilde_1, wp_laurent, g1m_z_expansion)
 from .symbols import CoeffPoly, delta_transform
-from .hha import (HHASpec, CorrSymbol, CorrExpression, State, weight1_spec,
+from .hha import (HHASpec, CorrSymbol, CorrExpression, weight1_spec,
                   weight2_spec, square_action, d_state, reduce_once,
                   reduce_once_ordered, reduce_to_zero_modes, invert_to_full,
                   peel_zero_modes, weight1_configuration_formula,
@@ -27,7 +27,7 @@ __all__ = [
     "LaurentPoly", "ZetaRational", "BivariateExpansion", "ZSeries",
     "g_expansion", "p_expansion", "p_tilde_1", "wp_laurent",
     "g1m_z_expansion", "CoeffPoly",
-    "delta_transform", "HHASpec", "CorrSymbol", "CorrExpression", "State",
+    "delta_transform", "HHASpec", "CorrSymbol", "CorrExpression",
     "weight1_spec", "weight2_spec", "square_action", "d_state",
     "reduce_once", "reduce_once_ordered", "reduce_to_zero_modes",
     "invert_to_full", "peel_zero_modes",

@@ -10,7 +10,8 @@ modes of all generators commute (declared, not verified).  On top of the
 spec the module implements:
 
 * the one-step recursion eliminating the first vertex-operator insertion of
-  a mixed correlator (commuting and ordered zero-mode variants),
+  a mixed correlator, and the general step for zero modes in operator order
+  as a reference that collects its terms in the same commuting symbols,
 * full reduction of mixed correlators to zero-mode correlators,
 * the triangular inversion expressing zero-mode correlators through full
   correlators, and
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .combinatorics import descent_count, recursion_coefficient
 from .scaled import ScaledRational, as_fraction, format_fraction
@@ -58,58 +59,13 @@ class WeightBookkeepingError(HHAError):
     """A recursion tail broke the conservation of coefficient + symbol weight."""
 
 
-def _falling(m: int, l: int) -> int:
-    out = 1
-    for j in range(l):
-        out *= m - j
-    return out
-
-
 # ---------------------------------------------------------------------------
-# states
+# states: {(L-power, generator): ScaledRational}, zero coefficients dropped
 # ---------------------------------------------------------------------------
 
-class State:
-    """Linear combination of basis states L[-1]**k a^gen with exact coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    self.terms[key] = c
-
-    @classmethod
-    def basis(cls, gen: str, dpow: int = 0) -> "State":
-        return cls({(dpow, gen): ScaledRational(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def add_term(self, dpow, gen, coeff):
-        key = (dpow, gen)
-        cur = self.terms.get(key)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
-
-    def scaled(self, c: ScaledRational) -> "State":
-        if not c:
-            return State()
-        return State({k: v * c for k, v in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c!r})*L^{k}[{g_}]" if k else f"({c!r})*[{g_}]"
-                          for (k, g_), c in sorted(self.terms.items()))
+def basis(gen: str, dpow: int = 0) -> dict:
+    """The state L[-1]**dpow a^gen."""
+    return {(dpow, gen): ScaledRational(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +236,7 @@ BUILTIN_SPECS = {"weight1": weight1_spec, "weight2": weight2_spec}
 # mode actions
 # ---------------------------------------------------------------------------
 
-def square_action(spec: HHASpec, b: State, m: int, a: State) -> State:
+def square_action(spec: HHASpec, b: dict, m: int, a: dict) -> dict:
     """b[m] a normalized onto the span basis.
 
     L[-1]-powers on b lower the mode with falling-factorial signs,
@@ -290,33 +246,40 @@ def square_action(spec: HHASpec, b: State, m: int, a: State) -> State:
     """
     if m < 0:
         raise HHAError("square_action covers m >= 0 only")
-    out = State()
-    for (lb, gb), cb in b.terms.items():
-        ff = _falling(m, lb)
+    out = {}
+    for (lb, gb), cb in b.items():
+        ff = perm(m, lb)
         if not ff:
             continue
         sgn_ff = (-1) ** lb * ff
         mp = m - lb
-        for (la, ga), ca in a.terms.items():
+        for (la, ga), ca in a.items():
             base = cb * ca
             for k in range(0, min(mp, la) + 1):
                 c2 = comb(mp, k) * factorial(k) * comb(la, k)
                 if not c2:
                     continue
                 for cs, dp, target in spec.action(gb, ga, mp - k):
-                    out.add_term(la - k + dp, target, base * cs * (sgn_ff * c2))
+                    key = (la - k + dp, target)
+                    c = base * cs * (sgn_ff * c2)
+                    if key in out:
+                        c = out[key] + c
+                    if c:
+                        out[key] = c
+                    else:
+                        out.pop(key, None)
     return out
 
 
-def d_state(spec: HHASpec, modes, a: State) -> State:
+def d_state(spec: HHASpec, modes, a: dict) -> dict:
     """d-state: (-1)**s  b^{u_1}[0] b^{u_2}[0] ... b^{u_s}[0] a, applied right to left."""
     d = a
-    for gen in reversed(tuple(modes)):
-        d = square_action(spec, State.basis(gen), 0, d)
+    for gen in reversed(modes):
+        d = square_action(spec, basis(gen), 0, d)
         if not d:
-            return State()
-    if len(tuple(modes)) % 2:
-        d = d.scaled(ScaledRational(-1))
+            return {}
+    if len(modes) % 2:
+        d = {key: -c for key, c in d.items()}
     return d
 
 
@@ -327,25 +290,22 @@ def d_state(spec: HHASpec, modes, a: State) -> State:
 class CorrSymbol:
     """Normal-form correlator symbol: zero-mode content plus basis insertions.
 
-    ``modes`` is a tuple of generator names, sorted when the zero modes
-    commute and kept in operator order otherwise; ``insertions`` is a tuple
-    of (position, L-power, generator), ascending in position.
+    ``modes`` is the sorted tuple of the commuting zero modes' generator
+    names; ``insertions`` is a tuple of (position, L-power, generator),
+    ascending in position.
     """
 
-    __slots__ = ("modes", "insertions", "ordered", "_hash")
+    __slots__ = ("modes", "insertions", "_hash")
 
-    def __init__(self, modes, insertions=(), ordered=False):
-        modes = tuple(modes)
-        if not ordered:
-            modes = tuple(sorted(modes))
+    def __init__(self, modes, insertions=()):
+        modes = tuple(sorted(modes))
         insertions = tuple(sorted(insertions))
         positions = [p for p, _, _ in insertions]
         if len(set(positions)) != len(positions):
             raise HHAError(f"duplicate insertion positions: {positions}")
         self.modes = modes
         self.insertions = insertions
-        self.ordered = ordered
-        self._hash = hash((modes, insertions, ordered))
+        self._hash = hash((modes, insertions))
 
     def __hash__(self):
         return self._hash
@@ -353,8 +313,7 @@ class CorrSymbol:
     def __eq__(self, other):
         if not isinstance(other, CorrSymbol):
             return NotImplemented
-        return (self.modes, self.insertions, self.ordered) == \
-               (other.modes, other.insertions, other.ordered)
+        return self.modes == other.modes and self.insertions == other.insertions
 
     def weight(self, spec: HHASpec) -> Fraction:
         w = sum((spec.weight_of(g_) for g_ in self.modes), Fraction(0))
@@ -368,14 +327,11 @@ class CorrSymbol:
     def __repr__(self):
         parts = []
         if self.modes:
-            if self.ordered:
-                parts.append(" ".join(f"{g_}0" for g_ in self.modes))
-            else:
-                counts = {}
-                for g_ in self.modes:
-                    counts[g_] = counts.get(g_, 0) + 1
-                parts.append(" ".join(f"{g_}0^{c}" if c > 1 else f"{g_}0"
-                                      for g_, c in sorted(counts.items())))
+            counts = {}
+            for g_ in self.modes:
+                counts[g_] = counts.get(g_, 0) + 1
+            parts.append(" ".join(f"{g_}0^{c}" if c > 1 else f"{g_}0"
+                                  for g_, c in sorted(counts.items())))
         ins = ",".join(
             f"(L{d}.{g_},{p})" if d else f"({g_},{p})" for p, d, g_ in self.insertions)
         if ins:
@@ -454,8 +410,8 @@ class CorrExpression:
                 for sym, poly in self.sorted_terms()]
 
 
-def attach_insertion(spec: HHASpec, modes, base_insertions, pos: int, state: State,
-                     coeff: CoeffPoly, ordered=False) -> CorrExpression:
+def attach_insertion(spec: HHASpec, modes, base_insertions, pos: int, state: dict,
+                     coeff: CoeffPoly) -> CorrExpression:
     """Multilinear expansion of one symbol with a state inserted at ``pos``.
 
     Applies the normal form: identity insertions are dropped; a lone
@@ -463,7 +419,7 @@ def attach_insertion(spec: HHASpec, modes, base_insertions, pos: int, state: Sta
     vanishes inside the graded trace).
     """
     out = CorrExpression()
-    for (dpow, gen), c in state.terms.items():
+    for (dpow, gen), c in state.items():
         term_coeff = coeff * c
         if gen == spec.identity:
             if dpow > 0:
@@ -473,7 +429,7 @@ def attach_insertion(spec: HHASpec, modes, base_insertions, pos: int, state: Sta
             ins = tuple(base_insertions) + ((pos, dpow, gen),)
         if len(ins) == 1 and ins[0][1] > 0:
             continue  # o(L[-1] b) = 0 under the trace
-        out.add_term(CorrSymbol(modes, ins, ordered), term_coeff)
+        out.add_term(CorrSymbol(modes, ins), term_coeff)
     return out
 
 
@@ -494,10 +450,10 @@ def _sub_multisets(counts: dict):
         yield tuple(sorted(sel)), mult
 
 
-def _m_bound(spec: HHASpec, d: State, target_dpow: int) -> int:
+def _m_bound(spec: HHASpec, d: dict, target_dpow: int) -> int:
     if not d:
         return -1
-    max_l = max(l for l, _ in d.terms)
+    max_l = max(l for l, _ in d)
     return max_l + target_dpow + spec.max_m
 
 
@@ -523,8 +479,6 @@ def reduce_once(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
     """
     out = CorrExpression()
     for sym, poly in expr.terms.items():
-        if sym.ordered:
-            raise HHAError("ordered symbols require reduce_once_ordered")
         if not sym.insertions:
             out.add_term(sym, poly)
             continue
@@ -551,7 +505,7 @@ def _reduce_shape(spec: HHASpec, modes, shape) -> tuple:
     counts = {}
     for g_ in modes:
         counts[g_] = counts.get(g_, 0) + 1
-    first = State.basis(g1, d1)
+    first = basis(g1, d1)
     for s_gens, mult in _sub_multisets(counts):
         d = d_state(spec, s_gens, first)
         if not d:
@@ -566,15 +520,15 @@ def _reduce_shape(spec: HHASpec, modes, shape) -> tuple:
     return tuple(out.terms.items())
 
 
-def _tails(spec: HHASpec, d: State, rest, modes, layer, ordered=False):
+def _tails(spec: HHASpec, d: dict, rest, modes, layer):
     """The recursion tails of one d-state: for every other insertion (p_j, a^j)
     and every m >= 0, d[m] a^j attached at p_j with coefficient layer(m, p_j)."""
     for pj, dj, gj in rest:
         other = [ins for ins in rest if ins[0] != pj]
         for m in range(0, _m_bound(spec, d, dj) + 1):
-            st = square_action(spec, d, m, State.basis(gj, dj))
+            st = square_action(spec, d, m, basis(gj, dj))
             if st:
-                yield attach_insertion(spec, modes, other, pj, st, layer(m, pj), ordered)
+                yield attach_insertion(spec, modes, other, pj, st, layer(m, pj))
 
 
 def _assert_tail_weight(spec, tail: CorrExpression, W):
@@ -613,8 +567,9 @@ def _relabel_poly(poly: CoeffPoly, label) -> CoeffPoly:
     return CoeffPoly._of_terms(terms)
 
 
-def reduce_once_ordered(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
-    """One elimination step of the general (ordered zero-mode) recursion.
+def reduce_once_ordered(spec: HHASpec, modes, insertions) -> CorrExpression:
+    """One elimination step of the general recursion on F(modes; insertions),
+    with the zero modes ``modes`` in operator order.
 
     For each proper subtuple s of the zero-mode tuple and each permutation u
     of the complement, the tail coefficient on g^t_{m+1} is
@@ -623,37 +578,33 @@ def reduce_once_ordered(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
 
     with des the descent count of u; the full-tuple layer carries the
     depth-zero coefficients g^0_{m+1} with the plain product a^1[m] a^j.
-    Individual t-layers are weight-inhomogeneous; only the Eulerian-weighted
-    collapse restores termwise homogeneity, so no grading is asserted here.
+    The terms are collected in commuting symbols, so the result is directly
+    comparable with :func:`reduce_once`: this general step is the reference
+    the commuting one collapses onto.  Individual t-layers are
+    weight-inhomogeneous; only the Eulerian-weighted collapse restores
+    termwise homogeneity, so no grading is asserted here.
     """
     from itertools import permutations
 
+    modes = tuple(modes)
+    (p1, d1, g1), *rest = sorted(insertions)
     out = CorrExpression()
-    for sym, poly in expr.terms.items():
-        if not sym.insertions:
-            out.add_term(sym, poly)
-            continue
-        modes = sym.modes
-        r = len(modes)
-        (p1, d1, g1), rest = sym.insertions[0], sym.insertions[1:]
-        if d1 == 0:
-            head = CorrSymbol((g1,) + modes, rest, ordered=True)
-            out.add_term(head, poly)
-        if not rest:
-            continue
-        first = State.basis(g1, d1)
-        indices = tuple(range(r))
-        for kept_mask in range(1 << r):
-            kept = tuple(i for i in indices if kept_mask >> i & 1)
-            comp = tuple(i for i in indices if not kept_mask >> i & 1)
-            kept_modes = tuple(modes[i] for i in kept)
-            for perm in permutations(comp):  # s = full tuple: the one empty permutation
-                d = d_state(spec, tuple(modes[i] for i in perm), first)
-                if d:
-                    des = descent_count(perm)
-                    layer = lambda m, pj: poly * _ordered_layer(len(perm), des, m, pj, p1)
-                    for tail in _tails(spec, d, rest, kept_modes, layer, ordered=True):
-                        out.add_terms(tail)
+    if d1 == 0:
+        out.add_term(CorrSymbol((g1,) + modes, rest), ONE)
+    if not rest:
+        return out
+    first = basis(g1, d1)
+    indices = range(len(modes))
+    for kept_mask in range(1 << len(modes)):
+        kept_modes = tuple(modes[i] for i in indices if kept_mask >> i & 1)
+        comp = tuple(i for i in indices if not kept_mask >> i & 1)
+        for u in permutations(comp):  # s = full tuple: the one empty permutation
+            d = d_state(spec, tuple(modes[i] for i in u), first)
+            if d:
+                des = descent_count(u)
+                layer = lambda m, pj: _ordered_layer(len(u), des, m, pj, p1)
+                for tail in _tails(spec, d, rest, kept_modes, layer):
+                    out.add_terms(tail)
     return out
 
 
@@ -668,14 +619,6 @@ def _ordered_layer(u: int, des: int, m: int, pj: int, p1: int) -> CoeffPoly:
         if rc:
             layer = layer + p_layer_coefficient(t, m, pj, p1) * ScaledRational(rc, u - t)
     return layer
-
-
-def to_commuting(expr: CorrExpression) -> CorrExpression:
-    """Forget zero-mode ordering (valid when the spec's zero modes commute)."""
-    out = CorrExpression()
-    for sym, poly in expr.terms.items():
-        out.add_term(CorrSymbol(sym.modes, sym.insertions, ordered=False), poly)
-    return out
 
 
 def reduce_to_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
@@ -710,7 +653,7 @@ def _referenced_positions(sym: CorrSymbol, poly: CoeffPoly):
     return used
 
 
-def invert_to_full(spec: HHASpec, gens, positions=None, steps=None) -> CorrExpression:
+def invert_to_full(spec: HHASpec, gens, steps=None) -> CorrExpression:
     """Express F(a_0^{gens}) through full correlators, by peeling zero modes.
 
     Each peel rewrites the zero mode of largest name as a fresh insertion at
@@ -720,13 +663,8 @@ def invert_to_full(spec: HHASpec, gens, positions=None, steps=None) -> CorrExpre
     full correlators only.  ``steps`` caps the number of peel rounds (used
     to inspect intermediate states).
     """
-    gens = tuple(sorted(gens))
-    if positions is None:
-        positions = list(range(1, len(gens) + 1))
-    if len(positions) < len(gens):
-        raise HHAError("position pool smaller than the number of zero modes")
     return peel_zero_modes(spec, CorrExpression.single(CorrSymbol(gens, ())),
-                           positions, steps=steps)
+                           range(1, len(gens) + 1), steps=steps)
 
 
 def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions,

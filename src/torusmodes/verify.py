@@ -231,13 +231,16 @@ def suite_elliptic_formal(order=30):
 _ELLIPTIC_GAMMAS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 1, 0), (1, 0, 1, 1), (-1, 0, -1, -1))
 
 
-def _elliptic_numeric_truncation(order, seed):
-    """The layer sums' truncation scale, max(1e-10, 10 |q(gamma tau)|**(order/5)),
-    at the worst sample point and gamma."""
-    pts = nm.sample_points(20, seed=seed, gammas=_ELLIPTIC_GAMMAS)
-    worst_q = max(abs(cmath.exp(TWO_PI_I * nm.apply_gamma(gamma, 0j, tau)[1]))
-                  for gamma in _ELLIPTIC_GAMMAS for _, tau in pts)
-    return max(1e-10, 10 * worst_q ** (order * 0.2))
+class TruncationError(ValueError):
+    """A suite's order is too low for its tolerance: its order-dependent
+    cases would fail for want of terms rather than of a law."""
+
+
+def _check_truncation(name, order, estimate, tol):
+    if estimate > tol:
+        raise TruncationError(f"--order {order} is too low for {name}: the truncation "
+                              f"estimate {estimate:.3g} is above the tolerance {tol:g}; "
+                              f"raise --order or pass a larger --tol")
 
 
 def _layer_value(order):
@@ -285,6 +288,10 @@ def _interpolation_miss(xs, ys, degree):
 @suite("elliptic-numeric")
 def suite_elliptic_numeric(order=60, tol=1e-6, seed=20409):
     pts = nm.sample_points(20, seed=seed, gammas=_ELLIPTIC_GAMMAS)
+    # the layer sums' truncation scale at the worst sample point and gamma
+    worst_q = max(abs(cmath.exp(TWO_PI_I * nm.apply_gamma(gamma, 0j, tau)[1]))
+                  for gamma in _ELLIPTIC_GAMMAS for _, tau in pts)
+    _check_truncation("elliptic-numeric", order, max(1e-10, 10 * worst_q ** (order * 0.2)), tol)
     layers = _layer_value(order)
 
     def worst_law(fn, gammas, points, **kwargs):
@@ -386,11 +393,9 @@ def suite_hha_weight2():
             1: {F("x", "x"): ScaledRational(12, -2)}, 2: {F("x"): ScaledRational(24, -4)}}
 
     def collapse(r):
-        positions = ((1, 0, "x"), (2, 0, "x"), (3, 0, "x"))
+        modes, insertions = ("x",) * r, ((1, 0, "x"), (2, 0, "x"), (3, 0, "x"))
         return hha.reduce_once(spec, hha.CorrExpression.single(
-            hha.CorrSymbol(("x",) * r, positions))) == hha.to_commuting(
-            hha.reduce_once_ordered(spec, hha.CorrExpression.single(
-                hha.CorrSymbol(("x",) * r, positions, ordered=True))))
+            hha.CorrSymbol(modes, insertions))) == hha.reduce_once_ordered(spec, modes, insertions)
     yield "ordered_collapse_r<=4", lambda: all(collapse(r) for r in range(0, 5))
     # a0 cancellation: sum over positions of the x[0]x replacement reduces to zero
     yield "zero_action_position_sum_cancels", lambda: hha.reduce_to_zero_modes(spec, expression(
@@ -425,25 +430,6 @@ def suite_lattice_oracle(order=4):
         for n in range(0, 3))
 
 
-# the point of the E8^3 closure cases; gamma = S takes it to -1/tau
-_LATTICE_TAU = 1.3j
-
-
-def _lattice_modular_truncation(order, seed):
-    """10x the largest relative tail of the E8^3 theta moments at q(-1/tau).
-
-    ``QExpansion.tail_estimate`` scales by the last computed coefficients;
-    the factor 10 covers their growth (about 5x per order near order 8).
-    """
-    q = cmath.exp(TWO_PI_I * (-1 / _LATTICE_TAU))
-    worst = 0.0
-    for p in (0, 2, 4, 6):
-        series = lt.theta_moment(lt.e8_cubed(), 0, p, order)
-        value = abs(series.evaluate(q=q))
-        worst = max(worst, series.tail_estimate(q=q) / value if value else math.inf)
-    return 10 * worst
-
-
 def _closure_miss(lhs, terms):
     """|lhs - sum(terms)| relative to max(1, |lhs|, |each term|)."""
     return abs(lhs - sum(terms)) / max(1.0, abs(lhs), *(abs(t) for t in terms))
@@ -453,6 +439,18 @@ def _closure_miss(lhs, terms):
 def suite_lattice_modular(order=8, tol=1e-5):
     E8 = lt.e8()
     E83 = lt.e8_cubed()
+    tau = 1.3j  # the point of the E8^3 closure cases; gamma = S takes it to -1/tau
+    gt = -1 / tau
+    # the truncation estimate: 10x the largest relative tail of the E8^3 theta
+    # moments at q(gt); tail_estimate scales by the last computed coefficients,
+    # and the factor 10 covers their growth (about 5x per order near order 8)
+    q = cmath.exp(TWO_PI_I * gt)
+    tails = []
+    for p in (0, 2, 4, 6):
+        series = lt.theta_moment(E83, 0, p, order)
+        value = abs(series.evaluate(q=q))
+        tails.append(series.tail_estimate(q=q) / value if value else math.inf)
+    _check_truncation("lattice-modular", order, 10 * max(tails), tol)
 
     @cache
     def moments():
@@ -492,8 +490,6 @@ def suite_lattice_modular(order=8, tol=1e-5):
         return ok and head_dev < 1e-4, {**detail, "head_dev": repr(head_dev)}
     for p in (0, 2, 4, 6):
         yield f"theta_moment_weight_grading_2j={p}", partial(grading, p)
-    tau = _LATTICE_TAU
-    gt = -1 / tau
     N = order
     beta = 1 / (TWO_PI_I * tau)
     moment_trace = cache(lambda s, t: lt.moment_trace_value(E83, 0, s, t, N))
@@ -520,11 +516,6 @@ def suite_lattice_modular(order=8, tol=1e-5):
         [cmath.exp(1j * cmath.pi * z * z / tau) * lt.chi_weight1(E83, 0, z, tau, N)]), tol)
 
 
-# suite -> estimate(order, seed) of the truncation error of its order-dependent cases
-TRUNCATION = {"elliptic-numeric": _elliptic_numeric_truncation,
-              "lattice-modular": _lattice_modular_truncation}
-
-
 def _bind(name, flags):
     """Suite ``name``'s arguments: its defaults, overridden by the flags given
     (a flag of None is not given).  A flag the suite does not read is refused."""
@@ -541,21 +532,11 @@ def _bind(name, flags):
     return args
 
 
-def truncation_shortfall(name, **flags):
-    """(order, estimate, tol) when the suite's truncation estimate at its
-    order exceeds its tolerance, so that its numeric cases would fail for want
-    of terms rather than of a law; None otherwise, and for suites without one."""
-    args = _bind(name, flags)
-    if name not in TRUNCATION:
-        return None
-    estimate = TRUNCATION[name](args["order"], args.get("seed"))
-    return (args["order"], estimate, args["tol"]) if estimate > args["tol"] else None
-
-
 def run_suite(name, **flags):
     """The report of suite ``name`` run with ``flags``.  A check that raises
     fails with an ``error`` detail and the checks after it still run; a raise
-    in the suite's set-up ends it with a failing ``error`` case."""
+    in the suite's set-up ends it with a failing ``error`` case, except a
+    :class:`TruncationError`, which refuses the flags and is raised."""
     args = _bind(name, flags)
     cases = []
     try:
@@ -567,6 +548,8 @@ def run_suite(name, **flags):
                 ok, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
             cases.append({"id": cid, "status": "pass" if ok else "fail",
                           **dict(sorted(detail.items()))})
+    except TruncationError:
+        raise
     except Exception as exc:
         cases.append({"id": "error", "status": "fail",
                       "error": f"{type(exc).__name__}: {exc}"})

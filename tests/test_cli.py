@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torusmodes import cli, hha, lattice, numerics, verify
 
@@ -305,6 +308,18 @@ def test_transform_check_depth_one_law(capsys):
     assert report["status"] == "pass" and report["residual"] < 1e-14
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--spec=--", "--correlator=x0^2"], "error: --spec expected one argument, got '--'"),
+    (["expand", "--function=G_4", "--z-order=--"],
+     "error: --z-order expected one argument, got '--'"),
+])
+def test_double_dash_value_is_a_usage_error(capsys, argv, message):
+    # argparse reads --flag=-- as an empty list rather than as the string "--"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
 @pytest.mark.parametrize("value, code, message", [
     (False, 3, 'unsupported: "commuting": false: the reduction of non-commuting zero modes '
                "to zero-mode correlators is not implemented"),
@@ -436,8 +451,10 @@ def test_suite_that_raises_still_reports(capsys, monkeypatch):
     assert json.loads(out) == report
 
 
-def test_a_raise_in_suite_set_up_ends_the_suite(monkeypatch):
-    # the sample points are set up before the first check, so no check runs
+def test_a_raise_in_suite_set_up_ends_the_suite(capsys, monkeypatch):
+    # the sample points are set up before the truncation estimate and the first
+    # check, so no check runs; the CLI prints that report and exits 1, a failed
+    # check, not a usage error
     def fail(*args, **kwargs):
         raise ValueError("no sample points")
 
@@ -446,6 +463,9 @@ def test_a_raise_in_suite_set_up_ends_the_suite(monkeypatch):
     assert report["status"] == "fail"
     assert report["cases"] == [
         {"id": "error", "status": "fail", "error": "ValueError: no sample points"}]
+    code, out, err = run(capsys, "verify-suite", "elliptic-numeric")
+    assert code == 1 and err == ""
+    assert json.loads(out) == report
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
@@ -513,3 +533,72 @@ def test_parser_reuse_after_failing_queries(capsys, failing, code):
     before = [run(capsys, *argv)[:2] for argv in _VALID]
     assert run(capsys, *failing)[0] == code
     assert [run(capsys, *argv)[:2] for argv in _VALID] == before
+
+
+# -- random command lines -------------------------------------------------------
+# A bounded grammar over the six subcommands: orders <= 8, zero-mode powers <= 4.
+# String values are passed as --flag=value, so junk reaches the program's own
+# parsing rather than argparse's.  A drawn verify-suite line ends in a flag
+# refused before its suite runs (argparse keeps the last of a repeated flag);
+# the one suite that runs is combinatorics, as an explicit example.
+
+_JUNK = ["", "junk", "-1", "nan", "1e400", "x0^", "--", "é"]
+_TOL = st.sampled_from(["nan", "0", "-1", "inf", "1e-3", "1e-10"]).map("--tol={}".format)
+
+
+def _flag(name, *values):
+    """--name=value, the value drawn from ``values`` or, as often as any of them, junk."""
+    return st.sampled_from([*values, *_JUNK]).map(lambda value: f"--{name}={value}")
+
+
+def _int_flag(name, lo, hi):
+    return st.integers(lo, hi).map(lambda value: f"--{name}={value}")
+
+
+def _command(name, *required, optional=()):
+    flags = st.lists(st.one_of(*optional), max_size=3) if optional else st.just([])
+    return st.tuples(*required, flags).map(lambda parts: [name, *parts[:-1], *parts[-1]])
+
+
+_VERIFY_SUITE = st.tuples(
+    st.sampled_from(sorted(verify.SUITES)),
+    st.lists(st.one_of(_int_flag("order", 0, 8), _int_flag("seed", 0, 9),
+                       _TOL), max_size=2),
+    st.sampled_from(["--tol=nan", "--tol=0", "--tol=-1", "--order=-1"]),
+).map(lambda parts: ["verify-suite", parts[0], *parts[1], parts[2]])
+
+
+_FUNCTIONS = ([f"{name}_{k}" for name in ("G", "P", "wp", "eta") for k in range(-1, 9)]
+              + [f"g_{i}_{j}" for i in range(-1, 4) for j in range(0, 9)] + ["Ptilde_1", "P~1"])
+_CORRELATORS = [f"{gen}0^{k}" for gen in "axy" for k in range(5)] + [
+    "a0 a0", "x0 * x0^2", "a0 x0", "x0 x0 x0 x0", "y0^4"]
+_SPECS = ["weight1", "weight2"]
+
+_ARGV = st.one_of(
+    _command("expand", _flag("function", *_FUNCTIONS),
+             optional=(_int_flag("order", -1, 8), _int_flag("z-order", -3, 8))),
+    _VERIFY_SUITE,
+    _command("reduce", _flag("spec", *_SPECS), _flag("correlator", *_CORRELATORS)),
+    _command("anomaly", _flag("spec", *_SPECS), _flag("correlator", *_CORRELATORS)),
+    # orders stop at 5 here: the E8 walk to order 8 alone takes about 0.4 s
+    _command("lattice-trace", _flag("lattice", "a1", "e8"), _int_flag("n", -1, 4),
+             optional=(_int_flag("order", -1, 5), _int_flag("axis", -1, 9), st.just("--oracle"))),
+    _command("transform-check",
+             _flag("function", "Ptilde_1", "P_1", "P_2", "P_4", "P_9", "G_2", "G_4", "g_1_3",
+                   "g_2_4"),
+             _flag("gamma", "0,-1,1,0", "1,1,0,1", "1,0,1,1", "2,1,1,1", "1,1,1,1", "0,-1,1"),
+             optional=(_flag("z", "0.1+0.3i", "0.5+0.9i", "1e-13i", "0"),
+                       _flag("tau", "1.2i", "0.5+0.9i", "0.01+0.002i", "1.2", "-1.2i", "inf"),
+                       _TOL)))
+
+
+@settings(max_examples=100)
+@given(_ARGV)
+@example(["verify-suite", "combinatorics", "--seed=3"])
+def test_random_command_lines_end_in_a_known_exit_and_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), \
+        (argv, err.getvalue())

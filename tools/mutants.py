@@ -48,6 +48,8 @@ MUTANTS = [
      ("qseries-identities", "lattice-oracle", "lattice-modular")),
     ("qseries.py", "for m in range(truncation, n - 1, -1):", "for m in range(n, truncation + 1):",
      ("lattice-oracle", "lattice-modular")),
+    ("hha.py", "d = {key: -c for key, c in d.items()}", "d = {key: c for key, c in d.items()}",
+     ("hha-weight2",)),
 ]
 
 
