@@ -8,9 +8,11 @@ binds the given flags to that signature (refusing a flag the suite does not
 read), records the bound values as the report's ``parameters``, calls each
 check as soon as it is yielded, under its own guard, so that a check that
 raises fails alone with an ``error`` detail, turns a raise in the set-up into
-a final ``error`` case of a report that is still returned, and assembles the
-status and toolchain.  Identical inputs give byte-identical reports.  The CLI
-front end serializes these; the test suite asserts on them.
+a final ``error`` case of a report that is still returned (a
+``TruncationError``, an order too low for the tolerance, refuses the flags
+instead), and assembles the status and toolchain.  Identical inputs give
+byte-identical reports.  The CLI front end serializes these; the test suite
+asserts on them.
 """
 
 from __future__ import annotations
