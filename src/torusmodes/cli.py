@@ -30,6 +30,13 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors as ``UsageError``, which ``main`` prints on one line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_complex(flag: str, text: str) -> complex:
     try:
         value = complex(text.replace("i", "j"))
@@ -187,12 +194,13 @@ def cmd_lattice_trace(args) -> int:
         raise UsageError("--n must be >= 0")
     _check_order_tol(args.order)
     lat = _load_lattice(args.lattice)
-    closed = lt.quasimod_rhs(lat, args.axis, args.n, args.order)
+    closed = lt.quasimod_rhs(lat, args.n, args.order)
+    # "axis": 0 names h = e_0/|e_0|, kept so that reports stay as they were
     result = {"lattice": args.lattice, "n": args.n, "order": args.order,
-              "axis": args.axis, "closed_form": closed.to_json()}
+              "axis": 0, "closed_form": closed.to_json()}
     status = 0
     if args.oracle:
-        oracle = lt.fock_trace_oracle(lat, args.axis, args.n, args.order)
+        oracle = lt.fock_trace_oracle(lat, args.n, args.order)
         equal = (closed - oracle).is_zero()
         result["oracle"] = oracle.to_json()
         result["equal"] = equal
@@ -235,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     fresh namespace, and argparse looks up ``sys.stdout`` and ``sys.stderr``
     only when it prints.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torusmodes",
         description="Exact q-expansions, quasi-Jacobi special functions, and "
                     "zero-mode correlator reductions.")
@@ -269,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True, help="lattice JSON file, or e8|e8x3|a1")
     p.add_argument("--n", type=int, required=True, help="zero-mode power")
     p.add_argument("--order", type=int, default=6)
-    p.add_argument("--axis", type=int, default=0)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=cmd_lattice_trace)
 
@@ -284,16 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         for flag, value in vars(args).items():
             if isinstance(value, list):  # argparse reads --flag=-- as an empty list
                 raise UsageError(f"--{flag.replace('_', '-')} expected one argument, got '--'")
         return args.func(args)
+    except SystemExit:  # --help; argparse's errors raise UsageError instead
+        return 0
     except UnsupportedError as exc:
         print(f"unsupported: {exc.args[0]}", file=sys.stderr)
         return 3

@@ -7,24 +7,24 @@ even positive definite lattice of rank l is
     Tr v_0^n q^{L0 - l/24}
       = sum_j C(n,j) [sum_a <h,a>^{2j} q^{<a,a>/2}] eta^{-(l-1)} (2q d/dq)^{n-j} eta^{-1},
 
-with h a unit vector of the ambient space.  Here h is restricted to axes of
-the orthonormal frame obtained by exact Gram-Schmidt from the lattice basis,
-which keeps every <h,a>^2 rational.  The oracle recomputes the same traces
-by direct enumeration of the Fock basis (lattice vectors times colored
-oscillator partitions), organized by counting but using no series identity.
+with h a unit vector of the ambient space.  Here h = e_0/|e_0|, the first
+basis vector normalised, so <h,a>^2 = <e_0,a>^2/<e_0,e_0> is rational; there
+is no frame of axes to choose from.  Another direction is the first basis
+vector of a re-based Gram.  The oracle recomputes the same traces by direct
+enumeration of the Fock basis (lattice vectors times colored oscillator
+partitions), organized by counting but using no series identity.
 
 Every lattice sum goes through one Fincke-Pohst walk.  It prunes with float
 bounds padded from the exact LDL^T decomposition of the Gram matrix (made once
 per Gram, and shared with the check that a lattice is positive definite), so no
-vector is missed, and carries the exact integer norm (and optionally an
-integer pairing) down the recursion, so each candidate is confirmed by its
-exact norm at the leaf and shells are complete.  It visits one of each pair
-x, -x and hands the leaf a multiplicity (2, or 1 for x = 0); every tally here
-is even in x.  Per (block Gram, pairing row) one walk is grouped into
-(norm/2, <row,a>^2) counts and cached, and a lower order reads the deepest
-walk's groups: shell sizes read the walk of the block's first axis, so theta
-moments along that axis, theta series, traces and chi share it.  Only
-``enumerate_vectors`` keeps the vectors, both signs.
+vector is missed, and carries the exact integer norm and the integer pairing
+with the first basis vector down the recursion, so each candidate is
+confirmed by its exact norm at the leaf and shells are complete.  It visits
+one of each pair x, -x and hands the leaf a multiplicity (2, or 1 for x = 0);
+every tally here is even in x.  Per block Gram one walk is grouped into
+(norm/2, <e_0,a>^2) counts and cached, and a lower order reads the deepest
+walk's groups: shell sizes, theta moments, theta series, traces and chi share
+it.  Only ``enumerate_vectors`` keeps the vectors, both signs.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class EvenLattice:
     def __post_init__(self):
         g = self.gram
         n = len(g)
+        if not n:
+            raise LatticeError("a lattice needs rank >= 1, got an empty Gram matrix")
         for row in g:
             if len(row) != n:
                 raise LatticeError("Gram matrix must be square")
@@ -175,29 +177,24 @@ class VectorShell:
     vectors: list
 
 
-def _walk(gram: tuple, max_norm_half: int, leaf, row=None) -> None:
+def _walk(gram: tuple, max_norm_half: int, leaf) -> None:
     """Fincke-Pohst walk over one of each pair x, -x with <x,x>/2 <= max_norm_half.
 
-    Calls leaf(x, <x,x>/2, <row,x>, mult) for the x whose highest nonzero
+    Calls leaf(x, <x,x>/2, <e_0,x>, mult) for the x whose highest nonzero
     coordinate is positive, with mult = 2 for the pair x, -x and mult = 1 for
     x = 0.  Coordinates are fixed from the last down to the first.  Float
     bounds from the exact LDL^T prune the box with a safety margin.  Each level
     hands the levels below it their partial centers sum_{j>i} L_ji x_j and
     cross sums 2 sum_{j>i} G_ij x_j, so a node at level i costs O(i).  The
-    exact integer norm and the integer pairing with ``row`` are carried down
-    the recursion, and the exact norm decides at the leaf.  ``x`` is the
-    walk's working list: a leaf that keeps it must copy it.
+    exact integer norm and the integer pairing with e_0 (row ``gram[0]``) are
+    carried down the recursion, and the exact norm decides at the leaf.
+    ``x`` is the walk's working list: a leaf that keeps it must copy it.
     """
     if max_norm_half < 0:
         raise LatticeError("max_norm_half must be >= 0")
     n = len(gram)
-    if row is None:
-        row = (0,) * n
     bound = 2 * max_norm_half
     x = [0] * n
-    if n == 0:
-        leaf(x, 0, 0, 1)
-        return
     L, D = _ldl(gram)
     # row i of L and of 2G left of the diagonal: x_i's share of the levels below
     Lf = [[float(L[i][j]) for j in range(i)] for i in range(n)]
@@ -211,7 +208,7 @@ def _walk(gram: tuple, max_norm_half: int, leaf, row=None) -> None:
         half_width = math.sqrt(max(remaining, 0.0) / Df[i])
         lo = 0 if lead else math.ceil(-c - half_width - 1e-9)
         hi = math.floor(-c + half_width + 1e-9)
-        gii, ri = gram[i][i], row[i]
+        gii, ri = gram[i][i], gram[0][i]
         if i:
             di, li, gi = Df[i], Lf[i], G2[i]
             for v in range(lo, hi + 1):
@@ -246,19 +243,18 @@ def enumerate_vectors(lat: EvenLattice, max_norm_half: int):
     return [VectorShell(m, sorted(vecs)) for m, vecs in enumerate(shells)]
 
 
-_DEEPEST_WALK = {}  # (gram, row) -> (max_norm_half, groups) of the deepest walk so far
+_DEEPEST_WALK = {}  # gram -> (max_norm_half, groups) of the deepest walk so far
 
 
-def _grouped_walk(gram: tuple, row: tuple, max_norm_half: int) -> tuple:
-    """The one walk of a block: ((norm_half, <row,x>^2, count), ...), sorted.
+def _grouped_walk(gram: tuple, max_norm_half: int) -> tuple:
+    """The one walk of a block: ((norm_half, <e_0,x>^2, count), ...), sorted.
 
-    <row,x>^2 is even in x, so the pair x, -x joins one group.  Shell sizes
-    and the theta moments of the block's first axis read the same walk.  Only
-    the deepest walk per (gram, row) is kept: a lower order reads its groups
-    with norm_half <= max_norm_half, which are the groups a walk to that
-    order tallies.
+    <e_0,x>^2 is even in x, so the pair x, -x joins one group.  Shell sizes
+    and theta moments read the same walk.  Only the deepest walk per Gram is
+    kept: a lower order reads its groups with norm_half <= max_norm_half,
+    which are the groups a walk to that order tallies.
     """
-    deepest = _DEEPEST_WALK.get((gram, row))
+    deepest = _DEEPEST_WALK.get(gram)
     if deepest is not None and 0 <= max_norm_half <= deepest[0]:
         return tuple(g for g in deepest[1] if g[0] <= max_norm_half)
     grouped = {}
@@ -267,9 +263,9 @@ def _grouped_walk(gram: tuple, row: tuple, max_norm_half: int) -> tuple:
         key = (nh, ip * ip)
         grouped[key] = grouped.get(key, 0) + mult
 
-    _walk(gram, max_norm_half, leaf, row)
+    _walk(gram, max_norm_half, leaf)
     groups = tuple((nh, ip2, cnt) for (nh, ip2), cnt in sorted(grouped.items()))
-    _DEEPEST_WALK[(gram, row)] = (max_norm_half, groups)
+    _DEEPEST_WALK[gram] = (max_norm_half, groups)
     return groups
 
 
@@ -279,8 +275,7 @@ _grouped_walk.cache_clear = _DEEPEST_WALK.clear  # as on the lru caches that rea
 @lru_cache(maxsize=None)
 def _shell_sizes(gram: tuple, max_norm_half: int) -> tuple:
     sizes = [0] * (max_norm_half + 1)
-    # the pairing row of the first basis vector: the walk of axis 0's moments
-    for nh, _, cnt in _grouped_walk(gram, gram[0], max_norm_half):
+    for nh, _, cnt in _grouped_walk(gram, max_norm_half):
         sizes[nh] += cnt
     return tuple(sizes)
 
@@ -307,73 +302,28 @@ def theta_series(lat: EvenLattice, truncation: int) -> QExpansion:
                                 truncation)
 
 
-def gram_schmidt_axis(lat: EvenLattice, axis: int):
-    """Exact data for the frame axis: (g, <g,g>) with f_axis = g/sqrt(<g,g>).
+@lru_cache(maxsize=None)
+def _axis_shell_data(lat: EvenLattice, max_norm_half: int):
+    """((norm_half, <h,a>^2, count), ...) over the first block's shells, grouped.
 
-    g is the Gram-Schmidt vector of basis vector ``axis`` within its block,
-    expressed in lattice-basis coordinates as Fractions.
+    h = e_0/|e_0|, so <h,a>^2 is the walk's <e_0,a>^2 over G_00.
     """
-    if not (0 <= axis < lat.rank):
-        raise LatticeError(f"axis {axis} out of range for rank {lat.rank}")
-    for idx in lat.blocks():
-        if axis in idx:
-            block = idx
-            break
-    sub = lat.sublattice(block)
-    pos = block.index(axis)
-    gb = sub.gram
-    k = sub.rank
-    basis = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-
-    def inner(u, v):
-        return sum(u[i] * gb[i][j] * v[j] for i in range(k) for j in range(k))
-
-    gs = []
-    norms = []
-    for i in range(pos + 1):
-        g = list(basis[i])
-        for j in range(i):
-            c = inner(basis[i], gs[j]) / norms[j]
-            g = [a - c * b for a, b in zip(g, gs[j])]
-        gs.append(g)
-        norms.append(inner(g, g))
-    return block, gs[pos], norms[pos]
-
-
-def axis_pairing_sq(lat: EvenLattice, block, gvec, gnorm, x) -> Fraction:
-    """<f_axis, x>^2 for integer block coordinates x, exactly rational."""
-    sub_gram = [[lat.gram[i][j] for j in block] for i in block]
-    k = len(block)
-    ip = sum(gvec[i] * sub_gram[i][j] * x[j] for i in range(k) for j in range(k))
-    return ip * ip / gnorm
-
-
-@lru_cache(maxsize=None)
-def _axis_shell_data(lat: EvenLattice, axis: int, max_norm_half: int):
-    """((norm_half, <f,a>^2, count), ...) over the axis block's shells, grouped."""
-    block, gvec, gnorm = gram_schmidt_axis(lat, axis)
+    block = lat.blocks()[0]
     sub_gram = lat.sublattice(block).gram
-    k = len(block)
-    # inner products <g, x> with denominators cleared, so the walk stays integral
-    den = 1
-    for c in gvec:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    gv = [int(c * den) for c in gvec]
-    row = tuple(sum(gv[i] * sub_gram[i][j] for i in range(k)) for j in range(k))
-    return tuple((nh, Fraction(ip2, den * den) / gnorm, cnt)
-                 for nh, ip2, cnt in _grouped_walk(sub_gram, row, max_norm_half)), block
+    return tuple((nh, Fraction(ip2, sub_gram[0][0]), cnt)
+                 for nh, ip2, cnt in _grouped_walk(sub_gram, max_norm_half)), block
 
 
 @lru_cache(maxsize=None)
-def theta_moment(lat: EvenLattice, axis: int, power: int, truncation: int) -> QExpansion:
-    """sum_a <f_axis, a>**power q^{<a,a>/2} to the given order (exact).
+def theta_moment(lat: EvenLattice, power: int, truncation: int) -> QExpansion:
+    """sum_a <h, a>**power q^{<a,a>/2} to the given order (exact), h = e_0/|e_0|.
 
     Odd powers return the zero series (the a -> -a symmetry kills every shell).
     """
     if power % 2:
-        # <f,a>**odd sums to zero shell by shell
+        # <h,a>**odd sums to zero shell by shell
         return QExpansion.zero(truncation)
-    data, block = _axis_shell_data(lat, axis, truncation)
+    data, block = _axis_shell_data(lat, truncation)
     moments = {}
     for nh, t2, cnt in data:
         moments[nh] = moments.get(nh, Fraction(0)) + cnt * t2 ** (power // 2)
@@ -391,12 +341,12 @@ def eta_derivative_factor(ell: int, r: int, truncation: int) -> QExpansion:
     return eta_power(-(ell - 1), truncation) * d
 
 
-def quasimod_rhs(lat: EvenLattice, axis: int, n: int, truncation: int) -> QExpansion:
+def quasimod_rhs(lat: EvenLattice, n: int, truncation: int) -> QExpansion:
     """Closed-form Tr v_0^n q^{L0 - l/24} for v = h[-1]^2 1 - 1/12."""
     ell = lat.rank
     total = None
     for j in range(n + 1):
-        term = theta_moment(lat, axis, 2 * j, truncation) * \
+        term = theta_moment(lat, 2 * j, truncation) * \
             eta_derivative_factor(ell, n - j, truncation)
         term = term.scalar_mul(comb(n, j))
         total = term if total is None else total + term
@@ -465,47 +415,45 @@ def _compositions(total_max, k):
 
 
 @lru_cache(maxsize=None)
-def _literal_eigenvalues(lat: EvenLattice, axis: int, truncation: int) -> tuple:
+def _literal_eigenvalues(lat: EvenLattice, truncation: int) -> tuple:
     """((level, v_0 eigenvalue), ...), one pair per Fock label up to ``truncation``.
 
-    Oscillator color ``axis`` is the frame direction of v; the lattice pairing
-    only sees the component of alpha in the axis block.
+    Oscillator color 0 is the direction h = e_0/|e_0| of v, and <h,alpha>^2 =
+    (G_0 . alpha)^2 / G_00.
     """
-    block, gvec, gnorm = gram_schmidt_axis(lat, axis)
+    g0 = lat.gram[0]
     out = []
     for label in fock_labels(lat, truncation):
-        alpha_block = tuple(label.alpha[i] for i in block)
-        t2 = axis_pairing_sq(lat, block, gvec, gnorm, alpha_block)
+        ip = sum(g * a for g, a in zip(g0, label.alpha))
         out.append((int(label.level(lat)),
-                    t2 + 2 * sum(label.partitions[axis]) - Fraction(1, 12)))
+                    Fraction(ip * ip, g0[0]) + 2 * sum(label.partitions[0]) - Fraction(1, 12)))
     return tuple(out)
 
 
-def fock_trace_literal(lat: EvenLattice, axis: int, n: int, truncation: int) -> QExpansion:
+def fock_trace_literal(lat: EvenLattice, n: int, truncation: int) -> QExpansion:
     """Tr v_0^n q^{L0-l/24} by literal Fock-label enumeration (tiny lattices).
 
-    The labels are enumerated once per (lattice, axis, truncation) and serve
-    every n.
+    The labels are enumerated once per (lattice, truncation) and serve every n.
     """
     coeffs = {}
-    for m, eig in _literal_eigenvalues(lat, axis, truncation):
+    for m, eig in _literal_eigenvalues(lat, truncation):
         coeffs[m] = coeffs.get(m, Fraction(0)) + eig ** n
     return QExpansion.from_dict(coeffs, truncation, Fraction(-lat.rank, 24))
 
 
-def fock_trace_oracle(lat: EvenLattice, axis: int, n: int, truncation: int) -> QExpansion:
+def fock_trace_oracle(lat: EvenLattice, n: int, truncation: int) -> QExpansion:
     """Brute-force Tr v_0^n q^{L0-l/24} over the Fock basis, organized by counting.
 
-    The v_0 eigenvalue on a basis vector is <h,alpha>^2 + 2|lambda_axis| - 1/12,
+    The v_0 eigenvalue on a basis vector is <h,alpha>^2 + 2|lambda_0| - 1/12,
     independent of all other oscillator colors and of the other-block lattice
     components; those are enumerated through partition and shell counting.
     """
     ell = lat.rank
-    data, block = _axis_shell_data(lat, axis, truncation)
+    data, block = _axis_shell_data(lat, truncation)
     # rest-norm counts: lattice vectors of the other blocks by total norm/2
     rest = _rest_counts(lat, block, truncation)
-    # oscillators: axis color counted with its eigenvalue, other ell-1 colors counted
-    p_axis = partition_counts(1, truncation)
+    # oscillators: color 0 counted with its eigenvalue, other ell-1 colors counted
+    p_h = partition_counts(1, truncation)
     p_rest = partition_counts(ell - 1, truncation)
     # convolve the eigenvalue-blind factors once
     blind = [0] * (truncation + 1)
@@ -516,10 +464,10 @@ def fock_trace_oracle(lat: EvenLattice, axis: int, n: int, truncation: int) -> Q
     coeffs = {}
     for nh, t2, cnt in data:
         for v in range(0, truncation + 1 - nh):
-            if not p_axis[v]:
+            if not p_h[v]:
                 continue
             eig = (t2 + 2 * v - Fraction(1, 12)) ** n
-            weight = cnt * p_axis[v] * eig
+            weight = cnt * p_h[v] * eig
             for u in range(0, truncation + 1 - nh - v):
                 if blind[u]:
                     m = nh + v + u
@@ -535,8 +483,7 @@ def _eta_order(shell_truncation: int) -> int:
     return 4 * shell_truncation + 8
 
 
-def trace_value(lat: EvenLattice, axis: int, n: int, tau: complex,
-                shell_truncation: int) -> complex:
+def trace_value(lat: EvenLattice, n: int, tau: complex, shell_truncation: int) -> complex:
     """Numeric Tr v_0^n q^{L0-l/24}, factor-wise.
 
     Theta moments are evaluated at their shell truncation, the eta factors
@@ -547,28 +494,26 @@ def trace_value(lat: EvenLattice, axis: int, n: int, tau: complex,
     q = cmath.exp(TWO_PI_I * tau)
     total = 0j
     for j in range(n + 1):
-        tm = theta_moment(lat, axis, 2 * j, shell_truncation).evaluate(q=q)
+        tm = theta_moment(lat, 2 * j, shell_truncation).evaluate(q=q)
         eta_fac = eta_derivative_factor(ell, n - j, series_order).evaluate(q=q)
         total += comb(n, j) * tm * eta_fac
     return total
 
 
-def moment_trace_value(lat: EvenLattice, axis: int, s: int, tau: complex,
-                       shell_truncation: int) -> complex:
+def moment_trace_value(lat: EvenLattice, s: int, tau: complex, shell_truncation: int) -> complex:
     """Numeric Tr (a_0)^s q^{L0-l/24} for the weight-1 field a = h(-1)1."""
     if s % 2:
         return 0j
     q = cmath.exp(TWO_PI_I * tau)
-    tm = theta_moment(lat, axis, s, shell_truncation).evaluate(q=q)
+    tm = theta_moment(lat, s, shell_truncation).evaluate(q=q)
     return tm * eta_power(-lat.rank, _eta_order(shell_truncation)).evaluate(q=q)
 
 
-def chi_weight1(lat: EvenLattice, axis: int, z: complex, tau: complex,
-                shell_truncation: int) -> complex:
+def chi_weight1(lat: EvenLattice, z: complex, tau: complex, shell_truncation: int) -> complex:
     """chi(tau, z) = Tr e^{2 pi i z a_0} q^{L0 - l/24}, numerically.
 
-    Factorizes over blocks: only the axis block carries the charge phase.
-    The axis block enters through the counts (norm/2, t = <f,a>^2, count)
+    Factorizes over blocks: only the first block carries the charge phase.
+    It enters through the counts (norm/2, t = <h,a>^2, count)
     that the walk, carrying the exact norm and pairing, tallies at its leaves;
     they are cached and shared with the theta moments, and no vector is
     stored.  As each shell is closed under a -> -a, a group contributes
@@ -577,7 +522,7 @@ def chi_weight1(lat: EvenLattice, axis: int, z: complex, tau: complex,
     if tau.imag <= 0:
         raise LatticeError("need Im tau > 0")
     q = cmath.exp(TWO_PI_I * tau)
-    data, block = _axis_shell_data(lat, axis, shell_truncation)
+    data, block = _axis_shell_data(lat, shell_truncation)
     charged = sum((cnt * cmath.cos(2 * math.pi * z * math.sqrt(t2)) * q ** nh
                    for nh, t2, cnt in data), 0j)
     rest = sum(c * q ** m for m, c in enumerate(_rest_counts(lat, block, shell_truncation)))

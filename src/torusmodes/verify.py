@@ -418,17 +418,17 @@ def suite_lattice_oracle(order=4):
         sorted(tuple(-v for v in vec) for vec in s.vectors) == s.vectors for s in shells())
     level = min(order, 6)  # rank-8 default test profile caps the Fock level at 6
     yield "e8_closed_form_equals_oracle_n<=3", lambda: (all(
-        (lt.quasimod_rhs(E8, 0, n, level) - lt.fock_trace_oracle(E8, 0, n, level)).is_zero()
+        (lt.quasimod_rhs(E8, n, level) - lt.fock_trace_oracle(E8, n, level)).is_zero()
         for n in range(0, 4)), {"level": level})
     E83 = lt.e8_cubed()
     yield "e8cubed_closed_form_equals_oracle_n<=1", lambda: all(
-        (lt.quasimod_rhs(E83, 0, n, 3) - lt.fock_trace_oracle(E83, 0, n, 3)).is_zero()
+        (lt.quasimod_rhs(E83, n, 3) - lt.fock_trace_oracle(E83, n, 3)).is_zero()
         for n in range(0, 2))
     yield "e8cubed_character_is_j", lambda: all(
-        lt.quasimod_rhs(E83, 0, 0, 3).coefficient(m) == lt.J_CHARACTER[m] for m in range(4))
+        lt.quasimod_rhs(E83, 0, 3).coefficient(m) == lt.J_CHARACTER[m] for m in range(4))
     A1 = lt.a1()
     yield "literal_vs_counted_oracle_a1", lambda: all(
-        (lt.fock_trace_literal(A1, 0, n, 4) - lt.fock_trace_oracle(A1, 0, n, 4)).is_zero()
+        (lt.fock_trace_literal(A1, n, 4) - lt.fock_trace_oracle(A1, n, 4)).is_zero()
         for n in range(0, 3))
 
 
@@ -449,7 +449,7 @@ def suite_lattice_modular(order=8, tol=1e-5):
     q = cmath.exp(TWO_PI_I * gt)
     tails = []
     for p in (0, 2, 4, 6):
-        series = lt.theta_moment(E83, 0, p, order)
+        series = lt.theta_moment(E83, p, order)
         value = abs(series.evaluate(q=q))
         tails.append(series.tail_estimate(q=q) / value if value else math.inf)
     _check_truncation("lattice-modular", order, 10 * max(tails), tol)
@@ -470,7 +470,7 @@ def suite_lattice_modular(order=8, tol=1e-5):
         return out
     top = min(order, 6)
     yield "e8_moments_from_theta_derivatives", lambda: all(
-        (lt.theta_moment(E8, 0, p, order).truncate(top) - series.truncate(top)).is_zero()
+        (lt.theta_moment(E8, p, order).truncate(top) - series.truncate(top)).is_zero()
         for p, series in moments().items())
     tau0 = 1.2j
 
@@ -494,8 +494,8 @@ def suite_lattice_modular(order=8, tol=1e-5):
         yield f"theta_moment_weight_grading_2j={p}", partial(grading, p)
     N = order
     beta = 1 / (TWO_PI_I * tau)
-    moment_trace = cache(lambda s, t: lt.moment_trace_value(E83, 0, s, t, N))
-    trace = cache(lambda s, t: lt.trace_value(E83, 0, s, t, N))
+    moment_trace = cache(lambda s, t: lt.moment_trace_value(E83, s, t, N))
+    trace = cache(lambda s, t: lt.trace_value(E83, s, t, N))
 
     def weight1_law(s):
         return _below(_closure_miss(tau ** (-s) * moment_trace(s, gt), [
@@ -514,8 +514,8 @@ def suite_lattice_modular(order=8, tol=1e-5):
         yield f"weight2_anomaly_numeric_s={s}", partial(weight2_law, s)
     z = 0.1 + 0.2j
     yield "weight1_jacobi_law_chi", lambda: _below(_closure_miss(
-        lt.chi_weight1(E83, 0, z / tau, gt, N),
-        [cmath.exp(1j * cmath.pi * z * z / tau) * lt.chi_weight1(E83, 0, z, tau, N)]), tol)
+        lt.chi_weight1(E83, z / tau, gt, N),
+        [cmath.exp(1j * cmath.pi * z * z / tau) * lt.chi_weight1(E83, z, tau, N)]), tol)
 
 
 def _bind(name, flags):

@@ -390,6 +390,7 @@ def _w2_weight(weight):
     pytest.param("lattice-trace", '{"gram": 5}', id="gram-not-rows"),
     pytest.param("lattice-trace", "[1, 2]", id="lattice-not-object"),
     pytest.param("lattice-trace", '{"gram": [[2.7]]}', id="gram-float"),
+    pytest.param("lattice-trace", '{"gram": []}', id="gram-empty"),
     pytest.param("reduce", json.dumps({**_W2, "generators": 5}), id="generators-not-list"),
     pytest.param("reduce", "[1]", id="spec-not-object"),
     pytest.param("reduce", _w2_with(out=5), id="out-not-list"),
@@ -535,12 +536,29 @@ def test_parser_reuse_after_failing_queries(capsys, failing, code):
     assert [run(capsys, *argv)[:2] for argv in _VALID] == before
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "--order", "3"], "error: the following arguments are required: --function"),
+    (["nosuch"], "error: argument command: invalid choice: 'nosuch' (choose from 'expand', "
+                 "'verify-suite', 'reduce', 'anomaly', 'lattice-trace', 'transform-check')"),
+    (["expand", "--function", "G_4", "--order", "x"],
+     "error: argument --order: invalid int value: 'x'"),
+    (["lattice-trace", "--lattice", "a1", "--n", "1", "--axis", "3"],
+     "error: unrecognized arguments: --axis 3"),
+])
+def test_argparse_refusals_are_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
 # -- random command lines -------------------------------------------------------
 # A bounded grammar over the six subcommands: orders <= 8, zero-mode powers <= 4.
 # String values are passed as --flag=value, so junk reaches the program's own
-# parsing rather than argparse's.  A drawn verify-suite line ends in a flag
-# refused before its suite runs (argparse keeps the last of a repeated flag);
-# the one suite that runs is combinatorics, as an explicit example.
+# parsing as well as argparse's (a non-integer --order).  argv that argparse
+# refuses is drawn too: a missing required flag, an unknown subcommand and an
+# unknown flag (--axis).  A drawn verify-suite line ends in a flag refused before its
+# suite runs (argparse keeps the last of a repeated flag); the one suite that
+# runs is combinatorics, as an explicit example.
 
 _JUNK = ["", "junk", "-1", "nan", "1e400", "x0^", "--", "é"]
 _TOL = st.sampled_from(["nan", "0", "-1", "inf", "1e-3", "1e-10"]).map("--tol={}".format)
@@ -576,13 +594,17 @@ _SPECS = ["weight1", "weight2"]
 
 _ARGV = st.one_of(
     _command("expand", _flag("function", *_FUNCTIONS),
-             optional=(_int_flag("order", -1, 8), _int_flag("z-order", -3, 8))),
+             optional=(_int_flag("order", -1, 8), _flag("order", "1.5"),
+                       _int_flag("z-order", -3, 8))),
+    _command("expand", optional=(_int_flag("order", -1, 8),)),  # no --function
+    st.sampled_from(["nosuch", "", "--order=3", "lattice"]).map(lambda name: [name]),
     _VERIFY_SUITE,
     _command("reduce", _flag("spec", *_SPECS), _flag("correlator", *_CORRELATORS)),
     _command("anomaly", _flag("spec", *_SPECS), _flag("correlator", *_CORRELATORS)),
     # orders stop at 5 here: the E8 walk to order 8 alone takes about 0.4 s
     _command("lattice-trace", _flag("lattice", "a1", "e8"), _int_flag("n", -1, 4),
-             optional=(_int_flag("order", -1, 5), _int_flag("axis", -1, 9), st.just("--oracle"))),
+             optional=(_int_flag("order", -1, 5), _int_flag("axis", -1, 9),  # unknown flag
+                       st.just("--oracle"))),
     _command("transform-check",
              _flag("function", "Ptilde_1", "P_1", "P_2", "P_4", "P_9", "G_2", "G_4", "g_1_3",
                    "g_2_4"),

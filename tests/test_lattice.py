@@ -43,35 +43,31 @@ def test_theta_series_block_convolution():
     assert th.coefficient(2) == ScaledRational(3 * 2160 + 3 * 240 * 240)
 
 
-def test_gram_schmidt_axis_exact():
-    lat = lt.e8()
-    block, gvec, gnorm = lt.gram_schmidt_axis(lat, 0)
-    assert block == tuple(range(8))
-    assert gvec[0] == 1 and gnorm == 2
-    # axis 1 projects out the first basis vector
-    block, gvec, gnorm = lt.gram_schmidt_axis(lat, 1)
-    assert gnorm > 0 and all(isinstance(c, Fraction) for c in gvec)
-    with pytest.raises(lt.LatticeError):
-        lt.gram_schmidt_axis(lat, 9)
-
-
 def test_theta_moment_values():
-    tm0 = lt.theta_moment(lt.e8(), 0, 0, 3)
+    tm0 = lt.theta_moment(lt.e8(), 0, 3)
     assert tm0.coefficient(1) == ScaledRational(240)
-    tm2 = lt.theta_moment(lt.e8(), 0, 2, 3)
+    tm2 = lt.theta_moment(lt.e8(), 2, 3)
     assert tm2.coefficient(1) == ScaledRational(60)
     assert not tm2.coefficient(0)
     # odd moments vanish identically
-    assert lt.theta_moment(lt.e8(), 0, 3, 3).is_zero()
-    # axis choice does not change low moments (degree <= 6 Weyl uniqueness)
-    for axis in (1, 4, 7):
-        assert (lt.theta_moment(lt.e8(), axis, 2, 3) - tm2).is_zero()
+    assert lt.theta_moment(lt.e8(), 3, 3).is_zero()
+
+
+@pytest.mark.parametrize("first", [1, 4, 7])
+def test_theta_moments_of_a_permuted_e8_basis(first):
+    # h = e_0/|e_0|: a permuted E8 basis puts another simple root first, and the
+    # Weyl group carries one simple root to another, so the moments agree
+    order = [first] + [i for i in range(8) if i != first]
+    gram = lt.e8().gram
+    permuted = lt.EvenLattice(tuple(tuple(gram[i][j] for j in order) for i in order))
+    for p in range(7):
+        assert (lt.theta_moment(permuted, p, 3) - lt.theta_moment(lt.e8(), p, 3)).is_zero(), p
 
 
 def test_quasimod_vs_oracle_e8():
     assert_case("lattice-oracle", "e8_closed_form_equals_oracle_n<=3")
     for n in range(0, 4):
-        assert lt.quasimod_rhs(lt.e8(), 0, n, 4).offset == Fraction(-1, 3), n
+        assert lt.quasimod_rhs(lt.e8(), n, 4).offset == Fraction(-1, 3), n
 
 
 def test_quasimod_vs_oracle_e8cubed():
@@ -80,14 +76,14 @@ def test_quasimod_vs_oracle_e8cubed():
 
 def test_character_is_j():
     assert_case("lattice-oracle", "e8cubed_character_is_j")
-    assert lt.quasimod_rhs(lt.e8_cubed(), 0, 0, 3).offset == -1
+    assert lt.quasimod_rhs(lt.e8_cubed(), 0, 3).offset == -1
 
 
 def test_literal_oracle_matches_counting():
-    for lat in (lt.a1(), lt.EvenLattice(((2, 0), (0, 4)))):
+    for lat in (lt.a1(), lt.EvenLattice(((2, 0), (0, 4))), lt.EvenLattice(((4, 0), (0, 2)))):
         for n in range(0, 3):
-            a = lt.fock_trace_literal(lat, 0, n, 3)
-            b = lt.fock_trace_oracle(lat, 0, n, 3)
+            a = lt.fock_trace_literal(lat, n, 3)
+            b = lt.fock_trace_oracle(lat, n, 3)
             assert (a - b).is_zero(), (lat, n)
 
 
@@ -100,13 +96,13 @@ def test_fock_labels_levels():
         lvl = int(lab.level(lt.a1()))
         dim_by_level[lvl] = dim_by_level.get(lvl, 0) + 1
     # graded dimensions of the rank-1 lattice VOA (A1): theta/eta structure
-    char = lt.quasimod_rhs(lt.a1(), 0, 0, 2)
+    char = lt.quasimod_rhs(lt.a1(), 0, 2)
     for lvl, dim in dim_by_level.items():
         assert char.coefficient(lvl) == ScaledRational(dim)
 
 
 def test_eval_trace_numeric():
-    ch = lt.quasimod_rhs(lt.e8(), 0, 0, 6)
+    ch = lt.quasimod_rhs(lt.e8(), 0, 6)
     val = ch.evaluate(tau=1.5j)
     # independent: theta/eta^8 at tau=1.5i by direct summation
     q = cmath.exp(TWO_PI_I * 1.5j)
@@ -130,16 +126,16 @@ def test_json_round_trip(tmp_path):
 def test_chi_weight1_at_zero_is_character():
     lat = lt.e8()
     tau = 1.4j
-    chi0 = lt.chi_weight1(lat, 0, 0.0, tau, 6)
-    val = lt.quasimod_rhs(lat, 0, 0, 6).evaluate(tau=tau)
+    chi0 = lt.chi_weight1(lat, 0.0, tau, 6)
+    val = lt.quasimod_rhs(lat, 0, 6).evaluate(tau=tau)
     assert abs(chi0 - val) / abs(val) < 1e-8
 
 
 def test_trace_value_matches_series_eval():
     lat = lt.e8()
     tau = 1.4j
-    direct = lt.quasimod_rhs(lat, 0, 2, 6).evaluate(tau=tau)
-    factored = lt.trace_value(lat, 0, 2, tau, 6)
+    direct = lt.quasimod_rhs(lat, 2, 6).evaluate(tau=tau)
+    factored = lt.trace_value(lat, 2, tau, 6)
     assert abs(direct - factored) / abs(direct) < 1e-12
 
 
@@ -149,10 +145,10 @@ def test_chi_z_derivatives_match_moments():
     tau = 1.4j
     h = 1e-3
     zs = [k * h for k in (-2, -1, 0, 1, 2)]
-    vals = [lt.chi_weight1(lat, 0, z, tau, 6) for z in zs]
+    vals = [lt.chi_weight1(lat, z, tau, 6) for z in zs]
     # second derivative: (f1 - 2 f0 + f-1)/h^2 = (2 pi i)^2 Tr a_0^2 q^{...}
     d2 = (vals[3] - 2 * vals[2] + vals[1]) / h ** 2
-    m2 = lt.moment_trace_value(lat, 0, 2, tau, 6)
+    m2 = lt.moment_trace_value(lat, 2, tau, 6)
     assert abs(d2 / TWO_PI_I ** 2 - m2) / abs(m2) < 1e-4
     # first derivative vanishes (odd moments are zero)
     d1 = (vals[3] - vals[1]) / (2 * h)
@@ -162,7 +158,7 @@ def test_chi_z_derivatives_match_moments():
 def test_tail_estimate_shrinks_with_order():
     tails = []
     for order in (3, 5, 8):
-        series = lt.quasimod_rhs(lt.e8(), 0, 0, order)
+        series = lt.quasimod_rhs(lt.e8(), 0, order)
         tails.append(series.tail_estimate(tau=1.5j))
     assert tails[0] > tails[1] > tails[2]
 
@@ -223,18 +219,18 @@ def test_walk_counts_match_box_enumeration():
         assert lt._shell_sizes(lat.gram, N) == tuple(sizes), lat.gram
         assert [s.vectors for s in lt.enumerate_vectors(lat, N)] == \
             [sorted(s) for s in shells], lat.gram
-        for axis in range(lat.rank):
-            block, gvec, gnorm = lt.gram_schmidt_axis(lat, axis)
-            sub = lat.sublattice(block)
-            grouped = {}
-            for x in _box(sub, N):
-                norm = sub.norm2(x)
-                if norm <= 2 * N:
-                    t2 = lt.axis_pairing_sq(lat, block, gvec, gnorm, x)
-                    grouped[(norm // 2, t2)] = grouped.get((norm // 2, t2), 0) + 1
-            data, got_block = lt._axis_shell_data(lat, axis, N)
-            assert got_block == block
-            assert data == tuple((nh, t2, cnt) for (nh, t2), cnt in sorted(grouped.items()))
+        # the first block's shells grouped by <h,x>^2 = <e_0,x>^2 / G_00
+        block = lat.blocks()[0]
+        sub = lat.sublattice(block)
+        grouped = {}
+        for x in _box(sub, N):
+            norm = sub.norm2(x)
+            if norm <= 2 * N:
+                t2 = Fraction(sum(g * v for g, v in zip(sub.gram[0], x)) ** 2, sub.gram[0][0])
+                grouped[(norm // 2, t2)] = grouped.get((norm // 2, t2), 0) + 1
+        data, got_block = lt._axis_shell_data(lat, N)
+        assert got_block == block
+        assert data == tuple((nh, t2, cnt) for (nh, t2), cnt in sorted(grouped.items()))
 
 
 def test_e8_shell_sizes_are_240_sigma3():
@@ -246,9 +242,9 @@ def test_negative_order_raises_on_every_walk_route():
     lat = lt.e8()
     for call in (lambda: lt.enumerate_vectors(lat, -1),
                  lambda: lt._shell_sizes(lat.gram, -1),
-                 lambda: lt._axis_shell_data(lat, 0, -1),
+                 lambda: lt._axis_shell_data(lat, -1),
                  lambda: lt.theta_series(lat, -1),
-                 lambda: lt.chi_weight1(lat, 0, 0.1, 1.2j, -1)):
+                 lambda: lt.chi_weight1(lat, 0.1, 1.2j, -1)):
         with pytest.raises(lt.LatticeError, match="max_norm_half must be >= 0"):
             call()
 
@@ -259,8 +255,8 @@ _EVEN_BASES = {1: ((2,),), 2: ((2, -1), (-1, 2)), 3: ((2, -1, 0), (-1, 2, 0), (0
 
 
 @st.composite
-def _lattice_and_row(draw):
-    """A random even lattice of rank <= 4 (M B M^T) and an integer pairing row."""
+def _even_lattices(draw):
+    """A random even lattice of rank <= 4: M B M^T."""
     k = draw(st.integers(1, 4))
     base = _EVEN_BASES[k]
     m = [[draw(st.integers(-1, 1)) + (i == j) * draw(st.integers(0, 2)) for j in range(k)]
@@ -271,13 +267,11 @@ def _lattice_and_row(draw):
         lat = lt.EvenLattice(gram)
     except lt.LatticeError:  # singular change of basis
         assume(False)
-    row = tuple(draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)))
-    return lat, row
+    return lat
 
 
-@given(_lattice_and_row(), st.integers(0, 3))
-def test_half_walk_matches_box(lat_row, N):
-    lat, row = lat_row
+@given(_even_lattices(), st.integers(0, 3))
+def test_half_walk_matches_box(lat, N):
     box = [x for x in _box(lat, N) if lat.norm2(x) <= 2 * N]
     assume(len(box) <= 4000)
     sizes = [0] * (N + 1)
@@ -285,14 +279,14 @@ def test_half_walk_matches_box(lat_row, N):
     grouped = {}
     for x in box:
         nh = lat.norm2(x) // 2
-        ip = sum(r * v for r, v in zip(row, x))
+        ip = sum(g * v for g, v in zip(lat.gram[0], x))
         sizes[nh] += 1
         shells[nh].append(x)
         grouped[(nh, ip * ip)] = grouped.get((nh, ip * ip), 0) + 1
     assert sizes[0] == 1  # the zero vector, once
     assert lt._shell_sizes(lat.gram, N) == tuple(sizes)
     assert [s.vectors for s in lt.enumerate_vectors(lat, N)] == [sorted(s) for s in shells]
-    assert lt._grouped_walk(lat.gram, row, N) == \
+    assert lt._grouped_walk(lat.gram, N) == \
         tuple((nh, ip2, cnt) for (nh, ip2), cnt in sorted(grouped.items()))
 
 
@@ -302,15 +296,15 @@ def test_one_walk_per_block_gram_and_order(monkeypatch):
     walks = []
     walk = lt._walk
 
-    def counted(gram, max_norm_half, leaf, row=None):
+    def counted(gram, max_norm_half, leaf):
         walks.append((gram, max_norm_half))
-        walk(gram, max_norm_half, leaf, row)
+        walk(gram, max_norm_half, leaf)
 
     monkeypatch.setattr(lt, "_walk", counted)
     e8, e8_cubed = lt.e8(), lt.e8_cubed()
     lt.theta_series(e8, 8)
-    lt.theta_moment(e8_cubed, 0, 2, 8)
-    lt.chi_weight1(e8_cubed, 0, 0.1 + 0.2j, 1.3j, 8)
+    lt.theta_moment(e8_cubed, 2, 8)
+    lt.chi_weight1(e8_cubed, 0.1 + 0.2j, 1.3j, 8)
     assert verify.run_suite("lattice-modular")["status"] == "pass"
     assert walks == [(e8.gram, 8)]
 
@@ -322,9 +316,9 @@ def test_one_walk_per_gram_and_order_in_lattice_oracle(monkeypatch):
     walks = []
     walk = lt._walk
 
-    def counted(gram, max_norm_half, leaf, row=None):
+    def counted(gram, max_norm_half, leaf):
         walks.append((len(gram), max_norm_half))
-        walk(gram, max_norm_half, leaf, row)
+        walk(gram, max_norm_half, leaf)
 
     monkeypatch.setattr(lt, "_walk", counted)
     assert verify.run_suite("lattice-oracle")["status"] == "pass"

@@ -275,10 +275,10 @@ def _builders():
         "power_0": lambda n: qs.eisenstein(4, n).power(0),
         "q_derivative": lambda n: qs.eta_power(2, n).q_derivative(),
         "theta_series": lambda n: lt.theta_series(e8, n),
-        "theta_moment": lambda n: lt.theta_moment(e8, 0, 2, n),
-        "quasimod_rhs": lambda n: lt.quasimod_rhs(a1, 0, 2, n),
-        "fock_trace_literal": lambda n: lt.fock_trace_literal(a1, 0, 2, n),
-        "fock_trace_oracle": lambda n: lt.fock_trace_oracle(a1, 0, 2, n),
+        "theta_moment": lambda n: lt.theta_moment(e8, 2, n),
+        "quasimod_rhs": lambda n: lt.quasimod_rhs(a1, 2, n),
+        "fock_trace_literal": lambda n: lt.fock_trace_literal(a1, 2, n),
+        "fock_trace_oracle": lambda n: lt.fock_trace_oracle(a1, 2, n),
         "p_expansion": lambda n: el.p_expansion(3, n), "p_tilde_1": el.p_tilde_1,
         "g_expansion": lambda n: el.g_expansion(1, 3, n),
         "bivariate_zero": lambda n: el.BivariateExpansion.zero(n, 2),
