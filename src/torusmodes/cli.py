@@ -14,8 +14,10 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import elliptic as el
 from . import hha
@@ -68,9 +70,82 @@ def _check_order_tol(order, tol=None) -> None:
         raise UsageError(f"--tol must be finite and > 0, got {tol:g}")
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` prints it ``indent`` deep.
+
+    Strings, ints, finite floats, and non-empty lists, tuples and string-keyed
+    dicts, which make up the reports, are joined here: the stdlib's indenting
+    encoder is pure Python and about twice as slow.  Every other value (NaN or
+    an infinity, a bool, None, an empty container, a dict with a key that is
+    not a string, a subclass of any of these types) goes to ``json.dumps``
+    itself, so the text never differs.
+    """
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    if cls is float and math.isfinite(value):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if (cls is list or cls is tuple) and value:
+        opening, closing = "[", "]"
+        items = [_json_text(v, inner) for v in value]
+    elif _is_object(value):
+        opening, closing = "{", "}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(value.items())]
+    else:
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    # the brackets join the first and last items, so the items are copied once, by the join
+    items[0] = opening + "\n" + inner + items[0]
+    items[-1] += "\n" + indent + closing
+    return (",\n" + inner).join(items)
+
+
+def _is_object(value) -> bool:
+    """A non-empty dict whose keys are all strings."""
+    return type(value) is dict and {*map(type, value)} == {str}
+
+
+def _write_json(value, write, indent: str = "", depth: int = 2) -> None:
+    """Write ``_json_text(value, indent)``, item by item for the containers ``depth`` deep.
+
+    A report is an object whose large values are lists (cases, terms,
+    coefficients), so at depth 2 the text of one of their items at a time is
+    all that is held.
+    """
+    is_object = _is_object(value)
+    if not (depth and (is_object or type(value) in (list, tuple) and value)):
+        write(_json_text(value, indent))
+        return
+    inner = indent + "  "
+    separator = "\n" + inner
+    items = (((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items()))
+             if is_object else (("", v) for v in value))
+    write("{" if is_object else "[")
+    for key, item in items:
+        write(separator + key)
+        _write_json(item, write, inner, depth - 1)
+        separator = ",\n" + inner
+    write("\n" + indent + ("}" if is_object else "]"))
+
+
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    """Print ``obj`` as ``json.dump(obj, sys.stdout, indent=2, sort_keys=True)``, then a newline.
+
+    A reader that closes the pipe early (``| head``) ends the output, not the
+    command: stdout is pointed at the null device so that the interpreter's
+    last flush stays silent, and the command keeps its exit code.
+    """
+    try:
+        _write_json(obj, sys.stdout.write)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _load_spec(name: str) -> hha.HHASpec:

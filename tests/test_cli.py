@@ -2,7 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def canonical(out):
+    """``out`` as ``json.dump(..., indent=2, sort_keys=True)`` prints it, with the final newline."""
+    return json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def src_env():
+    """The environment of a child interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def test_expand_eisenstein(capsys):
@@ -362,11 +376,8 @@ def test_suites_run_without_numpy():
               "sys.modules['numpy'] = None\n"
               "from torusmodes import verify\n"
               "print(json.dumps({s: verify.run_suite(s)['status'] for s in sys.argv[1:]}))\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     done = subprocess.run([sys.executable, "-c", script, "elliptic-numeric", "lattice-modular"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"elliptic-numeric": "pass", "lattice-modular": "pass"}
 
@@ -624,3 +635,69 @@ def test_random_command_lines_end_in_a_known_exit_and_one_line(argv):
     assert code in (0, 1, 2, 3), (argv, code)
     assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), \
         (argv, err.getvalue())
+    if out.getvalue():
+        assert out.getvalue() == canonical(out.getvalue()), argv
+
+
+# -- the JSON writer --------------------------------------------------------------
+
+def _readme_examples():
+    """(argv, exit code) of each command in the README's CLI examples block.
+
+    A command exits 0 unless the comment line just above it says "# -> exit N".
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples, code = [], 0
+    for line in block.splitlines():
+        if line.startswith("# -> exit "):
+            code = int(line.split()[3].rstrip(","))
+        elif line.startswith("torusmodes "):
+            examples.append(pytest.param(shlex.split(line)[1:], code, id=line[len("torusmodes "):]))
+            code = 0
+    if not examples:
+        raise ValueError("README.md has no torusmodes command under '## CLI examples'")
+    return examples
+
+
+@pytest.mark.parametrize("argv, code", _readme_examples())
+def test_readme_examples(capsys, argv, code):
+    # each example exits as documented and prints what json.dump(indent=2, sort_keys=True) prints
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    if code == 0:
+        assert out == canonical(out) and err == ""
+    else:
+        assert out == "" and len(err.splitlines()) == 1
+
+
+_STRINGS = st.text() | st.text(st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\u2028",
+                                                 "é", "\U0001f600", "a"]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10 ** 40, 10 ** 40),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300]), _STRINGS)
+_JSON_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_STRINGS, inner, max_size=4),
+    st.dictionaries(st.integers(), inner, max_size=3)), max_leaves=40)
+
+
+@given(_JSON_VALUES)
+def test_writer_prints_what_json_dump_prints(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(value)
+    assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_reader_closing_the_pipe_ends_the_output_not_the_command():
+    # `torusmodes reduce ... | head -n 1`: the 287 kB report overfills the pipe, so the
+    # writer meets the closed pipe, and the command still exits 0 with nothing on stderr
+    argv = [sys.executable, "-m", "torusmodes.cli",
+            "reduce", "--spec", "weight2", "--correlator", "x0^5"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=src_env()) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
