@@ -22,8 +22,10 @@ spec the module implements:
 Correlator symbols are kept in a normal form in which identity insertions
 are dropped and a lone insertion of an L[-1]-descendant annihilates the
 trace; states are always expanded onto the (L-power, generator) basis.
-Each spec memoizes the commuting recursion step by symbol shape (zero modes
-plus the (L-power, generator) of each insertion), for the life of the spec.
+Each spec memoizes, by symbol shape (zero modes plus the (L-power, generator)
+of each insertion) and for the life of the spec, the commuting recursion step
+and the full reduction to zero-mode correlators, both at positions 1..n; the
+peel and the anomaly read these memos and relabel them onto their positions.
 """
 
 from __future__ import annotations
@@ -141,9 +143,10 @@ class HHASpec:
                 self.table[(a, b, m)] = tuple(cleaned)
                 max_m = max(max_m, m)
         self.max_m = max_m
-        # reduce_once results by canonical shape; valid because the table is
-        # fixed from here on
+        # reduce_once and reduce_to_zero_modes results by canonical shape;
+        # valid because the table is fixed from here on
         self.shape_memo = {}
+        self.zero_mode_memo = {}
 
     def weight_of(self, gen: str) -> Fraction:
         return self.weights[gen]
@@ -368,6 +371,14 @@ class CorrExpression:
         elif not cur.iadd(poly):
             del self.terms[sym]
 
+    def add_product(self, sym: CorrSymbol, a: CoeffPoly, b: CoeffPoly):
+        """Add a*b into the polynomial this expression owns for ``sym``."""
+        cur = self.terms.get(sym)
+        if cur is None:
+            cur = self.terms[sym] = CoeffPoly()
+        if not cur.add_product(a, b):
+            del self.terms[sym]
+
     def add_terms(self, other: "CorrExpression"):
         for sym, poly in other.terms.items():
             self.add_term(sym, poly)
@@ -482,14 +493,23 @@ def reduce_once(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
         if not sym.insertions:
             out.add_term(sym, poly)
             continue
-        key = (sym.modes, tuple((d, g_) for _, d, g_ in sym.insertions))
-        canon = spec.shape_memo.get(key)
-        if canon is None:
-            canon = spec.shape_memo[key] = _reduce_shape(spec, *key)
         label = (None,) + tuple(sym.positions())
-        for tsym, tpoly in canon:
-            out.add_term(_relabel_symbol(tsym, label), poly * _relabel_poly(tpoly, label))
+        for tsym, tpoly in _shape_step(spec, sym.modes, _shape(sym)):
+            out.add_product(_relabel_symbol(tsym, label), poly, _relabel_poly(tpoly, label))
     return out
+
+
+def _shape(sym: CorrSymbol) -> tuple:
+    return tuple((d, g_) for _, d, g_ in sym.insertions)
+
+
+def _shape_step(spec: HHASpec, modes, shape) -> tuple:
+    """reduce_once of one shape at positions 1..n, from the spec's memo."""
+    key = (modes, shape)
+    canon = spec.shape_memo.get(key)
+    if canon is None:
+        canon = spec.shape_memo[key] = _reduce_shape(spec, modes, shape)
+    return canon
 
 
 def _reduce_shape(spec: HHASpec, modes, shape) -> tuple:
@@ -639,6 +659,17 @@ def reduce_to_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
     return cur
 
 
+def _shape_zero_modes(spec: HHASpec, modes, shape) -> tuple:
+    """reduce_to_zero_modes of one shape at positions 1..n, from the spec's memo."""
+    key = (modes, shape)
+    canon = spec.zero_mode_memo.get(key)
+    if canon is None:
+        sym = CorrSymbol(modes, tuple((p, d, g_) for p, (d, g_) in enumerate(shape, 1)))
+        canon = spec.zero_mode_memo[key] = tuple(
+            reduce_to_zero_modes(spec, CorrExpression.single(sym)).terms.items())
+    return canon
+
+
 # ---------------------------------------------------------------------------
 # inversion and anomalies
 # ---------------------------------------------------------------------------
@@ -686,15 +717,15 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions,
             fresh = max((p for p in positions if p < floor and p not in used), default=None)
             if fresh is None:
                 raise HHAError(f"no fresh position available for peeling {sym!r}")
-            target = CorrSymbol(sym.modes[:-1], sym.insertions + ((fresh, 0, b),))
-            expansion = reduce_once(spec, CorrExpression.single(target))
-            if sym not in expansion.terms or not (expansion.terms[sym] - ONE).is_zero():
+            # F(target) = F(sym) + tails, so F(sym) = F(target) - tails
+            canon = _shape_step(spec, sym.modes[:-1], ((0, b),) + _shape(sym))
+            label = (None, fresh) + tuple(sym.positions())
+            if not canon or _relabel_symbol(canon[0][0], label) != sym or canon[0][1] != ONE:
                 raise HHAError(f"peel head mismatch for {sym!r}")
-            tails = CorrExpression(
-                {s: p for s, p in expansion.terms.items() if s != sym})
-            replacement = CorrExpression.single(target) - tails
-            for s, p in replacement.terms.items():
-                out.add_term(s, p * poly)
+            out.add_term(CorrSymbol(sym.modes[:-1], sym.insertions + ((fresh, 0, b),)), poly)
+            minus = -poly
+            for tsym, tpoly in canon[1:]:
+                out.add_product(_relabel_symbol(tsym, label), minus, _relabel_poly(tpoly, label))
         expr = out
         rounds += 1
 
@@ -745,12 +776,9 @@ def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
 
     result = CorrExpression()
     for sym, poly in delta_expr.terms.items():
-        if sym.insertions:
-            red = reduce_to_zero_modes(spec, CorrExpression.single(sym))
-            for s, p in red.terms.items():
-                result.add_term(s, p * poly)
-        else:
-            result.add_term(sym, poly)
+        label = (None,) + tuple(sym.positions())
+        for s, p in _shape_zero_modes(spec, sym.modes, _shape(sym)):
+            result.add_product(s, _relabel_poly(p, label), poly)
 
     graded: dict[int, dict] = {}
     for sym, poly in result.terms.items():

@@ -183,20 +183,29 @@ class CoeffPoly:
         out.extend(m1[i:] or m2[j:])
         return tuple(out)
 
+    def add_product(self, a: "CoeffPoly", b: "CoeffPoly") -> "CoeffPoly":
+        """Add a*b (a, b not self) into self in place, dropping what cancels; returns self."""
+        terms = self.terms
+        mono_mul = self._mono_mul
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                m = mono_mul(m1, m2)
+                c = c1 * c2
+                cur = terms.get(m)
+                if cur is None:
+                    terms[m] = c
+                elif c := cur + c:
+                    terms[m] = c
+                else:
+                    del terms[m]
+        return self
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ScaledRational)):
             if not other:
                 return CoeffPoly()
             return CoeffPoly._of_terms({m: c * other for m, c in self.terms.items()})
-        terms = {}
-        mono_mul = self._mono_mul
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                cur = terms.get(m)
-                terms[m] = c if cur is None else cur + c
-        return CoeffPoly._of_terms({m: c for m, c in terms.items() if c})
+        return CoeffPoly().add_product(self, other)
 
     __rmul__ = __mul__
 
@@ -364,18 +373,20 @@ def delta_transform(poly: CoeffPoly) -> CoeffPoly:
 
     This implements the multiplicativity of weight-normalized transforms
     (equivalently Delta(fg) = f Delta g + (Delta f) g + (Delta f)(Delta g)).
-    Each power (f + Delta f)**e is expanded once per call.
+    Each power (f + Delta f)**e is expanded once per call, and each
+    monomial's product with its last power is added straight into the total.
     """
     powers = {}
     total = CoeffPoly.zero()
     for mono, c in poly.terms.items():
-        transformed = CoeffPoly.scalar(c)
+        factors = []
         for factor in mono:
             power = powers.get(factor)
             if power is None:
                 s, e = factor
                 base = CoeffPoly.symbol(s) + delta_of_symbol(s)
                 power = powers[factor] = reduce(mul, [base] * e)
-            transformed = transformed * power
-        total.iadd(transformed)
+            factors.append(power)
+        *init, last = factors or [ONE]
+        total.add_product(reduce(mul, init, CoeffPoly.scalar(c)), last)
     return total.iadd(-poly)

@@ -219,7 +219,7 @@ def test_two_generator_multiset_reduction():
     assert {s[0] for s, _ in mono} == {"P"}
 
 
-# -- the shape memo of reduce_once ---------------------------------------------
+# -- the shape memos of reduce_once and reduce_to_zero_modes -------------------
 
 SPECS = {"weight1": weight1_spec, "weight2": weight2_spec,
          "two-heisenberg": _two_heisenberg_spec}
@@ -276,8 +276,9 @@ def _relabeled(expr, label):
 
 
 def _memo_snapshot(spec):
-    return {key: [(sym, dict(poly.terms)) for sym, poly in terms]
-            for key, terms in spec.shape_memo.items()}
+    return {(memo, key): [(sym, dict(poly.terms)) for sym, poly in terms]
+            for memo in ("shape_memo", "zero_mode_memo")
+            for key, terms in getattr(spec, memo).items()}
 
 
 @given(placed_shapes())
@@ -292,6 +293,10 @@ def test_reduce_once_is_position_equivariant(case):
     assert got == _relabeled(canonical, (None,) + tuple(positions))
     scaled = reduce_once(warm, CorrExpression.single(sym, BASE))
     assert scaled.terms == {s: p * BASE for s, p in got.terms.items()}
+    # the per-shape zero-mode reduction the anomaly reads, moved onto the positions
+    zero_modes = CorrExpression(dict(hha._shape_zero_modes(warm, sym.modes, tuple(shape))))
+    assert _relabeled(zero_modes, (None,) + tuple(positions)) == \
+        reduce_to_zero_modes(SPECS[name](), CorrExpression.single(sym))
 
 
 @given(placed_shapes())
@@ -306,6 +311,20 @@ def test_repeated_reduce_once_leaves_memo_unchanged(case):
     assert _memo_snapshot(spec) == snapshot
 
 
+def test_peel_refuses_a_corrupted_memo_head():
+    spec = weight2_spec()
+    expected = invert_to_full(spec, ("x",) * 2)
+    key = (("x",), ((0, "x"),))  # the first peel of F(x0 x0)
+    (head, poly), *tails = spec.shape_memo[key]
+    for bad in ((head, poly * 2), (CorrSymbol(("x",) * 3, ()), poly)):
+        broken = weight2_spec()
+        broken.shape_memo = {**spec.shape_memo, key: (bad, *tails)}
+        with pytest.raises(HHAError, match="peel head mismatch for F\\(x0\\^2\\)"):
+            invert_to_full(broken, ("x",) * 2)
+    assert spec.shape_memo[key][0] == (head, poly) and poly == ONE
+    assert invert_to_full(spec, ("x",) * 2) == expected
+
+
 def test_weight_check_runs_on_memo_miss(monkeypatch):
     # a layer coefficient of the wrong weight is caught even under a caller
     # coefficient of mixed weight
@@ -318,9 +337,10 @@ def test_weight_check_runs_on_memo_miss(monkeypatch):
 
 def test_accumulation_leaves_shared_polynomials_unchanged():
     # a CorrExpression accumulates in place into its own copies: the global ONE,
-    # a caller's polynomial and the shape memo's entries are never changed
+    # a caller's polynomial and the entries of both shape memos are never changed
     spec = weight2_spec()
     invert_to_full(spec, ("x",) * 4)
+    hha.anomaly_of_zero_modes(spec, ("x",) * 3)
     snapshot = _memo_snapshot(spec)
     invert_to_full(spec, ("x",) * 4)
     hha.anomaly_of_zero_modes(spec, ("x",) * 3)

@@ -1,5 +1,6 @@
 """Ring laws of CoeffPoly, the coefficient ring of correlator expressions."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from torusmodes.scaled import ScaledRational
@@ -46,6 +47,22 @@ def test_no_stored_zero_coefficient(a, b, x):
     for result in (a + b, a - b, a * b, -a, a * x, a * ScaledRational(x, 2), a + (b - a),
                    (a + b) * (a - b)):
         assert _normalized(result)
+
+
+@given(polys, polys, polys)
+def test_add_product_accumulates_in_place(a, b, c):
+    a_terms, b_terms = dict(a.terms), dict(b.terms)
+    got = c.copy().add_product(a, b)
+    assert got == c + a * b and _normalized(got)
+    assert a.terms == a_terms and b.terms == b_terms
+    assert c.copy().add_product(a, -b).add_product(a, b) == c
+
+
+@given(rationals.filter(bool), rationals.filter(bool))
+def test_add_product_refuses_mixed_grades(x, y):
+    c = CoeffPoly.symbol(("B",), ScaledRational(x, 2)) + CoeffPoly.scalar(y)
+    with pytest.raises(ValueError, match="cannot add grades"):
+        c.add_product(CoeffPoly.symbol(("B",), ScaledRational(y, 3)), CoeffPoly.scalar(x))
 
 
 # several symbols of every kind, so monomials share symbols and interleave

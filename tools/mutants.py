@@ -50,6 +50,7 @@ MUTANTS = [
      ("lattice-oracle", "lattice-modular")),
     ("hha.py", "d = {key: -c for key, c in d.items()}", "d = {key: c for key, c in d.items()}",
      ("hha-weight2",)),
+    ("hha.py", "minus = -poly", "minus = poly", ("hha-weight1", "hha-weight2")),
     ("lattice.py", "Fraction(ip2, sub_gram[0][0])", "Fraction(ip2, 2 * sub_gram[0][0])",
      ("lattice-oracle", "lattice-modular")),
 ]
