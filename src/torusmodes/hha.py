@@ -495,7 +495,7 @@ def reduce_once(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
             continue
         label = (None,) + tuple(sym.positions())
         for tsym, tpoly in _shape_step(spec, sym.modes, _shape(sym)):
-            out.add_product(_relabel_symbol(tsym, label), poly, _relabel_poly(tpoly, label))
+            out.add_product(_relabel_symbol(tsym, label), poly, tpoly.relabel(label))
     return out
 
 
@@ -561,30 +561,8 @@ def _assert_tail_weight(spec, tail: CorrExpression, W):
                     f"{w} against head weight {W}")
 
 
-# position-carrying coefficient symbols: the slice of the symbol tuple holding positions
-_POSITION_SLOTS = {"P": slice(2, 4), "Pt": slice(1, 3), "g": slice(3, 5), "z": slice(1, 2)}
-
-
 def _relabel_symbol(sym: CorrSymbol, label) -> CorrSymbol:
     return CorrSymbol(sym.modes, tuple((label[p], d, g_) for p, d, g_ in sym.insertions))
-
-
-def _relabel_poly(poly: CoeffPoly, label) -> CoeffPoly:
-    """Map position i to label[i] in every coefficient symbol.
-
-    ``label`` is increasing, so every hi > lo orientation and the monomial
-    order are kept: no sign changes and nothing is re-sorted.
-    """
-    terms = {}
-    for mono, c in poly.terms.items():
-        moved = []
-        for s, e in mono:
-            slots = _POSITION_SLOTS.get(s[0])
-            if slots is not None:
-                s = s[:slots.start] + tuple(label[p] for p in s[slots]) + s[slots.stop:]
-            moved.append((s, e))
-        terms[tuple(moved)] = c
-    return CoeffPoly._of_terms(terms)
 
 
 def reduce_once_ordered(spec: HHASpec, modes, insertions) -> CorrExpression:
@@ -652,10 +630,9 @@ def reduce_to_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
         if passes > guard:
             raise HHAError("reduction failed to terminate: insertion count did not decrease")
     for sym, poly in cur.terms.items():
-        for mono in poly.terms:
-            if any(s == ("pi",) for s, _ in mono):
-                raise CancellationError(
-                    f"pi*i residual failed to cancel on {sym!r}: {poly!r}")
+        if poly.mentions("pi"):
+            raise CancellationError(
+                f"pi*i residual failed to cancel on {sym!r}: {poly!r}")
     return cur
 
 
@@ -673,16 +650,6 @@ def _shape_zero_modes(spec: HHASpec, modes, shape) -> tuple:
 # ---------------------------------------------------------------------------
 # inversion and anomalies
 # ---------------------------------------------------------------------------
-
-def _referenced_positions(sym: CorrSymbol, poly: CoeffPoly):
-    used = set(sym.positions())
-    for mono in poly.terms:
-        for s, _ in mono:
-            slots = _POSITION_SLOTS.get(s[0])
-            if slots is not None:
-                used.update(s[slots])
-    return used
-
 
 def invert_to_full(spec: HHASpec, gens, steps=None) -> CorrExpression:
     """Express F(a_0^{gens}) through full correlators, by peeling zero modes.
@@ -712,7 +679,7 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions,
                 out.add_term(sym, poly)
                 continue
             b = sym.modes[-1]
-            used = _referenced_positions(sym, poly)
+            used = poly.positions().union(sym.positions())
             floor = min(sym.positions(), default=max(positions) + 1)
             fresh = max((p for p in positions if p < floor and p not in used), default=None)
             if fresh is None:
@@ -725,7 +692,7 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions,
             out.add_term(CorrSymbol(sym.modes[:-1], sym.insertions + ((fresh, 0, b),)), poly)
             minus = -poly
             for tsym, tpoly in canon[1:]:
-                out.add_product(_relabel_symbol(tsym, label), minus, _relabel_poly(tpoly, label))
+                out.add_product(_relabel_symbol(tsym, label), minus, tpoly.relabel(label))
         expr = out
         rounds += 1
 
@@ -778,32 +745,22 @@ def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
     for sym, poly in delta_expr.terms.items():
         label = (None,) + tuple(sym.positions())
         for s, p in _shape_zero_modes(spec, sym.modes, _shape(sym)):
-            result.add_product(s, _relabel_poly(p, label), poly)
+            result.add_product(s, p.relabel(label), poly)
 
     graded: dict[int, dict] = {}
     for sym, poly in result.terms.items():
-        for mono, c in poly.terms.items():
-            bad = [s for s_e in mono for s in [s_e[0]] if s[0] == "z"]
-            if bad:
-                raise ResidueError(
-                    f"anomaly left z-dependence on {sym!r}: {poly!r}")
-            try:
-                grading = CoeffPoly({mono: c}).pure_b_grading()
-            except ValueError:
-                raise ResidueError(
-                    f"anomaly left function symbols on {sym!r}: {poly!r}") from None
-            for k, coeff in grading.items():
-                if k == 0:
-                    raise ResidueError(
-                        f"anomaly produced an ungraded (B^0) term on {sym!r}")
-                bucket = graded.setdefault(k, {})
-                bucket[sym] = bucket.get(sym, ScaledRational()) + coeff
-    out = []
-    for k in sorted(graded):
-        clean = {s: c for s, c in graded[k].items() if c}
-        if clean:
-            out.append((k, clean))
-    return out
+        if poly.mentions("z"):
+            raise ResidueError(f"anomaly left z-dependence on {sym!r}: {poly!r}")
+        try:
+            grading = poly.pure_b_grading()
+        except ValueError:
+            raise ResidueError(
+                f"anomaly left function symbols on {sym!r}: {poly!r}") from None
+        if 0 in grading:
+            raise ResidueError(f"anomaly produced an ungraded (B^0) term on {sym!r}")
+        for k, coeff in grading.items():
+            graded.setdefault(k, {})[sym] = coeff
+    return [(k, graded[k]) for k in sorted(graded)]
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,11 @@ class ScaledRational:
         obj.tpi = tpi if value else 0
         return obj
 
+    @staticmethod
+    def grade_error(tpi1: int, tpi2: int) -> ValueError:
+        """The error for a sum of nonzero values of grades tpi1 and tpi2."""
+        return ValueError(f"cannot add grades (2*pi*i)^{tpi1} and (2*pi*i)^{tpi2}")
+
     @classmethod
     def of(cls, x) -> "ScaledRational":
         return x if isinstance(x, ScaledRational) else cls(x)
@@ -105,8 +110,7 @@ class ScaledRational:
         if not other:
             return self
         if self.tpi != other.tpi:
-            raise ValueError(
-                f"cannot add grades (2*pi*i)^{self.tpi} and (2*pi*i)^{other.tpi}")
+            raise ScaledRational.grade_error(self.tpi, other.tpi)
         return ScaledRational._make(self.value + other.value, self.tpi)
 
     __radd__ = __add__

@@ -6,7 +6,11 @@ Polynomials over Q*(2*pi*i)**Z in the formal symbols
     B = 2*pi*i*c/(c*tau+d),  z_a,  and the pi*i residual marker
 
 with a fixed symbol order (G < P < P~ < g < B < z < pi) and sorted monomials,
-so symbolic equality of reduced correlator expressions is decidable.
+so symbolic equality of reduced correlator expressions is decidable.  A
+monomial is a tuple of (symbol, exponent) pairs in that order, with no bound
+on the exponents.  The engine (hha) reads no monomial: it relabels, inspects
+and grades polynomials through CoeffPoly's methods; numerics.poly_value
+evaluates the monomials of ``terms`` one by one.
 
 The anomaly Delta f = (c*tau+d)**-w f(gamma.) - f is tabulated on the
 generating symbols; products transform multiplicatively,
@@ -19,7 +23,7 @@ marker, whose final cancellation is a theorem the engine asserts.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import mul
 
 from .scaled import ScaledRational
@@ -55,9 +59,20 @@ def sym_weight(sym) -> int:
     raise KeyError(f"unknown symbol {sym!r}")
 
 
-@lru_cache(maxsize=None)
-def _sym_key(sym):
-    return (_KIND_RANK[sym[0]],) + tuple(sym[1:])
+class _SymKeys(dict):
+    """symbol -> its sort key (kind rank, then the symbol's arguments), filled on first use.
+
+    A dict lookup, where an lru_cache would also build and hash an argument
+    tuple on every call of the monomial merge.
+    """
+
+    def __missing__(self, sym):
+        key = self[sym] = (_KIND_RANK[sym[0]],) + tuple(sym[1:])
+        return key
+
+
+_SYM_KEYS = _SymKeys()
+_sym_key = _SYM_KEYS.__getitem__
 
 
 def sym_str(sym) -> str:
@@ -79,8 +94,19 @@ def sym_str(sym) -> str:
     raise KeyError(sym)
 
 
+# position-carrying coefficient symbols: the slice of the symbol tuple holding positions
+_POSITION_SLOTS = {"P": slice(2, 4), "Pt": slice(1, 3), "g": slice(3, 5), "z": slice(1, 2)}
+
+
+# label -> {(symbol, exponent): the relabelled pair}, filled as CoeffPoly.relabel meets them
+_MOVES: dict = {}
+
+
 class CoeffPoly:
     """Multivariate polynomial: map sorted monomial -> nonzero ScaledRational.
+
+    A monomial is a tuple of (symbol, exponent) pairs in ``_sym_key`` order,
+    with no bound on the exponents; ``terms`` is the dict itself.
 
     Each monomial's coefficient has one 2*pi*i grade; adding coefficients of
     different grades to the same monomial raises ValueError.
@@ -184,18 +210,29 @@ class CoeffPoly:
         return tuple(out)
 
     def add_product(self, a: "CoeffPoly", b: "CoeffPoly") -> "CoeffPoly":
-        """Add a*b (a, b not self) into self in place, dropping what cancels; returns self."""
+        """Add a*b (a, b not self) into self in place, dropping what cancels; returns self.
+
+        The coefficients are multiplied and summed as ScaledRational's
+        operators do, on value and grade with one object made per term; a sum
+        of two grades raises ScaledRational.grade_error.
+        """
         terms = self.terms
         mono_mul = self._mono_mul
+        make = ScaledRational._make
+        factors = [(m2, c2.value, c2.tpi) for m2, c2 in b.terms.items()]
         for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
+            v1, t1 = c1.value, c1.tpi
+            for m2, v2, t2 in factors:
                 m = mono_mul(m1, m2)
-                c = c1 * c2
+                v, t = v1 * v2, t1 + t2
                 cur = terms.get(m)
                 if cur is None:
-                    terms[m] = c
-                elif c := cur + c:
-                    terms[m] = c
+                    terms[m] = make(v, t)
+                    continue
+                if cur.tpi != t:
+                    raise ScaledRational.grade_error(cur.tpi, t)
+                if v := cur.value + v:
+                    terms[m] = make(v, t)
                 else:
                     del terms[m]
         return self
@@ -208,6 +245,42 @@ class CoeffPoly:
         return CoeffPoly().add_product(self, other)
 
     __rmul__ = __mul__
+
+    def relabel(self, label) -> "CoeffPoly":
+        """Map position p to label[p] in every coefficient symbol.
+
+        ``label`` must be increasing, so that every hi > lo orientation and
+        the monomial order are kept: no sign changes and nothing is re-sorted.
+        """
+        moves = _MOVES.setdefault(label, {})
+        terms = {}
+        for mono, c in self.terms.items():
+            moved = []
+            for p in mono:
+                q = moves.get(p)
+                if q is None:
+                    s = p[0]
+                    slots = _POSITION_SLOTS.get(s[0])
+                    if slots is not None:
+                        s = s[:slots.start] + tuple(label[i] for i in s[slots]) + s[slots.stop:]
+                    q = moves[p] = (s, p[1])
+                moved.append(q)
+            terms[tuple(moved)] = c
+        return CoeffPoly._of_terms(terms)
+
+    def positions(self) -> set:
+        """The positions of every coefficient symbol the polynomial holds."""
+        used = set()
+        for mono in self.terms:
+            for s, _ in mono:
+                slots = _POSITION_SLOTS.get(s[0])
+                if slots is not None:
+                    used.update(s[slots])
+        return used
+
+    def mentions(self, kind: str) -> bool:
+        """Whether some monomial holds a symbol of ``kind`` ("z", "pi", ...)."""
+        return any(s[0] == kind for mono in self.terms for s, _ in mono)
 
     def monomial_weights(self):
         return {m: sum(e * sym_weight(s) for s, e in m) for m in self.terms}

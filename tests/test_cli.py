@@ -141,6 +141,25 @@ def test_report_determinism(capsys):
     assert out1 == out2
 
 
+def test_engine_report_ignores_earlier_calls():
+    # the engine's process-wide caches (symbol sort keys, relabelling maps) are
+    # filled in another order after an anomaly run, and the report must not show it
+    script = ("import contextlib, io, sys\n"
+              "from torusmodes import cli\n"
+              "def run(*argv):\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        assert cli.main(list(argv)) == 0\n"
+              "    return out.getvalue()\n"
+              "if sys.argv[1:]:\n"
+              "    run('anomaly', '--spec', 'weight1', '--correlator', 'a0^6')\n"
+              "sys.stdout.write(run('reduce', '--spec', 'weight2', '--correlator', 'x0^5'))\n")
+    cold, warm = (subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                                 text=True, env=src_env()) for argv in ([], ["warm"]))
+    assert cold.returncode == warm.returncode == 0, cold.stderr + warm.stderr
+    assert cold.stdout == warm.stdout and cold.stdout.startswith("{")
+
+
 def test_transform_check_failure_exit_code(capsys):
     code, out, _ = run(capsys, "transform-check", "--function", "P_3",
                        "--gamma", "0,-1,1,0", "--z", "0.2+0.3i", "--tau", "1.1i",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torusmodes.scaled import ScaledRational
-from torusmodes.symbols import CoeffPoly, _sym_key, sym_weight
+from torusmodes.symbols import CoeffPoly, P, PI_MARK, Pt, _sym_key, sym_weight, zvar
 
 # one symbol of each kind; a monomial's coefficient takes its weight as its
 # 2*pi*i grade, so sums and products stay within one grade per monomial
@@ -65,10 +65,11 @@ def test_add_product_refuses_mixed_grades(x, y):
         c.add_product(CoeffPoly.symbol(("B",), ScaledRational(y, 3)), CoeffPoly.scalar(x))
 
 
-# several symbols of every kind, so monomials share symbols and interleave
+# several symbols of every kind, so monomials share symbols and interleave;
+# exponents reach 300: nothing bounds them
 MERGE_SYMBOLS = SYMBOLS + [("G", 2), ("P", 3, 2, 1), ("P", 2, 3, 1), ("P", 2, 3, 2), ("Pt", 2, 1),
                            ("g", 1, 3, 2, 1), ("g", 2, 4, 3, 1), ("z", 2), ("z", 3)]
-sorted_monomials = st.dictionaries(st.sampled_from(MERGE_SYMBOLS), st.integers(1, 3),
+sorted_monomials = st.dictionaries(st.sampled_from(MERGE_SYMBOLS), st.integers(1, 300),
                                    max_size=6).map(
     lambda d: tuple(sorted(d.items(), key=lambda p: _sym_key(p[0]))))
 
@@ -83,4 +84,17 @@ def _reference_mono_mul(m1, m2):
 @given(sorted_monomials, sorted_monomials)
 def test_mono_mul_is_the_sorted_product(m1, m2):
     for a, b in ((m1, m2), (m2, m1), (m1, m1), (m1, ()), ((), m2), ((), ())):
-        assert CoeffPoly._mono_mul(a, b) == _reference_mono_mul(a, b)
+        want = _reference_mono_mul(a, b)
+        assert CoeffPoly._mono_mul(a, b) == want
+        assert (CoeffPoly({a: 1}) * CoeffPoly({b: 1})).terms == {want: 1}
+
+
+def test_relabel_maps_positions_through_each_label():
+    poly = P(2, 2, 1) * zvar(2) + Pt(3, 1) * PI_MARK
+    assert poly.positions() == {1, 2, 3}
+    assert poly.mentions("pi") and poly.mentions("z") and not poly.mentions("g")
+    for label in ((None, 4, 6, 9), (None, 1, 2, 5), (None, 4, 6, 9)):
+        moved = poly.relabel(label)
+        assert moved == (P(2, label[2], label[1]) * zvar(label[2])
+                         + Pt(label[3], label[1]) * PI_MARK)
+        assert moved.positions() == set(label[1:])

@@ -53,6 +53,8 @@ MUTANTS = [
     ("hha.py", "minus = -poly", "minus = poly", ("hha-weight1", "hha-weight2")),
     ("lattice.py", "Fraction(ip2, sub_gram[0][0])", "Fraction(ip2, 2 * sub_gram[0][0])",
      ("lattice-oracle", "lattice-modular")),
+    ("symbols.py", "_MOVES.setdefault(label, {})", "_MOVES.setdefault(None, {})",
+     ("hha-weight1", "hha-weight2")),
 ]
 
 
