@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 
 from . import elliptic as el
@@ -25,7 +25,8 @@ from . import lattice as lt
 from . import numerics as nm
 from . import qseries as qs
 from . import verify
-from .symbols import UnsupportedError, function_symbol
+from .scaled import format_fraction
+from .symbols import UnsupportedError, function_symbol, sym_str
 
 
 class UsageError(ValueError):
@@ -113,8 +114,12 @@ def _write_json(value, write, indent: str = "", depth: int = 2) -> None:
 
     A report is an object whose large values are lists (cases, terms,
     coefficients), so at depth 2 the text of one of their items at a time is
-    all that is held.
+    all that is held.  A callable value writes its own text, as
+    ``value(write, indent)``.
     """
+    if callable(value):
+        value(write, indent)
+        return
     is_object = _is_object(value)
     if not (depth and (is_object or type(value) in (list, tuple) and value)):
         write(_json_text(value, indent))
@@ -131,8 +136,60 @@ def _write_json(value, write, indent: str = "", depth: int = 2) -> None:
     write("\n" + indent + ("}" if is_object else "]"))
 
 
+class _FactorTexts(dict):
+    """(symbol, exponent) -> the text of ``[sym_str(symbol), exponent]``, filled on first use.
+
+    The pair is printed ``indent`` deep, as ``_json_text`` prints it.
+    """
+
+    def __init__(self, indent: str):
+        super().__init__()
+        self.inner, self.outer = indent + "  ", indent
+
+    def __missing__(self, pair):
+        name = encode_basestring_ascii(sym_str(pair[0]))
+        text = self[pair] = f"[\n{self.inner}{name},\n{self.inner}{pair[1]}\n{self.outer}]"
+        return text
+
+
+def _write_expansion(expr: hha.CorrExpression, write, indent: str) -> None:
+    """Write ``expr`` as the ``reduce`` report's expansion, ``indent`` deep.
+
+    The text is what ``_json_text`` prints for the list of
+    ``{"coeff": [{"coeff": c.to_pairs(), "monomial": [[sym_str(s), e], ...]}, ...],
+    "symbol": repr(sym)}``, both lists in ``sorted_terms`` order, but it is
+    written one correlator term at a time without building that list.  Each
+    (symbol, exponent) factor's text is built once per call.
+    """
+    if expr.is_zero():
+        write("[]")
+        return
+    i2, i4, i6, i8, i10, i12 = (indent + "  " * k for k in range(1, 7))
+    factor_texts = _FactorTexts(i10)
+    # an entry is {"coeff": [[grade, "p/q"]], "monomial": [factor, ...]}
+    coeff_open = f'{{\n{i8}"coeff": [\n{i10}[\n{i12}'
+    coeff_mid = f',\n{i12}"'
+    coeff_close = f'"\n{i10}]\n{i8}],\n{i8}"monomial": '
+    entry_close = "\n" + i6 + "}"
+    factor_sep = ",\n" + i10
+    separator = "[\n" + i2
+    for sym, poly in expr.sorted_terms():
+        entries = []
+        for mono, c in poly.sorted_terms():
+            monomial = ("[\n" + i10 + factor_sep.join([factor_texts[p] for p in mono])
+                        + "\n" + i8 + "]") if mono else "[]"
+            entries.append(f"{coeff_open}{c.tpi}{coeff_mid}{format_fraction(c.value)}"
+                           f"{coeff_close}{monomial}{entry_close}")
+        write(f'{separator}{{\n{i4}"coeff": [\n{i6}' + f",\n{i6}".join(entries)
+              + f'\n{i4}],\n{i4}"symbol": {encode_basestring_ascii(repr(sym))}\n{i2}}}')
+        separator = ",\n" + i2
+    write("\n" + indent + "]")
+
+
 def _emit(obj) -> None:
     """Print ``obj`` as ``json.dump(obj, sys.stdout, indent=2, sort_keys=True)``, then a newline.
+
+    A callable value in ``obj`` prints its own text (see ``_write_json``).
 
     A reader that closes the pipe early (``| head``) ends the output, not the
     command: stdout is pointed at the null device so that the interpreter's
@@ -245,7 +302,7 @@ def cmd_reduce(args) -> int:
     gens = _zero_mode_generators(spec, args.correlator)
     expr = hha.invert_to_full(spec, gens)
     _emit({"correlator": args.correlator, "spec": args.spec,
-           "full_correlator_expansion": expr.to_json()})
+           "full_correlator_expansion": partial(_write_expansion, expr)})
     return 0
 
 

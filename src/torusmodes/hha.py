@@ -416,10 +416,6 @@ class CorrExpression:
             return "0"
         return "\n+ ".join(f"[{poly!r}] * {sym!r}" for sym, poly in self.sorted_terms())
 
-    def to_json(self):
-        return [{"symbol": repr(sym), "coeff": poly.to_json()}
-                for sym, poly in self.sorted_terms()]
-
 
 def attach_insertion(spec: HHASpec, modes, base_insertions, pos: int, state: dict,
                      coeff: CoeffPoly) -> CorrExpression:

@@ -311,12 +311,6 @@ class CoeffPoly:
             parts.append(f"({c!r})" + (f"*{body}" if body else ""))
         return " + ".join(parts)
 
-    def to_json(self):
-        out = []
-        for mono, c in self.sorted_terms():
-            out.append({"monomial": [[sym_str(s), e] for s, e in mono], "coeff": c.to_pairs()})
-        return out
-
 
 ONE = CoeffPoly.scalar(1)
 

@@ -7,12 +7,13 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torusmodes import cli, hha, lattice, numerics, verify
+from torusmodes import cli, hha, lattice, numerics, symbols, verify
 
 import suite_cases
 
@@ -707,6 +708,43 @@ def test_writer_prints_what_json_dump_prints(value):
     with contextlib.redirect_stdout(out):
         cli._emit(value)
     assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _expansion_reference(expr):
+    """The structure ``reduce`` prints as its expansion, built as whole lists and dicts."""
+    return [{"symbol": repr(sym),
+             "coeff": [{"monomial": [[symbols.sym_str(s), e] for s, e in mono],
+                        "coeff": c.to_pairs()} for mono, c in poly.sorted_terms()]}
+            for sym, poly in expr.sorted_terms()]
+
+
+def _hand_built_expressions():
+    x1, x2 = hha.CorrSymbol((), ((1, 0, "x"),)), hha.CorrSymbol((), ((1, 0, "x"), (2, 1, "x")))
+    odd = hha.CorrSymbol(("x",), ((3, 0, 'q"\u00e9'),))  # a name JSON must escape
+    poly = (symbols.ONE                                        # constant monomial
+            + symbols.P(2, 2, 1) * symbols.P(2, 2, 1) * 3      # exponent 2
+            - symbols.zvar(1) * symbols.B(2) * Fraction(5, 7)  # negative Fraction coefficient
+            + symbols.PI_MARK * symbols.Pt(3, 1))              # piRes, grade 1, value 1/2
+    return [
+        pytest.param(hha.CorrExpression(), id="zero"),
+        pytest.param(hha.CorrExpression.single(x1), id="one-term"),
+        pytest.param(hha.CorrExpression({x1: poly, x2: -poly * symbols.G(4), odd: poly}),
+                     id="mixed"),
+    ]
+
+
+@pytest.mark.parametrize("expr", [
+    *(pytest.param(hha.invert_to_full(hha.weight2_spec(), ("x",) * s), id=f"weight2-x^{s}")
+      for s in range(1, 6)),
+    *(pytest.param(hha.invert_to_full(hha.weight1_spec(), ("a",) * s), id=f"weight1-a^{s}")
+      for s in range(1, 8)),
+    *_hand_built_expressions()])
+def test_expansion_writer_prints_the_reference_structure(expr):
+    # the expansion sits one level inside the report object
+    out = io.StringIO()
+    cli._write_expansion(expr, out.write, "  ")
+    reference = json.dumps(_expansion_reference(expr), indent=2, sort_keys=True)
+    assert out.getvalue() == reference.replace("\n", "\n  ")
 
 
 def test_reader_closing_the_pipe_ends_the_output_not_the_command():

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from torusmodes import hha
+from torusmodes import cli, hha
 from torusmodes.hha import (CorrExpression, CorrSymbol, HHAError, basis,
                             d_state, invert_to_full,
                             parse_zero_mode_correlator, reduce_once, reduce_once_ordered,
@@ -177,9 +177,9 @@ def test_parse_zero_mode_correlator():
         parse_zero_mode_correlator(f"x0 x0^{hha.MAX_ZERO_MODES}")
 
 
-def test_expression_serialization(w2):
-    inv = invert_to_full(w2, ("x", "x"))
-    data = inv.to_json()
+def test_expression_serialization(capsys):
+    assert cli.main(["reduce", "--spec", "weight2", "--correlator", "x0^2"]) == 0
+    data = json.loads(capsys.readouterr().out)["full_correlator_expansion"]
     assert any(entry["symbol"] == "F((x,1),(x,2))" for entry in data)
 
 
