@@ -185,9 +185,11 @@ def _walk(gram: tuple, max_norm_half: int, leaf) -> None:
     x = 0.  Coordinates are fixed from the last down to the first.  Float
     bounds from the exact LDL^T prune the box with a safety margin.  Each level
     hands the levels below it their partial centers sum_{j>i} L_ji x_j and
-    cross sums 2 sum_{j>i} G_ij x_j, so a node at level i costs O(i).  The
-    exact integer norm and the integer pairing with e_0 (row ``gram[0]``) are
-    carried down the recursion, and the exact norm decides at the leaf.
+    cross sums 2 sum_{j>i} G_ij x_j, so a node at level i costs O(i).  Level 1
+    hands level 0 only its own center and cross sum, and level 0 is a plain
+    loop (``row``) that calls the leaf.  The exact integer norm and the
+    integer pairing with e_0 (row ``gram[0]``) are carried down the
+    recursion, and the exact norm decides at the leaf.
     ``x`` is the walk's working list: a leaf that keeps it must copy it.
     """
     if max_norm_half < 0:
@@ -201,6 +203,23 @@ def _walk(gram: tuple, max_norm_half: int, leaf) -> None:
     G2 = [[2 * gram[i][j] for j in range(i)] for i in range(n)]
     Df = [float(d) for d in D]
 
+    g00, d0 = gram[0][0], Df[0]
+
+    def row(remaining, norm, ip, c, cross, lead):
+        # level 0, the last coordinate to be fixed: a plain loop over x_0 that calls the leaf
+        half_width = math.sqrt(max(remaining, 0.0) / d0)
+        lo = 0 if lead else math.ceil(-c - half_width - 1e-9)
+        hi = math.floor(-c + half_width + 1e-9)
+        if lead:
+            x[0] = 0
+            leaf(x, 0, 0, 1)
+            lo = 1
+        for v in range(lo, hi + 1):
+            exact = norm + v * (g00 * v + cross)
+            if exact <= bound:
+                x[0] = v
+                leaf(x, exact // 2, ip + g00 * v, 2)
+
     def rec(i, remaining, norm, ip, centers, crosses, lead):
         # remaining = bound - sum_{k>i} D_k (x_k + sum_{j>k} L_jk x_j)^2  (float, padded);
         # lead: every coordinate above i is zero, so x_i >= 0 keeps one of each pair
@@ -209,25 +228,25 @@ def _walk(gram: tuple, max_norm_half: int, leaf) -> None:
         lo = 0 if lead else math.ceil(-c - half_width - 1e-9)
         hi = math.floor(-c + half_width + 1e-9)
         gii, ri = gram[i][i], gram[0][i]
-        if i:
-            di, li, gi = Df[i], Lf[i], G2[i]
+        di, li, gi = Df[i], Lf[i], G2[i]
+        if i == 1:
+            # level 0 needs only its own center and cross sum, not the lists
+            c0, l0, cross0, g0 = centers[0], li[0], crosses[0], gi[0]
             for v in range(lo, hi + 1):
-                x[i] = v
-                rec(i - 1, remaining - di * (v + c) ** 2, norm + v * (gii * v + cross),
-                    ip + ri * v, [a + b * v for a, b in zip(centers, li)],
-                    [a + b * v for a, b in zip(crosses, gi)], lead and not v)
+                x[1] = v
+                row(remaining - di * (v + c) ** 2, norm + v * (gii * v + cross),
+                    ip + ri * v, c0 + l0 * v, cross0 + g0 * v, lead and not v)
             return
-        if lead:
-            x[0] = 0
-            leaf(x, 0, 0, 1)
-            lo = 1
         for v in range(lo, hi + 1):
-            exact = norm + v * (gii * v + cross)
-            if exact <= bound:
-                x[0] = v
-                leaf(x, exact // 2, ip + ri * v, 2)
+            x[i] = v
+            rec(i - 1, remaining - di * (v + c) ** 2, norm + v * (gii * v + cross),
+                ip + ri * v, [a + b * v for a, b in zip(centers, li)],
+                [a + b * v for a, b in zip(crosses, gi)], lead and not v)
 
-    rec(n - 1, bound + 1e-6, 0, 0, [0.0] * n, [0] * n, True)
+    if n == 1:
+        row(bound + 1e-6, 0, 0, 0.0, 0, True)
+    else:
+        rec(n - 1, bound + 1e-6, 0, 0, [0.0] * n, [0] * n, True)
 
 
 def enumerate_vectors(lat: EvenLattice, max_norm_half: int):

@@ -7,7 +7,10 @@ zeta/(1-zeta) for P_1), while every higher layer is a Laurent polynomial
 ever needed is cancelling factors of (1-zeta).  Coefficients are plain
 Fractions; the global 2*pi*i grade lives on the enclosing expansion.  Each
 object converts its Fractions to complex once, on its first evaluation, and
-every later evaluation sums over those values.
+every later evaluation sums over those values in one loop.  A k = 0 value,
+as every layer above m = 0 is, evaluates to its numerator's sum divided by
+1 + 0j, the exact value of its constant denominator: it builds no denominator
+sum and makes no pole check, and its bits are those of the general route.
 """
 
 from __future__ import annotations
@@ -76,7 +79,10 @@ class LaurentPoly:
         return self._floats
 
     def evaluate(self, z: complex) -> complex:
-        return sum((c * z ** e for e, c in self._float_terms()), 0j)
+        total = 0j
+        for e, c in self._float_terms():
+            total += c * z ** e
+        return total
 
     def to_pairs(self):
         return [[e, format_fraction(c)] for e, c in sorted(self.coeffs.items())]
@@ -189,6 +195,8 @@ class ZetaRational:
         return ZetaRational(_lift(n.zeta_ddzeta(), 1) + n.shift(1) * k, k + 1)
 
     def evaluate(self, z: complex) -> complex:
+        if not self.k:  # (1 - zeta)**0 is 1 + 0j at every zeta, never near a pole
+            return self.num.evaluate(z) / (1 + 0j)
         den = self.den
         dv = den.evaluate(z)
         scale = max(abs(c) * abs(z) ** e for e, c in den._float_terms())

@@ -55,27 +55,31 @@ def _below(residual, tol):
 # ---------------------------------------------------------------------------
 
 def _brute_c_polynomial(u):
-    """C_u by direct enumeration of partitions into increasing subtuples."""
+    """C_u by direct enumeration of partitions into increasing contiguous pieces.
+
+    Depth first over the cuts: a piece is extended one entry at a time while
+    the next entry is larger, and the rest of u is cut off after each of
+    those ends in turn.  Only increasing pieces are ever built, so every
+    partition reached is counted, by its number of pieces; no descent count
+    or binomial is read.
+    """
     n = len(u)
-    coeffs = {}
-    for mask in range(1 << max(n - 1, 0)):
-        pieces = []
-        start = 0
-        ok = True
-        for j in range(n - 1):
-            if mask >> j & 1:
-                pieces.append(u[start:j + 1])
-                start = j + 1
-        pieces.append(u[start:])
-        for piece in pieces:
-            if any(b < a for a, b in zip(piece, piece[1:])):
-                ok = False
-                break
-        if ok and n:
-            k = len(pieces)
-            coeffs[k] = coeffs.get(k, 0) + 1
-    if not u:
+    if not n:
         return cb.WPolynomial.one()
+    coeffs = {}
+
+    def cut(start, pieces):
+        # u[:start] is cut into ``pieces`` increasing pieces; the next one starts at start
+        end = start + 1
+        while end < n:
+            cut(end, pieces + 1)
+            if u[end] < u[end - 1]:
+                break
+            end += 1
+        else:
+            coeffs[pieces + 1] = coeffs.get(pieces + 1, 0) + 1
+
+    cut(0, 0)
     return cb.WPolynomial(coeffs)
 
 

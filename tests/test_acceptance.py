@@ -13,7 +13,7 @@ import suite_cases
 
 # criterion -> (runtime budget in seconds, the suites whose cases define it)
 CRITERIA = {
-    "AC1 combinatorics exactness": (2.0, ("combinatorics",)),
+    "AC1 combinatorics exactness": (1.0, ("combinatorics",)),
     "AC2 formal series identities to q^30": (30.0, ("qseries-identities", "elliptic-formal")),
     "AC3 numeric transformation laws at q^60": (10.0, ("elliptic-numeric",)),
     # AC4 (recursion fixtures) and AC5 (anomaly fixtures) are cases of the same two suites

@@ -125,6 +125,32 @@ def test_c_polynomial_three_routes_sampled_n8():
             assert closed == cb.c_polynomial_by_runs(perm)
 
 
+def _c_polynomial_by_masks(u):
+    """C_u by the exhaustive filter: all 2^(n-1) compositions, increasing pieces kept."""
+    n = len(u)
+    coeffs = {}
+    for mask in range(1 << max(n - 1, 0)):
+        pieces = []
+        start = 0
+        for j in range(n - 1):
+            if mask >> j & 1:
+                pieces.append(u[start:j + 1])
+                start = j + 1
+        pieces.append(u[start:])
+        if n and all(a <= b for piece in pieces for a, b in zip(piece, piece[1:])):
+            coeffs[len(pieces)] = coeffs.get(len(pieces), 0) + 1
+    return cb.WPolynomial(coeffs) if n else cb.WPolynomial.one()
+
+
+def test_pruned_oracle_equals_mask_filter():
+    for n in range(0, 8):
+        for perm in itertools.permutations(range(1, n + 1)):
+            assert verify._brute_c_polynomial(perm) == _c_polynomial_by_masks(perm)
+    # ties are not descents, as in the filter
+    for u in ((2, 2, 1), (1, 1, 1), (3, 1, 1, 2, 2)):
+        assert verify._brute_c_polynomial(u) == _c_polynomial_by_masks(u)
+
+
 def test_recursion_coefficient_examples():
     assert cb.recursion_coefficient(1, 0, 1) == 1
     # direct evaluation of the u=2, des=0, t=2 sum

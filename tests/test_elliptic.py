@@ -1,11 +1,14 @@
+import cmath
 from fractions import Fraction
 
 import pytest
 
 from torusmodes import elliptic as el
+from torusmodes import numerics as nm
 from torusmodes import qseries as qs
+from torusmodes import verify
 from torusmodes.ratfunc import LaurentPoly, ZetaRational
-from torusmodes.scaled import ScaledRational
+from torusmodes.scaled import TWO_PI_I, ScaledRational
 
 from suite_cases import assert_case
 
@@ -108,3 +111,40 @@ def test_bivariate_eval_region_guard():
         p2.eval_numeric(1.5j, 1.2j)  # Im z > Im tau
     with pytest.raises(ZeroDivisionError):
         p2.eval_numeric(1e-14j + 0.0, 1.2j)  # pole of the q^0 layer at zeta=1
+
+
+def _layer_sum_reference(expansion, z, tau):
+    """eval_numeric's value rebuilt from the exact coefficients, one term at a time.
+
+    Every layer is its numerator over the monic denominator (zeta - 1)**k,
+    each summed from 0j in ``coeffs`` order with terms c * zeta**e, and the
+    quotient is taken even where k = 0 and the denominator is 1.
+    """
+    zeta, q = cmath.exp(2j * cmath.pi * z), cmath.exp(2j * cmath.pi * tau)
+
+    def poly(p):
+        total = 0j
+        for e, c in p.coeffs.items():
+            total += complex(c) * zeta ** e
+        return total
+    total = 0j
+    for m, layer in enumerate(expansion.layers):
+        num = -layer.num if layer.k % 2 else layer.num
+        total += poly(num) / poly(layer.den) * q ** m
+    return TWO_PI_I ** expansion.tpi * total
+
+
+def test_layer_eval_bits_at_suite_points():
+    # the k = 0 layers skip their denominator; the value must keep every bit,
+    # at the elliptic-numeric sample points and at their images under its gammas
+    points = []
+    for z, tau in nm.sample_points(20, gammas=verify._ELLIPTIC_GAMMAS):
+        points.append((nm.strip_reduce(z, tau)[0], tau))
+        for gamma in verify._ELLIPTIC_GAMMAS:
+            gz, gtau = nm.apply_gamma(gamma, z, tau)
+            points.append((nm.strip_reduce(gz, gtau)[0], gtau))
+    for expansion in (el.p_expansion(2, 60), el.p_expansion(3, 60), el.p_expansion(4, 60),
+                      el.g_expansion(1, 3, 60)):
+        assert any(layer.k == 0 for layer in expansion.layers)
+        for z, tau in points:
+            assert expansion.eval_numeric(z, tau)[0] == _layer_sum_reference(expansion, z, tau)

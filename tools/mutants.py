@@ -55,6 +55,8 @@ MUTANTS = [
      ("lattice-oracle", "lattice-modular")),
     ("symbols.py", "_MOVES.setdefault(label, {})", "_MOVES.setdefault(None, {})",
      ("hha-weight1", "hha-weight2")),
+    ("verify.py", "u[end] < u[end - 1]", "u[end] > u[end - 1]", ("combinatorics",)),
+    ("lattice.py", "ip + g00 * v", "ip + v", ("lattice-oracle", "lattice-modular")),
 ]
 
 
