@@ -3,8 +3,9 @@
 Exact integer and rational apparatus: Stirling numbers of both kinds,
 Eulerian numbers, descent statistics, the unique partition of a tuple into
 maximal increasing runs, the run-counting polynomials C_u in the variable
-w = q**k/(1-q**k), and the Kronecker-delta collapse identity that reduces
-the ordered zero-mode recursion to the commuting one.
+w = q**k/(1-q**k) (each a ``LaurentPoly`` in w with int coefficients), and
+the Kronecker-delta collapse identity that reduces the ordered zero-mode
+recursion to the commuting one.
 
 Everything here is arbitrary precision; the brute-force enumerations that
 check it live in ``torusmodes.verify``.
@@ -15,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+
+from .ratfunc import LaurentPoly
 
 
 @lru_cache(maxsize=None)
@@ -54,11 +57,11 @@ def eulerian(n: int, k: int) -> int:
         raise ValueError("n must be >= 1")
     if k < 0 or k > n - 1:
         return 0
-    return _eulerian_row(n)[k]
+    return eulerian_polynomial(n)[k]
 
 
 @lru_cache(maxsize=None)
-def _eulerian_row(n: int) -> tuple[int, ...]:
+def eulerian_polynomial(n: int) -> tuple[int, ...]:
     """(A(n,0), ..., A(n,n-1)), each row built from the previous one; A_0 = (1,)."""
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -67,11 +70,6 @@ def _eulerian_row(n: int) -> tuple[int, ...]:
         p = (0, *row, 0)  # p[k + 1] = A(m-1, k), zero off the row
         row = tuple((k + 1) * p[k + 1] + (m - k) * p[k] for k in range(m))
     return row
-
-
-def eulerian_polynomial(n: int) -> list[int]:
-    """Coefficient list [A(n,0), ..., A(n,n-1)]; A_0 = [1]."""
-    return list(_eulerian_row(n))
 
 
 def _check_distinct(u):
@@ -103,53 +101,7 @@ def increasing_runs(u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(runs)
 
 
-class WPolynomial:
-    """Polynomial in the formal variable w = q**k/(1-q**k), integer coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        if coeffs is None:
-            coeffs = {}
-        self.coeffs = {e: c for e, c in coeffs.items() if c != 0}
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    def __eq__(self, other):
-        if not isinstance(other, WPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            coeffs[e] = coeffs.get(e, 0) + c
-        return WPolynomial(coeffs)
-
-    def __mul__(self, other):
-        coeffs = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + c1 * c2
-        return WPolynomial(coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            mono = "1" if e == 0 else ("w" if e == 1 else f"w^{e}")
-            parts.append(mono if c == 1 and e != 0 else (f"{c}" if e == 0 else f"{c}*{mono}"))
-        return " + ".join(parts)
-
-
-def c_polynomial(u: tuple[int, ...]) -> WPolynomial:
+def c_polynomial(u: tuple[int, ...]) -> LaurentPoly:
     """C_u as a polynomial in w, via the descent closed form.
 
     C_u = sum_i binom(u - des - 1, i) w**(i + des + 1) where des is the
@@ -157,18 +109,18 @@ def c_polynomial(u: tuple[int, ...]) -> WPolynomial:
     """
     _check_distinct(u)
     if not u:
-        return WPolynomial.one()
+        return LaurentPoly.const(1)
     n = len(u)
     des = descent_count(u)
-    return WPolynomial({i + des + 1: comb(n - des - 1, i) for i in range(n - des)})
+    return LaurentPoly({i + des + 1: comb(n - des - 1, i) for i in range(n - des)})
 
 
-def c_polynomial_by_runs(u: tuple[int, ...]) -> WPolynomial:
+def c_polynomial_by_runs(u: tuple[int, ...]) -> LaurentPoly:
     """C_u as the product over maximal increasing runs of the one-run polynomials."""
-    result = WPolynomial.one()
+    result = LaurentPoly.const(1)
     for run in increasing_runs(u):
         r = len(run)
-        result = result * WPolynomial({j + 1: comb(r - 1, j) for j in range(r)})
+        result = result * LaurentPoly({j + 1: comb(r - 1, j) for j in range(r)})
     return result
 
 

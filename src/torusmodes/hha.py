@@ -730,18 +730,14 @@ def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
     the resulting full correlators are rewritten back into zero-mode
     correlators.  The result must be free of position and function symbols.
     """
-    full = invert_to_full(spec, gens)
-    delta_expr = CorrExpression()
-    for sym, poly in full.terms.items():
-        dpoly = delta_transform(poly)
-        if dpoly:
-            delta_expr.add_term(sym, dpoly)
-
     result = CorrExpression()
-    for sym, poly in delta_expr.terms.items():
+    for sym, poly in invert_to_full(spec, gens).terms.items():
+        dpoly = delta_transform(poly)
+        if not dpoly:
+            continue
         label = (None,) + tuple(sym.positions())
         for s, p in _shape_zero_modes(spec, sym.modes, _shape(sym)):
-            result.add_product(s, p.relabel(label), poly)
+            result.add_product(s, p.relabel(label), dpoly)
 
     graded: dict[int, dict] = {}
     for sym, poly in result.terms.items():

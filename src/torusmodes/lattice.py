@@ -129,6 +129,9 @@ class EvenLattice:
         gram = data.get("gram") if isinstance(data, dict) else None
         if not isinstance(gram, list) or not all(isinstance(row, list) for row in gram):
             raise LatticeError('a lattice is a JSON object whose "gram" is a list of rows')
+        rank = data.get("rank", len(gram))
+        if type(rank) is not int or rank != len(gram):
+            raise LatticeError(f'"rank" {json.dumps(rank)} is not {len(gram)}, the Gram size')
         return cls(tuple(tuple(row) for row in gram))
 
     @classmethod

@@ -31,6 +31,7 @@ from math import factorial
 
 from .combinatorics import eulerian_polynomial
 from .qseries import bernoulli, eisenstein
+from .ratfunc import LaurentPoly
 from .scaled import TWO_PI_I
 from .symbols import UnsupportedError, delta_of_symbol, function_symbol, sym_weight
 
@@ -59,19 +60,13 @@ def apply_gamma(gamma, z: complex, tau: complex) -> tuple[complex, complex]:
 
 # -- Lambert sums -------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _li_neg_poly(p: int):
-    """Numerator coefficients of Li_{-p}(w) = sum n**p w**n = w A_p(w)/(1-w)**(p+1)."""
-    return tuple(eulerian_polynomial(p))
-
-
 def li_neg(p: int, w: complex) -> complex:
-    """sum_{n>=1} n**p w**n as a rational function (analytic continuation)."""
+    """sum_{n>=1} n**p w**n = w A_p(w)/(1-w)**(p+1) (analytic continuation)."""
     omw = 1 - w
     if abs(omw) < 1e-10:
         raise ZeroDivisionError(f"Li_{-p} evaluated too close to the pole w=1 (w={w})")
     num = 0j
-    for j, c in enumerate(_li_neg_poly(p)):
+    for j, c in enumerate(eulerian_polynomial(p)):
         num += c * w ** (j + 1)
     return num / omw ** (p + 1)
 
@@ -142,30 +137,16 @@ def p_value(k: int, z: complex, tau: complex) -> complex:
 # -- Weierstrass oracles ------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _cot_deriv_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of P_n(c) with (d/dw)^n cot(w) = P_n(cot w); P' -> P'(c)(-1-c^2)."""
+def _cot_deriv_poly(n: int) -> LaurentPoly:
+    """P_n(c) with (d/dw)^n cot(w) = P_n(cot w), keys ascending; P' -> P'(c)(-1-c^2)."""
     if n == 0:
-        return (0, 1)
-    prev = _cot_deriv_poly(n - 1)
-    deriv = [0] * len(prev)
-    for e, c in enumerate(prev):
-        if e:
-            deriv[e - 1] += e * c
-    out = [0] * (len(prev) + 1)
-    for e, c in enumerate(deriv):
-        if c:
-            out[e] -= c
-            out[e + 2] -= c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+        return LaurentPoly({1: 1})
+    return _cot_deriv_poly(n - 1).zeta_ddzeta().shift(-1) * LaurentPoly({0: -1, 2: -1})
 
 
 def _sum_over_integers(k: int, w: complex) -> complex:
     """T_k(w) = sum_{n in Z} (w+n)**-k in closed cotangent form."""
-    cw = 1 / cmath.tan(cmath.pi * w)
-    poly = _cot_deriv_poly(k - 1)
-    val = sum(c * cw ** e for e, c in enumerate(poly))
+    val = _cot_deriv_poly(k - 1).evaluate(1 / cmath.tan(cmath.pi * w))
     return (-1) ** (k - 1) / factorial(k - 1) * cmath.pi ** k * val
 
 

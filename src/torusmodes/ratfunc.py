@@ -1,13 +1,17 @@
 """Laurent polynomials and the zeta-rational functions N(zeta)/(1-zeta)**k.
 
-These carry the layers of the two-variable expansions: the m = 0 layer of
-P_k is the Eulerian closed form zeta A_{k-1}(zeta)/(1-zeta)**k (e.g.
-zeta/(1-zeta) for P_1), while every higher layer is a Laurent polynomial
-(k = 0).  Sums and zeta d/dzeta stay in this family, so the only reduction
-ever needed is cancelling factors of (1-zeta).  Coefficients are plain
-Fractions; the global 2*pi*i grade lives on the enclosing expansion.  Each
-object converts its Fractions to complex once, on its first evaluation, and
-every later evaluation sums over those values in one loop.  A k = 0 value,
+``LaurentPoly`` is the one exact polynomial type in one variable: it also
+holds the run-counting polynomials C_u in w of ``torusmodes.combinatorics``
+and the cotangent-derivative polynomials of ``torusmodes.numerics``.  Its
+coefficients are exact: an int stays an int, any other value becomes a
+Fraction.  The zeta-rational functions carry the layers of the two-variable
+expansions: the m = 0 layer of P_k is the Eulerian closed form
+zeta A_{k-1}(zeta)/(1-zeta)**k (e.g. zeta/(1-zeta) for P_1), while every
+higher layer is a Laurent polynomial (k = 0).  Sums and zeta d/dzeta stay in
+this family, so the only reduction ever needed is cancelling factors of
+(1-zeta).  The global 2*pi*i grade lives on the enclosing expansion.  Each
+object converts its coefficients to complex once, on its first evaluation,
+and every later evaluation sums over those values in one loop.  A k = 0 value,
 as every layer above m = 0 is, evaluates to its numerator's sum divided by
 1 + 0j, the exact value of its constant denominator: it builds no denominator
 sum and makes no pole check, and its bits are those of the general route.
@@ -25,14 +29,15 @@ POLE_TOL = 1e-12  # evaluate refuses a zeta where |den| is this small against it
 
 
 class LaurentPoly:
-    """Laurent polynomial in zeta with Fraction coefficients."""
+    """Laurent polynomial in one variable; an int coefficient stays an int (int arithmetic)."""
 
     __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs=None):
         if coeffs is None:
             coeffs = {}
-        self.coeffs = {e: as_fraction(c) for e, c in coeffs.items() if c != 0}
+        self.coeffs = {e: c if c.__class__ is int else as_fraction(c)
+                       for e, c in coeffs.items() if c != 0}
         self._floats = None
 
     @classmethod

@@ -33,7 +33,7 @@ from . import hha
 from . import lattice as lt
 from . import numerics as nm
 from . import qseries as qs
-from .ratfunc import ZetaRational
+from .ratfunc import LaurentPoly, ZetaRational
 from .scaled import TWO_PI_I, ScaledRational
 from .symbols import ONE, P, g
 
@@ -65,7 +65,7 @@ def _brute_c_polynomial(u):
     """
     n = len(u)
     if not n:
-        return cb.WPolynomial.one()
+        return LaurentPoly.const(1)
     coeffs = {}
 
     def cut(start, pieces):
@@ -80,7 +80,7 @@ def _brute_c_polynomial(u):
             coeffs[pieces + 1] = coeffs.get(pieces + 1, 0) + 1
 
     cut(0, 0)
-    return cb.WPolynomial(coeffs)
+    return LaurentPoly(coeffs)
 
 
 @suite("combinatorics")

@@ -430,6 +430,8 @@ def _w2_weight(weight):
     pytest.param("lattice-trace", "[1, 2]", id="lattice-not-object"),
     pytest.param("lattice-trace", '{"gram": [[2.7]]}', id="gram-float"),
     pytest.param("lattice-trace", '{"gram": []}', id="gram-empty"),
+    pytest.param("lattice-trace", '{"rank": 3, "gram": [[2]]}', id="rank-not-gram-size"),
+    pytest.param("lattice-trace", '{"rank": "x", "gram": [[2]]}', id="rank-not-int"),
     pytest.param("reduce", json.dumps({**_W2, "generators": 5}), id="generators-not-list"),
     pytest.param("reduce", "[1]", id="spec-not-object"),
     pytest.param("reduce", _w2_with(out=5), id="out-not-list"),

@@ -7,6 +7,7 @@ import pytest
 
 from torusmodes import combinatorics as cb
 from torusmodes import verify
+from torusmodes.ratfunc import LaurentPoly
 
 from suite_cases import assert_case
 
@@ -74,7 +75,7 @@ def test_eulerian_examples_and_enumeration():
 def test_eulerian_row_is_built_without_deep_recursion():
     # row n counts all n! permutations; a recursion n levels deep fails at n = 600
     assert sum(cb.eulerian_polynomial(600)) == math.factorial(600)
-    assert cb.eulerian_polynomial(0) == [1] and cb.eulerian_polynomial(1) == [1]
+    assert cb.eulerian_polynomial(0) == (1,) and cb.eulerian_polynomial(1) == (1,)
 
 
 def test_descents_and_runs():
@@ -139,7 +140,7 @@ def _c_polynomial_by_masks(u):
         pieces.append(u[start:])
         if n and all(a <= b for piece in pieces for a, b in zip(piece, piece[1:])):
             coeffs[len(pieces)] = coeffs.get(len(pieces), 0) + 1
-    return cb.WPolynomial(coeffs) if n else cb.WPolynomial.one()
+    return LaurentPoly(coeffs) if n else LaurentPoly.const(1)
 
 
 def test_pruned_oracle_equals_mask_filter():

@@ -4,6 +4,7 @@ import pytest
 
 from torusmodes import elliptic as el
 from torusmodes import numerics as nm
+from torusmodes.ratfunc import LaurentPoly
 from torusmodes.scaled import TWO_PI_I
 from torusmodes.symbols import (DeltaUnknownError, delta_of_symbol, function_symbol,
                                sym_weight)
@@ -25,6 +26,15 @@ def test_layer_eval_matches_lambert():
     for (i, j) in ((1, 2), (1, 3), (2, 3)):
         val, _ = el.g_expansion(i, j, 60).eval_numeric(z, tau)
         assert abs(val - nm.g_value(i, j, z, tau)) < 1e-9
+
+
+def test_cot_derivative_polynomials():
+    # (d/dw) cot = -1 - cot^2 and (d/dw)^2 cot = 2 cot + 2 cot^3
+    assert nm._cot_deriv_poly(1) == LaurentPoly({0: -1, 2: -1})
+    assert nm._cot_deriv_poly(2) == LaurentPoly({1: 2, 3: 2})
+    for n in range(12):  # evaluate sums in key order, which must stay ascending
+        keys = list(nm._cot_deriv_poly(n).coeffs)
+        assert keys == sorted(keys)
 
 
 def test_eisenstein_double_sum_oracle():

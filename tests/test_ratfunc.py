@@ -10,7 +10,9 @@ from torusmodes.ratfunc import LaurentPoly, ZetaRational
 
 POINTS = (Fraction(2), Fraction(-1, 3), Fraction(3, 5))
 
-coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+# ints too, which LaurentPoly keeps as ints: polynomials of ints, of Fractions and of both
+coeffs = st.one_of(st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+                   st.integers(-5, 5).filter(bool))
 laurent = st.builds(LaurentPoly, st.dictionaries(st.integers(-3, 3), coeffs, max_size=4))
 powers = st.integers(min_value=0, max_value=8)
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -48,6 +50,11 @@ def assert_normal(r):
     assert r.k >= 0
     assert r.k == 0 or sum(r.num.coeffs.values()) != 0
     assert list(r.num.coeffs) == sorted(r.num.coeffs)
+
+
+def test_int_and_fraction_coefficients_make_one_polynomial():
+    a, b = LaurentPoly({0: 2}), LaurentPoly({0: Fraction(2)})
+    assert a == b and a.to_pairs() == b.to_pairs() == [[0, "2"]]
 
 
 @given(inputs(), inputs(), scalars)

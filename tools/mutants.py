@@ -57,6 +57,10 @@ MUTANTS = [
      ("hha-weight1", "hha-weight2")),
     ("verify.py", "u[end] < u[end - 1]", "u[end] > u[end - 1]", ("combinatorics",)),
     ("lattice.py", "ip + g00 * v", "ip + v", ("lattice-oracle", "lattice-modular")),
+    ("numerics.py", "LaurentPoly({0: -1, 2: -1})", "LaurentPoly({0: -1, 2: 1})",
+     ("qseries-identities", "elliptic-numeric")),
+    ("combinatorics.py", "comb(n - des - 1, i) for i", "comb(n - des, i) for i",
+     ("combinatorics",)),
 ]
 
 

@@ -1,0 +1,74 @@
+"""Digest a fixed list of CLI calls, to compare two checkouts' outputs byte for byte.
+
+Each entry of ``CALLS`` is one argv of ``torusmodes.cli.main``.  The script
+runs every call in this process, with stdout and stderr captured, and prints
+one line per call:
+
+    <sha256 of exit code, stdout and stderr> <exit code> <argv>
+
+Two checkouts print identical lines exactly when every call gives the same
+exit code and the same bytes on both streams.  Standard library only; the
+package is imported from the ``src/`` next to this script:
+
+    python tools/reports.py > after.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import shlex
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from torusmodes import cli  # noqa: E402
+
+SUITES = ("combinatorics", "qseries-identities", "elliptic-formal", "elliptic-numeric",
+          "hha-weight1", "hha-weight2", "lattice-oracle", "lattice-modular")
+SEEDED = ("combinatorics", "qseries-identities", "elliptic-numeric")
+LAWS = ("Ptilde_1", "P_2", "P_3", "P_4", "P_7", "G_2", "G_4", "G_6", "g_1_3", "g_1_5")
+GAMMAS = ("0,-1,1,0", "1,1,0,1", "1,0,1,1", "2,1,1,1", "1,-1,1,0")
+POINTS = (("0.1+0.3i", "1.2i"), ("0.23-0.11i", "0.3+1.1i"))
+EXPANSIONS = ("P_1", "P_2", "P_3", "P_4", "P_5", "g_0_2", "g_1_2", "g_1_3", "g_2_3", "g_2_4",
+              "Ptilde_1", "G_2", "G_4", "G_6", "G_8", "eta_24", "eta_-24", "wp_2", "wp_3")
+
+CALLS = (
+    [["verify-suite", s] for s in SUITES]
+    + [["verify-suite", "elliptic-numeric", "--order", str(n)] for n in (36, 40, 45, 50, 70)]
+    + [["verify-suite", s, "--seed", str(seed)] for s in SEEDED for seed in (1, 7)]
+    + [["transform-check", "--function", f, "--gamma", gamma, "--z", z, "--tau", tau]
+       for f in LAWS for gamma in GAMMAS for z, tau in POINTS]
+    + [["expand", "--function", f] for f in EXPANSIONS]
+    + [["reduce", "--spec", "weight2", "--correlator", f"x0^{s}"] for s in range(1, 7)]
+    + [["anomaly", "--spec", "weight1", "--correlator", f"a0^{s}"] for s in range(1, 9)]
+    + [["anomaly", "--spec", "weight2", "--correlator", f"x0^{s}"] for s in range(1, 4)]
+    + [["lattice-trace", "--lattice", name, "--n", str(n), "--oracle"]
+       for name in ("a1", "e8", "e8x3") for n in range(4)]
+)
+
+
+def digest(argv: list[str]) -> tuple[str, int]:
+    """The sha256 of one call's exit code, stdout and stderr, and the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    h = hashlib.sha256()
+    for part in (str(code), out.getvalue(), err.getvalue()):
+        data = part.encode()
+        h.update(len(data).to_bytes(8, "big") + data)
+    return h.hexdigest(), code
+
+
+def main() -> int:
+    for argv in CALLS:
+        sha, code = digest(argv)
+        print(f"{sha} {code} {shlex.join(argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
