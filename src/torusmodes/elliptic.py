@@ -1,6 +1,7 @@
 """Two-variable special functions: P_k, the shifted P~_1, and g^i_j.
 
-A :class:`BivariateExpansion` collects the layers of a double expansion
+A :class:`BivariateExpansion` is the QExpansion at offset 0 whose
+coefficients are the layers of a double expansion
 
     (2*pi*i)**tpi * sum_{m=0}^{N} layer_m(zeta) * q**m
 
@@ -27,62 +28,19 @@ from .ratfunc import LaurentPoly, ZetaRational
 from .scaled import TWO_PI_I, ScaledRational
 
 
-class BivariateExpansion:
-    __slots__ = ("tpi", "layers", "truncation")
+class BivariateExpansion(QExpansion):
+    """A QExpansion at offset 0 whose coefficients are the zeta-rational layers.
 
-    def __init__(self, tpi: int, layers):
-        self.tpi = tpi
-        self.layers = tuple(layers)
-        if not self.layers:
-            raise ValueError("truncation must be >= 0")
-        self.truncation = len(self.layers) - 1
+    Negation, sums, scalar multiples, tau_derivative and truncate come from
+    QExpansion and return a BivariateExpansion; the series product and the
+    q-numerics do not apply to layers.
+    """
 
-    @classmethod
-    def zero(cls, truncation: int, tpi: int = 0) -> "BivariateExpansion":
-        return cls(tpi, [ZetaRational.const(0) for _ in range(truncation + 1)])
-
-    def is_zero(self) -> bool:
-        return all(l.is_zero() for l in self.layers)
-
-    def __neg__(self):
-        return BivariateExpansion(self.tpi, [-l for l in self.layers])
-
-    def _check_grade(self, other):
-        if self.tpi != other.tpi:
-            raise ValueError(f"grade mismatch: (2*pi*i)^{self.tpi} vs (2*pi*i)^{other.tpi}")
-
-    def __add__(self, other):
-        if not isinstance(other, BivariateExpansion):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        self._check_grade(other)
-        return BivariateExpansion(self.tpi, [a + b for a, b in zip(self.layers, other.layers)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariateExpansion):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def scalar_mul(self, s: ScaledRational) -> "BivariateExpansion":
-        """Multiply by a ScaledRational, tracking its 2*pi*i grade."""
-        if not s:
-            return BivariateExpansion.zero(self.truncation)
-        return BivariateExpansion(self.tpi + s.tpi, [l * s.value for l in self.layers])
-
-    def tau_derivative(self) -> "BivariateExpansion":
-        """d/dtau: multiplies layer m by m and raises the grade."""
-        return BivariateExpansion(self.tpi + 1,
-                                  [l * Fraction(m) for m, l in enumerate(self.layers)])
+    __slots__ = ()
 
     def zeta_derivative(self) -> "BivariateExpansion":
         """zeta d/dzeta applied layerwise; grade unchanged."""
-        return BivariateExpansion(self.tpi, [l.zeta_ddzeta() for l in self.layers])
+        return BivariateExpansion(0, [l.zeta_ddzeta() for l in self.coeffs], self.tpi)
 
     def eval_numeric(self, z: complex, tau: complex):
         """Numeric value and crude tail estimate on 0 < Im z < Im tau.
@@ -97,7 +55,7 @@ class BivariateExpansion:
         q = cmath.exp(2j * cmath.pi * tau)
         total = 0j
         recent = []
-        for m, layer in enumerate(self.layers):
+        for m, layer in enumerate(self.coeffs):
             v = layer.evaluate(zeta) * q ** m
             recent.append(abs(v))
             total += v
@@ -109,7 +67,7 @@ class BivariateExpansion:
 
     def to_json(self) -> dict:
         return {"tpi": self.tpi, "truncation": self.truncation,
-                "layers": [dict(m=m, **l.to_json()) for m, l in enumerate(self.layers)]}
+                "layers": [dict(m=m, **l.to_json()) for m, l in enumerate(self.coeffs)]}
 
 
 def _positive_sum_closed_form(k: int) -> ZetaRational:
@@ -142,18 +100,18 @@ def p_expansion(k: int, truncation: int = DEFAULT_ORDER) -> BivariateExpansion:
     if k < 1:
         raise ValueError("k must be >= 1")
     pref = Fraction(1, factorial(k - 1))
-    return BivariateExpansion(k, [
+    return BivariateExpansion(0, [
         ZetaRational.from_poly(_divisor_layer(k - 1, m) * pref) if m
         else _positive_sum_closed_form(k) * pref
-        for m in range(truncation + 1)])
+        for m in range(truncation + 1)], k)
 
 
 def p_tilde_1(truncation: int = DEFAULT_ORDER) -> BivariateExpansion:
     """P~_1 = P_1 + pi*i; the constant enters layer 0 as 1/2 at grade 1."""
     p1 = p_expansion(1, truncation)
-    layers = list(p1.layers)
+    layers = list(p1.coeffs)
     layers[0] = layers[0] + ZetaRational.const(Fraction(1, 2))
-    return BivariateExpansion(1, layers)
+    return BivariateExpansion(0, layers, 1)
 
 
 @lru_cache(maxsize=None)
@@ -171,10 +129,10 @@ def g_expansion(i: int, j: int, truncation: int = DEFAULT_ORDER) -> BivariateExp
     if i == 0:
         return p_expansion(j, truncation)
     pref = Fraction(1, factorial(j - 1))
-    return BivariateExpansion(i + j, [
+    return BivariateExpansion(0, [
         ZetaRational.from_poly(_divisor_layer(j - i - 1, m) * (pref * Fraction(m) ** i)) if m
         else ZetaRational.const(0)
-        for m in range(truncation + 1)])
+        for m in range(truncation + 1)], i + j)
 
 
 class ZSeries:
@@ -281,8 +239,8 @@ def g1m_z_expansion(m: int, z_order: int, q_order: int) -> ZSeries:
             for d in range(1, bign + 1):
                 if bign % d == 0:
                     total += Fraction(d) ** (m - k) * Fraction(bign // d) ** m
-            ck[bign] = ScaledRational(2 * total, m + 1)
-        correction = QExpansion.from_dict(ck, q_order).scalar_mul(
+            ck[bign] = 2 * total
+        correction = QExpansion.from_dict(ck, q_order, tpi=m + 1).scalar_mul(
             ScaledRational(Fraction(1, factorial(m - k)), m - k))
         e = m - k
         coeffs[e] = coeffs[e] + correction if e in coeffs else correction

@@ -184,7 +184,10 @@ class HHASpec:
         weights = {}
         for n, e in enumerate(_json_field(data, "generators", "spec", list)):
             at = f"spec.generators[{n}]"
-            weights[_json_field(e, "name", at, str)] = _json_rational(e, "weight", at)
+            name = _json_field(e, "name", at, str)
+            if name in weights:
+                raise HHAError(f"{at}.name {name!r} names an earlier generator again")
+            weights[name] = _json_rational(e, "weight", at)
         table = {}
         for n, e in enumerate(_json_field(data, "structure", "spec", list)):
             at = f"spec.structure[{n}]"
@@ -193,10 +196,14 @@ class HHASpec:
                 out_at = f"{at}.out[{k}]"
                 coeff = ScaledRational(_json_rational(o, "coeff", out_at),
                                        _json_field(o, "tpi", out_at, int, default=0))
-                outs.append((coeff, _json_field(o, "dpow", out_at, int, default=0),
-                             _json_field(o, "gen", out_at, str)))
+                dpow = _json_field(o, "dpow", out_at, int, default=0)
+                if dpow < 0:
+                    raise HHAError(f"{out_at}.dpow must be >= 0, got {dpow}")
+                outs.append((coeff, dpow, _json_field(o, "gen", out_at, str)))
             key = (_json_field(e, "i", at, str), _json_field(e, "j", at, str),
                    _json_field(e, "m", at, int))
+            if key in table:
+                raise HHAError(f"{at} repeats the entry (i, j, m) = {key} of an earlier one")
             table[key] = tuple(outs)
         identity = _json_field(data, "identity", "spec", str, default="1")
         return cls(weights, table, identity=identity)

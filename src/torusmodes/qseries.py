@@ -1,15 +1,23 @@
 """Exact truncated q-expansions over Q * (2*pi*i)**Z.
 
-A :class:`QExpansion` is a truncated Laurent series, its start and its
-coefficients:
+A :class:`QExpansion` is a truncated Laurent series, its start, one 2*pi*i
+grade and its coefficients:
 
-    sum_{m=0}^{truncation} c_m * q**(offset + m),   truncation = len(coeffs) - 1,
+    (2*pi*i)**tpi * sum_{m=0}^{truncation} c_m * q**(offset + m),
+    truncation = len(coeffs) - 1,
 
 with a single rational exponent offset (eta powers are the only source of
-fractional exponents and introduce them uniformly).  Coefficients beyond the
-truncation order are *unknown*, not zero; ring operations propagate the
-reliable order pessimistically.  Coefficients below the offset vanish; a
-leading power q**k folds into the offset.
+fractional exponents and introduce them uniformly).  Every series the package
+builds is of fixed weight, so one grade serves all its coefficients; a sum of
+nonzero series of two grades raises ``ValueError``, and a zero series adds to
+any grade.  Coefficients beyond the truncation order are *unknown*, not zero;
+ring operations propagate the reliable order pessimistically.  Coefficients
+below the offset vanish; a leading power q**k folds into the offset.
+
+The coefficients are rationals (int or Fraction) for a q-series, and the
+zeta-rational layers for :class:`~torusmodes.elliptic.BivariateExpansion`,
+which shares the additive and derivative operations below.  The series
+product, inversion and numerics read rational coefficients only.
 
 Named series: Eisenstein series G_{2k} (constants rationalized through
 Bernoulli numbers), Dedekind eta powers, and the geometric factors
@@ -25,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .scaled import ScaledRational, as_fraction, format_fraction
+from .scaled import TWO_PI_I, ScaledRational, as_fraction, format_fraction
 
 
 class OffsetError(ValueError):
@@ -40,13 +48,14 @@ DEFAULT_ORDER = 40
 
 
 class QExpansion:
-    __slots__ = ("offset", "coeffs", "truncation", "_floats")
+    __slots__ = ("offset", "coeffs", "tpi", "truncation", "_floats")
 
-    def __init__(self, offset, coeffs):
+    def __init__(self, offset, coeffs, tpi: int = 0):
         self.offset = as_fraction(offset)
-        self.coeffs = tuple(ScaledRational.of(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("truncation must be >= 0")
+        self.tpi = tpi
         self.truncation = len(self.coeffs) - 1
         self._floats = None
 
@@ -54,18 +63,18 @@ class QExpansion:
 
     @classmethod
     def zero(cls, truncation: int = DEFAULT_ORDER, offset=0) -> "QExpansion":
-        return cls(offset, [ScaledRational()] * (truncation + 1))
+        return cls(offset, [0] * (truncation + 1))
 
     @classmethod
     def one(cls, truncation: int = DEFAULT_ORDER) -> "QExpansion":
         return cls.from_dict({0: 1}, truncation)
 
     @classmethod
-    def from_dict(cls, d, truncation: int, offset=0) -> "QExpansion":
+    def from_dict(cls, d, truncation: int, offset=0, tpi: int = 0) -> "QExpansion":
         """d maps integer m >= 0 -> coefficient, for exponents offset + m."""
         if d and min(d) < 0:
             raise ValueError(f"key {min(d)} is negative: a series starts at its offset")
-        return cls(offset, [d.get(m, 0) for m in range(truncation + 1)])
+        return cls(offset, [d.get(m, 0) for m in range(truncation + 1)], tpi)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -73,32 +82,37 @@ class QExpansion:
         """Coefficient of q**(offset + m); m must not exceed the truncation."""
         if m > self.truncation:
             raise IndexError(f"coefficient q^(offset+{m}) beyond truncation {self.truncation}")
-        return self.coeffs[m] if m >= 0 else ScaledRational()
+        return ScaledRational(self.coeffs[m], self.tpi) if m >= 0 else ScaledRational()
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not any(self.coeffs)
 
     def truncate(self, truncation: int) -> "QExpansion":
         if not 0 <= truncation <= self.truncation:
             raise ValueError(f"truncation {truncation} is outside 0..{self.truncation}")
-        return QExpansion(self.offset, self.coeffs[:truncation + 1])
+        return type(self)(self.offset, self.coeffs[:truncation + 1], self.tpi)
 
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self):
-        return QExpansion(self.offset, [-c for c in self.coeffs])
+        return type(self)(self.offset, [-c for c in self.coeffs], self.tpi)
 
     def __add__(self, other):
         if not isinstance(other, QExpansion):
             return NotImplemented
+        tpi = self.tpi
+        if other.tpi != tpi:
+            if self.is_zero():
+                tpi = other.tpi
+            elif not other.is_zero():
+                raise ScaledRational.grade_error(self.tpi, other.tpi)
         offset = min(self.offset, other.offset)
         a, b = self.offset - offset, other.offset - offset
         if a.denominator != 1 or b.denominator != 1:
             raise OffsetError(f"offsets {self.offset} and {other.offset} differ by a non-integer")
-        a, b = int(a), int(b)
-        trunc = min(self.truncation + a, other.truncation + b)
-        return QExpansion(offset, [self.coefficient(m - a) + other.coefficient(m - b)
-                                   for m in range(trunc + 1)])
+        # zeros pad the series that starts higher; zip stops at the lower truncation
+        padded = zip((0,) * int(a) + self.coeffs, (0,) * int(b) + other.coeffs)
+        return type(self)(offset, [x + y for x, y in padded], tpi)
 
     def __sub__(self, other):
         return self + (-other)
@@ -109,19 +123,19 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return NotImplemented
         trunc = min(self.truncation, other.truncation)
-        out = [ScaledRational() for _ in range(trunc + 1)]
+        out = [0] * (trunc + 1)
         for i, a in enumerate(self.coeffs[:trunc + 1]):
             if a:
                 for j, b in enumerate(other.coeffs[:trunc + 1 - i]):
                     if b:
-                        out[i + j] = out[i + j] + a * b
-        return QExpansion(self.offset + other.offset, out)
+                        out[i + j] += a * b
+        return QExpansion(self.offset + other.offset, out, self.tpi + other.tpi)
 
     __rmul__ = __mul__
 
     def scalar_mul(self, s) -> "QExpansion":
         s = ScaledRational.of(s)
-        return QExpansion(self.offset, [c * s for c in self.coeffs])
+        return type(self)(self.offset, [c * s.value for c in self.coeffs], self.tpi + s.tpi)
 
     def power(self, k: int) -> "QExpansion":
         if k < 0:
@@ -142,27 +156,29 @@ class QExpansion:
         if low is None:
             raise NonUnitError("cannot invert the zero series")
         u = self.coeffs[low:]
-        b0 = u[0].inverse()
+        b0 = Fraction(1, u[0])
+        if b0.denominator == 1:  # a unit +-1 keeps the inverse in int arithmetic
+            b0 = b0.numerator
         inv = [b0]
         for m in range(1, len(u)):
-            acc = ScaledRational()
+            acc = 0
             for j in range(1, m + 1):
                 if u[j]:
-                    acc = acc + u[j] * inv[m - j]
-            inv.append(acc * (-b0))
-        return QExpansion(-self.offset - low, inv)
+                    acc += u[j] * inv[m - j]
+            inv.append(acc * -b0)
+        return QExpansion(-self.offset - low, inv, -self.tpi)
 
     # -- derivatives -------------------------------------------------------
 
     def q_derivative(self) -> "QExpansion":
         """q d/dq: multiplies the coefficient of q**(offset+m) by offset+m."""
-        return QExpansion(self.offset, [c.scale(self.offset + m)
-                                        for m, c in enumerate(self.coeffs)])
+        return type(self)(self.offset, [c * (self.offset + m) for m, c in enumerate(self.coeffs)],
+                          self.tpi)
 
     def tau_derivative(self) -> "QExpansion":
         """d/dtau = 2*pi*i * q d/dq; raises the 2*pi*i grade by one."""
         d = self.q_derivative()
-        return QExpansion(d.offset, [c.shift(1) for c in d.coeffs])
+        return type(self)(d.offset, d.coeffs, d.tpi + 1)
 
     # -- comparisons -------------------------------------------------------
 
@@ -188,8 +204,9 @@ class QExpansion:
         if abs(q) >= 1:
             raise ValueError("divergent evaluation: |q| >= 1")
         qo = q ** complex(self.offset)
-        if self._floats is None:
-            self._floats = tuple((m, complex(c)) for m, c in enumerate(self.coeffs) if c)
+        if self._floats is None:  # the nonzero values, 2*pi*i power included
+            unit = TWO_PI_I ** self.tpi
+            self._floats = tuple((m, complex(c) * unit) for m, c in enumerate(self.coeffs) if c)
         total = 0j
         for m, c in self._floats:
             total += c * q ** m
@@ -203,7 +220,8 @@ class QExpansion:
         aq = abs(q)
         if aq >= 1:
             return float("inf")
-        scale = max(abs(complex(c)) for c in self.coeffs[-5:])
+        unit = TWO_PI_I ** self.tpi
+        scale = max(abs(complex(c) * unit) for c in self.coeffs[-5:])
         return max(scale, 1.0) * aq ** (self.truncation + 1) / (1 - aq)
 
     # -- serialization -----------------------------------------------------
@@ -213,22 +231,15 @@ class QExpansion:
             "offset": format_fraction(self.offset),
             "lower": 0,
             "truncation": self.truncation,
-            "coeffs": [c.to_pairs() for c in self.coeffs],
+            "coeffs": [[[self.tpi, format_fraction(c)]] if c else [] for c in self.coeffs],
         }
 
     def __repr__(self):
-        parts = []
-        shown = 0
-        for m, c in enumerate(self.coeffs):
-            if c:
-                e = self.offset + m
-                parts.append(f"({c!r})*q^{format_fraction(e)}" if e else f"({c!r})")
-                shown += 1
-                if shown >= 6:
-                    parts.append("...")
-                    break
-        body = " + ".join(parts) if parts else "0"
-        return f"<QExpansion {body} + O(q^{format_fraction(self.offset + self.truncation + 1)})>"
+        terms = [f"({c})*q^{format_fraction(self.offset + m)}"
+                 for m, c in enumerate(self.coeffs) if c]
+        body = " + ".join(terms[:6] + ["..."] * (len(terms) > 6)) or "0"
+        end = format_fraction(self.offset + self.truncation + 1)
+        return f"<{type(self).__name__} (2*pi*i)^{self.tpi} * ({body}) + O(q^{end})>"
 
 
 # -- named series -----------------------------------------------------------
@@ -270,8 +281,8 @@ def eisenstein(two_k: int, truncation: int = DEFAULT_ORDER) -> QExpansion:
         raise ValueError("weight must be a positive even integer")
     const = -bernoulli(two_k) / factorial(two_k)
     pref = Fraction(2, factorial(two_k - 1))
-    return QExpansion(0, [ScaledRational(pref * sigma(two_k - 1, n) if n else const, two_k)
-                          for n in range(truncation + 1)])
+    return QExpansion(0, [pref * sigma(two_k - 1, n) if n else const
+                          for n in range(truncation + 1)], two_k)
 
 
 def euler_product(truncation: int) -> QExpansion:

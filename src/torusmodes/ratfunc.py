@@ -175,6 +175,9 @@ class ZetaRational:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self):
+        return not self.num.is_zero()
+
     def __eq__(self, other):
         if not isinstance(other, ZetaRational):
             return NotImplemented

@@ -6,11 +6,12 @@ rational multiple of an integer power of 2*pi*i.  Tracking that power as an
 explicit grade keeps all arithmetic exact; nothing transcendental is
 evaluated until an explicit numeric call.
 
-``ScaledRational`` is the one coefficient type, used by q-expansions and by
-the symbolic correlator engine.  It holds a single grade: the correlators
-are quasi-modular (zero modes) or quasi-Jacobi (mixed) forms of fixed
-weight, so a sum of nonzero terms of different grades never arises, and
-building one raises ``ValueError``.
+``ScaledRational`` is the coefficient type of the symbolic correlator engine,
+and the value ``QExpansion.coefficient`` returns; a q-expansion itself keeps
+rational coefficients and one grade for the whole series.  It holds a single
+grade: the correlators are quasi-modular (zero modes) or quasi-Jacobi (mixed)
+forms of fixed weight, so a sum of nonzero terms of different grades never
+arises, and building one raises ``ValueError``.
 
 An integral value is stored as an ``int`` and any other as a ``Fraction``:
 almost every product the correlator engine forms is integer by integer,
@@ -127,18 +128,9 @@ class ScaledRational:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "ScaledRational":
-        if not self:
-            raise ZeroDivisionError("inverse of zero ScaledRational")
-        return ScaledRational(Fraction(1, self.value), -self.tpi)
-
     def shift(self, k: int) -> "ScaledRational":
         """Multiply by (2*pi*i)**k."""
         return ScaledRational(self.value, self.tpi + k)
-
-    def scale(self, rational) -> "ScaledRational":
-        """Multiply by a rational, keeping the grade."""
-        return ScaledRational(self.value * as_fraction(rational), self.tpi)
 
     def __complex__(self):
         return complex(self.value) * TWO_PI_I ** self.tpi

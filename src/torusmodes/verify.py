@@ -221,7 +221,7 @@ def suite_elliptic_formal(order=30):
         el.p_expansion(k, N).zeta_derivative()
         == el.p_expansion(k + 1, N).scalar_mul(ScaledRational(k, -1)) for k in (1, 2, 3))
     yield "p_tilde_shift", lambda: \
-        (el.p_tilde_1(N) - el.p_expansion(1, N)).layers[0] == ZetaRational.const(Fraction(1, 2))
+        (el.p_tilde_1(N) - el.p_expansion(1, N)).coeffs[0] == ZetaRational.const(Fraction(1, 2))
     wp = cache(lambda k, z_order: el.wp_laurent(k, z_order, 10))
     yield "wp2_leading_terms", lambda: \
         wp(2, 9).coefficient(-2).coefficient(0) == ScaledRational(1) and \

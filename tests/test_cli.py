@@ -54,6 +54,14 @@ def test_expand_bivariate(capsys):
     assert layer0["den"] == [[0, "1"], [1, "-2"], [2, "1"]]
 
 
+def test_expand_zero_series_keeps_its_grade(capsys):
+    # g^1_3 to order 0 is the zero layer, printed at the grade 1 + 3 it was built with
+    code, out, _ = run(capsys, "expand", "--function", "g_1_3", "--order", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["tpi"] == 4 and data["layers"] == [{"m": 0, "num": [], "den": [[0, "1"]]}]
+
+
 def test_expand_unknown_function(capsys):
     code, out, err = run(capsys, "expand", "--function", "nosuch")
     assert code == 2
@@ -439,6 +447,13 @@ def _w2_weight(weight):
     pytest.param("reduce", _w2_weight("1e400"), id="weight-overflow"),
     pytest.param("reduce", _w2_with(m=1.9), id="m-float"),
     pytest.param("reduce", _w2_with(out=[{**_ENTRY["out"][0], "tpi": -2.7}]), id="tpi-float"),
+    # x[2]x -> L[-1]^-1 x balances the weights, but an L-power is never negative
+    pytest.param("reduce", _w2_with(m=2, out=[{**_ENTRY["out"][0], "dpow": -1}]),
+                 id="dpow-negative"),
+    pytest.param("reduce", json.dumps({**_W2, "structure": [_ENTRY, {**_ENTRY, "out": [
+        {**_ENTRY["out"][0], "coeff": "5"}]}]}), id="structure-entry-twice"),
+    pytest.param("reduce", json.dumps({**_W2, "generators": [
+        {"name": "x", "weight": "5"}, {"name": "x", "weight": "2"}]}), id="generator-twice"),
 ])
 def test_malformed_spec_and_lattice_files(capsys, tmp_path, command, text):
     # a bad input file is a usage error on one line: no traceback, no truncated read

@@ -61,6 +61,9 @@ MUTANTS = [
      ("qseries-identities", "elliptic-numeric")),
     ("combinatorics.py", "comb(n - des - 1, i) for i", "comb(n - des, i) for i",
      ("combinatorics",)),
+    ("qseries.py", "self.tpi + other.tpi)", "self.tpi)", ("qseries-identities",)),
+    ("qseries.py", "d.tpi + 1)", "d.tpi)",
+     ("qseries-identities", "elliptic-formal", "elliptic-numeric")),
 ]
 
 

@@ -35,6 +35,8 @@ GAMMAS = ("0,-1,1,0", "1,1,0,1", "1,0,1,1", "2,1,1,1", "1,-1,1,0")
 POINTS = (("0.1+0.3i", "1.2i"), ("0.23-0.11i", "0.3+1.1i"))
 EXPANSIONS = ("P_1", "P_2", "P_3", "P_4", "P_5", "g_0_2", "g_1_2", "g_1_3", "g_2_3", "g_2_4",
               "Ptilde_1", "G_2", "G_4", "G_6", "G_8", "eta_24", "eta_-24", "wp_2", "wp_3")
+# at order 0 some of these series are zero and must still print their grade
+ZERO_ORDER = ("g_1_3", "g_2_4", "P_2", "eta_-24")
 
 CALLS = (
     [["verify-suite", s] for s in SUITES]
@@ -43,11 +45,13 @@ CALLS = (
     + [["transform-check", "--function", f, "--gamma", gamma, "--z", z, "--tau", tau]
        for f in LAWS for gamma in GAMMAS for z, tau in POINTS]
     + [["expand", "--function", f] for f in EXPANSIONS]
+    + [["expand", "--function", f, "--order", "0"] for f in ZERO_ORDER]
     + [["reduce", "--spec", "weight2", "--correlator", f"x0^{s}"] for s in range(1, 7)]
     + [["anomaly", "--spec", "weight1", "--correlator", f"a0^{s}"] for s in range(1, 9)]
     + [["anomaly", "--spec", "weight2", "--correlator", f"x0^{s}"] for s in range(1, 4)]
     + [["lattice-trace", "--lattice", name, "--n", str(n), "--oracle"]
        for name in ("a1", "e8", "e8x3") for n in range(4)]
+    + [["lattice-trace", "--lattice", "a1", "--n", "2", "--order", "0", "--oracle"]]
 )
 
 
