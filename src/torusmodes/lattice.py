@@ -14,17 +14,22 @@ vector of a re-based Gram.  The oracle recomputes the same traces by direct
 enumeration of the Fock basis (lattice vectors times colored oscillator
 partitions), organized by counting but using no series identity.
 
-Every lattice sum goes through one Fincke-Pohst walk.  It prunes with float
-bounds padded from the exact LDL^T decomposition of the Gram matrix (made once
-per Gram, and shared with the check that a lattice is positive definite), so no
-vector is missed, and carries the exact integer norm and the integer pairing
-with the first basis vector down the recursion, so each candidate is
-confirmed by its exact norm at the leaf and shells are complete.  It visits
-one of each pair x, -x and hands the leaf a multiplicity (2, or 1 for x = 0);
-every tally here is even in x.  Per block Gram one walk is grouped into
+Blocks whose Gram is the preset E8 Gram (``e8``, each block of ``e8x3``) take a
+product route: in even coordinates E8 is the x in Z^8 or (Z+1/2)^8 with even
+sum, so its (norm/2, <e_0,a>^2) counts are sums over single coordinates.  Every
+other Gram, E8 in another basis too, goes through one Fincke-Pohst walk.  It
+prunes with float bounds padded from the exact LDL^T decomposition of the Gram
+matrix (made once per Gram, and shared with the check that a lattice is
+positive definite), so no vector is missed, and carries the exact integer norm
+and the integer pairing with the first basis vector down the recursion, so each
+candidate is confirmed by its exact norm at the leaf and shells are complete.
+It visits one of each pair x, -x and hands the leaf a multiplicity (2, or 1 for
+x = 0); every tally here is even in x.  Per block Gram one walk is grouped into
 (norm/2, <e_0,a>^2) counts and cached, and a lower order reads the deepest
 walk's groups: shell sizes, theta moments, theta series, traces and chi share
-it.  Only ``enumerate_vectors`` keeps the vectors, both signs.
+them.  The walk is the product route's oracle: ``enumerate_vectors`` (which
+alone keeps the vectors, both signs) and ``fock_trace_oracle``'s charged block
+walk every Gram.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 from .qseries import QExpansion, eta_power
 from .scaled import TWO_PI_I
@@ -269,12 +274,11 @@ _DEEPEST_WALK = {}  # gram -> (max_norm_half, groups) of the deepest walk so far
 
 
 def _grouped_walk(gram: tuple, max_norm_half: int) -> tuple:
-    """The one walk of a block: ((norm_half, <e_0,x>^2, count), ...), sorted.
+    """A block's walk, grouped: ((norm_half, <e_0,x>^2, count), ...), sorted.
 
-    <e_0,x>^2 is even in x, so the pair x, -x joins one group.  Shell sizes
-    and theta moments read the same walk.  Only the deepest walk per Gram is
-    kept: a lower order reads its groups with norm_half <= max_norm_half,
-    which are the groups a walk to that order tallies.
+    <e_0,x>^2 is even in x, so the pair x, -x joins one group.  Only the deepest
+    walk per Gram is kept: a lower order reads its groups with norm_half <=
+    max_norm_half, which are the groups a walk to that order tallies.
     """
     deepest = _DEEPEST_WALK.get(gram)
     if deepest is not None and 0 <= max_norm_half <= deepest[0]:
@@ -295,9 +299,48 @@ _grouped_walk.cache_clear = _DEEPEST_WALK.clear  # as on the lru caches that rea
 
 
 @lru_cache(maxsize=None)
+def _e8_groups(max_norm_half: int) -> tuple:
+    """The preset E8 Gram's ((norm_half, <e_0,x>^2, count), ...), with no walk.
+
+    In doubled even coordinates y = 2x, E8 is the y in (2Z)^8 or (2Z+1)^8 with sum y = 0
+    mod 4, and norm/2 = sum y^2/8.  The Weyl group is transitive on roots, so the root e_0
+    groups as the root e_1 + e_2, which pairs as (y_1 + y_2)/2.  Six coordinates are
+    tallied by (sum y^2, sum y mod 4), and the pair (y_1, y_2) runs over that tally.
+    """
+    if max_norm_half < 0:
+        raise LatticeError("max_norm_half must be >= 0")
+    bound = 8 * max_norm_half
+    grouped = {}
+    for parity in (0, 1):
+        ys = [y for y in range(-isqrt(bound), isqrt(bound) + 1) if y % 2 == parity]
+        six = {(0, 0): 1}
+        for _ in range(6):
+            tally = {}
+            for (sq, r), c in six.items():
+                for y in ys:
+                    if sq + y * y <= bound:
+                        key = (sq + y * y, (r + y) % 4)
+                        tally[key] = tally.get(key, 0) + c
+            six = tally
+        for y1 in ys:
+            for y2 in ys:
+                for (sq, r), c in six.items():
+                    norm = sq + y1 * y1 + y2 * y2
+                    if norm <= bound and (r + y1 + y2) % 4 == 0:
+                        key = (norm // 8, (y1 + y2) ** 2 // 4)
+                        grouped[key] = grouped.get(key, 0) + c
+    return tuple((nh, ip2, cnt) for (nh, ip2), cnt in sorted(grouped.items()))
+
+
+def _groups(gram: tuple, max_norm_half: int) -> tuple:
+    """A block's groups: the product route for the preset E8 Gram, the walk otherwise."""
+    return _e8_groups(max_norm_half) if gram == e8().gram else _grouped_walk(gram, max_norm_half)
+
+
+@lru_cache(maxsize=None)
 def _shell_sizes(gram: tuple, max_norm_half: int) -> tuple:
     sizes = [0] * (max_norm_half + 1)
-    for nh, _, cnt in _grouped_walk(gram, max_norm_half):
+    for nh, _, cnt in _groups(gram, max_norm_half):
         sizes[nh] += cnt
     return tuple(sizes)
 
@@ -325,15 +368,16 @@ def theta_series(lat: EvenLattice, truncation: int) -> QExpansion:
 
 
 @lru_cache(maxsize=None)
-def _axis_shell_data(lat: EvenLattice, max_norm_half: int):
+def _axis_shell_data(lat: EvenLattice, max_norm_half: int, groups=_groups):
     """((norm_half, <h,a>^2, count), ...) over the first block's shells, grouped.
 
-    h = e_0/|e_0|, so <h,a>^2 is the walk's <e_0,a>^2 over G_00.
+    h = e_0/|e_0|, so <h,a>^2 is the groups' <e_0,a>^2 over G_00.  ``groups``
+    is ``_groups``, or ``_grouped_walk`` for the oracle, which walks every Gram.
     """
     block = lat.blocks()[0]
     sub_gram = lat.sublattice(block).gram
     return tuple((nh, Fraction(ip2, sub_gram[0][0]), cnt)
-                 for nh, ip2, cnt in _grouped_walk(sub_gram, max_norm_half)), block
+                 for nh, ip2, cnt in groups(sub_gram, max_norm_half)), block
 
 
 @lru_cache(maxsize=None)
@@ -471,7 +515,8 @@ def fock_trace_oracle(lat: EvenLattice, n: int, truncation: int) -> QExpansion:
     components; those are enumerated through partition and shell counting.
     """
     ell = lat.rank
-    data, block = _axis_shell_data(lat, truncation)
+    # the charged block is walked, so the closed form's product route has an oracle
+    data, block = _axis_shell_data(lat, truncation, _grouped_walk)
     # rest-norm counts: lattice vectors of the other blocks by total norm/2
     rest = _rest_counts(lat, block, truncation)
     # oscillators: color 0 counted with its eigenvalue, other ell-1 colors counted
@@ -535,10 +580,10 @@ def chi_weight1(lat: EvenLattice, z: complex, tau: complex, shell_truncation: in
     """chi(tau, z) = Tr e^{2 pi i z a_0} q^{L0 - l/24}, numerically.
 
     Factorizes over blocks: only the first block carries the charge phase.
-    It enters through the counts (norm/2, t = <h,a>^2, count)
-    that the walk, carrying the exact norm and pairing, tallies at its leaves;
-    they are cached and shared with the theta moments, and no vector is
-    stored.  As each shell is closed under a -> -a, a group contributes
+    It enters through the counts (norm/2, t = <h,a>^2, count) of the
+    block's groups, exact integers from the product route or the walk; they
+    are cached and shared with the theta moments, and no vector is stored.
+    As each shell is closed under a -> -a, a group contributes
     count * cos(2 pi z sqrt(t)) q^{norm/2}.
     """
     if tau.imag <= 0:

@@ -462,8 +462,8 @@ def suite_lattice_modular(order=8, tol=1e-5):
     def moments():
         # theta-moment quasi-modularity: the S-transform is a polynomial in 1/(tau+n).
         # theta_E8 = E_4 = 720 G_4/(2 pi i)^4 gives the moments c_p (2q d/dq)^(p/2) E_4
-        # to q^60; checked to q^6 against the walk the E8^3 cases share.
-        theta = qs.eisenstein(4, 60).scalar_mul(ScaledRational(720, -4))
+        # to q^max(60, order); checked to q^order against the E8 blocks' product route.
+        theta = qs.eisenstein(4, max(order, 60)).scalar_mul(ScaledRational(720, -4))
         univ = {0: Fraction(1), 2: Fraction(1, 8), 4: Fraction(3, 80), 6: Fraction(1, 64)}
         out = {}
         for p, c in univ.items():
@@ -472,9 +472,8 @@ def suite_lattice_modular(order=8, tol=1e-5):
                 series = series.q_derivative().scalar_mul(2)
             out[p] = series.scalar_mul(c)
         return out
-    top = min(order, 6)
     yield "e8_moments_from_theta_derivatives", lambda: all(
-        (lt.theta_moment(E8, p, order).truncate(top) - series.truncate(top)).is_zero()
+        (lt.theta_moment(E8, p, order) - series.truncate(order)).is_zero()
         for p, series in moments().items())
     tau0 = 1.2j
 

@@ -234,8 +234,20 @@ def test_walk_counts_match_box_enumeration():
 
 
 def test_e8_shell_sizes_are_240_sigma3():
-    sizes = lt._shell_sizes(lt.e8().gram, 6)
-    assert sizes == (1,) + tuple(240 * qs.sigma(3, n) for n in range(1, 7))
+    sizes = lt._shell_sizes(lt.e8().gram, 24)
+    assert sizes == (1,) + tuple(240 * qs.sigma(3, n) for n in range(1, 25))
+
+
+def test_e8_product_route_equals_the_walk():
+    gram = lt.e8().gram
+    for N in range(8, -1, -1):  # deepest first: one walk, which the lower orders read
+        assert lt._e8_groups(N) == lt._grouped_walk(gram, N), N
+
+
+def test_e8_cubed_axis_data_equals_a_walk_only_computation():
+    walked = lt._grouped_walk(lt.e8().gram, 6)
+    assert lt._axis_shell_data(lt.e8_cubed(), 6) == (
+        tuple((nh, Fraction(ip2, 2), cnt) for nh, ip2, cnt in walked), tuple(range(8)))
 
 
 def test_negative_order_raises_on_every_walk_route():
@@ -291,7 +303,7 @@ def test_half_walk_matches_box(lat, N):
 
 
 def test_one_walk_per_block_gram_and_order(monkeypatch):
-    for cached in (lt._grouped_walk, lt._shell_sizes, lt._axis_shell_data):
+    for cached in (lt._grouped_walk, lt._e8_groups, lt._shell_sizes, lt._axis_shell_data):
         cached.cache_clear()
     walks = []
     walk = lt._walk
@@ -306,11 +318,17 @@ def test_one_walk_per_block_gram_and_order(monkeypatch):
     lt.theta_moment(e8_cubed, 2, 8)
     lt.chi_weight1(e8_cubed, 0.1 + 0.2j, 1.3j, 8)
     assert verify.run_suite("lattice-modular")["status"] == "pass"
-    assert walks == [(e8.gram, 8)]
+    # the preset E8 Gram, alone and as each block of E8^3, takes the product route
+    assert walks == []
+    # E8 in another basis is walked
+    order = [1, 0] + list(range(2, 8))
+    swapped = lt.EvenLattice(tuple(tuple(e8.gram[i][j] for j in order) for i in order))
+    lt.theta_series(swapped, 2)
+    assert walks == [(swapped.gram, 2)]
 
 
 def test_one_walk_per_gram_and_order_in_lattice_oracle(monkeypatch):
-    for cached in (lt._grouped_walk, lt._shell_sizes, lt._axis_shell_data,
+    for cached in (lt._grouped_walk, lt._e8_groups, lt._shell_sizes, lt._axis_shell_data,
                    lt.theta_moment, lt._literal_eigenvalues):
         cached.cache_clear()
     walks = []
@@ -322,16 +340,18 @@ def test_one_walk_per_gram_and_order_in_lattice_oracle(monkeypatch):
 
     monkeypatch.setattr(lt, "_walk", counted)
     assert verify.run_suite("lattice-oracle")["status"] == "pass"
-    # E8: its shells, then the grouped walk at order 4, which the E8^3 cases read at
-    # order 3; A1: the literal Fock labels for every n, then the counted oracle's walk
+    # E8: its shells, then the oracle's grouped walk at order 4, which the E8^3 oracle
+    # reads at order 3 (the closed forms walk nothing); A1: the literal Fock labels for
+    # every n, then the counted oracle's walk
     assert walks == [(8, 4), (8, 4), (1, 4), (1, 4)]
 
 
 @pytest.mark.parametrize("suite, lattices", [("lattice-modular", ("e8", "e8x3")),
                                              ("lattice-oracle", ("e8", "e8x3", "a1"))])
 def test_one_decomposition_per_gram(monkeypatch, suite, lattices):
-    for cached in (lt._ldl, lt._grouped_walk, lt._shell_sizes, lt._axis_shell_data,
-                   lt.theta_moment, lt.eta_derivative_factor, lt._literal_eigenvalues):
+    for cached in (lt._ldl, lt._grouped_walk, lt._e8_groups, lt._shell_sizes,
+                   lt._axis_shell_data, lt.theta_moment, lt.eta_derivative_factor,
+                   lt._literal_eigenvalues):
         cached.cache_clear()
     grams = []
     ldl = lt._ldl
