@@ -24,8 +24,9 @@ are dropped and a lone insertion of an L[-1]-descendant annihilates the
 trace; states are always expanded onto the (L-power, generator) basis.
 Each spec memoizes, by symbol shape (zero modes plus the (L-power, generator)
 of each insertion) and for the life of the spec, the commuting recursion step
-and the full reduction to zero-mode correlators, both at positions 1..n; the
-peel and the anomaly read these memos and relabel them onto their positions.
+and the full reduction to zero-mode correlators (that step with each term
+reduced through its own shape's entry), both at positions 1..n; reductions,
+the peel and the anomaly read these memos and relabel them onto their positions.
 """
 
 from __future__ import annotations
@@ -390,20 +391,6 @@ class CorrExpression:
         for sym, poly in other.terms.items():
             self.add_term(sym, poly)
 
-    def __add__(self, other):
-        out = CorrExpression(self.terms)
-        out.add_terms(other)
-        return out
-
-    def __sub__(self, other):
-        out = CorrExpression(self.terms)
-        for sym, poly in other.terms.items():
-            out.add_term(sym, -poly)
-        return out
-
-    def __neg__(self):
-        return CorrExpression({s: -p for s, p in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, CorrExpression):
             return NotImplemented
@@ -412,16 +399,8 @@ class CorrExpression:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_insertions(self) -> int:
-        return max((len(s.insertions) for s in self.terms), default=0)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return "\n+ ".join(f"[{poly!r}] * {sym!r}" for sym, poly in self.sorted_terms())
 
 
 def attach_insertion(spec: HHASpec, modes, base_insertions, pos: int, state: dict,
@@ -491,13 +470,21 @@ def reduce_once(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
     each shape is reduced once at positions 1..n (see :func:`_reduce_shape`)
     and relabeled onto the positions of every later symbol of that shape.
     """
+    return _map_shapes(spec, expr.terms.items(), _shape_step)
+
+
+def _map_shapes(spec: HHASpec, terms, shape_terms) -> CorrExpression:
+    """Each (symbol, polynomial) term with insertions replaced by
+    ``shape_terms(spec, modes, shape)``, its shape's canonical result at
+    positions 1..n, relabeled onto the symbol's positions and multiplied by
+    the polynomial; terms without insertions pass through."""
     out = CorrExpression()
-    for sym, poly in expr.terms.items():
+    for sym, poly in terms:
         if not sym.insertions:
             out.add_term(sym, poly)
             continue
         label = (None,) + tuple(sym.positions())
-        for tsym, tpoly in _shape_step(spec, sym.modes, _shape(sym)):
+        for tsym, tpoly in shape_terms(spec, sym.modes, _shape(sym)):
             out.add_product(_relabel_symbol(tsym, label), poly, tpoly.relabel(label))
     return out
 
@@ -623,31 +610,30 @@ def _ordered_layer(u: int, des: int, m: int, pj: int, p1: int) -> CoeffPoly:
 
 
 def reduce_to_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
-    """Iterate reduce_once until no insertions remain; assert pi*i cancellation."""
-    guard = expr.max_insertions()
-    cur = expr
-    passes = 0
-    while cur.max_insertions() > 0:
-        cur = reduce_once(spec, cur)
-        passes += 1
-        if passes > guard:
-            raise HHAError("reduction failed to terminate: insertion count did not decrease")
-    for sym, poly in cur.terms.items():
-        if poly.mentions("pi"):
-            raise CancellationError(
-                f"pi*i residual failed to cancel on {sym!r}: {poly!r}")
-    return cur
+    """Reduce every term through its shape's memo entry; assert pi*i cancellation."""
+    return _assert_cancelled(_map_shapes(spec, expr.terms.items(), _shape_zero_modes))
 
 
 def _shape_zero_modes(spec: HHASpec, modes, shape) -> tuple:
-    """reduce_to_zero_modes of one shape at positions 1..n, from the spec's memo."""
+    """reduce_to_zero_modes of one shape at positions 1..n, from the spec's memo:
+    one step, then every term of that step through its own shape's entry."""
     key = (modes, shape)
     canon = spec.zero_mode_memo.get(key)
     if canon is None:
-        sym = CorrSymbol(modes, tuple((p, d, g_) for p, (d, g_) in enumerate(shape, 1)))
-        canon = spec.zero_mode_memo[key] = tuple(
-            reduce_to_zero_modes(spec, CorrExpression.single(sym)).terms.items())
+        step = _shape_step(spec, modes, shape)
+        if any(len(sym.insertions) >= len(shape) for sym, _ in step):
+            raise HHAError("reduction failed to terminate: insertion count did not decrease")
+        canon = spec.zero_mode_memo[key] = tuple(_assert_cancelled(
+            _map_shapes(spec, step, _shape_zero_modes)).terms.items())
     return canon
+
+
+def _assert_cancelled(expr: CorrExpression) -> CorrExpression:
+    for sym, poly in expr.terms.items():
+        if poly.mentions("pi"):
+            raise CancellationError(
+                f"pi*i residual failed to cancel on {sym!r}: {poly!r}")
+    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -735,17 +721,10 @@ def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
     modularly invariant atoms of their weight; the anomaly of every
     coefficient follows from the tabulated table via the product rule, and
     the resulting full correlators are rewritten back into zero-mode
-    correlators.  The result must be free of position and function symbols.
+    correlators by reduce_to_zero_modes.  The result must be free of position and function symbols.
     """
-    result = CorrExpression()
-    for sym, poly in invert_to_full(spec, gens).terms.items():
-        dpoly = delta_transform(poly)
-        if not dpoly:
-            continue
-        label = (None,) + tuple(sym.positions())
-        for s, p in _shape_zero_modes(spec, sym.modes, _shape(sym)):
-            result.add_product(s, p.relabel(label), dpoly)
-
+    result = reduce_to_zero_modes(spec, CorrExpression(
+        {sym: delta_transform(poly) for sym, poly in invert_to_full(spec, gens).terms.items()}))
     graded: dict[int, dict] = {}
     for sym, poly in result.terms.items():
         if poly.mentions("z"):

@@ -54,8 +54,8 @@ class LatticeError(ValueError):
 def _ldl(gram: tuple) -> tuple:
     """Exact LDL^T of a symmetric positive definite integer Gram, once per Gram.
 
-    Returns (L, D) as tuples: the validation of every lattice built and every
-    walk over it share one decomposition.
+    Returns (L, D) as tuples: the validation of every lattice block and every
+    walk share one decomposition.
     """
     n = len(gram)
     L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -92,7 +92,8 @@ class EvenLattice:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise LatticeError("Gram matrix must be symmetric")
-        _ldl(g)  # positive definiteness
+        for idx in self.blocks():  # positive definiteness, block by block
+            _ldl(tuple(tuple(g[i][j] for j in idx) for i in idx))
 
     @property
     def rank(self) -> int:

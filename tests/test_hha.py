@@ -10,7 +10,7 @@ from torusmodes.hha import (CorrExpression, CorrSymbol, HHAError, basis,
                             reduce_to_zero_modes, square_action, weight1_spec,
                             weight2_spec)
 from torusmodes.scaled import ScaledRational
-from torusmodes.symbols import ONE, CoeffPoly, G, P, Pt, UnsupportedError, g, zvar
+from torusmodes.symbols import ONE, PI_MARK, CoeffPoly, G, P, Pt, UnsupportedError, g, zvar
 
 from suite_cases import assert_case
 
@@ -311,6 +311,40 @@ def test_repeated_reduce_once_leaves_memo_unchanged(case):
     assert _memo_snapshot(spec) == snapshot
 
 
+def _reduce_by_passes(spec, expr):
+    """The reference full reduction: reduce_once over the whole expression
+    until no term keeps an insertion."""
+    while any(sym.insertions for sym in expr.terms):
+        expr = reduce_once(spec, expr)
+    return expr
+
+
+def _descendant_expression(name):
+    """Three-insertion terms with L[-1]-descendants, under caller coefficients."""
+    a, b = ("x", "x") if name == "weight2" else ("a", "b")
+    return CorrExpression({
+        CorrSymbol((b,), ((1, 1, a), (3, 0, a), (5, 2, b))): BASE,
+        CorrSymbol((a,), ((2, 0, b), (4, 1, b), (7, 0, a))): P(2, 7, 4) + ONE,
+        CorrSymbol((a, b), ((1, 0, a), (2, 1, b), (6, 0, b))): ONE})
+
+
+@pytest.mark.parametrize("name, build", [
+    *[pytest.param("weight1", lambda spec, s=s: invert_to_full(spec, ("a",) * s),
+                   id=f"weight1-inverse-s{s}") for s in range(1, 7)],
+    *[pytest.param("weight2", lambda spec, s=s: invert_to_full(spec, ("x",) * s),
+                   id=f"weight2-inverse-s{s}") for s in range(1, 6)],
+    *[pytest.param(name, lambda spec, name=name: _descendant_expression(name),
+                   id=f"{name}-descendants") for name in ("weight2", "two-heisenberg")],
+])
+def test_memo_reduction_matches_repeated_reduce_once(name, build):
+    # the recursive per-shape memo against passes of reduce_once over the whole expression
+    spec = SPECS[name]()
+    expr = build(spec)
+    want = _reduce_by_passes(spec, expr)
+    assert want == reduce_to_zero_modes(SPECS[name](), expr)
+    assert not any(sym.insertions for sym in want.terms)
+
+
 def test_peel_refuses_a_corrupted_memo_head():
     spec = weight2_spec()
     expected = invert_to_full(spec, ("x",) * 2)
@@ -323,6 +357,21 @@ def test_peel_refuses_a_corrupted_memo_head():
             invert_to_full(broken, ("x",) * 2)
     assert spec.shape_memo[key][0] == (head, poly) and poly == ONE
     assert invert_to_full(spec, ("x",) * 2) == expected
+
+
+def test_full_reduction_refuses_a_corrupted_step():
+    # each full-reduction entry checks that its step lowers the insertion count,
+    # so the recursion ends, and that the pi*i markers of its terms cancel
+    sym = CorrSymbol((), ((1, 0, "x"), (2, 0, "x")))
+    key = ((), ((0, "x"), (0, "x")))
+    for step, error, message in (
+            (((sym, ONE),), HHAError, "failed to terminate"),
+            (((CorrSymbol(("x", "x"), ()), PI_MARK),), hha.CancellationError, "failed to cancel")):
+        spec = weight2_spec()
+        spec.shape_memo[key] = step
+        with pytest.raises(error, match=message):
+            reduce_to_zero_modes(spec, CorrExpression.single(sym))
+        assert key not in spec.zero_mode_memo
 
 
 def test_weight_check_runs_on_memo_miss(monkeypatch):

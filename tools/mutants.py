@@ -51,6 +51,8 @@ MUTANTS = [
     ("hha.py", "d = {key: -c for key, c in d.items()}", "d = {key: c for key, c in d.items()}",
      ("hha-weight2",)),
     ("hha.py", "minus = -poly", "minus = poly", ("hha-weight1", "hha-weight2")),
+    ("hha.py", "poly, tpoly.relabel(label))", "poly, tpoly)",
+     ("hha-weight1", "hha-weight2", "lattice-modular")),
     ("lattice.py", "Fraction(ip2, sub_gram[0][0])", "Fraction(ip2, 2 * sub_gram[0][0])",
      ("lattice-oracle", "lattice-modular")),
     ("symbols.py", "_MOVES.setdefault(label, {})", "_MOVES.setdefault(None, {})",

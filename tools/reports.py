@@ -25,10 +25,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from torusmodes import cli  # noqa: E402
+from torusmodes import cli, verify  # noqa: E402
 
-SUITES = ("combinatorics", "qseries-identities", "elliptic-formal", "elliptic-numeric",
-          "hha-weight1", "hha-weight2", "lattice-oracle", "lattice-modular")
 SEEDED = ("combinatorics", "qseries-identities", "elliptic-numeric")
 LAWS = ("Ptilde_1", "P_2", "P_3", "P_4", "P_7", "G_2", "G_4", "G_6", "g_1_3", "g_1_5")
 GAMMAS = ("0,-1,1,0", "1,1,0,1", "1,0,1,1", "2,1,1,1", "1,-1,1,0")
@@ -39,7 +37,7 @@ EXPANSIONS = ("P_1", "P_2", "P_3", "P_4", "P_5", "g_0_2", "g_1_2", "g_1_3", "g_2
 ZERO_ORDER = ("g_1_3", "g_2_4", "P_2", "eta_-24")
 
 CALLS = (
-    [["verify-suite", s] for s in SUITES]
+    [["verify-suite", s] for s in verify.SUITES]
     + [["verify-suite", "elliptic-numeric", "--order", str(n)] for n in (36, 40, 45, 50, 70)]
     + [["verify-suite", s, "--seed", str(seed)] for s in SEEDED for seed in (1, 7)]
     + [["transform-check", "--function", f, "--gamma", gamma, "--z", z, "--tau", tau]
@@ -47,6 +45,7 @@ CALLS = (
     + [["expand", "--function", f] for f in EXPANSIONS]
     + [["expand", "--function", f, "--order", "0"] for f in ZERO_ORDER]
     + [["reduce", "--spec", "weight2", "--correlator", f"x0^{s}"] for s in range(1, 7)]
+    + [["reduce", "--spec", "weight1", "--correlator", f"a0^{s}"] for s in range(1, 8)]
     + [["anomaly", "--spec", "weight1", "--correlator", f"a0^{s}"] for s in range(1, 9)]
     + [["anomaly", "--spec", "weight2", "--correlator", f"x0^{s}"] for s in range(1, 4)]
     + [["lattice-trace", "--lattice", name, "--n", str(n), "--oracle"]
