@@ -7,7 +7,7 @@ from .scaled import ScaledRational
 from .qseries import (QExpansion, bernoulli, eisenstein, eta_power,
                       geometric_inverse_factor)
 from .ratfunc import LaurentPoly, ZetaRational
-from .elliptic import (BivariateExpansion, ZSeries, g_expansion, p_expansion,
+from .elliptic import (BivariateExpansion, g_expansion, p_expansion,
                        p_tilde_1, wp_laurent, g1m_z_expansion)
 from .symbols import CoeffPoly, delta_transform
 from .hha import (HHASpec, CorrSymbol, CorrExpression, weight1_spec,
@@ -24,7 +24,7 @@ from .numerics import (g_value, p_value, wp_value, eisenstein_value,
 __all__ = [
     "ScaledRational", "QExpansion", "bernoulli", "eisenstein",
     "eta_power", "geometric_inverse_factor",
-    "LaurentPoly", "ZetaRational", "BivariateExpansion", "ZSeries",
+    "LaurentPoly", "ZetaRational", "BivariateExpansion",
     "g_expansion", "p_expansion", "p_tilde_1", "wp_laurent",
     "g1m_z_expansion", "CoeffPoly",
     "delta_transform", "HHASpec", "CorrSymbol", "CorrExpression",

@@ -274,7 +274,9 @@ def cmd_expand(args) -> int:
         if idx[0] >= 1 and args.z_order < -idx[0]:
             raise UsageError(f"--z-order {args.z_order} is below -{idx[0]}, the leading z "
                              f"order of {args.function}")
-        series = el.wp_laurent(idx[0], args.z_order, order)
+        z_coeffs = el.wp_laurent(idx[0], args.z_order, order)
+        _emit({"z_coeffs": {str(e): z_coeffs[e].to_json() for e in sorted(z_coeffs)}})
+        return 0
     _emit(series.to_json())
     return 0
 

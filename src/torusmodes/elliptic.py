@@ -135,60 +135,13 @@ def g_expansion(i: int, j: int, truncation: int = DEFAULT_ORDER) -> BivariateExp
         for m in range(truncation + 1)], i + j)
 
 
-class ZSeries:
-    """Laurent series in z whose coefficients are exact QExpansions in q."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if not c.is_zero()}
-
-    def coefficient(self, e: int, truncation: int | None = None) -> QExpansion:
-        c = self.coeffs.get(e)
-        if c is None:
-            if truncation is None:
-                truncation = 0
-            return QExpansion.zero(truncation)
-        return c
-
-    def exponents(self):
-        return sorted(self.coeffs)
-
-    def d_dz(self) -> "ZSeries":
-        return ZSeries({e - 1: c.scalar_mul(e) for e, c in self.coeffs.items() if e != 0})
-
-    def scalar_mul(self, s) -> "ZSeries":
-        return ZSeries({e: c.scalar_mul(s) for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        exps = set(self.coeffs) | set(other.coeffs)
-        out = {}
-        for e in exps:
-            a, b = self.coeffs.get(e), other.coeffs.get(e)
-            if a is None:
-                out[e] = -b
-            elif b is None:
-                out[e] = a
-            else:
-                out[e] = a - b
-        return ZSeries(out)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, ZSeries):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def to_json(self) -> dict:
-        return {"z_coeffs": {str(e): self.coeffs[e].to_json() for e in self.exponents()}}
-
-
-def wp_laurent(k: int, z_order: int, q_order: int) -> ZSeries:
+def wp_laurent(k: int, z_order: int, q_order: int) -> dict[int, QExpansion]:
     """Laurent expansion of wp_k about z = 0 to z-order ``z_order``:
 
-        1/z**k + (-1)**k sum_{n>=1} binom(2n+1, k-1) G_{2n+2} z**(2n+2-k).
+        1/z**k + (-1)**k sum_{n>=1} binom(2n+1, k-1) G_{2n+2} z**(2n+2-k),
+
+    as {z-exponent: q-series}.  No value is zero: each G_{2n+2} has a
+    nonzero constant term.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -198,14 +151,12 @@ def wp_laurent(k: int, z_order: int, q_order: int) -> ZSeries:
     while 2 * n + 2 - k <= z_order:
         c = comb(2 * n + 1, k - 1)
         if c:
-            g = eisenstein(2 * n + 2, q_order).scalar_mul(sign * c)
-            e = 2 * n + 2 - k
-            coeffs[e] = coeffs[e] + g if e in coeffs else g
+            coeffs[2 * n + 2 - k] = eisenstein(2 * n + 2, q_order).scalar_mul(sign * c)
         n += 1
-    return ZSeries(coeffs)
+    return coeffs
 
 
-def g1m_z_expansion(m: int, z_order: int, q_order: int) -> ZSeries:
+def g1m_z_expansion(m: int, z_order: int, q_order: int) -> dict[int, QExpansion]:
     """z-expansion of g^m_1 about z = 0:
 
         (2*pi*i)**m sum_{n>=0} d_tau^m G_{2n+2} z**(2n+1+m) / ((2n+2)...(2n+1+m))
@@ -215,7 +166,8 @@ def g1m_z_expansion(m: int, z_order: int, q_order: int) -> ZSeries:
     times from 0.  The definite integrals contribute the constants
     c_k = 2*pi*i sum_{n!=0} n**-k d_tau^m (1-q**n)**-1, which vanish for even
     k and equal 2 (2*pi*i)**(m+1) sum_N (sum_{d|N} d**(m-k) (N/d)**m) q**N for
-    odd k.  Only z-exponents of parity (1+m) mod 2 appear.
+    odd k.  Only z-exponents of parity (1+m) mod 2 appear.  Returns
+    {z-exponent: q-series}, without the zero series, so at q-order 0 it is {}.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -228,7 +180,8 @@ def g1m_z_expansion(m: int, z_order: int, q_order: int) -> ZSeries:
         denom = 1
         for f in range(2 * n + 2, 2 * n + 2 + m):
             denom *= f
-        coeffs[2 * n + 1 + m] = g.scalar_mul(ScaledRational(Fraction(1, denom), m))
+        if not g.is_zero():
+            coeffs[2 * n + 1 + m] = g.scalar_mul(ScaledRational(Fraction(1, denom), m))
         n += 1
     for k in range(1, m + 1, 2):
         if m - k > z_order:
@@ -242,6 +195,6 @@ def g1m_z_expansion(m: int, z_order: int, q_order: int) -> ZSeries:
             ck[bign] = 2 * total
         correction = QExpansion.from_dict(ck, q_order, tpi=m + 1).scalar_mul(
             ScaledRational(Fraction(1, factorial(m - k)), m - k))
-        e = m - k
-        coeffs[e] = coeffs[e] + correction if e in coeffs else correction
-    return ZSeries(coeffs)
+        if not correction.is_zero():
+            coeffs[m - k] = correction
+    return coeffs

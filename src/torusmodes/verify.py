@@ -224,14 +224,15 @@ def suite_elliptic_formal(order=30):
         (el.p_tilde_1(N) - el.p_expansion(1, N)).coeffs[0] == ZetaRational.const(Fraction(1, 2))
     wp = cache(lambda k, z_order: el.wp_laurent(k, z_order, 10))
     yield "wp2_leading_terms", lambda: \
-        wp(2, 9).coefficient(-2).coefficient(0) == ScaledRational(1) and \
-        (wp(2, 9).coefficient(2) - qs.eisenstein(4, 10).scalar_mul(3)).is_zero()
+        wp(2, 9)[-2].coefficient(0) == ScaledRational(1) and \
+        wp(2, 9)[2] == qs.eisenstein(4, 10).scalar_mul(3)
+    # -1/2 d/dz wp_2 = wp_3, exponent by exponent
     yield "wp_derivative_ladder", lambda: \
-        (wp(2, 9).d_dz().scalar_mul(Fraction(-1, 2)) - wp(3, 8)).is_zero()
-    yield "wp1_has_no_linear_term", lambda: wp(1, 7).coefficient(1, 10).is_zero() and \
-        (wp(1, 7).coefficient(3) + qs.eisenstein(4, 10)).is_zero()
+        {e - 1: c.scalar_mul(Fraction(-e, 2)) for e, c in wp(2, 9).items() if e} == wp(3, 8)
+    yield "wp1_has_no_linear_term", lambda: 1 not in wp(1, 7) and \
+        (wp(1, 7)[3] + qs.eisenstein(4, 10)).is_zero()
     yield "g1m_z_parity", lambda: not any(
-        (e - (1 + m)) % 2 for m in (1, 2, 3) for e in el.g1m_z_expansion(m, 9, 10).exponents())
+        (e - (1 + m)) % 2 for m in (1, 2, 3) for e in el.g1m_z_expansion(m, 9, 10))
 
 
 _ELLIPTIC_GAMMAS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 1, 0), (1, 0, 1, 1), (-1, 0, -1, -1))
@@ -329,8 +330,7 @@ def suite_elliptic_numeric(order=60, tol=1e-6, seed=20409):
     def z_expansion_match(m):
         za = el.g1m_z_expansion(m, 25, 40)
         qv = cmath.exp(TWO_PI_I * tau1)
-        val = sum(complex(za.coefficient(e).evaluate(q=qv)) * z1 ** e
-                  for e in za.exponents())
+        val = sum(complex(za[e].evaluate(q=qv)) * z1 ** e for e in sorted(za))
         ref = nm.g_value(m, 1, z1, tau1)
         return _below(abs(val - ref) / max(1.0, abs(ref)), 1e-6)
 

@@ -98,10 +98,22 @@ def test_g1m_z_expansion_structure():
     # lowest main term: (2 pi i) d_tau G_2 z^2/2 plus the integration-constant
     # correction at z^0
     za = el.g1m_z_expansion(1, 8, 8)
-    assert set(za.exponents()) <= {0, 2, 4, 6, 8}
-    lead = za.coefficient(2)
+    assert set(za) <= {0, 2, 4, 6, 8}
+    lead = za[2]
     want = qs.eisenstein(2, 8).tau_derivative().scalar_mul(ScaledRational(Fraction(1, 2), 1))
     assert (lead - want).is_zero()
+
+
+def test_z_expansions_hold_no_zero_series():
+    # at q-order 0 every tau-derivative and every integration constant vanishes
+    for m in (1, 2, 3):
+        assert el.g1m_z_expansion(m, 8, 0) == {}
+        assert not any(c.is_zero() for c in el.g1m_z_expansion(m, 8, 2).values())
+    for k in range(1, 5):
+        for z_order in range(-k, 11):
+            for q_order in range(3):
+                za = el.wp_laurent(k, z_order, q_order)
+                assert -k in za and not any(c.is_zero() for c in za.values())
 
 
 def test_bivariate_eval_region_guard():

@@ -47,6 +47,30 @@ def test_spec_json_round_trip(w2, tmp_path):
     assert loaded.table == w2.table
 
 
+def test_spec_without_grades_is_a_rescaled_generator(w2):
+    # with every "tpi" dropped the file reads x[0]x = 2 L[-1]x, x[1]x = 4 x and
+    # x[3]x = 2: the built-in algebra in the generator x' = (2*pi*i)**2 x.  A
+    # correlator with s zero modes x'_0 and n insertions of x' is (2*pi*i)**(2(s-n))
+    # times the built-in one, in the engine's results as in the algebra.
+    data = w2.to_json()
+    for entry in data["structure"]:
+        for out in entry["out"]:
+            del out["tpi"]
+    bare = hha.HHASpec.from_json(data)
+    for s in range(1, 6):
+        want = invert_to_full(w2, ("x",) * s).terms
+        got = invert_to_full(bare, ("x",) * s).terms
+        assert got == {sym: poly * ScaledRational(1, 2 * (s - len(sym.insertions)))
+                       for sym, poly in want.items()}
+    for s in range(1, 4):
+        want = hha.anomaly_of_zero_modes(w2, ("x",) * s)
+        got = hha.anomaly_of_zero_modes(bare, ("x",) * s)
+        assert got == [(k, {sym: c * ScaledRational(1, 2 * (s - len(sym.modes)))
+                            for sym, c in coeffs.items()}) for k, coeffs in want]
+    # the two files differ in their printed grades: F(x0^2) has 12, not 12/(2*pi*i)**2
+    assert got[0][1] != want[0][1]
+
+
 def test_square_action_table(w2):
     x = basis("x")
     assert square_action(w2, x, 1, x) == {(0, "x"): ScaledRational(4, -2)}

@@ -68,6 +68,7 @@ MUTANTS = [
     ("qseries.py", "self.tpi + other.tpi)", "self.tpi)", ("qseries-identities",)),
     ("qseries.py", "d.tpi + 1)", "d.tpi)",
      ("qseries-identities", "elliptic-formal", "elliptic-numeric")),
+    ("elliptic.py", "sign = (-1) ** k", "sign = -(-1) ** k", ("elliptic-formal",)),
 ]
 
 

@@ -12,6 +12,10 @@ package is imported from the ``src/`` next to this script:
 
     python tools/reports.py > after.txt
     diff before.txt after.txt
+
+Its output is committed as ``tools/reports.txt``, so a checkout is compared
+with the table by ``python tools/reports.py | diff tools/reports.txt -``.  A
+change that moves a report regenerates the table.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ LAWS = ("Ptilde_1", "P_2", "P_3", "P_4", "P_7", "G_2", "G_4", "G_6", "g_1_3", "g
 GAMMAS = ("0,-1,1,0", "1,1,0,1", "1,0,1,1", "2,1,1,1", "1,-1,1,0")
 POINTS = (("0.1+0.3i", "1.2i"), ("0.23-0.11i", "0.3+1.1i"))
 EXPANSIONS = ("P_1", "P_2", "P_3", "P_4", "P_5", "g_0_2", "g_1_2", "g_1_3", "g_2_3", "g_2_4",
-              "Ptilde_1", "G_2", "G_4", "G_6", "G_8", "eta_24", "eta_-24", "wp_2", "wp_3")
+              "Ptilde_1", "G_2", "G_4", "G_6", "G_8", "eta_24", "eta_-24",
+              "wp_1", "wp_2", "wp_3", "wp_4")
 # at order 0 some of these series are zero and must still print their grade
 ZERO_ORDER = ("g_1_3", "g_2_4", "P_2", "eta_-24")
 
@@ -44,6 +49,8 @@ CALLS = (
        for f in LAWS for gamma in GAMMAS for z, tau in POINTS]
     + [["expand", "--function", f] for f in EXPANSIONS]
     + [["expand", "--function", f, "--order", "0"] for f in ZERO_ORDER]
+    + [["expand", "--function", f"wp_{k}", *flags] for k in range(1, 5)
+       for flags in (["--order", "0"], ["--z-order", str(-k)], ["--z-order", "12"])]
     + [["reduce", "--spec", "weight2", "--correlator", f"x0^{s}"] for s in range(1, 7)]
     + [["reduce", "--spec", "weight1", "--correlator", f"a0^{s}"] for s in range(1, 8)]
     + [["anomaly", "--spec", "weight1", "--correlator", f"a0^{s}"] for s in range(1, 9)]
