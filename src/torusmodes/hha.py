@@ -27,13 +27,18 @@ of each insertion) and for the life of the spec, the commuting recursion step
 and the full reduction to zero-mode correlators (that step with each term
 reduced through its own shape's entry), both at positions 1..n; reductions,
 the peel and the anomaly read these memos and relabel them onto their positions.
+The public entry points (invert_to_full, peel_zero_modes, reduce_to_zero_modes,
+anomaly_of_zero_modes) run with the cyclic GC paused.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from fractions import Fraction
+from functools import wraps
+from itertools import product
 from math import comb, factorial, perm
 
 from .combinatorics import descent_count, recursion_coefficient
@@ -60,6 +65,27 @@ class ResidueError(HHAError):
 
 class WeightBookkeepingError(HHAError):
     """A recursion tail broke the conservation of coefficient + symbol weight."""
+
+
+def _gc_paused(fn):
+    """``fn`` run with the cyclic GC paused, and the GC's state restored after.
+
+    The engine makes no reference cycles (a tier-1 test holds it to that), so
+    a collection inside an engine call frees nothing: it walks the engine's
+    growing heap, whose survivors the collections after the call walk anyway.
+    A call made while the GC is off (a nested entry point, or a caller that
+    disabled it) passes straight through and leaves it off.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +138,14 @@ class HHASpec:
 
     def __init__(self, weights, table, identity: str = "1"):
         self.identity = identity
-        self.weights = {name: as_fraction(w) for name, w in weights.items()}
+        # an integral weight is kept as an int, as ScaledRational keeps its value,
+        # so that the engine's weight checks add ints
+        self.weights = {}
+        for name, w in weights.items():
+            w = as_fraction(w)
+            self.weights[name] = w.numerator if w.denominator == 1 else w
         if identity not in self.weights:
-            self.weights[identity] = Fraction(0)
+            self.weights[identity] = 0
         if self.weights[identity] != 0:
             raise HHAError("the identity must have weight 0")
         self.table = {}
@@ -149,7 +180,7 @@ class HHASpec:
         self.shape_memo = {}
         self.zero_mode_memo = {}
 
-    def weight_of(self, gen: str) -> Fraction:
+    def weight_of(self, gen: str) -> int | Fraction:
         return self.weights[gen]
 
     def action(self, a: str, b: str, m: int):
@@ -318,6 +349,15 @@ class CorrSymbol:
         self.insertions = insertions
         self._hash = hash((modes, insertions))
 
+    @classmethod
+    def _of_sorted(cls, modes: tuple, insertions: tuple) -> "CorrSymbol":
+        """Wrap sorted modes and insertions at distinct ascending positions as is."""
+        obj = object.__new__(cls)
+        obj.modes = modes
+        obj.insertions = insertions
+        obj._hash = hash((modes, insertions))
+        return obj
+
     def __hash__(self):
         return self._hash
 
@@ -326,8 +366,8 @@ class CorrSymbol:
             return NotImplemented
         return self.modes == other.modes and self.insertions == other.insertions
 
-    def weight(self, spec: HHASpec) -> Fraction:
-        w = sum((spec.weight_of(g_) for g_ in self.modes), Fraction(0))
+    def weight(self, spec: HHASpec) -> int | Fraction:
+        w = sum(spec.weight_of(g_) for g_ in self.modes)
         for _, dpow, g_ in self.insertions:
             w += dpow + spec.weight_of(g_)
         return w
@@ -427,20 +467,15 @@ def attach_insertion(spec: HHASpec, modes, base_insertions, pos: int, state: dic
 
 
 def _sub_multisets(counts: dict):
-    """All sub-multisets of a generator multiset with binomial multiplicities."""
-    gens = sorted(counts)
-
-    def rec(idx):
-        if idx == len(gens):
-            yield (), 1
-            return
-        gen = gens[idx]
-        for rest, mult in rec(idx + 1):
-            for take in range(counts[gen] + 1):
-                yield (gen,) * take + rest, mult * comb(counts[gen], take)
-
-    for sel, mult in rec(0):
-        yield tuple(sorted(sel)), mult
+    """All sub-multisets of a generator multiset with binomial multiplicities,
+    the count taken of the first generator (in name order) varying fastest."""
+    gens = sorted(counts, reverse=True)
+    for takes in product(*(range(counts[gen] + 1) for gen in gens)):
+        sel, mult = (), 1
+        for gen, take in zip(gens, takes):
+            sel = (gen,) * take + sel
+            mult *= comb(counts[gen], take)
+        yield sel, mult
 
 
 def _m_bound(spec: HHASpec, d: dict, target_dpow: int) -> int:
@@ -552,7 +587,10 @@ def _assert_tail_weight(spec, tail: CorrExpression, W):
 
 
 def _relabel_symbol(sym: CorrSymbol, label) -> CorrSymbol:
-    return CorrSymbol(sym.modes, tuple((label[p], d, g_) for p, d, g_ in sym.insertions))
+    """``sym`` at positions label[p]: an increasing label keeps the insertions
+    sorted and their positions distinct, so nothing is re-sorted or checked."""
+    return CorrSymbol._of_sorted(
+        sym.modes, tuple([(label[p], d, g_) for p, d, g_ in sym.insertions]))
 
 
 def reduce_once_ordered(spec: HHASpec, modes, insertions) -> CorrExpression:
@@ -609,6 +647,7 @@ def _ordered_layer(u: int, des: int, m: int, pj: int, p1: int) -> CoeffPoly:
     return layer
 
 
+@_gc_paused
 def reduce_to_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
     """Reduce every term through its shape's memo entry; assert pi*i cancellation."""
     return _assert_cancelled(_map_shapes(spec, expr.terms.items(), _shape_zero_modes))
@@ -640,6 +679,7 @@ def _assert_cancelled(expr: CorrExpression) -> CorrExpression:
 # inversion and anomalies
 # ---------------------------------------------------------------------------
 
+@_gc_paused
 def invert_to_full(spec: HHASpec, gens, steps=None) -> CorrExpression:
     """Express F(a_0^{gens}) through full correlators, by peeling zero modes.
 
@@ -654,6 +694,7 @@ def invert_to_full(spec: HHASpec, gens, steps=None) -> CorrExpression:
                            range(1, len(gens) + 1), steps=steps)
 
 
+@_gc_paused
 def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions,
                     steps=None) -> CorrExpression:
     """Peel every zero mode of every term into fresh insertions (see invert_to_full)."""
@@ -714,6 +755,7 @@ def weight1_configuration_formula(n: int, s: int, pairing=1) -> CorrExpression:
     return out
 
 
+@_gc_paused
 def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
     """Modular anomaly of F(a_0^{gens}) as B-graded zero-mode correlator sums.
 

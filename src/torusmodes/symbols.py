@@ -215,15 +215,36 @@ class CoeffPoly:
         The coefficients are multiplied and summed as ScaledRational's
         operators do, on value and grade with one object made per term; a sum
         of two grades raises ScaledRational.grade_error.
+
+        The outer loop runs over the operand with more terms.  A monomial of
+        the other one with a single factor (s2, e2) is placed into m1 directly:
+        the walk bumps an equal symbol's exponent or splices the pair in before
+        the first larger symbol.  Every other monomial goes through _mono_mul.
         """
         terms = self.terms
         mono_mul = self._mono_mul
+        key = _sym_key
         make = ScaledRational._make
-        factors = [(m2, c2.value, c2.tpi) for m2, c2 in b.terms.items()]
+        if len(a.terms) < len(b.terms):
+            a, b = b, a
+        factors = [(m2, (*m2[0], key(m2[0][0])) if len(m2) == 1 else None, c2.value, c2.tpi)
+                   for m2, c2 in b.terms.items()]
         for m1, c1 in a.terms.items():
             v1, t1 = c1.value, c1.tpi
-            for m2, v2, t2 in factors:
-                m = mono_mul(m1, m2)
+            for m2, one, v2, t2 in factors:
+                if one is None:
+                    m = mono_mul(m1, m2)
+                else:
+                    s2, e2, k2 = one
+                    for i, (s1, e1) in enumerate(m1):
+                        if s1 == s2:
+                            m = m1[:i] + ((s2, e1 + e2),) + m1[i + 1:]
+                            break
+                        if key(s1) > k2:
+                            m = m1[:i] + m2 + m1[i:]
+                            break
+                    else:
+                        m = m1 + m2
                 v, t = v1 * v2, t1 + t2
                 cur = terms.get(m)
                 if cur is None:

@@ -93,6 +93,20 @@ def test_wp_laurent():
         assert_case("elliptic-formal", case_id)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_wp_laurent_sums_to_the_lattice_sum(k):
+    # wp_laurent and numerics.wp_value are the same Eisenstein-summed wp_k, so
+    # no offset enters here (the P_1 and G_2 offsets of elliptic-numeric's
+    # weierstrass table relate P_k to wp_k); a flipped sign of the G_{2n+2}
+    # terms moves the sum by about 1e-5 of its size
+    z, tau = 0.05 + 0.02j, 1.1j
+    q = cmath.exp(TWO_PI_I * tau)
+    laurent = el.wp_laurent(k, 12, 10)
+    total = sum(complex(c.evaluate(q=q)) * z ** e for e, c in laurent.items())
+    ref = nm.wp_value(k, z, tau)
+    assert abs(total - ref) <= 1e-9 * abs(ref)
+
+
 def test_g1m_z_expansion_structure():
     assert_case("elliptic-formal", "g1m_z_parity")
     # lowest main term: (2 pi i) d_tau G_2 z^2/2 plus the integration-constant

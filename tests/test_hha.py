@@ -1,4 +1,7 @@
+import gc
+import inspect
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +13,8 @@ from torusmodes.hha import (CorrExpression, CorrSymbol, HHAError, basis,
                             reduce_to_zero_modes, square_action, weight1_spec,
                             weight2_spec)
 from torusmodes.scaled import ScaledRational
-from torusmodes.symbols import ONE, PI_MARK, CoeffPoly, G, P, Pt, UnsupportedError, g, zvar
+from torusmodes.symbols import (ONE, PI_MARK, CoeffPoly, DeltaUnknownError, G, P, Pt,
+                                UnsupportedError, g, zvar)
 
 from suite_cases import assert_case
 
@@ -99,7 +103,11 @@ def test_corr_symbol_normal_form(w2):
     with pytest.raises(HHAError):
         CorrSymbol((), ((1, 0, "x"), (1, 0, "x")))  # duplicate positions
     sym = CorrSymbol(("x", "x"), ((2, 0, "x"),))
-    assert sym.weight(w2) == 6
+    assert sym.weight(w2) == 6 and type(sym.weight(w2)) is int
+    # integral weights are kept as ints, others as Fractions
+    half = hha.HHASpec({"h": Fraction(1, 2), "y": Fraction(3)}, {})
+    assert half.weights == {"1": 0, "h": Fraction(1, 2), "y": 3} and type(half.weights["y"]) is int
+    assert CorrSymbol(("h",), ((1, 1, "y"),)).weight(half) == Fraction(9, 2)
     assert repr(CorrSymbol(("x",) * 2, ())) == "F(x0^2)"
 
 
@@ -431,3 +439,59 @@ def test_accumulation_leaves_shared_polynomials_unchanged():
     expr.add_term(sym, poly)
     expr.add_term(sym, poly)
     assert poly.terms == before and expr.terms[sym] == poly * 2
+
+
+# the engine's public entry points, each run with the cyclic GC paused
+GC_PAUSED = {
+    "invert_to_full": lambda: invert_to_full(weight2_spec(), ("x",) * 3),
+    "peel_zero_modes": lambda: hha.peel_zero_modes(
+        weight1_spec(), CorrExpression.single(CorrSymbol(("a",) * 2, ((3, 0, "a"),))), [1, 2]),
+    "reduce_to_zero_modes": lambda: reduce_to_zero_modes(
+        weight2_spec(), CorrExpression.single(CorrSymbol((), ((1, 0, "x"), (2, 0, "x"))))),
+    "anomaly_of_zero_modes": lambda: hha.anomaly_of_zero_modes(weight1_spec(), ("a",) * 4),
+}
+
+
+def test_engine_makes_no_reference_cycles():
+    # the GC pause rests on this: a collection inside an engine call would free nothing
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        invert_to_full(weight2_spec(), ("x",) * 5)
+        hha.anomaly_of_zero_modes(weight1_spec(), ("a",) * 6)
+        gc.collect()
+        kinds = sorted({type(obj).__name__ for obj in gc.garbage})
+        assert not gc.garbage, f"{len(gc.garbage)} objects in reference cycles: {kinds}"
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("name", GC_PAUSED)
+def test_entry_points_pause_and_restore_the_gc(name, monkeypatch):
+    seen = []
+    step = hha._shape_step
+    monkeypatch.setattr(hha, "_shape_step", lambda *args: seen.append(gc.isenabled()) or step(*args))
+    assert gc.isenabled()
+    GC_PAUSED[name]()
+    assert gc.isenabled() and seen and not any(seen)
+    gc.disable()
+    try:
+        GC_PAUSED[name]()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_gc_is_restored_after_a_raising_call():
+    with pytest.raises(DeltaUnknownError):
+        hha.anomaly_of_zero_modes(weight2_spec(), ("x",) * 4)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", GC_PAUSED)
+def test_paused_entry_points_keep_their_signatures(name):
+    # perfbench/tracer.py binds the arguments of traced calls by signature
+    fn = getattr(hha, name)
+    assert inspect.signature(fn) == inspect.signature(fn.__wrapped__)
+    assert next(iter(inspect.signature(fn).parameters)) == "spec"

@@ -89,6 +89,34 @@ def test_mono_mul_is_the_sorted_product(m1, m2):
         assert (CoeffPoly({a: 1}) * CoeffPoly({b: 1})).terms == {want: 1}
 
 
+@given(st.lists(st.tuples(sorted_monomials.filter(bool), rationals.filter(bool)),
+                min_size=3, max_size=5, unique_by=lambda t: t[0]),
+       st.integers(1, 300), st.booleans())
+def test_one_factor_merge_matches_mono_mul(terms, e, with_empty):
+    # add_product places a one-factor monomial of the operand with fewer terms
+    # straight into the other operand's monomials; every symbol lands at the
+    # front, in the middle, at the end of or on an equal symbol of each
+    # monomial, and _mono_mul is the reference
+    a = _poly(dict(terms))
+    m1 = terms[0][0]
+    for sym in MERGE_SYMBOLS:
+        one = ((sym, e),)
+        b = _poly({one: 3, (): -2} if with_empty else {one: 3})
+        want = {}
+        for ma, ca in a.terms.items():
+            for mb, cb in b.terms.items():
+                m = CoeffPoly._mono_mul(ma, mb)
+                want[m] = want[m] + ca * cb if m in want else ca * cb
+        want = {m: c for m, c in want.items() if c}
+        assert (a * b).terms == want  # ScaledRational equality compares grades too
+        assert b * a == a * b
+        grade = a.terms[m1].tpi + b.terms[one].tpi
+        clash = CoeffPoly({CoeffPoly._mono_mul(m1, one): ScaledRational(1, grade + 1)})
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="cannot add grades"):
+                clash.copy().add_product(x, y)
+
+
 def test_relabel_maps_positions_through_each_label():
     poly = P(2, 2, 1) * zvar(2) + Pt(3, 1) * PI_MARK
     assert poly.positions() == {1, 2, 3}

@@ -69,6 +69,8 @@ MUTANTS = [
     ("qseries.py", "d.tpi + 1)", "d.tpi)",
      ("qseries-identities", "elliptic-formal", "elliptic-numeric")),
     ("elliptic.py", "sign = (-1) ** k", "sign = -(-1) ** k", ("elliptic-formal",)),
+    ("symbols.py", "((s2, e1 + e2),)", "((s2, e1),)",
+     ("hha-weight1", "hha-weight2", "lattice-modular")),
 ]
 
 
