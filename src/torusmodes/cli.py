@@ -71,75 +71,52 @@ def _check_order_tol(order, tol=None) -> None:
         raise UsageError(f"--tol must be finite and > 0, got {tol:g}")
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` prints it ``indent`` deep.
+def _write_json(value, write, indent: str = "") -> None:
+    """Write ``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` prints it ``indent`` deep.
 
-    Strings, ints, finite floats, and non-empty lists, tuples and string-keyed
-    dicts, which make up the reports, are joined here: the stdlib's indenting
-    encoder is pure Python and about twice as slow.  Every other value (NaN or
-    an infinity, a bool, None, an empty container, a dict with a key that is
-    not a string, a subclass of any of these types) goes to ``json.dumps``
+    Strings, ints and finite floats are written here, and every non-empty
+    list, tuple and string-keyed dict item by item, so the text of one scalar
+    at a time is all that is held: the stdlib's indenting encoder builds the
+    whole text, in pure Python and about twice as slowly.  A callable value
+    writes its own text, as ``value(write, indent)``.  Every other value (NaN
+    or an infinity, a bool, None, an empty container, a dict with a key that
+    is not a string, a subclass of any of these types) goes to ``json.dumps``
     itself, so the text never differs.
     """
     cls = type(value)
     if cls is str:
-        return encode_basestring_ascii(value)
+        write(encode_basestring_ascii(value))
+        return
     if cls is int:
-        return int.__repr__(value)
+        write(int.__repr__(value))
+        return
     if cls is float and math.isfinite(value):
-        return float.__repr__(value)
-    inner = indent + "  "
+        write(float.__repr__(value))
+        return
     if (cls is list or cls is tuple) and value:
-        opening, closing = "[", "]"
-        items = [_json_text(v, inner) for v in value]
-    elif _is_object(value):
-        opening, closing = "{", "}"
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-                 for k, v in sorted(value.items())]
-    else:
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-    # the brackets join the first and last items, so the items are copied once, by the join
-    items[0] = opening + "\n" + inner + items[0]
-    items[-1] += "\n" + indent + closing
-    return (",\n" + inner).join(items)
-
-
-def _is_object(value) -> bool:
-    """A non-empty dict whose keys are all strings."""
-    return type(value) is dict and {*map(type, value)} == {str}
-
-
-def _write_json(value, write, indent: str = "", depth: int = 2) -> None:
-    """Write ``_json_text(value, indent)``, item by item for the containers ``depth`` deep.
-
-    A report is an object whose large values are lists (cases, terms,
-    coefficients), so at depth 2 the text of one of their items at a time is
-    all that is held.  A callable value writes its own text, as
-    ``value(write, indent)``.
-    """
-    if callable(value):
+        brackets, items = "[]", (("", v) for v in value)
+    elif cls is dict and value and {*map(type, value)} == {str}:
+        brackets = "{}"
+        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items()))
+    elif callable(value):
         value(write, indent)
         return
-    is_object = _is_object(value)
-    if not (depth and (is_object or type(value) in (list, tuple) and value)):
-        write(_json_text(value, indent))
+    else:
+        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
         return
     inner = indent + "  "
-    separator = "\n" + inner
-    items = (((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items()))
-             if is_object else (("", v) for v in value))
-    write("{" if is_object else "[")
+    separator = brackets[0] + "\n" + inner
     for key, item in items:
         write(separator + key)
-        _write_json(item, write, inner, depth - 1)
+        _write_json(item, write, inner)
         separator = ",\n" + inner
-    write("\n" + indent + ("}" if is_object else "]"))
+    write("\n" + indent + brackets[1])
 
 
 class _FactorTexts(dict):
     """(symbol, exponent) -> the text of ``[sym_str(symbol), exponent]``, filled on first use.
 
-    The pair is printed ``indent`` deep, as ``_json_text`` prints it.
+    The pair is printed ``indent`` deep, as ``_write_json`` writes it.
     """
 
     def __init__(self, indent: str):
@@ -155,7 +132,7 @@ class _FactorTexts(dict):
 def _write_expansion(expr: hha.CorrExpression, write, indent: str) -> None:
     """Write ``expr`` as the ``reduce`` report's expansion, ``indent`` deep.
 
-    The text is what ``_json_text`` prints for the list of
+    The text is what ``_write_json`` writes for the list of
     ``{"coeff": [{"coeff": c.to_pairs(), "monomial": [[sym_str(s), e], ...]}, ...],
     "symbol": repr(sym)}``, both lists in ``sorted_terms`` order, but it is
     written one correlator term at a time without building that list.  Each

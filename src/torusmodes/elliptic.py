@@ -43,10 +43,10 @@ class BivariateExpansion(QExpansion):
         return BivariateExpansion(0, [l.zeta_ddzeta() for l in self.coeffs], self.tpi)
 
     def eval_numeric(self, z: complex, tau: complex):
-        """Numeric value and crude tail estimate on 0 < Im z < Im tau.
+        """Numeric value on 0 < Im z < Im tau.
 
-        Returns (value, tail_estimate).  The layer sum requires
-        |q| < |zeta| < 1, i.e. z in the open fundamental strip.
+        The layer sum requires |q| < |zeta| < 1, i.e. z in the open
+        fundamental strip.
         """
         import cmath
         if not (0 < z.imag < tau.imag):
@@ -54,16 +54,9 @@ class BivariateExpansion(QExpansion):
         zeta = cmath.exp(2j * cmath.pi * z)
         q = cmath.exp(2j * cmath.pi * tau)
         total = 0j
-        recent = []
         for m, layer in enumerate(self.coeffs):
-            v = layer.evaluate(zeta) * q ** m
-            recent.append(abs(v))
-            total += v
-        r = max(abs(q), abs(q / zeta), abs(q * zeta))
-        scale = max(recent[-5:]) if recent else 0.0
-        tail = scale * r / max(1e-300, 1 - r)
-        unit = TWO_PI_I ** self.tpi
-        return unit * total, abs(unit) * tail
+            total += layer.evaluate(zeta) * q ** m
+        return TWO_PI_I ** self.tpi * total
 
     def to_json(self) -> dict:
         return {"tpi": self.tpi, "truncation": self.truncation,

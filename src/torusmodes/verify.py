@@ -264,8 +264,7 @@ def _layer_value(order):
             return value(("P", 1) + sym[1:], z, tau) + 1j * cmath.pi
         k = sym[1]
         zr, lam = nm.strip_reduce(z, tau)
-        layers, _tail = el.p_expansion(k, order).eval_numeric(zr, tau)
-        return layers + nm.elliptic_shift(k, lam)
+        return el.p_expansion(k, order).eval_numeric(zr, tau) + nm.elliptic_shift(k, lam)
     return value
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torusmodes import cli, hha, lattice, numerics, symbols, verify
+from torusmodes import cli, elliptic, hha, lattice, numerics, symbols, verify
 
 import suite_cases
 
@@ -733,6 +733,18 @@ def test_writer_prints_what_json_dump_prints(value):
     with contextlib.redirect_stdout(out):
         cli._emit(value)
     assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_writer_streams_every_container_item_by_item():
+    # a P_k report nests its longest coefficients four levels deep (layers, a layer,
+    # its numerator, one term); no write holds more than one line of the text and
+    # the comma and line break before it, so no container's text is built whole
+    value = elliptic.p_expansion(300, 1).to_json()
+    writes = []
+    cli._write_json(value, writes.append)
+    text = "".join(writes)
+    assert text == json.dumps(value, indent=2, sort_keys=True)
+    assert max(map(len, writes)) <= len(",\n") + max(map(len, text.splitlines())) < len(text) // 100
 
 
 def _expansion_reference(expr):

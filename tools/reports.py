@@ -51,6 +51,8 @@ CALLS = (
     + [["expand", "--function", f, "--order", "0"] for f in ZERO_ORDER]
     + [["expand", "--function", f"wp_{k}", *flags] for k in range(1, 5)
        for flags in (["--order", "0"], ["--z-order", str(-k)], ["--z-order", "12"])]
+    # one large report whose longest numbers sit four containers deep (384 kB)
+    + [["expand", "--function", "P_300", "--order", "1"]]
     + [["reduce", "--spec", "weight2", "--correlator", f"x0^{s}"] for s in range(1, 7)]
     + [["reduce", "--spec", "weight1", "--correlator", f"a0^{s}"] for s in range(1, 8)]
     + [["anomaly", "--spec", "weight1", "--correlator", f"a0^{s}"] for s in range(1, 9)]
