@@ -321,8 +321,8 @@ def cmd_lattice_trace(args) -> int:
     return status
 
 
-# the ids with a tabulated transformation law
-_LAW_IDS = "Ptilde_1 | P_k (k>=2) | G_2k | g_1_j (g^1_j)"
+# the ids with a transformation law (symbols.derive reaches them)
+_LAW_IDS = "Ptilde_1 | P_k (k>=2) | G_2k | g_i_j (g^i_j, j>i)"
 
 
 def cmd_transform_check(args) -> int:

@@ -17,7 +17,7 @@ spec the module implements:
   correlators, and
 * propagation of the modular anomaly of zero-mode correlators through that
   inversion: full correlators are weight-graded modularly invariant atoms,
-  all anomalies come from the tabulated coefficient functions.
+  all anomalies come from the coefficient functions' law exp(B D).
 
 Correlator symbols are kept in a normal form in which identity insertions
 are dropped and a lone insertion of an L[-1]-descendant annihilates the
@@ -761,7 +761,7 @@ def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
 
     The zero-mode correlator is expanded through full correlators, which are
     modularly invariant atoms of their weight; the anomaly of every
-    coefficient follows from the tabulated table via the product rule, and
+    coefficient is exp(B D) - 1 for the derivation D of symbols.derive, and
     the resulting full correlators are rewritten back into zero-mode
     correlators by reduce_to_zero_modes.  The result must be free of position and function symbols.
     """

@@ -266,12 +266,12 @@ def poly_value(poly, zs, tau: complex, b: complex = 0) -> complex:
 
 def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-10,
                    value=symbol_value) -> dict:
-    """Check one tabulated law (c*tau + d)**-w f(gamma z, gamma tau) = f + Delta f.
+    """Check one law (c*tau + d)**-w f(gamma z, gamma tau) = f + Delta f.
 
-    ``value(sym, z, tau)`` evaluates f at both points; Delta f comes from the
-    anomaly table through :func:`poly_value`.  The law is looked up before
-    anything is evaluated, so an id without one raises DeltaUnknownError at
-    every point.  Returns a residual report.
+    ``value(sym, z, tau)`` evaluates f at both points; Delta f is delta_of_symbol's,
+    through :func:`poly_value`.  The law is derived before anything is evaluated,
+    so an id D does not reach raises DeltaUnknownError at every point.  Returns
+    a residual report.
     """
     gamma = sl2_check(gamma)
     _, _, c, d = gamma

@@ -12,8 +12,8 @@ on the exponents.  The engine (hha) reads no monomial: it relabels, inspects
 and grades polynomials through CoeffPoly's methods; numerics.poly_value
 evaluates the monomials of ``terms`` one by one.
 
-The anomaly Delta f = (c*tau+d)**-w f(gamma.) - f is tabulated on the
-generating symbols; products transform multiplicatively,
+The anomaly Delta f = (c*tau+d)**-w f(gamma.) - f is exp(B D) f - f for the
+derivation D of ``derive``; products transform multiplicatively,
 prod_i (f_i + Delta f_i), from which Delta of any polynomial follows.
 
 P_1 itself is never stored: it enters reductions as P~_1 minus the pi*i
@@ -23,7 +23,7 @@ marker, whose final cancellation is a theorem the engine asserts.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import mul
 
 from .scaled import ScaledRational
@@ -36,7 +36,7 @@ class UnsupportedError(Exception):
 
 
 class DeltaUnknownError(UnsupportedError, KeyError):
-    """Anomaly requested for a function outside the tabulated depth-one set."""
+    """Anomaly requested where D does not reach: P_1, and g^i_j with j <= i."""
 
 
 def sym_weight(sym) -> int:
@@ -390,11 +390,14 @@ def p_layer_coefficient(s_len: int, m: int, hi: int, lo: int) -> CoeffPoly:
 
     The depth-zero m = 0 layer is P_1, stored immediately as P~_1 - pi*i.
     """
-    if s_len == 0:
-        if m == 0:
-            return Pt(hi, lo) - PI_MARK
-        return P(m + 1, hi, lo)
-    return g(s_len, m + 1, hi, lo)
+    if s_len == 0 and m == 0:
+        return Pt(hi, lo) - PI_MARK
+    return _layer(s_len, m + 1, hi, lo)
+
+
+def _layer(i: int, j: int, hi: int, lo: int) -> CoeffPoly:
+    """g^i_j(zeta_hi/zeta_lo), with g^0_1 = P~_1 and g^0_m = P_m (m >= 2)."""
+    return g(i, j, hi, lo) if i else Pt(hi, lo) if j == 1 else P(j, hi, lo)
 
 
 # -- the anomaly table --------------------------------------------------------
@@ -420,40 +423,36 @@ def function_symbol(fn_id: str, hi: int = 2, lo: int = 1) -> tuple:
     raise KeyError(f"unknown function id {fn_id!r}")
 
 
-def delta_of_symbol(sym) -> CoeffPoly:
+def derive(sym) -> CoeffPoly:
+    """D sym, for the one derivation D with Delta = exp(B D) - 1 (z = z_hi - z_lo):
+    D P_2 = D G_2 = -1, D P~_1 = -z, D g^i_j = i (g^{i-1}_{j-1} + z g^{i-1}_j),
+    and D is 0 on every other symbol."""
     kind = sym[0]
-    if kind == "P":
-        k = sym[1]
-        if k < 2:
-            raise DeltaUnknownError("P_1 is not in the tabulated set; use Ptilde_1")
-        if k == 2:
-            return -B()
-        return CoeffPoly.zero()
+    if kind == "P" and sym[1] < 2:
+        raise DeltaUnknownError("P_1 is not in the tabulated set; use Ptilde_1")
+    if kind in ("P", "G") and sym[1] == 2:
+        return -ONE
     if kind == "Pt":
-        _, hi, lo = sym
-        return -B() * (zvar(hi) - zvar(lo))
-    if kind == "g":
-        _, i, j, hi, lo = sym
-        if i != 1:
-            raise DeltaUnknownError(
-                f"Delta g^{i}_{j} is outside the tabulated depth-one set")
-        # chain rule through g^1_{m+1} = (2*pi*i/m) d_tau P_m: the z-tail terms
-        # B z P_{m+1} (and -B**2 z at m = 1) are forced by d(gamma z)/dtau and
-        # are verified numerically against the transformation laws.
-        m = j - 1
-        dz = zvar(hi) - zvar(lo)
-        if m == 1:
-            return B() * Pt(hi, lo) + B() * dz * P(2, hi, lo) - B(2) * dz
-        if m == 2:
-            return B() * P(2, hi, lo) - B(2) * Fraction(1, 2) + B() * dz * P(3, hi, lo)
-        return B() * P(m, hi, lo) + B() * dz * P(m + 1, hi, lo)
-    if kind == "G":
-        return -B() if sym[1] == 2 else CoeffPoly.zero()
-    if kind in ("z", "pi"):
+        return -(zvar(sym[1]) - zvar(sym[2]))
+    if kind != "g":
         return CoeffPoly.zero()
-    if kind == "B":
-        raise ValueError("B appears only after a transform; cannot transform it again")
-    raise KeyError(f"unknown symbol {sym!r}")
+    _, i, j, hi, lo = sym
+    if j <= i:
+        raise DeltaUnknownError(f"Delta g^{i}_{j} lowers to g^0_0, which is not a symbol")
+    return (_layer(i - 1, j - 1, hi, lo) + (zvar(hi) - zvar(lo)) * _layer(i - 1, j, hi, lo)) * i
+
+
+@cache
+def delta_of_symbol(sym) -> CoeffPoly:
+    """Delta sym = exp(B D) sym - sym, memoised per symbol: callers must not mutate it.
+
+    As d/dB exp(B D) f = exp(B D)(D f), it is the B-integral of D sym + Delta(D sym).
+    """
+    d = derive(sym)
+    integrand = B() * (d + delta_transform(d))
+    # by degree in z, the order numerics.poly_value sums in: it fixes reports' last digits
+    return CoeffPoly._of_terms({m: c * Fraction(1, dict(m)[("B",)]) for m, c in sorted(
+        integrand.terms.items(), key=lambda mc: sum(e for s, e in mc[0] if s[0] == "z"))})
 
 
 def delta_transform(poly: CoeffPoly) -> CoeffPoly:

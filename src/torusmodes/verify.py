@@ -305,7 +305,7 @@ def suite_elliptic_numeric(order=60, tol=1e-6, seed=20409):
                           for gamma in gammas for z, tau in points), tol)
     for fn in ("Ptilde_1", "P_2", "P_3", "P_4", "G_2", "G_4"):
         yield f"modular_law_{fn}", partial(worst_law, fn, _ELLIPTIC_GAMMAS, pts, value=layers)
-    # tabulated anomalies, including the z-proportional depth-one tails
+    # derived anomalies, including the z-proportional depth-one tails
     for fn in ("Ptilde_1", "P_2", "G_2", "g_1_2", "g_1_3", "g_1_4", "g_1_5"):
         yield f"delta_anomaly_{fn}", partial(
             worst_law, fn, ((0, -1, 1, 0), (1, 0, 1, 1)), pts[:6])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from math import comb, factorial
 from operator import mul
 
 import pytest
@@ -15,21 +16,37 @@ from torusmodes.symbols import (B, CoeffPoly, DeltaUnknownError, G, P, Pt,
 from suite_cases import assert_case
 
 
+def _hand_table(hi, lo):
+    """The 15 entries of the hand-written Delta table that the derivation replaced."""
+    dz = zvar(hi) - zvar(lo)
+    table = {("P", 2, hi, lo): -B(), ("P", 5, hi, lo): CoeffPoly.zero(), ("G", 2): -B(),
+             ("G", 4): CoeffPoly.zero(), ("Pt", hi, lo): -B() * dz,
+             ("g", 1, 2, hi, lo): B() * Pt(hi, lo) + B() * dz * P(2, hi, lo) - B(2) * dz,
+             ("g", 1, 3, hi, lo):
+                 B() * P(2, hi, lo) - B(2) * Fraction(1, 2) + B() * dz * P(3, hi, lo)}
+    table.update({("g", 1, m + 1, hi, lo): B() * P(m, hi, lo) + B() * dz * P(m + 1, hi, lo)
+                  for m in range(3, 11)})
+    return table
+
+
 def test_delta_table_entries():
+    # exp(B D) reproduces every entry of the hand-written table, at any positions
+    for hi, lo in ((2, 1), (3, 2), (7, 4)):
+        table = _hand_table(hi, lo)
+        assert len(table) == 15
+        for sym, delta in table.items():
+            assert delta_of_symbol(sym) == delta, sym
+        # depth two: 2B g^1_3 + 2Bz g^1_4 + B^2 P_2 + 2B^2 z P_3 + B^2 z^2 P_4 - B^3/3
+        dz = zvar(hi) - zvar(lo)
+        assert delta_of_symbol(("g", 2, 4, hi, lo)) == (
+            B() * 2 * g(1, 3, hi, lo) + B() * 2 * dz * g(1, 4, hi, lo) + B(2) * P(2, hi, lo)
+            + B(2) * 2 * dz * P(3, hi, lo) + B(2) * dz * dz * P(4, hi, lo)
+            - B(3) * Fraction(1, 3))
+        # D g^i_j with j <= i lowers to g^0_0, which is not a symbol
+        for i, j in ((1, 1), (2, 2), (3, 1)):
+            with pytest.raises(DeltaUnknownError, match=r"g\^0_0"):
+                delta_of_symbol(("g", i, j, hi, lo))
     assert delta_of_symbol(function_symbol("P_4")).is_zero()
-    assert delta_of_symbol(function_symbol("P_2")) == -B()
-    assert delta_of_symbol(function_symbol("G_2")) == -B()
-    assert delta_of_symbol(function_symbol("G_4")).is_zero()
-    d = delta_of_symbol(function_symbol("Ptilde_1", hi=2, lo=1))
-    assert d == -B() * (zvar(2) - zvar(1))
-    d = delta_of_symbol(function_symbol("g_1_3", hi=3, lo=2))
-    assert d == B() * P(2, 3, 2) - B(2) * Fraction(1, 2) + B() * (zvar(3) - zvar(2)) * P(3, 3, 2)
-    d = delta_of_symbol(function_symbol("g_1_5", hi=3, lo=2))
-    assert d == B() * P(4, 3, 2) + B() * (zvar(3) - zvar(2)) * P(5, 3, 2)
-    with pytest.raises(DeltaUnknownError):
-        delta_of_symbol(function_symbol("g_2_4"))
-    with pytest.raises(DeltaUnknownError):
-        delta_of_symbol(("g", 2, 4, 2, 1))
 
 
 def test_delta_product_rule():
@@ -68,12 +85,16 @@ def test_weight2_anomalies():
     assert_case("hha-weight2", "anomaly_s3_(1,12,24)")
 
 
-def test_weight2_s4_needs_untabulated_depth():
-    # the s=4 inversion involves g^2_j coefficients whose anomaly the table
-    # does not cover; the computation must refuse rather than guess
-    spec = weight2_spec()
-    with pytest.raises(DeltaUnknownError):
-        anomaly_of_zero_modes(spec, ("x",) * 4)
+@pytest.mark.parametrize("s, coeffs", [
+    (4, [24, 144, 192]), (5, [40, 480, 1920, 1920]), (6, [60, 1200, 9600, 28800, 23040])])
+def test_weight2_anomalies_follow_the_lah_law(s, coeffs):
+    # the B^k coefficient is 2^k L(s, s-k) (2 pi i)^(-2k) F(x0^(s-k)), with the Lah
+    # numbers L(n, j) = C(n-1, j-1) n!/j!
+    assert coeffs == [2 ** k * comb(s - 1, s - k - 1) * factorial(s) // factorial(s - k)
+                      for k in range(1, s)]
+    assert anomaly_of_zero_modes(weight2_spec(), ("x",) * s) == [
+        (k, {CorrSymbol(("x",) * (s - k), ()): ScaledRational(c, -2 * k)})
+        for k, c in enumerate(coeffs, 1)]
 
 
 def test_weight2_s4_reduction_still_works():
@@ -105,9 +126,10 @@ def test_p1_redirects_to_ptilde():
         delta_of_symbol(function_symbol("P_1"))
 
 
-# every symbol at positions (2, 1) whose Delta is tabulated, B excepted
+# symbols at positions (2, 1) whose Delta the derivation reaches, B excepted
 _TABULATED = ([P(k, 2, 1) for k in (2, 3, 4, 5)] + [Pt(2, 1)]
-              + [g(1, j, 2, 1) for j in (2, 3, 4, 5)] + [G(2), G(4), zvar(1), zvar(2)])
+              + [g(i, j, 2, 1) for i in (1, 2, 3) for j in range(i + 1, i + 4)]
+              + [G(2), G(4), zvar(1), zvar(2)])
 _monomials = st.builds(lambda c, factors: reduce(mul, factors, CoeffPoly.scalar(c)),
                        st.fractions(-3, 3, max_denominator=4),
                        st.lists(st.sampled_from(_TABULATED), max_size=2))

@@ -250,10 +250,12 @@ def test_expand_high_p_k(capsys):
     assert json.loads(out)["tpi"] == 500
 
 
-def test_anomaly_beyond_tabulated_depth_is_unsupported(capsys):
+def test_anomaly_weight2_beyond_depth_one(capsys):
+    # the s = 4 inversion holds g^2_j, whose anomaly the derivation D gives
     code, out, err = run(capsys, "anomaly", "--spec", "weight2", "--correlator", "x0^4")
-    assert code == 3 and out == ""
-    assert err == "unsupported: Delta g^2_4 is outside the tabulated depth-one set\n"
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"k1": [["24", "F(x0^3)"]], "k2": [["144", "F(x0^2)"]],
+                               "k3": [["192", "F(x0^1)"]]}
 
 
 @pytest.mark.parametrize("command, engine_call, error", [
@@ -284,7 +286,7 @@ def test_correlator_size_guard(capsys, command):
     assert code == 0
 
 
-_LAW_IDS = "expected Ptilde_1 | P_k (k>=2) | G_2k | g_1_j (g^1_j)"
+_LAW_IDS = "expected Ptilde_1 | P_k (k>=2) | G_2k | g_i_j (g^i_j, j>i)"
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -292,12 +294,12 @@ _LAW_IDS = "expected Ptilde_1 | P_k (k>=2) | G_2k | g_1_j (g^1_j)"
     (["--function", "nosuch"], 2, f"error: --function 'nosuch': unknown function id; {_LAW_IDS}"),
     (["--function", "G_x"], 2, f"error: --function 'G_x': unknown function id; {_LAW_IDS}"),
     (["--function", "P_x"], 2, f"error: --function 'P_x': unknown function id; {_LAW_IDS}"),
-    # ids without a tabulated law are unsupported at every point
+    # ids that the derivation D does not reach are unsupported at every point
     (["--function", "P_1"], 3, "unsupported: P_1 is not in the tabulated set; use Ptilde_1"),
-    (["--function", "g_2_4"], 3,
-     "unsupported: Delta g^2_4 is outside the tabulated depth-one set"),
-    (["--function", "g_2_4", "--z", "0.1+2.3i"], 3,
-     "unsupported: Delta g^2_4 is outside the tabulated depth-one set"),
+    (["--function", "g_1_1"], 3,
+     "unsupported: Delta g^1_1 lowers to g^0_0, which is not a symbol"),
+    (["--function", "g_1_1", "--z", "0.1+2.3i"], 3,
+     "unsupported: Delta g^1_1 lowers to g^0_0, which is not a symbol"),
     # malformed points, orders and matrices name their flag
     (["--function", "P_3", "--tau", "1.2"], 2,
      "error: --tau '1.2' must have a positive imaginary part"),
@@ -662,8 +664,8 @@ _ARGV = st.one_of(
              optional=(_int_flag("order", -1, 5), _int_flag("axis", -1, 9),  # unknown flag
                        st.just("--oracle"))),
     _command("transform-check",
-             _flag("function", "Ptilde_1", "P_1", "P_2", "P_4", "P_9", "G_2", "G_4", "g_1_3",
-                   "g_2_4"),
+             _flag("function", "Ptilde_1", "P_1", "P_2", "P_4", "P_9", "G_2", "G_4", "g_1_1",
+                   "g_1_3", "g_2_4", "g_3_5"),
              _flag("gamma", "0,-1,1,0", "1,1,0,1", "1,0,1,1", "2,1,1,1", "1,1,1,1", "0,-1,1"),
              optional=(_flag("z", "0.1+0.3i", "0.5+0.9i", "1e-13i", "0"),
                        _flag("tau", "1.2i", "0.5+0.9i", "0.01+0.002i", "1.2", "-1.2i", "inf"),

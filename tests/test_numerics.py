@@ -77,17 +77,17 @@ def test_gamma_checks():
 
 
 def test_corrected_delta_g_laws_numeric():
-    # the tabulated Delta g^1_j, z-tails included, against the actual transforms
+    # the derived Delta g^i_j, z-tails included, against the actual transforms
     z, tau = 0.11 + 0.23j, 0.13 + 1.21j
     for gamma in ((0, -1, 1, 0), (1, 0, 1, 1)):
         a, b, c, d = gamma
         gz, gt = nm.apply_gamma(gamma, z, tau)
-        for j in (2, 3, 4, 5):
-            lhs = (c * tau + d) ** (-(1 + j)) * nm.g_value(1, j, gz, gt) \
-                - nm.g_value(1, j, z, tau)
-            rhs = nm.poly_value(delta_of_symbol(function_symbol(f"g_1_{j}")), {2: z, 1: 0.0},
+        for i, j in [(i, j) for i in (1, 2, 3) for j in range(i + 1, 9)]:
+            lhs = (c * tau + d) ** (-(i + j)) * nm.g_value(i, j, gz, gt) \
+                - nm.g_value(i, j, z, tau)
+            rhs = nm.poly_value(delta_of_symbol(function_symbol(f"g_{i}_{j}")), {2: z, 1: 0.0},
                                 tau, TWO_PI_I * c / (c * tau + d))
-            assert abs(lhs - rhs) < 1e-10, (gamma, j)
+            assert abs(lhs - rhs) < 1e-10, (gamma, i, j, abs(lhs - rhs))
 
 
 def test_function_symbols_and_weights():

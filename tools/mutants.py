@@ -29,8 +29,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 MUTANTS = [
-    ("symbols.py", "if k == 2:\n            return -B()", "if k == 2:\n            return B()",
+    ("symbols.py", "return -ONE", "return ONE",
      ("elliptic-numeric", "hha-weight1", "hha-weight2", "lattice-modular")),
+    ("symbols.py", "lo) + (zvar(hi) - zvar(lo)) * _layer(i - 1, j, hi, lo)) * i", "lo)) * i",
+     ("elliptic-numeric", "hha-weight2", "lattice-modular")),
     ("combinatorics.py", "stirling_first(n - 1, k - 1) - (n - 1) *",
      "stirling_first(n - 1, k - 1) + (n - 1) *",
      ("combinatorics", "qseries-identities", "hha-weight2")),

@@ -60,6 +60,10 @@ CALLS = (
     + [["lattice-trace", "--lattice", name, "--n", str(n), "--oracle"]
        for name in ("a1", "e8", "e8x3") for n in range(4)]
     + [["lattice-trace", "--lattice", "a1", "--n", "2", "--order", "0", "--oracle"]]
+    # past depth one: weight-2 anomalies at s = 4, 5 and the laws of g^2_4 and g^3_5
+    + [["anomaly", "--spec", "weight2", "--correlator", f"x0^{s}"] for s in (4, 5)]
+    + [["transform-check", "--function", f, "--gamma", "0,-1,1,0", "--z", "0.1+0.3i",
+        "--tau", "1.2i"] for f in ("g_2_4", "g_3_5")]
 )
 
 
