@@ -182,34 +182,30 @@ def _emit(obj) -> None:
         os.close(null)
 
 
-def _load_spec(name: str) -> hha.HHASpec:
-    if name in hha.BUILTIN_SPECS:
-        return hha.BUILTIN_SPECS[name]()
-    try:
-        return hha.HHASpec.load(name)
-    except FileNotFoundError:
-        raise UsageError(f"no such HHA spec file or builtin: {name!r}")
-    except OSError as exc:
-        raise UsageError(f"cannot read spec file {name!r}: {exc.strerror}")
+# input kind -> (its built-ins by name, its reader of a JSON document)
+_INPUTS = {"spec": (hha.BUILTIN_SPECS, hha.HHASpec.from_json),
+           "lattice": (lt.PRESETS, lt.EvenLattice.from_json)}
 
 
-def _load_lattice(name: str) -> lt.EvenLattice:
-    if name in lt.PRESETS:
-        return lt.PRESETS[name]()
+def _load(what: str, name: str):
+    """The built-in ``what`` called ``name``, else the ``what`` of the JSON file ``name``."""
+    builtins, from_json = _INPUTS[what]
+    if name in builtins:
+        return builtins[name]()
     try:
-        return lt.EvenLattice.load(name)
+        with open(name) as fh:
+            data = json.load(fh)
     except FileNotFoundError:
-        raise UsageError(f"no such lattice file or preset: {name!r}")
+        raise UsageError(f"no such {what} file or built-in: {name!r}") from None
     except OSError as exc:
-        raise UsageError(f"cannot read lattice file {name!r}: {exc.strerror}")
+        raise UsageError(f"cannot read {what} file {name!r}: {exc.strerror}") from None
+    except RecursionError:
+        raise UsageError(f"cannot read {what} file {name!r}: JSON nested too deeply") from None
+    return from_json(data)
 
 
 def _zero_mode_name(sym: hha.CorrSymbol) -> str:
-    counts = {}
-    for g_ in sym.modes:
-        counts[g_] = counts.get(g_, 0) + 1
-    inner = " ".join(f"{g_}0^{c}" for g_, c in sorted(counts.items()))
-    return f"F({inner})"
+    return "F(" + " ".join(f"{g_}0^{c}" for g_, c in sym.mode_counts().items()) + ")"
 
 
 # expand ids by name; each "_" in a form stands before one integer index
@@ -277,7 +273,7 @@ def _zero_mode_generators(spec: hha.HHASpec, correlator: str) -> tuple:
 
 
 def cmd_reduce(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load("spec", args.spec)
     gens = _zero_mode_generators(spec, args.correlator)
     expr = hha.invert_to_full(spec, gens)
     _emit({"correlator": args.correlator, "spec": args.spec,
@@ -286,7 +282,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_anomaly(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load("spec", args.spec)
     gens = _zero_mode_generators(spec, args.correlator)
     graded = hha.anomaly_of_zero_modes(spec, gens)
     out = {}
@@ -304,7 +300,7 @@ def cmd_lattice_trace(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     _check_order_tol(args.order)
-    lat = _load_lattice(args.lattice)
+    lat = _load("lattice", args.lattice)
     closed = lt.quasimod_rhs(lat, args.n, args.order)
     # "axis": 0 names h = e_0/|e_0|, kept so that reports stay as they were
     result = {"lattice": args.lattice, "n": args.n, "order": args.order,

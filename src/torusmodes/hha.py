@@ -34,7 +34,6 @@ anomaly_of_zero_modes) run with the cyclic GC paused.
 from __future__ import annotations
 
 import gc
-import json
 import re
 from fractions import Fraction
 from functools import wraps
@@ -180,9 +179,6 @@ class HHASpec:
         self.shape_memo = {}
         self.zero_mode_memo = {}
 
-    def weight_of(self, gen: str) -> int | Fraction:
-        return self.weights[gen]
-
     def action(self, a: str, b: str, m: int):
         if a == self.identity or b == self.identity:
             return ()
@@ -239,11 +235,6 @@ class HHASpec:
             table[key] = tuple(outs)
         identity = _json_field(data, "identity", "spec", str, default="1")
         return cls(weights, table, identity=identity)
-
-    @classmethod
-    def load(cls, path) -> "HHASpec":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def weight1_spec(pairing=1) -> HHASpec:
@@ -367,22 +358,26 @@ class CorrSymbol:
         return self.modes == other.modes and self.insertions == other.insertions
 
     def weight(self, spec: HHASpec) -> int | Fraction:
-        w = sum(spec.weight_of(g_) for g_ in self.modes)
+        w = sum(spec.weights[g_] for g_ in self.modes)
         for _, dpow, g_ in self.insertions:
-            w += dpow + spec.weight_of(g_)
+            w += dpow + spec.weights[g_]
         return w
 
     def positions(self):
         return [p for p, _, _ in self.insertions]
 
+    def mode_counts(self) -> dict:
+        """generator -> its number of zero modes, in name order."""
+        counts = {}
+        for g_ in self.modes:
+            counts[g_] = counts.get(g_, 0) + 1
+        return counts
+
     def __repr__(self):
         parts = []
         if self.modes:
-            counts = {}
-            for g_ in self.modes:
-                counts[g_] = counts.get(g_, 0) + 1
             parts.append(" ".join(f"{g_}0^{c}" if c > 1 else f"{g_}0"
-                                  for g_, c in sorted(counts.items())))
+                                  for g_, c in self.mode_counts().items()))
         ins = ",".join(
             f"(L{d}.{g_},{p})" if d else f"({g_},{p})" for p, d, g_ in self.insertions)
         if ins:
@@ -547,11 +542,8 @@ def _reduce_shape(spec: HHASpec, modes, shape) -> tuple:
     if not rest:
         return tuple(out.terms.items())
     W = sym.weight(spec)
-    counts = {}
-    for g_ in modes:
-        counts[g_] = counts.get(g_, 0) + 1
     first = basis(g1, d1)
-    for s_gens, mult in _sub_multisets(counts):
+    for s_gens, mult in _sub_multisets(sym.mode_counts()):
         d = d_state(spec, s_gens, first)
         if not d:
             continue
@@ -579,8 +571,9 @@ def _tails(spec: HHASpec, d: dict, rest, modes, layer):
 def _assert_tail_weight(spec, tail: CorrExpression, W):
     """Tail grading bookkeeping: coefficient weight + symbol weight is conserved."""
     for sym, poly in tail.terms.items():
+        want = W - sym.weight(spec)
         for w in poly.monomial_weights().values():
-            if w + sym.weight(spec) != W:
+            if w != want:
                 raise WeightBookkeepingError(
                     f"weight bookkeeping violated: {sym!r} with coefficient weight "
                     f"{w} against head weight {W}")
@@ -639,7 +632,7 @@ def _ordered_layer(u: int, des: int, m: int, pj: int, p1: int) -> CoeffPoly:
     or the depth-zero g^0_{m+1} when u = 0."""
     if not u:
         return p_layer_coefficient(0, m, pj, p1)
-    layer = CoeffPoly.zero()
+    layer = CoeffPoly()
     for t in range(1, u + 1):
         rc = recursion_coefficient(u, des, t)
         if rc:
@@ -680,29 +673,23 @@ def _assert_cancelled(expr: CorrExpression) -> CorrExpression:
 # ---------------------------------------------------------------------------
 
 @_gc_paused
-def invert_to_full(spec: HHASpec, gens, steps=None) -> CorrExpression:
+def invert_to_full(spec: HHASpec, gens) -> CorrExpression:
     """Express F(a_0^{gens}) through full correlators, by peeling zero modes.
 
     Each peel rewrites the zero mode of largest name as a fresh insertion at
     the largest unreferenced position below the term's current insertions
     and subtracts the recursion tails of that expansion; the map is unit
     triangular in the number of insertions, so the loop terminates with
-    full correlators only.  ``steps`` caps the number of peel rounds (used
-    to inspect intermediate states).
+    full correlators only.
     """
     return peel_zero_modes(spec, CorrExpression.single(CorrSymbol(gens, ())),
-                           range(1, len(gens) + 1), steps=steps)
+                           range(1, len(gens) + 1))
 
 
 @_gc_paused
-def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions,
-                    steps=None) -> CorrExpression:
+def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions) -> CorrExpression:
     """Peel every zero mode of every term into fresh insertions (see invert_to_full)."""
-    rounds = 0
-    while True:
-        moded = [(s, p) for s, p in expr.terms.items() if s.modes]
-        if not moded or (steps is not None and rounds >= steps):
-            return expr
+    while any(sym.modes for sym in expr.terms):
         out = CorrExpression()
         for sym, poly in expr.terms.items():
             if not sym.modes:
@@ -724,7 +711,7 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions,
             for tsym, tpoly in canon[1:]:
                 out.add_product(_relabel_symbol(tsym, label), minus, tpoly.relabel(label))
         expr = out
-        rounds += 1
+    return expr
 
 
 def weight1_configuration_formula(n: int, s: int, pairing=1) -> CorrExpression:

@@ -140,11 +140,6 @@ class EvenLattice:
             raise LatticeError(f'"rank" {json.dumps(rank)} is not {len(gram)}, the Gram size')
         return cls(tuple(tuple(row) for row in gram))
 
-    @classmethod
-    def load(cls, path) -> "EvenLattice":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 _E8_EDGES = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
 

@@ -25,10 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from operator import mul
+from typing import Callable, NamedTuple
 
 from .scaled import ScaledRational
-
-_KIND_RANK = {"G": 0, "P": 1, "Pt": 2, "g": 3, "B": 4, "z": 5, "pi": 6}
 
 
 class UnsupportedError(Exception):
@@ -39,24 +38,40 @@ class DeltaUnknownError(UnsupportedError, KeyError):
     """Anomaly requested where D does not reach: P_1, and g^i_j with j <= i."""
 
 
+class _Kind(NamedTuple):
+    rank: int  # symbols sort by kind rank, then by their arguments
+    weight: Callable[[tuple], int]
+    text: str  # a str.format template over the symbol's arguments
+    slots: slice | None  # the slice of the symbol tuple holding positions
+
+
+# the symbol kinds, in sort order
+_KINDS = {
+    "G": _Kind(0, lambda s: s[1], "G_{}", None),
+    "P": _Kind(1, lambda s: s[1], "P_{}({}/{})", slice(2, 4)),
+    "Pt": _Kind(2, lambda s: 1, "P~1({}/{})", slice(1, 3)),
+    "g": _Kind(3, lambda s: s[1] + s[2], "g^{}_{}({}/{})", slice(3, 5)),
+    "B": _Kind(4, lambda s: 2, "B", None),
+    "z": _Kind(5, lambda s: -1, "z_{}", slice(1, 2)),
+    # slot weight: the marker stands in the weight-1 slot vacated by P~_1
+    "pi": _Kind(6, lambda s: 1, "piRes", None),
+}
+
+
+def _kind(sym) -> _Kind:
+    """The kind of ``sym``; a symbol of no kind raises KeyError("unknown symbol ...")."""
+    try:
+        return _KINDS[sym[0]]
+    except KeyError:
+        raise KeyError(f"unknown symbol {sym!r}") from None
+
+
 def sym_weight(sym) -> int:
-    kind = sym[0]
-    if kind == "G":
-        return sym[1]
-    if kind == "P":
-        return sym[1]
-    if kind == "Pt":
-        return 1
-    if kind == "g":
-        return sym[1] + sym[2]
-    if kind == "B":
-        return 2
-    if kind == "z":
-        return -1
-    if kind == "pi":
-        # slot weight: the marker stands in the weight-1 slot vacated by P~_1
-        return 1
-    raise KeyError(f"unknown symbol {sym!r}")
+    return _kind(sym).weight(sym)
+
+
+def sym_str(sym) -> str:
+    return _kind(sym).text.format(*sym[1:])
 
 
 class _SymKeys(dict):
@@ -67,35 +82,12 @@ class _SymKeys(dict):
     """
 
     def __missing__(self, sym):
-        key = self[sym] = (_KIND_RANK[sym[0]],) + tuple(sym[1:])
+        key = self[sym] = (_kind(sym).rank,) + tuple(sym[1:])
         return key
 
 
 _SYM_KEYS = _SymKeys()
 _sym_key = _SYM_KEYS.__getitem__
-
-
-def sym_str(sym) -> str:
-    kind = sym[0]
-    if kind == "G":
-        return f"G_{sym[1]}"
-    if kind == "P":
-        return f"P_{sym[1]}({sym[2]}/{sym[3]})"
-    if kind == "Pt":
-        return f"P~1({sym[1]}/{sym[2]})"
-    if kind == "g":
-        return f"g^{sym[1]}_{sym[2]}({sym[3]}/{sym[4]})"
-    if kind == "B":
-        return "B"
-    if kind == "z":
-        return f"z_{sym[1]}"
-    if kind == "pi":
-        return "piRes"
-    raise KeyError(sym)
-
-
-# position-carrying coefficient symbols: the slice of the symbol tuple holding positions
-_POSITION_SLOTS = {"P": slice(2, 4), "Pt": slice(1, 3), "g": slice(3, 5), "z": slice(1, 2)}
 
 
 # label -> {(symbol, exponent): the relabelled pair}, filled as CoeffPoly.relabel meets them
@@ -128,10 +120,6 @@ class CoeffPoly:
         obj = object.__new__(cls)
         obj.terms = terms
         return obj
-
-    @classmethod
-    def zero(cls) -> "CoeffPoly":
-        return cls()
 
     @classmethod
     def scalar(cls, c) -> "CoeffPoly":
@@ -281,7 +269,7 @@ class CoeffPoly:
                 q = moves.get(p)
                 if q is None:
                     s = p[0]
-                    slots = _POSITION_SLOTS.get(s[0])
+                    slots = _kind(s).slots
                     if slots is not None:
                         s = s[:slots.start] + tuple(label[i] for i in s[slots]) + s[slots.stop:]
                     q = moves[p] = (s, p[1])
@@ -292,11 +280,10 @@ class CoeffPoly:
     def positions(self) -> set:
         """The positions of every coefficient symbol the polynomial holds."""
         used = set()
-        for mono in self.terms:
-            for s, _ in mono:
-                slots = _POSITION_SLOTS.get(s[0])
-                if slots is not None:
-                    used.update(s[slots])
+        for s in {s for mono in self.terms for s, _ in mono}:
+            slots = _kind(s).slots
+            if slots is not None:
+                used.update(s[slots])
         return used
 
     def mentions(self, kind: str) -> bool:
@@ -435,7 +422,7 @@ def derive(sym) -> CoeffPoly:
     if kind == "Pt":
         return -(zvar(sym[1]) - zvar(sym[2]))
     if kind != "g":
-        return CoeffPoly.zero()
+        return CoeffPoly()
     _, i, j, hi, lo = sym
     if j <= i:
         raise DeltaUnknownError(f"Delta g^{i}_{j} lowers to g^0_0, which is not a symbol")
@@ -464,7 +451,7 @@ def delta_transform(poly: CoeffPoly) -> CoeffPoly:
     monomial's product with its last power is added straight into the total.
     """
     powers = {}
-    total = CoeffPoly.zero()
+    total = CoeffPoly()
     for mono, c in poly.terms.items():
         factors = []
         for factor in mono:

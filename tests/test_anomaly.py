@@ -19,8 +19,8 @@ from suite_cases import assert_case
 def _hand_table(hi, lo):
     """The 15 entries of the hand-written Delta table that the derivation replaced."""
     dz = zvar(hi) - zvar(lo)
-    table = {("P", 2, hi, lo): -B(), ("P", 5, hi, lo): CoeffPoly.zero(), ("G", 2): -B(),
-             ("G", 4): CoeffPoly.zero(), ("Pt", hi, lo): -B() * dz,
+    table = {("P", 2, hi, lo): -B(), ("P", 5, hi, lo): CoeffPoly(), ("G", 2): -B(),
+             ("G", 4): CoeffPoly(), ("Pt", hi, lo): -B() * dz,
              ("g", 1, 2, hi, lo): B() * Pt(hi, lo) + B() * dz * P(2, hi, lo) - B(2) * dz,
              ("g", 1, 3, hi, lo):
                  B() * P(2, hi, lo) - B(2) * Fraction(1, 2) + B() * dz * P(3, hi, lo)}
@@ -133,7 +133,7 @@ _TABULATED = ([P(k, 2, 1) for k in (2, 3, 4, 5)] + [Pt(2, 1)]
 _monomials = st.builds(lambda c, factors: reduce(mul, factors, CoeffPoly.scalar(c)),
                        st.fractions(-3, 3, max_denominator=4),
                        st.lists(st.sampled_from(_TABULATED), max_size=2))
-_b_free_polys = st.lists(_monomials, max_size=3).map(lambda ms: sum(ms, CoeffPoly.zero()))
+_b_free_polys = st.lists(_monomials, max_size=3).map(lambda ms: sum(ms, CoeffPoly()))
 
 
 @given(_b_free_polys, _b_free_polys)

@@ -436,6 +436,7 @@ def _w2_weight(weight):
 @pytest.mark.parametrize("command, text", [
     pytest.param("reduce", None, id="spec-directory"),
     pytest.param("lattice-trace", None, id="lattice-directory"),
+    pytest.param("lattice-trace", "[" * 100000 + "]" * 100000, id="lattice-nested-too-deeply"),
     pytest.param("lattice-trace", '{"gram": 5}', id="gram-not-rows"),
     pytest.param("lattice-trace", "[1, 2]", id="lattice-not-object"),
     pytest.param("lattice-trace", '{"gram": [[2.7]]}', id="gram-float"),

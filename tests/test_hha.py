@@ -47,7 +47,7 @@ def test_spec_json_round_trip(w2, tmp_path):
     assert back.table == w2.table and back.weights == w2.weights
     path = tmp_path / "weight2.json"
     path.write_text(json.dumps(data))
-    loaded = hha.HHASpec.load(path)
+    loaded = cli._load("spec", str(path))
     assert loaded.table == w2.table
 
 
@@ -295,7 +295,7 @@ def _relabeled(expr, label):
     orienting symbol constructors and the sorting product."""
     out = CorrExpression()
     for sym, poly in expr.terms.items():
-        moved = CoeffPoly.zero()
+        moved = CoeffPoly()
         for mono, c in poly.terms.items():
             term = CoeffPoly.scalar(c)
             for s, e in mono:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from torusmodes import cli
 from torusmodes import lattice as lt
 from torusmodes import qseries as qs
 from torusmodes import verify
@@ -124,7 +125,7 @@ def test_json_round_trip(tmp_path):
     lat = lt.e8()
     path = tmp_path / "e8.json"
     path.write_text(json.dumps(lat.to_json()))
-    assert lt.EvenLattice.load(path) == lat
+    assert cli._load("lattice", str(path)) == lat
 
 
 def test_chi_weight1_at_zero_is_character():

@@ -1,10 +1,13 @@
 """Ring laws of CoeffPoly, the coefficient ring of correlator expressions."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
 from torusmodes.scaled import ScaledRational
-from torusmodes.symbols import CoeffPoly, P, PI_MARK, Pt, _sym_key, sym_weight, zvar
+from torusmodes.symbols import (CoeffPoly, P, PI_MARK, Pt, _sym_key, sym_str, sym_weight,
+                               zvar)
 
 # one symbol of each kind; a monomial's coefficient takes its weight as its
 # 2*pi*i grade, so sums and products stay within one grade per monomial
@@ -35,7 +38,7 @@ def test_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
-    assert a * CoeffPoly.scalar(1) == a == a + CoeffPoly.zero()
+    assert a * CoeffPoly.scalar(1) == a == a + CoeffPoly()
 
 
 @given(polys, polys, rationals)
@@ -126,3 +129,33 @@ def test_relabel_maps_positions_through_each_label():
         assert moved == (P(2, label[2], label[1]) * zvar(label[2])
                          + Pt(label[3], label[1]) * PI_MARK)
         assert moved.positions() == set(label[1:])
+
+
+# one symbol of each kind -> (its text, weight, sort rank, positions, and the
+# symbol relabelled by _LABEL), as each reader gave them before the kind table
+_LABEL = (None, 3, 4, 6, 7, 8, 9)
+_KIND_FIXTURE = {
+    ("G", 4): ("G_4", 4, 0, set(), ("G", 4)),
+    ("P", 3, 5, 2): ("P_3(5/2)", 3, 1, {2, 5}, ("P", 3, 8, 4)),
+    ("Pt", 5, 2): ("P~1(5/2)", 1, 2, {2, 5}, ("Pt", 8, 4)),
+    ("g", 1, 3, 5, 2): ("g^1_3(5/2)", 4, 3, {2, 5}, ("g", 1, 3, 8, 4)),
+    ("B",): ("B", 2, 4, set(), ("B",)),
+    ("z", 5): ("z_5", -1, 5, {5}, ("z", 8)),
+    ("pi",): ("piRes", 1, 6, set(), ("pi",)),
+}
+
+
+def test_each_kind_reads_as_before():
+    for sym, (text, weight, rank, positions, moved) in _KIND_FIXTURE.items():
+        poly = CoeffPoly.symbol(sym)
+        assert sym_str(sym) == text and sym_weight(sym) == weight
+        assert _sym_key(sym) == (rank,) + sym[1:]
+        assert poly.positions() == positions
+        assert poly.relabel(_LABEL) == CoeffPoly.symbol(moved)
+    unknown = ("X", 1)
+    poly = CoeffPoly.symbol(unknown)
+    for read in (partial(sym_str, unknown), partial(sym_weight, unknown),
+                 partial(_sym_key, unknown), poly.positions, partial(poly.relabel, _LABEL)):
+        with pytest.raises(KeyError) as raised:
+            read()
+        assert raised.value.args == ("unknown symbol ('X', 1)",)

@@ -73,6 +73,8 @@ MUTANTS = [
     ("elliptic.py", "sign = (-1) ** k", "sign = -(-1) ** k", ("elliptic-formal",)),
     ("symbols.py", "((s2, e1 + e2),)", "((s2, e1),)",
      ("hha-weight1", "hha-weight2", "lattice-modular")),
+    ("symbols.py", "s[1] + s[2]", "s[1] + s[2] + 1",
+     ("elliptic-numeric", "hha-weight2", "lattice-modular")),
 ]
 
 
