@@ -17,7 +17,8 @@ spec the module implements:
   correlators, and
 * propagation of the modular anomaly of zero-mode correlators through that
   inversion: full correlators are weight-graded modularly invariant atoms,
-  all anomalies come from the coefficient functions' law exp(B D).
+  all anomalies come from the coefficient functions' law exp(B D), so the
+  anomaly of zero-mode correlators is exp(B N) for one linear map N.
 
 Correlator symbols are kept in a normal form in which identity insertions
 are dropped and a lone insertion of an L[-1]-descendant annihilates the
@@ -27,6 +28,7 @@ of each insertion) and for the life of the spec, the commuting recursion step
 and the full reduction to zero-mode correlators (that step with each term
 reduced through its own shape's entry), both at positions 1..n; reductions,
 the peel and the anomaly read these memos and relabel them onto their positions.
+It also memoizes N of each sorted zero-mode multiset.
 The public entry points (invert_to_full, peel_zero_modes, reduce_to_zero_modes,
 anomaly_of_zero_modes) run with the cyclic GC paused.
 """
@@ -37,13 +39,12 @@ import gc
 import re
 from fractions import Fraction
 from functools import wraps
-from itertools import product
+from itertools import count, product
 from math import comb, factorial, perm
 
 from .combinatorics import descent_count, recursion_coefficient
 from .scaled import ScaledRational, as_fraction, format_fraction
-from .symbols import (CoeffPoly, ONE, P, UnsupportedError, delta_transform,
-                      p_layer_coefficient)
+from .symbols import CoeffPoly, ONE, P, UnsupportedError, derive_poly, p_layer_coefficient
 
 
 class HHAError(ValueError):
@@ -63,7 +64,8 @@ class ResidueError(HHAError):
 
 
 class WeightBookkeepingError(HHAError):
-    """A recursion tail broke the conservation of coefficient + symbol weight."""
+    """A recursion tail broke the conservation of coefficient + symbol weight,
+    or an anomaly term failed to lower the zero-mode weight by 2."""
 
 
 def _gc_paused(fn):
@@ -178,6 +180,8 @@ class HHASpec:
         # valid because the table is fixed from here on
         self.shape_memo = {}
         self.zero_mode_memo = {}
+        # N of each sorted zero-mode multiset (see _linear_anomaly)
+        self.anomaly_memo = {}
 
     def action(self, a: str, b: str, m: int):
         if a == self.identity or b == self.identity:
@@ -746,28 +750,53 @@ def weight1_configuration_formula(n: int, s: int, pairing=1) -> CorrExpression:
 def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
     """Modular anomaly of F(a_0^{gens}) as B-graded zero-mode correlator sums.
 
-    The zero-mode correlator is expanded through full correlators, which are
-    modularly invariant atoms of their weight; the anomaly of every
-    coefficient is exp(B D) - 1 for the derivation D of symbols.derive, and
-    the resulting full correlators are rewritten back into zero-mode
-    correlators by reduce_to_zero_modes.  The result must be free of position and function symbols.
+    The anomaly is exp(B N) - 1 for the linear map N of :func:`_linear_anomaly`,
+    so the B^k part is N^k F(a_0^{gens}) / k!, built as N of the B^(k-1) part
+    divided by k.  Each N lowers the zero-mode weight by 2, and no engine step
+    raises the number of zero modes plus insertions, so the powers vanish.
     """
-    result = reduce_to_zero_modes(spec, CorrExpression(
-        {sym: delta_transform(poly) for sym, poly in invert_to_full(spec, gens).terms.items()}))
-    graded: dict[int, dict] = {}
-    for sym, poly in result.terms.items():
-        if poly.mentions("z"):
-            raise ResidueError(f"anomaly left z-dependence on {sym!r}: {poly!r}")
-        try:
-            grading = poly.pure_b_grading()
-        except ValueError:
-            raise ResidueError(
-                f"anomaly left function symbols on {sym!r}: {poly!r}") from None
-        if 0 in grading:
-            raise ResidueError(f"anomaly produced an ungraded (B^0) term on {sym!r}")
-        for k, coeff in grading.items():
-            graded.setdefault(k, {})[sym] = coeff
-    return [(k, graded[k]) for k in sorted(graded)]
+    graded = []
+    part = {CorrSymbol(gens, ()): ScaledRational(1)}
+    for k in count(1):
+        nxt = {}
+        for sym, c in part.items():
+            for tsym, tc in _linear_anomaly(spec, sym):
+                nxt[tsym] = nxt.get(tsym, 0) + c * tc
+        part = {sym: c * Fraction(1, k) for sym, c in nxt.items() if c}
+        if not part:
+            return graded
+        graded.append((k, part))
+
+
+def _linear_anomaly(spec: HHASpec, sym: CorrSymbol) -> tuple:
+    """N of the zero-mode correlator ``sym``, the B^1 part of its anomaly, as
+    (symbol, constant) pairs, from the spec's memo of its zero-mode multiset.
+
+    ``sym`` is expanded through full correlators, which are modularly
+    invariant atoms of their weight; D (symbols.derive_poly) acts on every
+    coefficient, and reduce_to_zero_modes rewrites the result back into
+    zero-mode correlators.  Every coefficient must be free of position and
+    function symbols, and every term must have zero-mode weight 2 below ``sym``.
+    """
+    canon = spec.anomaly_memo.get(sym.modes)
+    if canon is None:
+        full = invert_to_full(spec, sym.modes)
+        result = reduce_to_zero_modes(spec, CorrExpression(
+            {fsym: derive_poly(poly) for fsym, poly in full.terms.items()}))
+        want = sym.weight(spec) - 2
+        canon = []
+        for tsym, poly in result.terms.items():
+            if poly.mentions("z"):
+                raise ResidueError(f"anomaly left z-dependence on {tsym!r}: {poly!r}")
+            if poly.terms.keys() != {()}:
+                raise ResidueError(f"anomaly left function symbols on {tsym!r}: {poly!r}")
+            if tsym.weight(spec) != want:
+                raise WeightBookkeepingError(
+                    f"anomaly term {tsym!r} has zero-mode weight {tsym.weight(spec)}, "
+                    f"not {want}")
+            canon.append((tsym, poly.terms[()]))
+        canon = spec.anomaly_memo[sym.modes] = tuple(canon)
+    return canon
 
 
 # ---------------------------------------------------------------------------

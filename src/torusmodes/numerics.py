@@ -152,10 +152,19 @@ def _sum_over_integers(k: int, w: complex) -> complex:
 
 @lru_cache(maxsize=None)
 def zeta_even_numeric(two_k: int) -> float:
-    """sum n**-2k by direct summation with an integral tail correction."""
-    s = sum(n ** (-two_k) for n in range(1, ZETA_TERMS))
-    s += ZETA_TERMS ** (1 - two_k) / (two_k - 1)
-    return s
+    """sum n**-2k by direct summation with an integral tail correction.
+
+    The terms are added left to right for n < ZETA_TERMS, up to the first n
+    with n**2k >= 2**54: that term and every later one lie below half an ulp
+    of the running sum, which is in [1, 2), so they would leave it unchanged.
+    """
+    stop = math.ceil(2 ** (54 / two_k))
+    while stop ** two_k < 1 << 54:
+        stop += 1
+    s = 0.0
+    for n in range(1, min(stop, ZETA_TERMS)):
+        s += n ** (-two_k)
+    return s + ZETA_TERMS ** (1 - two_k) / (two_k - 1)
 
 
 def wp_value(k: int, z: complex, tau: complex) -> complex:

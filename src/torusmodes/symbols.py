@@ -8,13 +8,15 @@ Polynomials over Q*(2*pi*i)**Z in the formal symbols
 with a fixed symbol order (G < P < P~ < g < B < z < pi) and sorted monomials,
 so symbolic equality of reduced correlator expressions is decidable.  A
 monomial is a tuple of (symbol, exponent) pairs in that order, with no bound
-on the exponents.  The engine (hha) reads no monomial: it relabels, inspects
-and grades polynomials through CoeffPoly's methods; numerics.poly_value
-evaluates the monomials of ``terms`` one by one.
+on the exponents.  The engine (hha) reads no monomial: it relabels and
+inspects polynomials through CoeffPoly's methods, and reads a constant as the
+coefficient of the empty monomial; numerics.poly_value evaluates the
+monomials of ``terms`` one by one.
 
 The anomaly Delta f = (c*tau+d)**-w f(gamma.) - f is exp(B D) f - f for the
-derivation D of ``derive``; products transform multiplicatively,
-prod_i (f_i + Delta f_i), from which Delta of any polynomial follows.
+derivation D of ``derive``, which ``derive_poly`` extends to polynomials;
+products transform multiplicatively, prod_i (f_i + Delta f_i), from which
+Delta of any polynomial follows.
 
 P_1 itself is never stored: it enters reductions as P~_1 minus the pi*i
 marker, whose final cancellation is a theorem the engine asserts.
@@ -293,19 +295,6 @@ class CoeffPoly:
     def monomial_weights(self):
         return {m: sum(e * sym_weight(s) for s, e in m) for m in self.terms}
 
-    def pure_b_grading(self) -> dict[int, ScaledRational]:
-        """Split a polynomial known to be a polynomial in B alone by B-power."""
-        out: dict[int, ScaledRational] = {}
-        for m, c in self.terms.items():
-            if not m:
-                out[0] = out.get(0, ScaledRational()) + c
-            elif len(m) == 1 and m[0][0] == ("B",):
-                k = m[0][1]
-                out[k] = out.get(k, ScaledRational()) + c
-            else:
-                raise ValueError(f"not a pure B-polynomial: contains {m}")
-        return out
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: [(_sym_key(s), e) for s, e in kv[0]])
 
@@ -410,10 +399,11 @@ def function_symbol(fn_id: str, hi: int = 2, lo: int = 1) -> tuple:
     raise KeyError(f"unknown function id {fn_id!r}")
 
 
+@cache
 def derive(sym) -> CoeffPoly:
     """D sym, for the one derivation D with Delta = exp(B D) - 1 (z = z_hi - z_lo):
     D P_2 = D G_2 = -1, D P~_1 = -z, D g^i_j = i (g^{i-1}_{j-1} + z g^{i-1}_j),
-    and D is 0 on every other symbol."""
+    and D is 0 on every other symbol.  Memoised per symbol: callers must not mutate it."""
     kind = sym[0]
     if kind == "P" and sym[1] < 2:
         raise DeltaUnknownError("P_1 is not in the tabulated set; use Ptilde_1")
@@ -427,6 +417,22 @@ def derive(sym) -> CoeffPoly:
     if j <= i:
         raise DeltaUnknownError(f"Delta g^{i}_{j} lowers to g^0_0, which is not a symbol")
     return (_layer(i - 1, j - 1, hi, lo) + (zvar(hi) - zvar(lo)) * _layer(i - 1, j, hi, lo)) * i
+
+
+def derive_poly(poly: CoeffPoly) -> CoeffPoly:
+    """D poly, by the Leibniz rule: each factor s**e of a monomial contributes
+    e s**(e-1) (D s) times the rest of the monomial.  The cofactors of each
+    symbol s are gathered into one polynomial, multiplied by D s once."""
+    cofactors = {}
+    for mono, c in poly.terms.items():
+        for i, (s, e) in enumerate(mono):
+            if derive(s):
+                rest = mono[:i] + (((s, e - 1),) if e > 1 else ()) + mono[i + 1:]
+                cofactors.setdefault(s, {})[rest] = c * e
+    out = CoeffPoly()
+    for s, terms in cofactors.items():
+        out.add_product(CoeffPoly._of_terms(terms), derive(s))
+    return out
 
 
 @cache

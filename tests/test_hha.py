@@ -487,7 +487,8 @@ def test_gc_is_restored_after_a_raising_call(monkeypatch):
     def unknown(poly):
         raise DeltaUnknownError("no law")
 
-    monkeypatch.setattr(hha, "delta_transform", unknown)
+    # D of the inversion's coefficients raises inside the paused anomaly call
+    monkeypatch.setattr(hha, "derive_poly", unknown)
     with pytest.raises(DeltaUnknownError):
         hha.anomaly_of_zero_modes(weight2_spec(), ("x",) * 2)
     assert gc.isenabled()

@@ -126,3 +126,13 @@ def test_zeta_sum_once_per_argument():
             {2: math.pi ** 2 / 6, 4: math.pi ** 4 / 90}[two_k], rel=1e-10)
     info = nm.zeta_even_numeric.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+
+
+def test_zeta_sum_stops_where_terms_no_longer_count():
+    # bit for bit the full left-to-right sum over n < ZETA_TERMS plus the tail
+    for two_k in range(2, 22, 2):
+        full = 0.0
+        for n in range(1, nm.ZETA_TERMS):
+            full += n ** (-two_k)
+        full += nm.ZETA_TERMS ** (1 - two_k) / (two_k - 1)
+        assert nm.zeta_even_numeric(two_k).hex() == full.hex(), two_k

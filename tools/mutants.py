@@ -71,10 +71,10 @@ MUTANTS = [
     ("qseries.py", "d.tpi + 1)", "d.tpi)",
      ("qseries-identities", "elliptic-formal", "elliptic-numeric")),
     ("elliptic.py", "sign = (-1) ** k", "sign = -(-1) ** k", ("elliptic-formal",)),
-    ("symbols.py", "((s2, e1 + e2),)", "((s2, e1),)",
-     ("hha-weight1", "hha-weight2", "lattice-modular")),
+    ("symbols.py", "((s2, e1 + e2),)", "((s2, e1),)", ("elliptic-numeric",)),
     ("symbols.py", "s[1] + s[2]", "s[1] + s[2] + 1",
      ("elliptic-numeric", "hha-weight2", "lattice-modular")),
+    ("hha.py", "Fraction(1, k)", "1", ("hha-weight1", "hha-weight2", "lattice-modular")),
 ]
 
 

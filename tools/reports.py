@@ -64,6 +64,9 @@ CALLS = (
     + [["anomaly", "--spec", "weight2", "--correlator", f"x0^{s}"] for s in (4, 5)]
     + [["transform-check", "--function", f, "--gamma", "0,-1,1,0", "--z", "0.1+0.3i",
         "--tau", "1.2i"] for f in ("g_2_4", "g_3_5")]
+    # the largest anomalies of each algebra within a few seconds
+    + [["anomaly", "--spec", "weight1", "--correlator", "a0^9"],
+       ["anomaly", "--spec", "weight2", "--correlator", "x0^6"]]
 )
 
 
