@@ -15,8 +15,8 @@ monomials of ``terms`` one by one.
 
 The anomaly Delta f = (c*tau+d)**-w f(gamma.) - f is exp(B D) f - f for the
 derivation D of ``derive``, which ``derive_poly`` extends to polynomials;
-products transform multiplicatively, prod_i (f_i + Delta f_i), from which
-Delta of any polynomial follows.
+``delta_transform`` sums the finite series sum_{k>=1} B**k D**k f / k! in
+order of k.
 
 P_1 itself is never stored: it enters reductions as P~_1 minus the pi*i
 marker, whose final cancellation is a theorem the engine asserts.
@@ -25,8 +25,7 @@ marker, whose final cancellation is a theorem the engine asserts.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
-from operator import mul
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .scaled import ScaledRational
@@ -435,38 +434,28 @@ def derive_poly(poly: CoeffPoly) -> CoeffPoly:
     return out
 
 
+def delta_transform(poly: CoeffPoly) -> CoeffPoly:
+    """Delta poly = exp(B D) poly - poly = sum_{k>=1} B**k D**k poly / k!, in order of k.
+
+    The series is finite: D lowers the depth of g^i_j, and D P_2, D G_2 and
+    D P~_1 are constants of D.
+    """
+    total = CoeffPoly()
+    term, k = derive_poly(poly), 1
+    while term:
+        total.add_product(B(k), term)
+        k += 1
+        term = derive_poly(term) * Fraction(1, k)
+    return total
+
+
 @cache
 def delta_of_symbol(sym) -> CoeffPoly:
-    """Delta sym = exp(B D) sym - sym, memoised per symbol: callers must not mutate it.
+    """Delta sym, memoised per symbol: callers must not mutate it.
 
-    As d/dB exp(B D) f = exp(B D)(D f), it is the B-integral of D sym + Delta(D sym).
+    Its terms run by degree in z, then by power of B: the order
+    numerics.poly_value sums in, which fixes reports' last digits.
     """
-    d = derive(sym)
-    integrand = B() * (d + delta_transform(d))
-    # by degree in z, the order numerics.poly_value sums in: it fixes reports' last digits
-    return CoeffPoly._of_terms({m: c * Fraction(1, dict(m)[("B",)]) for m, c in sorted(
-        integrand.terms.items(), key=lambda mc: sum(e for s, e in mc[0] if s[0] == "z"))})
-
-
-def delta_transform(poly: CoeffPoly) -> CoeffPoly:
-    """Delta of a polynomial: prod_i (f_i + Delta f_i)**e_i expanded, minus the original.
-
-    This implements the multiplicativity of weight-normalized transforms
-    (equivalently Delta(fg) = f Delta g + (Delta f) g + (Delta f)(Delta g)).
-    Each power (f + Delta f)**e is expanded once per call, and each
-    monomial's product with its last power is added straight into the total.
-    """
-    powers = {}
-    total = CoeffPoly()
-    for mono, c in poly.terms.items():
-        factors = []
-        for factor in mono:
-            power = powers.get(factor)
-            if power is None:
-                s, e = factor
-                base = CoeffPoly.symbol(s) + delta_of_symbol(s)
-                power = powers[factor] = reduce(mul, [base] * e)
-            factors.append(power)
-        *init, last = factors or [ONE]
-        total.add_product(reduce(mul, init, CoeffPoly.scalar(c)), last)
-    return total.iadd(-poly)
+    terms = delta_transform(CoeffPoly.symbol(sym)).terms
+    return CoeffPoly._of_terms(dict(sorted(
+        terms.items(), key=lambda mc: sum(e for s, e in mc[0] if s[0] == "z"))))

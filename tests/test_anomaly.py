@@ -51,12 +51,8 @@ def test_delta_table_entries():
 
 
 def test_delta_product_rule():
-    # Delta(f g) = f Delta g + (Delta f) g + Delta f Delta g, on Pt*Pt
-    f = Pt(2, 1)
-    fg = f * f
-    direct = delta_transform(fg)
-    df = delta_transform(f)
-    assert direct == f * df + df * f + df * df
+    # Delta(f f) = f Delta f + (Delta f) f + Delta f Delta f exactly, on f = P~_1
+    assert_case("elliptic-numeric", "delta_anomaly_Ptilde_1")
 
 
 def test_symbol_parity_canonicalization():
@@ -230,8 +226,33 @@ def test_delta_product_rule_random_polynomials(f, h):
 
 
 @given(_b_free_polys, _b_free_polys)
-def test_derive_poly_is_the_linear_part_of_delta(f, h):
-    # D is a derivation, and B D f is the B^1 part of Delta f
+def test_derive_poly_is_a_derivation(f, h):
     assert derive_poly(f * h) == f * derive_poly(h) + derive_poly(f) * h
-    linear = {m: c for m, c in delta_transform(f).terms.items() if dict(m).get(("B",)) == 1}
-    assert CoeffPoly(linear) == B() * derive_poly(f)
+
+
+def _product_delta(poly):
+    """Delta through multiplicativity: prod_i (s_i + Delta s_i)**e_i expanded,
+    minus poly, with each Delta s_i from delta_of_symbol: the route
+    delta_transform took before it summed exp(B D) - 1 on the whole
+    polynomial, kept as its reference."""
+    total = CoeffPoly()
+    for mono, c in poly.terms.items():
+        factors = [CoeffPoly.symbol(s) + delta_of_symbol(s) for s, e in mono for _ in range(e)]
+        total.iadd(reduce(mul, factors, CoeffPoly.scalar(c)))
+    return total - poly
+
+
+@given(_b_free_polys)
+def test_delta_transform_equals_the_product_expansion(f):
+    assert delta_transform(f) == _product_delta(f)
+
+
+def test_delta_of_symbol_runs_by_z_degree_then_b_power():
+    # the order numerics.poly_value sums in, which fixes reports' last digits
+    syms = ([function_symbol(f"P_{k}") for k in range(2, 7)]
+            + [function_symbol(fn) for fn in ("Ptilde_1", "G_2", "G_4")]
+            + [function_symbol(f"g_{i}_{j}") for i in range(1, 5) for j in range(i + 1, i + 7)])
+    for sym in syms:
+        keys = [(sum(e for s, e in m if s[0] == "z"), dict(m).get(("B",), 0))
+                for m in delta_of_symbol(sym).terms]
+        assert keys == sorted(keys), sym

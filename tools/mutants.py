@@ -75,6 +75,8 @@ MUTANTS = [
     ("symbols.py", "s[1] + s[2]", "s[1] + s[2] + 1",
      ("elliptic-numeric", "hha-weight2", "lattice-modular")),
     ("hha.py", "Fraction(1, k)", "1", ("hha-weight1", "hha-weight2", "lattice-modular")),
+    ("symbols.py", "derive_poly(term) * Fraction(1, k)", "derive_poly(term)",
+     ("elliptic-numeric",)),
 ]
 
 
