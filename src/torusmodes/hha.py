@@ -15,10 +15,11 @@ spec the module implements:
 * full reduction of mixed correlators to zero-mode correlators,
 * the triangular inversion expressing zero-mode correlators through full
   correlators, and
-* propagation of the modular anomaly of zero-mode correlators through that
-  inversion: full correlators are weight-graded modularly invariant atoms,
-  all anomalies come from the coefficient functions' law exp(B D), so the
-  anomaly of zero-mode correlators is exp(B N) for one linear map N.
+* the modular anomaly of zero-mode correlators: full correlators are
+  weight-graded modularly invariant atoms, all anomalies come from the
+  coefficient functions' law exp(B D), so the anomaly of zero-mode
+  correlators is exp(B N) for one linear map N, read off triangularly from
+  the reduction of one full correlator.
 
 Correlator symbols are kept in a normal form in which identity insertions
 are dropped and a lone insertion of an L[-1]-descendant annihilates the
@@ -772,17 +773,21 @@ def _linear_anomaly(spec: HHASpec, sym: CorrSymbol) -> tuple:
     """N of the zero-mode correlator ``sym``, the B^1 part of its anomaly, as
     (symbol, constant) pairs, from the spec's memo of its zero-mode multiset.
 
-    ``sym`` is expanded through full correlators, which are modularly
-    invariant atoms of their weight; D (symbols.derive_poly) acts on every
-    coefficient, and reduce_to_zero_modes rewrites the result back into
-    zero-mode correlators.  Every coefficient must be free of position and
-    function symbols, and every term must have zero-mode weight 2 below ``sym``.
+    The full correlator Phi = F(; the zero modes as insertions at 1..n) is a
+    modularly invariant atom of its weight, and reduces to F(modes) + sum_j
+    r_j Z_j with every Z_j on fewer zero modes.  Coefficients transform by
+    exp(B D) (symbols.derive_poly is D) and each Z_j by exp(B N), so the B^1
+    part of Phi's invariance gives, triangularly,
+
+        N F(modes) = -sum_j (D r_j Z_j + r_j N Z_j),
+
+    with N of the empty multiset 0.  Every coefficient must be free of
+    position and function symbols, and every term must have zero-mode weight
+    2 below ``sym``.
     """
     canon = spec.anomaly_memo.get(sym.modes)
     if canon is None:
-        full = invert_to_full(spec, sym.modes)
-        result = reduce_to_zero_modes(spec, CorrExpression(
-            {fsym: derive_poly(poly) for fsym, poly in full.terms.items()}))
+        result = _linear_part_of_full(spec, sym) if sym.modes else CorrExpression()
         want = sym.weight(spec) - 2
         canon = []
         for tsym, poly in result.terms.items():
@@ -797,6 +802,22 @@ def _linear_anomaly(spec: HHASpec, sym: CorrSymbol) -> tuple:
             canon.append((tsym, poly.terms[()]))
         canon = spec.anomaly_memo[sym.modes] = tuple(canon)
     return canon
+
+
+def _linear_part_of_full(spec: HHASpec, sym: CorrSymbol) -> CorrExpression:
+    """-sum_j (D r_j Z_j + r_j N Z_j) over the lower terms of the reduction of
+    F(; sym's zero modes at 1..n), whose head must be ``sym`` with coefficient ONE."""
+    lower = dict(_shape_zero_modes(spec, (), tuple((0, g_) for g_ in sym.modes)))
+    if lower.pop(sym, None) != ONE:
+        raise HHAError(f"full correlator of {sym!r} does not reduce to it with coefficient 1")
+    out = CorrExpression()
+    for zsym, r in lower.items():
+        if len(zsym.modes) >= len(sym.modes):
+            raise HHAError(f"reduction of {sym!r} gave {zsym!r}, not fewer zero modes")
+        out.add_term(zsym, -derive_poly(r))
+        for tsym, c in _linear_anomaly(spec, zsym):
+            out.add_term(tsym, r * -c)
+    return out
 
 
 # ---------------------------------------------------------------------------

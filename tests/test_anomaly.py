@@ -150,6 +150,12 @@ def _outcome(route, make, gens):
         return type(exc)
 
 
+# faulty tables that both routes refuse through different checks: the
+# reference's final sum keeps a pi marker, while the engine's sum, built from
+# pi-free reductions, keeps a function symbol
+_REFUSED_APART = {(f"weight2_x{m}x={v}", ("x",) * 5) for m, v in ((0, 3), (1, 3), (1, 5))}
+
+
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_engine_equals_the_exp_bd_reference(family):
     # exp(B N) on the zero-mode correlators against exp(B D) - 1 on every
@@ -158,7 +164,11 @@ def test_engine_equals_the_exp_bd_reference(family):
     outcomes = set()
     for gens in correlators:
         want = _outcome(_reference_anomaly, make, gens)
-        assert _outcome(anomaly_of_zero_modes, make, gens) == want, gens
+        got = _outcome(anomaly_of_zero_modes, make, gens)
+        if (family, gens) in _REFUSED_APART:
+            assert (want, got) == (hha.CancellationError, hha.ResidueError), gens
+        else:
+            assert got == want, gens
         outcomes.add(want if isinstance(want, type) else "result")
     # the faulty tables reach the engine's checks, the algebras never do; x[3]x = 1
     # is the Virasoro table at central charge 1/2 in place of 1
@@ -176,16 +186,35 @@ def test_linear_part_is_memoised_per_multiset():
 
 
 def test_linear_part_must_lower_the_weight_by_two(monkeypatch):
-    reduce = hha.reduce_to_zero_modes
+    linear_part = hha._linear_part_of_full
 
-    def keep_the_original(spec, expr):
-        out = reduce(spec, expr)
+    def keep_the_original(spec, sym):
+        out = linear_part(spec, sym)
         out.add_term(CorrSymbol(("x",) * 2, ()), CoeffPoly.scalar(1))
         return out
 
-    monkeypatch.setattr(hha, "reduce_to_zero_modes", keep_the_original)
+    spec = weight2_spec()
+    anomaly_of_zero_modes(spec, ("x",))  # N of the smaller multisets, unpatched
+    monkeypatch.setattr(hha, "_linear_part_of_full", keep_the_original)
     with pytest.raises(hha.WeightBookkeepingError, match=r"F\(x0\^2\) has zero-mode weight 4, not 2"):
-        anomaly_of_zero_modes(weight2_spec(), ("x",) * 2)
+        anomaly_of_zero_modes(spec, ("x",) * 2)
+
+
+@pytest.mark.parametrize("pairing", [1, Fraction(3, 2)])
+def test_linear_part_of_weight1_pairs_two_zero_modes(pairing):
+    # N F(a0^s) = C(s, 2) <a,a> (2 pi i)^-2 F(a0^(s-2))
+    spec = weight1_spec(pairing)
+    for s in range(1, 11):
+        want = ((CorrSymbol(("a",) * (s - 2), ()), ScaledRational(comb(s, 2) * pairing, -2)),)
+        assert hha._linear_anomaly(spec, CorrSymbol(("a",) * s, ())) == (want if s > 1 else ()), s
+
+
+def test_linear_part_of_weight2_lowers_one_zero_mode():
+    # N F(x0^s) = 2 s (s-1) (2 pi i)^-2 F(x0^(s-1))
+    spec = weight2_spec()
+    for s in range(1, 7):
+        want = ((CorrSymbol(("x",) * (s - 1), ()), ScaledRational(2 * s * (s - 1), -2)),)
+        assert hha._linear_anomaly(spec, CorrSymbol(("x",) * s, ())) == (want if s > 1 else ()), s
 
 
 def test_weight2_s4_reduction_still_works():

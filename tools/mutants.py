@@ -77,6 +77,7 @@ MUTANTS = [
     ("hha.py", "Fraction(1, k)", "1", ("hha-weight1", "hha-weight2", "lattice-modular")),
     ("symbols.py", "derive_poly(term) * Fraction(1, k)", "derive_poly(term)",
      ("elliptic-numeric",)),
+    ("hha.py", "r * -c)", "r * c)", ("hha-weight1", "hha-weight2", "lattice-modular")),
 ]
 
 

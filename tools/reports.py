@@ -66,7 +66,8 @@ CALLS = (
         "--tau", "1.2i"] for f in ("g_2_4", "g_3_5")]
     # the largest anomalies of each algebra within a few seconds
     + [["anomaly", "--spec", "weight1", "--correlator", "a0^9"],
-       ["anomaly", "--spec", "weight2", "--correlator", "x0^6"]]
+       ["anomaly", "--spec", "weight2", "--correlator", "x0^6"],
+       ["anomaly", "--spec", "weight1", "--correlator", "a0^10"]]
 )
 
 
