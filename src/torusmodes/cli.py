@@ -4,8 +4,8 @@ Commands: expand, verify-suite, reduce, anomaly, lattice-trace,
 transform-check.  JSON goes to stdout, diagnostics to stderr; exit codes:
 0 success / all checks pass, 1 a failed check (a verification report, or an
 engine invariant: pi*i marker cancellation, anomaly residue, weight
-bookkeeping), 2 usage error, 3 valid input that needs mathematics the engine
-does not have yet.
+bookkeeping, a spec file's N against the pair contraction), 2 usage error,
+3 valid input that needs mathematics the engine does not have yet.
 """
 
 from __future__ import annotations
@@ -409,7 +409,8 @@ def main(argv=None) -> int:
     except UnsupportedError as exc:
         print(f"unsupported: {exc.args[0]}", file=sys.stderr)
         return 3
-    except (hha.CancellationError, hha.ResidueError, hha.WeightBookkeepingError) as exc:
+    except (hha.CancellationError, hha.ResidueError, hha.WeightBookkeepingError,
+            hha.ContractionError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (UsageError, KeyError, ValueError) as exc:

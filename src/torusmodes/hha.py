@@ -18,8 +18,10 @@ spec the module implements:
 * the modular anomaly of zero-mode correlators: full correlators are
   weight-graded modularly invariant atoms, all anomalies come from the
   coefficient functions' law exp(B D), so the anomaly of zero-mode
-  correlators is exp(B N) for one linear map N, read off triangularly from
-  the reduction of one full correlator.
+  correlators is exp(B N) for one linear map N.  N is the pair contraction
+  through the [1]-product (Zhu 1996, section 4); on a spec that is not built
+  in, it is also read off triangularly from the reduction of one full
+  correlator, and the two must agree.
 
 Correlator symbols are kept in a normal form in which identity insertions
 are dropped and a lone insertion of an L[-1]-descendant annihilates the
@@ -29,7 +31,8 @@ of each insertion) and for the life of the spec, the commuting recursion step
 and the full reduction to zero-mode correlators (that step with each term
 reduced through its own shape's entry), both at positions 1..n; reductions,
 the peel and the anomaly read these memos and relabel them onto their positions.
-It also memoizes N of each sorted zero-mode multiset.
+It also memoizes N of each sorted zero-mode multiset, checked against the
+reduction on every spec but the two built-ins.
 The public entry points (invert_to_full, peel_zero_modes, reduce_to_zero_modes,
 anomaly_of_zero_modes) run with the cyclic GC paused.
 """
@@ -40,7 +43,7 @@ import gc
 import re
 from fractions import Fraction
 from functools import wraps
-from itertools import count, product
+from itertools import combinations, count, product
 from math import comb, factorial, perm
 
 from .combinatorics import descent_count, recursion_coefficient
@@ -67,6 +70,10 @@ class ResidueError(HHAError):
 class WeightBookkeepingError(HHAError):
     """A recursion tail broke the conservation of coefficient + symbol weight,
     or an anomaly term failed to lower the zero-mode weight by 2."""
+
+
+class ContractionError(HHAError):
+    """N read off the reduction of a full correlator is not the pair contraction."""
 
 
 def _gc_paused(fn):
@@ -183,6 +190,8 @@ class HHASpec:
         self.zero_mode_memo = {}
         # N of each sorted zero-mode multiset (see _linear_anomaly)
         self.anomaly_memo = {}
+        # set by weight1_spec and weight2_spec alone: N skips the reduction's check
+        self._builtin = False
 
     def action(self, a: str, b: str, m: int):
         if a == self.identity or b == self.identity:
@@ -245,10 +254,12 @@ class HHASpec:
 def weight1_spec(pairing=1) -> HHASpec:
     """The weight-1 algebra {1, a}: a[1]a = <a,a>/(2*pi*i)**2 * 1, all else zero."""
     pairing = as_fraction(pairing)
-    return HHASpec(
+    spec = HHASpec(
         {"1": 0, "a": 1},
         {("a", "a", 1): ((ScaledRational(pairing, -2), 0, "1"),)},
     )
+    spec._builtin = True
+    return spec
 
 
 def weight2_spec() -> HHASpec:
@@ -257,7 +268,7 @@ def weight2_spec() -> HHASpec:
         x[0]x = 2/(2*pi*i)**2 L[-1]x,  x[1]x = 4/(2*pi*i)**2 x,
         x[3]x = 2/(2*pi*i)**4 1,       all other m >= 0 vanish.
     """
-    return HHASpec(
+    spec = HHASpec(
         {"1": 0, "x": 2},
         {
             ("x", "x", 0): ((ScaledRational(2, -2), 1, "x"),),
@@ -265,6 +276,8 @@ def weight2_spec() -> HHASpec:
             ("x", "x", 3): ((ScaledRational(2, -4), 0, "1"),),
         },
     )
+    spec._builtin = True
+    return spec
 
 
 BUILTIN_SPECS = {"weight1": weight1_spec, "weight2": weight2_spec}
@@ -773,6 +786,48 @@ def _linear_anomaly(spec: HHASpec, sym: CorrSymbol) -> tuple:
     """N of the zero-mode correlator ``sym``, the B^1 part of its anomaly, as
     (symbol, constant) pairs, from the spec's memo of its zero-mode multiset.
 
+    N is :func:`contraction_n`.  On a spec that is not built in, N is first
+    read off the reduction of the full correlator (:func:`reduction_n`), with
+    every refusal of that route, and the two must agree.
+    """
+    canon = spec.anomaly_memo.get(sym.modes)
+    if canon is None:
+        reduced = None if spec._builtin else reduction_n(spec, sym.modes)
+        canon = contraction_n(spec, sym.modes)
+        if reduced is not None and dict(reduced) != dict(canon):
+            raise ContractionError(f"N {sym!r} is {reduced!r} by the reduction, "
+                                   f"but {canon!r} by the pair contraction")
+        spec.anomaly_memo[sym.modes] = canon
+    return canon
+
+
+def contraction_n(spec: HHASpec, modes) -> tuple:
+    """N F(b_1 ... b_s) as the pair contraction through the [1]-product,
+
+        N F(b_1 ... b_s) = sum_{i<j} F(the b's with b_i, b_j replaced by o(b_i[1] b_j)),
+
+    the B^1 part of Zhu's recursion for zero modes (Zhu 1996, section 4), as
+    (symbol, constant) pairs.  Each pair reads the spec's (b_i, b_j, 1) entry
+    with the modes sorted; o(1) = 1, so an identity target drops the pair, and
+    o(L[-1]**k v) = 0 for k >= 1.  The spec's homogeneity makes every term 2
+    lower in zero-mode weight.
+    """
+    modes = tuple(sorted(modes))
+    out = {}
+    for i, j in combinations(range(len(modes)), 2):
+        rest = modes[:i] + modes[i + 1:j] + modes[j + 1:]
+        for coeff, dpow, target in spec.action(modes[i], modes[j], 1):
+            if dpow:
+                continue
+            sym = CorrSymbol(rest if target == spec.identity else rest + (target,))
+            out[sym] = out.get(sym, 0) + coeff
+    return tuple((sym, c) for sym, c in out.items() if c)
+
+
+def reduction_n(spec: HHASpec, modes) -> tuple:
+    """N F(modes) read off the reduction of its full correlator, as (symbol,
+    constant) pairs: the check that :func:`contraction_n` meets.
+
     The full correlator Phi = F(; the zero modes as insertions at 1..n) is a
     modularly invariant atom of its weight, and reduces to F(modes) + sum_j
     r_j Z_j with every Z_j on fewer zero modes.  Coefficients transform by
@@ -781,27 +836,25 @@ def _linear_anomaly(spec: HHASpec, sym: CorrSymbol) -> tuple:
 
         N F(modes) = -sum_j (D r_j Z_j + r_j N Z_j),
 
-    with N of the empty multiset 0.  Every coefficient must be free of
-    position and function symbols, and every term must have zero-mode weight
-    2 below ``sym``.
+    with N of the empty multiset 0 and each N Z_j from :func:`_linear_anomaly`.
+    Every coefficient must be free of position and function symbols, and every
+    term must have zero-mode weight 2 below F(modes).
     """
-    canon = spec.anomaly_memo.get(sym.modes)
-    if canon is None:
-        result = _linear_part_of_full(spec, sym) if sym.modes else CorrExpression()
-        want = sym.weight(spec) - 2
-        canon = []
-        for tsym, poly in result.terms.items():
-            if poly.mentions("z"):
-                raise ResidueError(f"anomaly left z-dependence on {tsym!r}: {poly!r}")
-            if poly.terms.keys() != {()}:
-                raise ResidueError(f"anomaly left function symbols on {tsym!r}: {poly!r}")
-            if tsym.weight(spec) != want:
-                raise WeightBookkeepingError(
-                    f"anomaly term {tsym!r} has zero-mode weight {tsym.weight(spec)}, "
-                    f"not {want}")
-            canon.append((tsym, poly.terms[()]))
-        canon = spec.anomaly_memo[sym.modes] = tuple(canon)
-    return canon
+    sym = CorrSymbol(modes, ())
+    result = _linear_part_of_full(spec, sym) if sym.modes else CorrExpression()
+    want = sym.weight(spec) - 2
+    out = []
+    for tsym, poly in result.terms.items():
+        if poly.mentions("z"):
+            raise ResidueError(f"anomaly left z-dependence on {tsym!r}: {poly!r}")
+        if poly.terms.keys() != {()}:
+            raise ResidueError(f"anomaly left function symbols on {tsym!r}: {poly!r}")
+        if tsym.weight(spec) != want:
+            raise WeightBookkeepingError(
+                f"anomaly term {tsym!r} has zero-mode weight {tsym.weight(spec)}, "
+                f"not {want}")
+        out.append((tsym, poly.terms[()]))
+    return tuple(out)
 
 
 def _linear_part_of_full(spec: HHASpec, sym: CorrSymbol) -> CorrExpression:

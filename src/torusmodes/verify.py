@@ -417,6 +417,23 @@ def suite_hha_weight2():
         (hha.CorrSymbol((), ((2, 0, "x"), (3, 1, "x"))), ONE))).is_zero()
 
 
+@suite("hha-contraction")
+def suite_hha_contraction():
+    # N of every multiset up to a stated s by the pair contraction, which the
+    # anomaly of a built-in spec reads, against N read off the reduction of one
+    # full correlator, the check that a built-in's anomaly skips
+    def routes_agree(spec, gen, top):
+        for s in range(1, top + 1):
+            modes = (gen,) * s
+            if dict(hha.contraction_n(spec, modes)) != dict(hha.reduction_n(spec, modes)):
+                return False, {"first_disagreement_s": s}
+        return True
+    yield "weight1_pairing=1_s<=10", partial(routes_agree, hha.weight1_spec(), "a", 10)
+    yield "weight1_pairing=3/2_s<=10", partial(
+        routes_agree, hha.weight1_spec(Fraction(3, 2)), "a", 10)
+    yield "weight2_s<=6", partial(routes_agree, hha.weight2_spec(), "x", 6)
+
+
 @suite("lattice-oracle")
 def suite_lattice_oracle(order=4):
     E8 = lt.e8()
@@ -509,9 +526,16 @@ def suite_lattice_modular(order=8, tol=1e-5):
     trace = cache(lambda s, t: lt.trace_value(E83, s, t, N))
 
     def weight1_law(s):
+        # the Gaussian law s!/(2^k k! (s-2k)!) beta^k, which must be the engine's anomaly exactly
+        denom = {k: 2 ** k * factorial(k) * factorial(s - 2 * k) for k in range(0, s // 2 + 1)}
+        if hha.anomaly_of_zero_modes(hha.weight1_spec(), ("a",) * s) != [
+                (k, {hha.CorrSymbol(("a",) * (s - 2 * k), ()):
+                     ScaledRational(Fraction(factorial(s), d), -2 * k)})
+                for k, d in denom.items() if k]:
+            return False, {"error": "the engine's anomaly is not the Gaussian law"}
         return _below(_closure_miss(tau ** (-s) * moment_trace(s, gt), [
-            beta ** k * factorial(s) / (2 ** k * factorial(k) * factorial(s - 2 * k))
-            * moment_trace(s - 2 * k, tau) for k in range(0, s // 2 + 1)]), tol)
+            beta ** k * factorial(s) / d * moment_trace(s - 2 * k, tau)
+            for k, d in denom.items()]), tol)
     for s in range(1, 7):
         yield f"weight1_anomaly_numeric_s={s}", partial(weight1_law, s)
     Bval = TWO_PI_I / tau  # B = 2 pi i c/(c tau + d) at gamma = S

@@ -20,6 +20,7 @@ CRITERIA = {
     "AC4/AC5 symbolic recursion and anomaly fixtures": (10.0, ("hha-weight1", "hha-weight2")),
     "AC6 lattice oracle": (10.0, ("lattice-oracle",)),
     "AC7 end-to-end numeric closure": (8.0, ("lattice-modular",)),
+    "AC8 anomaly linear part is the pair contraction": (5.0, ("hha-contraction",)),
 }
 
 
@@ -59,6 +60,10 @@ def test_ac6_lattice_oracle():
 
 def test_ac7_end_to_end_numeric_closure():
     _suites_pass("AC7 end-to-end numeric closure")
+
+
+def test_ac8_linear_part_is_the_pair_contraction():
+    _suites_pass("AC8 anomaly linear part is the pair contraction")
 
 
 def test_every_suite_has_an_acceptance_test():

@@ -185,6 +185,12 @@ def test_linear_part_is_memoised_per_multiset():
     assert spec.anomaly_memo[()] == ()
 
 
+def _spec_file(spec):
+    """The same table loaded as a spec file: not built in, so the engine reads N
+    off the reduction of a full correlator and checks it against the contraction."""
+    return HHASpec.from_json(spec.to_json())
+
+
 def test_linear_part_must_lower_the_weight_by_two(monkeypatch):
     linear_part = hha._linear_part_of_full
 
@@ -193,11 +199,19 @@ def test_linear_part_must_lower_the_weight_by_two(monkeypatch):
         out.add_term(CorrSymbol(("x",) * 2, ()), CoeffPoly.scalar(1))
         return out
 
-    spec = weight2_spec()
+    spec = _spec_file(weight2_spec())
     anomaly_of_zero_modes(spec, ("x",))  # N of the smaller multisets, unpatched
     monkeypatch.setattr(hha, "_linear_part_of_full", keep_the_original)
     with pytest.raises(hha.WeightBookkeepingError, match=r"F\(x0\^2\) has zero-mode weight 4, not 2"):
         anomaly_of_zero_modes(spec, ("x",) * 2)
+
+
+def _assert_both_routes(spec, modes, want):
+    """N F(modes) is ``want`` by the contraction on the built-in ``spec``, and by
+    the reduction on its spec file, whose lower N come from the reduction too."""
+    sym = CorrSymbol(modes, ())
+    assert hha.contraction_n(spec, modes) == hha._linear_anomaly(spec, sym) == want, modes
+    assert hha.reduction_n(_spec_file(spec), modes) == want, modes
 
 
 @pytest.mark.parametrize("pairing", [1, Fraction(3, 2)])
@@ -206,7 +220,7 @@ def test_linear_part_of_weight1_pairs_two_zero_modes(pairing):
     spec = weight1_spec(pairing)
     for s in range(1, 11):
         want = ((CorrSymbol(("a",) * (s - 2), ()), ScaledRational(comb(s, 2) * pairing, -2)),)
-        assert hha._linear_anomaly(spec, CorrSymbol(("a",) * s, ())) == (want if s > 1 else ()), s
+        _assert_both_routes(spec, ("a",) * s, want if s > 1 else ())
 
 
 def test_linear_part_of_weight2_lowers_one_zero_mode():
@@ -214,7 +228,40 @@ def test_linear_part_of_weight2_lowers_one_zero_mode():
     spec = weight2_spec()
     for s in range(1, 7):
         want = ((CorrSymbol(("x",) * (s - 1), ()), ScaledRational(2 * s * (s - 1), -2)),)
-        assert hha._linear_anomaly(spec, CorrSymbol(("x",) * s, ())) == (want if s > 1 else ()), s
+        _assert_both_routes(spec, ("x",) * s, want if s > 1 else ())
+
+
+@pytest.mark.parametrize("pairing", [1, Fraction(3, 2)])
+def test_weight1_anomaly_is_gaussian_up_to_the_largest_correlator(pairing):
+    # G(t) = sum_s F(a0^s) t^s/s! goes to exp(<a,a> beta t^2/2) G(t): the beta^k part
+    # of F(a0^s) is s!/(2^k k! (s-2k)!) <a,a>^k F(a0^(s-2k))
+    spec = weight1_spec(pairing)
+    for s in range(1, hha.MAX_ZERO_MODES + 1):
+        assert anomaly_of_zero_modes(spec, ("a",) * s) == [
+            (k, {CorrSymbol(("a",) * (s - 2 * k), ()): ScaledRational(
+                Fraction(factorial(s), 2 ** k * factorial(k) * factorial(s - 2 * k))
+                * pairing ** k, -2 * k)})
+            for k in range(1, s // 2 + 1)], s
+
+
+def test_weight2_anomaly_is_mobius_up_to_the_largest_correlator():
+    # G(t) goes to G(t/(1 - 2 beta t)): the beta^k part of F(x0^s) is
+    # 2^k L(s, s-k) F(x0^(s-k)), with the Lah numbers L(n, j) = C(n-1, j-1) n!/j!
+    spec = weight2_spec()
+    for s in range(1, hha.MAX_ZERO_MODES + 1):
+        assert anomaly_of_zero_modes(spec, ("x",) * s) == [
+            (k, {CorrSymbol(("x",) * (s - k), ()): ScaledRational(
+                2 ** k * comb(s - 1, s - k - 1) * factorial(s) // factorial(s - k), -2 * k)})
+            for k in range(1, s)], s
+
+
+def test_spec_file_refuses_n_that_is_not_the_contraction(monkeypatch):
+    # the reduction route gives N F(x0^2) = 4 F(x0); a contraction that says
+    # otherwise is refused on a spec file, and not consulted against a built-in
+    monkeypatch.setattr(hha, "contraction_n", lambda spec, modes: ())
+    with pytest.raises(hha.ContractionError, match=r"N F\(x0\^2\) is"):
+        anomaly_of_zero_modes(_spec_file(weight2_spec()), ("x",) * 2)
+    assert anomaly_of_zero_modes(weight2_spec(), ("x",) * 2) == []
 
 
 def test_weight2_s4_reduction_still_works():

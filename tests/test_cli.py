@@ -206,6 +206,16 @@ def test_anomaly_custom_spec_pairing(capsys, tmp_path):
     assert json.loads(out) == {"k1": [["3/2", "F()"]]}
 
 
+def test_anomaly_of_a_spec_file_prints_the_built_in_bytes(capsys, tmp_path):
+    # the spec file's N comes from the reduction, checked against the contraction;
+    # the built-in's comes from the contraction alone
+    path = tmp_path / "w2.json"
+    path.write_text(json.dumps(hha.weight2_spec().to_json()))
+    for s in range(1, 6):
+        assert run(capsys, "anomaly", "--spec", str(path), "--correlator", f"x0^{s}") == \
+            run(capsys, "anomaly", "--spec", "weight2", "--correlator", f"x0^{s}"), s
+
+
 def test_anomaly_unknown_generator(capsys):
     code, out, err = run(capsys, "anomaly", "--spec", "weight1", "--correlator", "y0")
     assert code == 2 and out == ""
@@ -262,6 +272,7 @@ def test_anomaly_weight2_beyond_depth_one(capsys):
     ("reduce", "invert_to_full", hha.CancellationError("pi*i residual failed to cancel")),
     ("anomaly", "anomaly_of_zero_modes", hha.ResidueError("anomaly left z-dependence")),
     ("reduce", "invert_to_full", hha.WeightBookkeepingError("weight bookkeeping violated")),
+    ("anomaly", "anomaly_of_zero_modes", hha.ContractionError("N F(x0^2) is not the contraction")),
 ])
 def test_failed_engine_check_exits_1(capsys, monkeypatch, command, engine_call, error):
     def fail(*args, **kwargs):

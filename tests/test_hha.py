@@ -448,7 +448,9 @@ GC_PAUSED = {
         weight1_spec(), CorrExpression.single(CorrSymbol(("a",) * 2, ((3, 0, "a"),))), [1, 2]),
     "reduce_to_zero_modes": lambda: reduce_to_zero_modes(
         weight2_spec(), CorrExpression.single(CorrSymbol((), ((1, 0, "x"), (2, 0, "x"))))),
-    "anomaly_of_zero_modes": lambda: hha.anomaly_of_zero_modes(weight1_spec(), ("a",) * 4),
+    # a spec file reads N off the reduction; a built-in takes no recursion step
+    "anomaly_of_zero_modes": lambda: hha.anomaly_of_zero_modes(
+        hha.HHASpec.from_json(weight1_spec().to_json()), ("a",) * 4),
 }
 
 
@@ -459,6 +461,7 @@ def test_engine_makes_no_reference_cycles():
     try:
         invert_to_full(weight2_spec(), ("x",) * 5)
         hha.anomaly_of_zero_modes(weight1_spec(), ("a",) * 6)
+        hha.anomaly_of_zero_modes(hha.HHASpec.from_json(weight1_spec().to_json()), ("a",) * 6)
         gc.collect()
         kinds = sorted({type(obj).__name__ for obj in gc.garbage})
         assert not gc.garbage, f"{len(gc.garbage)} objects in reference cycles: {kinds}"
@@ -487,10 +490,10 @@ def test_gc_is_restored_after_a_raising_call(monkeypatch):
     def unknown(poly):
         raise DeltaUnknownError("no law")
 
-    # D of the inversion's coefficients raises inside the paused anomaly call
+    # D of the reduction's coefficients raises inside the paused anomaly call
     monkeypatch.setattr(hha, "derive_poly", unknown)
     with pytest.raises(DeltaUnknownError):
-        hha.anomaly_of_zero_modes(weight2_spec(), ("x",) * 2)
+        hha.anomaly_of_zero_modes(hha.HHASpec.from_json(weight2_spec().to_json()), ("x",) * 2)
     assert gc.isenabled()
 
 

@@ -29,10 +29,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 MUTANTS = [
-    ("symbols.py", "return -ONE", "return ONE",
-     ("elliptic-numeric", "hha-weight1", "hha-weight2", "lattice-modular")),
+    ("symbols.py", "return -ONE", "return ONE", ("elliptic-numeric", "hha-contraction")),
     ("symbols.py", "lo) + (zvar(hi) - zvar(lo)) * _layer(i - 1, j, hi, lo)) * i", "lo)) * i",
-     ("elliptic-numeric", "hha-weight2", "lattice-modular")),
+     ("elliptic-numeric", "hha-contraction")),
     ("combinatorics.py", "stirling_first(n - 1, k - 1) - (n - 1) *",
      "stirling_first(n - 1, k - 1) + (n - 1) *",
      ("combinatorics", "qseries-identities", "hha-weight2")),
@@ -54,7 +53,7 @@ MUTANTS = [
      ("hha-weight2",)),
     ("hha.py", "minus = -poly", "minus = poly", ("hha-weight1", "hha-weight2")),
     ("hha.py", "poly, tpoly.relabel(label))", "poly, tpoly)",
-     ("hha-weight1", "hha-weight2", "lattice-modular")),
+     ("hha-weight1", "hha-weight2", "hha-contraction")),
     ("lattice.py", "Fraction(ip2, sub_gram[0][0])", "Fraction(ip2, 2 * sub_gram[0][0])",
      ("lattice-oracle", "lattice-modular")),
     ("symbols.py", "_MOVES.setdefault(label, {})", "_MOVES.setdefault(None, {})",
@@ -73,11 +72,13 @@ MUTANTS = [
     ("elliptic.py", "sign = (-1) ** k", "sign = -(-1) ** k", ("elliptic-formal",)),
     ("symbols.py", "((s2, e1 + e2),)", "((s2, e1),)", ("elliptic-numeric",)),
     ("symbols.py", "s[1] + s[2]", "s[1] + s[2] + 1",
-     ("elliptic-numeric", "hha-weight2", "lattice-modular")),
+     ("elliptic-numeric", "hha-weight2", "hha-contraction")),
     ("hha.py", "Fraction(1, k)", "1", ("hha-weight1", "hha-weight2", "lattice-modular")),
     ("symbols.py", "derive_poly(term) * Fraction(1, k)", "derive_poly(term)",
      ("elliptic-numeric",)),
-    ("hha.py", "r * -c)", "r * c)", ("hha-weight1", "hha-weight2", "lattice-modular")),
+    ("hha.py", "r * -c)", "r * c)", ("hha-contraction",)),
+    ("hha.py", "if dpow:", "if dpow or target == spec.identity:",
+     ("hha-weight1", "lattice-modular", "hha-contraction")),
 ]
 
 
