@@ -432,12 +432,13 @@ class CorrExpression:
         elif not cur.iadd(poly):
             del self.terms[sym]
 
-    def add_product(self, sym: CorrSymbol, a: CoeffPoly, b: CoeffPoly):
-        """Add a*b into the polynomial this expression owns for ``sym``."""
+    def add_rows_product(self, sym: CorrSymbol, rows, b: CoeffPoly):
+        """Add rows*b (``rows`` from CoeffPoly.rows) into the polynomial this
+        expression owns for ``sym``."""
         cur = self.terms.get(sym)
         if cur is None:
             cur = self.terms[sym] = CoeffPoly()
-        if not cur.add_product(a, b):
+        if not cur.add_rows_product(rows, b):
             del self.terms[sym]
 
     def add_terms(self, other: "CorrExpression"):
@@ -525,15 +526,22 @@ def _map_shapes(spec: HHASpec, terms, shape_terms) -> CorrExpression:
     """Each (symbol, polynomial) term with insertions replaced by
     ``shape_terms(spec, modes, shape)``, its shape's canonical result at
     positions 1..n, relabeled onto the symbol's positions and multiplied by
-    the polynomial; terms without insertions pass through."""
+    the polynomial; terms without insertions pass through.  The polynomial is
+    read once, as rows, and multiplies every relabeled entry with no more
+    terms; a larger entry is read as rows itself and multiplied by the polynomial."""
     out = CorrExpression()
     for sym, poly in terms:
         if not sym.insertions:
             out.add_term(sym, poly)
             continue
         label = (None,) + tuple(sym.positions())
+        rows = poly.rows()
         for tsym, tpoly in shape_terms(spec, sym.modes, _shape(sym)):
-            out.add_product(_relabel_symbol(tsym, label), poly, tpoly.relabel(label))
+            tpoly = tpoly.relabel(label)
+            if len(tpoly.terms) > len(rows):
+                out.add_rows_product(_relabel_symbol(tsym, label), tpoly.rows(), poly)
+            else:
+                out.add_rows_product(_relabel_symbol(tsym, label), rows, tpoly)
     return out
 
 
@@ -706,7 +714,12 @@ def invert_to_full(spec: HHASpec, gens) -> CorrExpression:
 
 @_gc_paused
 def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions) -> CorrExpression:
-    """Peel every zero mode of every term into fresh insertions (see invert_to_full)."""
+    """Peel every zero mode of every term into fresh insertions (see invert_to_full).
+
+    Each step reads a term's polynomial once, as rows, and adds the rows times
+    every negated tail of the step (small polynomials, most of them one
+    coefficient symbol times a constant) into the polynomial of the tail's symbol.
+    """
     while any(sym.modes for sym in expr.terms):
         out = CorrExpression()
         for sym, poly in expr.terms.items():
@@ -725,9 +738,9 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions) -> CorrExpre
             if not canon or _relabel_symbol(canon[0][0], label) != sym or canon[0][1] != ONE:
                 raise HHAError(f"peel head mismatch for {sym!r}")
             out.add_term(CorrSymbol(sym.modes[:-1], sym.insertions + ((fresh, 0, b),)), poly)
-            minus = -poly
+            rows = poly.rows()
             for tsym, tpoly in canon[1:]:
-                out.add_product(_relabel_symbol(tsym, label), minus, tpoly.relabel(label))
+                out.add_rows_product(_relabel_symbol(tsym, label), rows, -tpoly.relabel(label))
         expr = out
     return expr
 

@@ -13,6 +13,12 @@ inspects polynomials through CoeffPoly's methods, and reads a constant as the
 coefficient of the empty monomial; numerics.poly_value evaluates the
 monomials of ``terms`` one by one.
 
+Every product goes through one kernel, ``CoeffPoly.add_rows_product``: its
+multiplicand is ``rows()``, one row per monomial with the sort keys of the
+monomial's symbols, so a polynomial multiplied by many others is read once,
+and a one-factor monomial of the other operand is placed by bisection on a
+row's keys.  ``add_product`` runs the kernel on the rows of the larger operand.
+
 The anomaly Delta f = (c*tau+d)**-w f(gamma.) - f is exp(B D) f - f for the
 derivation D of ``derive``, which ``derive_poly`` extends to polynomials;
 ``delta_transform`` sums the finite series sum_{k>=1} B**k D**k f / k! in
@@ -24,6 +30,7 @@ marker, whose final cancellation is a theorem the engine asserts.
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple
@@ -99,7 +106,9 @@ class CoeffPoly:
     """Multivariate polynomial: map sorted monomial -> nonzero ScaledRational.
 
     A monomial is a tuple of (symbol, exponent) pairs in ``_sym_key`` order,
-    with no bound on the exponents; ``terms`` is the dict itself.
+    with no bound on the exponents; ``terms`` is the dict itself.  ``rows()``
+    is the same polynomial as the product kernel reads it, and
+    ``add_rows_product`` is the one product loop.
 
     Each monomial's coefficient has one 2*pi*i grade; adding coefficients of
     different grades to the same monomial raises ValueError.
@@ -198,54 +207,63 @@ class CoeffPoly:
         out.extend(m1[i:] or m2[j:])
         return tuple(out)
 
-    def add_product(self, a: "CoeffPoly", b: "CoeffPoly") -> "CoeffPoly":
-        """Add a*b (a, b not self) into self in place, dropping what cancels; returns self.
+    def rows(self) -> list:
+        """The multiplicand form of the product kernel: one row per monomial,
+        (monomial, the tuple of its symbols' ``_sym_key``s, value, grade)."""
+        key = _sym_key
+        return [(m, tuple([key(s) for s, _ in m]), c.value, c.tpi) for m, c in self.terms.items()]
 
-        The coefficients are multiplied and summed as ScaledRational's
-        operators do, on value and grade with one object made per term; a sum
-        of two grades raises ScaledRational.grade_error.
+    def add_rows_product(self, rows, b: "CoeffPoly") -> "CoeffPoly":
+        """Add rows*b into self in place, dropping what cancels; returns self.
 
-        The outer loop runs over the operand with more terms.  A monomial of
-        the other one with a single factor (s2, e2) is placed into m1 directly:
-        the walk bumps an equal symbol's exponent or splices the pair in before
-        the first larger symbol.  Every other monomial goes through _mono_mul.
+        ``rows`` is ``a.rows()`` of a polynomial a (a, b not self), read once
+        however many polynomials b it is multiplied by.  The coefficients are
+        multiplied and summed as ScaledRational's operators do, on value and
+        grade; a product whose monomial is new is stored as made, with one
+        lookup, and a sum of two grades raises ScaledRational.grade_error.
+
+        A monomial of b with a single factor (s2, e2) is placed into each row
+        by bisection on the row's keys: it bumps an equal symbol's exponent or
+        is spliced in before the first larger symbol.  Every other monomial
+        goes through _mono_mul.
         """
         terms = self.terms
         mono_mul = self._mono_mul
-        key = _sym_key
+        place = bisect.bisect_left
         make = ScaledRational._make
-        if len(a.terms) < len(b.terms):
-            a, b = b, a
-        factors = [(m2, (*m2[0], key(m2[0][0])) if len(m2) == 1 else None, c2.value, c2.tpi)
-                   for m2, c2 in b.terms.items()]
-        for m1, c1 in a.terms.items():
-            v1, t1 = c1.value, c1.tpi
-            for m2, one, v2, t2 in factors:
-                if one is None:
-                    m = mono_mul(m1, m2)
-                else:
-                    s2, e2, k2 = one
-                    for i, (s1, e1) in enumerate(m1):
-                        if s1 == s2:
-                            m = m1[:i] + ((s2, e1 + e2),) + m1[i + 1:]
-                            break
-                        if key(s1) > k2:
-                            m = m1[:i] + m2 + m1[i:]
-                            break
+        for m2, c2 in b.terms.items():
+            v2, t2 = c2.value, c2.tpi
+            one = len(m2) == 1
+            if one:
+                (s2, e2), = m2
+                k2 = _sym_key(s2)
+            for m1, keys, v1, t1 in rows:
+                if one:
+                    i = place(keys, k2)
+                    if i < len(keys) and keys[i] == k2:
+                        m = m1[:i] + ((s2, m1[i][1] + e2),) + m1[i + 1:]
                     else:
-                        m = m1 + m2
-                v, t = v1 * v2, t1 + t2
-                cur = terms.get(m)
-                if cur is None:
-                    terms[m] = make(v, t)
+                        m = m1[:i] + m2 + m1[i:]
+                else:
+                    m = mono_mul(m1, m2)
+                c = make(v1 * v2, t1 + t2)
+                cur = terms.setdefault(m, c)
+                if cur is c:
                     continue
-                if cur.tpi != t:
-                    raise ScaledRational.grade_error(cur.tpi, t)
-                if v := cur.value + v:
-                    terms[m] = make(v, t)
+                if cur.tpi != c.tpi:
+                    raise ScaledRational.grade_error(cur.tpi, c.tpi)
+                if v := cur.value + c.value:
+                    terms[m] = make(v, c.tpi)
                 else:
                     del terms[m]
         return self
+
+    def add_product(self, a: "CoeffPoly", b: "CoeffPoly") -> "CoeffPoly":
+        """Add a*b (a, b not self) into self in place: the product kernel run
+        on the rows of the operand with more terms; returns self."""
+        if len(a.terms) < len(b.terms):
+            a, b = b, a
+        return self.add_rows_product(a.rows(), b)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ScaledRational)):
@@ -421,16 +439,20 @@ def derive(sym) -> CoeffPoly:
 def derive_poly(poly: CoeffPoly) -> CoeffPoly:
     """D poly, by the Leibniz rule: each factor s**e of a monomial contributes
     e s**(e-1) (D s) times the rest of the monomial.  The cofactors of each
-    symbol s are gathered into one polynomial, multiplied by D s once."""
+    symbol s are gathered as rows of the product kernel, cut from the rows of
+    poly, and multiplied by D s once."""
     cofactors = {}
-    for mono, c in poly.terms.items():
+    for mono, keys, v, t in poly.rows():
         for i, (s, e) in enumerate(mono):
             if derive(s):
-                rest = mono[:i] + (((s, e - 1),) if e > 1 else ()) + mono[i + 1:]
-                cofactors.setdefault(s, {})[rest] = c * e
+                if e > 1:
+                    row = (mono[:i] + ((s, e - 1),) + mono[i + 1:], keys, v * e, t)
+                else:
+                    row = (mono[:i] + mono[i + 1:], keys[:i] + keys[i + 1:], v, t)
+                cofactors.setdefault(s, []).append(row)
     out = CoeffPoly()
-    for s, terms in cofactors.items():
-        out.add_product(CoeffPoly._of_terms(terms), derive(s))
+    for s, rows in cofactors.items():
+        out.add_rows_product(rows, derive(s))
     return out
 
 

@@ -377,6 +377,58 @@ def test_memo_reduction_matches_repeated_reduce_once(name, build):
     assert not any(sym.insertions for sym in want.terms)
 
 
+def _reference_peel(spec, gens):
+    # the peel term by term, as it read before the product kernel: -poly times
+    # each relabeled tail, every product taken monomial by monomial with _mono_mul
+    positions = range(1, len(gens) + 1)
+    expr = CorrExpression.single(CorrSymbol(gens, ()))
+    while any(sym.modes for sym in expr.terms):
+        out = CorrExpression()
+        for sym, poly in expr.terms.items():
+            if not sym.modes:
+                out.add_term(sym, poly)
+                continue
+            b = sym.modes[-1]
+            used = poly.positions().union(sym.positions())
+            floor = min(sym.positions(), default=len(gens) + 1)
+            fresh = max(p for p in positions if p < floor and p not in used)
+            canon = hha._shape_step(spec, sym.modes[:-1], ((0, b),) + hha._shape(sym))
+            label = (None, fresh) + tuple(sym.positions())
+            out.add_term(CorrSymbol(sym.modes[:-1], sym.insertions + ((fresh, 0, b),)), poly)
+            minus = -poly
+            for tsym, tpoly in canon[1:]:
+                product = CoeffPoly()
+                for m1, c1 in minus.terms.items():
+                    for m2, c2 in tpoly.relabel(label).terms.items():
+                        product.iadd(CoeffPoly({CoeffPoly._mono_mul(m1, m2): c1 * c2}))
+                out.add_term(hha._relabel_symbol(tsym, label), product)
+        expr = out
+    return expr
+
+
+@pytest.mark.parametrize("name, gens", [
+    *[pytest.param("weight2", ("x",) * s, id=f"weight2-s{s}") for s in range(1, 6)],
+    *[pytest.param("weight1", ("a",) * s, id=f"weight1-s{s}") for s in range(1, 7)],
+])
+def test_peel_matches_the_term_by_term_reference(name, gens):
+    # the peel multiplies each term's rows by every negated tail; weight 2 from
+    # s = 4 on bumps an exponent, which no engine suite reaches
+    got = invert_to_full(SPECS[name](), gens)
+    assert got == _reference_peel(SPECS[name](), gens)
+    if name == "weight2" and len(gens) >= 4:
+        assert any(e >= 2 for poly in got.terms.values() for m in poly.terms for _, e in m)
+
+
+def test_expression_drops_a_symbol_whose_product_cancels():
+    sym, other = CorrSymbol(("x",), ()), CorrSymbol((), ((1, 0, "x"),))
+    a, b = P(2, 2, 1) + zvar(1) * G(4), Pt(2, 1) - PI_MARK
+    expr = CorrExpression({sym: a * b, other: ONE})
+    expr.add_rows_product(sym, a.rows(), -b)
+    assert expr == CorrExpression.single(other)
+    expr.add_rows_product(sym, a.rows(), b)
+    assert expr.terms[sym] == a * b
+
+
 def test_peel_refuses_a_corrupted_memo_head():
     spec = weight2_spec()
     expected = invert_to_full(spec, ("x",) * 2)

@@ -120,6 +120,64 @@ def test_one_factor_merge_matches_mono_mul(terms, e, with_empty):
                 clash.copy().add_product(x, y)
 
 
+def _reference_product(a, b):
+    # a*b by _mono_mul on every pair of monomials, summed with ScaledRational's operators
+    want = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            m = CoeffPoly._mono_mul(ma, mb)
+            want[m] = want[m] + ca * cb if m in want else ca * cb
+    return {m: c for m, c in want.items() if c}
+
+
+kernel_terms = st.lists(st.tuples(sorted_monomials, rationals.filter(bool)),
+                        min_size=1, max_size=5, unique_by=lambda t: t[0])
+
+
+@given(kernel_terms, kernel_terms, kernel_terms)
+def test_rows_kernel_matches_mono_mul(a_terms, b_terms, c_terms):
+    # monomials of b with one factor, several factors or none, against rows of a
+    # that share, interleave or lack their symbols; the rows are read as often as
+    # the kernel is called and stay unchanged
+    a, b, c = _poly(dict(a_terms)), _poly(dict(b_terms)), _poly(dict(c_terms))
+    rows = a.rows()
+    assert rows == [(m, tuple(_sym_key(s) for s, _ in m), k.value, k.tpi)
+                    for m, k in a.terms.items()]
+    got = CoeffPoly().add_rows_product(rows, b)
+    assert got.terms == _reference_product(a, b) and _normalized(got)
+    assert c.copy().add_rows_product(rows, b) == c + got
+    assert got.add_rows_product(rows, -b).is_zero()  # every entry cancels and is deleted
+    assert rows == a.rows()
+
+
+@pytest.mark.parametrize("sym, want", [
+    (("G", 2), (("G", 2), 5)),  # before the first symbol
+    (("G", 4), (("G", 4), 8)),  # on the first symbol
+    (("Pt", 2, 1), (("Pt", 2, 1), 5)),  # between two symbols
+    (("z", 1), (("z", 1), 7)),  # on the last symbol
+    (("pi",), (("pi",), 5)),  # after the last symbol
+])
+def test_rows_kernel_places_a_one_factor_monomial(sym, want):
+    row = ((("G", 4), 3), (("P", 2, 2, 1), 1), (("z", 1), 2))
+    out = CoeffPoly().add_rows_product(_poly({row: 1}).rows(), _poly({((sym, 5),): 1}))
+    (mono,) = out.terms
+    assert mono == CoeffPoly._mono_mul(row, ((sym, 5),)) and want in mono
+    assert len(mono) == len(row) + (want[1] == 5)
+
+
+def test_rows_kernel_refuses_mixed_grades():
+    a = _poly({((("z", 1), 1),): 1, ((("G", 4), 1),): 2})
+    b = CoeffPoly.symbol(("B",), ScaledRational(3, 2))
+    clash = CoeffPoly({((("B",), 1), (("z", 1), 1)): ScaledRational(1, 0)})
+    with pytest.raises(ValueError, match="cannot add grades"):
+        clash.copy().add_rows_product(a.rows(), b)
+    # within one call: B*1 at grade 2 meets 1*B at grade 0
+    rows = CoeffPoly({((("B",), 1),): ScaledRational(1, 2), (): ScaledRational(1, 0)}).rows()
+    b = CoeffPoly({(): ScaledRational(1, 0), ((("B",), 1),): ScaledRational(1, 0)})
+    with pytest.raises(ValueError, match="cannot add grades"):
+        CoeffPoly().add_rows_product(rows, b)
+
+
 def test_relabel_maps_positions_through_each_label():
     poly = P(2, 2, 1) * zvar(2) + Pt(3, 1) * PI_MARK
     assert poly.positions() == {1, 2, 3}

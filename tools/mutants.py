@@ -51,8 +51,9 @@ MUTANTS = [
      ("lattice-oracle", "lattice-modular")),
     ("hha.py", "d = {key: -c for key, c in d.items()}", "d = {key: c for key, c in d.items()}",
      ("hha-weight2",)),
-    ("hha.py", "minus = -poly", "minus = poly", ("hha-weight1", "hha-weight2")),
-    ("hha.py", "poly, tpoly.relabel(label))", "poly, tpoly)",
+    ("hha.py", "rows, -tpoly.relabel(label))", "rows, tpoly.relabel(label))",
+     ("hha-weight1", "hha-weight2")),
+    ("hha.py", "tpoly = tpoly.relabel(label)", "tpoly = tpoly",
      ("hha-weight1", "hha-weight2", "hha-contraction")),
     ("lattice.py", "Fraction(ip2, sub_gram[0][0])", "Fraction(ip2, 2 * sub_gram[0][0])",
      ("lattice-oracle", "lattice-modular")),
@@ -70,7 +71,8 @@ MUTANTS = [
     ("qseries.py", "d.tpi + 1)", "d.tpi)",
      ("qseries-identities", "elliptic-formal", "elliptic-numeric")),
     ("elliptic.py", "sign = (-1) ** k", "sign = -(-1) ** k", ("elliptic-formal",)),
-    ("symbols.py", "((s2, e1 + e2),)", "((s2, e1),)", ("elliptic-numeric",)),
+    ("symbols.py", "((s2, m1[i][1] + e2),)", "((s2, m1[i][1]),)", ("elliptic-numeric",)),
+    ("symbols.py", "bisect.bisect_left", "bisect.bisect_right", ("elliptic-numeric",)),
     ("symbols.py", "s[1] + s[2]", "s[1] + s[2] + 1",
      ("elliptic-numeric", "hha-weight2", "hha-contraction")),
     ("hha.py", "Fraction(1, k)", "1", ("hha-weight1", "hha-weight2", "lattice-modular")),
