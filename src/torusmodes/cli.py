@@ -233,21 +233,25 @@ def cmd_expand(args) -> int:
     name, idx = _parse_function_id(args.function)
     order = args.order
     _check_order_tol(order)
-    if name == "G":
-        series = qs.eisenstein(idx[0], order)
-    elif name == "eta":
-        series = qs.eta_power(idx[0], order)
-    elif name == "Ptilde_1":
-        series = el.p_tilde_1(order)
-    elif name == "P":
-        series = el.p_expansion(idx[0], order)
-    elif name == "g":
-        series = el.g_expansion(idx[0], idx[1], order)
-    else:
-        if idx[0] >= 1 and args.z_order < -idx[0]:
-            raise UsageError(f"--z-order {args.z_order} is below -{idx[0]}, the leading z "
-                             f"order of {args.function}")
-        z_coeffs = el.wp_laurent(idx[0], args.z_order, order)
+    if name == "wp" and idx[0] >= 1 and args.z_order < -idx[0]:
+        raise UsageError(f"--z-order {args.z_order} is below -{idx[0]}, the leading z "
+                         f"order of {args.function}")
+    try:  # a builder refuses an index out of its range with a ValueError
+        if name == "G":
+            series = qs.eisenstein(idx[0], order)
+        elif name == "eta":
+            series = qs.eta_power(idx[0], order)
+        elif name == "Ptilde_1":
+            series = el.p_tilde_1(order)
+        elif name == "P":
+            series = el.p_expansion(idx[0], order)
+        elif name == "g":
+            series = el.g_expansion(idx[0], idx[1], order)
+        else:
+            z_coeffs = el.wp_laurent(idx[0], args.z_order, order)
+    except ValueError as exc:
+        raise UsageError(f"--function {args.function!r}: {exc}") from None
+    if name == "wp":
         _emit({"z_coeffs": {str(e): z_coeffs[e].to_json() for e in sorted(z_coeffs)}})
         return 0
     _emit(series.to_json())

@@ -421,8 +421,8 @@ class CorrExpression:
                     self.terms[sym] = poly.copy()
 
     @classmethod
-    def single(cls, sym: CorrSymbol, poly: CoeffPoly = ONE) -> "CorrExpression":
-        return cls({sym: poly})
+    def single(cls, sym: CorrSymbol) -> "CorrExpression":
+        return cls({sym: ONE})
 
     def add_term(self, sym: CorrSymbol, poly: CoeffPoly):
         cur = self.terms.get(sym)
@@ -703,23 +703,26 @@ def invert_to_full(spec: HHASpec, gens) -> CorrExpression:
     """Express F(a_0^{gens}) through full correlators, by peeling zero modes.
 
     Each peel rewrites the zero mode of largest name as a fresh insertion at
-    the largest unreferenced position below the term's current insertions
-    and subtracts the recursion tails of that expansion; the map is unit
-    triangular in the number of insertions, so the loop terminates with
-    full correlators only.
+    the largest unreferenced position of 1..s (s = len(gens)) below the
+    term's current insertions and subtracts the recursion tails of that
+    expansion; the map is unit triangular in the number of insertions, so the
+    loop terminates with full correlators only.
     """
-    return peel_zero_modes(spec, CorrExpression.single(CorrSymbol(gens, ())),
-                           range(1, len(gens) + 1))
+    return peel_zero_modes(spec, CorrExpression.single(CorrSymbol(gens, ())))
 
 
 @_gc_paused
-def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions) -> CorrExpression:
+def peel_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
     """Peel every zero mode of every term into fresh insertions (see invert_to_full).
 
-    Each step reads a term's polynomial once, as rows, and adds the rows times
-    every negated tail of the step (small polynomials, most of them one
-    coefficient symbol times a constant) into the polynomial of the tail's symbol.
+    The fresh positions are 1..s, for s the largest number of zero modes of
+    any term of ``expr``; a term with no free candidate below its lowest
+    insertion raises HHAError.  Each step reads a term's polynomial once, as
+    rows, and adds the rows times every negated tail of the step (small
+    polynomials, most of them one coefficient symbol times a constant) into
+    the polynomial of the tail's symbol.
     """
+    positions = range(1, max((len(sym.modes) for sym in expr.terms), default=0) + 1)
     while any(sym.modes for sym in expr.terms):
         out = CorrExpression()
         for sym, poly in expr.terms.items():
@@ -728,7 +731,7 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions) -> CorrExpre
                 continue
             b = sym.modes[-1]
             used = poly.positions().union(sym.positions())
-            floor = min(sym.positions(), default=max(positions) + 1)
+            floor = min(sym.positions(), default=positions.stop)
             fresh = max((p for p in positions if p < floor and p not in used), default=None)
             if fresh is None:
                 raise HHAError(f"no fresh position available for peeling {sym!r}")
@@ -745,16 +748,15 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression, positions) -> CorrExpre
     return expr
 
 
-def weight1_configuration_formula(n: int, s: int, pairing=1) -> CorrExpression:
+def weight1_configuration_formula(n: int, s: int) -> CorrExpression:
     """Direct enumeration of the weight-1 pairing sum.
 
     Index set: n full indices at positions s+1..s+n, s zero indices at
     positions 1..s (where the inversion inserts the peeled fields).  A
     configuration is a set of unordered index pairs, each containing at
     least one zero index, together with the unpaired rest U; it contributes
-    F_0(U) times the product over pairs of -<a,a> P_2 / (2*pi*i)**2.
+    F_0(U) times the product over pairs of -<a,a> P_2 / (2*pi*i)**2 at <a,a> = 1.
     """
-    pairing = as_fraction(pairing)
     indices = tuple(range(1, s + n + 1))
     out = CorrExpression()
 
@@ -767,7 +769,7 @@ def weight1_configuration_formula(n: int, s: int, pairing=1) -> CorrExpression:
         for idx, partner in enumerate(rest):
             if first <= s or partner <= s:
                 rec(rest[:idx] + rest[idx + 1:], unpaired,
-                    coeff * P(2, partner, first) * ScaledRational(-pairing, -2))
+                    coeff * P(2, partner, first) * ScaledRational(-1, -2))
 
     rec(indices, (), ONE)
     return out

@@ -35,9 +35,6 @@ from .ratfunc import LaurentPoly
 from .scaled import TWO_PI_I
 from .symbols import UnsupportedError, delta_of_symbol, function_symbol, sym_weight
 
-SL2Z_S = (0, -1, 1, 0)
-SL2Z_T = (1, 1, 0, 1)
-
 LAMBERT_TOL = 1e-14  # a Lambert sum stops once its terms and tail bound are below this
 LAMBERT_TERMS = 4000  # a Lambert sum that needs more terms is refused as unsupported
 ZETA_TERMS = 200000  # terms of the direct zeta(2k) sum before its integral tail
@@ -320,9 +317,8 @@ def verify_elliptic_shift(k: int, z: complex, tau: complex) -> dict:
             "z": [z.real, z.imag], "tau": [tau.real, tau.imag]}
 
 
-def sample_points(count: int, seed: int = 20409,
-                  gammas=((0, -1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (1, -1, 1, 0))):
-    """Deterministic (z, tau) samples with Im tau >= 1, safe for all gammas.
+def sample_points(count: int, seed: int = 20409, *, gammas):
+    """Deterministic (z, tau) samples with Im tau >= 1, safe for every gamma of ``gammas``.
 
     Points are chosen so that z and every gamma z reduce comfortably inside
     the fundamental strip of the corresponding tau; this keeps the layer

@@ -62,8 +62,8 @@ class QExpansion:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, truncation: int = DEFAULT_ORDER, offset=0) -> "QExpansion":
-        return cls(offset, [0] * (truncation + 1))
+    def zero(cls, truncation: int = DEFAULT_ORDER) -> "QExpansion":
+        return cls(0, [0] * (truncation + 1))
 
     @classmethod
     def one(cls, truncation: int = DEFAULT_ORDER) -> "QExpansion":
@@ -212,11 +212,8 @@ class QExpansion:
             total += c * q ** m
         return qo * total
 
-    def tail_estimate(self, tau=None, q=None) -> float:
+    def tail_estimate(self, q) -> float:
         """Geometric tail bound |q|**(N+1)/(1-|q|) scaled by recent coefficient size."""
-        import cmath
-        if q is None:
-            q = cmath.exp(2j * cmath.pi * tau)
         aq = abs(q)
         if aq >= 1:
             return float("inf")

@@ -16,8 +16,9 @@ monomials of ``terms`` one by one.
 Every product goes through one kernel, ``CoeffPoly.add_rows_product``: its
 multiplicand is ``rows()``, one row per monomial with the sort keys of the
 monomial's symbols, so a polynomial multiplied by many others is read once,
-and a one-factor monomial of the other operand is placed by bisection on a
-row's keys.  ``add_product`` runs the kernel on the rows of the larger operand.
+and every factor of the other operand's monomials is placed into a row by
+bisection on its keys.  ``add_product`` runs the kernel on the rows of the
+larger operand.
 
 The anomaly Delta f = (c*tau+d)**-w f(gamma.) - f is exp(B D) f - f for the
 derivation D of ``derive``, which ``derive_poly`` extends to polynomials;
@@ -86,7 +87,7 @@ class _SymKeys(dict):
     """symbol -> its sort key (kind rank, then the symbol's arguments), filled on first use.
 
     A dict lookup, where an lru_cache would also build and hash an argument
-    tuple on every call of the monomial merge.
+    tuple on every call.
     """
 
     def __missing__(self, sym):
@@ -108,7 +109,8 @@ class CoeffPoly:
     A monomial is a tuple of (symbol, exponent) pairs in ``_sym_key`` order,
     with no bound on the exponents; ``terms`` is the dict itself.  ``rows()``
     is the same polynomial as the product kernel reads it, and
-    ``add_rows_product`` is the one product loop.
+    ``add_rows_product`` is the one product loop, which places every factor
+    by bisection.
 
     Each monomial's coefficient has one 2*pi*i grade; adding coefficients of
     different grades to the same monomial raises ValueError.
@@ -181,32 +183,6 @@ class CoeffPoly:
     def __sub__(self, other):
         return self + (-other)
 
-    @staticmethod
-    def _mono_mul(m1, m2):
-        """Product of two sorted monomials: a linear merge in ``_sym_key`` order."""
-        if not m1:
-            return m2
-        if not m2:
-            return m1
-        out = []
-        i = j = 0
-        n1, n2 = len(m1), len(m2)
-        while i < n1 and j < n2:
-            s1, e1 = p1 = m1[i]
-            s2, e2 = p2 = m2[j]
-            if s1 == s2:
-                out.append((s1, e1 + e2))
-                i += 1
-                j += 1
-            elif _sym_key(s1) < _sym_key(s2):
-                out.append(p1)
-                i += 1
-            else:
-                out.append(p2)
-                j += 1
-        out.extend(m1[i:] or m2[j:])
-        return tuple(out)
-
     def rows(self) -> list:
         """The multiplicand form of the product kernel: one row per monomial,
         (monomial, the tuple of its symbols' ``_sym_key``s, value, grade)."""
@@ -222,13 +198,12 @@ class CoeffPoly:
         grade; a product whose monomial is new is stored as made, with one
         lookup, and a sum of two grades raises ScaledRational.grade_error.
 
-        A monomial of b with a single factor (s2, e2) is placed into each row
-        by bisection on the row's keys: it bumps an equal symbol's exponent or
-        is spliced in before the first larger symbol.  Every other monomial
-        goes through _mono_mul.
+        Each factor of a monomial of b is placed into the row by bisection on
+        the row's keys: it bumps an equal symbol's exponent or is spliced in,
+        with its key, before the first larger symbol.  A one-factor monomial
+        is placed inline, with no key splice.
         """
         terms = self.terms
-        mono_mul = self._mono_mul
         place = bisect.bisect_left
         make = ScaledRational._make
         for m2, c2 in b.terms.items():
@@ -237,6 +212,8 @@ class CoeffPoly:
             if one:
                 (s2, e2), = m2
                 k2 = _sym_key(s2)
+            else:
+                factors = [(p, _sym_key(p[0])) for p in m2]
             for m1, keys, v1, t1 in rows:
                 if one:
                     i = place(keys, k2)
@@ -245,7 +222,14 @@ class CoeffPoly:
                     else:
                         m = m1[:i] + m2 + m1[i:]
                 else:
-                    m = mono_mul(m1, m2)
+                    m = m1
+                    for p, k in factors:
+                        i = place(keys, k)
+                        if i < len(keys) and keys[i] == k:
+                            m = m[:i] + ((p[0], m[i][1] + p[1]),) + m[i + 1:]
+                        else:
+                            m = m[:i] + (p,) + m[i:]
+                            keys = keys[:i] + (k,) + keys[i:]
                 c = make(v1 * v2, t1 + t2)
                 cur = terms.setdefault(m, c)
                 if cur is c:
@@ -395,24 +379,24 @@ def _layer(i: int, j: int, hi: int, lo: int) -> CoeffPoly:
 
 # -- the anomaly table --------------------------------------------------------
 
-def function_symbol(fn_id: str, hi: int = 2, lo: int = 1) -> tuple:
-    """The symbol a function id names, at positions (hi, lo).
+def function_symbol(fn_id: str) -> tuple:
+    """The symbol a function id names, at positions (hi, lo) = (2, 1).
 
     Ids: "Ptilde_1" (or "P~1"), "P_k" (k >= 1), "G_2k" (even 2k >= 2) and
     "g_i_j" (g^i_j, i, j >= 1).  Any other id raises KeyError.  "P_1" names a
     symbol the engine never stores; it exists here to be evaluated.
     """
     if fn_id in ("Ptilde_1", "P~1"):
-        return ("Pt", hi, lo)
+        return ("Pt", 2, 1)
     name, _, rest = fn_id.partition("_")
     parts = rest.split("_")
     idx = tuple(int(t) for t in parts) if all(t.isdecimal() for t in parts) else ()
     if name == "P" and len(idx) == 1 and idx[0] >= 1:
-        return ("P", idx[0], hi, lo)
+        return ("P", idx[0], 2, 1)
     if name == "G" and len(idx) == 1 and idx[0] >= 2 and idx[0] % 2 == 0:
         return ("G", idx[0])
     if name == "g" and len(idx) == 2 and min(idx) >= 1:
-        return ("g", idx[0], idx[1], hi, lo)
+        return ("g", idx[0], idx[1], 2, 1)
     raise KeyError(f"unknown function id {fn_id!r}")
 
 

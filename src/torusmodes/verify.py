@@ -356,8 +356,8 @@ def suite_hha_weight1():
     spec = hha.weight1_spec()
     yield "configuration_formula_n+s<=6", lambda: all(
         hha.peel_zero_modes(spec, hha.CorrExpression.single(hha.CorrSymbol(
-            ("a",) * s, tuple((p, 0, "a") for p in range(s + 1, s + n + 1)))),
-            list(range(1, s + 1))) == hha.weight1_configuration_formula(n, s)
+            ("a",) * s, tuple((p, 0, "a") for p in range(s + 1, s + n + 1)))))
+        == hha.weight1_configuration_formula(n, s)
         for s in range(0, 7) for n in range(0, 7 - s) if n or s)
     yield "round_trip_s<=4", lambda: all(
         hha.reduce_to_zero_modes(spec, hha.invert_to_full(spec, ("a",) * s))

@@ -246,6 +246,14 @@ def test_lattice_trace_negative_inputs(capsys):
      "error: --z-order -3 is below -2, the leading z order of wp_2"),
     (["--function", "wp_1", "--z-order", "-5"],
      "error: --z-order -5 is below -1, the leading z order of wp_1"),
+    # an index out of the builder's range names the flag
+    (["--function", "P_0"], "error: --function 'P_0': k must be >= 1"),
+    (["--function", "g_0_0"], "error: --function 'g_0_0': j must be >= 1"),
+    (["--function", "g_1_0"], "error: --function 'g_1_0': j must be >= 1"),
+    (["--function", "G_0"], "error: --function 'G_0': weight must be a positive even integer"),
+    (["--function", "G_3"], "error: --function 'G_3': weight must be a positive even integer"),
+    (["--function", "wp_0"], "error: --function 'wp_0': k must be >= 1"),
+    (["--function", "wp_-1"], "error: --function 'wp_-1': k must be >= 1"),
 ])
 def test_expand_malformed_input(capsys, argv, message):
     code, out, err = run(capsys, "expand", *argv)

@@ -17,6 +17,7 @@ from torusmodes.symbols import (ONE, PI_MARK, CoeffPoly, DeltaUnknownError, G, P
                                 UnsupportedError, g, zvar)
 
 from suite_cases import assert_case
+from test_symbols import _reference_mono_mul
 
 
 @pytest.fixture(scope="module")
@@ -323,7 +324,7 @@ def test_reduce_once_is_position_equivariant(case):
     canonical = reduce_once(SPECS[name](), CorrExpression.single(
         _placed(modes, shape, range(1, len(shape) + 1))))
     assert got == _relabeled(canonical, (None,) + tuple(positions))
-    scaled = reduce_once(warm, CorrExpression.single(sym, BASE))
+    scaled = reduce_once(warm, CorrExpression({sym: BASE}))
     assert scaled.terms == {s: p * BASE for s, p in got.terms.items()}
     # the per-shape zero-mode reduction the anomaly reads, moved onto the positions
     zero_modes = CorrExpression(dict(hha._shape_zero_modes(warm, sym.modes, tuple(shape))))
@@ -377,11 +378,10 @@ def test_memo_reduction_matches_repeated_reduce_once(name, build):
     assert not any(sym.insertions for sym in want.terms)
 
 
-def _reference_peel(spec, gens):
-    # the peel term by term, as it read before the product kernel: -poly times
-    # each relabeled tail, every product taken monomial by monomial with _mono_mul
-    positions = range(1, len(gens) + 1)
-    expr = CorrExpression.single(CorrSymbol(gens, ()))
+def _reference_peel(spec, expr, positions):
+    # the peel term by term, as it read before the product kernel, at the given
+    # fresh positions: -poly times each relabeled tail, every product taken
+    # monomial by monomial with _reference_mono_mul
     while any(sym.modes for sym in expr.terms):
         out = CorrExpression()
         for sym, poly in expr.terms.items():
@@ -390,7 +390,7 @@ def _reference_peel(spec, gens):
                 continue
             b = sym.modes[-1]
             used = poly.positions().union(sym.positions())
-            floor = min(sym.positions(), default=len(gens) + 1)
+            floor = min(sym.positions(), default=max(positions) + 1)
             fresh = max(p for p in positions if p < floor and p not in used)
             canon = hha._shape_step(spec, sym.modes[:-1], ((0, b),) + hha._shape(sym))
             label = (None, fresh) + tuple(sym.positions())
@@ -400,7 +400,7 @@ def _reference_peel(spec, gens):
                 product = CoeffPoly()
                 for m1, c1 in minus.terms.items():
                     for m2, c2 in tpoly.relabel(label).terms.items():
-                        product.iadd(CoeffPoly({CoeffPoly._mono_mul(m1, m2): c1 * c2}))
+                        product.iadd(CoeffPoly({_reference_mono_mul(m1, m2): c1 * c2}))
                 out.add_term(hha._relabel_symbol(tsym, label), product)
         expr = out
     return expr
@@ -414,9 +414,41 @@ def test_peel_matches_the_term_by_term_reference(name, gens):
     # the peel multiplies each term's rows by every negated tail; weight 2 from
     # s = 4 on bumps an exponent, which no engine suite reaches
     got = invert_to_full(SPECS[name](), gens)
-    assert got == _reference_peel(SPECS[name](), gens)
+    want = _reference_peel(SPECS[name](), CorrExpression.single(CorrSymbol(gens, ())),
+                           range(1, len(gens) + 1))
+    assert got == want
     if name == "weight2" and len(gens) >= 4:
         assert any(e >= 2 for poly in got.terms.values() for m in poly.terms for _, e in m)
+
+
+@pytest.mark.parametrize("name, terms", [
+    # the term of fewest zero modes first: the candidates come from the largest count
+    pytest.param("weight2", {CorrSymbol(("x",), ()): ONE, CorrSymbol(("x",) * 3, ()): P(2, 5, 4)},
+                 id="weight2-two-terms"),
+    pytest.param("weight2", {CorrSymbol(("x",), ((4, 0, "x"),)): G(2),
+                             CorrSymbol(("x",) * 2, ((3, 0, "x"), (5, 0, "x"))): ONE},
+                 id="weight2-two-terms-insertions-above"),
+    pytest.param("weight1", {CorrSymbol(("a",), ((5, 0, "a"),)): P(2, 7, 6),
+                             CorrSymbol(("a",) * 3, ()): ONE,
+                             CorrSymbol((), ((1, 0, "a"), (2, 0, "a"))): G(4)},
+                 id="weight1-three-terms-insertions-above"),
+    pytest.param("weight2", {CorrSymbol(("x",) * 2, ()): zvar(3),
+                             CorrSymbol(("x",), ()): ONE,
+                             CorrSymbol(("x",) * 3, ((6, 1, "x"),)): ONE},
+                 id="weight2-three-terms"),
+])
+def test_peel_derives_its_fresh_positions(name, terms):
+    # the fresh candidates are 1..s, s the largest zero-mode count of any term
+    s = max(len(sym.modes) for sym in terms)
+    want = _reference_peel(SPECS[name](), CorrExpression(terms), range(1, s + 1))
+    assert hha.peel_zero_modes(SPECS[name](), CorrExpression(terms)) == want
+    assert not any(sym.modes for sym in want.terms)
+
+
+def test_peel_refuses_a_term_with_no_fresh_position():
+    sym = CorrSymbol(("a",) * 2, ((1, 0, "a"),))
+    with pytest.raises(HHAError, match="no fresh position available for peeling"):
+        hha.peel_zero_modes(weight1_spec(), CorrExpression.single(sym))
 
 
 def test_expression_drops_a_symbol_whose_product_cancels():
@@ -465,7 +497,7 @@ def test_weight_check_runs_on_memo_miss(monkeypatch):
     monkeypatch.setattr(hha, "p_layer_coefficient", lambda *args: layer(*args) * G(2))
     sym = CorrSymbol(("x",), ((3, 0, "x"), (7, 0, "x")))
     with pytest.raises(hha.WeightBookkeepingError, match="weight bookkeeping"):
-        reduce_once(weight2_spec(), CorrExpression.single(sym, ONE + P(2, 9, 8)))
+        reduce_once(weight2_spec(), CorrExpression({sym: ONE + P(2, 9, 8)}))
 
 
 def test_accumulation_leaves_shared_polynomials_unchanged():
@@ -497,7 +529,7 @@ def test_accumulation_leaves_shared_polynomials_unchanged():
 GC_PAUSED = {
     "invert_to_full": lambda: invert_to_full(weight2_spec(), ("x",) * 3),
     "peel_zero_modes": lambda: hha.peel_zero_modes(
-        weight1_spec(), CorrExpression.single(CorrSymbol(("a",) * 2, ((3, 0, "a"),))), [1, 2]),
+        weight1_spec(), CorrExpression.single(CorrSymbol(("a",) * 2, ((3, 0, "a"),)))),
     "reduce_to_zero_modes": lambda: reduce_to_zero_modes(
         weight2_spec(), CorrExpression.single(CorrSymbol((), ((1, 0, "x"), (2, 0, "x"))))),
     # a spec file reads N off the reduction; a built-in takes no recursion step

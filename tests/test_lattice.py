@@ -164,7 +164,7 @@ def test_tail_estimate_shrinks_with_order():
     tails = []
     for order in (3, 5, 8):
         series = lt.quasimod_rhs(lt.e8(), 0, order)
-        tails.append(series.tail_estimate(tau=1.5j))
+        tails.append(series.tail_estimate(q=cmath.exp(TWO_PI_I * 1.5j)))
     assert tails[0] > tails[1] > tails[2]
 
 

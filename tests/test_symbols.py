@@ -88,7 +88,8 @@ def _reference_mono_mul(m1, m2):
 def test_mono_mul_is_the_sorted_product(m1, m2):
     for a, b in ((m1, m2), (m2, m1), (m1, m1), (m1, ()), ((), m2), ((), ())):
         want = _reference_mono_mul(a, b)
-        assert CoeffPoly._mono_mul(a, b) == want
+        assert CoeffPoly().add_rows_product(CoeffPoly({b: 1}).rows(),
+                                            CoeffPoly({a: 1})).terms == {want: 1}
         assert (CoeffPoly({a: 1}) * CoeffPoly({b: 1})).terms == {want: 1}
 
 
@@ -99,7 +100,7 @@ def test_one_factor_merge_matches_mono_mul(terms, e, with_empty):
     # add_product places a one-factor monomial of the operand with fewer terms
     # straight into the other operand's monomials; every symbol lands at the
     # front, in the middle, at the end of or on an equal symbol of each
-    # monomial, and _mono_mul is the reference
+    # monomial, and _reference_mono_mul is the reference
     a = _poly(dict(terms))
     m1 = terms[0][0]
     for sym in MERGE_SYMBOLS:
@@ -108,24 +109,24 @@ def test_one_factor_merge_matches_mono_mul(terms, e, with_empty):
         want = {}
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
-                m = CoeffPoly._mono_mul(ma, mb)
+                m = _reference_mono_mul(ma, mb)
                 want[m] = want[m] + ca * cb if m in want else ca * cb
         want = {m: c for m, c in want.items() if c}
         assert (a * b).terms == want  # ScaledRational equality compares grades too
         assert b * a == a * b
         grade = a.terms[m1].tpi + b.terms[one].tpi
-        clash = CoeffPoly({CoeffPoly._mono_mul(m1, one): ScaledRational(1, grade + 1)})
+        clash = CoeffPoly({_reference_mono_mul(m1, one): ScaledRational(1, grade + 1)})
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="cannot add grades"):
                 clash.copy().add_product(x, y)
 
 
 def _reference_product(a, b):
-    # a*b by _mono_mul on every pair of monomials, summed with ScaledRational's operators
+    # a*b by _reference_mono_mul on every pair of monomials, summed with ScaledRational's operators
     want = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            m = CoeffPoly._mono_mul(ma, mb)
+            m = _reference_mono_mul(ma, mb)
             want[m] = want[m] + ca * cb if m in want else ca * cb
     return {m: c for m, c in want.items() if c}
 
@@ -161,8 +162,32 @@ def test_rows_kernel_places_a_one_factor_monomial(sym, want):
     row = ((("G", 4), 3), (("P", 2, 2, 1), 1), (("z", 1), 2))
     out = CoeffPoly().add_rows_product(_poly({row: 1}).rows(), _poly({((sym, 5),): 1}))
     (mono,) = out.terms
-    assert mono == CoeffPoly._mono_mul(row, ((sym, 5),)) and want in mono
+    assert mono == _reference_mono_mul(row, ((sym, 5),)) and want in mono
     assert len(mono) == len(row) + (want[1] == 5)
+
+
+_P3, _g1, _z2 = (("P", 2, 2, 1), 3), (("g", 1, 3, 3, 2), 1), (("z", 1), 2)  # the row's factors
+
+
+@pytest.mark.parametrize("m2, want", [
+    pytest.param(((("G", 2), 5), (("G", 4), 6)), ((("G", 2), 5), (("G", 4), 6), _P3, _g1, _z2),
+                 id="both-before-the-first"),
+    pytest.param(((("P", 2, 2, 1), 5), (("Pt", 2, 1), 6)),
+                 ((("P", 2, 2, 1), 8), (("Pt", 2, 1), 6), _g1, _z2),
+                 id="one-on-an-equal-one-between-two"),
+    pytest.param(((("Pt", 2, 1), 5), (("Pt", 3, 1), 6)),
+                 (_P3, (("Pt", 2, 1), 5), (("Pt", 3, 1), 6), _g1, _z2),
+                 id="second-after-the-spliced-first"),
+    pytest.param(((("z", 2), 5), (("pi",), 6)), (_P3, _g1, _z2, (("z", 2), 5), (("pi",), 6)),
+                 id="both-after-the-last"),
+])
+def test_rows_kernel_places_a_two_factor_monomial(m2, want):
+    # the factors are placed one at a time, each by bisection on the row's keys
+    # with the keys of the factors placed before it spliced in
+    row = (_P3, _g1, _z2)
+    out = CoeffPoly().add_rows_product(_poly({row: 2}).rows(), _poly({m2: 3}))
+    assert list(out.terms) == [want] and want == _reference_mono_mul(row, m2)
+    assert out.terms[want].value == 6
 
 
 def test_rows_kernel_refuses_mixed_grades():

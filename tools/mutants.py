@@ -73,6 +73,9 @@ MUTANTS = [
     ("elliptic.py", "sign = (-1) ** k", "sign = -(-1) ** k", ("elliptic-formal",)),
     ("symbols.py", "((s2, m1[i][1] + e2),)", "((s2, m1[i][1]),)", ("elliptic-numeric",)),
     ("symbols.py", "bisect.bisect_left", "bisect.bisect_right", ("elliptic-numeric",)),
+    ("symbols.py", "((p[0], m[i][1] + p[1]),)", "((p[0], m[i][1]),)", ("elliptic-numeric",)),
+    ("symbols.py", "keys = keys[:i] + (k,) + keys[i:]", "keys = keys",
+     ("elliptic-numeric", "hha-contraction")),
     ("symbols.py", "s[1] + s[2]", "s[1] + s[2] + 1",
      ("elliptic-numeric", "hha-weight2", "hha-contraction")),
     ("hha.py", "Fraction(1, k)", "1", ("hha-weight1", "hha-weight2", "lattice-modular")),
