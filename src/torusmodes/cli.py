@@ -187,11 +187,19 @@ _INPUTS = {"spec": (hha.BUILTIN_SPECS, hha.HHASpec.from_json),
            "lattice": (lt.PRESETS, lt.EvenLattice.from_json)}
 
 
+@cache
+def _builtin(what: str, name: str):
+    """The built-in ``what`` called ``name``, built once per process: its memos
+    serve every later query in the process."""
+    return _INPUTS[what][0][name]()
+
+
 def _load(what: str, name: str):
-    """The built-in ``what`` called ``name``, else the ``what`` of the JSON file ``name``."""
+    """The built-in ``what`` called ``name``, else the ``what`` of the JSON file
+    ``name``, read anew on every call."""
     builtins, from_json = _INPUTS[what]
     if name in builtins:
-        return builtins[name]()
+        return _builtin(what, name)
     try:
         with open(name) as fh:
             data = json.load(fh)

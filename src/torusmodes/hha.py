@@ -27,10 +27,13 @@ Correlator symbols are kept in a normal form in which identity insertions
 are dropped and a lone insertion of an L[-1]-descendant annihilates the
 trace; states are always expanded onto the (L-power, generator) basis.
 Each spec memoizes, by symbol shape (zero modes plus the (L-power, generator)
-of each insertion) and for the life of the spec, the commuting recursion step
-and the full reduction to zero-mode correlators (that step with each term
-reduced through its own shape's entry), both at positions 1..n; reductions,
-the peel and the anomaly read these memos and relabel them onto their positions.
+of each insertion) and for the life of the spec, the commuting recursion step,
+the same step with its tails negated as the peel reads it, and the full
+reduction to zero-mode correlators (that step with each term reduced through
+its own shape's entry), all at positions 1..n; reductions, the peel and the
+anomaly read these memos and relabel them onto their positions.  The inputs of
+a step, the square actions of its d-states and its layer coefficients, are
+memoized on the spec too, so a step shares them with every other shape.
 It also memoizes N of each sorted zero-mode multiset, checked against the
 reduction on every spec but the two built-ins.
 The public entry points (invert_to_full, peel_zero_modes, reduce_to_zero_modes,
@@ -188,6 +191,11 @@ class HHASpec:
         # valid because the table is fixed from here on
         self.shape_memo = {}
         self.zero_mode_memo = {}
+        # the inputs of those steps (see _reduce_shape) and the peel's form of
+        # them (see _peel_step), each computed once
+        self.action_memo = {}
+        self.layer_memo = {}
+        self.peel_memo = {}
         # N of each sorted zero-mode multiset (see _linear_anomaly)
         self.anomaly_memo = {}
         # set by weight1_spec and weight2_spec alone: N skips the reduction's check
@@ -559,39 +567,61 @@ def _shape_step(spec: HHASpec, modes, shape) -> tuple:
 
 
 def _reduce_shape(spec: HHASpec, modes, shape) -> tuple:
-    """reduce_once of F(modes; shape at positions 1..n) with coefficient ONE, as term pairs."""
+    """reduce_once of F(modes; shape at positions 1..n) with coefficient ONE, as term pairs.
+
+    Its square actions and layer coefficients come from memos that every shape
+    of the spec shares; a canonical step's first insertion sits at position 1."""
     sym = CorrSymbol(modes, tuple((p, d, g_) for p, (d, g_) in enumerate(shape, 1)))
-    (p1, d1, g1), rest = sym.insertions[0], sym.insertions[1:]
+    (_, d1, g1), rest = sym.insertions[0], sym.insertions[1:]
     out = CorrExpression()
     if d1 == 0:
         out.add_term(CorrSymbol(modes + (g1,), rest), ONE)
     if not rest:
         return tuple(out.terms.items())
     W = sym.weight(spec)
-    first = basis(g1, d1)
     for s_gens, mult in _sub_multisets(sym.mode_counts()):
-        d = d_state(spec, s_gens, first)
-        if not d:
-            continue
         remaining = list(modes)
         for g_ in s_gens:
             remaining.remove(g_)
-        layer = lambda m, pj: p_layer_coefficient(len(s_gens), m, pj, p1) * mult
-        for tail in _tails(spec, d, rest, tuple(remaining), layer):
+        layer = lambda m, pj: _layer_coefficient(spec, len(s_gens), m, pj, mult)
+        for tail in _tails(spec, s_gens, (d1, g1), rest, tuple(remaining), layer):
             _assert_tail_weight(spec, tail, W)
             out.add_terms(tail)
     return tuple(out.terms.items())
 
 
-def _tails(spec: HHASpec, d: dict, rest, modes, layer):
-    """The recursion tails of one d-state: for every other insertion (p_j, a^j)
-    and every m >= 0, d[m] a^j attached at p_j with coefficient layer(m, p_j)."""
+def _tails(spec: HHASpec, s_gens, first, rest, modes, layer):
+    """The recursion tails of the d-state of ``s_gens`` on the first insertion
+    ``first`` = (L-power, generator): for every other insertion (p_j, a^j) and
+    every m >= 0, d[m] a^j attached at p_j with coefficient layer(m, p_j)."""
     for pj, dj, gj in rest:
         other = [ins for ins in rest if ins[0] != pj]
-        for m in range(0, _m_bound(spec, d, dj) + 1):
-            st = square_action(spec, d, m, basis(gj, dj))
-            if st:
-                yield attach_insertion(spec, modes, other, pj, st, layer(m, pj))
+        for m, st in _square_actions(spec, s_gens, first, (dj, gj)):
+            yield attach_insertion(spec, modes, other, pj, st, layer(m, pj))
+
+
+def _square_actions(spec: HHASpec, s_gens, first, target) -> tuple:
+    """The (m, d[m] target) pairs with a nonzero state, for the d-state d of
+    ``s_gens`` on ``first`` and ``target`` = (L-power, generator), from the spec's memo."""
+    key = (s_gens, first, target)
+    acts = spec.action_memo.get(key)
+    if acts is None:
+        (d1, g1), (dj, gj) = first, target
+        d = d_state(spec, s_gens, basis(g1, d1))
+        acts = spec.action_memo[key] = tuple(
+            (m, st) for m in range(_m_bound(spec, d, dj) + 1)
+            if (st := square_action(spec, d, m, basis(gj, dj))))
+    return acts
+
+
+def _layer_coefficient(spec: HHASpec, s_len: int, m: int, pj: int, mult: int) -> CoeffPoly:
+    """p_layer_coefficient(s_len, m, pj, 1) * mult, the coefficient of a tail
+    of a step whose first insertion sits at position 1, from the spec's memo."""
+    key = (s_len, m, pj, mult)
+    layer = spec.layer_memo.get(key)
+    if layer is None:
+        layer = spec.layer_memo[key] = p_layer_coefficient(s_len, m, pj, 1) * mult
+    return layer
 
 
 def _assert_tail_weight(spec, tail: CorrExpression, W):
@@ -638,18 +668,15 @@ def reduce_once_ordered(spec: HHASpec, modes, insertions) -> CorrExpression:
         out.add_term(CorrSymbol((g1,) + modes, rest), ONE)
     if not rest:
         return out
-    first = basis(g1, d1)
     indices = range(len(modes))
     for kept_mask in range(1 << len(modes)):
         kept_modes = tuple(modes[i] for i in indices if kept_mask >> i & 1)
         comp = tuple(i for i in indices if not kept_mask >> i & 1)
         for u in permutations(comp):  # s = full tuple: the one empty permutation
-            d = d_state(spec, tuple(modes[i] for i in u), first)
-            if d:
-                des = descent_count(u)
-                layer = lambda m, pj: _ordered_layer(len(u), des, m, pj, p1)
-                for tail in _tails(spec, d, rest, kept_modes, layer):
-                    out.add_terms(tail)
+            des = descent_count(u)
+            layer = lambda m, pj: _ordered_layer(len(u), des, m, pj, p1)
+            for tail in _tails(spec, tuple(modes[i] for i in u), (d1, g1), rest, kept_modes, layer):
+                out.add_terms(tail)
     return out
 
 
@@ -718,9 +745,9 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
     The fresh positions are 1..s, for s the largest number of zero modes of
     any term of ``expr``; a term with no free candidate below its lowest
     insertion raises HHAError.  Each step reads a term's polynomial once, as
-    rows, and adds the rows times every negated tail of the step (small
-    polynomials, most of them one coefficient symbol times a constant) into
-    the polynomial of the tail's symbol.
+    rows, and adds the rows times every tail of the step, negated once per
+    shape in :func:`_peel_step` (small polynomials, most of them one
+    coefficient symbol times a constant), into the polynomial of the tail's symbol.
     """
     positions = range(1, max((len(sym.modes) for sym in expr.terms), default=0) + 1)
     while any(sym.modes for sym in expr.terms):
@@ -735,17 +762,28 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
             fresh = max((p for p in positions if p < floor and p not in used), default=None)
             if fresh is None:
                 raise HHAError(f"no fresh position available for peeling {sym!r}")
-            # F(target) = F(sym) + tails, so F(sym) = F(target) - tails
-            canon = _shape_step(spec, sym.modes[:-1], ((0, b),) + _shape(sym))
+            canon = _peel_step(spec, sym.modes[:-1], ((0, b),) + _shape(sym))
             label = (None, fresh) + tuple(sym.positions())
             if not canon or _relabel_symbol(canon[0][0], label) != sym or canon[0][1] != ONE:
                 raise HHAError(f"peel head mismatch for {sym!r}")
             out.add_term(CorrSymbol(sym.modes[:-1], sym.insertions + ((fresh, 0, b),)), poly)
             rows = poly.rows()
             for tsym, tpoly in canon[1:]:
-                out.add_rows_product(_relabel_symbol(tsym, label), rows, -tpoly.relabel(label))
+                out.add_rows_product(_relabel_symbol(tsym, label), rows, tpoly.relabel(label))
         expr = out
     return expr
+
+
+def _peel_step(spec: HHASpec, modes, shape) -> tuple:
+    """The step of one shape at positions 1..n as the peel reads it, from the
+    spec's memo: the head pair of :func:`_shape_step`, then its tails negated,
+    since F(head) = F(sym) + tails gives F(sym) = F(head) - tails."""
+    key = (modes, shape)
+    canon = spec.peel_memo.get(key)
+    if canon is None:
+        step = _shape_step(spec, modes, shape)
+        canon = spec.peel_memo[key] = step[:1] + tuple((tsym, -tpoly) for tsym, tpoly in step[1:])
+    return canon
 
 
 def weight1_configuration_formula(n: int, s: int) -> CorrExpression:

@@ -205,7 +205,7 @@ class CoeffPoly:
         """
         terms = self.terms
         place = bisect.bisect_left
-        make = ScaledRational._make
+        new, SR = object.__new__, ScaledRational
         for m2, c2 in b.terms.items():
             v2, t2 = c2.value, c2.tpi
             one = len(m2) == 1
@@ -230,14 +230,21 @@ class CoeffPoly:
                         else:
                             m = m[:i] + (p,) + m[i:]
                             keys = keys[:i] + (k,) + keys[i:]
-                c = make(v1 * v2, t1 + t2)
+                # one new coefficient per product, as ScaledRational._make builds
+                # it (a product of nonzero values is nonzero); a collision
+                # stores the sum in it rather than in a second object
+                c = new(SR)
+                v = v1 * v2
+                c.value = v if v.__class__ is int or v.denominator != 1 else v.numerator
+                c.tpi = t1 + t2
                 cur = terms.setdefault(m, c)
                 if cur is c:
                     continue
                 if cur.tpi != c.tpi:
-                    raise ScaledRational.grade_error(cur.tpi, c.tpi)
+                    raise SR.grade_error(cur.tpi, c.tpi)
                 if v := cur.value + c.value:
-                    terms[m] = make(v, c.tpi)
+                    c.value = v if v.__class__ is int or v.denominator != 1 else v.numerator
+                    terms[m] = c
                 else:
                     del terms[m]
         return self

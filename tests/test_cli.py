@@ -105,6 +105,25 @@ def test_reduce_with_spec_file(capsys, tmp_path):
     assert "F((x,1),(x,2))" in out
 
 
+def test_repeated_reduce_shares_one_built_in_spec(capsys):
+    # a built-in is built once per process, so a repeated query reads the memos
+    # of the first and prints the same bytes
+    first = run(capsys, "reduce", "--spec", "weight2", "--correlator", "x0^3")
+    spec = cli._load("spec", "weight2")
+    second = run(capsys, "reduce", "--spec", "weight2", "--correlator", "x0^3")
+    assert first[0] == 0 and second == first
+    assert cli._load("spec", "weight2") is spec and spec.shape_memo and spec.peel_memo
+    assert cli._load("lattice", "e8") is cli._load("lattice", "e8")
+
+
+def test_rewritten_spec_file_is_read_again(capsys, tmp_path):
+    path = tmp_path / "w1.json"
+    for pairing, want in ((1, "1"), (Fraction(3, 2), "3/2")):
+        path.write_text(json.dumps(hha.weight1_spec(pairing=pairing).to_json()))
+        code, out, _ = run(capsys, "anomaly", "--spec", str(path), "--correlator", "a0^2")
+        assert code == 0 and json.loads(out) == {"k1": [[want, "F()"]]}
+
+
 def test_reduce_unknown_generator(capsys):
     code, _, err = run(capsys, "reduce", "--spec", "weight1", "--correlator", "q0^2")
     assert code == 2 and "unknown generators" in err

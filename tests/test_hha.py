@@ -308,10 +308,21 @@ def _relabeled(expr, label):
     return out
 
 
+def _copied(entry):
+    """A memo entry with every polynomial and state copied into a plain dict."""
+    if isinstance(entry, CoeffPoly):
+        return dict(entry.terms)
+    if isinstance(entry, dict):
+        return dict(entry)
+    if isinstance(entry, tuple):
+        return tuple(_copied(item) for item in entry)
+    return entry
+
+
 def _memo_snapshot(spec):
-    return {(memo, key): [(sym, dict(poly.terms)) for sym, poly in terms]
-            for memo in ("shape_memo", "zero_mode_memo")
-            for key, terms in getattr(spec, memo).items()}
+    return {(memo, key): _copied(entry)
+            for memo in ("shape_memo", "zero_mode_memo", "peel_memo", "action_memo", "layer_memo")
+            for key, entry in getattr(spec, memo).items()}
 
 
 @given(placed_shapes())
@@ -342,6 +353,19 @@ def test_repeated_reduce_once_leaves_memo_unchanged(case):
     assert reduce_once(spec, CorrExpression.single(sym)) == first
     reduce_once(spec, CorrExpression.single(_placed(modes, shape, [2 * p for p in positions])))
     assert _memo_snapshot(spec) == snapshot
+
+
+@given(placed_shapes())
+def test_shape_step_on_a_warm_spec_is_the_fresh_step(case):
+    # the step of a shape and its peel form, built from memos that other shapes
+    # filled, term for term and in the same order as on a spec that has none
+    name, modes, shape, _ = case
+    warm, fresh = WARM_SPECS[name], SPECS[name]()
+    shape = tuple(shape)
+    step, peel = hha._shape_step(warm, modes, shape), hha._peel_step(warm, modes, shape)
+    assert step == hha._shape_step(fresh, modes, shape)
+    assert peel == hha._peel_step(fresh, modes, shape)
+    assert peel == step[:1] + tuple((sym, -poly) for sym, poly in step[1:])
 
 
 def _reduce_by_passes(spec, expr):
@@ -502,7 +526,7 @@ def test_weight_check_runs_on_memo_miss(monkeypatch):
 
 def test_accumulation_leaves_shared_polynomials_unchanged():
     # a CorrExpression accumulates in place into its own copies: the global ONE,
-    # a caller's polynomial and the entries of both shape memos are never changed
+    # a caller's polynomial and the entries of every memo of the spec are never changed
     spec = weight2_spec()
     invert_to_full(spec, ("x",) * 4)
     hha.anomaly_of_zero_modes(spec, ("x",) * 3)

@@ -51,8 +51,9 @@ MUTANTS = [
      ("lattice-oracle", "lattice-modular")),
     ("hha.py", "d = {key: -c for key, c in d.items()}", "d = {key: c for key, c in d.items()}",
      ("hha-weight2",)),
-    ("hha.py", "rows, -tpoly.relabel(label))", "rows, tpoly.relabel(label))",
-     ("hha-weight1", "hha-weight2")),
+    ("hha.py", "(tsym, -tpoly) for", "(tsym, tpoly) for", ("hha-weight1", "hha-weight2")),
+    ("hha.py", "key = (s_len, m, pj, mult)", "key = (s_len, m, pj)",
+     ("hha-weight2", "hha-contraction")),
     ("hha.py", "tpoly = tpoly.relabel(label)", "tpoly = tpoly",
      ("hha-weight1", "hha-weight2", "hha-contraction")),
     ("lattice.py", "Fraction(ip2, sub_gram[0][0])", "Fraction(ip2, 2 * sub_gram[0][0])",
