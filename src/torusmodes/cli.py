@@ -278,9 +278,9 @@ def _zero_mode_generators(spec: hha.HHASpec, correlator: str) -> tuple:
         gens = hha.parse_zero_mode_correlator(correlator)
     except ValueError as exc:
         raise UsageError(f"--correlator {exc}") from None
-    unknown = [g_ for g_ in gens if g_ not in spec.weights]
+    unknown = sorted({g_ for g_ in gens if g_ not in spec.weights})
     if unknown:
-        raise UsageError(f"correlator references unknown generators {unknown}")
+        raise UsageError(f"--correlator references unknown generators {unknown}")
     return gens
 
 

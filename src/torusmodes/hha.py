@@ -51,7 +51,8 @@ from math import comb, factorial, perm
 
 from .combinatorics import descent_count, recursion_coefficient
 from .scaled import ScaledRational, as_fraction, format_fraction
-from .symbols import CoeffPoly, ONE, P, UnsupportedError, derive_poly, p_layer_coefficient
+from .symbols import (_MOVES, CoeffPoly, ONE, P, UnsupportedError, add_products, derive_poly,
+                      p_layer_coefficient)
 
 
 class HHAError(ValueError):
@@ -440,15 +441,6 @@ class CorrExpression:
         elif not cur.iadd(poly):
             del self.terms[sym]
 
-    def add_rows_product(self, sym: CorrSymbol, rows, b: CoeffPoly):
-        """Add rows*b (``rows`` from CoeffPoly.rows) into the polynomial this
-        expression owns for ``sym``."""
-        cur = self.terms.get(sym)
-        if cur is None:
-            cur = self.terms[sym] = CoeffPoly()
-        if not cur.add_rows_product(rows, b):
-            del self.terms[sym]
-
     def add_terms(self, other: "CorrExpression"):
         for sym, poly in other.terms.items():
             self.add_term(sym, poly)
@@ -535,22 +527,56 @@ def _map_shapes(spec: HHASpec, terms, shape_terms) -> CorrExpression:
     ``shape_terms(spec, modes, shape)``, its shape's canonical result at
     positions 1..n, relabeled onto the symbol's positions and multiplied by
     the polynomial; terms without insertions pass through.  The polynomial is
-    read once, as rows, and multiplies every relabeled entry with no more
-    terms; a larger entry is read as rows itself and multiplied by the polynomial."""
+    read once, as rows, and multiplies every entry with no more terms in one
+    kernel call, each factor relabeled through the label's move map; a larger
+    entry is read as relabeled rows itself and multiplied by the polynomial."""
     out = CorrExpression()
     for sym, poly in terms:
         if not sym.insertions:
             out.add_term(sym, poly)
             continue
         label = (None,) + tuple(sym.positions())
-        rows = poly.rows()
+        moves = _MOVES[label]
+        rows, entries, targets = poly.rows(), [], []
         for tsym, tpoly in shape_terms(spec, sym.modes, _shape(sym)):
-            tpoly = tpoly.relabel(label)
+            tsym = _relabel_symbol(tsym, label)
+            dest = _target(out.terms, tsym)
+            targets.append((out.terms, tsym, dest))
             if len(tpoly.terms) > len(rows):
-                out.add_rows_product(_relabel_symbol(tsym, label), tpoly.rows(), poly)
+                add_products(_moved_rows(tpoly, moves), poly.entries(dest))
             else:
-                out.add_rows_product(_relabel_symbol(tsym, label), rows, tpoly)
+                entries += _moved_entries(tpoly, moves, dest)
+        add_products(rows, entries)
+        _drop_cancelled(targets)
     return out
+
+
+def _moved_rows(poly: CoeffPoly, moves) -> list:
+    """``poly.rows()`` with every factor relabeled through the move map ``moves``."""
+    move = moves.__getitem__
+    return [(*zip(*map(move, m)), c.value, c.tpi) if m else ((), (), c.value, c.tpi)
+            for m, c in poly.terms.items()]
+
+
+def _moved_entries(poly: CoeffPoly, moves, dest: dict) -> list:
+    """The product kernel's entries of ``poly``, aimed at ``dest``, with every
+    factor relabeled through the move map ``moves``."""
+    return [(dest, tuple([moves[p] for p in m]), c.value, c.tpi) for m, c in poly.terms.items()]
+
+
+def _target(terms: dict, sym: CorrSymbol) -> dict:
+    """The monomials of ``terms[sym]``, a new zero polynomial's if ``sym`` has none."""
+    poly = terms.get(sym)
+    if poly is None:
+        poly = terms[sym] = CoeffPoly()
+    return poly.terms
+
+
+def _drop_cancelled(targets):
+    """Drop every (terms, symbol, monomials) target whose polynomial cancelled to zero."""
+    for terms, sym, dest in targets:
+        if not dest:
+            del terms[sym]
 
 
 def _shape(sym: CorrSymbol) -> tuple:
@@ -744,20 +770,26 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
 
     The fresh positions are 1..s, for s the largest number of zero modes of
     any term of ``expr``; a term with no free candidate below its lowest
-    insertion raises HHAError.  Each step reads a term's polynomial once, as
-    rows, and adds the rows times every tail of the step, negated once per
-    shape in :func:`_peel_step` (small polynomials, most of them one
-    coefficient symbol times a constant), into the polynomial of the tail's symbol.
+    insertion raises HHAError.  ``expr`` is copied once, and the peel owns
+    every polynomial after that: a head takes over its term's polynomial, and
+    finished correlators stay in one dict for every round.  Each step reads a
+    term's polynomial once, as rows with the positions it uses, and adds the
+    rows times every tail of the step, negated once per shape in
+    :func:`_peel_step` (small polynomials, most of them one coefficient symbol
+    times a constant), in one kernel call, each tail factor relabeled through
+    the label's move map into the polynomial of the tail's symbol.
     """
-    positions = range(1, max((len(sym.modes) for sym in expr.terms), default=0) + 1)
-    while any(sym.modes for sym in expr.terms):
-        out = CorrExpression()
-        for sym, poly in expr.terms.items():
-            if not sym.modes:
-                out.add_term(sym, poly)
-                continue
+    todo, done = {}, {}
+    for sym, poly in expr.terms.items():
+        if poly:
+            (todo if sym.modes else done)[sym] = poly.copy()
+    positions = range(1, max((len(sym.modes) for sym in todo), default=0) + 1)
+    while todo:
+        nxt = {}
+        for sym, poly in todo.items():
             b = sym.modes[-1]
-            used = poly.positions().union(sym.positions())
+            rows, used = poly.rows_and_positions()
+            used.update(sym.positions())
             floor = min(sym.positions(), default=positions.stop)
             fresh = max((p for p in positions if p < floor and p not in used), default=None)
             if fresh is None:
@@ -766,12 +798,28 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
             label = (None, fresh) + tuple(sym.positions())
             if not canon or _relabel_symbol(canon[0][0], label) != sym or canon[0][1] != ONE:
                 raise HHAError(f"peel head mismatch for {sym!r}")
-            out.add_term(CorrSymbol(sym.modes[:-1], sym.insertions + ((fresh, 0, b),)), poly)
-            rows = poly.rows()
+            # fresh sits below every insertion, so the head's insertions stay sorted
+            head = CorrSymbol._of_sorted(sym.modes[:-1], ((fresh, 0, b),) + sym.insertions)
+            terms = nxt if head.modes else done
+            cur = terms.get(head)
+            if cur is None:
+                terms[head] = poly
+            elif not cur.iadd(poly):
+                del terms[head]
+            moves = _MOVES[label]
+            entries, targets = [], []
             for tsym, tpoly in canon[1:]:
-                out.add_rows_product(_relabel_symbol(tsym, label), rows, tpoly.relabel(label))
-        expr = out
-    return expr
+                tsym = _relabel_symbol(tsym, label)
+                terms = nxt if tsym.modes else done
+                dest = _target(terms, tsym)
+                targets.append((terms, tsym, dest))
+                entries += _moved_entries(tpoly, moves, dest)
+            add_products(rows, entries)
+            _drop_cancelled(targets)
+        todo = nxt
+    out = CorrExpression()
+    out.terms = done
+    return out
 
 
 def _peel_step(spec: HHASpec, modes, shape) -> tuple:

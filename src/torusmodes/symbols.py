@@ -13,12 +13,15 @@ inspects polynomials through CoeffPoly's methods, and reads a constant as the
 coefficient of the empty monomial; numerics.poly_value evaluates the
 monomials of ``terms`` one by one.
 
-Every product goes through one kernel, ``CoeffPoly.add_rows_product``: its
-multiplicand is ``rows()``, one row per monomial with the sort keys of the
-monomial's symbols, so a polynomial multiplied by many others is read once,
-and every factor of the other operand's monomials is placed into a row by
-bisection on its keys.  ``add_product`` runs the kernel on the rows of the
-larger operand.
+Every product goes through one kernel, ``add_products``: its multiplicand is
+``rows()``, one row per monomial with the sort keys of the monomial's
+symbols, so a polynomial multiplied by many others is read once, and its
+other operand is a list of entries, each a monomial's factors with their keys
+and a coefficient aimed at a destination polynomial, so one call multiplies
+the rows by terms bound for many polynomials.  Every factor is placed into a
+row by bisection on its keys.  ``CoeffPoly.add_rows_product`` is the kernel
+with every entry aimed at one polynomial, and ``add_product`` runs it on the
+rows of the larger operand.
 
 The anomaly Delta f = (c*tau+d)**-w f(gamma.) - f is exp(B D) f - f for the
 derivation D of ``derive``, which ``derive_poly`` extends to polynomials;
@@ -98,9 +101,124 @@ class _SymKeys(dict):
 _SYM_KEYS = _SymKeys()
 _sym_key = _SYM_KEYS.__getitem__
 
+# kind rank -> the slice of a symbol, or of its sort key, that holds positions
+_SLOTS_BY_RANK = tuple(kind.slots for kind in sorted(_KINDS.values(), key=lambda k: k.rank))
 
-# label -> {(symbol, exponent): the relabelled pair}, filled as CoeffPoly.relabel meets them
-_MOVES: dict = {}
+
+class _PairKeys(dict):
+    """(symbol, exponent) -> the symbol's sort key with the exponent appended,
+    filled on first use.
+
+    Every symbol of a kind has as many arguments as every other, so keys of
+    one rank have one length, and a list of these flat keys sorts monomials
+    as the list of (sort key, exponent) pairs does, with cheaper comparisons.
+    """
+
+    def __missing__(self, pair):
+        key = self[pair] = _sym_key(pair[0]) + (pair[1],)
+        return key
+
+
+_pair_key = _PairKeys().__getitem__
+
+
+class _Moves(dict):
+    """(symbol, exponent) -> (the pair with each position p moved to label[p],
+    the moved symbol's sort key), for one increasing ``label``, filled on first use."""
+
+    __slots__ = ("label",)
+
+    def __missing__(self, pair):
+        s = pair[0]
+        slots = _kind(s).slots
+        if slots is not None:
+            s = s[:slots.start] + tuple(self.label[i] for i in s[slots]) + s[slots.stop:]
+        moved = self[pair] = ((s, pair[1]), _sym_key(s))
+        return moved
+
+
+class _MovesByLabel(dict):
+    """label -> its ``_Moves`` map, kept for the life of the process."""
+
+    def __missing__(self, label):
+        moves = self[label] = _Moves()
+        moves.label = label
+        return moves
+
+
+_MOVES = _MovesByLabel()
+
+
+def add_products(rows, entries) -> None:
+    """The product kernel: add every row times every entry into the entry's
+    destination, in place, dropping monomials that cancel.
+
+    ``rows`` is ``a.rows()`` of a polynomial a, read once however many entries
+    it is multiplied by.  An entry ``(terms, factors, value, grade)`` stands
+    for the monomial ``factors`` with coefficient ScaledRational(value, grade):
+    ``factors`` are its (symbol, exponent) pairs in ``_sym_key`` order, each
+    paired with its symbol's key, and ``terms`` is the dict of the polynomial
+    the products go to (not a's).  Entries may share a destination; one that
+    cancels to empty is left empty, for the caller to drop.
+
+    The kernel runs row by row.  The factor of a one-factor entry that lands
+    past the last or before the first symbol of the row is spliced on with one
+    concatenation.  Any other factor is placed by bisection on the row's keys:
+    it bumps an equal symbol's exponent or is spliced in before the first
+    larger symbol, with its key for the entry's next factor.  The coefficients
+    are multiplied and summed as ScaledRational's operators do, on value and
+    grade; a product whose monomial is new is stored as made, with one lookup,
+    and a sum of two grades raises ScaledRational.grade_error.
+    """
+    place = bisect.bisect_left
+    new, SR = object.__new__, ScaledRational
+    # a one-factor entry as (terms, pair, key, value, grade), any other as
+    # (terms, None, factors, value, grade)
+    entries = [(t, *f[0], v, g) if len(f) == 1 else (t, None, f, v, g) for t, f, v, g in entries]
+    for m1, keys, v1, t1 in rows:
+        # () sorts before every key, so an empty row takes each factor at its end
+        first, last = (keys[0], keys[-1]) if keys else ((), ())
+        for terms, p, k, v2, t2 in entries:
+            if p is not None:
+                if k > last:
+                    m = m1 + (p,)
+                elif k < first:
+                    m = (p,) + m1
+                else:
+                    i = place(keys, k)
+                    m = [*m1]
+                    if keys[i] == k:
+                        m[i] = (p[0], m1[i][1] + p[1])
+                    else:
+                        m.insert(i, p)
+                    m = tuple(m)
+            else:
+                m, ks, factors = [*m1], [*keys], k
+                for p, k in factors:
+                    i = place(ks, k)
+                    if i < len(ks) and ks[i] == k:
+                        m[i] = (p[0], m[i][1] + p[1])
+                    else:
+                        m.insert(i, p)
+                        ks.insert(i, k)
+                m = tuple(m)
+            # one new coefficient per product, as ScaledRational._make builds
+            # it (a product of nonzero values is nonzero); a collision
+            # stores the sum in it rather than in a second object
+            c = new(SR)
+            v = v1 * v2
+            c.value = v if v.__class__ is int or v.denominator != 1 else v.numerator
+            c.tpi = t1 + t2
+            cur = terms.setdefault(m, c)
+            if cur is c:
+                continue
+            if cur.tpi != c.tpi:
+                raise SR.grade_error(cur.tpi, c.tpi)
+            if v := cur.value + c.value:
+                c.value = v if v.__class__ is int or v.denominator != 1 else v.numerator
+                terms[m] = c
+            else:
+                del terms[m]
 
 
 class CoeffPoly:
@@ -108,9 +226,8 @@ class CoeffPoly:
 
     A monomial is a tuple of (symbol, exponent) pairs in ``_sym_key`` order,
     with no bound on the exponents; ``terms`` is the dict itself.  ``rows()``
-    is the same polynomial as the product kernel reads it, and
-    ``add_rows_product`` is the one product loop, which places every factor
-    by bisection.
+    is the same polynomial as the product kernel ``add_products`` reads it,
+    and ``entries(terms)`` as the kernel's other operand.
 
     Each monomial's coefficient has one 2*pi*i grade; adding coefficients of
     different grades to the same monomial raises ValueError.
@@ -189,64 +306,29 @@ class CoeffPoly:
         key = _sym_key
         return [(m, tuple([key(s) for s, _ in m]), c.value, c.tpi) for m, c in self.terms.items()]
 
+    def rows_and_positions(self) -> tuple:
+        """``rows()`` and ``positions()``, from one pass over the monomials:
+        the positions are read off the distinct keys of the rows."""
+        rows, used = self.rows(), set()
+        for k in set().union(*[keys for _, keys, _, _ in rows]):
+            slots = _SLOTS_BY_RANK[k[0]]
+            if slots is not None:
+                used.update(k[slots])
+        return rows, used
+
+    def entries(self, terms: dict) -> list:
+        """The product kernel's entries of this polynomial, aimed at ``terms``."""
+        key = _sym_key
+        return [(terms, tuple([(p, key(p[0])) for p in m]), c.value, c.tpi)
+                for m, c in self.terms.items()]
+
     def add_rows_product(self, rows, b: "CoeffPoly") -> "CoeffPoly":
         """Add rows*b into self in place, dropping what cancels; returns self.
 
-        ``rows`` is ``a.rows()`` of a polynomial a (a, b not self), read once
-        however many polynomials b it is multiplied by.  The coefficients are
-        multiplied and summed as ScaledRational's operators do, on value and
-        grade; a product whose monomial is new is stored as made, with one
-        lookup, and a sum of two grades raises ScaledRational.grade_error.
-
-        Each factor of a monomial of b is placed into the row by bisection on
-        the row's keys: it bumps an equal symbol's exponent or is spliced in,
-        with its key, before the first larger symbol.  A one-factor monomial
-        is placed inline, with no key splice.
+        ``rows`` is ``a.rows()`` of a polynomial a (a, b not self): the
+        product kernel ``add_products`` with every entry of b aimed at self.
         """
-        terms = self.terms
-        place = bisect.bisect_left
-        new, SR = object.__new__, ScaledRational
-        for m2, c2 in b.terms.items():
-            v2, t2 = c2.value, c2.tpi
-            one = len(m2) == 1
-            if one:
-                (s2, e2), = m2
-                k2 = _sym_key(s2)
-            else:
-                factors = [(p, _sym_key(p[0])) for p in m2]
-            for m1, keys, v1, t1 in rows:
-                if one:
-                    i = place(keys, k2)
-                    if i < len(keys) and keys[i] == k2:
-                        m = m1[:i] + ((s2, m1[i][1] + e2),) + m1[i + 1:]
-                    else:
-                        m = m1[:i] + m2 + m1[i:]
-                else:
-                    m = m1
-                    for p, k in factors:
-                        i = place(keys, k)
-                        if i < len(keys) and keys[i] == k:
-                            m = m[:i] + ((p[0], m[i][1] + p[1]),) + m[i + 1:]
-                        else:
-                            m = m[:i] + (p,) + m[i:]
-                            keys = keys[:i] + (k,) + keys[i:]
-                # one new coefficient per product, as ScaledRational._make builds
-                # it (a product of nonzero values is nonzero); a collision
-                # stores the sum in it rather than in a second object
-                c = new(SR)
-                v = v1 * v2
-                c.value = v if v.__class__ is int or v.denominator != 1 else v.numerator
-                c.tpi = t1 + t2
-                cur = terms.setdefault(m, c)
-                if cur is c:
-                    continue
-                if cur.tpi != c.tpi:
-                    raise SR.grade_error(cur.tpi, c.tpi)
-                if v := cur.value + c.value:
-                    c.value = v if v.__class__ is int or v.denominator != 1 else v.numerator
-                    terms[m] = c
-                else:
-                    del terms[m]
+        add_products(rows, b.entries(self.terms))
         return self
 
     def add_product(self, a: "CoeffPoly", b: "CoeffPoly") -> "CoeffPoly":
@@ -271,30 +353,13 @@ class CoeffPoly:
         ``label`` must be increasing, so that every hi > lo orientation and
         the monomial order are kept: no sign changes and nothing is re-sorted.
         """
-        moves = _MOVES.setdefault(label, {})
-        terms = {}
-        for mono, c in self.terms.items():
-            moved = []
-            for p in mono:
-                q = moves.get(p)
-                if q is None:
-                    s = p[0]
-                    slots = _kind(s).slots
-                    if slots is not None:
-                        s = s[:slots.start] + tuple(label[i] for i in s[slots]) + s[slots.stop:]
-                    q = moves[p] = (s, p[1])
-                moved.append(q)
-            terms[tuple(moved)] = c
-        return CoeffPoly._of_terms(terms)
+        moves = _MOVES[label]
+        return CoeffPoly._of_terms({tuple([moves[p][0] for p in mono]): c
+                                    for mono, c in self.terms.items()})
 
     def positions(self) -> set:
         """The positions of every coefficient symbol the polynomial holds."""
-        used = set()
-        for s in {s for mono in self.terms for s, _ in mono}:
-            slots = _kind(s).slots
-            if slots is not None:
-                used.update(s[slots])
-        return used
+        return self.rows_and_positions()[1]
 
     def mentions(self, kind: str) -> bool:
         """Whether some monomial holds a symbol of ``kind`` ("z", "pi", ...)."""
@@ -304,7 +369,8 @@ class CoeffPoly:
         return {m: sum(e * sym_weight(s) for s, e in m) for m in self.terms}
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: [(_sym_key(s), e) for s, e in kv[0]])
+        key = _pair_key
+        return sorted(self.terms.items(), key=lambda kv: [*map(key, kv[0])])
 
     def __repr__(self):
         if not self.terms:

@@ -236,9 +236,14 @@ def test_anomaly_of_a_spec_file_prints_the_built_in_bytes(capsys, tmp_path):
 
 
 def test_anomaly_unknown_generator(capsys):
-    code, out, err = run(capsys, "anomaly", "--spec", "weight1", "--correlator", "y0")
-    assert code == 2 and out == ""
-    assert err == "error: correlator references unknown generators ['y']\n"
+    # the refusal names the flag and each unknown name once, in name order
+    for command, spec, correlator, names in (
+            ("anomaly", "weight1", "y0", "['y']"),
+            ("reduce", "weight2", "y0^2", "['y']"),
+            ("anomaly", "weight2", "y0 b0^2 x0 a0", "['a', 'b', 'y']")):
+        code, out, err = run(capsys, command, "--spec", spec, "--correlator", correlator)
+        assert code == 2 and out == ""
+        assert err == f"error: --correlator references unknown generators {names}\n"
 
 
 def test_lattice_trace_negative_inputs(capsys):

@@ -14,7 +14,7 @@ from torusmodes.hha import (CorrExpression, CorrSymbol, HHAError, basis,
                             weight2_spec)
 from torusmodes.scaled import ScaledRational
 from torusmodes.symbols import (ONE, PI_MARK, CoeffPoly, DeltaUnknownError, G, P, Pt,
-                                UnsupportedError, g, zvar)
+                                UnsupportedError, add_products, g, zvar)
 
 from suite_cases import assert_case
 from test_symbols import _reference_mono_mul
@@ -475,14 +475,53 @@ def test_peel_refuses_a_term_with_no_fresh_position():
         hha.peel_zero_modes(weight1_spec(), CorrExpression.single(sym))
 
 
+def _memo_polys(spec):
+    """Every polynomial that a memo of the spec holds."""
+    for memo in ("shape_memo", "zero_mode_memo", "peel_memo"):
+        for entry in getattr(spec, memo).values():
+            yield from (poly for _, poly in entry)
+    yield from spec.layer_memo.values()
+
+
+@pytest.mark.parametrize("cancel", [False, True], ids=["kept", "cancelled"])
+def test_peel_owns_every_polynomial_it_returns(cancel):
+    # the head of F(x; (x,2)) and the second head of F(x0^2) both land on
+    # F(; (x,1), (x,2)), a term with no zero modes; with cancel the three
+    # polynomials of that symbol sum to zero and the symbol is dropped
+    full = CorrSymbol((), ((1, 0, "x"), (2, 0, "x")))
+    a, b = G(4) + ONE, P(2, 4, 3) * ScaledRational(3)
+    terms = {CorrSymbol(("x",), ((2, 0, "x"),)): a, CorrSymbol(("x",) * 2, ()): b,
+             full: -(a + b) if cancel else zvar(3)}
+    expr = CorrExpression(terms)
+    before = {sym: dict(poly.terms) for sym, poly in expr.terms.items()}
+    spec = weight2_spec()
+    got = hha.peel_zero_modes(spec, expr)
+    want = _reference_peel(weight2_spec(), CorrExpression(terms), range(1, 3))
+    assert got == want and (full in got.terms) is not cancel
+    assert {sym: poly.terms for sym, poly in expr.terms.items()} == before
+    # no two terms share a polynomial, and none is the caller's, ONE or a memo's
+    owned = [id(poly) for poly in got.terms.values()]
+    shared = {id(poly) for poly in [*expr.terms.values(), *terms.values(), ONE, *_memo_polys(spec)]}
+    assert len(set(owned)) == len(owned) and not shared.intersection(owned)
+    # changing every returned polynomial in place changes no memo and no later peel
+    snapshot = _memo_snapshot(spec)
+    for poly in got.terms.values():
+        poly.iadd(poly.copy())
+    assert hha.peel_zero_modes(spec, expr) == want
+    assert _memo_snapshot(spec) == snapshot and ONE == CoeffPoly.scalar(1)
+
+
 def test_expression_drops_a_symbol_whose_product_cancels():
+    # the peel and the shape map aim the kernel at a symbol's polynomial, made
+    # if the symbol has none, and drop the symbol once its polynomial cancels
     sym, other = CorrSymbol(("x",), ()), CorrSymbol((), ((1, 0, "x"),))
     a, b = P(2, 2, 1) + zvar(1) * G(4), Pt(2, 1) - PI_MARK
-    expr = CorrExpression({sym: a * b, other: ONE})
-    expr.add_rows_product(sym, a.rows(), -b)
-    assert expr == CorrExpression.single(other)
-    expr.add_rows_product(sym, a.rows(), b)
-    assert expr.terms[sym] == a * b
+    terms = {sym: a * b, other: ONE.copy()}
+    for c, want in ((-b, {other: ONE}), (b, {other: ONE, sym: a * b})):
+        dest = hha._target(terms, sym)
+        add_products(a.rows(), c.entries(dest))
+        hha._drop_cancelled([(terms, sym, dest)])
+        assert terms == want
 
 
 def test_peel_refuses_a_corrupted_memo_head():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from torusmodes.scaled import ScaledRational
-from torusmodes.symbols import (CoeffPoly, P, PI_MARK, Pt, _sym_key, sym_str, sym_weight,
-                               zvar)
+from torusmodes.symbols import (CoeffPoly, P, PI_MARK, Pt, _sym_key, add_products, sym_str,
+                               sym_weight, zvar)
 
 # one symbol of each kind; a monomial's coefficient takes its weight as its
 # 2*pi*i grade, so sums and products stay within one grade per monomial
@@ -201,6 +201,67 @@ def test_rows_kernel_refuses_mixed_grades():
     b = CoeffPoly({(): ScaledRational(1, 0), ((("B",), 1),): ScaledRational(1, 0)})
     with pytest.raises(ValueError, match="cannot add grades"):
         CoeffPoly().add_rows_product(rows, b)
+
+
+def _entries(dest: CoeffPoly, terms: dict) -> list:
+    """Kernel entries of ``_poly(terms)``, each monomial at its weight as its grade, aimed at dest."""
+    return [(dest.terms, tuple((p, _sym_key(p[0])) for p in m), c.value, c.tpi)
+            for m, c in _poly(terms).terms.items()]
+
+
+@given(kernel_terms, st.lists(st.tuples(st.integers(0, 2), sorted_monomials, rationals.filter(bool)),
+                              max_size=8),
+       st.lists(kernel_terms, min_size=3, max_size=3))
+def test_multi_destination_kernel_matches_mono_mul(a_terms, aimed, starts):
+    # entries of one, several or no factors, aimed at three destinations in any
+    # order and more than once: each destination ends as what it held plus the
+    # rows times every entry aimed at it
+    a = _poly(dict(a_terms))
+    dests = [_poly(dict(terms)) for terms in starts]
+    want = [dest.copy() for dest in dests]
+    entries = []
+    for d, m, c in aimed:
+        entries += _entries(dests[d], {m: c})
+        want[d] = want[d] + CoeffPoly(_reference_product(a, _poly({m: c})))
+    rows = a.rows()
+    add_products(rows, entries)
+    assert [dest.terms for dest in dests] == [w.terms for w in want]
+    assert all(_normalized(dest) for dest in dests) and rows == a.rows()
+
+
+def test_multi_destination_kernel_places_every_entry():
+    # one-factor entries before the first symbol, on the first, between two, on
+    # the last and past the last symbol of a row, and a two-factor entry, aimed
+    # in turn at two destinations, against rows that include the empty monomial
+    a = _poly({((("G", 4), 3), (("P", 2, 2, 1), 1), (("z", 1), 2)): 2, (): 1,
+               ((("Pt", 2, 1), 1),): -1})
+    monos = [((("G", 2), 5),), ((("G", 4), 5),), ((("Pt", 3, 1), 5),), ((("z", 1), 5),),
+             ((("pi",), 5),), ((("Pt", 2, 1), 5),), ((("G", 2), 1), (("z", 2), 4))]
+    dests = [CoeffPoly(), CoeffPoly()]
+    entries = []
+    for i, m in enumerate(monos):
+        entries += _entries(dests[i % 2], {m: i + 1})
+    add_products(a.rows(), entries)
+    for d, dest in enumerate(dests):
+        b = _poly({m: i + 1 for i, m in enumerate(monos) if i % 2 == d})
+        assert dest.terms == _reference_product(a, b)
+
+
+def test_multi_destination_kernel_empties_refills_and_refuses_mixed_grades():
+    row = ((("G", 4), 3), (("P", 2, 2, 1), 1), (("z", 1), 2))
+    a, one, other = _poly({row: 2}), ((("Pt", 2, 1), 5),), ((("pi",), 1),)
+    filled, emptied, refilled = CoeffPoly(), -(a * _poly({one: 3})), -(a * _poly({one: 3}))
+    add_products(a.rows(), [*_entries(emptied, {one: 3}), *_entries(filled, {other: 1}),
+                            *_entries(refilled, {one: 3}), *_entries(refilled, {other: 1})])
+    # one destination cancels to empty while another fills; the kernel leaves
+    # it empty for its caller to drop
+    assert emptied.terms == {} and filled == a * _poly({other: 1})
+    # emptied by the first entry aimed at it and refilled by the next one
+    assert refilled == a * _poly({other: 1})
+    grade = sum(e * sym_weight(s) for s, e in row + one)
+    clash = CoeffPoly({_reference_mono_mul(row, one): ScaledRational(1, grade + 1)})
+    with pytest.raises(ValueError, match="cannot add grades"):
+        add_products(a.rows(), [*_entries(CoeffPoly(), {other: 1}), *_entries(clash, {one: 3})])
 
 
 def test_relabel_maps_positions_through_each_label():

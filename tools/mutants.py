@@ -50,16 +50,19 @@ MUTANTS = [
     ("qseries.py", "for m in range(truncation, n - 1, -1):", "for m in range(n, truncation + 1):",
      ("lattice-oracle", "lattice-modular")),
     ("hha.py", "d = {key: -c for key, c in d.items()}", "d = {key: c for key, c in d.items()}",
-     ("hha-weight2",)),
+     ("hha-weight2", "hha-contraction")),
     ("hha.py", "(tsym, -tpoly) for", "(tsym, tpoly) for", ("hha-weight1", "hha-weight2")),
     ("hha.py", "key = (s_len, m, pj, mult)", "key = (s_len, m, pj)",
      ("hha-weight2", "hha-contraction")),
-    ("hha.py", "tpoly = tpoly.relabel(label)", "tpoly = tpoly",
+    ("hha.py", "moves = _MOVES[label]\n        rows,", "moves = _MOVES[tuple(range(len(label)))]\n        rows,",
      ("hha-weight1", "hha-weight2", "hha-contraction")),
+    ("hha.py", "moves = _MOVES[label]\n            entries,",
+     "moves = _MOVES[tuple(range(len(label)))]\n            entries,", ("hha-weight1", "hha-weight2")),
     ("lattice.py", "Fraction(ip2, sub_gram[0][0])", "Fraction(ip2, 2 * sub_gram[0][0])",
      ("lattice-oracle", "lattice-modular")),
-    ("symbols.py", "_MOVES.setdefault(label, {})", "_MOVES.setdefault(None, {})",
-     ("hha-weight1", "hha-weight2")),
+    ("symbols.py", "moves = self[label] = _Moves()",
+     "moves = self[label] = self.setdefault(None, _Moves())",
+     ("hha-weight1", "hha-weight2", "hha-contraction")),
     ("verify.py", "u[end] < u[end - 1]", "u[end] > u[end - 1]", ("combinatorics",)),
     ("lattice.py", "ip + g00 * v", "ip + v", ("lattice-oracle",)),
     ("lattice.py", "(r + y1 + y2) % 4 == 0", "(r + y1 + y2) % 2 == 0",
@@ -72,11 +75,15 @@ MUTANTS = [
     ("qseries.py", "d.tpi + 1)", "d.tpi)",
      ("qseries-identities", "elliptic-formal", "elliptic-numeric")),
     ("elliptic.py", "sign = (-1) ** k", "sign = -(-1) ** k", ("elliptic-formal",)),
-    ("symbols.py", "((s2, m1[i][1] + e2),)", "((s2, m1[i][1]),)", ("elliptic-numeric",)),
-    ("symbols.py", "bisect.bisect_left", "bisect.bisect_right", ("elliptic-numeric",)),
-    ("symbols.py", "((p[0], m[i][1] + p[1]),)", "((p[0], m[i][1]),)", ("elliptic-numeric",)),
-    ("symbols.py", "keys = keys[:i] + (k,) + keys[i:]", "keys = keys",
-     ("elliptic-numeric", "hha-contraction")),
+    ("symbols.py", "m[i] = (p[0], m1[i][1] + p[1])", "m[i] = (p[0], m1[i][1])",
+     ("elliptic-numeric",)),
+    ("symbols.py", "bisect.bisect_left", "bisect.bisect_right", ("elliptic-numeric", "hha-weight2")),
+    ("symbols.py", "m[i] = (p[0], m[i][1] + p[1])", "m[i] = (p[0], m[i][1])", ("elliptic-numeric",)),
+    ("symbols.py", "ks.insert(i, k)", "pass", ("elliptic-numeric", "hha-contraction")),
+    ("symbols.py", "m = m1 + (p,)", "m = (p,) + m1",
+     ("elliptic-numeric", "hha-weight1", "hha-weight2", "hha-contraction")),
+    ("symbols.py", "m = (p,) + m1", "m = m1 + (p,)",
+     ("elliptic-numeric", "hha-weight1", "hha-weight2", "hha-contraction")),
     ("symbols.py", "s[1] + s[2]", "s[1] + s[2] + 1",
      ("elliptic-numeric", "hha-weight2", "hha-contraction")),
     ("hha.py", "Fraction(1, k)", "1", ("hha-weight1", "hha-weight2", "lattice-modular")),

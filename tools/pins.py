@@ -10,7 +10,10 @@ largest the CLI prints:
   still inverted F(x0^7) and applied exp(B D) to every coefficient (378 MB
   of RSS); a built-in spec now takes N from the pair contraction;
 - ``expand --function P_2000 --order 1`` (22.6 MB, about 54 MB of RSS):
-  every report container is written item by item (built whole, 98 MB).
+  every report container is written item by item (built whole, 98 MB);
+- ``reduce --spec weight1 --correlator a0^10`` (3.96 MB, about 22 MB of
+  RSS): the weight-1 peel past the s <= 7 of the benchmark digests and the
+  a0^7 of tools/reports.txt.
 
 Every row runs under hash seeds 1 and 2.  A run passes when the child exits
 0, its report has the row's sha256, its text is what
@@ -46,6 +49,8 @@ PINS = [
      "aa7c9b1f2ba9aa93956f0dab98da80337d8237a0107018e416c5d05c7e7d9eac", 60),
     (("expand", "--function", "P_2000", "--order", "1"),
      "5a38c85329350b6f317bed3e41875e7043502a93cadd7fb633860b5e2838dd27", 75),
+    (("reduce", "--spec", "weight1", "--correlator", "a0^10"),
+     "32c09fdfa2386c19c0ef61d33a8e1656c529577025623357593cb0fc2d54a17a", 40),
 ]
 SEEDS = ("1", "2")
 
