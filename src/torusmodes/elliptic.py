@@ -14,18 +14,37 @@ rewriting convergent in the region.
 The q**0 layers come from the Eulerian closed form
 sum_{n>0} n**(k-1) zeta**n = zeta A_{k-1}(zeta) / (1-zeta)**k, which ties
 this module to the combinatorics of permutation descents.
+
+An expansion is summed at a :class:`StripPoint`, which holds the power maps
+of zeta and q: every layer, and every expansion evaluated at that point,
+reads zeta**e and q**m from them, so each power is taken once.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from .combinatorics import eulerian_polynomial
 from .qseries import DEFAULT_ORDER, QExpansion, eisenstein
-from .ratfunc import LaurentPoly, ZetaRational
+from .ratfunc import LaurentPoly, PowerMap, ZetaRational
 from .scaled import TWO_PI_I, ScaledRational
+
+
+class StripPoint:
+    """A point (z, tau) of the open strip 0 < Im z < Im tau, where the layer
+    sums converge (|q| < |zeta| < 1): the power maps of zeta and q, each
+    holding its base."""
+
+    __slots__ = ("zeta_powers", "q_powers")
+
+    def __init__(self, z: complex, tau: complex):
+        if not (0 < z.imag < tau.imag):
+            raise ValueError(f"z={z} outside the strip 0 < Im z < Im tau for tau={tau}")
+        self.zeta_powers = PowerMap(cmath.exp(2j * cmath.pi * z))
+        self.q_powers = PowerMap(cmath.exp(2j * cmath.pi * tau))
 
 
 class BivariateExpansion(QExpansion):
@@ -42,20 +61,22 @@ class BivariateExpansion(QExpansion):
         """zeta d/dzeta applied layerwise; grade unchanged."""
         return BivariateExpansion(0, [l.zeta_ddzeta() for l in self.coeffs], self.tpi)
 
-    def eval_numeric(self, z: complex, tau: complex):
-        """Numeric value on 0 < Im z < Im tau.
+    def eval_numeric(self, point: StripPoint):
+        """Numeric value at a :class:`StripPoint`.
 
-        The layer sum requires |q| < |zeta| < 1, i.e. z in the open
-        fundamental strip.
+        A Laurent-polynomial layer (k = 0) is its numerator's sum over the
+        point's zeta powers, divided by 1 + 0j, the value of its constant
+        denominator; the rational layer goes through ``ZetaRational.evaluate``
+        and its pole check.  Layer m is weighted by the point's q**m.
         """
-        import cmath
-        if not (0 < z.imag < tau.imag):
-            raise ValueError(f"z={z} outside the strip 0 < Im z < Im tau for tau={tau}")
-        zeta = cmath.exp(2j * cmath.pi * z)
-        q = cmath.exp(2j * cmath.pi * tau)
+        zeta_powers, q_powers = point.zeta_powers, point.q_powers
         total = 0j
         for m, layer in enumerate(self.coeffs):
-            total += layer.evaluate(zeta) * q ** m
+            if layer.k:
+                value = layer.evaluate(zeta_powers.base)
+            else:
+                value = layer.num.sum_powers(zeta_powers) / (1 + 0j)
+            total += value * q_powers[m]
         return TWO_PI_I ** self.tpi * total
 
     def to_json(self) -> dict:

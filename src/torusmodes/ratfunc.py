@@ -11,10 +11,10 @@ higher layer is a Laurent polynomial (k = 0).  Sums and zeta d/dzeta stay in
 this family, so the only reduction ever needed is cancelling factors of
 (1-zeta).  The global 2*pi*i grade lives on the enclosing expansion.  Each
 object converts its coefficients to complex once, on its first evaluation,
-and every later evaluation sums over those values in one loop.  A k = 0 value,
-as every layer above m = 0 is, evaluates to its numerator's sum divided by
-1 + 0j, the exact value of its constant denominator: it builds no denominator
-sum and makes no pole check, and its bits are those of the general route.
+and every evaluation is one loop that sums c * zeta**e in ``coeffs`` order,
+reading each power from a :class:`PowerMap`.  A caller that evaluates many
+polynomials at one point shares one map among them, so each power is taken
+once; ``evaluate(z)`` sums over a fresh map.
 """
 
 from __future__ import annotations
@@ -26,6 +26,19 @@ from math import comb
 from .scaled import as_fraction, format_fraction
 
 POLE_TOL = 1e-12  # evaluate refuses a zeta where |den| is this small against its terms
+
+
+class PowerMap(dict):
+    """exponent -> base**e, each power taken on first use by the same ``**``."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base):
+        self.base = base
+
+    def __missing__(self, e):
+        power = self[e] = self.base ** e
+        return power
 
 
 class LaurentPoly:
@@ -83,11 +96,15 @@ class LaurentPoly:
             self._floats = tuple((e, complex(c)) for e, c in self.coeffs.items())
         return self._floats
 
-    def evaluate(self, z: complex) -> complex:
+    def sum_powers(self, powers: PowerMap) -> complex:
+        """The value at ``powers.base``: sum c * powers[e], from 0j in ``coeffs`` order."""
         total = 0j
         for e, c in self._float_terms():
-            total += c * z ** e
+            total += c * powers[e]
         return total
+
+    def evaluate(self, z: complex) -> complex:
+        return self.sum_powers(PowerMap(z))
 
     def to_pairs(self):
         return [[e, format_fraction(c)] for e, c in sorted(self.coeffs.items())]
@@ -203,14 +220,12 @@ class ZetaRational:
         return ZetaRational(_lift(n.zeta_ddzeta(), 1) + n.shift(1) * k, k + 1)
 
     def evaluate(self, z: complex) -> complex:
-        if not self.k:  # (1 - zeta)**0 is 1 + 0j at every zeta, never near a pole
-            return self.num.evaluate(z) / (1 + 0j)
-        den = self.den
-        dv = den.evaluate(z)
+        den, powers = self.den, PowerMap(z)
+        dv = den.sum_powers(powers)
         scale = max(abs(c) * abs(z) ** e for e, c in den._float_terms())
         if abs(dv) <= POLE_TOL * max(scale, 1.0):
             raise ZeroDivisionError(f"evaluation too close to a pole at zeta={z}")
-        return self._monic_num().evaluate(z) / dv
+        return self._monic_num().sum_powers(powers) / dv
 
     def to_json(self) -> dict:
         return {"num": self._monic_num().to_pairs(), "den": self.den.to_pairs()}

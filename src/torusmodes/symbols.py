@@ -307,8 +307,9 @@ class CoeffPoly:
         return [(m, tuple([key(s) for s, _ in m]), c.value, c.tpi) for m, c in self.terms.items()]
 
     def rows_and_positions(self) -> tuple:
-        """``rows()`` and ``positions()``, from one pass over the monomials:
-        the positions are read off the distinct keys of the rows."""
+        """``rows()`` and the positions of every coefficient symbol the
+        polynomial holds, from one pass over the monomials: the positions are
+        read off the distinct keys of the rows."""
         rows, used = self.rows(), set()
         for k in set().union(*[keys for _, keys, _, _ in rows]):
             slots = _SLOTS_BY_RANK[k[0]]
@@ -346,20 +347,6 @@ class CoeffPoly:
         return CoeffPoly().add_product(self, other)
 
     __rmul__ = __mul__
-
-    def relabel(self, label) -> "CoeffPoly":
-        """Map position p to label[p] in every coefficient symbol.
-
-        ``label`` must be increasing, so that every hi > lo orientation and
-        the monomial order are kept: no sign changes and nothing is re-sorted.
-        """
-        moves = _MOVES[label]
-        return CoeffPoly._of_terms({tuple([moves[p][0] for p in mono]): c
-                                    for mono, c in self.terms.items()})
-
-    def positions(self) -> set:
-        """The positions of every coefficient symbol the polynomial holds."""
-        return self.rows_and_positions()[1]
 
     def mentions(self, kind: str) -> bool:
         """Whether some monomial holds a symbol of ``kind`` ("z", "pi", ...)."""

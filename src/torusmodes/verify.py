@@ -256,7 +256,12 @@ def _layer_value(order):
     P_k sums its layer expansion after reducing z into the strip, plus the
     elliptic shift that reduction costs P_1; P~_1 adds pi*i to P_1; G_2k sums
     its q-expansion.  The modular_law cases put these series under test.
+    The evaluator keeps each value it returns, and one StripPoint per reduced
+    point for the four P_k summed there, for as long as it lives.
     """
+    point = cache(el.StripPoint)
+
+    @cache
     def value(sym, z, tau):
         if sym[0] == "G":
             return nm.eisenstein_value(sym[1], tau, order)
@@ -264,7 +269,7 @@ def _layer_value(order):
             return value(("P", 1) + sym[1:], z, tau) + 1j * cmath.pi
         k = sym[1]
         zr, lam = nm.strip_reduce(z, tau)
-        return el.p_expansion(k, order).eval_numeric(zr, tau) + nm.elliptic_shift(k, lam)
+        return el.p_expansion(k, order).eval_numeric(point(zr, tau)) + nm.elliptic_shift(k, lam)
     return value
 
 

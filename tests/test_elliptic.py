@@ -133,9 +133,9 @@ def test_z_expansions_hold_no_zero_series():
 def test_bivariate_eval_region_guard():
     p2 = el.p_expansion(2, 10)
     with pytest.raises(ValueError):
-        p2.eval_numeric(1.5j, 1.2j)  # Im z > Im tau
+        p2.eval_numeric(el.StripPoint(1.5j, 1.2j))  # Im z > Im tau
     with pytest.raises(ZeroDivisionError):
-        p2.eval_numeric(1e-14j + 0.0, 1.2j)  # pole of the q^0 layer at zeta=1
+        p2.eval_numeric(el.StripPoint(1e-14j + 0.0, 1.2j))  # pole of the q^0 layer at zeta=1
 
 
 def _layer_sum_reference(expansion, z, tau):
@@ -172,4 +172,56 @@ def test_layer_eval_bits_at_suite_points():
                       el.g_expansion(1, 3, 60)):
         assert any(layer.k == 0 for layer in expansion.coeffs)
         for z, tau in points:
-            assert expansion.eval_numeric(z, tau) == _layer_sum_reference(expansion, z, tau)
+            assert expansion.eval_numeric(el.StripPoint(z, tau)) == _layer_sum_reference(
+                expansion, z, tau)
+
+
+def _suite_strip_points(count):
+    """The first ``count`` elliptic-numeric sample points, each with its images
+    under the suite's gammas, reduced into the strip."""
+    points = []
+    for z, tau in nm.sample_points(count, gammas=verify._ELLIPTIC_GAMMAS):
+        points.append((nm.strip_reduce(z, tau)[0], tau))
+        for gamma in verify._ELLIPTIC_GAMMAS:
+            gz, gtau = nm.apply_gamma(gamma, z, tau)
+            points.append((nm.strip_reduce(gz, gtau)[0], gtau))
+    return points
+
+
+def test_shared_point_eval_bits():
+    # one StripPoint serves every expansion below, in turn, and each value
+    # keeps the bits of the term-by-term reference: the rational q^0 layers of
+    # P_1 and P~_1 (k = 1), g^2_4, the orders the reports pin, and a layer
+    # that holds exponents beyond the truncation, so no exponent range is assumed
+    wide = el.BivariateExpansion(0, [
+        ZetaRational.const(Fraction(1, 3)),
+        ZetaRational.from_poly(LaurentPoly({-9: 2, 1: Fraction(-1, 7), 7: 5})),
+        ZetaRational.from_poly(LaurentPoly({11: Fraction(3, 2), -2: 1}))], 2)
+    assert max(wide.coeffs[1].num.coeffs) > wide.truncation
+    expansions = [el.p_expansion(1, 60), el.p_tilde_1(60), el.g_expansion(2, 4), wide]
+    expansions += [el.p_expansion(k, n) for n in (36, 70) for k in (1, 2, 3, 4)]
+    assert [e.coeffs[0].k for e in expansions[:2]] == [1, 1]
+    for z, tau in _suite_strip_points(4):
+        point = el.StripPoint(z, tau)
+        for expansion in expansions:
+            assert expansion.eval_numeric(point) == _layer_sum_reference(expansion, z, tau)
+
+
+def test_elliptic_numeric_evaluates_each_function_once_per_point(monkeypatch):
+    # the four P_k laws (P~_1 through P_1) at 20 points and their images under
+    # 5 gammas: 120 strip points, each summed once per P_k
+    calls, points = [], []
+    eval_numeric, strip_point = el.BivariateExpansion.eval_numeric, el.StripPoint
+
+    def counted_eval(self, point):
+        calls.append(point)
+        return eval_numeric(self, point)
+
+    def counted_point(z, tau):
+        points.append((z, tau))
+        return strip_point(z, tau)
+    monkeypatch.setattr(el.BivariateExpansion, "eval_numeric", counted_eval)
+    monkeypatch.setattr(el, "StripPoint", counted_point)
+    report = verify.run_suite("elliptic-numeric")
+    assert report["status"] == "pass"
+    assert len(calls) == 480 and len(points) == 120 == len(set(points))

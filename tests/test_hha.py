@@ -17,7 +17,7 @@ from torusmodes.symbols import (ONE, PI_MARK, CoeffPoly, DeltaUnknownError, G, P
                                 UnsupportedError, add_products, g, zvar)
 
 from suite_cases import assert_case
-from test_symbols import _reference_mono_mul
+from test_symbols import _positions, _reference_mono_mul, _relabel
 
 
 @pytest.fixture(scope="module")
@@ -413,7 +413,7 @@ def _reference_peel(spec, expr, positions):
                 out.add_term(sym, poly)
                 continue
             b = sym.modes[-1]
-            used = poly.positions().union(sym.positions())
+            used = _positions(poly).union(sym.positions())
             floor = min(sym.positions(), default=max(positions) + 1)
             fresh = max(p for p in positions if p < floor and p not in used)
             canon = hha._shape_step(spec, sym.modes[:-1], ((0, b),) + hha._shape(sym))
@@ -423,7 +423,7 @@ def _reference_peel(spec, expr, positions):
             for tsym, tpoly in canon[1:]:
                 product = CoeffPoly()
                 for m1, c1 in minus.terms.items():
-                    for m2, c2 in tpoly.relabel(label).terms.items():
+                    for m2, c2 in _relabel(tpoly, label).terms.items():
                         product.iadd(CoeffPoly({_reference_mono_mul(m1, m2): c1 * c2}))
                 out.add_term(hha._relabel_symbol(tsym, label), product)
         expr = out
