@@ -91,13 +91,18 @@ def _positive_sum_closed_form(k: int) -> ZetaRational:
 
 
 def _divisor_layer(power: int, m: int) -> LaurentPoly:
-    """sum_{d | m} (d**power zeta**d - (-d)**power zeta**-d) with rational powers of d."""
+    """sum_{d | m} (d**power zeta**d - (-d)**power zeta**-d): int powers of d for
+    power >= 0, Fraction powers for the negative powers of some g^i_j layers."""
     coeffs = {}
     for d in range(1, m + 1):
         if m % d:
             continue
-        pos = Fraction(d) ** power
-        neg = Fraction(-d) ** power
+        if power >= 0:
+            pos = d ** power
+            neg = (-d) ** power
+        else:
+            pos = Fraction(d) ** power
+            neg = Fraction(-d) ** power
         coeffs[d] = coeffs.get(d, 0) + pos
         coeffs[-d] = coeffs.get(-d, 0) - neg
     return LaurentPoly(coeffs)
@@ -144,7 +149,7 @@ def g_expansion(i: int, j: int, truncation: int = DEFAULT_ORDER) -> BivariateExp
         return p_expansion(j, truncation)
     pref = Fraction(1, factorial(j - 1))
     return BivariateExpansion(0, [
-        ZetaRational.from_poly(_divisor_layer(j - i - 1, m) * (pref * Fraction(m) ** i)) if m
+        ZetaRational.from_poly(_divisor_layer(j - i - 1, m) * (pref * m ** i)) if m
         else ZetaRational.const(0)
         for m in range(truncation + 1)], i + j)
 
@@ -202,10 +207,10 @@ def g1m_z_expansion(m: int, z_order: int, q_order: int) -> dict[int, QExpansion]
             continue
         ck = {}
         for bign in range(1, q_order + 1):
-            total = Fraction(0)
+            total = 0
             for d in range(1, bign + 1):
                 if bign % d == 0:
-                    total += Fraction(d) ** (m - k) * Fraction(bign // d) ** m
+                    total += d ** (m - k) * (bign // d) ** m
             ck[bign] = 2 * total
         correction = QExpansion.from_dict(ck, q_order, tpi=m + 1).scalar_mul(
             ScaledRational(Fraction(1, factorial(m - k)), m - k))

@@ -29,7 +29,8 @@ x = 0); every tally here is even in x.  Per block Gram one walk is grouped into
 walk's groups: shell sizes, theta moments, theta series, traces and chi share
 them.  The walk is the product route's oracle: ``enumerate_vectors`` (which
 alone keeps the vectors, both signs) and ``fock_trace_oracle``'s charged block
-walk every Gram.
+walk every Gram, and share one walk per Gram and order: the vectors' walk
+tallies the groups too.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from operator import neg
 
 from .qseries import QExpansion, eta_power
 from .scaled import TWO_PI_I
@@ -254,27 +256,47 @@ def _walk(gram: tuple, max_norm_half: int, leaf) -> None:
 
 
 def enumerate_vectors(lat: EvenLattice, max_norm_half: int):
-    """All shells <a,a>/2 = 0..max_norm_half, complete and duplicate-free."""
+    """All shells <a,a>/2 = 0..max_norm_half, complete and duplicate-free.
+
+    The same walk tallies the Gram's groups for ``_grouped_walk``, so the
+    Fock oracle does not walk this Gram to this order again.
+    """
     shells = [[] for _ in range(max_norm_half + 1)]
+    grouped = {}
 
     def leaf(x, nh, ip, mult):
-        shells[nh].append(tuple(x))
+        x = tuple(x)
+        shells[nh].append(x)
         if mult == 2:
-            shells[nh].append(tuple(-v for v in x))
+            shells[nh].append(tuple(map(neg, x)))
+        key = (nh, ip * ip)
+        grouped[key] = grouped.get(key, 0) + mult
 
     _walk(lat.gram, max_norm_half, leaf)
+    _keep_groups(lat.gram, max_norm_half, grouped)
     return [VectorShell(m, sorted(vecs)) for m, vecs in enumerate(shells)]
 
 
 _DEEPEST_WALK = {}  # gram -> (max_norm_half, groups) of the deepest walk so far
 
 
+def _keep_groups(gram: tuple, max_norm_half: int, grouped: dict) -> tuple:
+    """A walk's {(norm_half, <e_0,x>^2): count} as sorted groups, kept for the Gram
+    unless a deeper walk's are kept already."""
+    groups = tuple((nh, ip2, cnt) for (nh, ip2), cnt in sorted(grouped.items()))
+    deepest = _DEEPEST_WALK.get(gram)
+    if deepest is None or deepest[0] < max_norm_half:
+        _DEEPEST_WALK[gram] = (max_norm_half, groups)
+    return groups
+
+
 def _grouped_walk(gram: tuple, max_norm_half: int) -> tuple:
     """A block's walk, grouped: ((norm_half, <e_0,x>^2, count), ...), sorted.
 
     <e_0,x>^2 is even in x, so the pair x, -x joins one group.  Only the deepest
-    walk per Gram is kept: a lower order reads its groups with norm_half <=
-    max_norm_half, which are the groups a walk to that order tallies.
+    walk per Gram is kept, by this walk or by ``enumerate_vectors``'s: a lower
+    order reads its groups with norm_half <= max_norm_half, which are the groups
+    a walk to that order tallies.
     """
     deepest = _DEEPEST_WALK.get(gram)
     if deepest is not None and 0 <= max_norm_half <= deepest[0]:
@@ -286,9 +308,7 @@ def _grouped_walk(gram: tuple, max_norm_half: int) -> tuple:
         grouped[key] = grouped.get(key, 0) + mult
 
     _walk(gram, max_norm_half, leaf)
-    groups = tuple((nh, ip2, cnt) for (nh, ip2), cnt in sorted(grouped.items()))
-    _DEEPEST_WALK[gram] = (max_norm_half, groups)
-    return groups
+    return _keep_groups(gram, max_norm_half, grouped)
 
 
 _grouped_walk.cache_clear = _DEEPEST_WALK.clear  # as on the lru caches that read it

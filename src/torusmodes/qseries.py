@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .scaled import TWO_PI_I, ScaledRational, as_fraction, format_fraction
+from .scaled import TWO_PI_I, ScaledRational, as_exact, as_fraction, format_fraction
 
 
 class OffsetError(ValueError):
@@ -171,8 +171,10 @@ class QExpansion:
     # -- derivatives -------------------------------------------------------
 
     def q_derivative(self) -> "QExpansion":
-        """q d/dq: multiplies the coefficient of q**(offset+m) by offset+m."""
-        return type(self)(self.offset, [c * (self.offset + m) for m, c in enumerate(self.coeffs)],
+        """q d/dq: multiplies the coefficient of q**(offset+m) by offset+m, an int
+        when the offset is integral."""
+        offset = as_exact(self.offset)
+        return type(self)(self.offset, [c * (offset + m) for m, c in enumerate(self.coeffs)],
                           self.tpi)
 
     def tau_derivative(self) -> "QExpansion":
@@ -183,12 +185,22 @@ class QExpansion:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
+        """``(self - other).is_zero()`` without building the difference: nonzero
+        series of two grades raise ``ValueError``, and offsets that differ by a
+        non-integer compare unequal."""
         if not isinstance(other, QExpansion):
             return NotImplemented
-        try:
-            return (self - other).is_zero()
-        except OffsetError:
+        if other.tpi != self.tpi and not self.is_zero() and not other.is_zero():
+            raise ScaledRational.grade_error(self.tpi, other.tpi)
+        shift = self.offset - other.offset
+        if shift.denominator != 1:
             return False
+        # zeros pad the series that starts higher (a negative count repeats nothing);
+        # both stop at the lower truncation
+        a = (0,) * shift.numerator + self.coeffs
+        b = (0,) * -shift.numerator + other.coeffs
+        end = min(len(a), len(b))
+        return a[:end] == b[:end]
 
     __hash__ = None  # not hashable; equality is coefficientwise
 

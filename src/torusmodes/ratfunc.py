@@ -3,18 +3,20 @@
 ``LaurentPoly`` is the one exact polynomial type in one variable: it also
 holds the run-counting polynomials C_u in w of ``torusmodes.combinatorics``
 and the cotangent-derivative polynomials of ``torusmodes.numerics``.  Its
-coefficients are exact: an int stays an int, any other value becomes a
-Fraction.  The zeta-rational functions carry the layers of the two-variable
-expansions: the m = 0 layer of P_k is the Eulerian closed form
-zeta A_{k-1}(zeta)/(1-zeta)**k (e.g. zeta/(1-zeta) for P_1), while every
-higher layer is a Laurent polynomial (k = 0).  Sums and zeta d/dzeta stay in
-this family, so the only reduction ever needed is cancelling factors of
-(1-zeta).  The global 2*pi*i grade lives on the enclosing expansion.  Each
-object converts its coefficients to complex once, on its first evaluation,
-and every evaluation is one loop that sums c * zeta**e in ``coeffs`` order,
-reading each power from a :class:`PowerMap`.  A caller that evaluates many
-polynomials at one point shares one map among them, so each power is taken
-once; ``evaluate(z)`` sums over a fresh map.
+coefficients are exact, stored as ``ScaledRational`` stores its value: an
+integral coefficient as an int, so products of integral coefficients skip the
+gcd of ``Fraction``, and any other as a Fraction.  The zeta-rational functions
+carry the layers of the two-variable expansions: the m = 0 layer of P_k is the
+Eulerian closed form zeta A_{k-1}(zeta)/(1-zeta)**k (e.g. zeta/(1-zeta) for
+P_1), while every higher layer is a Laurent polynomial (k = 0).  Sums and
+zeta d/dzeta stay in this family, so the only reduction ever needed is
+cancelling factors of (1-zeta); a scalar multiple or a negation keeps the
+normal form it scales.  The global 2*pi*i grade lives on the enclosing
+expansion.  Each object converts its coefficients to complex once, on its
+first evaluation, and every evaluation is one loop that sums c * zeta**e in
+``coeffs`` order, reading each power from a :class:`PowerMap`.  A caller that
+evaluates many polynomials at one point shares one map among them, so each
+power is taken once; ``evaluate(z)`` sums over a fresh map.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .scaled import as_fraction, format_fraction
+from .scaled import as_exact, format_fraction
 
 POLE_TOL = 1e-12  # evaluate refuses a zeta where |den| is this small against its terms
 
@@ -42,14 +44,14 @@ class PowerMap(dict):
 
 
 class LaurentPoly:
-    """Laurent polynomial in one variable; an int coefficient stays an int (int arithmetic)."""
+    """Laurent polynomial in one variable; an integral coefficient is stored as an int."""
 
     __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs=None):
         if coeffs is None:
             coeffs = {}
-        self.coeffs = {e: c if c.__class__ is int else as_fraction(c)
+        self.coeffs = {e: c if c.__class__ is int else as_exact(c)
                        for e, c in coeffs.items() if c != 0}
         self._floats = None
 
@@ -171,6 +173,13 @@ class ZetaRational:
         self._monic = None
 
     @classmethod
+    def _make(cls, num: LaurentPoly, k: int) -> "ZetaRational":
+        """(num, k) already in normal form, keys ascending: no reduction is run."""
+        obj = object.__new__(cls)
+        obj.num, obj.k, obj._monic = num, k, None
+        return obj
+
+    @classmethod
     def const(cls, c) -> "ZetaRational":
         return cls(LaurentPoly.const(c))
 
@@ -201,7 +210,7 @@ class ZetaRational:
         return self.k == other.k and self.num == other.num
 
     def __neg__(self):
-        return ZetaRational(-self.num, self.k)
+        return ZetaRational._make(-self.num, self.k)
 
     def __add__(self, other):
         k = max(self.k, other.k)
@@ -211,8 +220,14 @@ class ZetaRational:
         return self + (-other)
 
     def __mul__(self, c):
-        """Multiplication by an int or Fraction scalar."""
-        return ZetaRational(self.num * c, self.k)
+        """Multiplication by an int or Fraction scalar.
+
+        A nonzero scalar keeps N(1) != 0 and the numerator's keys, so k and the
+        normal form carry over; zero gives the zero function, with k = 0.
+        """
+        if not c:
+            return ZetaRational._make(LaurentPoly(), 0)
+        return ZetaRational._make(self.num * c, self.k)
 
     def zeta_ddzeta(self) -> "ZetaRational":
         """zeta d/dzeta [N/(1-zeta)**k] = (zeta N'(1-zeta) + k zeta N)/(1-zeta)**(k+1)."""

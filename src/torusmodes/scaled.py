@@ -36,6 +36,12 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def as_exact(x):
+    """x as an int when integral, else as a Fraction."""
+    x = as_fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _digits(n: int) -> str:
     """str(n), also past Python's int-to-str digit limit (Decimal has none)."""
     try:
@@ -60,9 +66,7 @@ class ScaledRational:
 
     def __init__(self, value=0, tpi: int = 0):
         if type(value) is not int:
-            value = as_fraction(value)
-            if value.denominator == 1:
-                value = value.numerator
+            value = as_exact(value)
         self.value = value
         self.tpi = tpi if value else 0
 

@@ -345,10 +345,62 @@ def test_one_walk_per_gram_and_order_in_lattice_oracle(monkeypatch):
 
     monkeypatch.setattr(lt, "_walk", counted)
     assert verify.run_suite("lattice-oracle")["status"] == "pass"
-    # E8: its shells, then the oracle's grouped walk at order 4, which the E8^3 oracle
-    # reads at order 3 (the closed forms walk nothing); A1: the literal Fock labels for
-    # every n, then the counted oracle's walk
-    assert walks == [(8, 4), (8, 4), (1, 4), (1, 4)]
+    # E8: its shells' walk, which also tallies the groups that the oracle reads at order 4
+    # and the E8^3 oracle at order 3 (the closed forms walk nothing); A1: the literal Fock
+    # labels' walk, whose groups the counted oracle reads
+    assert walks == [(8, 4), (1, 4)]
+
+
+def test_enumerate_vectors_keeps_its_walk_groups(monkeypatch):
+    # the vectors' walk tallies the groups a grouped walk would, and keeps them unless a
+    # deeper walk's are kept already
+    for lat in _small_even_lattices():
+        lt._grouped_walk.cache_clear()
+        lt.enumerate_vectors(lat, 3)
+        kept = lt._DEEPEST_WALK[lat.gram]
+        lt._grouped_walk.cache_clear()
+        assert kept == (3, lt._grouped_walk(lat.gram, 3)), lat.gram
+        lt.enumerate_vectors(lat, 1)
+        assert lt._DEEPEST_WALK[lat.gram] == kept
+    walks = []
+    walk = lt._walk
+
+    def counted(gram, max_norm_half, leaf):
+        walks.append(max_norm_half)
+        walk(gram, max_norm_half, leaf)
+
+    monkeypatch.setattr(lt, "_walk", counted)
+    lt._grouped_walk.cache_clear()
+    lat = lt.a1()
+    lt.enumerate_vectors(lat, 5)
+    assert lt._grouped_walk(lat.gram, 5) == lt._grouped_walk(lat.gram, 7)[:6]
+    assert walks == [5, 7]
+
+
+def _sorted_negations(vectors):
+    """The negation check by sorting: the shell is its negations, sorted."""
+    return sorted(tuple(-v for v in x) for x in vectors) == vectors
+
+
+def test_negation_check_refuses_what_sorting_refused():
+    roots = lt.enumerate_vectors(lt.e8(), 1)[1].vectors
+    x = roots[5]
+    faulty = {"unsorted": roots[1:2] + roots[:1] + roots[2:],
+              "missing -x": [v for v in roots if v != tuple(-c for c in x)],
+              "duplicated": sorted(roots + [x])}
+    assert verify._negation_closed(roots) and _sorted_negations(roots)
+    for name, shell in faulty.items():
+        assert not verify._negation_closed(shell) and not _sorted_negations(shell), name
+
+
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=6),
+       st.booleans(), st.booleans())
+def test_negation_check_agrees_with_sorting(vectors, closed, ordered):
+    if closed:
+        vectors = vectors + [tuple(-c for c in x) for x in vectors]
+    if ordered:
+        vectors = sorted(vectors)
+    assert verify._negation_closed(vectors) == _sorted_negations(vectors)
 
 
 @pytest.mark.parametrize("suite, lattices", [("lattice-modular", ("e8",)),

@@ -335,3 +335,98 @@ def test_inverse_has_the_opposite_grade():
         inv = g4.invert_unit()
         assert inv.tpi == -4
         assert inv * g4 == qs.QExpansion.one(n) and (inv * g4).tpi == 0
+
+
+# -- equality is the zero test of the difference ----------------------------------
+
+def difference_is_zero(a, b):
+    """What equality meant as ``(a - b).is_zero()``: False across a non-integer offset."""
+    try:
+        return (a - b).is_zero()
+    except qs.OffsetError:
+        return False
+
+
+def assert_eq_as_difference(a, b):
+    """a == b and b == a give the outcome of the difference test, or raise its error."""
+    for x, y in ((a, b), (b, a)):
+        try:
+            want = difference_is_zero(x, y)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                x == y  # noqa: B015
+            assert type(got.value) is type(err) and str(got.value) == str(err)
+        else:
+            assert (x == y) is want and (x != y) is (not want)
+
+
+@st.composite
+def windows(draw):
+    """Two windows on one coefficient sequence: different starts and truncations,
+    a perturbed coefficient, another grade, or a non-integer offset apart."""
+    seq = [0] * draw(st.integers(0, 3)) + draw(st.lists(st.integers(-2, 2), min_size=1,
+                                                        max_size=8))
+    base = draw(st.sampled_from([Fraction(0), Fraction(-1, 24), Fraction(5, 3)]))
+
+    def window():
+        start = draw(st.integers(0, len(seq) - 1))
+        end = draw(st.integers(start + 1, len(seq)))
+        return base + start, list(seq[start:end])
+
+    (oa, ca), (ob, cb_) = window(), window()
+    tpi_a = draw(st.integers(0, 2))
+    tpi_b = draw(st.sampled_from([tpi_a, tpi_a, draw(st.integers(0, 2))]))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(cb_) - 1))
+        cb_[i] += draw(st.sampled_from([1, Fraction(1, 2)]))
+    if draw(st.integers(0, 4)) == 0:
+        ob += Fraction(1, 2)
+    if draw(st.integers(0, 4)) == 0:
+        ca = [0] * len(ca)
+    return qs.QExpansion(oa, ca, tpi_a), qs.QExpansion(ob, cb_, tpi_b)
+
+
+@settings(max_examples=200)
+@given(windows())
+def test_equality_agrees_with_the_difference_test(pair):
+    assert_eq_as_difference(*pair)
+
+
+def test_equality_outcomes_across_grades_and_offsets():
+    g4, g6 = qs.eisenstein(4, 6), qs.eisenstein(6, 6)
+    zero2, zero0 = qs.eisenstein(2, 6).scalar_mul(0), qs.QExpansion.zero(3)
+    assert zero2.tpi == 2 and zero2 == zero0 and zero0 == zero2  # zeros of two grades
+    with pytest.raises(ValueError, match=r"cannot add grades \(2\*pi\*i\)\^4 and \(2\*pi\*i\)\^6"):
+        g4 == g6  # noqa: B015
+    assert g4 == g4.truncate(2) and g4.truncate(2) == g4  # up to the lower truncation
+    one = qs.QExpansion.one(4)
+    # q**1 (0, 1, ...) is q**2 (1, ...); a half-integer apart, never equal
+    assert qs.QExpansion(1, [0, 1, 0]) == qs.QExpansion(2, [1, 0, 0, 5])
+    assert qs.QExpansion(Fraction(1, 2), [1]) != one and one != qs.QExpansion(Fraction(1, 2), [1])
+    for pair in ((g4, g6), (zero2, zero0), (g4, g4.truncate(2)), (one, g4)):
+        assert_eq_as_difference(*pair)
+
+
+def test_bivariate_equality_agrees_with_the_difference_test():
+    p2, p3 = el.p_expansion(2, 5), el.p_expansion(3, 5)
+    layers = list(p2.coeffs)
+    layers[3] = layers[3] * 2
+    perturbed = el.BivariateExpansion(0, layers, 2)
+    zero3, zero1 = p3.scalar_mul(0), el.g_expansion(1, 3, 4).scalar_mul(ScaledRational(0, -3))
+    pairs = [(p2, el.p_expansion(2, 7)), (p2, perturbed), (p2, p3), (zero3, zero1),
+             (p2.zeta_derivative(), p3.scalar_mul(ScaledRational(2, -1))),
+             (el.g_expansion(0, 2, 5), p2), (p2, p2.truncate(0)), (p2, el.p_tilde_1(5))]
+    for a, b in pairs:
+        assert_eq_as_difference(a, b)
+    assert p2 == el.p_expansion(2, 7) and p2 != perturbed and zero3 == zero1
+    assert p2.zeta_derivative() == p3.scalar_mul(ScaledRational(2, -1))
+    with pytest.raises(ValueError, match="cannot add grades"):
+        p2 == p3  # noqa: B015
+
+
+def test_q_derivative_multiplies_by_ints_at_an_integral_offset():
+    x = qs.QExpansion(2, [Fraction(1, 2), 3, Fraction(2, 3)])
+    assert x.q_derivative().coeffs == (1, 9, Fraction(8, 3))
+    assert type(x.q_derivative().coeffs[1]) is int
+    y = qs.QExpansion(Fraction(1, 2), [1, 3])
+    assert y.q_derivative().coeffs == (Fraction(1, 2), Fraction(9, 2))

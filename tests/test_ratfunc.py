@@ -55,6 +55,30 @@ def assert_normal(r):
 def test_int_and_fraction_coefficients_make_one_polynomial():
     a, b = LaurentPoly({0: 2}), LaurentPoly({0: Fraction(2)})
     assert a == b and a.to_pairs() == b.to_pairs() == [[0, "2"]]
+    # an integral coefficient is stored as an int, whatever type it arrives as
+    assert type(LaurentPoly({0: Fraction(4, 2)}).coeffs[0]) is int
+    assert type((LaurentPoly({1: Fraction(1, 3)}) * 3).coeffs[1]) is int
+    assert type(LaurentPoly({0: Fraction(1, 2)}).coeffs[0]) is Fraction
+
+
+@given(inputs(), st.one_of(scalars, st.integers(-3, 3), st.just(0)))
+def test_scaling_and_negation_keep_the_reduced_pair(a, c):
+    # without a fresh reduction: the same value, k and numerator key order as reducing
+    x = ZetaRational(*a)
+    for got, want in ((x * c, ZetaRational(x.num * c, x.k)), (-x, ZetaRational(-x.num, x.k))):
+        assert_normal(got)
+        assert (got.num, got.k) == (want.num, want.k)
+        assert list(got.num.coeffs.items()) == list(want.num.coeffs.items())
+        assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("c", [Fraction(-2, 3), -1, 0])
+def test_scaling_a_pole(c):
+    x = ZetaRational(LaurentPoly({1: 1, 2: 3}), 3)
+    assert x.k == 3
+    y = x * c
+    assert (y.num, y.k) == ((x.num * c), 3 if c else 0)
+    assert y == ZetaRational(x.num * c, 3) and (-y) == ZetaRational(-(x.num * c), 3)
 
 
 @given(inputs(), inputs(), scalars)

@@ -76,6 +76,8 @@ MUTANTS = [
      ("qseries-identities", "elliptic-formal", "elliptic-numeric")),
     ("elliptic.py", "sign = (-1) ** k", "sign = -(-1) ** k", ("elliptic-formal",)),
     ("elliptic.py", "value * q_powers[m]", "value * q_powers[m + 1]", ("elliptic-numeric",)),
+    ("elliptic.py", "neg = (-d) ** power", "neg = d ** power",
+     ("elliptic-formal", "elliptic-numeric")),
     ("symbols.py", "m[i] = (p[0], m1[i][1] + p[1])", "m[i] = (p[0], m1[i][1])",
      ("elliptic-numeric",)),
     ("symbols.py", "bisect.bisect_left", "bisect.bisect_right", ("elliptic-numeric", "hha-weight2")),
