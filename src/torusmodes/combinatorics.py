@@ -115,15 +115,24 @@ def c_polynomial(u: tuple[int, ...]) -> LaurentPoly:
     return LaurentPoly({i + des + 1: comb(n - des - 1, i) for i in range(n - des)})
 
 
+@lru_cache(maxsize=None)
+def _one_run_polynomial(r: int) -> LaurentPoly:
+    """C of one increasing run of length r >= 1: sum_j binom(r-1, j) w**(j+1)."""
+    return LaurentPoly({j + 1: comb(r - 1, j) for j in range(r)})
+
+
 def c_polynomial_by_runs(u: tuple[int, ...]) -> LaurentPoly:
     """C_u as the product over maximal increasing runs of the one-run polynomials."""
-    result = LaurentPoly.const(1)
-    for run in increasing_runs(u):
-        r = len(run)
-        result = result * LaurentPoly({j + 1: comb(r - 1, j) for j in range(r)})
+    runs = increasing_runs(u)
+    if not runs:
+        return LaurentPoly.const(1)
+    result = _one_run_polynomial(len(runs[0]))
+    for run in runs[1:]:
+        result = result * _one_run_polynomial(len(run))
     return result
 
 
+@lru_cache(maxsize=None)
 def recursion_coefficient(u: int, des: int, t: int) -> Fraction:
     """Inner rational coefficient of the ordered recursion.
 

@@ -30,7 +30,7 @@ from math import comb, factorial
 from .combinatorics import eulerian_polynomial
 from .qseries import DEFAULT_ORDER, QExpansion, eisenstein
 from .ratfunc import LaurentPoly, PowerMap, ZetaRational
-from .scaled import TWO_PI_I, ScaledRational
+from .scaled import TWO_PI_I, ScaledRational, as_exact
 
 
 class StripPoint:
@@ -90,22 +90,27 @@ def _positive_sum_closed_form(k: int) -> ZetaRational:
     return ZetaRational(LaurentPoly({1 + j: c for j, c in enumerate(a)}), k)
 
 
-def _divisor_layer(power: int, m: int) -> LaurentPoly:
-    """sum_{d | m} (d**power zeta**d - (-d)**power zeta**-d): int powers of d for
-    power >= 0, Fraction powers for the negative powers of some g^i_j layers."""
-    coeffs = {}
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        if power >= 0:
-            pos = d ** power
-            neg = (-d) ** power
-        else:
-            pos = Fraction(d) ** power
-            neg = Fraction(-d) ** power
-        coeffs[d] = coeffs.get(d, 0) + pos
-        coeffs[-d] = coeffs.get(-d, 0) - neg
-    return LaurentPoly(coeffs)
+def _g_layer(i: int, j: int, m: int) -> ZetaRational:
+    """Layer m >= 1 of g^i_j/(2*pi*i)**(i+j), p = j - i - 1:
+
+        m**i/(j-1)! * sum_{d | m} (d**p zeta**d - (-d)**p zeta**-d).
+
+    Each coefficient is made once from ints, as an int when integral: the one
+    at zeta**d is m**i d**p/(j-1)!, over (j-1)! d**-p for p < 0, and the one at
+    zeta**-d is its negative for even p and itself for odd p.  The keys
+    ascend, -m up to m, the order ``from_poly`` leaves and evaluation sums in.
+    """
+    divisors = [d for d in range(1, m + 1) if not m % d]
+    num, den = m ** i, factorial(j - 1)
+    p = j - i - 1
+    if p >= 0:
+        pos = [as_exact(Fraction(num * d ** p, den)) for d in divisors]
+    else:
+        pos = [as_exact(Fraction(num, den * d ** -p)) for d in divisors]
+    neg = pos if p % 2 else [-c for c in pos]
+    coeffs = {-d: c for d, c in zip(reversed(divisors), reversed(neg))}
+    coeffs.update(zip(divisors, pos))
+    return ZetaRational._make(LaurentPoly._make(coeffs), 0)
 
 
 @lru_cache(maxsize=None)
@@ -118,10 +123,9 @@ def p_expansion(k: int, truncation: int = DEFAULT_ORDER) -> BivariateExpansion:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    pref = Fraction(1, factorial(k - 1))
     return BivariateExpansion(0, [
-        ZetaRational.from_poly(_divisor_layer(k - 1, m) * pref) if m
-        else _positive_sum_closed_form(k) * pref
+        _g_layer(0, k, m) if m
+        else _positive_sum_closed_form(k) * Fraction(1, factorial(k - 1))
         for m in range(truncation + 1)], k)
 
 
@@ -147,10 +151,8 @@ def g_expansion(i: int, j: int, truncation: int = DEFAULT_ORDER) -> BivariateExp
         raise ValueError("i must be >= 0")
     if i == 0:
         return p_expansion(j, truncation)
-    pref = Fraction(1, factorial(j - 1))
     return BivariateExpansion(0, [
-        ZetaRational.from_poly(_divisor_layer(j - i - 1, m) * (pref * m ** i)) if m
-        else ZetaRational.const(0)
+        _g_layer(i, j, m) if m else ZetaRational.const(0)
         for m in range(truncation + 1)], i + j)
 
 

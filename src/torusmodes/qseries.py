@@ -14,10 +14,14 @@ any grade.  Coefficients beyond the truncation order are *unknown*, not zero;
 ring operations propagate the reliable order pessimistically.  Coefficients
 below the offset vanish; a leading power q**k folds into the offset.
 
-The coefficients are rationals (int or Fraction) for a q-series, and the
-zeta-rational layers for :class:`~torusmodes.elliptic.BivariateExpansion`,
-which shares the additive and derivative operations below.  The series
-product, inversion and numerics read rational coefficients only.
+The coefficients are rationals for a q-series, an integral one stored as an
+int, and the zeta-rational layers for
+:class:`~torusmodes.elliptic.BivariateExpansion`, which shares the additive
+and derivative operations below.  The series product, inversion and numerics
+read rational coefficients only.  The product reads each operand as int
+numerators over one common denominator (1 when every coefficient is an int),
+convolves the numerators in int arithmetic, and makes each output coefficient
+once, as an int when it is integral.
 
 Named series: Eisenstein series G_{2k} (constants rationalized through
 Bernoulli numbers), Dedekind eta powers, and the geometric factors
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .scaled import TWO_PI_I, ScaledRational, as_exact, as_fraction, format_fraction
 
@@ -123,12 +127,17 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return NotImplemented
         trunc = min(self.truncation, other.truncation)
+        xs, dx = _numerators(self.coeffs[:trunc + 1])
+        ys, dy = _numerators(other.coeffs[:trunc + 1])
         out = [0] * (trunc + 1)
-        for i, a in enumerate(self.coeffs[:trunc + 1]):
+        for i, a in enumerate(xs):
             if a:
-                for j, b in enumerate(other.coeffs[:trunc + 1 - i]):
+                for j, b in enumerate(ys[:trunc + 1 - i]):
                     if b:
                         out[i + j] += a * b
+        den = dx * dy
+        if den != 1:
+            out = [as_exact(Fraction(n, den)) for n in out]
         return QExpansion(self.offset + other.offset, out, self.tpi + other.tpi)
 
     __rmul__ = __mul__
@@ -251,6 +260,15 @@ class QExpansion:
         return f"<{type(self).__name__} (2*pi*i)^{self.tpi} * ({body}) + O(q^{end})>"
 
 
+def _numerators(coeffs) -> tuple:
+    """(numerators, den): the rationals ``coeffs`` as ints over their least
+    common denominator, which is 1 when every coefficient is an int."""
+    if all(c.__class__ is int for c in coeffs):
+        return coeffs, 1
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 # -- named series -----------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -284,13 +302,13 @@ def eisenstein(two_k: int, truncation: int = DEFAULT_ORDER) -> QExpansion:
     """G_{2k} with every coefficient carried at 2*pi*i grade 2k.
 
     Constant term -B_{2k}/(2k)!; the coefficient of q**n is
-    2*sigma_{2k-1}(n)/(2k-1)!.
+    2*sigma_{2k-1}(n)/(2k-1)!, an int when integral (every one of G_2's).
     """
     if two_k < 2 or two_k % 2:
         raise ValueError("weight must be a positive even integer")
     const = -bernoulli(two_k) / factorial(two_k)
-    pref = Fraction(2, factorial(two_k - 1))
-    return QExpansion(0, [pref * sigma(two_k - 1, n) if n else const
+    den = factorial(two_k - 1)
+    return QExpansion(0, [as_exact(Fraction(2 * sigma(two_k - 1, n), den)) if n else const
                           for n in range(truncation + 1)], two_k)
 
 

@@ -56,6 +56,14 @@ class LaurentPoly:
         self._floats = None
 
     @classmethod
+    def _make(cls, coeffs: dict) -> "LaurentPoly":
+        """Wrap a dict of nonzero exact coefficients, an integral one an int:
+        stored as given, in its key order, with no normalisation."""
+        obj = object.__new__(cls)
+        obj.coeffs, obj._floats = coeffs, None
+        return obj
+
+    @classmethod
     def const(cls, c) -> "LaurentPoly":
         return cls({0: c})
 

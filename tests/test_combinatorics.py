@@ -101,14 +101,14 @@ def test_run_count_is_descents_plus_one():
 
 def test_c_polynomial_worked_example():
     assert_case("combinatorics", "worked_example_C_2314")
-    assert cb.c_polynomial(()).coeffs == {0: 1}
+    assert cb.c_polynomial(()).coeffs == cb.c_polynomial_by_runs(()).coeffs == {0: 1}
 
 
 def test_c_polynomial_increasing_tuple():
     from math import comb
     for n in range(1, 7):
         u = tuple(range(1, n + 1))
-        assert cb.c_polynomial(u).coeffs == \
+        assert cb.c_polynomial(u).coeffs == cb.c_polynomial_by_runs(u).coeffs == \
             {j + 1: comb(n - 1, j) for j in range(n)}
 
 
@@ -159,6 +159,18 @@ def test_recursion_coefficient_examples():
     want = sum(Fraction(comb(1, i) * cb.stirling_first(i + 1, 2), factorial(i + 1))
                for i in range(2))
     assert cb.recursion_coefficient(2, 0, 2) == want
+
+
+def test_cached_recursion_coefficient_equals_the_sum():
+    from math import comb, factorial
+    for u in range(9):
+        for des in range(max(u, 1)):
+            for t in range(u + 1):
+                want = sum(Fraction(comb(u - des - 1, i) * cb.stirling_first(i + des + 1, t),
+                                    factorial(i + des + 1)) for i in range(u - des))
+                assert cb.recursion_coefficient(u, des, t) == want
+                assert cb.recursion_coefficient(u, des, t) is cb.recursion_coefficient(u, des, t)
+                assert cb.recursion_coefficient.__wrapped__(u, des, t) == want
 
 
 def test_identity_comm_is_kronecker_delta():

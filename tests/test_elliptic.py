@@ -1,5 +1,6 @@
 import cmath
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -25,11 +26,52 @@ def test_ratfunc_normalization():
     assert h.to_json() == {"num": [[-1, "-1"]], "den": [[0, "-1"], [1, "1"]]}
     assert (f + (-f)).is_zero() and (f - f).k == 0
     # from_poly keeps ascending keys, the order evaluate sums in
-    for p in (el._divisor_layer(3, 12), el._divisor_layer(0, 7) * Fraction(1, 6),
+    for p in (_divisor_layer(3, 12), _divisor_layer(0, 7) * Fraction(1, 6),
               LaurentPoly({5: 1, -3: 2, 0: -1, 1: Fraction(1, 3)})):
         r = ZetaRational.from_poly(p)
         assert r.k == 0 and r.den == LaurentPoly.const(1)
         assert list(r.num.coeffs) == sorted(p.coeffs)
+
+
+def _divisor_layer(power, m):
+    """sum_{d | m} (d**power zeta**d - (-d)**power zeta**-d), in Fraction powers
+    for a negative power."""
+    coeffs = {}
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        if power >= 0:
+            pos, neg = d ** power, (-d) ** power
+        else:
+            pos, neg = Fraction(d) ** power, Fraction(-d) ** power
+        coeffs[d] = coeffs.get(d, 0) + pos
+        coeffs[-d] = coeffs.get(-d, 0) - neg
+    return LaurentPoly(coeffs)
+
+
+def _reference_layer(i, j, m):
+    """Layer m >= 1 of g^i_j as the divisor rule scaled by m**i/(j-1)! and
+    normalised through ``from_poly``."""
+    return ZetaRational.from_poly(_divisor_layer(j - i - 1, m) * Fraction(m ** i, factorial(j - 1)))
+
+
+def test_layers_are_the_scaled_divisor_rule():
+    # every layer m >= 1 of g^i_j (P_j at i = 0) for i <= 4, j <= 8, to order 40:
+    # the same keys in the same order, the same values and the same types,
+    # for negative powers of the divisor (j <= i) too
+    for i in range(5):
+        for j in range(1, 9):
+            layers = el.g_expansion.__wrapped__(i, j, 40).coeffs
+            for n in (0, 1, 17):  # a lower order builds the same first layers
+                assert el.g_expansion.__wrapped__(i, j, n).coeffs == layers[:n + 1]
+            for m in range(1, 41):
+                got, want = layers[m], _reference_layer(i, j, m)
+                assert got.k == want.k == 0
+                assert list(got.num.coeffs.items()) == list(want.num.coeffs.items())
+                assert [type(c) for c in got.num.coeffs.values()] == \
+                    [type(c) for c in want.num.coeffs.values()]
+    # g^2_2, layer 2: 2**2 * (d**-1 zeta**d - (-d)**-1 zeta**-d) over d = 1, 2
+    assert el.g_expansion(2, 2, 2).coeffs[2].num.coeffs == {-2: 2, -1: 4, 1: 4, 2: 2}
 
 
 def test_cached_builders_match_fresh_builds():

@@ -38,6 +38,9 @@ def test_eisenstein_expansions():
     assert g4.coefficient(0) == ScaledRational(Fraction(1, 720), 4)
     assert [g4.coefficient(n) for n in (1, 2, 3)] == \
         [ScaledRational(v, 4) for v in (Fraction(1, 3), Fraction(3), Fraction(28, 3))]
+    # an integral coefficient is an int: all of G_2's beyond the constant, G_4's 3
+    assert [type(c) for c in g2.coeffs] == [Fraction] + [int] * 6
+    assert [type(c) for c in g4.coeffs[:4]] == [Fraction, Fraction, int, Fraction]
     g6 = qs.eisenstein(6, 2)
     assert g6.coefficient(0) == ScaledRational(Fraction(-1, 42) / 720, 6)
 
@@ -159,6 +162,78 @@ def test_ring_laws(a, b, c):
     assert ((a * b) * c - a * (b * c)).is_zero()
     assert (a * (b + c) - (a * b + a * c)).is_zero()
     assert (a * b - b * a).is_zero()
+
+
+# -- the product over one common denominator --------------------------------------
+
+def _reference_mul(a, b):
+    """The series product as a convolution of the stored coefficients, in the
+    arithmetic of their own types."""
+    trunc = min(a.truncation, b.truncation)
+    out = [0] * (trunc + 1)
+    for i, x in enumerate(a.coeffs[:trunc + 1]):
+        if x:
+            for j, y in enumerate(b.coeffs[:trunc + 1 - i]):
+                if y:
+                    out[i + j] += x * y
+    return qs.QExpansion(a.offset + b.offset, out, a.tpi + b.tpi)
+
+
+def _reference_power(x, k):
+    out = qs.QExpansion.one(x.truncation)
+    for _ in range(k):
+        out = _reference_mul(out, x)
+    return out
+
+
+def assert_same_series(got, want):
+    """Equal offsets, grades and coefficients, each an int exactly when integral."""
+    assert (got.offset, got.tpi, got.coeffs) == (want.offset, want.tpi, want.coeffs)
+    assert [type(c) for c in got.coeffs] == \
+        [int if Fraction(c).denominator == 1 else Fraction for c in want.coeffs]
+
+
+coefficients = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-30, 30).map(Fraction),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([3, 24, 24 ** 2, 24 ** 3])),
+    st.fractions(max_denominator=50))
+
+
+@st.composite
+def operands(draw):
+    """One series of int, integral-Fraction or mixed-denominator coefficients, at
+    an integral or fractional offset and any grade; sometimes the zero series."""
+    coeffs = draw(st.lists(coefficients, min_size=1, max_size=9))
+    if draw(st.integers(0, 5)) == 0:
+        coeffs = [draw(st.sampled_from([0, Fraction(0)]))] * len(coeffs)
+    offset = draw(st.sampled_from([0, 3, Fraction(-1, 24), Fraction(2, 3)]))
+    return qs.QExpansion(offset, coeffs, draw(st.integers(-2, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands(), operands())
+def test_product_equals_the_fraction_convolution(a, b):
+    assert_same_series(a * b, _reference_mul(a, b))
+
+
+def test_power_and_eta_factors_match_the_fraction_convolution():
+    # the E8 and E8^3 orders and ranks of lattice-oracle and lattice-modular
+    for n in (3, 4, 8):
+        e = qs.euler_product(n)
+        for ell in (1, 8, 24):
+            assert_same_series(e.power(ell), _reference_power(e, ell))
+            assert_same_series(e.power(-ell), _reference_power(e.invert_unit(), ell))
+        g4 = qs.eisenstein(4, n)
+        assert_same_series(g4.power(3), _reference_power(g4, 3))
+        for ell in (8, 24):
+            inv = _reference_power(e.invert_unit(), ell - 1)
+            head = qs.QExpansion(Fraction(-(ell - 1), 24), inv.coeffs)
+            d = qs.eta_power(-1, n)
+            for r in range(4):
+                assert_same_series(lt.eta_derivative_factor.__wrapped__(ell, r, n),
+                                   _reference_mul(head, d))
+                d = d.q_derivative().scalar_mul(2)
 
 
 def test_to_json_format():

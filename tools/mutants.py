@@ -45,8 +45,9 @@ MUTANTS = [
      "_lambert_sum(0, two_k, 1.0, tau) / 2 / factorial", ("elliptic-numeric",)),
     ("ratfunc.py", "self._monic = -self.num if self.k % 2 else self.num",
      "self._monic = self.num", ("elliptic-numeric",)),
-    ("qseries.py", "other.coeffs[:trunc + 1 - i]", "other.coeffs[:trunc - i]",
+    ("qseries.py", "ys[:trunc + 1 - i]", "ys[:trunc - i]",
      ("qseries-identities", "lattice-oracle", "lattice-modular")),
+    ("qseries.py", "den = dx * dy", "den = dx", ("lattice-oracle", "lattice-modular")),
     ("qseries.py", "for m in range(truncation, n - 1, -1):", "for m in range(n, truncation + 1):",
      ("lattice-oracle", "lattice-modular")),
     ("hha.py", "d = {key: -c for key, c in d.items()}", "d = {key: c for key, c in d.items()}",
@@ -76,7 +77,7 @@ MUTANTS = [
      ("qseries-identities", "elliptic-formal", "elliptic-numeric")),
     ("elliptic.py", "sign = (-1) ** k", "sign = -(-1) ** k", ("elliptic-formal",)),
     ("elliptic.py", "value * q_powers[m]", "value * q_powers[m + 1]", ("elliptic-numeric",)),
-    ("elliptic.py", "neg = (-d) ** power", "neg = d ** power",
+    ("elliptic.py", "neg = pos if p % 2 else [-c for c in pos]", "neg = [-c for c in pos]",
      ("elliptic-formal", "elliptic-numeric")),
     ("symbols.py", "m[i] = (p[0], m1[i][1] + p[1])", "m[i] = (p[0], m1[i][1])",
      ("elliptic-numeric",)),

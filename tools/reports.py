@@ -68,6 +68,9 @@ CALLS = (
     + [["anomaly", "--spec", "weight1", "--correlator", "a0^9"],
        ["anomaly", "--spec", "weight2", "--correlator", "x0^6"],
        ["anomaly", "--spec", "weight1", "--correlator", "a0^10"]]
+    # layers with negative powers of the divisor, and a long eta product
+    + [["expand", "--function", f] for f in ("g_2_1", "g_3_2", "g_2_2")]
+    + [["expand", "--function", "eta_-24", "--order", "100"]]
 )
 
 
