@@ -42,15 +42,13 @@ anomaly_of_zero_modes) run with the cyclic GC paused.
 
 from __future__ import annotations
 
-import gc
 import re
 from fractions import Fraction
-from functools import wraps
 from itertools import combinations, count, product
 from math import comb, factorial, perm
 
 from .combinatorics import descent_count, recursion_coefficient
-from .scaled import ScaledRational, as_fraction, format_fraction
+from .scaled import ScaledRational, _gc_paused, as_fraction, format_fraction
 from .symbols import (_MOVES, CoeffPoly, ONE, P, UnsupportedError, add_products, derive_poly,
                       p_layer_coefficient)
 
@@ -78,27 +76,6 @@ class WeightBookkeepingError(HHAError):
 
 class ContractionError(HHAError):
     """N read off the reduction of a full correlator is not the pair contraction."""
-
-
-def _gc_paused(fn):
-    """``fn`` run with the cyclic GC paused, and the GC's state restored after.
-
-    The engine makes no reference cycles (a tier-1 test holds it to that), so
-    a collection inside an engine call frees nothing: it walks the engine's
-    growing heap, whose survivors the collections after the call walk anyway.
-    A call made while the GC is off (a nested entry point, or a caller that
-    disabled it) passes straight through and leaves it off.
-    """
-    @wraps(fn)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return fn(*args, **kwargs)
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            gc.enable()
-    return paused
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from math import comb, isqrt
 from operator import neg
 
 from .qseries import QExpansion, eta_power
-from .scaled import TWO_PI_I
+from .scaled import TWO_PI_I, _gc_paused
 
 
 class LatticeError(ValueError):
@@ -197,6 +197,8 @@ def _walk(gram: tuple, max_norm_half: int, leaf) -> None:
     integer pairing with e_0 (row ``gram[0]``) are carried down the
     recursion, and the exact norm decides at the leaf.
     ``x`` is the walk's working list: a leaf that keeps it must copy it.
+    The walk leaves no reference cycle, so a dropped walk, and whatever its
+    leaf kept, is freed by reference counting alone.
     """
     if max_norm_half < 0:
         raise LatticeError("max_norm_half must be >= 0")
@@ -249,32 +251,41 @@ def _walk(gram: tuple, max_norm_half: int, leaf) -> None:
                 ip + ri * v, [a + b * v for a, b in zip(centers, li)],
                 [a + b * v for a, b in zip(crosses, gi)], lead and not v)
 
-    if n == 1:
-        row(bound + 1e-6, 0, 0, 0.0, 0, True)
-    else:
-        rec(n - 1, bound + 1e-6, 0, 0, [0.0] * n, [0] * n, True)
+    try:
+        if n == 1:
+            row(bound + 1e-6, 0, 0, 0.0, 0, True)
+        else:
+            rec(n - 1, bound + 1e-6, 0, 0, [0.0] * n, [0] * n, True)
+    finally:
+        del rec  # rec calls itself through its closure cell: emptied, it leaves no cycle
 
 
+@_gc_paused
 def enumerate_vectors(lat: EvenLattice, max_norm_half: int):
     """All shells <a,a>/2 = 0..max_norm_half, complete and duplicate-free.
 
-    The same walk tallies the Gram's groups for ``_grouped_walk``, so the
-    Fock oracle does not walk this Gram to this order again.
+    The walk keeps its half of each shell, one of each pair x, -x, as tuples
+    (shell 0 is the zero vector alone).  The other half is then negated in
+    bulk, column by column, and each shell is sorted once.  The walk and the
+    negation make many vectors and no cycle, so they run with the cyclic GC
+    paused.  The same walk tallies the Gram's groups for ``_grouped_walk``,
+    so the Fock oracle does not walk this Gram to this order again.
     """
-    shells = [[] for _ in range(max_norm_half + 1)]
+    halves = [[] for _ in range(max_norm_half + 1)]
     grouped = {}
 
     def leaf(x, nh, ip, mult):
-        x = tuple(x)
-        shells[nh].append(x)
-        if mult == 2:
-            shells[nh].append(tuple(map(neg, x)))
+        halves[nh].append(tuple(x))
         key = (nh, ip * ip)
         grouped[key] = grouped.get(key, 0) + mult
 
     _walk(lat.gram, max_norm_half, leaf)
     _keep_groups(lat.gram, max_norm_half, grouped)
-    return [VectorShell(m, sorted(vecs)) for m, vecs in enumerate(shells)]
+    shells = [VectorShell(0, halves[0])]
+    for m, half in enumerate(halves[1:], 1):
+        negated = zip(*[tuple(map(neg, c)) for c in zip(*half)])
+        shells.append(VectorShell(m, sorted([*half, *negated])))
+    return shells
 
 
 _DEEPEST_WALK = {}  # gram -> (max_norm_half, groups) of the deepest walk so far

@@ -85,8 +85,25 @@ class LaurentPoly:
         return LaurentPoly(coeffs)
 
     def __mul__(self, other):
+        """The product with a polynomial, or with an int or Fraction scalar.
+
+        A scalar makes each coefficient once, in ``coeffs`` order: an int times
+        an int is an int, and any other product is one ``Fraction`` of the
+        numerators' and the denominators' products, reduced by its one gcd and
+        stored as an int when integral.
+        """
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+            if not other:
+                return LaurentPoly._make({})
+            p, q = other.numerator, other.denominator
+            coeffs = {}
+            for e, c in self.coeffs.items():
+                if q == 1 and c.__class__ is int:
+                    coeffs[e] = c * p
+                else:
+                    c = Fraction(c.numerator * p, c.denominator * q)
+                    coeffs[e] = c.numerator if c.denominator == 1 else c
+            return LaurentPoly._make(coeffs)
         coeffs = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -238,7 +255,13 @@ class ZetaRational:
         return ZetaRational._make(self.num * c, self.k)
 
     def zeta_ddzeta(self) -> "ZetaRational":
-        """zeta d/dzeta [N/(1-zeta)**k] = (zeta N'(1-zeta) + k zeta N)/(1-zeta)**(k+1)."""
+        """zeta d/dzeta [N/(1-zeta)**k] = (zeta N'(1-zeta) + k zeta N)/(1-zeta)**(k+1).
+
+        At k = 0 that is the polynomial zeta N', made with no lift by (1-zeta)
+        for the normal form to cancel again.
+        """
+        if not self.k:
+            return ZetaRational._make(self.num.zeta_ddzeta(), 0)
         n, k = self.num, self.k
         return ZetaRational(_lift(n.zeta_ddzeta(), 1) + n.shift(1) * k, k + 1)
 

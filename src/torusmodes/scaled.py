@@ -22,10 +22,34 @@ hash and print alike, so the choice never shows in results.
 from __future__ import annotations
 
 import cmath
+import gc
 from decimal import Decimal
 from fractions import Fraction
+from functools import wraps
 
 TWO_PI_I = 2j * cmath.pi
+
+
+def _gc_paused(fn):
+    """``fn`` run with the cyclic GC paused, and the GC's state restored after.
+
+    The engine's entry points and the lattice walks make no reference cycles
+    (tier-1 tests hold them to that), so a collection inside such a call frees
+    nothing: it walks the call's growing heap (the engine's memos, a walk's
+    kept vectors), whose survivors the collections after the call walk anyway.
+    A call made while the GC is off (a nested entry point, or a caller that
+    disabled it) passes straight through and leaves it off.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def as_fraction(x) -> Fraction:

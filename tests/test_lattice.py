@@ -1,5 +1,7 @@
 import cmath
+import gc
 from fractions import Fraction
+from operator import neg
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -375,6 +377,82 @@ def test_enumerate_vectors_keeps_its_walk_groups(monkeypatch):
     lt.enumerate_vectors(lat, 5)
     assert lt._grouped_walk(lat.gram, 5) == lt._grouped_walk(lat.gram, 7)[:6]
     assert walks == [5, 7]
+
+
+def _per_vector_shells(lat, max_norm_half):
+    """The shells as built one vector at a time: each x the walk visits, then its negation."""
+    shells = [[] for _ in range(max_norm_half + 1)]
+
+    def leaf(x, nh, ip, mult):
+        x = tuple(x)
+        shells[nh].append(x)
+        if mult == 2:
+            shells[nh].append(tuple(map(neg, x)))
+
+    lt._walk(lat.gram, max_norm_half, leaf)
+    return [sorted(vecs) for vecs in shells]
+
+
+def test_bulk_negation_equals_the_per_vector_shells():
+    cases = [(lt.e8(), 4), (lt.a1(), 9), (lt.e8_cubed(), 1)]
+    cases += [(lat, 4) for lat in _small_even_lattices()]
+    for lat, N in cases:
+        shells = lt.enumerate_vectors(lat, N)
+        assert [s.norm_half for s in shells] == list(range(N + 1))
+        got = [[(x, type(x), [type(c) for c in x]) for x in s.vectors] for s in shells]
+        want = [[(x, type(x), [type(c) for c in x]) for x in vecs]
+                for vecs in _per_vector_shells(lat, N)]
+        assert got == want, lat.gram
+
+
+def test_walks_make_no_reference_cycles():
+    # a dropped enumeration is freed at once, its vectors with it, and the GC pause rests on it
+    def raising(x, nh, ip, mult):
+        raise ZeroDivisionError
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for lat in (lt.e8(), lt.a1()):  # the recursion, and level 0 alone
+            lt.enumerate_vectors(lat, 2)
+            lt._grouped_walk.cache_clear()
+            lt._grouped_walk(lat.gram, 3)
+            try:
+                lt._walk(lat.gram, 2, raising)
+            except ZeroDivisionError:
+                pass
+        gc.collect()
+        kinds = sorted({type(obj).__name__ for obj in gc.garbage})
+        assert not gc.garbage, f"{len(gc.garbage)} objects in reference cycles: {kinds}"
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        lt._grouped_walk.cache_clear()
+
+
+def test_enumerate_vectors_pauses_and_restores_the_gc(monkeypatch):
+    seen = {"walk": [], "negation": []}
+    walk = lt._walk
+    monkeypatch.setattr(lt, "_walk", lambda *args: seen["walk"].append(gc.isenabled())
+                        or walk(*args))
+    monkeypatch.setattr(lt, "neg", lambda v: seen["negation"].append(gc.isenabled()) or -v)
+    assert gc.isenabled()
+    assert [len(s.vectors) for s in lt.enumerate_vectors(lt.a1(), 4)] == [1, 2, 0, 0, 2]
+    assert gc.isenabled() and seen["walk"] == [False] and seen["negation"] == [False] * 2
+    gc.disable()
+    try:
+        lt.enumerate_vectors(lt.a1(), 4)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    def raising(*args):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(lt, "_walk", raising)
+    with pytest.raises(ZeroDivisionError):
+        lt.enumerate_vectors(lt.a1(), 4)
+    assert gc.isenabled()
 
 
 def _sorted_negations(vectors):

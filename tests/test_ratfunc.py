@@ -6,7 +6,8 @@ from math import comb
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from torusmodes.ratfunc import LaurentPoly, ZetaRational
+from torusmodes import elliptic as el
+from torusmodes.ratfunc import LaurentPoly, ZetaRational, _lift
 
 POINTS = (Fraction(2), Fraction(-1, 3), Fraction(3, 5))
 
@@ -70,6 +71,34 @@ def test_scaling_and_negation_keep_the_reduced_pair(a, c):
         assert (got.num, got.k) == (want.num, want.k)
         assert list(got.num.coeffs.items()) == list(want.num.coeffs.items())
         assert got.to_json() == want.to_json()
+
+
+def items_and_types(p):
+    return [(e, c, type(c)) for e, c in p.coeffs.items()]
+
+
+@given(laurent, st.one_of(scalars, st.integers(-6, 6), st.sampled_from(
+    [0, Fraction(0), -1, Fraction(-4, 2), Fraction(6, 3), Fraction(-5, 3), True])))
+def test_scaling_makes_the_fraction_reference(p, c):
+    # the reference multiplies every coefficient as a Fraction and normalises each
+    want = LaurentPoly({e: Fraction(v) * c for e, v in p.coeffs.items()})
+    assert items_and_types(p * c) == items_and_types(want)
+
+
+def general_zeta_ddzeta(r):
+    """zeta d/dzeta through the lift by (1-zeta) and the normal form, at every k."""
+    n, k = r.num, r.k
+    return ZetaRational(_lift(n.zeta_ddzeta(), 1) + n.shift(1) * k, k + 1)
+
+
+def test_zeta_derivative_of_a_polynomial_layer_skips_the_lift():
+    layers = [r for k in range(1, 5) for r in el.p_expansion(k, 60).coeffs]
+    layers += [r for i in (1, 2) for j in range(1, 6) for r in el.g_expansion(i, j, 30).coeffs]
+    assert any(not r.k for r in layers) and any(r.k for r in layers)
+    for r in layers + [ZetaRational(LaurentPoly()), ZetaRational.const(Fraction(1, 3))]:
+        got, want = r.zeta_ddzeta(), general_zeta_ddzeta(r)
+        assert got.k == want.k
+        assert items_and_types(got.num) == items_and_types(want.num)
 
 
 @pytest.mark.parametrize("c", [Fraction(-2, 3), -1, 0])

@@ -47,7 +47,8 @@ MUTANTS = [
      "self._monic = self.num", ("elliptic-numeric",)),
     ("qseries.py", "ys[:trunc + 1 - i]", "ys[:trunc - i]",
      ("qseries-identities", "lattice-oracle", "lattice-modular")),
-    ("qseries.py", "den = dx * dy", "den = dx", ("lattice-oracle", "lattice-modular")),
+    ("qseries.py", "den = dx * dy", "den = dx",
+     ("qseries-identities", "lattice-oracle", "lattice-modular")),
     ("qseries.py", "for m in range(truncation, n - 1, -1):", "for m in range(n, truncation + 1):",
      ("lattice-oracle", "lattice-modular")),
     ("hha.py", "d = {key: -c for key, c in d.items()}", "d = {key: c for key, c in d.items()}",
@@ -66,6 +67,8 @@ MUTANTS = [
      ("hha-weight1", "hha-weight2", "hha-contraction")),
     ("verify.py", "u[end] < u[end - 1]", "u[end] > u[end - 1]", ("combinatorics",)),
     ("lattice.py", "ip + g00 * v", "ip + v", ("lattice-oracle",)),
+    ("lattice.py", "tuple(map(neg, c))", "c", ("lattice-oracle",)),
+    ("ratfunc.py", "self.num.zeta_ddzeta()", "self.num", ("elliptic-formal",)),
     ("lattice.py", "(r + y1 + y2) % 4 == 0", "(r + y1 + y2) % 2 == 0",
      ("lattice-oracle", "lattice-modular")),
     ("numerics.py", "LaurentPoly({0: -1, 2: -1})", "LaurentPoly({0: -1, 2: 1})",
