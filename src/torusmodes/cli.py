@@ -188,7 +188,7 @@ _INPUTS = {"spec": (hha.BUILTIN_SPECS, hha.HHASpec.from_json),
 
 
 @cache
-def _builtin(what: str, name: str):
+def _builtin_once(what: str, name: str):
     """The built-in ``what`` called ``name``, built once per process: its memos
     serve every later query in the process."""
     return _INPUTS[what][0][name]()
@@ -199,7 +199,7 @@ def _load(what: str, name: str):
     ``name``, read anew on every call."""
     builtins, from_json = _INPUTS[what]
     if name in builtins:
-        return _builtin(what, name)
+        return _builtin_once(what, name)
     try:
         with open(name) as fh:
             data = json.load(fh)
@@ -421,8 +421,7 @@ def main(argv=None) -> int:
     except UnsupportedError as exc:
         print(f"unsupported: {exc.args[0]}", file=sys.stderr)
         return 3
-    except (hha.CancellationError, hha.ResidueError, hha.WeightBookkeepingError,
-            hha.ContractionError) as exc:
+    except (hha.CancellationError, hha.ResidueError, hha.WeightBookkeepingError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (UsageError, KeyError, ValueError) as exc:

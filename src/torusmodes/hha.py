@@ -5,9 +5,9 @@ weights and a structure table for the nonnegative square-bracket products
 
     a[m] b = sum_l  c * L[-1]**k a^l            (m >= 0, k fixed by homogeneity)
 
-closed inside the span of L[-1]-descendants of the generators; the zero
-modes of all generators commute (declared, not verified).  On top of the
-spec the module implements:
+closed inside the span of L[-1]-descendants of the generators, checked once
+to be a vertex algebra; that the zero modes of all generators commute is
+verified from the table.  On top of the spec the module implements:
 
 * the one-step recursion eliminating the first vertex-operator insertion of
   a mixed correlator, and the general step for zero modes in operator order
@@ -18,10 +18,8 @@ spec the module implements:
 * the modular anomaly of zero-mode correlators: full correlators are
   weight-graded modularly invariant atoms, all anomalies come from the
   coefficient functions' law exp(B D), so the anomaly of zero-mode
-  correlators is exp(B N) for one linear map N.  N is the pair contraction
-  through the [1]-product (Zhu 1996, section 4); on a spec that is not built
-  in, it is also read off triangularly from the reduction of one full
-  correlator, and the two must agree.
+  correlators is exp(B N) for one linear map N, the pair contraction
+  through the [1]-product (Zhu 1996, section 4).
 
 Correlator symbols are kept in a normal form in which identity insertions
 are dropped and a lone insertion of an L[-1]-descendant annihilates the
@@ -34,8 +32,7 @@ its own shape's entry), all at positions 1..n; reductions, the peel and the
 anomaly read these memos and relabel them onto their positions.  The inputs of
 a step, the square actions of its d-states and its layer coefficients, are
 memoized on the spec too, so a step shares them with every other shape.
-It also memoizes N of each sorted zero-mode multiset, checked against the
-reduction on every spec but the two built-ins.
+It also memoizes N of each sorted zero-mode multiset.
 The public entry points (invert_to_full, peel_zero_modes, reduce_to_zero_modes,
 anomaly_of_zero_modes) run with the cyclic GC paused.
 """
@@ -44,12 +41,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, count, product
-from math import comb, factorial, perm
+from math import comb, factorial, floor, perm
 
 from .combinatorics import descent_count, recursion_coefficient
 from .scaled import ScaledRational, _gc_paused, as_fraction, format_fraction
-from .symbols import (_MOVES, CoeffPoly, ONE, P, UnsupportedError, add_products, derive_poly,
+from .symbols import (_MOVES, CoeffPoly, ONE, P, UnsupportedError, add_products,
                       p_layer_coefficient)
 
 
@@ -70,12 +68,12 @@ class ResidueError(HHAError):
 
 
 class WeightBookkeepingError(HHAError):
-    """A recursion tail broke the conservation of coefficient + symbol weight,
-    or an anomaly term failed to lower the zero-mode weight by 2."""
+    """A recursion tail broke the conservation of coefficient + symbol weight."""
 
 
-class ContractionError(HHAError):
-    """N read off the reduction of a full correlator is not the pair contraction."""
+class AxiomError(HHAError):
+    """The structure table breaks skew-symmetry or the commutator formula:
+    it is not a vertex algebra."""
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +150,6 @@ class HHASpec:
                 coeff = ScaledRational.of(coeff)
                 if not coeff:
                     continue
-                if target == identity and dpow > 0:
-                    continue  # L[-1] annihilates the vacuum
                 want = self.weights[a] - m - 1 + self.weights[b]
                 have = dpow + self.weights[target]
                 if want != have:
@@ -165,6 +161,11 @@ class HHASpec:
                 self.table[(a, b, m)] = tuple(cleaned)
                 max_m = max(max_m, m)
         self.max_m = max_m
+        _check_axioms(self)
+        for a, b, m in sorted(self.table):  # [o(a), o(b)] = o(a[0]b), and o(L[-1] v) = 0
+            if m == 0 and not all(dpow for _, dpow, _ in self.action(a, b, 0)):
+                raise UnsupportedError(f"{a}[0]{b} has a term without L[-1]: the zero modes of "
+                                       f"{a} and {b} do not commute, which is not implemented")
         # reduce_once and reduce_to_zero_modes results by canonical shape;
         # valid because the table is fixed from here on
         self.shape_memo = {}
@@ -174,10 +175,8 @@ class HHASpec:
         self.action_memo = {}
         self.layer_memo = {}
         self.peel_memo = {}
-        # N of each sorted zero-mode multiset (see _linear_anomaly)
+        # N of each sorted zero-mode multiset (see contraction_n)
         self.anomaly_memo = {}
-        # set by weight1_spec and weight2_spec alone: N skips the reduction's check
-        self._builtin = False
 
     def action(self, a: str, b: str, m: int):
         if a == self.identity or b == self.identity:
@@ -186,7 +185,7 @@ class HHASpec:
 
     # JSON wire format:
     # {generators:[{name, weight}], structure:[{i, j, m, out:[{coeff, tpi, gen, dpow}]}],
-    #  identity}.  A "commuting" key may only be true: every spec's zero modes commute.
+    #  identity}.  A "commuting" key may only be true: the zero modes must commute.
     def to_json(self) -> dict:
         gens = [{"name": n, "weight": format_fraction(w)}
                 for n, w in sorted(self.weights.items())]
@@ -240,12 +239,10 @@ class HHASpec:
 def weight1_spec(pairing=1) -> HHASpec:
     """The weight-1 algebra {1, a}: a[1]a = <a,a>/(2*pi*i)**2 * 1, all else zero."""
     pairing = as_fraction(pairing)
-    spec = HHASpec(
+    return HHASpec(
         {"1": 0, "a": 1},
         {("a", "a", 1): ((ScaledRational(pairing, -2), 0, "1"),)},
     )
-    spec._builtin = True
-    return spec
 
 
 def weight2_spec() -> HHASpec:
@@ -254,7 +251,7 @@ def weight2_spec() -> HHASpec:
         x[0]x = 2/(2*pi*i)**2 L[-1]x,  x[1]x = 4/(2*pi*i)**2 x,
         x[3]x = 2/(2*pi*i)**4 1,       all other m >= 0 vanish.
     """
-    spec = HHASpec(
+    return HHASpec(
         {"1": 0, "x": 2},
         {
             ("x", "x", 0): ((ScaledRational(2, -2), 1, "x"),),
@@ -262,8 +259,6 @@ def weight2_spec() -> HHASpec:
             ("x", "x", 3): ((ScaledRational(2, -4), 0, "1"),),
         },
     )
-    spec._builtin = True
-    return spec
 
 
 BUILTIN_SPECS = {"weight1": weight1_spec, "weight2": weight2_spec}
@@ -279,7 +274,9 @@ def square_action(spec: HHASpec, b: dict, m: int, a: dict) -> dict:
     L[-1]-powers on b lower the mode with falling-factorial signs,
     (L[-1]**l c)[m] = (-1)**l m(m-1)...(m-l+1) c[m-l]; L[-1]-powers on a are
     commuted out with a[m'](L[-1]**n b) = sum_k C(m',k) k! C(n,k)
-    L[-1]**(n-k) a[m'-k] b; then the structure table applies.
+    L[-1]**(n-k) a[m'-k] b; then the structure table applies.  L[-1]
+    annihilates the vacuum, so L[-1]**k 1 with k >= 1 is the zero state and
+    never kept.
     """
     if m < 0:
         raise HHAError("square_action covers m >= 0 only")
@@ -298,6 +295,8 @@ def square_action(spec: HHASpec, b: dict, m: int, a: dict) -> dict:
                     continue
                 for cs, dp, target in spec.action(gb, ga, mp - k):
                     key = (la - k + dp, target)
+                    if key[0] and target == spec.identity:
+                        continue
                     c = base * cs * (sgn_ff * c2)
                     if key in out:
                         c = out[key] + c
@@ -318,6 +317,54 @@ def d_state(spec: HHASpec, modes, a: dict) -> dict:
     if len(modes) % 2:
         d = {key: -c for key, c in d.items()}
     return d
+
+
+def _check_axioms(spec: HHASpec):
+    """Refuse a structure table that is not a vertex algebra: on generators a,
+    b, c and modes m, n >= 0, the two identities of a Lie conformal algebra
+    (Kac, "Vertex Algebras for Beginners", 2nd ed.) must hold,
+
+        skew-symmetry   b[n]a = sum_j (-1)**(n+j+1) L[-1]**j/j! a[n+j]b,
+        commutator      a[m](b[n]c) - b[n](a[m]c) = sum_j C(m,j) (a[j]b)[m+n-j]c.
+
+    By homogeneity a[m]b vanishes for m > wt a + wt b - 1, and both sides of the
+    commutator formula for m + n > wt a + wt b + wt c - 2.  An AxiomError names
+    the first failing (a, b, n) or (a, b, c, m, n)."""
+    e = {g_: basis(g_) for g_ in sorted(spec.weights) if g_ != spec.identity}
+    act, wt = partial(square_action, spec), spec.weights
+    for a, b in product(e, repeat=2):
+        top = floor(wt[a] + wt[b] - 1)
+        for n in range(top + 1):
+            # L[-1]**j/j! a[n+j]b, with L[-1]**j 1 = 0 for j >= 1 as in square_action
+            rhs = _combine((Fraction((-1) ** (n + j + 1), factorial(j)), {
+                (l + j, t): c for (l, t), c in act(e[a], n + j, e[b]).items()
+                if not (j and t == spec.identity)}) for j in range(top - n + 1))
+            if act(e[b], n, e[a]) != rhs:
+                raise AxiomError(f"not a vertex algebra: skew-symmetry fails at "
+                                 f"(a, b, n) = {(a, b, n)}")
+    for a, b, c in product(e, repeat=3):
+        top = floor(wt[a] + wt[b] + wt[c] - 2)
+        for m, n in ((m, n) for m in range(top + 1) for n in range(top - m + 1)):
+            lhs = _combine(((1, act(e[a], m, act(e[b], n, e[c]))),
+                            (-1, act(e[b], n, act(e[a], m, e[c])))))
+            rhs = _combine((comb(m, j), act(act(e[a], j, e[b]), m + n - j, e[c]))
+                           for j in range(m + 1))
+            if lhs != rhs:
+                raise AxiomError(f"not a vertex algebra: the commutator formula fails at "
+                                 f"(a, b, c, m, n) = {(a, b, c, m, n)}")
+
+
+def _combine(terms) -> dict:
+    """The state sum of scale * state over the (scale, state) pairs ``terms``."""
+    out = {}
+    for scale, state in terms:
+        for key, c in state.items():
+            c = out[key] + c * scale if key in out else c * scale
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +493,6 @@ def attach_insertion(spec: HHASpec, modes, base_insertions, pos: int, state: dic
     for (dpow, gen), c in state.items():
         term_coeff = coeff * c
         if gen == spec.identity:
-            if dpow > 0:
-                continue  # L[-1] vacuum descendant is the zero state
             ins = tuple(base_insertions)
         else:
             ins = tuple(base_insertions) + ((pos, dpow, gen),)
@@ -842,7 +887,7 @@ def weight1_configuration_formula(n: int, s: int) -> CorrExpression:
 def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
     """Modular anomaly of F(a_0^{gens}) as B-graded zero-mode correlator sums.
 
-    The anomaly is exp(B N) - 1 for the linear map N of :func:`_linear_anomaly`,
+    The anomaly is exp(B N) - 1 for the linear map N of :func:`contraction_n`,
     so the B^k part is N^k F(a_0^{gens}) / k!, built as N of the B^(k-1) part
     divided by k.  Each N lowers the zero-mode weight by 2, and no engine step
     raises the number of zero modes plus insertions, so the powers vanish.
@@ -852,7 +897,7 @@ def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
     for k in count(1):
         nxt = {}
         for sym, c in part.items():
-            for tsym, tc in _linear_anomaly(spec, sym):
+            for tsym, tc in contraction_n(spec, sym.modes):
                 nxt[tsym] = nxt.get(tsym, 0) + c * tc
         part = {sym: c * Fraction(1, k) for sym, c in nxt.items() if c}
         if not part:
@@ -860,95 +905,31 @@ def anomaly_of_zero_modes(spec: HHASpec, gens) -> list[tuple[int, dict]]:
         graded.append((k, part))
 
 
-def _linear_anomaly(spec: HHASpec, sym: CorrSymbol) -> tuple:
-    """N of the zero-mode correlator ``sym``, the B^1 part of its anomaly, as
-    (symbol, constant) pairs, from the spec's memo of its zero-mode multiset.
-
-    N is :func:`contraction_n`.  On a spec that is not built in, N is first
-    read off the reduction of the full correlator (:func:`reduction_n`), with
-    every refusal of that route, and the two must agree.
-    """
-    canon = spec.anomaly_memo.get(sym.modes)
-    if canon is None:
-        reduced = None if spec._builtin else reduction_n(spec, sym.modes)
-        canon = contraction_n(spec, sym.modes)
-        if reduced is not None and dict(reduced) != dict(canon):
-            raise ContractionError(f"N {sym!r} is {reduced!r} by the reduction, "
-                                   f"but {canon!r} by the pair contraction")
-        spec.anomaly_memo[sym.modes] = canon
-    return canon
-
-
 def contraction_n(spec: HHASpec, modes) -> tuple:
-    """N F(b_1 ... b_s) as the pair contraction through the [1]-product,
+    """N F(b_1 ... b_s), the B^1 part of the anomaly of that zero-mode
+    correlator, as the pair contraction through the [1]-product,
 
         N F(b_1 ... b_s) = sum_{i<j} F(the b's with b_i, b_j replaced by o(b_i[1] b_j)),
 
     the B^1 part of Zhu's recursion for zero modes (Zhu 1996, section 4), as
-    (symbol, constant) pairs.  Each pair reads the spec's (b_i, b_j, 1) entry
-    with the modes sorted; o(1) = 1, so an identity target drops the pair, and
-    o(L[-1]**k v) = 0 for k >= 1.  The spec's homogeneity makes every term 2
-    lower in zero-mode weight.
+    (symbol, constant) pairs, from the spec's memo of the sorted multiset.
+    Each pair reads the spec's (b_i, b_j, 1) entry with the modes sorted;
+    o(1) = 1, so an identity target drops the pair, and o(L[-1]**k v) = 0 for
+    k >= 1.  The spec's homogeneity makes every term 2 lower in zero-mode weight.
     """
     modes = tuple(sorted(modes))
-    out = {}
-    for i, j in combinations(range(len(modes)), 2):
-        rest = modes[:i] + modes[i + 1:j] + modes[j + 1:]
-        for coeff, dpow, target in spec.action(modes[i], modes[j], 1):
-            if dpow:
-                continue
-            sym = CorrSymbol(rest if target == spec.identity else rest + (target,))
-            out[sym] = out.get(sym, 0) + coeff
-    return tuple((sym, c) for sym, c in out.items() if c)
-
-
-def reduction_n(spec: HHASpec, modes) -> tuple:
-    """N F(modes) read off the reduction of its full correlator, as (symbol,
-    constant) pairs: the check that :func:`contraction_n` meets.
-
-    The full correlator Phi = F(; the zero modes as insertions at 1..n) is a
-    modularly invariant atom of its weight, and reduces to F(modes) + sum_j
-    r_j Z_j with every Z_j on fewer zero modes.  Coefficients transform by
-    exp(B D) (symbols.derive_poly is D) and each Z_j by exp(B N), so the B^1
-    part of Phi's invariance gives, triangularly,
-
-        N F(modes) = -sum_j (D r_j Z_j + r_j N Z_j),
-
-    with N of the empty multiset 0 and each N Z_j from :func:`_linear_anomaly`.
-    Every coefficient must be free of position and function symbols, and every
-    term must have zero-mode weight 2 below F(modes).
-    """
-    sym = CorrSymbol(modes, ())
-    result = _linear_part_of_full(spec, sym) if sym.modes else CorrExpression()
-    want = sym.weight(spec) - 2
-    out = []
-    for tsym, poly in result.terms.items():
-        if poly.mentions("z"):
-            raise ResidueError(f"anomaly left z-dependence on {tsym!r}: {poly!r}")
-        if poly.terms.keys() != {()}:
-            raise ResidueError(f"anomaly left function symbols on {tsym!r}: {poly!r}")
-        if tsym.weight(spec) != want:
-            raise WeightBookkeepingError(
-                f"anomaly term {tsym!r} has zero-mode weight {tsym.weight(spec)}, "
-                f"not {want}")
-        out.append((tsym, poly.terms[()]))
-    return tuple(out)
-
-
-def _linear_part_of_full(spec: HHASpec, sym: CorrSymbol) -> CorrExpression:
-    """-sum_j (D r_j Z_j + r_j N Z_j) over the lower terms of the reduction of
-    F(; sym's zero modes at 1..n), whose head must be ``sym`` with coefficient ONE."""
-    lower = dict(_shape_zero_modes(spec, (), tuple((0, g_) for g_ in sym.modes)))
-    if lower.pop(sym, None) != ONE:
-        raise HHAError(f"full correlator of {sym!r} does not reduce to it with coefficient 1")
-    out = CorrExpression()
-    for zsym, r in lower.items():
-        if len(zsym.modes) >= len(sym.modes):
-            raise HHAError(f"reduction of {sym!r} gave {zsym!r}, not fewer zero modes")
-        out.add_term(zsym, -derive_poly(r))
-        for tsym, c in _linear_anomaly(spec, zsym):
-            out.add_term(tsym, r * -c)
-    return out
+    canon = spec.anomaly_memo.get(modes)
+    if canon is None:
+        out = {}
+        for i, j in combinations(range(len(modes)), 2):
+            rest = modes[:i] + modes[i + 1:j] + modes[j + 1:]
+            for coeff, dpow, target in spec.action(modes[i], modes[j], 1):
+                if dpow:
+                    continue
+                sym = CorrSymbol(rest if target == spec.identity else rest + (target,))
+                out[sym] = out.get(sym, 0) + coeff
+        canon = spec.anomaly_memo[modes] = tuple((sym, c) for sym, c in out.items() if c)
+    return canon
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
-from torusmodes import hha
+from torusmodes import hha, verify
 from torusmodes.hha import (CorrExpression, CorrSymbol, HHASpec, anomaly_of_zero_modes,
                             weight1_spec, weight2_spec)
 from torusmodes.scaled import ScaledRational
@@ -143,38 +143,28 @@ _FAMILIES = {
 }
 
 
-def _outcome(route, make, gens):
-    try:
-        return route(make(), gens)
-    except hha.HHAError as exc:
-        return type(exc)
-
-
-# faulty tables that both routes refuse through different checks: the
-# reference's final sum keeps a pi marker, while the engine's sum, built from
-# pi-free reductions, keeps a function symbol
-_REFUSED_APART = {(f"weight2_x{m}x={v}", ("x",) * 5) for m, v in ((0, 3), (1, 3), (1, 5))}
+# the first tuple at which the table check refuses each faulty table
+_REFUSED = {
+    **{f"weight2_x{m}x={v}": r"skew-symmetry fails at \(a, b, n\) = \('x', 'x', 0\)"
+       for m, v in ((0, 3), (1, 3), (1, 5))},
+    **{f"heisenberg_cross={c}": r"commutator formula fails at "
+                                r"\(a, b, c, m, n\) = \('a', 'x', 'x', 1, 0\)" for c in (1, 3)},
+}
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_engine_equals_the_exp_bd_reference(family):
     # exp(B N) on the zero-mode correlators against exp(B D) - 1 on every
-    # coefficient of the inversion: the same result, or the same exception class
+    # coefficient of the inversion: the same result on every algebra (x[3]x = 1
+    # is the Virasoro table at central charge 1/2 in place of 1), while a faulty
+    # table is refused when its spec is built, before any correlator is reduced
     make, correlators = _FAMILIES[family]
-    outcomes = set()
+    if family in _REFUSED:
+        with pytest.raises(hha.AxiomError, match=_REFUSED[family]):
+            make()
+        return
     for gens in correlators:
-        want = _outcome(_reference_anomaly, make, gens)
-        got = _outcome(anomaly_of_zero_modes, make, gens)
-        if (family, gens) in _REFUSED_APART:
-            assert (want, got) == (hha.CancellationError, hha.ResidueError), gens
-        else:
-            assert got == want, gens
-        outcomes.add(want if isinstance(want, type) else "result")
-    # the faulty tables reach the engine's checks, the algebras never do; x[3]x = 1
-    # is the Virasoro table at central charge 1/2 in place of 1
-    assert outcomes == ({"result"} if family in ("weight1", "weight2", "heisenberg_cross=2",
-                                                 "weight2_x3x=1")
-                        else {"result", hha.ResidueError, hha.CancellationError})
+        assert anomaly_of_zero_modes(make(), gens) == _reference_anomaly(make(), gens), gens
 
 
 def test_linear_part_is_memoised_per_multiset():
@@ -185,33 +175,12 @@ def test_linear_part_is_memoised_per_multiset():
     assert spec.anomaly_memo[()] == ()
 
 
-def _spec_file(spec):
-    """The same table loaded as a spec file: not built in, so the engine reads N
-    off the reduction of a full correlator and checks it against the contraction."""
-    return HHASpec.from_json(spec.to_json())
-
-
-def test_linear_part_must_lower_the_weight_by_two(monkeypatch):
-    linear_part = hha._linear_part_of_full
-
-    def keep_the_original(spec, sym):
-        out = linear_part(spec, sym)
-        out.add_term(CorrSymbol(("x",) * 2, ()), CoeffPoly.scalar(1))
-        return out
-
-    spec = _spec_file(weight2_spec())
-    anomaly_of_zero_modes(spec, ("x",))  # N of the smaller multisets, unpatched
-    monkeypatch.setattr(hha, "_linear_part_of_full", keep_the_original)
-    with pytest.raises(hha.WeightBookkeepingError, match=r"F\(x0\^2\) has zero-mode weight 4, not 2"):
-        anomaly_of_zero_modes(spec, ("x",) * 2)
-
-
 def _assert_both_routes(spec, modes, want):
-    """N F(modes) is ``want`` by the contraction on the built-in ``spec``, and by
-    the reduction on its spec file, whose lower N come from the reduction too."""
-    sym = CorrSymbol(modes, ())
-    assert hha.contraction_n(spec, modes) == hha._linear_anomaly(spec, sym) == want, modes
-    assert hha.reduction_n(_spec_file(spec), modes) == want, modes
+    """N F(modes) is ``want`` by the pair contraction, and by the reduction of
+    its full correlator, the second route of the hha-contraction suite."""
+    assert hha.contraction_n(spec, modes) == want, modes
+    assert verify._reduction_n(spec, modes) == CorrExpression(
+        {sym: CoeffPoly.scalar(c) for sym, c in want}), modes
 
 
 @pytest.mark.parametrize("pairing", [1, Fraction(3, 2)])
@@ -253,15 +222,6 @@ def test_weight2_anomaly_is_mobius_up_to_the_largest_correlator():
             (k, {CorrSymbol(("x",) * (s - k), ()): ScaledRational(
                 2 ** k * comb(s - 1, s - k - 1) * factorial(s) // factorial(s - k), -2 * k)})
             for k in range(1, s)], s
-
-
-def test_spec_file_refuses_n_that_is_not_the_contraction(monkeypatch):
-    # the reduction route gives N F(x0^2) = 4 F(x0); a contraction that says
-    # otherwise is refused on a spec file, and not consulted against a built-in
-    monkeypatch.setattr(hha, "contraction_n", lambda spec, modes: ())
-    with pytest.raises(hha.ContractionError, match=r"N F\(x0\^2\) is"):
-        anomaly_of_zero_modes(_spec_file(weight2_spec()), ("x",) * 2)
-    assert anomaly_of_zero_modes(weight2_spec(), ("x",) * 2) == []
 
 
 def test_weight2_s4_reduction_still_works():

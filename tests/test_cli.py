@@ -226,11 +226,11 @@ def test_anomaly_custom_spec_pairing(capsys, tmp_path):
 
 
 def test_anomaly_of_a_spec_file_prints_the_built_in_bytes(capsys, tmp_path):
-    # the spec file's N comes from the reduction, checked against the contraction;
-    # the built-in's comes from the contraction alone
+    # the spec file's table is checked when it is read, and its N, like the
+    # built-in's, comes from the pair contraction alone
     path = tmp_path / "w2.json"
     path.write_text(json.dumps(hha.weight2_spec().to_json()))
-    for s in range(1, 6):
+    for s in range(1, 8):
         assert run(capsys, "anomaly", "--spec", str(path), "--correlator", f"x0^{s}") == \
             run(capsys, "anomaly", "--spec", "weight2", "--correlator", f"x0^{s}"), s
 
@@ -304,7 +304,6 @@ def test_anomaly_weight2_beyond_depth_one(capsys):
     ("reduce", "invert_to_full", hha.CancellationError("pi*i residual failed to cancel")),
     ("anomaly", "anomaly_of_zero_modes", hha.ResidueError("anomaly left z-dependence")),
     ("reduce", "invert_to_full", hha.WeightBookkeepingError("weight bookkeeping violated")),
-    ("anomaly", "anomaly_of_zero_modes", hha.ContractionError("N F(x0^2) is not the contraction")),
 ])
 def test_failed_engine_check_exits_1(capsys, monkeypatch, command, engine_call, error):
     def fail(*args, **kwargs):
@@ -420,6 +419,29 @@ def test_noncommuting_spec_file_rejected_at_load(capsys, tmp_path, value, code, 
     assert err == message + "\n"
 
 
+def _sl2_entry(i, j, m, coeff, tpi, gen):
+    return {"i": i, "j": j, "m": m, "out": [{"coeff": coeff, "tpi": tpi, "gen": gen}]}
+
+
+# affine sl2 at level 1, graded as the built-ins: a vertex algebra whose zero modes do not commute
+_SL2 = {"generators": [{"name": n, "weight": 1} for n in "efh"], "structure": [
+    _sl2_entry(*entry) for entry in (
+        ("e", "f", 0, "1", -1, "h"), ("f", "e", 0, "-1", -1, "h"), ("h", "e", 0, "2", -1, "e"),
+        ("e", "h", 0, "-2", -1, "e"), ("h", "f", 0, "-2", -1, "f"), ("f", "h", 0, "2", -1, "f"),
+        ("e", "f", 1, "1", -2, "1"), ("f", "e", 1, "1", -2, "1"), ("h", "h", 1, "2", -2, "1"))]}
+
+
+def test_spec_file_whose_zero_modes_do_not_commute_is_unsupported(capsys, tmp_path):
+    # [o(e), o(f)] = o(e[0]f) = o(h): the table passes the check, and the
+    # engine cannot reduce its zero modes
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(_SL2))
+    code, out, err = run(capsys, "anomaly", "--spec", str(path), "--correlator", "e0 f0")
+    assert code == 3 and out == ""
+    assert err == ("unsupported: e[0]f has a term without L[-1]: the zero modes of e and f "
+                   "do not commute, which is not implemented\n")
+
+
 def _too_low(suite, order, estimate, tol):
     return (f"error: --order {order} is too low for {suite}: the truncation estimate "
             f"{estimate} is above the tolerance {tol}; raise --order or pass a larger --tol")
@@ -500,6 +522,8 @@ def _w2_weight(weight):
         {**_ENTRY["out"][0], "coeff": "5"}]}]}), id="structure-entry-twice"),
     pytest.param("reduce", json.dumps({**_W2, "generators": [
         {"name": "x", "weight": "5"}, {"name": "x", "weight": "2"}]}), id="generator-twice"),
+    # x[1]x = 4 x alone breaks skew-symmetry, x[0]x = -x[0]x + L[-1] x[1]x: not an algebra
+    pytest.param("reduce", _w2_with(), id="not-a-vertex-algebra"),
 ])
 def test_malformed_spec_and_lattice_files(capsys, tmp_path, command, text):
     # a bad input file is a usage error on one line: no traceback, no truncated read

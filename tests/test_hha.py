@@ -92,6 +92,19 @@ def test_square_action_table(w2):
     assert square_action(w2, x, 1, one) == {}
 
 
+def test_square_action_drops_the_vacuums_descendants(w2):
+    # x[3](L[-1]x) = L[-1](x[3]x) + 3 x[2]x = 2/(2 pi i)^4 L[-1]1, and L[-1]1 = 0
+    assert square_action(w2, basis("x"), 3, basis("x", 1)) == {}
+
+
+def test_table_check_names_the_first_failing_tuple():
+    # h[0]h = 1 for a weight-1/2 field: skew-symmetry asks h[0]h = -h[0]h at n = 0,
+    # the only mode n <= floor(1/2 + 1/2 - 1) = 0
+    failure = r"skew-symmetry fails at \(a, b, n\) = \('h', 'h', 0\)"
+    with pytest.raises(hha.AxiomError, match=failure):
+        hha.HHASpec({"h": Fraction(1, 2)}, {("h", "h", 0): ((ScaledRational(1), 0, "1"),)})
+
+
 def test_d_states(w2, w1):
     x = basis("x")
     assert d_state(w2, (), x) == x
@@ -595,10 +608,11 @@ GC_PAUSED = {
         weight1_spec(), CorrExpression.single(CorrSymbol(("a",) * 2, ((3, 0, "a"),)))),
     "reduce_to_zero_modes": lambda: reduce_to_zero_modes(
         weight2_spec(), CorrExpression.single(CorrSymbol((), ((1, 0, "x"), (2, 0, "x"))))),
-    # a spec file reads N off the reduction; a built-in takes no recursion step
-    "anomaly_of_zero_modes": lambda: hha.anomaly_of_zero_modes(
-        hha.HHASpec.from_json(weight1_spec().to_json()), ("a",) * 4),
+    "anomaly_of_zero_modes": lambda: hha.anomaly_of_zero_modes(weight1_spec(), ("a",) * 4),
 }
+# the engine function each entry point is seen to call: the anomaly takes no recursion step
+WATCHED = {name: "contraction_n" if name == "anomaly_of_zero_modes" else "_shape_step"
+           for name in GC_PAUSED}
 
 
 def test_engine_makes_no_reference_cycles():
@@ -620,8 +634,8 @@ def test_engine_makes_no_reference_cycles():
 @pytest.mark.parametrize("name", GC_PAUSED)
 def test_entry_points_pause_and_restore_the_gc(name, monkeypatch):
     seen = []
-    step = hha._shape_step
-    monkeypatch.setattr(hha, "_shape_step", lambda *args: seen.append(gc.isenabled()) or step(*args))
+    step = getattr(hha, WATCHED[name])
+    monkeypatch.setattr(hha, WATCHED[name], lambda *args: seen.append(gc.isenabled()) or step(*args))
     assert gc.isenabled()
     GC_PAUSED[name]()
     assert gc.isenabled() and seen and not any(seen)
@@ -634,13 +648,13 @@ def test_entry_points_pause_and_restore_the_gc(name, monkeypatch):
 
 
 def test_gc_is_restored_after_a_raising_call(monkeypatch):
-    def unknown(poly):
+    def unknown(spec, modes):
         raise DeltaUnknownError("no law")
 
-    # D of the reduction's coefficients raises inside the paused anomaly call
-    monkeypatch.setattr(hha, "derive_poly", unknown)
+    # N raises inside the paused anomaly call
+    monkeypatch.setattr(hha, "contraction_n", unknown)
     with pytest.raises(DeltaUnknownError):
-        hha.anomaly_of_zero_modes(hha.HHASpec.from_json(weight2_spec().to_json()), ("x",) * 2)
+        hha.anomaly_of_zero_modes(weight2_spec(), ("x",) * 2)
     assert gc.isenabled()
 
 

@@ -96,9 +96,11 @@ MUTANTS = [
     ("hha.py", "Fraction(1, k)", "1", ("hha-weight1", "hha-weight2", "lattice-modular")),
     ("symbols.py", "derive_poly(term) * Fraction(1, k)", "derive_poly(term)",
      ("elliptic-numeric",)),
-    ("hha.py", "r * -c)", "r * c)", ("hha-contraction",)),
+    ("verify.py", "r * -c)", "r * c)", ("hha-contraction",)),
     ("hha.py", "if dpow:", "if dpow or target == spec.identity:",
      ("hha-weight1", "lattice-modular", "hha-contraction")),
+    ("hha.py", "for j in range(m + 1))", "for j in range(m))", ("lattice-modular",)),
+    ("hha.py", "(-1) ** (n + j + 1)", "(-1) ** (n + j)", ("lattice-modular",)),
 ]
 
 
