@@ -79,10 +79,6 @@ class BivariateExpansion(QExpansion):
             total += value * q_powers[m]
         return TWO_PI_I ** self.tpi * total
 
-    def to_json(self) -> dict:
-        return {"tpi": self.tpi, "truncation": self.truncation,
-                "layers": [dict(m=m, **l.to_json()) for m, l in enumerate(self.coeffs)]}
-
 
 def _positive_sum_closed_form(k: int) -> ZetaRational:
     """sum_{n>0} n**(k-1) zeta**n = zeta A_{k-1}(zeta) / (1-zeta)**k."""

@@ -63,10 +63,6 @@ class CancellationError(HHAError):
     """The pi*i residuals of the P_1 splitting failed to cancel."""
 
 
-class ResidueError(HHAError):
-    """An anomaly computation left position- or function-symbol residue."""
-
-
 class WeightBookkeepingError(HHAError):
     """A recursion tail broke the conservation of coefficient + symbol weight."""
 
@@ -121,7 +117,8 @@ class HHASpec:
 
     ``table`` maps (a, b, m) to a tuple of (coefficient, L-power, generator)
     triples; absent keys mean the product vanishes.  Homogeneity
-    w(a) - m - 1 + w(b) = k + w(target) is enforced for every entry.
+    w(a) - m - 1 + w(b) = k + w(target) is enforced for every entry, and no
+    generator weight may be negative.
     """
 
     def __init__(self, weights, table, identity: str = "1"):
@@ -131,6 +128,10 @@ class HHASpec:
         self.weights = {}
         for name, w in weights.items():
             w = as_fraction(w)
+            # a[m]b has weight wt a + wt b - m - 1, so with no negative weight it
+            # vanishes above the bounds that _check_axioms loops to
+            if w < 0:
+                raise HHAError(f"generator {name!r} has negative weight {format_fraction(w)}")
             self.weights[name] = w.numerator if w.denominator == 1 else w
         if identity not in self.weights:
             self.weights[identity] = 0

@@ -30,7 +30,8 @@ walk's groups: shell sizes, theta moments, theta series, traces and chi share
 them.  The walk is the product route's oracle: ``enumerate_vectors`` (which
 alone keeps the vectors, both signs) and ``fock_trace_oracle``'s charged block
 walk every Gram, and share one walk per Gram and order: the vectors' walk
-tallies the groups too.
+tallies the groups too.  The closed-form trace and the oracle are made once
+per (lattice, n, order), as the theta moments and eta factors they read are.
 """
 
 from __future__ import annotations
@@ -434,6 +435,7 @@ def eta_derivative_factor(ell: int, r: int, truncation: int) -> QExpansion:
     return eta_power(-(ell - 1), truncation) * d
 
 
+@lru_cache(maxsize=None)
 def quasimod_rhs(lat: EvenLattice, n: int, truncation: int) -> QExpansion:
     """Closed-form Tr v_0^n q^{L0 - l/24} for v = h[-1]^2 1 - 1/12."""
     ell = lat.rank
@@ -534,6 +536,7 @@ def fock_trace_literal(lat: EvenLattice, n: int, truncation: int) -> QExpansion:
     return QExpansion.from_dict(coeffs, truncation, Fraction(-lat.rank, 24))
 
 
+@lru_cache(maxsize=None)
 def fock_trace_oracle(lat: EvenLattice, n: int, truncation: int) -> QExpansion:
     """Brute-force Tr v_0^n q^{L0-l/24} over the Fock basis, organized by counting.
 

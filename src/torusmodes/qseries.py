@@ -137,7 +137,7 @@ class QExpansion:
                         out[i + j] += a * b
         den = dx * dy
         if den != 1:
-            out = [as_exact(Fraction(n, den)) for n in out]
+            out = [n // den if not n % den else Fraction(n, den) for n in out]
         return QExpansion(self.offset + other.offset, out, self.tpi + other.tpi)
 
     __rmul__ = __mul__
@@ -241,16 +241,6 @@ class QExpansion:
         unit = TWO_PI_I ** self.tpi
         scale = max(abs(complex(c) * unit) for c in self.coeffs[-5:])
         return max(scale, 1.0) * aq ** (self.truncation + 1) / (1 - aq)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "offset": format_fraction(self.offset),
-            "lower": 0,
-            "truncation": self.truncation,
-            "coeffs": [[[self.tpi, format_fraction(c)]] if c else [] for c in self.coeffs],
-        }
 
     def __repr__(self):
         terms = [f"({c})*q^{format_fraction(self.offset + m)}"

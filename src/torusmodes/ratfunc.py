@@ -133,9 +133,6 @@ class LaurentPoly:
     def evaluate(self, z: complex) -> complex:
         return self.sum_powers(PowerMap(z))
 
-    def to_pairs(self):
-        return [[e, format_fraction(c)] for e, c in sorted(self.coeffs.items())]
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -272,9 +269,6 @@ class ZetaRational:
         if abs(dv) <= POLE_TOL * max(scale, 1.0):
             raise ZeroDivisionError(f"evaluation too close to a pole at zeta={z}")
         return self._monic_num().sum_powers(powers) / dv
-
-    def to_json(self) -> dict:
-        return {"num": self._monic_num().to_pairs(), "den": self.den.to_pairs()}
 
     def __repr__(self):
         if not self.k:

@@ -357,17 +357,19 @@ def suite_elliptic_numeric(order=60, tol=1e-6, seed=20409):
 
 @suite("hha-weight1")
 def suite_hha_weight1():
-    spec = hha.weight1_spec()
+    # the spec is built by the first case that reads it, so that a fault in its
+    # table check fails each case alone, as in lattice-modular
+    spec = cache(hha.weight1_spec)
     yield "configuration_formula_n+s<=6", lambda: all(
-        hha.peel_zero_modes(spec, hha.CorrExpression.single(hha.CorrSymbol(
+        hha.peel_zero_modes(spec(), hha.CorrExpression.single(hha.CorrSymbol(
             ("a",) * s, tuple((p, 0, "a") for p in range(s + 1, s + n + 1)))))
         == hha.weight1_configuration_formula(n, s)
         for s in range(0, 7) for n in range(0, 7 - s) if n or s)
     yield "round_trip_s<=4", lambda: all(
-        hha.reduce_to_zero_modes(spec, hha.invert_to_full(spec, ("a",) * s))
+        hha.reduce_to_zero_modes(spec(), hha.invert_to_full(spec(), ("a",) * s))
         == hha.CorrExpression.single(hha.CorrSymbol(("a",) * s, ())) for s in range(1, 5))
     yield "pairing_anomaly_closed_form_s<=6", lambda: all(
-        dict(hha.anomaly_of_zero_modes(spec, ("a",) * s)) == {
+        dict(hha.anomaly_of_zero_modes(spec(), ("a",) * s)) == {
             k: {hha.CorrSymbol(("a",) * (s - 2 * k), ()): ScaledRational(
                 Fraction(factorial(s), 2 ** k * factorial(k) * factorial(s - 2 * k)), -2 * k)}
             for k in range(1, s // 2 + 1)}
@@ -379,7 +381,7 @@ def suite_hha_weight1():
 
 @suite("hha-weight2")
 def suite_hha_weight2():
-    spec = hha.weight2_spec()
+    spec = cache(hha.weight2_spec)  # built by the first case, as in hha-weight1
     F = lambda *mods: hha.CorrSymbol(mods, ())
 
     def expression(*terms):
@@ -388,13 +390,13 @@ def suite_hha_weight2():
             out.add_term(sym, coeff)
         return out
     yield "two_zero_modes_expansion_termwise", lambda: \
-        hha.invert_to_full(spec, ("x", "x")) == expression(
+        hha.invert_to_full(spec(), ("x", "x")) == expression(
             (hha.CorrSymbol((), ((1, 0, "x"), (2, 0, "x"))), ONE),
             (hha.CorrSymbol((), ((2, 0, "x"),)), -(P(2, 2, 1) * ScaledRational(4, -2))),
             (F(), -(P(4, 2, 1) * ScaledRational(2, -4))))
     # the tails that the second peel of F(x0^3) subtracts: the head F(x0^2; (x,3))
     # is the first peel's result
-    yield "three_zero_modes_first_peel_termwise", lambda: hha.reduce_once(spec, expression(
+    yield "three_zero_modes_first_peel_termwise", lambda: hha.reduce_once(spec(), expression(
         (hha.CorrSymbol(("x",), ((2, 0, "x"), (3, 0, "x"))), ONE))) == expression(
             (hha.CorrSymbol(("x", "x"), ((3, 0, "x"),)), ONE),
             (hha.CorrSymbol(("x",), ((3, 0, "x"),)), P(2, 3, 2) * ScaledRational(4, -2)),
@@ -402,21 +404,21 @@ def suite_hha_weight2():
             (hha.CorrSymbol((), ((3, 0, "x"),)), g(1, 3, 3, 2) * ScaledRational(16, -4)),
             (F(), g(1, 5, 3, 2) * ScaledRational(16, -6)))
     yield "round_trip_s<=4", lambda: all(
-        hha.reduce_to_zero_modes(spec, hha.invert_to_full(spec, ("x",) * s))
+        hha.reduce_to_zero_modes(spec(), hha.invert_to_full(spec(), ("x",) * s))
         == hha.CorrExpression.single(F(*("x",) * s)) for s in range(1, 5))
-    yield "anomaly_s2_(1,4)", lambda: \
-        dict(hha.anomaly_of_zero_modes(spec, ("x", "x"))) == {1: {F("x"): ScaledRational(4, -2)}}
+    yield "anomaly_s2_(1,4)", lambda: dict(hha.anomaly_of_zero_modes(spec(), ("x", "x"))) == {
+        1: {F("x"): ScaledRational(4, -2)}}
     yield "anomaly_s3_(1,12,24)", lambda: \
-        dict(hha.anomaly_of_zero_modes(spec, ("x",) * 3)) == {
+        dict(hha.anomaly_of_zero_modes(spec(), ("x",) * 3)) == {
             1: {F("x", "x"): ScaledRational(12, -2)}, 2: {F("x"): ScaledRational(24, -4)}}
 
     def collapse(r):
         modes, insertions = ("x",) * r, ((1, 0, "x"), (2, 0, "x"), (3, 0, "x"))
-        return hha.reduce_once(spec, hha.CorrExpression.single(
-            hha.CorrSymbol(modes, insertions))) == hha.reduce_once_ordered(spec, modes, insertions)
+        return hha.reduce_once(spec(), hha.CorrExpression.single(hha.CorrSymbol(
+            modes, insertions))) == hha.reduce_once_ordered(spec(), modes, insertions)
     yield "ordered_collapse_r<=4", lambda: all(collapse(r) for r in range(0, 5))
     # a0 cancellation: sum over positions of the x[0]x replacement reduces to zero
-    yield "zero_action_position_sum_cancels", lambda: hha.reduce_to_zero_modes(spec, expression(
+    yield "zero_action_position_sum_cancels", lambda: hha.reduce_to_zero_modes(spec(), expression(
         (hha.CorrSymbol((), ((2, 1, "x"), (3, 0, "x"))), ONE),
         (hha.CorrSymbol((), ((2, 0, "x"), (3, 1, "x"))), ONE))).is_zero()
 
@@ -443,17 +445,19 @@ def _reduction_n(spec, modes) -> hha.CorrExpression:
 def suite_hha_contraction():
     # N by the pair contraction, which every anomaly reads, against N read off the
     # reduction, term by term, for s upward, so each lower N it reads has passed first
-    def routes_agree(spec, gen, top):
+    # each case builds its spec, so that a fault in the table check fails that case alone
+    def routes_agree(make_spec, gen, top):
+        spec = make_spec()
         for s in range(1, top + 1):
             modes = (gen,) * s
             if _reduction_n(spec, modes) != hha.CorrExpression(
                     {sym: CoeffPoly.scalar(c) for sym, c in hha.contraction_n(spec, modes)}):
                 return False, {"first_disagreement_s": s}
         return True
-    yield "weight1_pairing=1_s<=10", partial(routes_agree, hha.weight1_spec(), "a", 10)
+    yield "weight1_pairing=1_s<=10", partial(routes_agree, hha.weight1_spec, "a", 10)
     yield "weight1_pairing=3/2_s<=10", partial(
-        routes_agree, hha.weight1_spec(Fraction(3, 2)), "a", 10)
-    yield "weight2_s<=6", partial(routes_agree, hha.weight2_spec(), "x", 6)
+        routes_agree, partial(hha.weight1_spec, Fraction(3, 2)), "a", 10)
+    yield "weight2_s<=6", partial(routes_agree, hha.weight2_spec, "x", 6)
 
 
 def _negation_closed(vectors: list) -> bool:

@@ -8,12 +8,15 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from torusmodes import cli, elliptic, hha, lattice, numerics, symbols, verify
+from torusmodes import qseries as qs
+from torusmodes.scaled import format_fraction
 
 import suite_cases
 
@@ -114,6 +117,21 @@ def test_repeated_reduce_shares_one_built_in_spec(capsys):
     assert first[0] == 0 and second == first
     assert cli._load("spec", "weight2") is spec and spec.shape_memo and spec.peel_memo
     assert cli._load("lattice", "e8") is cli._load("lattice", "e8")
+
+
+def test_repeated_lattice_trace_reads_its_closed_form_and_oracle(capsys, tmp_path):
+    # the closed form and the oracle are made once per (lattice, n, order); a lattice
+    # file read anew equals the built-in, so it reads the same entries
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps(lattice.a1().to_json()))
+    argv = ["lattice-trace", "--n", "3", "--order", "5", "--oracle"]
+    first = run(capsys, *argv, "--lattice", "a1")
+    made = lattice.quasimod_rhs.cache_info().misses, lattice.fock_trace_oracle.cache_info().misses
+    for name in ("a1", str(path)):
+        code, out, err = run(capsys, *argv, "--lattice", name)
+        assert (code, out.replace(name, "a1"), err) == first and code == 0
+    assert (lattice.quasimod_rhs.cache_info().misses,
+            lattice.fock_trace_oracle.cache_info().misses) == made
 
 
 def test_rewritten_spec_file_is_read_again(capsys, tmp_path):
@@ -302,7 +320,7 @@ def test_anomaly_weight2_beyond_depth_one(capsys):
 
 @pytest.mark.parametrize("command, engine_call, error", [
     ("reduce", "invert_to_full", hha.CancellationError("pi*i residual failed to cancel")),
-    ("anomaly", "anomaly_of_zero_modes", hha.ResidueError("anomaly left z-dependence")),
+    ("anomaly", "anomaly_of_zero_modes", hha.CancellationError("pi*i residual left over")),
     ("reduce", "invert_to_full", hha.WeightBookkeepingError("weight bookkeeping violated")),
 ])
 def test_failed_engine_check_exits_1(capsys, monkeypatch, command, engine_call, error):
@@ -524,6 +542,12 @@ def _w2_weight(weight):
         {"name": "x", "weight": "5"}, {"name": "x", "weight": "2"}]}), id="generator-twice"),
     # x[1]x = 4 x alone breaks skew-symmetry, x[0]x = -x[0]x + L[-1] x[1]x: not an algebra
     pytest.param("reduce", _w2_with(), id="not-a-vertex-algebra"),
+    # a[4]b = a is homogeneous, but a weight below 0 is refused before the table check
+    pytest.param("reduce", json.dumps({
+        "generators": [{"name": "a", "weight": "-1"}, {"name": "b", "weight": "5"}],
+        "structure": [{"i": "a", "j": "b", "m": 4,
+                       "out": [{"coeff": "1", "tpi": 0, "gen": "a", "dpow": 0}]}]}),
+        id="weight-negative"),
 ])
 def test_malformed_spec_and_lattice_files(capsys, tmp_path, command, text):
     # a bad input file is a usage error on one line: no traceback, no truncated read
@@ -561,13 +585,13 @@ def default_report(suite):
 def test_suite_that_raises_still_reports(capsys, monkeypatch):
     # the two anomaly checks fail with the exception; every other check still runs
     def fail(*args, **kwargs):
-        raise hha.ResidueError("anomaly left z-dependence")
+        raise hha.CancellationError("pi*i residual left over")
 
     ids = [case["id"] for case in default_report("hha-weight2")["cases"]]
     monkeypatch.setattr(hha, "anomaly_of_zero_modes", fail)
     report = verify.run_suite("hha-weight2")
     assert [case["id"] for case in report["cases"]] == ids and len(ids) == 7
-    error = {"status": "fail", "error": "ResidueError: anomaly left z-dependence"}
+    error = {"status": "fail", "error": "CancellationError: pi*i residual left over"}
     assert {case["id"]: case for case in report["cases"] if case["status"] != "pass"} == {
         cid: {"id": cid, **error} for cid in ("anomaly_s2_(1,4)", "anomaly_s3_(1,12,24)")}
     chi = [case for case in verify.run_suite("lattice-modular")["cases"]
@@ -805,16 +829,99 @@ def test_writer_prints_what_json_dump_prints(value):
     assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+def _streamed(write_value):
+    """The writes of ``write_value(write)``, and their text."""
+    writes = []
+    write_value(writes.append)
+    return writes, "".join(writes)
+
+
 def test_writer_streams_every_container_item_by_item():
     # a P_k report nests its longest coefficients four levels deep (layers, a layer,
     # its numerator, one term); no write holds more than one line of the text and
     # the comma and line break before it, so no container's text is built whole
-    value = elliptic.p_expansion(300, 1).to_json()
-    writes = []
-    cli._write_json(value, writes.append)
-    text = "".join(writes)
+    value = _layers_reference(elliptic.p_expansion(300, 1))
+    writes, text = _streamed(partial(cli._write_json, value))
     assert text == json.dumps(value, indent=2, sort_keys=True)
     assert max(map(len, writes)) <= len(",\n") + max(map(len, text.splitlines())) < len(text) // 100
+
+
+def test_layer_writer_streams_coefficient_by_coefficient():
+    # the same bound for the writer that reads the layers straight from the series
+    series = elliptic.p_expansion(300, 1)
+    writes, text = _streamed(partial(cli._write_layers, series, indent=""))
+    assert text == json.dumps(_layers_reference(series), indent=2, sort_keys=True)
+    assert max(map(len, writes)) <= len(",\n") + max(map(len, text.splitlines())) < len(text) // 100
+
+
+def _series_reference(series):
+    """The report of a q-series as a dict, as ``QExpansion.to_json`` built it."""
+    return {"offset": format_fraction(series.offset), "lower": 0,
+            "truncation": series.truncation,
+            "coeffs": [[[series.tpi, format_fraction(c)]] if c else [] for c in series.coeffs]}
+
+
+def _pairs_reference(coeffs):
+    return [[e, format_fraction(c)] for e, c in sorted(coeffs.items())]
+
+
+def _layers_reference(series):
+    """The report of a layered expansion as a dict, as ``BivariateExpansion.to_json``
+    built it: layer m is N/(1-zeta)**k printed as (-1)**k N over (zeta-1)**k."""
+    return {"tpi": series.tpi, "truncation": series.truncation, "layers": [
+        {"m": m, "num": _pairs_reference({e: (-1) ** r.k * c for e, c in r.num.coeffs.items()}),
+         "den": _pairs_reference({e: math.comb(r.k, e) * (-1) ** (r.k - e) for e in range(r.k + 1)})}
+        for m, r in enumerate(series.coeffs)]}
+
+
+_SERIES = {
+    "G_2-order-3": qs.eisenstein(2, 3), "G_4-order-0": qs.eisenstein(4, 0),
+    "eta_-1": qs.eta_power(-1, 3), "eta_1-zeros": qs.eta_power(1, 12),
+    "eta_5-order-0": qs.eta_power(5, 0), "zero": qs.QExpansion.zero(2),
+    "hand-built": qs.QExpansion(Fraction(-7, 3), [0, Fraction(-1, 2), 3, 0], -2),
+    "theta_moment": lattice.theta_moment(lattice.e8(), 2, 3),
+}
+_LAYERED = {
+    "P_1": elliptic.p_expansion(1, 3), "P~_1": elliptic.p_tilde_1(3),
+    "P_1-order-0": elliptic.p_expansion(1, 0), "P~_1-order-0": elliptic.p_tilde_1(0),
+    "P_2": elliptic.p_expansion(2, 4), "P_5": elliptic.p_expansion(5, 2),
+    "g^1_3": elliptic.g_expansion(1, 3, 4), "g^2_2": elliptic.g_expansion(2, 2, 4),
+    "g^3_1": elliptic.g_expansion(3, 1, 3), "g^1_3-order-0": elliptic.g_expansion(1, 3, 0),
+    "sum": elliptic.p_expansion(2, 3) + elliptic.p_expansion(2, 3).zeta_derivative(),
+    "negated": -elliptic.p_expansion(3, 2),
+}
+
+
+@pytest.mark.parametrize("indent", ["", "    "])
+@pytest.mark.parametrize("writer, reference, series", [
+    *(pytest.param(cli._write_series, _series_reference, s, id=name)
+      for name, s in _SERIES.items()),
+    *(pytest.param(cli._write_layers, _layers_reference, s, id=name)
+      for name, s in _LAYERED.items())])
+def test_series_writers_print_the_reference_structure(writer, reference, series, indent):
+    out = io.StringIO()
+    writer(series, out.write, indent)
+    want = json.dumps(reference(series), indent=2, sort_keys=True)
+    assert out.getvalue() == want.replace("\n", "\n" + indent)
+
+
+@pytest.mark.parametrize("argv, reference", [
+    (["expand", "--function", "wp_3", "--order", "4"], lambda: {"z_coeffs": {
+        str(e): _series_reference(s) for e, s in elliptic.wp_laurent(3, 8, 4).items()}}),
+    (["expand", "--function", "wp_2", "--order", "0", "--z-order", "-2"], lambda: {"z_coeffs": {
+        "-2": _series_reference(qs.QExpansion.one(0))}}),
+    (["lattice-trace", "--lattice", "a1", "--n", "2", "--order", "3", "--oracle"], lambda: {
+        "lattice": "a1", "n": 2, "order": 3, "axis": 0, "equal": True,
+        "closed_form": _series_reference(lattice.quasimod_rhs(lattice.a1(), 2, 3)),
+        "oracle": _series_reference(lattice.fock_trace_oracle(lattice.a1(), 2, 3))}),
+    (["lattice-trace", "--lattice", "e8", "--n", "1", "--order", "2"], lambda: {
+        "lattice": "e8", "n": 1, "order": 2, "axis": 0,
+        "closed_form": _series_reference(lattice.quasimod_rhs(lattice.e8(), 1, 2))}),
+], ids=["wp_3", "wp_2-pole-only", "lattice-trace-oracle", "lattice-trace"])
+def test_reports_with_series_print_the_reference_structure(capsys, argv, reference):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == json.dumps(reference(), indent=2, sort_keys=True) + "\n"
 
 
 def _expansion_reference(expr):

@@ -105,6 +105,15 @@ def test_table_check_names_the_first_failing_tuple():
         hha.HHASpec({"h": Fraction(1, 2)}, {("h", "h", 0): ((ScaledRational(1), 0, "1"),)})
 
 
+def test_negative_weight_is_refused():
+    # a[4]b = a is homogeneous (-1 - 4 - 1 + 5 = -1), and b[4]a = 0 breaks skew-symmetry
+    # at n = 4, above the check's bound floor(-1 + 5 - 1) = 3: the weight is refused first
+    with pytest.raises(HHAError, match="generator 'a' has negative weight -1"):
+        hha.HHASpec({"1": 0, "a": -1, "b": 5}, {("a", "b", 4): ((1, 0, "a"),)})
+    with pytest.raises(HHAError, match="negative weight -1/2"):
+        hha.HHASpec({"h": Fraction(-1, 2)}, {})
+
+
 def test_d_states(w2, w1):
     x = basis("x")
     assert d_state(w2, (), x) == x

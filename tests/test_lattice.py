@@ -310,7 +310,8 @@ def test_half_walk_matches_box(lat, N):
 
 
 def test_one_walk_per_block_gram_and_order(monkeypatch):
-    for cached in (lt._grouped_walk, lt._e8_groups, lt._shell_sizes, lt._axis_shell_data):
+    for cached in (lt._grouped_walk, lt._e8_groups, lt._shell_sizes, lt._axis_shell_data,
+                   lt.quasimod_rhs, lt.fock_trace_oracle):
         cached.cache_clear()
     walks = []
     walk = lt._walk
@@ -336,7 +337,8 @@ def test_one_walk_per_block_gram_and_order(monkeypatch):
 
 def test_one_walk_per_gram_and_order_in_lattice_oracle(monkeypatch):
     for cached in (lt._grouped_walk, lt._e8_groups, lt._shell_sizes, lt._axis_shell_data,
-                   lt.theta_moment, lt._literal_eigenvalues):
+                   lt.theta_moment, lt._literal_eigenvalues, lt.quasimod_rhs,
+                   lt.fock_trace_oracle):
         cached.cache_clear()
     walks = []
     walk = lt._walk
@@ -486,7 +488,7 @@ def test_negation_check_agrees_with_sorting(vectors, closed, ordered):
 def test_one_decomposition_per_gram(monkeypatch, suite, lattices):
     for cached in (lt._ldl, lt._grouped_walk, lt._e8_groups, lt._shell_sizes,
                    lt._axis_shell_data, lt.theta_moment, lt.eta_derivative_factor,
-                   lt._literal_eigenvalues):
+                   lt._literal_eigenvalues, lt.quasimod_rhs, lt.fock_trace_oracle):
         cached.cache_clear()
     grams = []
     ldl = lt._ldl

@@ -1,9 +1,12 @@
 import cmath
+import io
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from torusmodes import cli
 from torusmodes import combinatorics as cb
 from torusmodes import elliptic as el
 from torusmodes import lattice as lt
@@ -236,11 +239,18 @@ def test_power_and_eta_factors_match_the_fraction_convolution():
                 d = d.q_derivative().scalar_mul(2)
 
 
-def test_to_json_format():
-    data = qs.eisenstein(2, 2).to_json()
+def _report(series) -> str:
+    """The text ``expand`` prints for ``series``, its final newline left out."""
+    out = io.StringIO()
+    cli._write_series(series, out.write, "")
+    return out.getvalue()
+
+
+def test_series_report_format():
+    data = json.loads(_report(qs.eisenstein(2, 2)))
     assert data == {"offset": "0", "lower": 0, "truncation": 2,
                     "coeffs": [[[2, "-1/12"]], [[2, "2"]], [[2, "6"]]]}
-    assert qs.eta_power(-1, 1).to_json()["offset"] == "-1/24"
+    assert json.loads(_report(qs.eta_power(-1, 1)))["offset"] == "-1/24"
 
 
 def test_numeric_evaluation_guard():
@@ -392,7 +402,7 @@ def test_zero_series_adds_to_any_grade():
     for zero in (qs.QExpansion.zero(6), qs.QExpansion.one(6).tau_derivative(),
                  qs.eisenstein(2, 6).scalar_mul(0)):
         assert (g4 + zero).tpi == (zero + g4).tpi == 4
-        assert (g4 + zero).to_json() == (zero + g4).to_json() == g4.to_json()
+        assert _report(g4 + zero) == _report(zero + g4) == _report(g4)
     assert (g4 - g4).tpi == 4  # a zero series keeps the grade it was built with
 
 

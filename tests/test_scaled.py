@@ -1,5 +1,6 @@
 """Properties of ScaledRational, the one exact coefficient type."""
 
+import io
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from torusmodes import cli
 from torusmodes import qseries as qs
 from torusmodes.scaled import ScaledRational, format_fraction
 
@@ -72,12 +74,14 @@ def test_pairs_round_trip(a):
 
 
 @given(rationals, st.integers(min_value=0, max_value=6), grades, st.data())
-def test_qexpansion_to_json_format(offset, truncation, tpi, data):
+def test_qexpansion_report_format(offset, truncation, tpi, data):
     coeffs = data.draw(st.lists(rationals, min_size=truncation + 1, max_size=truncation + 1))
     series = qs.QExpansion(offset, coeffs, tpi)
+    out = io.StringIO()
+    cli._write_series(series, out.write, "")
     # the format ``expand`` prints: a "lower" key that is always 0, kept for its readers;
     # every nonzero coefficient names the series' one grade
-    assert json.loads(json.dumps(series.to_json())) == {
+    assert json.loads(out.getvalue()) == {
         "offset": format_fraction(offset), "lower": 0, "truncation": truncation,
         "coeffs": [[[tpi, str(c)]] if c else [] for c in coeffs]}
 

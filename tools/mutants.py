@@ -99,8 +99,10 @@ MUTANTS = [
     ("verify.py", "r * -c)", "r * c)", ("hha-contraction",)),
     ("hha.py", "if dpow:", "if dpow or target == spec.identity:",
      ("hha-weight1", "lattice-modular", "hha-contraction")),
-    ("hha.py", "for j in range(m + 1))", "for j in range(m))", ("lattice-modular",)),
-    ("hha.py", "(-1) ** (n + j + 1)", "(-1) ** (n + j)", ("lattice-modular",)),
+    ("hha.py", "for j in range(m + 1))", "for j in range(m))",
+     ("hha-weight2", "hha-contraction", "lattice-modular")),
+    ("hha.py", "(-1) ** (n + j + 1)", "(-1) ** (n + j)",
+     ("hha-weight1", "hha-weight2", "hha-contraction", "lattice-modular")),
 ]
 
 

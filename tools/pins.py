@@ -9,8 +9,9 @@ largest the CLI prints:
 - ``anomaly --spec weight2 --correlator x0^7``, digested when that anomaly
   still inverted F(x0^7) and applied exp(B D) to every coefficient (378 MB
   of RSS); a built-in spec now takes N from the pair contraction;
-- ``expand --function P_2000 --order 1`` (22.6 MB, about 54 MB of RSS):
-  every report container is written item by item (built whole, 98 MB);
+- ``expand --function P_2000 --order 1`` (22.6 MB, about 32 MB of RSS):
+  the layers are written pair by pair, straight from the series (54 MB
+  through a dict of the whole report, 98 MB with its text built whole);
 - ``reduce --spec weight1 --correlator a0^10`` (3.96 MB, about 22 MB of
   RSS): the weight-1 peel past the s <= 7 of the benchmark digests and the
   a0^7 of tools/reports.txt.
