@@ -25,14 +25,14 @@ Correlator symbols are kept in a normal form in which identity insertions
 are dropped and a lone insertion of an L[-1]-descendant annihilates the
 trace; states are always expanded onto the (L-power, generator) basis.
 Each spec memoizes, by symbol shape (zero modes plus the (L-power, generator)
-of each insertion) and for the life of the spec, the commuting recursion step,
-the same step with its tails negated as the peel reads it, and the full
-reduction to zero-mode correlators (that step with each term reduced through
-its own shape's entry), all at positions 1..n; reductions, the peel and the
-anomaly read these memos and relabel them onto their positions.  The inputs of
-a step, the square actions of its d-states and its layer coefficients, are
-memoized on the spec too, so a step shares them with every other shape.
-It also memoizes N of each sorted zero-mode multiset.
+of each insertion) and for the life of the spec, the commuting recursion step
+and the full reduction to zero-mode correlators (that step with each term
+reduced through its own shape's entry), both at positions 1..n; reductions,
+the peel and the anomaly read these memos and relabel them onto their
+positions.  The square actions of a step's d-states are memoized on the spec
+too, so a step shares them with every other shape, and its layer coefficients,
+which read no table, once per process.  The spec also memoizes N of each
+sorted zero-mode multiset.
 The public entry points (invert_to_full, peel_zero_modes, reduce_to_zero_modes,
 anomaly_of_zero_modes) run with the cyclic GC paused.
 """
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, count, product
 from math import comb, factorial, floor, perm
 
@@ -171,11 +171,8 @@ class HHASpec:
         # valid because the table is fixed from here on
         self.shape_memo = {}
         self.zero_mode_memo = {}
-        # the inputs of those steps (see _reduce_shape) and the peel's form of
-        # them (see _peel_step), each computed once
+        # the square actions those steps read (see _square_actions)
         self.action_memo = {}
-        self.layer_memo = {}
-        self.peel_memo = {}
         # N of each sorted zero-mode multiset (see contraction_n)
         self.anomaly_memo = {}
 
@@ -329,30 +326,51 @@ def _check_axioms(spec: HHASpec):
         commutator      a[m](b[n]c) - b[n](a[m]c) = sum_j C(m,j) (a[j]b)[m+n-j]c.
 
     By homogeneity a[m]b vanishes for m > wt a + wt b - 1, and both sides of the
-    commutator formula for m + n > wt a + wt b + wt c - 2.  An AxiomError names
-    the first failing (a, b, n) or (a, b, c, m, n)."""
+    commutator formula for m + n > wt a + wt b + wt c - 2.  The table bounds the
+    modes too.  With M = ``max_m`` and R = M + the table's largest L-power, a
+    generator's a[n]b vanishes for n > M, a[m](L[-1]**k t) for m > M + k and
+    (L[-1]**k t)[m]c for m > M + k (see square_action).  So both sides of
+    skew-symmetry vanish for n > M; a[m](b[n]c) needs n <= M and m <= R,
+    b[n](a[m]c) needs m <= M and n <= R, and the j-th term on the right needs
+    j <= min(m, M) and m + n - j <= R, so all three vanish for n > R or
+    m > R + M.  The loops stop at these bounds, so a high-weight generator costs
+    no more than its table, and the first failing tuple is the same.  An
+    AxiomError names the first (a, b, n) or (a, b, c, m, n) at which an identity
+    fails or two grades of the table meet in one sum."""
     e = {g_: basis(g_) for g_ in sorted(spec.weights) if g_ != spec.identity}
-    act, wt = partial(square_action, spec), spec.weights
+    act, wt, max_m = partial(square_action, spec), spec.weights, spec.max_m
+    reach = max_m + max((d for outs in spec.table.values() for _, d, _ in outs), default=0)
     for a, b in product(e, repeat=2):
-        top = floor(wt[a] + wt[b] - 1)
+        top = min(floor(wt[a] + wt[b] - 1), max_m)
         for n in range(top + 1):
             # L[-1]**j/j! a[n+j]b, with L[-1]**j 1 = 0 for j >= 1 as in square_action
-            rhs = _combine((Fraction((-1) ** (n + j + 1), factorial(j)), {
-                (l + j, t): c for (l, t), c in act(e[a], n + j, e[b]).items()
-                if not (j and t == spec.identity)}) for j in range(top - n + 1))
-            if act(e[b], n, e[a]) != rhs:
-                raise AxiomError(f"not a vertex algebra: skew-symmetry fails at "
-                                 f"(a, b, n) = {(a, b, n)}")
+            _assert_identity("skew-symmetry", (a, b, n), lambda: (
+                act(e[b], n, e[a]),
+                _combine((Fraction((-1) ** (n + j + 1), factorial(j)), {
+                    (l + j, t): c for (l, t), c in act(e[a], n + j, e[b]).items()
+                    if not (j and t == spec.identity)}) for j in range(top - n + 1))))
     for a, b, c in product(e, repeat=3):
         top = floor(wt[a] + wt[b] + wt[c] - 2)
-        for m, n in ((m, n) for m in range(top + 1) for n in range(top - m + 1)):
-            lhs = _combine(((1, act(e[a], m, act(e[b], n, e[c]))),
-                            (-1, act(e[b], n, act(e[a], m, e[c])))))
-            rhs = _combine((comb(m, j), act(act(e[a], j, e[b]), m + n - j, e[c]))
-                           for j in range(m + 1))
-            if lhs != rhs:
-                raise AxiomError(f"not a vertex algebra: the commutator formula fails at "
-                                 f"(a, b, c, m, n) = {(a, b, c, m, n)}")
+        for m in range(min(top, reach + max_m) + 1):
+            for n in range(min(top - m, reach) + 1):
+                _assert_identity("the commutator formula", (a, b, c, m, n), lambda: (
+                    _combine(((1, act(e[a], m, act(e[b], n, e[c]))),
+                              (-1, act(e[b], n, act(e[a], m, e[c]))))),
+                    _combine((comb(m, j), act(act(e[a], j, e[b]), m + n - j, e[c]))
+                             for j in range(m + 1))))
+
+
+def _assert_identity(name: str, at: tuple, sides):
+    """An AxiomError naming the (a, b, n) or (a, b, c, m, n) tuple ``at``
+    unless the two states that ``sides()`` makes are equal; two grades met in
+    one sum while they are made (see ScaledRational.grade_error) fail it too."""
+    names = "(a, b, n)" if len(at) == 3 else "(a, b, c, m, n)"
+    try:
+        lhs, rhs = sides()
+    except ValueError as err:
+        raise AxiomError(f"not a vertex algebra: {name} fails at {names} = {at}: {err}") from None
+    if lhs != rhs:
+        raise AxiomError(f"not a vertex algebra: {name} fails at {names} = {at}")
 
 
 def _combine(terms) -> dict:
@@ -549,29 +567,47 @@ def _map_shapes(spec: HHASpec, terms, shape_terms) -> CorrExpression:
     """Each (symbol, polynomial) term with insertions replaced by
     ``shape_terms(spec, modes, shape)``, its shape's canonical result at
     positions 1..n, relabeled onto the symbol's positions and multiplied by
-    the polynomial; terms without insertions pass through.  The polynomial is
-    read once, as rows, and multiplies every entry with no more terms in one
-    kernel call, each factor relabeled through the label's move map; a larger
-    entry is read as relabeled rows itself and multiplied by the polynomial."""
+    the polynomial (see :func:`_add_relabeled`); terms without insertions pass
+    through."""
     out = CorrExpression()
+    into = lambda _: out.terms
     for sym, poly in terms:
-        if not sym.insertions:
+        if sym.insertions:
+            _add_relabeled(poly.rows(), shape_terms(spec, sym.modes, _shape(sym)),
+                           (None,) + tuple(sym.positions()), into)
+        else:
             out.add_term(sym, poly)
-            continue
-        label = (None,) + tuple(sym.positions())
-        moves = _MOVES[label]
-        rows, entries, targets = poly.rows(), [], []
-        for tsym, tpoly in shape_terms(spec, sym.modes, _shape(sym)):
-            tsym = _relabel_symbol(tsym, label)
-            dest = _target(out.terms, tsym)
-            targets.append((out.terms, tsym, dest))
-            if len(tpoly.terms) > len(rows):
-                add_products(_moved_rows(tpoly, moves), poly.entries(dest))
-            else:
-                entries += _moved_entries(tpoly, moves, dest)
-        add_products(rows, entries)
-        _drop_cancelled(targets)
     return out
+
+
+def _add_relabeled(rows, step, label, into):
+    """Add ``rows``, a polynomial's kernel rows, times each (symbol,
+    polynomial) term of ``step`` relabeled onto the positions label[p], into
+    the relabeled symbol's polynomial in the dict ``into(symbol)``: made if
+    the symbol has none, dropped once it cancels.  The rows are read once and
+    multiply every term with no more monomials in one kernel call, each factor
+    relabeled through the label's move map; a larger term is read as
+    relabeled rows itself, with the rows as its entries."""
+    moves = _MOVES[label]
+    entries, targets = [], []
+    for tsym, tpoly in step:
+        tsym = _relabel_symbol(tsym, label)
+        terms = into(tsym)
+        poly = terms.get(tsym)
+        if poly is None:
+            poly = terms[tsym] = CoeffPoly()
+        dest = poly.terms
+        targets.append((terms, tsym, dest))
+        if len(tpoly.terms) > len(rows):
+            add_products(_moved_rows(tpoly, moves),
+                         [(dest, tuple(zip(m, keys)), v, t) for m, keys, v, t in rows])
+        else:
+            entries += [(dest, tuple([moves[p] for p in m]), c.value, c.tpi)
+                        for m, c in tpoly.terms.items()]
+    add_products(rows, entries)
+    for terms, tsym, dest in targets:
+        if not dest:
+            del terms[tsym]
 
 
 def _moved_rows(poly: CoeffPoly, moves) -> list:
@@ -579,27 +615,6 @@ def _moved_rows(poly: CoeffPoly, moves) -> list:
     move = moves.__getitem__
     return [(*zip(*map(move, m)), c.value, c.tpi) if m else ((), (), c.value, c.tpi)
             for m, c in poly.terms.items()]
-
-
-def _moved_entries(poly: CoeffPoly, moves, dest: dict) -> list:
-    """The product kernel's entries of ``poly``, aimed at ``dest``, with every
-    factor relabeled through the move map ``moves``."""
-    return [(dest, tuple([moves[p] for p in m]), c.value, c.tpi) for m, c in poly.terms.items()]
-
-
-def _target(terms: dict, sym: CorrSymbol) -> dict:
-    """The monomials of ``terms[sym]``, a new zero polynomial's if ``sym`` has none."""
-    poly = terms.get(sym)
-    if poly is None:
-        poly = terms[sym] = CoeffPoly()
-    return poly.terms
-
-
-def _drop_cancelled(targets):
-    """Drop every (terms, symbol, monomials) target whose polynomial cancelled to zero."""
-    for terms, sym, dest in targets:
-        if not dest:
-            del terms[sym]
 
 
 def _shape(sym: CorrSymbol) -> tuple:
@@ -618,8 +633,9 @@ def _shape_step(spec: HHASpec, modes, shape) -> tuple:
 def _reduce_shape(spec: HHASpec, modes, shape) -> tuple:
     """reduce_once of F(modes; shape at positions 1..n) with coefficient ONE, as term pairs.
 
-    Its square actions and layer coefficients come from memos that every shape
-    of the spec shares; a canonical step's first insertion sits at position 1."""
+    Its square actions come from a memo that every shape of the spec shares,
+    its layer coefficients from the process cache of :func:`_layer_coefficient`;
+    a canonical step's first insertion sits at position 1."""
     sym = CorrSymbol(modes, tuple((p, d, g_) for p, (d, g_) in enumerate(shape, 1)))
     (_, d1, g1), rest = sym.insertions[0], sym.insertions[1:]
     out = CorrExpression()
@@ -632,7 +648,7 @@ def _reduce_shape(spec: HHASpec, modes, shape) -> tuple:
         remaining = list(modes)
         for g_ in s_gens:
             remaining.remove(g_)
-        layer = lambda m, pj: _layer_coefficient(spec, len(s_gens), m, pj, mult)
+        layer = lambda m, pj: _layer_coefficient(len(s_gens), m, pj, mult)
         for tail in _tails(spec, s_gens, (d1, g1), rest, tuple(remaining), layer):
             _assert_tail_weight(spec, tail, W)
             out.add_terms(tail)
@@ -663,14 +679,12 @@ def _square_actions(spec: HHASpec, s_gens, first, target) -> tuple:
     return acts
 
 
-def _layer_coefficient(spec: HHASpec, s_len: int, m: int, pj: int, mult: int) -> CoeffPoly:
+@cache
+def _layer_coefficient(s_len: int, m: int, pj: int, mult: int) -> CoeffPoly:
     """p_layer_coefficient(s_len, m, pj, 1) * mult, the coefficient of a tail
-    of a step whose first insertion sits at position 1, from the spec's memo."""
-    key = (s_len, m, pj, mult)
-    layer = spec.layer_memo.get(key)
-    if layer is None:
-        layer = spec.layer_memo[key] = p_layer_coefficient(s_len, m, pj, 1) * mult
-    return layer
+    of a step whose first insertion sits at position 1; it reads no table, so
+    it is made once per process."""
+    return p_layer_coefficient(s_len, m, pj, 1) * mult
 
 
 def _assert_tail_weight(spec, tail: CorrExpression, W):
@@ -797,16 +811,16 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
     every polynomial after that: a head takes over its term's polynomial, and
     finished correlators stay in one dict for every round.  Each step reads a
     term's polynomial once, as rows with the positions it uses, and adds the
-    rows times every tail of the step, negated once per shape in
-    :func:`_peel_step` (small polynomials, most of them one coefficient symbol
-    times a constant), in one kernel call, each tail factor relabeled through
-    the label's move map into the polynomial of the tail's symbol.
+    rows, negated once, times every tail of the shape's step (see
+    :func:`_add_relabeled`): F(head) = F(sym) + tails gives
+    F(sym) = F(head) - tails.
     """
     todo, done = {}, {}
     for sym, poly in expr.terms.items():
         if poly:
             (todo if sym.modes else done)[sym] = poly.copy()
     positions = range(1, max((len(sym.modes) for sym in todo), default=0) + 1)
+    into = lambda sym: nxt if sym.modes else done
     while todo:
         nxt = {}
         for sym, poly in todo.items():
@@ -817,44 +831,23 @@ def peel_zero_modes(spec: HHASpec, expr: CorrExpression) -> CorrExpression:
             fresh = max((p for p in positions if p < floor and p not in used), default=None)
             if fresh is None:
                 raise HHAError(f"no fresh position available for peeling {sym!r}")
-            canon = _peel_step(spec, sym.modes[:-1], ((0, b),) + _shape(sym))
+            step = _shape_step(spec, sym.modes[:-1], ((0, b),) + _shape(sym))
             label = (None, fresh) + tuple(sym.positions())
-            if not canon or _relabel_symbol(canon[0][0], label) != sym or canon[0][1] != ONE:
+            if not step or _relabel_symbol(step[0][0], label) != sym or step[0][1] != ONE:
                 raise HHAError(f"peel head mismatch for {sym!r}")
             # fresh sits below every insertion, so the head's insertions stay sorted
             head = CorrSymbol._of_sorted(sym.modes[:-1], ((fresh, 0, b),) + sym.insertions)
-            terms = nxt if head.modes else done
+            terms = into(head)
             cur = terms.get(head)
             if cur is None:
                 terms[head] = poly
             elif not cur.iadd(poly):
                 del terms[head]
-            moves = _MOVES[label]
-            entries, targets = [], []
-            for tsym, tpoly in canon[1:]:
-                tsym = _relabel_symbol(tsym, label)
-                terms = nxt if tsym.modes else done
-                dest = _target(terms, tsym)
-                targets.append((terms, tsym, dest))
-                entries += _moved_entries(tpoly, moves, dest)
-            add_products(rows, entries)
-            _drop_cancelled(targets)
+            _add_relabeled([(m, keys, -v, t) for m, keys, v, t in rows], step[1:], label, into)
         todo = nxt
     out = CorrExpression()
     out.terms = done
     return out
-
-
-def _peel_step(spec: HHASpec, modes, shape) -> tuple:
-    """The step of one shape at positions 1..n as the peel reads it, from the
-    spec's memo: the head pair of :func:`_shape_step`, then its tails negated,
-    since F(head) = F(sym) + tails gives F(sym) = F(head) - tails."""
-    key = (modes, shape)
-    canon = spec.peel_memo.get(key)
-    if canon is None:
-        step = _shape_step(spec, modes, shape)
-        canon = spec.peel_memo[key] = step[:1] + tuple((tsym, -tpoly) for tsym, tpoly in step[1:])
-    return canon
 
 
 def weight1_configuration_formula(n: int, s: int) -> CorrExpression:

@@ -115,7 +115,7 @@ def test_repeated_reduce_shares_one_built_in_spec(capsys):
     spec = cli._load("spec", "weight2")
     second = run(capsys, "reduce", "--spec", "weight2", "--correlator", "x0^3")
     assert first[0] == 0 and second == first
-    assert cli._load("spec", "weight2") is spec and spec.shape_memo and spec.peel_memo
+    assert cli._load("spec", "weight2") is spec and spec.shape_memo and spec.action_memo
     assert cli._load("lattice", "e8") is cli._load("lattice", "e8")
 
 
@@ -514,6 +514,27 @@ def _w2_with(**fields):
 
 def _w2_weight(weight):
     return json.dumps({**_W2, "generators": [{"name": "x", "weight": "W"}]}).replace('"W"', weight)
+
+
+def test_spec_file_with_a_grade_clash_names_its_tuple(capsys, tmp_path):
+    # x[1]x at grade -3 beside x[0]x at grade -2: skew-symmetry at n = 0 sums
+    # L[-1] x of both grades, so the table is refused at that tuple
+    path = tmp_path / "w2.json"
+    path.write_text(json.dumps({**_W2, "structure": [
+        _W2["structure"][0], {**_ENTRY, "out": [{**_ENTRY["out"][0], "tpi": -3}]},
+        _W2["structure"][2]]}))
+    code, out, err = run(capsys, "reduce", "--spec", str(path), "--correlator", "x0^2")
+    assert code == 2 and out == ""
+    assert err == ("error: not a vertex algebra: skew-symmetry fails at (a, b, n) = "
+                   "('x', 'x', 0): cannot add grades (2*pi*i)^-2 and (2*pi*i)^-3\n")
+
+
+def test_high_weight_spec_file_is_checked_as_far_as_its_table_reaches(capsys, tmp_path):
+    # one weight-2000 generator with an empty table: the check stops at the
+    # table's largest mode, and no pair of zero modes contracts
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"generators": [{"name": "v", "weight": "2000"}], "structure": []}))
+    assert run(capsys, "anomaly", "--spec", str(path), "--correlator", "v0^2") == (0, "{}\n", "")
 
 
 @pytest.mark.parametrize("command, text", [

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from torusmodes.hha import (CorrExpression, CorrSymbol, HHAError, basis,
                             weight2_spec)
 from torusmodes.scaled import ScaledRational
 from torusmodes.symbols import (ONE, PI_MARK, CoeffPoly, DeltaUnknownError, G, P, Pt,
-                                UnsupportedError, add_products, g, zvar)
+                                UnsupportedError, g, zvar)
 
 from suite_cases import assert_case
 from test_symbols import _positions, _reference_mono_mul, _relabel
@@ -103,6 +104,20 @@ def test_table_check_names_the_first_failing_tuple():
     failure = r"skew-symmetry fails at \(a, b, n\) = \('h', 'h', 0\)"
     with pytest.raises(hha.AxiomError, match=failure):
         hha.HHASpec({"h": Fraction(1, 2)}, {("h", "h", 0): ((ScaledRational(1), 0, "1"),)})
+
+
+@pytest.mark.parametrize("weight", [200, 2000, 10 ** 6])
+def test_table_check_stops_where_the_table_reaches(weight):
+    # one generator with an empty table: the check runs to the table's largest
+    # mode, 0, and not to the homogeneity bound 2 * weight - 1
+    start = time.perf_counter()
+    hha.HHASpec({"v": weight}, {})
+    assert time.perf_counter() - start < 1
+    # v[0]v = L[-1]**(weight - 1) v breaks skew-symmetry at n = 0, within that reach
+    failure = r"skew-symmetry fails at \(a, b, n\) = \('v', 'v', 0\)"
+    with pytest.raises(hha.AxiomError, match=failure):
+        hha.HHASpec({"v": weight}, {("v", "v", 0): ((1, weight - 1, "v"),)})
+    assert time.perf_counter() - start < 1
 
 
 def test_negative_weight_is_refused():
@@ -341,10 +356,33 @@ def _copied(entry):
     return entry
 
 
-def _memo_snapshot(spec):
-    return {(memo, key): _copied(entry)
-            for memo in ("shape_memo", "zero_mode_memo", "peel_memo", "action_memo", "layer_memo")
-            for key, entry in getattr(spec, memo).items()}
+_MEMOS = ("shape_memo", "zero_mode_memo", "action_memo", "anomaly_memo")
+
+
+def _memo_snapshot(spec, layers=()):
+    """Every memo entry of the spec, and the layer coefficients ``layers``, copied."""
+    return {**{(memo, key): _copied(entry)
+               for memo in _MEMOS for key, entry in getattr(spec, memo).items()},
+            **{("layer", n): _copied(poly) for n, poly in enumerate(layers)}}
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    """Every layer coefficient that the process cache hands out while the test runs."""
+    seen, layer = [], hha._layer_coefficient
+    monkeypatch.setattr(hha, "_layer_coefficient",
+                        lambda *key: seen.append(layer(*key)) or seen[-1])
+    return seen
+
+
+def test_a_spec_carries_exactly_four_memos():
+    # each memo holds a fact about the spec's table; the layer coefficients read
+    # no table and the peel reads the shape step itself
+    spec = weight2_spec()
+    reduce_to_zero_modes(spec, invert_to_full(spec, ("x",) * 3))
+    hha.anomaly_of_zero_modes(spec, ("x",) * 3)
+    assert sorted(vars(spec)) == sorted(("identity", "weights", "table", "max_m", *_MEMOS))
+    assert all(getattr(spec, memo) for memo in _MEMOS)
 
 
 @given(placed_shapes())
@@ -379,15 +417,13 @@ def test_repeated_reduce_once_leaves_memo_unchanged(case):
 
 @given(placed_shapes())
 def test_shape_step_on_a_warm_spec_is_the_fresh_step(case):
-    # the step of a shape and its peel form, built from memos that other shapes
-    # filled, term for term and in the same order as on a spec that has none
+    # the step of a shape and its full reduction, built from memos that other
+    # shapes filled, term for term and in the same order as on a spec that has none
     name, modes, shape, _ = case
     warm, fresh = WARM_SPECS[name], SPECS[name]()
     shape = tuple(shape)
-    step, peel = hha._shape_step(warm, modes, shape), hha._peel_step(warm, modes, shape)
-    assert step == hha._shape_step(fresh, modes, shape)
-    assert peel == hha._peel_step(fresh, modes, shape)
-    assert peel == step[:1] + tuple((sym, -poly) for sym, poly in step[1:])
+    assert hha._shape_step(warm, modes, shape) == hha._shape_step(fresh, modes, shape)
+    assert hha._shape_zero_modes(warm, modes, shape) == hha._shape_zero_modes(fresh, modes, shape)
 
 
 def _reduce_by_passes(spec, expr):
@@ -497,16 +533,16 @@ def test_peel_refuses_a_term_with_no_fresh_position():
         hha.peel_zero_modes(weight1_spec(), CorrExpression.single(sym))
 
 
-def _memo_polys(spec):
-    """Every polynomial that a memo of the spec holds."""
-    for memo in ("shape_memo", "zero_mode_memo", "peel_memo"):
+def _memo_polys(spec, layers):
+    """Every polynomial that a step memo of the spec holds, and the layer coefficients."""
+    for memo in ("shape_memo", "zero_mode_memo"):
         for entry in getattr(spec, memo).values():
             yield from (poly for _, poly in entry)
-    yield from spec.layer_memo.values()
+    yield from layers
 
 
 @pytest.mark.parametrize("cancel", [False, True], ids=["kept", "cancelled"])
-def test_peel_owns_every_polynomial_it_returns(cancel):
+def test_peel_owns_every_polynomial_it_returns(cancel, layers):
     # the head of F(x; (x,2)) and the second head of F(x0^2) both land on
     # F(; (x,1), (x,2)), a term with no zero modes; with cancel the three
     # polynomials of that symbol sum to zero and the symbol is dropped
@@ -521,29 +557,33 @@ def test_peel_owns_every_polynomial_it_returns(cancel):
     want = _reference_peel(weight2_spec(), CorrExpression(terms), range(1, 3))
     assert got == want and (full in got.terms) is not cancel
     assert {sym: poly.terms for sym, poly in expr.terms.items()} == before
-    # no two terms share a polynomial, and none is the caller's, ONE or a memo's
+    # no two terms share a polynomial, and none is the caller's, ONE, a memo's
+    # or a layer coefficient
+    assert layers
     owned = [id(poly) for poly in got.terms.values()]
-    shared = {id(poly) for poly in [*expr.terms.values(), *terms.values(), ONE, *_memo_polys(spec)]}
+    shared = {id(poly) for poly in
+              [*expr.terms.values(), *terms.values(), ONE, *_memo_polys(spec, layers)]}
     assert len(set(owned)) == len(owned) and not shared.intersection(owned)
-    # changing every returned polynomial in place changes no memo and no later peel
-    snapshot = _memo_snapshot(spec)
+    # changing every returned polynomial in place changes no memo, no layer
+    # coefficient and no later peel
+    snapshot = _memo_snapshot(spec, layers)
     for poly in got.terms.values():
         poly.iadd(poly.copy())
     assert hha.peel_zero_modes(spec, expr) == want
-    assert _memo_snapshot(spec) == snapshot and ONE == CoeffPoly.scalar(1)
+    assert _memo_snapshot(spec, layers) == snapshot and ONE == CoeffPoly.scalar(1)
 
 
 def test_expression_drops_a_symbol_whose_product_cancels():
     # the peel and the shape map aim the kernel at a symbol's polynomial, made
-    # if the symbol has none, and drop the symbol once its polynomial cancels
+    # if the symbol has none, and drop the symbol once its polynomial cancels,
+    # whichever operand is read as rows; the identity label moves no factor
     sym, other = CorrSymbol(("x",), ()), CorrSymbol((), ((1, 0, "x"),))
-    a, b = P(2, 2, 1) + zvar(1) * G(4), Pt(2, 1) - PI_MARK
-    terms = {sym: a * b, other: ONE.copy()}
-    for c, want in ((-b, {other: ONE}), (b, {other: ONE, sym: a * b})):
-        dest = hha._target(terms, sym)
-        add_products(a.rows(), c.entries(dest))
-        hha._drop_cancelled([(terms, sym, dest)])
-        assert terms == want
+    b = Pt(2, 1) - PI_MARK
+    for a in (zvar(2), P(2, 2, 1) + zvar(1) * G(4), P(2, 2, 1) + zvar(1) * G(4) + ONE):
+        terms = {sym: a * b, other: ONE.copy()}
+        for c, want in ((-b, {other: ONE}), (b, {other: ONE, sym: a * b})):
+            hha._add_relabeled(a.rows(), ((sym, c),), (None, 1, 2), lambda _: terms)
+            assert terms == want
 
 
 def test_peel_refuses_a_corrupted_memo_head():
@@ -577,26 +617,34 @@ def test_full_reduction_refuses_a_corrupted_step():
 
 def test_weight_check_runs_on_memo_miss(monkeypatch):
     # a layer coefficient of the wrong weight is caught even under a caller
-    # coefficient of mixed weight
+    # coefficient of mixed weight; the process cache of the layer coefficients
+    # is emptied around the patch, so that it neither hides the patched
+    # coefficient nor keeps it for a later test
     layer = hha.p_layer_coefficient
     monkeypatch.setattr(hha, "p_layer_coefficient", lambda *args: layer(*args) * G(2))
+    hha._layer_coefficient.cache_clear()
     sym = CorrSymbol(("x",), ((3, 0, "x"), (7, 0, "x")))
-    with pytest.raises(hha.WeightBookkeepingError, match="weight bookkeeping"):
-        reduce_once(weight2_spec(), CorrExpression({sym: ONE + P(2, 9, 8)}))
+    try:
+        with pytest.raises(hha.WeightBookkeepingError, match="weight bookkeeping"):
+            reduce_once(weight2_spec(), CorrExpression({sym: ONE + P(2, 9, 8)}))
+    finally:
+        hha._layer_coefficient.cache_clear()
 
 
-def test_accumulation_leaves_shared_polynomials_unchanged():
+def test_accumulation_leaves_shared_polynomials_unchanged(layers):
     # a CorrExpression accumulates in place into its own copies: the global ONE,
-    # a caller's polynomial and the entries of every memo of the spec are never changed
+    # a caller's polynomial, the entries of every memo of the spec and the
+    # cached layer coefficients are never changed
     spec = weight2_spec()
     invert_to_full(spec, ("x",) * 4)
     hha.anomaly_of_zero_modes(spec, ("x",) * 3)
-    snapshot = _memo_snapshot(spec)
+    snapshot = _memo_snapshot(spec, layers)
     invert_to_full(spec, ("x",) * 4)
     hha.anomaly_of_zero_modes(spec, ("x",) * 3)
     hha.anomaly_of_zero_modes(weight1_spec(), ("a",) * 6)
+    reduce_to_zero_modes(spec, _descendant_expression("weight2"))
     assert ONE == CoeffPoly.scalar(1)
-    assert {k: v for k, v in _memo_snapshot(spec).items() if k in snapshot} == snapshot
+    assert {k: v for k, v in _memo_snapshot(spec, layers).items() if k in snapshot} == snapshot
 
     sym = CorrSymbol((), ((1, 0, "x"),))
     expr = CorrExpression.single(sym)

@@ -53,13 +53,11 @@ MUTANTS = [
      ("lattice-oracle", "lattice-modular")),
     ("hha.py", "d = {key: -c for key, c in d.items()}", "d = {key: c for key, c in d.items()}",
      ("hha-weight2", "hha-contraction")),
-    ("hha.py", "(tsym, -tpoly) for", "(tsym, tpoly) for", ("hha-weight1", "hha-weight2")),
-    ("hha.py", "key = (s_len, m, pj, mult)", "key = (s_len, m, pj)",
-     ("hha-weight2", "hha-contraction")),
-    ("hha.py", "moves = _MOVES[label]\n        rows,", "moves = _MOVES[tuple(range(len(label)))]\n        rows,",
+    ("hha.py", "(m, keys, -v, t) for", "(m, keys, v, t) for", ("hha-weight1", "hha-weight2")),
+    ("hha.py", "return p_layer_coefficient(s_len, m, pj, 1) * mult",
+     "return p_layer_coefficient(s_len, m, pj, 1)", ("hha-weight2", "hha-contraction")),
+    ("hha.py", "moves = _MOVES[label]", "moves = _MOVES[tuple(range(len(label)))]",
      ("hha-weight1", "hha-weight2", "hha-contraction")),
-    ("hha.py", "moves = _MOVES[label]\n            entries,",
-     "moves = _MOVES[tuple(range(len(label)))]\n            entries,", ("hha-weight1", "hha-weight2")),
     ("lattice.py", "Fraction(ip2, sub_gram[0][0])", "Fraction(ip2, 2 * sub_gram[0][0])",
      ("lattice-oracle", "lattice-modular")),
     ("symbols.py", "moves = self[label] = _Moves()",
