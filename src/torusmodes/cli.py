@@ -374,6 +374,9 @@ def cmd_anomaly(args) -> int:
 def cmd_lattice_trace(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
+    if args.n > hha.MAX_ZERO_MODES:
+        raise UsageError(f"--n {args.n} inserts {args.n} zero modes; "
+                         f"at most {hha.MAX_ZERO_MODES} are supported")
     _check_order_tol(args.order)
     lat = _load("lattice", args.lattice)
     closed = lt.quasimod_rhs(lat, args.n, args.order)

@@ -334,30 +334,36 @@ def _check_axioms(spec: HHASpec):
     b[n](a[m]c) needs m <= M and n <= R, and the j-th term on the right needs
     j <= min(m, M) and m + n - j <= R, so all three vanish for n > R or
     m > R + M.  The loops stop at these bounds, so a high-weight generator costs
-    no more than its table, and the first failing tuple is the same.  An
-    AxiomError names the first (a, b, n) or (a, b, c, m, n) at which an identity
-    fails or two grades of the table meet in one sum."""
+    no more than its table, and the first failing tuple is the same.  A j-sum
+    runs over the modes j of the table's a[j]b entries alone, and a product
+    x[k]y of two generators is made once per check, when first needed.  An
+    AxiomError names the first (a, b, n) or (a, b, c, m, n) at which an
+    identity fails or two grades of the table meet in one sum."""
     e = {g_: basis(g_) for g_ in sorted(spec.weights) if g_ != spec.identity}
     act, wt, max_m = partial(square_action, spec), spec.weights, spec.max_m
     reach = max_m + max((d for outs in spec.table.values() for _, d, _ in outs), default=0)
+    prod = cache(lambda x, k, y: act(e[x], k, e[y]))  # x[k]y of two generators
     for a, b in product(e, repeat=2):
         top = min(floor(wt[a] + wt[b] - 1), max_m)
+        ab = [k for k in range(max_m + 1) if spec.action(a, b, k)]
         for n in range(top + 1):
             # L[-1]**j/j! a[n+j]b, with L[-1]**j 1 = 0 for j >= 1 as in square_action
             _assert_identity("skew-symmetry", (a, b, n), lambda: (
-                act(e[b], n, e[a]),
+                prod(b, n, a),
                 _combine((Fraction((-1) ** (n + j + 1), factorial(j)), {
-                    (l + j, t): c for (l, t), c in act(e[a], n + j, e[b]).items()
-                    if not (j and t == spec.identity)}) for j in range(top - n + 1))))
+                    (l + j, t): c for (l, t), c in prod(a, n + j, b).items()
+                    if not (j and t == spec.identity)})
+                    for j in [k - n for k in ab if n <= k <= top])))
     for a, b, c in product(e, repeat=3):
         top = floor(wt[a] + wt[b] + wt[c] - 2)
+        ab = [k for k in range(max_m + 1) if spec.action(a, b, k)]
         for m in range(min(top, reach + max_m) + 1):
             for n in range(min(top - m, reach) + 1):
                 _assert_identity("the commutator formula", (a, b, c, m, n), lambda: (
-                    _combine(((1, act(e[a], m, act(e[b], n, e[c]))),
-                              (-1, act(e[b], n, act(e[a], m, e[c]))))),
-                    _combine((comb(m, j), act(act(e[a], j, e[b]), m + n - j, e[c]))
-                             for j in range(m + 1))))
+                    _combine(((1, act(e[a], m, prod(b, n, c))),
+                              (-1, act(e[b], n, prod(a, m, c))))),
+                    _combine((comb(m, j), act(prod(a, j, b), m + n - j, e[c]))
+                             for j in ab if j <= m)))
 
 
 def _assert_identity(name: str, at: tuple, sides):
@@ -484,10 +490,6 @@ class CorrExpression:
         elif not cur.iadd(poly):
             del self.terms[sym]
 
-    def add_terms(self, other: "CorrExpression"):
-        for sym, poly in other.terms.items():
-            self.add_term(sym, poly)
-
     def __eq__(self, other):
         if not isinstance(other, CorrExpression):
             return NotImplemented
@@ -498,27 +500,6 @@ class CorrExpression:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
-
-
-def attach_insertion(spec: HHASpec, modes, base_insertions, pos: int, state: dict,
-                     coeff: CoeffPoly) -> CorrExpression:
-    """Multilinear expansion of one symbol with a state inserted at ``pos``.
-
-    Applies the normal form: identity insertions are dropped; a lone
-    insertion of an L[-1]-descendant kills the term (its zero mode
-    vanishes inside the graded trace).
-    """
-    out = CorrExpression()
-    for (dpow, gen), c in state.items():
-        term_coeff = coeff * c
-        if gen == spec.identity:
-            ins = tuple(base_insertions)
-        else:
-            ins = tuple(base_insertions) + ((pos, dpow, gen),)
-        if len(ins) == 1 and ins[0][1] > 0:
-            continue  # o(L[-1] b) = 0 under the trace
-        out.add_term(CorrSymbol(modes, ins), term_coeff)
-    return out
 
 
 def _sub_multisets(counts: dict):
@@ -631,16 +612,16 @@ def _shape_step(spec: HHASpec, modes, shape) -> tuple:
 
 
 def _reduce_shape(spec: HHASpec, modes, shape) -> tuple:
-    """reduce_once of F(modes; shape at positions 1..n) with coefficient ONE, as term pairs.
+    """reduce_once of F(modes; shape at positions 1..n) with coefficient ONE, as term pairs:
+    the head first, then the tails of each sub-multiset of the zero modes as
+    :func:`_add_tails` writes them, each checked against the head's weight.
 
     Its square actions come from a memo that every shape of the spec shares,
     its layer coefficients from the process cache of :func:`_layer_coefficient`;
     a canonical step's first insertion sits at position 1."""
     sym = CorrSymbol(modes, tuple((p, d, g_) for p, (d, g_) in enumerate(shape, 1)))
     (_, d1, g1), rest = sym.insertions[0], sym.insertions[1:]
-    out = CorrExpression()
-    if d1 == 0:
-        out.add_term(CorrSymbol(modes + (g1,), rest), ONE)
+    out = CorrExpression.single(CorrSymbol(modes + (g1,), rest)) if d1 == 0 else CorrExpression()
     if not rest:
         return tuple(out.terms.items())
     W = sym.weight(spec)
@@ -649,20 +630,35 @@ def _reduce_shape(spec: HHASpec, modes, shape) -> tuple:
         for g_ in s_gens:
             remaining.remove(g_)
         layer = lambda m, pj: _layer_coefficient(len(s_gens), m, pj, mult)
-        for tail in _tails(spec, s_gens, (d1, g1), rest, tuple(remaining), layer):
-            _assert_tail_weight(spec, tail, W)
-            out.add_terms(tail)
+        _add_tails(spec, s_gens, (d1, g1), rest, tuple(remaining), layer, out, W)
     return tuple(out.terms.items())
 
 
-def _tails(spec: HHASpec, s_gens, first, rest, modes, layer):
-    """The recursion tails of the d-state of ``s_gens`` on the first insertion
-    ``first`` = (L-power, generator): for every other insertion (p_j, a^j) and
-    every m >= 0, d[m] a^j attached at p_j with coefficient layer(m, p_j)."""
+def _add_tails(spec: HHASpec, s_gens, first, rest, modes, layer, out: CorrExpression, W=None):
+    """Add to ``out``, in turn for every other insertion (p_j, a^j), every
+    m >= 0 and every state c L[-1]**l b of d[m] a^j, the recursion tail
+    layer(m, p_j) * c F(modes; the others, L[-1]**l b at p_j), for d the
+    d-state of ``s_gens`` on ``first`` = (L-power, generator).  Normal form:
+    an identity insertion is dropped, and a lone L[-1]-descendant kills its
+    term.  Given the head weight W, a coefficient monomial whose weight is not
+    W less the symbol's weight raises WeightBookkeepingError."""
     for pj, dj, gj in rest:
-        other = [ins for ins in rest if ins[0] != pj]
+        other = tuple(ins for ins in rest if ins[0] != pj)
         for m, st in _square_actions(spec, s_gens, first, (dj, gj)):
-            yield attach_insertion(spec, modes, other, pj, st, layer(m, pj))
+            coeff = layer(m, pj)
+            for (dpow, gen), c in st.items():
+                ins = other if gen == spec.identity else other + ((pj, dpow, gen),)
+                if len(ins) == 1 and ins[0][1]:
+                    continue  # o(L[-1] b) = 0 under the trace
+                sym, term = CorrSymbol(modes, ins), coeff * c
+                if W is not None:
+                    want = W - sym.weight(spec)
+                    for w in term.monomial_weights().values():
+                        if w != want:
+                            raise WeightBookkeepingError(
+                                f"weight bookkeeping violated: {sym!r} with coefficient "
+                                f"weight {w} against head weight {W}")
+                out.add_term(sym, term)
 
 
 def _square_actions(spec: HHASpec, s_gens, first, target) -> tuple:
@@ -687,17 +683,6 @@ def _layer_coefficient(s_len: int, m: int, pj: int, mult: int) -> CoeffPoly:
     return p_layer_coefficient(s_len, m, pj, 1) * mult
 
 
-def _assert_tail_weight(spec, tail: CorrExpression, W):
-    """Tail grading bookkeeping: coefficient weight + symbol weight is conserved."""
-    for sym, poly in tail.terms.items():
-        want = W - sym.weight(spec)
-        for w in poly.monomial_weights().values():
-            if w != want:
-                raise WeightBookkeepingError(
-                    f"weight bookkeeping violated: {sym!r} with coefficient weight "
-                    f"{w} against head weight {W}")
-
-
 def _relabel_symbol(sym: CorrSymbol, label) -> CorrSymbol:
     """``sym`` at positions label[p]: an increasing label keeps the insertions
     sorted and their positions distinct, so nothing is re-sorted or checked."""
@@ -716,19 +701,18 @@ def reduce_once_ordered(spec: HHASpec, modes, insertions) -> CorrExpression:
 
     with des the descent count of u; the full-tuple layer carries the
     depth-zero coefficients g^0_{m+1} with the plain product a^1[m] a^j.
-    The terms are collected in commuting symbols, so the result is directly
-    comparable with :func:`reduce_once`: this general step is the reference
-    the commuting one collapses onto.  Individual t-layers are
-    weight-inhomogeneous; only the Eulerian-weighted collapse restores
-    termwise homogeneity, so no grading is asserted here.
+    The terms are collected in commuting symbols by :func:`_add_tails`, the
+    writer of the commuting step, so the result is directly comparable with
+    :func:`reduce_once`: this general step is the reference the commuting one
+    collapses onto.  Individual t-layers are weight-inhomogeneous; only the
+    Eulerian-weighted collapse restores termwise homogeneity, so the writer
+    gets no head weight here.
     """
     from itertools import permutations
 
     modes = tuple(modes)
     (p1, d1, g1), *rest = sorted(insertions)
-    out = CorrExpression()
-    if d1 == 0:
-        out.add_term(CorrSymbol((g1,) + modes, rest), ONE)
+    out = CorrExpression.single(CorrSymbol((g1,) + modes, rest)) if d1 == 0 else CorrExpression()
     if not rest:
         return out
     indices = range(len(modes))
@@ -738,8 +722,7 @@ def reduce_once_ordered(spec: HHASpec, modes, insertions) -> CorrExpression:
         for u in permutations(comp):  # s = full tuple: the one empty permutation
             des = descent_count(u)
             layer = lambda m, pj: _ordered_layer(len(u), des, m, pj, p1)
-            for tail in _tails(spec, tuple(modes[i] for i in u), (d1, g1), rest, kept_modes, layer):
-                out.add_terms(tail)
+            _add_tails(spec, tuple(modes[i] for i in u), (d1, g1), rest, kept_modes, layer, out)
     return out
 
 
@@ -933,8 +916,8 @@ def contraction_n(spec: HHASpec, modes) -> tuple:
 _CORR_TOKEN = re.compile(r"([A-Za-z_]\w*?)0(?:\^(\d+))?$")
 
 
-# zero modes one correlator string may hold; the engine's cost grows steeply
-# with their number (weight-2 inversion at 7 already gives 1059 terms)
+# zero modes one correlator string or lattice trace may hold; the cost grows
+# steeply with their number (weight-2 inversion at 7 already gives 1059 terms)
 MAX_ZERO_MODES = 16
 
 

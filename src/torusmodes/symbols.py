@@ -19,9 +19,9 @@ symbols, so a polynomial multiplied by many others is read once, and its
 other operand is a list of entries, each a monomial's factors with their keys
 and a coefficient aimed at a destination polynomial, so one call multiplies
 the rows by terms bound for many polynomials.  Every factor is placed into a
-row by bisection on its keys.  ``CoeffPoly.add_rows_product`` is the kernel
-with every entry aimed at one polynomial, and ``add_product`` runs it on the
-rows of the larger operand.
+row by bisection on its keys.  ``CoeffPoly.__mul__`` runs the kernel on the
+rows of the operand with more terms (the left one on a tie), with every entry
+of the other aimed at the product.
 
 The anomaly Delta f = (c*tau+d)**-w f(gamma.) - f is exp(B D) f - f for the
 derivation D of ``derive``, which ``derive_poly`` extends to polynomials;
@@ -323,28 +323,15 @@ class CoeffPoly:
         return [(terms, tuple([(p, key(p[0])) for p in m]), c.value, c.tpi)
                 for m, c in self.terms.items()]
 
-    def add_rows_product(self, rows, b: "CoeffPoly") -> "CoeffPoly":
-        """Add rows*b into self in place, dropping what cancels; returns self.
-
-        ``rows`` is ``a.rows()`` of a polynomial a (a, b not self): the
-        product kernel ``add_products`` with every entry of b aimed at self.
-        """
-        add_products(rows, b.entries(self.terms))
-        return self
-
-    def add_product(self, a: "CoeffPoly", b: "CoeffPoly") -> "CoeffPoly":
-        """Add a*b (a, b not self) into self in place: the product kernel run
-        on the rows of the operand with more terms; returns self."""
-        if len(a.terms) < len(b.terms):
-            a, b = b, a
-        return self.add_rows_product(a.rows(), b)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ScaledRational)):
             if not other:
                 return CoeffPoly()
             return CoeffPoly._of_terms({m: c * other for m, c in self.terms.items()})
-        return CoeffPoly().add_product(self, other)
+        a, b = (other, self) if len(self.terms) < len(other.terms) else (self, other)
+        out = CoeffPoly()
+        add_products(a.rows(), b.entries(out.terms))
+        return out
 
     __rmul__ = __mul__
 
@@ -496,7 +483,7 @@ def derive_poly(poly: CoeffPoly) -> CoeffPoly:
                 cofactors.setdefault(s, []).append(row)
     out = CoeffPoly()
     for s, rows in cofactors.items():
-        out.add_rows_product(rows, derive(s))
+        add_products(rows, derive(s).entries(out.terms))
     return out
 
 
@@ -509,7 +496,7 @@ def delta_transform(poly: CoeffPoly) -> CoeffPoly:
     total = CoeffPoly()
     term, k = derive_poly(poly), 1
     while term:
-        total.add_product(B(k), term)
+        total.iadd(B(k) * term)
         k += 1
         term = derive_poly(term) * Fraction(1, k)
     return total

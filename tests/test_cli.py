@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -272,6 +273,16 @@ def test_lattice_trace_negative_inputs(capsys):
                          "--order", "-2")
     assert code == 2 and out == ""
     assert err == "error: --order must be >= 0\n"
+
+
+@pytest.mark.parametrize("n", [hha.MAX_ZERO_MODES + 1, 10 ** 8])
+def test_lattice_trace_zero_mode_bound(capsys, n):
+    # --n counts the zero modes of one trace, bounded as --correlator's are
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lattice-trace", "--lattice", "a1", "--n", str(n))
+    assert code == 2 and out == "" and time.perf_counter() - start < 1
+    assert err == (f"error: --n {n} inserts {n} zero modes; "
+                   f"at most {hha.MAX_ZERO_MODES} are supported\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -773,7 +784,8 @@ _ARGV = st.one_of(
     _command("reduce", _flag("spec", *_SPECS), _flag("correlator", *_CORRELATORS)),
     _command("anomaly", _flag("spec", *_SPECS), _flag("correlator", *_CORRELATORS)),
     # orders stop at 5 here: the E8 walk to order 8 alone takes about 0.4 s
-    _command("lattice-trace", _flag("lattice", "a1", "e8"), _int_flag("n", -1, 4),
+    _command("lattice-trace", _flag("lattice", "a1", "e8"),
+             st.one_of(_int_flag("n", -1, 4), st.sampled_from([17, 10 ** 8]).map("--n={}".format)),
              optional=(_int_flag("order", -1, 5), _int_flag("axis", -1, 9),  # unknown flag
                        st.just("--oracle"))),
     _command("transform-check",

@@ -106,17 +106,24 @@ def test_table_check_names_the_first_failing_tuple():
         hha.HHASpec({"h": Fraction(1, 2)}, {("h", "h", 0): ((ScaledRational(1), 0, "1"),)})
 
 
-@pytest.mark.parametrize("weight", [200, 2000, 10 ** 6])
-def test_table_check_stops_where_the_table_reaches(weight):
+@pytest.mark.parametrize("weight, pairing", [(200, False), (2000, False), (10 ** 6, False),
+                                             (100, True)],
+                         ids=["200", "2000", "1000000", "pairing-100"])
+def test_table_check_stops_where_the_table_reaches(weight, pairing):
     # one generator with an empty table: the check runs to the table's largest
-    # mode, 0, and not to the homogeneity bound 2 * weight - 1
+    # mode, 0, and not to the homogeneity bound 2 * weight - 1; with the pairing
+    # v[2 * weight - 1]v = 1/(2 pi i)**(2 * weight) it runs to that mode, and
+    # each j-sum reads the table's one mode
+    table = {}
+    if pairing:
+        table["v", "v", 2 * weight - 1] = ((ScaledRational(1, -2 * weight), 0, "1"),)
     start = time.perf_counter()
-    hha.HHASpec({"v": weight}, {})
+    hha.HHASpec({"v": weight}, table)
     assert time.perf_counter() - start < 1
     # v[0]v = L[-1]**(weight - 1) v breaks skew-symmetry at n = 0, within that reach
     failure = r"skew-symmetry fails at \(a, b, n\) = \('v', 'v', 0\)"
     with pytest.raises(hha.AxiomError, match=failure):
-        hha.HHASpec({"v": weight}, {("v", "v", 0): ((1, weight - 1, "v"),)})
+        hha.HHASpec({"v": weight}, {**table, ("v", "v", 0): ((1, weight - 1, "v"),)})
     assert time.perf_counter() - start < 1
 
 

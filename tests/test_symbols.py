@@ -67,18 +67,24 @@ def test_no_stored_zero_coefficient(a, b, x):
 
 @given(polys, polys, polys)
 def test_add_product_accumulates_in_place(a, b, c):
+    # the kernel adds into a destination that holds terms, on the rows of either
+    # operand, and leaves both operands unchanged
     a_terms, b_terms = dict(a.terms), dict(b.terms)
-    got = c.copy().add_product(a, b)
-    assert got == c + a * b and _normalized(got)
+    for x, y in ((a, b), (b, a)):
+        got = c.copy()
+        add_products(x.rows(), y.entries(got.terms))
+        assert got == c + a * b and _normalized(got)
+        add_products(x.rows(), (-y).entries(got.terms))
+        assert got == c
     assert a.terms == a_terms and b.terms == b_terms
-    assert c.copy().add_product(a, -b).add_product(a, b) == c
 
 
 @given(rationals.filter(bool), rationals.filter(bool))
 def test_add_product_refuses_mixed_grades(x, y):
     c = CoeffPoly.symbol(("B",), ScaledRational(x, 2)) + CoeffPoly.scalar(y)
     with pytest.raises(ValueError, match="cannot add grades"):
-        c.add_product(CoeffPoly.symbol(("B",), ScaledRational(y, 3)), CoeffPoly.scalar(x))
+        add_products(CoeffPoly.symbol(("B",), ScaledRational(y, 3)).rows(),
+                     CoeffPoly.scalar(x).entries(c.terms))
 
 
 # several symbols of every kind, so monomials share symbols and interleave;
@@ -101,8 +107,9 @@ def _reference_mono_mul(m1, m2):
 def test_mono_mul_is_the_sorted_product(m1, m2):
     for a, b in ((m1, m2), (m2, m1), (m1, m1), (m1, ()), ((), m2), ((), ())):
         want = _reference_mono_mul(a, b)
-        assert CoeffPoly().add_rows_product(CoeffPoly({b: 1}).rows(),
-                                            CoeffPoly({a: 1})).terms == {want: 1}
+        got = CoeffPoly()
+        add_products(CoeffPoly({b: 1}).rows(), CoeffPoly({a: 1}).entries(got.terms))
+        assert got.terms == {want: 1}
         assert (CoeffPoly({a: 1}) * CoeffPoly({b: 1})).terms == {want: 1}
 
 
@@ -110,7 +117,7 @@ def test_mono_mul_is_the_sorted_product(m1, m2):
                 min_size=3, max_size=5, unique_by=lambda t: t[0]),
        st.integers(1, 300), st.booleans())
 def test_one_factor_merge_matches_mono_mul(terms, e, with_empty):
-    # add_product places a one-factor monomial of the operand with fewer terms
+    # a * b places a one-factor monomial of the operand with fewer terms
     # straight into the other operand's monomials; every symbol lands at the
     # front, in the middle, at the end of or on an equal symbol of each
     # monomial, and _reference_mono_mul is the reference
@@ -131,7 +138,7 @@ def test_one_factor_merge_matches_mono_mul(terms, e, with_empty):
         clash = CoeffPoly({_reference_mono_mul(m1, one): ScaledRational(1, grade + 1)})
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="cannot add grades"):
-                clash.copy().add_product(x, y)
+                add_products(x.rows(), y.entries(clash.copy().terms))
 
 
 def _reference_product(a, b):
@@ -142,6 +149,12 @@ def _reference_product(a, b):
             m = _reference_mono_mul(ma, mb)
             want[m] = want[m] + ca * cb if m in want else ca * cb
     return {m: c for m, c in want.items() if c}
+
+
+def _entries(dest: CoeffPoly, terms: dict) -> list:
+    """Kernel entries of ``_poly(terms)``, each monomial at its weight as its grade, aimed at dest."""
+    return [(dest.terms, tuple((p, _sym_key(p[0])) for p in m), c.value, c.tpi)
+            for m, c in _poly(terms).terms.items()]
 
 
 kernel_terms = st.lists(st.tuples(sorted_monomials, rationals.filter(bool)),
@@ -157,10 +170,13 @@ def test_rows_kernel_matches_mono_mul(a_terms, b_terms, c_terms):
     rows = a.rows()
     assert rows == [(m, tuple(_sym_key(s) for s, _ in m), k.value, k.tpi)
                     for m, k in a.terms.items()]
-    got = CoeffPoly().add_rows_product(rows, b)
+    got, acc = CoeffPoly(), c.copy()
+    add_products(rows, b.entries(got.terms))
     assert got.terms == _reference_product(a, b) and _normalized(got)
-    assert c.copy().add_rows_product(rows, b) == c + got
-    assert got.add_rows_product(rows, -b).is_zero()  # every entry cancels and is deleted
+    add_products(rows, b.entries(acc.terms))
+    assert acc == c + got
+    add_products(rows, (-b).entries(got.terms))
+    assert got.is_zero()  # every entry cancels and is deleted
     assert rows == a.rows()
 
 
@@ -173,7 +189,8 @@ def test_rows_kernel_matches_mono_mul(a_terms, b_terms, c_terms):
 ])
 def test_rows_kernel_places_a_one_factor_monomial(sym, want):
     row = ((("G", 4), 3), (("P", 2, 2, 1), 1), (("z", 1), 2))
-    out = CoeffPoly().add_rows_product(_poly({row: 1}).rows(), _poly({((sym, 5),): 1}))
+    out = CoeffPoly()
+    add_products(_poly({row: 1}).rows(), _entries(out, {((sym, 5),): 1}))
     (mono,) = out.terms
     assert mono == _reference_mono_mul(row, ((sym, 5),)) and want in mono
     assert len(mono) == len(row) + (want[1] == 5)
@@ -198,7 +215,8 @@ def test_rows_kernel_places_a_two_factor_monomial(m2, want):
     # the factors are placed one at a time, each by bisection on the row's keys
     # with the keys of the factors placed before it spliced in
     row = (_P3, _g1, _z2)
-    out = CoeffPoly().add_rows_product(_poly({row: 2}).rows(), _poly({m2: 3}))
+    out = CoeffPoly()
+    add_products(_poly({row: 2}).rows(), _entries(out, {m2: 3}))
     assert list(out.terms) == [want] and want == _reference_mono_mul(row, m2)
     assert out.terms[want].value == 6
 
@@ -208,18 +226,12 @@ def test_rows_kernel_refuses_mixed_grades():
     b = CoeffPoly.symbol(("B",), ScaledRational(3, 2))
     clash = CoeffPoly({((("B",), 1), (("z", 1), 1)): ScaledRational(1, 0)})
     with pytest.raises(ValueError, match="cannot add grades"):
-        clash.copy().add_rows_product(a.rows(), b)
+        add_products(a.rows(), b.entries(clash.copy().terms))
     # within one call: B*1 at grade 2 meets 1*B at grade 0
     rows = CoeffPoly({((("B",), 1),): ScaledRational(1, 2), (): ScaledRational(1, 0)}).rows()
     b = CoeffPoly({(): ScaledRational(1, 0), ((("B",), 1),): ScaledRational(1, 0)})
     with pytest.raises(ValueError, match="cannot add grades"):
-        CoeffPoly().add_rows_product(rows, b)
-
-
-def _entries(dest: CoeffPoly, terms: dict) -> list:
-    """Kernel entries of ``_poly(terms)``, each monomial at its weight as its grade, aimed at dest."""
-    return [(dest.terms, tuple((p, _sym_key(p[0])) for p in m), c.value, c.tpi)
-            for m, c in _poly(terms).terms.items()]
+        add_products(rows, b.entries({}))
 
 
 @given(kernel_terms, st.lists(st.tuples(st.integers(0, 2), sorted_monomials, rationals.filter(bool)),

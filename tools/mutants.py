@@ -97,10 +97,15 @@ MUTANTS = [
     ("verify.py", "r * -c)", "r * c)", ("hha-contraction",)),
     ("hha.py", "if dpow:", "if dpow or target == spec.identity:",
      ("hha-weight1", "lattice-modular", "hha-contraction")),
-    ("hha.py", "for j in range(m + 1))", "for j in range(m))",
+    ("hha.py", "for j in ab if j <= m)", "for j in ab if j < m)",
      ("hha-weight2", "hha-contraction", "lattice-modular")),
     ("hha.py", "(-1) ** (n + j + 1)", "(-1) ** (n + j)",
      ("hha-weight1", "hha-weight2", "hha-contraction", "lattice-modular")),
+    ("hha.py", "if n <= k <= top]", "if n < k <= top]",
+     ("hha-weight1", "hha-weight2", "hha-contraction", "lattice-modular")),
+    ("hha.py", "if len(ins) == 1 and ins[0][1]:", "if False:", ("hha-weight2",)),
+    ("hha.py", "ins = other if gen == spec.identity else other + ((pj, dpow, gen),)",
+     "ins = other + ((pj, dpow, gen),)", ("hha-weight1", "hha-weight2", "hha-contraction")),
 ]
 
 
