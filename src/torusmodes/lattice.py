@@ -18,19 +18,20 @@ Blocks whose Gram is the preset E8 Gram (``e8``, each block of ``e8x3``) take a
 product route: in even coordinates E8 is the x in Z^8 or (Z+1/2)^8 with even
 sum, so its (norm/2, <e_0,a>^2) counts are sums over single coordinates.  Every
 other Gram, E8 in another basis too, goes through one Fincke-Pohst walk.  It
-prunes with float bounds padded from the exact LDL^T decomposition of the Gram
+prunes with integer bounds read from the exact LDL^T decomposition of the Gram
 matrix (made once per Gram, and shared with the check that a lattice is
-positive definite), so no vector is missed, and carries the exact integer norm
-and the integer pairing with the first basis vector down the recursion, so each
-candidate is confirmed by its exact norm at the leaf and shells are complete.
-It visits one of each pair x, -x and hands the leaf a multiplicity (2, or 1 for
-x = 0); every tally here is even in x.  Per block Gram one walk is grouped into
-(norm/2, <e_0,a>^2) counts and cached, and a lower order reads the deepest
-walk's groups: shell sizes, theta moments, theta series, traces and chi share
-them.  The walk is the product route's oracle: ``enumerate_vectors`` (which
-alone keeps the vectors, both signs) and ``fock_trace_oracle``'s charged block
-walk every Gram, and share one walk per Gram and order: the vectors' walk
-tallies the groups too.  The closed-form trace and the oracle are made once
+positive definite): a coordinate runs over exactly the values that keep the
+levels fixed so far within the bound, so no vector is missed, and the integer
+left of the bound at a leaf gives its exact norm.  Shells are complete by
+proof, whatever the size of the Gram's entries.  It visits one of each pair
+x, -x and hands the leaf a multiplicity (2, or 1 for x = 0); every tally here
+is even in x.  Per block Gram one walk is grouped into (norm/2, <e_0,a>^2)
+counts and cached, and a lower order reads the deepest walk's groups: shell
+sizes, theta moments, theta series, traces and chi share them.  The walk is
+the product route's oracle: ``enumerate_vectors`` (which alone keeps the
+vectors, both signs) and ``fock_trace_oracle``'s charged block walk every
+Gram, and share one walk per Gram and order: the vectors' walk tallies the
+groups too.  The closed-form trace and the oracle are made once
 per (lattice, n, order), as the theta moments and eta factors they read are.
 """
 
@@ -189,14 +190,18 @@ def _walk(gram: tuple, max_norm_half: int, leaf) -> None:
 
     Calls leaf(x, <x,x>/2, <e_0,x>, mult) for the x whose highest nonzero
     coordinate is positive, with mult = 2 for the pair x, -x and mult = 1 for
-    x = 0.  Coordinates are fixed from the last down to the first.  Float
-    bounds from the exact LDL^T prune the box with a safety margin.  Each level
-    hands the levels below it their partial centers sum_{j>i} L_ji x_j and
-    cross sums 2 sum_{j>i} G_ij x_j, so a node at level i costs O(i).  Level 1
-    hands level 0 only its own center and cross sum, and level 0 is a plain
-    loop (``row``) that calls the leaf.  The exact integer norm and the
-    integer pairing with e_0 (row ``gram[0]``) are carried down the
-    recursion, and the exact norm decides at the leaf.
+    x = 0.  Coordinates are fixed from the last down to the first, in integers
+    read from the exact LDL^T.  With e_i the common denominator of L's column
+    i, <x,x> = sum_i (D_i/e_i^2) Y_i^2 with Y_i = e_i x_i + C_i, and the center
+    C_i = sum_{j>i} e_i L_ji x_j is an integer, handed down as x_j is fixed.
+    Scaled by lam, the lcm of the denominators of the D_i/e_i^2, each
+    a_i = lam D_i/e_i^2 is an integer and so is rem, the bound that the levels
+    above i leave.  As Y_i^2 is an integer, a_i Y_i^2 <= rem holds exactly when
+    |Y_i| <= s = isqrt(rem // a_i), that is when x_i runs from
+    -((C_i + s) // e_i) to (s - C_i) // e_i.  An x with <x,x> <= 2N meets this
+    at every level, the terms being nonnegative, so none is pruned; and the
+    rem left at a leaf is lam (2N - <x,x>) >= 0, which gives its exact norm.
+    The integer pairing with e_0 (row ``gram[0]``) is carried down as well.
     ``x`` is the walk's working list: a leaf that keeps it must copy it.
     The walk leaves no reference cycle, so a dropped walk, and whatever its
     leaf kept, is freed by reference counting alone.
@@ -204,59 +209,30 @@ def _walk(gram: tuple, max_norm_half: int, leaf) -> None:
     if max_norm_half < 0:
         raise LatticeError("max_norm_half must be >= 0")
     n = len(gram)
-    bound = 2 * max_norm_half
-    x = [0] * n
     L, D = _ldl(gram)
-    # row i of L and of 2G left of the diagonal: x_i's share of the levels below
-    Lf = [[float(L[i][j]) for j in range(i)] for i in range(n)]
-    G2 = [[2 * gram[i][j] for j in range(i)] for i in range(n)]
-    Df = [float(d) for d in D]
+    e = [math.lcm(*(L[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
+    lam = math.lcm(*((d / ei ** 2).denominator for d, ei in zip(D, e)))
+    a = [int(lam * d / ei ** 2) for d, ei in zip(D, e)]
+    # row i of the centers' coefficients e_k L_ik, k < i: x_i's share of the levels below
+    M = [[int(e[k] * L[i][k]) for k in range(i)] for i in range(n)]
+    g0, scale, x = gram[0], 2 * lam, [0] * n
 
-    g00, d0 = gram[0][0], Df[0]
-
-    def row(remaining, norm, ip, c, cross, lead):
-        # level 0, the last coordinate to be fixed: a plain loop over x_0 that calls the leaf
-        half_width = math.sqrt(max(remaining, 0.0) / d0)
-        lo = 0 if lead else math.ceil(-c - half_width - 1e-9)
-        hi = math.floor(-c + half_width + 1e-9)
-        if lead:
-            x[0] = 0
-            leaf(x, 0, 0, 1)
-            lo = 1
-        for v in range(lo, hi + 1):
-            exact = norm + v * (g00 * v + cross)
-            if exact <= bound:
-                x[0] = v
-                leaf(x, exact // 2, ip + g00 * v, 2)
-
-    def rec(i, remaining, norm, ip, centers, crosses, lead):
-        # remaining = bound - sum_{k>i} D_k (x_k + sum_{j>k} L_jk x_j)^2  (float, padded);
+    def rec(i, rem, ip, centers, lead):
         # lead: every coordinate above i is zero, so x_i >= 0 keeps one of each pair
-        c, cross = centers[i], crosses[i]
-        half_width = math.sqrt(max(remaining, 0.0) / Df[i])
-        lo = 0 if lead else math.ceil(-c - half_width - 1e-9)
-        hi = math.floor(-c + half_width + 1e-9)
-        gii, ri = gram[i][i], gram[0][i]
-        di, li, gi = Df[i], Lf[i], G2[i]
-        if i == 1:
-            # level 0 needs only its own center and cross sum, not the lists
-            c0, l0, cross0, g0 = centers[0], li[0], crosses[0], gi[0]
-            for v in range(lo, hi + 1):
-                x[1] = v
-                row(remaining - di * (v + c) ** 2, norm + v * (gii * v + cross),
-                    ip + ri * v, c0 + l0 * v, cross0 + g0 * v, lead and not v)
-            return
-        for v in range(lo, hi + 1):
+        c, ei, ai, mi, gi = centers[i], e[i], a[i], M[i], g0[i]
+        s = isqrt(rem // ai)
+        for v in range(0 if lead else -((c + s) // ei), (s - c) // ei + 1):
             x[i] = v
-            rec(i - 1, remaining - di * (v + c) ** 2, norm + v * (gii * v + cross),
-                ip + ri * v, [a + b * v for a, b in zip(centers, li)],
-                [a + b * v for a, b in zip(crosses, gi)], lead and not v)
+            y = ei * v + c
+            left = rem - ai * y * y
+            if i:
+                rec(i - 1, left, ip + gi * v, [b + m * v for b, m in zip(centers, mi)],
+                    lead and not v)
+            else:
+                leaf(x, max_norm_half - left // scale, ip + gi * v, 1 if lead and not v else 2)
 
     try:
-        if n == 1:
-            row(bound + 1e-6, 0, 0, 0.0, 0, True)
-        else:
-            rec(n - 1, bound + 1e-6, 0, 0, [0.0] * n, [0] * n, True)
+        rec(n - 1, scale * max_norm_half, 0, [0] * n, True)
     finally:
         del rec  # rec calls itself through its closure cell: emptied, it leaves no cycle
 

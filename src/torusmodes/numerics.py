@@ -276,8 +276,9 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-
 
     ``value(sym, z, tau)`` evaluates f at both points; Delta f is delta_of_symbol's,
     through :func:`poly_value`.  The law is derived before anything is evaluated,
-    so an id D does not reach raises DeltaUnknownError at every point.  Returns
-    a residual report.
+    so an id D does not reach raises DeltaUnknownError at every point, and a
+    gamma tau whose imaginary part is lost in floating point raises
+    UnsupportedError before anything is evaluated.  Returns a residual report.
     """
     gamma = sl2_check(gamma)
     _, _, c, d = gamma
@@ -289,9 +290,12 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-
     except OverflowError:
         raise UnsupportedError(f"(c*tau + d)**{w} at tau={tau} leaves the floating-point "
                                f"range: |tau| is too large for it") from None
+    gz, gt = apply_gamma(gamma, z, tau)
+    if gt.imag <= 0:
+        raise UnsupportedError(f"gamma tau = {gt} at tau={tau} loses its imaginary part in "
+                               f"floating point: |c*tau + d| is too large for it")
     b = TWO_PI_I * c / (c * tau + d)
     rhs = factor * (value(sym, z, tau) + poly_value(delta, {2: z, 1: 0.0}, tau, b))
-    gz, gt = apply_gamma(gamma, z, tau)
     lhs = value(sym, gz, gt)
     scale = max(1.0, abs(lhs), abs(rhs))
     residual = abs(lhs - rhs) / scale

@@ -405,6 +405,10 @@ _LAW_IDS = "expected Ptilde_1 | P_k (k>=2) | G_2k | g_i_j (g^i_j, j>i)"
     (["--function", "P_9", "--tau", "1e30i"], 3,
      "unsupported: the Lambert sums at tau=9.999999999999999e-31j need more than 4000 terms; "
      "Im tau is too small for them"),
+    # gamma is in SL(2,Z), but gamma tau's imaginary part cancels away in floating point
+    (["--function", "P_2", "--gamma", "99999999999999999999,1,99999999999999999998,1"], 3,
+     "unsupported: gamma tau = (1-9.25185853854297e-37j) at tau=1.2j loses its imaginary "
+     "part in floating point: |c*tau + d| is too large for it"),
 ])
 def test_transform_check_exit_table(capsys, argv, code, message):
     if "--gamma" not in argv:
@@ -593,6 +597,26 @@ def test_malformed_spec_and_lattice_files(capsys, tmp_path, command, text):
     code, out, err = run(capsys, command, *flags)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+_K = 10 ** 17 + 1  # ((2, 2k), (2k, 2k^2 + 2)) is A1 + A1 re-based by e_1 -> e_1 + k e_0
+
+
+@pytest.mark.parametrize("gram, n, order, coeffs", [
+    pytest.param([[2, 2 * _K], [2 * _K, 2 * _K ** 2 + 2]], 0, 3, ["1", "6", "17", "38"],
+                 id="a1-a1-rebased"),
+    pytest.param([[2 * 10 ** 400]], 1, 2, ["-1/12", "23/12", "47/6"], id="gram-beyond-float"),
+])
+def test_lattice_files_walked_exactly(capsys, tmp_path, gram, n, order, coeffs):
+    # the walk's bounds are integers, so no entry is too large and no vector is missed
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"gram": gram}))
+    code, out, err = run(capsys, "lattice-trace", "--lattice", str(path), "--n", str(n),
+                         "--order", str(order), "--oracle")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["equal"] is True
+    assert data["closed_form"]["coeffs"] == [[[0, c]] for c in coeffs]
 
 
 @pytest.mark.parametrize("suite, flag, value", [

@@ -171,7 +171,9 @@ def test_tail_estimate_shrinks_with_order():
 
 
 def _small_even_lattices():
-    """A1, A2, a two-block rank 3, D4, and seeded random rank <= 4 sublattices."""
+    """A1, A2, a two-block rank 3, D4, seeded random rank <= 4 sublattices, and
+    A3 and D4 in bases whose LDL^T has large denominators (D_2 = 4/667, 4/523
+    for A3; 20/131 for D4)."""
     import random
     fixed = [((2,),), ((2, -1), (-1, 2)), ((2, -1, 0), (-1, 2, 0), (0, 0, 4)),
              ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))]
@@ -190,7 +192,10 @@ def _small_even_lattices():
             out.append(lt.EvenLattice(gram))
         except lt.LatticeError:  # singular change of basis
             continue
-    return out
+    skewed = [((22, 13, 9), (13, 38, 23), (9, 23, 14)),
+              ((46, 11, -12), (11, 14, -6), (-12, -6, 4)),
+              ((30, 7, -17, 7), (7, 6, -3, 1), (-17, -3, 10, -4), (7, 1, -4, 2))]
+    return out + [lt.EvenLattice(g) for g in skewed]
 
 
 def _box(lat, max_norm_half):
@@ -238,6 +243,28 @@ def test_walk_counts_match_box_enumeration():
         data, got_block = lt._axis_shell_data(lat, N)
         assert got_block == block
         assert data == tuple((nh, t2, cnt) for (nh, t2), cnt in sorted(grouped.items()))
+
+
+def test_walk_is_exact_on_a_rebased_gram_beyond_float_precision():
+    # ((2, 2k), (2k, 2k^2 + 2)) is A1 + A1 in the basis e_0, e_1 + k e_0, which fixes e_0;
+    # at k = 10^17 + 1 the float k x_1 is off by more than one coordinate step
+    k = 10 ** 17 + 1
+    rebased = lt.EvenLattice(((2, 2 * k), (2 * k, 2 * k * k + 2)))
+    plain = lt.EvenLattice(((2, 0), (0, 2)))
+    N = 5
+    shells = lt.enumerate_vectors(plain, N)
+    assert [sorted((x0 + k * x1, x1) for x0, x1 in s.vectors)
+            for s in lt.enumerate_vectors(rebased, N)] == [s.vectors for s in shells]
+    assert lt.theta_series(rebased, N) == lt.theta_series(plain, N)
+    grouped = {}
+    for s in shells:
+        for x in s.vectors:
+            key = (s.norm_half, Fraction(x[0] ** 2 * 2))
+            grouped[key] = grouped.get(key, 0) + 1
+    assert lt._axis_shell_data(rebased, N) == (
+        tuple((nh, t2, cnt) for (nh, t2), cnt in sorted(grouped.items())), (0, 1))
+    for power in (0, 2, 4):
+        assert lt.theta_moment(rebased, power, N) == lt.theta_moment(plain, power, N)
 
 
 def test_e8_shell_sizes_are_240_sigma3():

@@ -35,8 +35,7 @@ MUTANTS = [
     ("combinatorics.py", "stirling_first(n - 1, k - 1) - (n - 1) *",
      "stirling_first(n - 1, k - 1) + (n - 1) *",
      ("combinatorics", "qseries-identities", "hha-weight2")),
-    ("lattice.py", "x[0] = 0\n            leaf(x, 0, 0, 1)", "x[0] = 0\n            leaf(x, 0, 0, 2)",
-     ("lattice-oracle",)),
+    ("lattice.py", "1 if lead and not v else 2", "2", ("lattice-oracle",)),
     ("ratfunc.py", "_lift(n.zeta_ddzeta(), 1) + n.shift(1) * k", "_lift(n.zeta_ddzeta(), 1)",
      ("elliptic-formal",)),
     ("verify.py", "w = 4 + p", "w = 5 + p", ("lattice-modular",)),
@@ -64,7 +63,7 @@ MUTANTS = [
      "moves = self[label] = self.setdefault(None, _Moves())",
      ("hha-weight1", "hha-weight2", "hha-contraction")),
     ("verify.py", "u[end] < u[end - 1]", "u[end] > u[end - 1]", ("combinatorics",)),
-    ("lattice.py", "ip + g00 * v", "ip + v", ("lattice-oracle",)),
+    ("lattice.py", "scale, ip + gi * v", "scale, ip + v", ("lattice-oracle",)),
     ("lattice.py", "tuple(map(neg, c))", "c", ("lattice-oracle",)),
     ("ratfunc.py", "self.num.zeta_ddzeta()", "self.num", ("elliptic-formal",)),
     ("lattice.py", "(r + y1 + y2) % 4 == 0", "(r + y1 + y2) % 2 == 0",
@@ -106,6 +105,7 @@ MUTANTS = [
     ("hha.py", "if len(ins) == 1 and ins[0][1]:", "if False:", ("hha-weight2",)),
     ("hha.py", "ins = other if gen == spec.identity else other + ((pj, dpow, gen),)",
      "ins = other + ((pj, dpow, gen),)", ("hha-weight1", "hha-weight2", "hha-contraction")),
+    ("lattice.py", "(s - c) // ei + 1)", "(s - c) // ei)", ("lattice-oracle",)),
 ]
 
 
