@@ -27,7 +27,7 @@ from . import lattice as lt
 from . import numerics as nm
 from . import qseries as qs
 from . import verify
-from .scaled import format_fraction
+from .scaled import Memo, format_fraction
 from .symbols import UnsupportedError, function_symbol, sym_str
 
 
@@ -115,20 +115,11 @@ def _write_json(value, write, indent: str = "") -> None:
     write("\n" + indent + brackets[1])
 
 
-class _FactorTexts(dict):
-    """(symbol, exponent) -> the text of ``[sym_str(symbol), exponent]``, filled on first use.
-
-    The pair is printed ``indent`` deep, as ``_write_json`` writes it.
-    """
-
-    def __init__(self, indent: str):
-        super().__init__()
-        self.inner, self.outer = indent + "  ", indent
-
-    def __missing__(self, pair):
-        name = encode_basestring_ascii(sym_str(pair[0]))
-        text = self[pair] = f"[\n{self.inner}{name},\n{self.inner}{pair[1]}\n{self.outer}]"
-        return text
+def _factor_text(indent: str, pair) -> str:
+    """The text of ``[sym_str(symbol), exponent]`` for the (symbol, exponent)
+    ``pair``, printed ``indent`` deep, as ``_write_json`` writes it."""
+    inner = indent + "  "
+    return f"[\n{inner}{encode_basestring_ascii(sym_str(pair[0]))},\n{inner}{pair[1]}\n{indent}]"
 
 
 def _write_expansion(expr: hha.CorrExpression, write, indent: str) -> None:
@@ -144,7 +135,7 @@ def _write_expansion(expr: hha.CorrExpression, write, indent: str) -> None:
         write("[]")
         return
     i2, i4, i6, i8, i10, i12 = (indent + "  " * k for k in range(1, 7))
-    factor_texts = _FactorTexts(i10)
+    factor_texts = Memo(partial(_factor_text, i10))
     # an entry is {"coeff": [[grade, "p/q"]], "monomial": [factor, ...]}
     coeff_open = f'{{\n{i8}"coeff": [\n{i10}[\n{i12}'
     coeff_mid = f',\n{i12}"'

@@ -40,6 +40,7 @@ anomaly_of_zero_modes) run with the cyclic GC paused.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, count, product
@@ -68,8 +69,8 @@ class WeightBookkeepingError(HHAError):
 
 
 class AxiomError(HHAError):
-    """The structure table breaks skew-symmetry or the commutator formula:
-    it is not a vertex algebra."""
+    """The structure table breaks skew-symmetry or the commutator formula (it is
+    not a vertex algebra), or its grades fit no rescaling (see _check_grades)."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +122,9 @@ class HHASpec:
     generator weight may be negative.
     """
 
-    def __init__(self, weights, table, identity: str = "1"):
-        self.identity = identity
+    identity = "1"
+
+    def __init__(self, weights, table):
         # an integral weight is kept as an int, as ScaledRational keeps its value,
         # so that the engine's weight checks add ints
         self.weights = {}
@@ -133,9 +135,7 @@ class HHASpec:
             if w < 0:
                 raise HHAError(f"generator {name!r} has negative weight {format_fraction(w)}")
             self.weights[name] = w.numerator if w.denominator == 1 else w
-        if identity not in self.weights:
-            self.weights[identity] = 0
-        if self.weights[identity] != 0:
+        if self.weights.setdefault(self.identity, 0) != 0:
             raise HHAError("the identity must have weight 0")
         self.table = {}
         max_m = 0
@@ -167,6 +167,8 @@ class HHASpec:
             if m == 0 and not all(dpow for _, dpow, _ in self.action(a, b, 0)):
                 raise UnsupportedError(f"{a}[0]{b} has a term without L[-1]: the zero modes of "
                                        f"{a} and {b} do not commute, which is not implemented")
+        _check_grades(self)
+        # plain dicts: a scaled.Memo closing over the spec would make a reference cycle.
         # reduce_once and reduce_to_zero_modes results by canonical shape;
         # valid because the table is fixed from here on
         self.shape_memo = {}
@@ -182,8 +184,8 @@ class HHASpec:
         return self.table.get((a, b, m), ())
 
     # JSON wire format:
-    # {generators:[{name, weight}], structure:[{i, j, m, out:[{coeff, tpi, gen, dpow}]}],
-    #  identity}.  A "commuting" key may only be true: the zero modes must commute.
+    # {generators:[{name, weight}], structure:[{i, j, m, out:[{coeff, tpi, gen, dpow}]}]}.
+    # A "commuting" key may only be true, and an "identity" key only "1".
     def to_json(self) -> dict:
         gens = [{"name": n, "weight": format_fraction(w)}
                 for n, w in sorted(self.weights.items())]
@@ -194,7 +196,7 @@ class HHASpec:
                 "out": [{"coeff": format_fraction(c.value), "tpi": c.tpi,
                          "gen": t, "dpow": d} for c, d, t in outs],
             })
-        return {"generators": gens, "structure": struct, "identity": self.identity}
+        return {"generators": gens, "structure": struct}
 
     @classmethod
     def from_json(cls, data) -> "HHASpec":
@@ -230,8 +232,10 @@ class HHASpec:
             if key in table:
                 raise HHAError(f"{at} repeats the entry (i, j, m) = {key} of an earlier one")
             table[key] = tuple(outs)
-        identity = _json_field(data, "identity", "spec", str, default="1")
-        return cls(weights, table, identity=identity)
+        identity = data.get("identity", cls.identity)
+        if identity != cls.identity:
+            raise HHAError(f'spec.identity must be "{cls.identity}", got {identity!r}')
+        return cls(weights, table)
 
 
 def weight1_spec(pairing=1) -> HHASpec:
@@ -364,6 +368,30 @@ def _check_axioms(spec: HHASpec):
                               (-1, act(e[b], n, prod(a, m, c))))),
                     _combine((comb(m, j), act(prod(a, j, b), m + n - j, e[c]))
                              for j in ab if j <= m)))
+
+
+def _check_grades(spec: HHASpec):
+    """Refuse a table whose grades fit no rescaling a -> (2*pi*i)**g(a) a with
+    g(identity) = 0: each entry a[m]b -> (2*pi*i)**tpi L[-1]**dpow t asks
+    g(a) + g(b) - g(t) = tpi + m + 1 + dpow.  Eliminating in table order, an
+    AxiomError names the first entry that contradicts the ones before it."""
+    rows = []  # (pivot, {generator: coefficient}, right side); later rows lack each pivot
+    for (a, b, m), outs in sorted(spec.table.items()):
+        for coeff, dpow, t in outs:
+            eq, rhs = Counter((a, b)), Fraction(coeff.tpi + m + 1 + dpow)
+            eq[t] -= 1
+            eq[spec.identity] = 0
+            for pivot, row, value in rows:
+                k = eq[pivot]
+                eq.subtract({g_: k * c for g_, c in row.items()})
+                rhs -= k * value
+            eq = {g_: c for g_, c in eq.items() if c}
+            if eq:
+                pivot, k = next(iter(eq.items()))
+                rows.append((pivot, {g_: Fraction(c) / k for g_, c in eq.items()}, rhs / k))
+            elif rhs:
+                raise AxiomError(f"grades fit no rescaling of the generators: {a}[{m}]{b} -> "
+                                 f"(2*pi*i)^{coeff.tpi} L^{dpow} {t} contradicts earlier entries")
 
 
 def _assert_identity(name: str, at: tuple, sides):

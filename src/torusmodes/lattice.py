@@ -366,9 +366,8 @@ def _rest_counts(lat: EvenLattice, skip, truncation: int) -> list:
 
 
 def theta_series(lat: EvenLattice, truncation: int) -> QExpansion:
-    """Theta series of the lattice, via per-block enumeration and convolution."""
-    return QExpansion.from_dict(dict(enumerate(_rest_counts(lat, None, truncation))),
-                                truncation)
+    """Theta series of the lattice: its zeroth theta moment."""
+    return theta_moment(lat, 0, truncation)
 
 
 @lru_cache(maxsize=None)

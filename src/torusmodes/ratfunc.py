@@ -30,6 +30,7 @@ from .scaled import as_exact, format_fraction
 POLE_TOL = 1e-12  # evaluate refuses a zeta where |den| is this small against its terms
 
 
+# not a scaled.Memo: its misses are the hot path, and a call through ``fn`` slowed them
 class PowerMap(dict):
     """exponent -> base**e, each power taken on first use by the same ``**``."""
 

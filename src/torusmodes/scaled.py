@@ -52,6 +52,23 @@ def _gc_paused(fn):
     return paused
 
 
+class Memo(dict):
+    """key -> fn(key), made on first use and kept; a key whose ``fn`` raises is not kept.
+
+    A hit is a dict lookup; a ``functools.cache`` hit, which also builds and
+    hashes an argument tuple, measured about twice as slow (50.9 ms against
+    25.7 ms for 392k hits)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

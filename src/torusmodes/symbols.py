@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
-from .scaled import ScaledRational
+from .scaled import Memo, ScaledRational
 
 
 class UnsupportedError(Exception):
@@ -86,67 +86,29 @@ def sym_str(sym) -> str:
     return _kind(sym).text.format(*sym[1:])
 
 
-class _SymKeys(dict):
-    """symbol -> its sort key (kind rank, then the symbol's arguments), filled on first use.
-
-    A dict lookup, where an lru_cache would also build and hash an argument
-    tuple on every call.
-    """
-
-    def __missing__(self, sym):
-        key = self[sym] = (_kind(sym).rank,) + tuple(sym[1:])
-        return key
-
-
-_SYM_KEYS = _SymKeys()
-_sym_key = _SYM_KEYS.__getitem__
+# symbol -> its sort key: kind rank, then the symbol's arguments
+_sym_key = Memo(lambda sym: (_kind(sym).rank,) + tuple(sym[1:])).__getitem__
 
 # kind rank -> the slice of a symbol, or of its sort key, that holds positions
 _SLOTS_BY_RANK = tuple(kind.slots for kind in sorted(_KINDS.values(), key=lambda k: k.rank))
 
-
-class _PairKeys(dict):
-    """(symbol, exponent) -> the symbol's sort key with the exponent appended,
-    filled on first use.
-
-    Every symbol of a kind has as many arguments as every other, so keys of
-    one rank have one length, and a list of these flat keys sorts monomials
-    as the list of (sort key, exponent) pairs does, with cheaper comparisons.
-    """
-
-    def __missing__(self, pair):
-        key = self[pair] = _sym_key(pair[0]) + (pair[1],)
-        return key
+# (symbol, exponent) -> the symbol's sort key with the exponent appended.  The
+# symbols of a kind have one number of arguments, so lists of these flat keys sort
+# monomials as lists of (sort key, exponent) pairs do, with cheaper comparisons.
+_pair_key = Memo(lambda pair: _sym_key(pair[0]) + (pair[1],)).__getitem__
 
 
-_pair_key = _PairKeys().__getitem__
+def _move(label: tuple, pair):
+    """(``pair`` with each position p of its symbol moved to label[p], the moved symbol's key)."""
+    s = pair[0]
+    slots = _kind(s).slots
+    if slots is not None:
+        s = s[:slots.start] + tuple(label[i] for i in s[slots]) + s[slots.stop:]
+    return (s, pair[1]), _sym_key(s)
 
 
-class _Moves(dict):
-    """(symbol, exponent) -> (the pair with each position p moved to label[p],
-    the moved symbol's sort key), for one increasing ``label``, filled on first use."""
-
-    __slots__ = ("label",)
-
-    def __missing__(self, pair):
-        s = pair[0]
-        slots = _kind(s).slots
-        if slots is not None:
-            s = s[:slots.start] + tuple(self.label[i] for i in s[slots]) + s[slots.stop:]
-        moved = self[pair] = ((s, pair[1]), _sym_key(s))
-        return moved
-
-
-class _MovesByLabel(dict):
-    """label -> its ``_Moves`` map, kept for the life of the process."""
-
-    def __missing__(self, label):
-        moves = self[label] = _Moves()
-        moves.label = label
-        return moves
-
-
-_MOVES = _MovesByLabel()
+# label -> its map of pair -> _move(label, pair), kept for the life of the process
+_MOVES = Memo(lambda label: Memo(partial(_move, label)))
 
 
 def add_products(rows, entries) -> None:

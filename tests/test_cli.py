@@ -544,6 +544,19 @@ def test_spec_file_with_a_grade_clash_names_its_tuple(capsys, tmp_path):
                    "('x', 'x', 0): cannot add grades (2*pi*i)^-2 and (2*pi*i)^-3\n")
 
 
+def test_spec_file_off_its_grades_is_refused(capsys, tmp_path):
+    # x[3]x at grade -3 meets no other term in the table check's identities, but
+    # it asks 2 g(x) = 1 of a rescaling x -> (2*pi*i)**g(x) x, where x[0]x and
+    # x[1]x ask g(x) = 0
+    central = _W2["structure"][2]
+    path = tmp_path / "w2.json"
+    path.write_text(json.dumps({**_W2, "structure": [
+        *_W2["structure"][:2], {**central, "out": [{**central["out"][0], "tpi": -3}]}]}))
+    assert run(capsys, "reduce", "--spec", str(path), "--correlator", "x0^2") == (
+        2, "", "error: grades fit no rescaling of the generators: "
+               "x[3]x -> (2*pi*i)^-3 L^0 1 contradicts earlier entries\n")
+
+
 def test_high_weight_spec_file_is_checked_as_far_as_its_table_reaches(capsys, tmp_path):
     # one weight-2000 generator with an empty table: the check stops at the
     # table's largest mode, and no pair of zero modes contracts
@@ -578,6 +591,7 @@ def test_high_weight_spec_file_is_checked_as_far_as_its_table_reaches(capsys, tm
         {"name": "x", "weight": "5"}, {"name": "x", "weight": "2"}]}), id="generator-twice"),
     # x[1]x = 4 x alone breaks skew-symmetry, x[0]x = -x[0]x + L[-1] x[1]x: not an algebra
     pytest.param("reduce", _w2_with(), id="not-a-vertex-algebra"),
+    pytest.param("reduce", json.dumps({**_W2, "identity": "e"}), id="identity-not-1"),
     # a[4]b = a is homogeneous, but a weight below 0 is refused before the table check
     pytest.param("reduce", json.dumps({
         "generators": [{"name": "a", "weight": "-1"}, {"name": "b", "weight": "5"}],

@@ -51,6 +51,8 @@ def test_spec_json_round_trip(w2, tmp_path):
     path.write_text(json.dumps(data))
     loaded = cli._load("spec", str(path))
     assert loaded.table == w2.table
+    # a file may name the identity, as "1"
+    assert hha.HHASpec.from_json({**data, "identity": "1"}).table == w2.table
 
 
 def test_spec_without_grades_is_a_rescaled_generator(w2):
@@ -104,6 +106,21 @@ def test_table_check_names_the_first_failing_tuple():
     failure = r"skew-symmetry fails at \(a, b, n\) = \('h', 'h', 0\)"
     with pytest.raises(hha.AxiomError, match=failure):
         hha.HHASpec({"h": Fraction(1, 2)}, {("h", "h", 0): ((ScaledRational(1), 0, "1"),)})
+
+
+def test_table_off_its_grades_names_the_first_entry_that_contradicts():
+    # two weight-1 fields paired at grades -2, -3, -3, -2: each entry alone fits
+    # a rescaling a -> (2*pi*i)**g(a) a, but a[1]a puts g(a) = 0, a[1]b then
+    # g(b) = -1, and b[1]b asks 2 g(b) = 0
+    def pair(tpi):
+        return ((ScaledRational(1, tpi), 0, "1"),)
+
+    table = {("a", "a", 1): pair(-2), ("a", "b", 1): pair(-3), ("b", "a", 1): pair(-3),
+             ("b", "b", 1): pair(-2)}
+    with pytest.raises(hha.AxiomError, match=r"b\[1\]b -> \(2\*pi\*i\)\^-2 L\^0 1 contradicts"):
+        hha.HHASpec({"a": 1, "b": 1}, table)
+    # at one grade the same pairing fits g = 0
+    hha.HHASpec({"a": 1, "b": 1}, {key: pair(-2) for key in table})
 
 
 @pytest.mark.parametrize("weight, pairing", [(200, False), (2000, False), (10 ** 6, False),
@@ -388,7 +405,7 @@ def test_a_spec_carries_exactly_four_memos():
     spec = weight2_spec()
     reduce_to_zero_modes(spec, invert_to_full(spec, ("x",) * 3))
     hha.anomaly_of_zero_modes(spec, ("x",) * 3)
-    assert sorted(vars(spec)) == sorted(("identity", "weights", "table", "max_m", *_MEMOS))
+    assert sorted(vars(spec)) == sorted(("weights", "table", "max_m", *_MEMOS))
     assert all(getattr(spec, memo) for memo in _MEMOS)
 
 

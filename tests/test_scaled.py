@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from torusmodes import cli
 from torusmodes import qseries as qs
-from torusmodes.scaled import ScaledRational, format_fraction
+from torusmodes.scaled import Memo, ScaledRational, format_fraction
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 nonzero = rationals.filter(bool)
@@ -115,3 +115,24 @@ def test_format_fraction_past_the_int_str_digit_limit():
     assert [format_fraction(n), format_fraction(-n)] == lifted
     assert [format_fraction(Fraction(n, 3)), format_fraction(Fraction(-n, 3))] == \
         [f"{digits}/3" for digits in lifted]
+
+
+def test_memo_makes_each_value_once_and_keeps_no_failure():
+    calls = []
+
+    def fn(key):
+        calls.append(key)
+        if key < 0:
+            raise KeyError(f"negative key {key}")
+        return [key]
+
+    memo = Memo(fn)
+    value = memo[2]
+    assert value == [2] and calls == [2] and memo == {2: [2]}
+    # a hit calls nothing and hands out the kept value
+    assert memo[2] is value and calls == [2]
+    # a raising fn keeps nothing, so the next lookup calls it again
+    for _ in range(2):
+        with pytest.raises(KeyError, match="negative key -1"):
+            memo[-1]
+    assert calls == [2, -1, -1] and memo == {2: [2]}

@@ -298,6 +298,9 @@ def test_relabel_maps_positions_through_each_label():
         assert moved == (P(2, label[2], label[1]) * zvar(label[2])
                          + Pt(label[3], label[1]) * PI_MARK)
         assert _positions(moved) == set(label[1:])
+    # the move maps: one per label, kept, and another for another label
+    assert _MOVES[(None, 4, 6, 9)] is _MOVES[(None, 4, 6, 9)]
+    assert _MOVES[(None, 4, 6, 9)] is not _MOVES[(None, 1, 2, 5)]
 
 
 # one symbol of each kind -> (its text, weight, sort rank, positions, and the

@@ -59,8 +59,8 @@ MUTANTS = [
      ("hha-weight1", "hha-weight2", "hha-contraction")),
     ("lattice.py", "Fraction(ip2, sub_gram[0][0])", "Fraction(ip2, 2 * sub_gram[0][0])",
      ("lattice-oracle", "lattice-modular")),
-    ("symbols.py", "moves = self[label] = _Moves()",
-     "moves = self[label] = self.setdefault(None, _Moves())",
+    ("symbols.py", "_MOVES = Memo(lambda label: Memo(partial(_move, label)))",
+     "_MOVES = Memo(lambda label: _MOVES.setdefault(None, Memo(partial(_move, label))))",
      ("hha-weight1", "hha-weight2", "hha-contraction")),
     ("verify.py", "u[end] < u[end - 1]", "u[end] > u[end - 1]", ("combinatorics",)),
     ("lattice.py", "scale, ip + gi * v", "scale, ip + v", ("lattice-oracle",)),
