@@ -8,7 +8,7 @@ from .qseries import (QExpansion, bernoulli, eisenstein, eta_power,
                       geometric_inverse_factor)
 from .ratfunc import LaurentPoly, ZetaRational
 from .elliptic import (BivariateExpansion, g_expansion, p_expansion,
-                       p_tilde_1, wp_laurent, g1m_z_expansion)
+                       p_tilde_1, wp_laurent, z_expansion)
 from .symbols import CoeffPoly, delta_transform
 from .hha import (HHASpec, CorrSymbol, CorrExpression, weight1_spec,
                   weight2_spec, square_action, d_state, reduce_once,
@@ -26,7 +26,7 @@ __all__ = [
     "eta_power", "geometric_inverse_factor",
     "LaurentPoly", "ZetaRational", "BivariateExpansion",
     "g_expansion", "p_expansion", "p_tilde_1", "wp_laurent",
-    "g1m_z_expansion", "CoeffPoly",
+    "z_expansion", "CoeffPoly",
     "delta_transform", "HHASpec", "CorrSymbol", "CorrExpression",
     "weight1_spec", "weight2_spec", "square_action", "d_state",
     "reduce_once", "reduce_once_ordered", "reduce_to_zero_modes",

@@ -25,12 +25,12 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .combinatorics import eulerian_polynomial
-from .qseries import DEFAULT_ORDER, QExpansion, eisenstein
+from .qseries import DEFAULT_ORDER, QExpansion, bernoulli
 from .ratfunc import LaurentPoly, PowerMap, ZetaRational
-from .scaled import TWO_PI_I, ScaledRational, as_exact
+from .scaled import TWO_PI_I, as_exact
 
 
 class StripPoint:
@@ -152,66 +152,52 @@ def g_expansion(i: int, j: int, truncation: int = DEFAULT_ORDER) -> BivariateExp
         for m in range(truncation + 1)], i + j)
 
 
+def z_expansion(i: int, j: int, z_order: int, q_order: int) -> dict[int, QExpansion]:
+    """z-expansion of g^i_j about z = 0 to z-order ``z_order``, as
+    {z-exponent: q-series} without the zero series.
+
+    The Taylor series of zeta**d in the Lambert sums gives, for n >= 0 with
+    n = i + j (mod 2), the coefficient of z**n
+
+        (2*pi*i)**(i+j+n) 2/((j-1)! n!) sum_{N>=1} (sum_{d|N} d**(j-1+n) (N/d)**i) q**N.
+
+    For i = 0 the term Li_{1-j}(zeta) adds the pole (-1)**j z**-j and the
+    constant (2*pi*i)**(j+n) zeta(1-j-n)/(n! (j-1)!) at every n >= 0, with
+    zeta(1-m) = (-1)**(m-1) B_m/m, so zeta(0) = B_1 = -1/2.
+    """
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    if i < 0:
+        raise ValueError("i must be >= 0")
+    coeffs = {-j: QExpansion.from_dict({0: (-1) ** j}, q_order)} if i == 0 else {}
+    divisors = [[d for d in range(1, bign + 1) if not bign % d] for bign in range(q_order + 1)]
+    for n in range(z_order + 1):
+        den = factorial(j - 1) * factorial(n)
+        c = {}
+        if i == 0:
+            m = j + n
+            c[0] = (-1) ** (m - 1) * bernoulli(m) / (m * den)
+        if (n - i - j) % 2 == 0:
+            for bign in range(1, q_order + 1):
+                total = 2 * sum(d ** (j - 1 + n) * (bign // d) ** i for d in divisors[bign])
+                c[bign] = total // den if not total % den else Fraction(total, den)
+        series = QExpansion.from_dict(c, q_order, tpi=i + j + n)
+        if not series.is_zero():
+            coeffs[n] = series
+    return coeffs
+
+
 def wp_laurent(k: int, z_order: int, q_order: int) -> dict[int, QExpansion]:
-    """Laurent expansion of wp_k about z = 0 to z-order ``z_order``:
+    """Laurent expansion of wp_k about z = 0 to z-order ``z_order``, as
+    {z-exponent: q-series}, read from
 
-        1/z**k + (-1)**k sum_{n>=1} binom(2n+1, k-1) G_{2n+2} z**(2n+2-k),
+        P_k = (-1)**k wp_k + [k = 2] G_2 + [k = 1] (G_2 z - pi*i):
 
-    as {z-exponent: q-series}.  No value is zero: each G_{2n+2} has a
-    nonzero constant term.
+    the z-expansion of P_k times (-1)**k, without its z**0 term for k = 2 and
+    its z**0 and z**1 terms for k = 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    coeffs = {-k: QExpansion.from_dict({0: 1}, q_order)}
     sign = (-1) ** k
-    n = 1
-    while 2 * n + 2 - k <= z_order:
-        c = comb(2 * n + 1, k - 1)
-        if c:
-            coeffs[2 * n + 2 - k] = eisenstein(2 * n + 2, q_order).scalar_mul(sign * c)
-        n += 1
-    return coeffs
-
-
-def g1m_z_expansion(m: int, z_order: int, q_order: int) -> dict[int, QExpansion]:
-    """z-expansion of g^m_1 about z = 0:
-
-        (2*pi*i)**m sum_{n>=0} d_tau^m G_{2n+2} z**(2n+1+m) / ((2n+2)...(2n+1+m))
-        + sum_{odd k<=m} c_k (2*pi*i)**(m-k) z**(m-k) / (m-k)!
-
-    obtained by integrating the tau-derivatives of the P_1 z-expansion m
-    times from 0.  The definite integrals contribute the constants
-    c_k = 2*pi*i sum_{n!=0} n**-k d_tau^m (1-q**n)**-1, which vanish for even
-    k and equal 2 (2*pi*i)**(m+1) sum_N (sum_{d|N} d**(m-k) (N/d)**m) q**N for
-    odd k.  Only z-exponents of parity (1+m) mod 2 appear.  Returns
-    {z-exponent: q-series}, without the zero series, so at q-order 0 it is {}.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    coeffs = {}
-    n = 0
-    while 2 * n + 1 + m <= z_order:
-        g = eisenstein(2 * n + 2, q_order)
-        for _ in range(m):
-            g = g.tau_derivative()
-        denom = 1
-        for f in range(2 * n + 2, 2 * n + 2 + m):
-            denom *= f
-        if not g.is_zero():
-            coeffs[2 * n + 1 + m] = g.scalar_mul(ScaledRational(Fraction(1, denom), m))
-        n += 1
-    for k in range(1, m + 1, 2):
-        if m - k > z_order:
-            continue
-        ck = {}
-        for bign in range(1, q_order + 1):
-            total = 0
-            for d in range(1, bign + 1):
-                if bign % d == 0:
-                    total += d ** (m - k) * (bign // d) ** m
-            ck[bign] = 2 * total
-        correction = QExpansion.from_dict(ck, q_order, tpi=m + 1).scalar_mul(
-            ScaledRational(Fraction(1, factorial(m - k)), m - k))
-        if not correction.is_zero():
-            coeffs[m - k] = correction
-    return coeffs
+    return {e: c if sign > 0 else -c for e, c in z_expansion(0, k, z_order, q_order).items()
+            if not 0 <= e <= 2 - k}

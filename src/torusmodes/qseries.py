@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .scaled import TWO_PI_I, ScaledRational, as_exact, as_fraction, format_fraction
 
@@ -262,22 +262,17 @@ def _numerators(coeffs) -> tuple:
 # -- named series -----------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _bernoulli(m: int) -> Fraction:
+def bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m for m >= 0, with B_1 = -1/2:
+    sum_{j=0}^{m} binom(m+1, j) B_j = 0 for m >= 1."""
+    if m < 0:
+        raise ValueError("argument must be nonnegative")
     if m == 0:
         return Fraction(1)
-    # sum_{j=0}^{m} binom(m+1, j) B_j = 0
-    from math import comb
     acc = Fraction(0)
     for j in range(m):
-        acc += comb(m + 1, j) * _bernoulli(j)
+        acc += comb(m + 1, j) * bernoulli(j)
     return -acc / (m + 1)
-
-
-def bernoulli(two_k: int) -> Fraction:
-    """Bernoulli number B_{2k} (also defined at odd/0 arguments)."""
-    if two_k < 0:
-        raise ValueError("argument must be nonnegative")
-    return _bernoulli(two_k)
 
 
 def sigma(k: int, n: int) -> int:

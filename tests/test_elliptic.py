@@ -149,10 +149,10 @@ def test_wp_laurent():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_wp_laurent_sums_to_the_lattice_sum(k):
-    # wp_laurent and numerics.wp_value are the same Eisenstein-summed wp_k, so
-    # no offset enters here (the P_1 and G_2 offsets of elliptic-numeric's
-    # weierstrass table relate P_k to wp_k); a flipped sign of the G_{2n+2}
-    # terms moves the sum by about 1e-5 of its size
+    # wp_laurent reads wp_k from the z-expansion of P_k through
+    # P_k = (-1)**k wp_k + [k = 2] G_2 + [k = 1] (G_2 z - pi*i), and
+    # numerics.wp_value sums the lattice, so this also checks that identity;
+    # a flipped sign of the z**(2n+2-k) terms moves the sum by about 1e-5 of its size
     z, tau = 0.05 + 0.02j, 1.1j
     q = cmath.exp(TWO_PI_I * tau)
     laurent = el.wp_laurent(k, 12, 10)
@@ -163,20 +163,45 @@ def test_wp_laurent_sums_to_the_lattice_sum(k):
 
 def test_g1m_z_expansion_structure():
     assert_case("elliptic-formal", "g1m_z_parity")
-    # lowest main term: (2 pi i) d_tau G_2 z^2/2 plus the integration-constant
-    # correction at z^0
-    za = el.g1m_z_expansion(1, 8, 8)
+    # lowest main term of g^1_1: (2 pi i) d_tau G_2 z^2/2, beside the z^0 term
+    za = el.z_expansion(1, 1, 8, 8)
     assert set(za) <= {0, 2, 4, 6, 8}
     lead = za[2]
     want = qs.eisenstein(2, 8).tau_derivative().scalar_mul(ScaledRational(Fraction(1, 2), 1))
     assert (lead - want).is_zero()
 
 
+def test_g11_constant_term_is_g2_plus_a_constant():
+    # g^1_1's z^0 coefficient is G_2 + (2 pi i)^2/12, which no law exp(B D) in
+    # the symbols completes: a second reason transform-check refuses g_1_1
+    order = 12
+    diff = el.z_expansion(1, 1, 0, order)[0] - qs.eisenstein(2, order)
+    assert diff == qs.QExpansion.from_dict({0: Fraction(1, 12)}, order, tpi=2)
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 1), (1, 2),
+                                 (1, 3), (1, 5), (2, 1), (2, 3), (2, 4), (3, 5)])
+def test_z_expansion_sums_to_the_lambert_sums(i, j):
+    # numerics.g_value sums the Lambert series and reads no z-expansion;
+    # (0, 1) is P_1, whose z^0 term is the zeta(0) = -1/2 constant
+    z, tau = 0.03 + 0.02j, 1.1j
+    q = cmath.exp(TWO_PI_I * tau)
+    za = el.z_expansion(i, j, 14, 30)
+    total = sum(complex(c.evaluate(q=q)) * z ** e for e, c in za.items())
+    ref = nm.g_value(i, j, z, tau)
+    assert abs(total - ref) <= 1e-12 * abs(ref)
+
+
 def test_z_expansions_hold_no_zero_series():
-    # at q-order 0 every tau-derivative and every integration constant vanishes
-    for m in (1, 2, 3):
-        assert el.g1m_z_expansion(m, 8, 0) == {}
-        assert not any(c.is_zero() for c in el.g1m_z_expansion(m, 8, 2).values())
+    # at q-order 0 every g^i_j with i >= 1 vanishes term by term
+    for i in range(4):
+        for j in range(1, 6):
+            if i:
+                assert el.z_expansion(i, j, 8, 0) == {}
+            for q_order in range(3):
+                za = el.z_expansion(i, j, 8, q_order)
+                assert not any(c.is_zero() for c in za.values())
+                assert (-j in za) == (i == 0)
     for k in range(1, 5):
         for z_order in range(-k, 11):
             for q_order in range(3):

@@ -31,6 +31,9 @@ def test_bernoulli():
     assert qs.bernoulli(4) == Fraction(-1, 30)
     assert qs.bernoulli(12) == Fraction(-691, 2730)
     assert qs.bernoulli(3) == 0
+    assert qs.bernoulli(1) == Fraction(-1, 2)
+    with pytest.raises(ValueError):
+        qs.bernoulli(-1)
 
 
 def test_eisenstein_expansions():

@@ -73,9 +73,9 @@ MUTANTS = [
     ("combinatorics.py", "comb(n - des - 1, i) for i", "comb(n - des, i) for i",
      ("combinatorics",)),
     ("qseries.py", "self.tpi + other.tpi)", "self.tpi)", ("qseries-identities",)),
-    ("qseries.py", "d.tpi + 1)", "d.tpi)",
-     ("qseries-identities", "elliptic-formal", "elliptic-numeric")),
+    ("qseries.py", "d.tpi + 1)", "d.tpi)", ("qseries-identities", "elliptic-formal")),
     ("elliptic.py", "sign = (-1) ** k", "sign = -(-1) ** k", ("elliptic-formal",)),
+    ("elliptic.py", "d ** (j - 1 + n)", "d ** (j + n)", ("elliptic-formal", "elliptic-numeric")),
     ("elliptic.py", "value * q_powers[m]", "value * q_powers[m + 1]", ("elliptic-numeric",)),
     ("elliptic.py", "neg = pos if p % 2 else [-c for c in pos]", "neg = [-c for c in pos]",
      ("elliptic-formal", "elliptic-numeric")),
