@@ -413,7 +413,8 @@ def cmd_transform_check(args) -> int:
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first ``main`` call.
+    """The one parser of this process, built on the first ``main`` call; its
+    ``commands`` map each command name to that command's parser.
 
     Reuse is safe: ``parse_args`` leaves the parser unchanged and returns a
     fresh namespace, and argparse looks up ``sys.stdout`` and ``sys.stderr``
@@ -463,12 +464,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", default="1.2i")
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_transform_check)
+    parser.commands = sub.choices
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one parse, less its ``command``,
+    which no command reads.
+
+    The top-level parser hands everything after a command name, unchanged, to
+    that command's parser (the subparsers action takes ``nargs=PARSER``), so
+    that parser reads it here directly.  Any other argv (empty, ``--help``,
+    ``--``, an unknown command) goes to the top-level parser, whose help and
+    refusals stay argparse's own.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    return parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         for flag, value in vars(args).items():
             if isinstance(value, list):  # argparse reads --flag=-- as an empty list
                 raise UsageError(f"--{flag.replace('_', '-')} expected one argument, got '--'")

@@ -83,17 +83,14 @@ def as_exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _digits(n: int) -> str:
-    """str(n), also past Python's int-to-str digit limit (Decimal has none)."""
+def format_fraction(x: int | Fraction) -> str:
+    """str(x): "p/q", or "p" when x is integral, also past Python's int-to-str
+    digit limit (Decimal has none)."""
     try:
-        return str(n)
+        return str(x)
     except ValueError:
-        return str(Decimal(n))
-
-
-def format_fraction(x: Fraction) -> str:
-    num = _digits(x.numerator)
-    return f"{num}/{_digits(x.denominator)}" if x.denominator != 1 else num
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 class ScaledRational:

@@ -732,6 +732,94 @@ def test_parser_is_built_once(monkeypatch, capsys):
     assert len(built) == tree
 
 
+def _parse_outcome(parse, argv):
+    """What ``parse(argv)`` gives: its namespace less ``command`` (as text, so that a NaN
+    --tol compares equal), its refusal, or its exit."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            namespace = vars(parse(argv))
+    except cli.UsageError as exc:
+        return "refused", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    namespace.pop("command", None)
+    return "parsed", repr(sorted(namespace.items()))
+
+
+def assert_one_parse_is_the_two_level_parse(argv):
+    assert _parse_outcome(cli._parse_args, argv) == \
+        _parse_outcome(cli.build_parser().parse_args, argv), argv
+
+
+# argv at the edges of the dispatch, by class
+_EDGE_ARGV = {
+    "no-command": [[], ["--"], ["--help"], ["-h"], ["-x"], ["--", "expand"], ["--order=3"]],
+    "not-a-command-name": [["nosuch"], ["EXPAND"], ["exp"], [""], ["expand "]],
+    "help-after-a-command": [["expand", "--help"], ["expand", "-h"], ["expand", "--he"],
+                             ["reduce", "--spec", "weight2", "-h"]],
+    "abbreviated-or-repeated-flag": [
+        ["expand", "--func", "G_4"], ["expand", "--function", "G_4", "--function", "P_2"],
+        ["lattice-trace", "--lattice", "a1", "--n", "1", "--n", "2", "--ora"]],
+    "value-like-a-flag": [
+        ["expand", "--function=--"], ["expand", "--function", "--"],
+        ["expand", "--function", "G_4", "--order", "-1"],
+        ["transform-check", "--function", "P_2", "--gamma", "0,-1,1,0", "--z", "-0.1+0.3i"],
+        ["transform-check", "--function", "P_2", "--gamma", "0,-1,1,0", "--z=-0.1+0.3i"]],
+    "double-dash-after-a-command": [
+        ["expand", "--", "--function", "G_4"], ["expand", "--function", "G_4", "--"],
+        ["verify-suite", "--", "combinatorics"]],
+    "refused-by-the-command": [
+        ["expand"], ["expand", "--order", "x", "--function", "G_4"],
+        ["expand", "--function", "G_4", "-x"], ["verify-suite"], ["verify-suite", "nosuch"],
+        ["lattice-trace", "--lattice", "a1", "--n", "1", "--axis", "3"]],
+}
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=f"{kind}:{shlex.join(argv)}")
+                                  for kind, argvs in _EDGE_ARGV.items() for argv in argvs])
+def test_one_parse_is_the_two_level_parse_at_the_edges(argv):
+    # main's parse gives what the parser tree gives: the namespace, refusal or exit
+    assert_one_parse_is_the_two_level_parse(argv)
+
+
+def test_a_command_is_parsed_once_by_its_own_parser(monkeypatch, capsys):
+    # the top-level parser reads an argv only when its first word is not a command
+    parser = cli.build_parser()
+    entered = []
+    parse_known_args = cli._Parser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        entered.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
+    for argv in [*_VALID, ["expand", "--order", "3"], ["expand", "--help"]]:
+        entered.clear()
+        run(capsys, *argv)
+        assert entered == [parser.commands[argv[0]]], argv
+    for argv in [[], ["nosuch"], ["--help"]]:
+        entered.clear()
+        run(capsys, *argv)
+        assert entered == [parser], argv
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["expand", "--function", "G_4", "--order", "2"]],
+                         ids=shlex.join)
+def test_module_entry_point_parses_sys_argv(capsys, argv):
+    # `python -m torusmodes.cli` calls main() with no argv, so main reads sys.argv
+    done = subprocess.run([sys.executable, "-m", "torusmodes.cli", *argv], capture_output=True,
+                          text=True, env=src_env(), timeout=60)
+    if not argv:
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: the following arguments are required: command\n"
+    elif argv == ["--help"]:
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.startswith("usage: torusmodes ")
+    else:
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+
+
 _VALID = [
     ["expand", "--function", "G_4", "--order", "3"],
     ["expand", "--function", "wp_2", "--order", "2", "--z-order", "2"],
@@ -847,6 +935,12 @@ def test_random_command_lines_end_in_a_known_exit_and_one_line(argv):
         (argv, err.getvalue())
     if out.getvalue():
         assert out.getvalue() == canonical(out.getvalue()), argv
+
+
+@settings(max_examples=300)
+@given(_ARGV)
+def test_one_parse_is_the_two_level_parse_on_random_command_lines(argv):
+    assert_one_parse_is_the_two_level_parse(argv)
 
 
 # -- the JSON writer --------------------------------------------------------------

@@ -115,6 +115,15 @@ def test_format_fraction_past_the_int_str_digit_limit():
     assert [format_fraction(n), format_fraction(-n)] == lifted
     assert [format_fraction(Fraction(n, 3)), format_fraction(Fraction(-n, 3))] == \
         [f"{digits}/3" for digits in lifted]
+    assert format_fraction(Fraction(n)) == lifted[0]
+    assert format_fraction(Fraction(1, n)) == f"1/{lifted[0]}"
+
+
+@pytest.mark.parametrize("x", [0, 7, -7, 10 ** 40, Fraction(6, 3), Fraction(-12, 4),
+                               Fraction(0), Fraction(-5, 7), Fraction(5, 7)])
+def test_format_fraction_is_str(x):
+    # "p/q", or "p" when the value is integral, whether it is stored as an int or a Fraction
+    assert format_fraction(x) == str(x)
 
 
 def test_memo_makes_each_value_once_and_keeps_no_failure():
