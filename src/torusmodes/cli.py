@@ -414,7 +414,8 @@ def cmd_transform_check(args) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first ``main`` call; its
-    ``commands`` map each command name to that command's parser.
+    ``commands`` map each command name to that command's parser, and each
+    command parser's ``flags`` is its ``_flag_table``.
 
     Reuse is safe: ``parse_args`` leaves the parser unchanged and returns a
     fresh namespace, and argparse looks up ``sys.stdout`` and ``sys.stderr``
@@ -465,22 +466,86 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_transform_check)
     parser.commands = sub.choices
+    for command in sub.choices.values():
+        command.flags = _flag_table(command)
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` in one parse, less its ``command``,
-    which no command reads.
+def _flag_table(parser: argparse.ArgumentParser):
+    """``parser``'s flags by full spelling, the namespace its ``parse_args``
+    starts from and the dests of its required flags, read from its actions.
 
-    The top-level parser hands everything after a command name, unchanged, to
-    that command's parser (the subparsers action takes ``nargs=PARSER``), so
-    that parser reads it here directly.  Any other argv (empty, ``--help``,
-    ``--``, an unknown command) goes to the top-level parser, whose help and
-    refusals stay argparse's own.
+    None when the parser takes a positional, or a flag that is neither a
+    one-value store without choices nor a ``store_true``: only argparse
+    reads those.  A string default is converted as argparse converts it.
+    """
+    flags, defaults, required = {}, {}, set()
+    for action in parser._actions:
+        if type(action) is argparse._HelpAction:
+            continue
+        if not action.option_strings or action.choices is not None or not (
+                type(action) is argparse._StoreAction and action.nargs is None
+                or type(action) is argparse._StoreTrueAction):
+            return None
+        flags.update(dict.fromkeys(action.option_strings, action))
+        if action.required:
+            required.add(action.dest)
+        defaults[action.dest] = (parser._get_value(action, action.default)
+                                 if isinstance(action.default, str) else action.default)
+    for dest, value in parser._defaults.items():  # set_defaults, func among them
+        defaults.setdefault(dest, value)
+    return flags, defaults, required
+
+
+def _read_flags(command: argparse.ArgumentParser, words):
+    """The namespace ``command.parse_args(words)`` returns, read from the
+    command's flag table; None unless ``words`` is a run of full-spelled
+    flags, each but a ``store_true`` followed by one value word that does not
+    start with "-" and converts by the flag's type, and gives every required
+    flag.  A repeated flag keeps its last value, as in argparse.
+    """
+    flags, defaults, required = command.flags
+    values = {}
+    words = iter(words)
+    for word in words:
+        action = flags.get(word)
+        if action is None:
+            return None
+        if action.nargs == 0:  # store_true
+            values[action.dest] = action.const
+            continue
+        value = next(words, "-")  # a missing value is declined as a "-"-led one is
+        if value.startswith("-"):
+            return None
+        try:
+            values[action.dest] = command._get_value(action, value)
+        except argparse.ArgumentError:
+            return None
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, less its ``command``, which no
+    command reads.
+
+    A command and then a well-formed run of flags (see ``_read_flags``) is
+    read from the command's flag table, with no argparse parse.  Any other
+    words after a command (``-h``, ``--flag=value``, an abbreviated flag, a
+    missing or "-"-led value, a failed conversion, a missing required flag,
+    a positional) go to the command's own parser, as the top-level parser
+    would hand them on unchanged (its subparsers action takes
+    ``nargs=PARSER``).  Any other argv (empty, ``--help``, ``--``, an unknown
+    command) goes to the top-level parser.  Help and refusals stay
+    argparse's own.
     """
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
-    return parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+    if command is None:
+        return parser.parse_args(argv)
+    args = _read_flags(command, argv[1:]) if command.flags else None
+    return command.parse_args(argv[1:]) if args is None else args
 
 
 def main(argv=None) -> int:

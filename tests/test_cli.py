@@ -760,9 +760,16 @@ _EDGE_ARGV = {
                              ["reduce", "--spec", "weight2", "-h"]],
     "abbreviated-or-repeated-flag": [
         ["expand", "--func", "G_4"], ["expand", "--function", "G_4", "--function", "P_2"],
-        ["lattice-trace", "--lattice", "a1", "--n", "1", "--n", "2", "--ora"]],
+        ["lattice-trace", "--lattice", "a1", "--n", "1", "--n", "2", "--ora"],
+        ["expand", "--function", "G_4", "--order", "2", "--order", "3"],
+        ["lattice-trace", "--lattice", "a1", "--n", "1", "--oracle", "--oracle"]],
+    "missing-or-empty-value": [["expand", "--function"], ["expand", "--function", ""]],
+    "store-true-then-a-word": [
+        ["lattice-trace", "--lattice", "a1", "--n", "1", "--oracle", "--order", "2"],
+        ["lattice-trace", "--lattice", "a1", "--n", "1", "--oracle", "2"]],
     "value-like-a-flag": [
         ["expand", "--function=--"], ["expand", "--function", "--"],
+        ["expand", "--function", "--order", "3"],
         ["expand", "--function", "G_4", "--order", "-1"],
         ["transform-check", "--function", "P_2", "--gamma", "0,-1,1,0", "--z", "-0.1+0.3i"],
         ["transform-check", "--function", "P_2", "--gamma", "0,-1,1,0", "--z=-0.1+0.3i"]],
@@ -773,6 +780,7 @@ _EDGE_ARGV = {
         ["expand"], ["expand", "--order", "x", "--function", "G_4"],
         ["expand", "--function", "G_4", "-x"], ["verify-suite"], ["verify-suite", "nosuch"],
         ["lattice-trace", "--lattice", "a1", "--n", "1", "--axis", "3"]],
+    "command-with-a-positional": [["verify-suite", "combinatorics", "--order", "2"]],
 }
 
 
@@ -783,8 +791,10 @@ def test_one_parse_is_the_two_level_parse_at_the_edges(argv):
     assert_one_parse_is_the_two_level_parse(argv)
 
 
-def test_a_command_is_parsed_once_by_its_own_parser(monkeypatch, capsys):
-    # the top-level parser reads an argv only when its first word is not a command
+def test_only_an_argv_off_the_flag_table_enters_argparse(monkeypatch, capsys):
+    # a well-formed query is read from its command's flag table; any other argv
+    # after a command enters that command's parser once, and the top-level parser
+    # reads an argv only when its first word is not a command
     parser = cli.build_parser()
     entered = []
     parse_known_args = cli._Parser.parse_known_args
@@ -794,7 +804,12 @@ def test_a_command_is_parsed_once_by_its_own_parser(monkeypatch, capsys):
         return parse_known_args(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
-    for argv in [*_VALID, ["expand", "--order", "3"], ["expand", "--help"]]:
+    for argv in _VALID:
+        entered.clear()
+        run(capsys, *argv)
+        assert entered == [], argv
+    for argv in [["expand", "--order", "3"], ["expand", "--help"], ["expand", "--function=G_4"],
+                 ["expand", "--func", "G_4"]]:
         entered.clear()
         run(capsys, *argv)
         assert entered == [parser.commands[argv[0]]], argv
@@ -802,6 +817,21 @@ def test_a_command_is_parsed_once_by_its_own_parser(monkeypatch, capsys):
         entered.clear()
         run(capsys, *argv)
         assert entered == [parser], argv
+
+
+def test_a_flag_table_is_made_only_for_flags_it_reads_as_argparse_does():
+    # a positional, choices, another nargs or another action leaves the whole command
+    # to argparse; a string default converts by the flag's type, as argparse converts it
+    for name, kwargs in [("suite", {}), ("--mode", {"choices": ["a"]}), ("--pair", {"nargs": 2}),
+                         ("--tag", {"action": "append"})]:
+        parser = cli._Parser(prog="t")
+        parser.add_argument("--n", type=int)
+        parser.add_argument(name, **kwargs)
+        assert cli._flag_table(parser) is None, name
+    parser = cli._Parser(prog="t")
+    parser.add_argument("--n", type=int, default="3")
+    parser.flags = cli._flag_table(parser)
+    assert cli._read_flags(parser, []) == parser.parse_args([]) == argparse.Namespace(n=3)
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["expand", "--function", "G_4", "--order", "2"]],
@@ -861,37 +891,51 @@ def test_argparse_refusals_are_one_line(capsys, argv, message):
 
 # -- random command lines -------------------------------------------------------
 # A bounded grammar over the six subcommands: orders <= 8, zero-mode powers <= 4.
-# String values are passed as --flag=value, so junk reaches the program's own
-# parsing as well as argparse's (a non-integer --order).  argv that argparse
+# Each flag is spelled --flag=value, which only argparse reads, or as the two words
+# --flag value, which the command's flag table reads unless the value starts with
+# "-" or fails its conversion.  Junk values reach the program's own parsing as
+# well as argparse's (a non-integer --order).  argv that argparse
 # refuses is drawn too: a missing required flag, an unknown subcommand and an
 # unknown flag (--axis).  A drawn verify-suite line ends in a flag refused before its
 # suite runs (argparse keeps the last of a repeated flag); the one suite that
 # runs is combinatorics, as an explicit example.
 
 _JUNK = ["", "junk", "-1", "nan", "1e400", "x0^", "--", "é"]
-_TOL = st.sampled_from(["nan", "0", "-1", "inf", "1e-3", "1e-10"]).map("--tol={}".format)
+
+
+def _spelled(name, values):
+    """The words of --name with a value drawn from ``values``: ["--name=value"] or
+    ["--name", "value"], as often as each other."""
+    return st.tuples(values, st.booleans()).map(
+        lambda drawn: [f"--{name}", drawn[0]] if drawn[1] else [f"--{name}={drawn[0]}"])
+
+
+_TOL = _spelled("tol", st.sampled_from(["nan", "0", "-1", "inf", "1e-3", "1e-10"]))
 
 
 def _flag(name, *values):
-    """--name=value, the value drawn from ``values`` or, as often as any of them, junk."""
-    return st.sampled_from([*values, *_JUNK]).map(lambda value: f"--{name}={value}")
+    """--name with a value drawn from ``values`` or, as often as any of them, junk."""
+    return _spelled(name, st.sampled_from([*values, *_JUNK]))
 
 
 def _int_flag(name, lo, hi):
-    return st.integers(lo, hi).map(lambda value: f"--{name}={value}")
+    return _spelled(name, st.integers(lo, hi).map(str))
 
 
 def _command(name, *required, optional=()):
     flags = st.lists(st.one_of(*optional), max_size=3) if optional else st.just([])
-    return st.tuples(*required, flags).map(lambda parts: [name, *parts[:-1], *parts[-1]])
+    return st.tuples(*required, flags).map(
+        lambda parts: [name, *(word for flag in (*parts[:-1], *parts[-1]) for word in flag)])
 
 
 _VERIFY_SUITE = st.tuples(
     st.sampled_from(sorted(verify.SUITES)),
     st.lists(st.one_of(_int_flag("order", 0, 8), _int_flag("seed", 0, 9),
                        _TOL), max_size=2),
-    st.sampled_from(["--tol=nan", "--tol=0", "--tol=-1", "--order=-1"]),
-).map(lambda parts: ["verify-suite", parts[0], *parts[1], parts[2]])
+    st.one_of(_spelled("tol", st.sampled_from(["nan", "0", "-1"])),
+              _spelled("order", st.just("-1"))),
+).map(lambda parts: ["verify-suite", parts[0], *(word for flag in parts[1] for word in flag),
+                     *parts[2]])
 
 
 _FUNCTIONS = ([f"{name}_{k}" for name in ("G", "P", "wp", "eta") for k in range(-1, 9)]
@@ -911,9 +955,9 @@ _ARGV = st.one_of(
     _command("anomaly", _flag("spec", *_SPECS), _flag("correlator", *_CORRELATORS)),
     # orders stop at 5 here: the E8 walk to order 8 alone takes about 0.4 s
     _command("lattice-trace", _flag("lattice", "a1", "e8"),
-             st.one_of(_int_flag("n", -1, 4), st.sampled_from([17, 10 ** 8]).map("--n={}".format)),
+             st.one_of(_int_flag("n", -1, 4), _spelled("n", st.sampled_from(["17", str(10 ** 8)]))),
              optional=(_int_flag("order", -1, 5), _int_flag("axis", -1, 9),  # unknown flag
-                       st.just("--oracle"))),
+                       st.just(["--oracle"]))),
     _command("transform-check",
              _flag("function", "Ptilde_1", "P_1", "P_2", "P_4", "P_9", "G_2", "G_4", "g_1_1",
                    "g_1_3", "g_2_4", "g_3_5"),
