@@ -9,7 +9,9 @@ with P_k = g^0_k and P~_1 = P_1 + pi*i, where Li_{1-k}(w) = w A_{k-1}(w)/(1-w)**
 is a rational function.  The sums converge geometrically for any z off the
 lattice Z + tau Z, with no reduction into a strip.  G_{2k} is the same l >= 1
 sum at zeta = 1 plus its constant term -B_{2k}/(2k)!, so one stopping rule and
-one term cap serve every symbol.  The truncated layer expansions of
+one term cap serve every symbol.  :func:`symbol_value` sums each value once
+per (symbol, point) per process and keeps it in a bounded memo, so a
+repeated check pays only for its report.  The truncated layer expansions of
 :class:`~torusmodes.elliptic.BivariateExpansion` are evaluated only where they
 are under test: the ``elliptic-numeric`` suite passes its own evaluator to
 :func:`verify_modular`.
@@ -37,6 +39,7 @@ from .symbols import UnsupportedError, delta_of_symbol, function_symbol, sym_wei
 
 LAMBERT_TOL = 1e-14  # a Lambert sum stops once its terms and tail bound are below this
 LAMBERT_TERMS = 4000  # a Lambert sum that needs more terms is refused as unsupported
+SYMBOL_VALUES = 1024  # values symbol_value keeps: 7x the 144 all suites sum, so memory stays flat
 ZETA_TERMS = 200000  # terms of the direct zeta(2k) sum before its integral tail
 WP_ROWS = 60  # lattice rows m tau, |m| <= WP_ROWS, of the Weierstrass sums
 EISENSTEIN_ROWS = 80  # lattice rows of the G_{2k} double sum
@@ -73,6 +76,15 @@ def _too_many_terms(tau: complex) -> UnsupportedError:
                             f"terms; Im tau is too small for them")
 
 
+def _exp_2pi_i(name: str, x: complex) -> complex:
+    """exp(2*pi*i*x), refused when 2*pi*Re x leaves the floating-point range."""
+    arg = TWO_PI_I * x
+    if math.isinf(arg.imag):
+        raise UnsupportedError(f"exp(2*pi*i*{name}) at {name}={x} leaves the floating-point "
+                               f"range: |Re {name}| is too large for it")
+    return cmath.exp(arg)
+
+
 def _lambert_nome(tau: complex) -> complex:
     """q = exp(2*pi*i*tau), refused up front when no Lambert sum at it can stop.
 
@@ -81,7 +93,7 @@ def _lambert_nome(tau: complex) -> complex:
     """
     if tau.imag <= 0:
         raise ValueError("Im tau must be positive")
-    q = cmath.exp(TWO_PI_I * tau)
+    q = _exp_2pi_i("tau", tau)
     if abs(q) ** (LAMBERT_TERMS + 1) >= LAMBERT_TOL:
         raise _too_many_terms(tau)
     return q
@@ -122,7 +134,7 @@ def g_value(i: int, j: int, z: complex, tau: complex) -> complex:
         raise UnsupportedError(f"the Lambert sums of g^{i}_{j} at z={z} leave the "
                                f"floating-point range: |Im z| is too large for them")
     _lambert_nome(tau)  # a tau the sums cannot finish at is refused before the l = 0 term
-    zeta = cmath.exp(TWO_PI_I * z)
+    zeta = _exp_2pi_i("z", z)
     total = li_neg(j - 1, zeta) if i == 0 else 0j
     return TWO_PI_I ** (i + j) / factorial(j - 1) * _lambert_sum(i, j, zeta, tau, total)
 
@@ -223,10 +235,27 @@ def elliptic_shift(k: int, lam: int):
 
 
 def symbol_value(sym, z: complex, tau: complex) -> complex:
-    """Evaluate a coefficient symbol by Lambert sums; two-point symbols take the argument z."""
+    """Evaluate a coefficient symbol by Lambert sums; two-point symbols take the argument z.
+
+    Each value is summed once per (symbol, point) per process and kept in a
+    memo of SYMBOL_VALUES entries; a call that raises stores nothing.  The memo
+    reads z and tau as complex numbers with -0.0 made +0.0 (x + 0j is x
+    otherwise), and G_2k takes no z, so arguments that compare equal (-0.0 and
+    0.0, or an int, float and complex of one number) share one entry, and a
+    warm call returns the bits of a cold one.
+    """
+    z = None if z is None or sym[0] == "G" else z + 0j
+    return _symbol_value(sym, z, tau + 0j)
+
+
+@lru_cache(maxsize=SYMBOL_VALUES)
+def _symbol_value(sym, z: complex | None, tau: complex) -> complex:
     kind = sym[0]
     if kind == "G":
         two_k = sym[1]
+        if two_k > 170:  # 170! is a float and 171! is not
+            raise UnsupportedError(f"the Lambert sum of G_{two_k} divides by {two_k - 1}!, "
+                                   f"which leaves the floating-point range")
         return TWO_PI_I ** two_k * (_lambert_sum(0, two_k, 1.0, tau) / factorial(two_k - 1)
                                     - float(bernoulli(two_k) / factorial(two_k)))
     if kind == "Pt":
@@ -270,6 +299,11 @@ def poly_value(poly, zs, tau: complex, b: complex = 0) -> complex:
     return total
 
 
+def _law_out_of_range(fn_id: str, z: complex, tau: complex) -> UnsupportedError:
+    return UnsupportedError(f"the law of {fn_id} at z={z}, tau={tau} leaves the "
+                            f"floating-point range")
+
+
 def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-10,
                    value=symbol_value) -> dict:
     """Check one law (c*tau + d)**-w f(gamma z, gamma tau) = f + Delta f.
@@ -278,7 +312,8 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-
     through :func:`poly_value`.  The law is derived before anything is evaluated,
     so an id D does not reach raises DeltaUnknownError at every point, and a
     gamma tau whose imaginary part is lost in floating point raises
-    UnsupportedError before anything is evaluated.  Returns a residual report.
+    UnsupportedError before anything is evaluated.  A side that leaves the
+    floating-point range raises UnsupportedError too.  Returns a residual report.
     """
     gamma = sl2_check(gamma)
     _, _, c, d = gamma
@@ -295,8 +330,13 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-
         raise UnsupportedError(f"gamma tau = {gt} at tau={tau} loses its imaginary part in "
                                f"floating point: |c*tau + d| is too large for it")
     b = TWO_PI_I * c / (c * tau + d)
-    rhs = factor * (value(sym, z, tau) + poly_value(delta, {2: z, 1: 0.0}, tau, b))
-    lhs = value(sym, gz, gt)
+    try:  # a sum's weight l**i, or a power of z in Delta f, can pass the largest float
+        rhs = factor * (value(sym, z, tau) + poly_value(delta, {2: z, 1: 0.0}, tau, b))
+        lhs = value(sym, gz, gt)
+    except OverflowError:
+        raise _law_out_of_range(fn_id, z, tau) from None
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+        raise _law_out_of_range(fn_id, z, tau)
     scale = max(1.0, abs(lhs), abs(rhs))
     residual = abs(lhs - rhs) / scale
     return {

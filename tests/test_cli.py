@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -359,6 +360,21 @@ def test_correlator_size_guard(capsys, command):
 
 _LAW_IDS = "expected Ptilde_1 | P_k (k>=2) | G_2k | g_i_j (g^i_j, j>i)"
 
+# valid points and ids whose law's first value leaves the floating-point range
+# (a later --gamma wins)
+_OUT_OF_RANGE = [
+    # G_2k's sum divides by (2k-1)!, which is no float past 2k = 170
+    (["--function", "G_172"], 3, "unsupported: the Lambert sum of G_172 divides by 171!, "
+                                 "which leaves the floating-point range"),
+    # 2 pi Re z or 2 pi Re tau overflows in exp(2 pi i x)
+    (["--function", "P_3", "--z", "1e308"], 3,
+     "unsupported: exp(2*pi*i*z) at z=(1e+308+0j) leaves the floating-point range: "
+     "|Re z| is too large for it"),
+    (["--function", "P_3", "--tau", "1e308+1i", "--gamma", "1,1,0,1"], 3,
+     "unsupported: exp(2*pi*i*tau) at tau=(1e+308+1j) leaves the floating-point range: "
+     "|Re tau| is too large for it"),
+]
+
 
 @pytest.mark.parametrize("argv, code, message", [
     # unknown or malformed ids are usage errors
@@ -409,6 +425,14 @@ _LAW_IDS = "expected Ptilde_1 | P_k (k>=2) | G_2k | g_i_j (g^i_j, j>i)"
     (["--function", "P_2", "--gamma", "99999999999999999999,1,99999999999999999998,1"], 3,
      "unsupported: gamma tau = (1-9.25185853854297e-37j) at tau=1.2j loses its imaginary "
      "part in floating point: |c*tau + d| is too large for it"),
+    *_OUT_OF_RANGE,
+    # a side of the law overflows: G_170(0.01i) is about 1e340, and a power of z
+    # in Delta g^2_4 overflows after the values it multiplies are summed
+    (["--function", "G_170", "--tau", "0.01i"], 3,
+     "unsupported: the law of G_170 at z=(0.1+0.3j), tau=0.01j leaves the floating-point range"),
+    (["--function", "g_2_4", "--z", "1e200+0.1i", "--gamma", "1,0,1,1"], 3,
+     "unsupported: the law of g_2_4 at z=(1e+200+0.1j), tau=1.2j leaves the "
+     "floating-point range"),
 ])
 def test_transform_check_exit_table(capsys, argv, code, message):
     if "--gamma" not in argv:
@@ -416,6 +440,48 @@ def test_transform_check_exit_table(capsys, argv, code, message):
     got, out, err = run(capsys, "transform-check", *argv)
     assert got == code and out == ""
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize("argv, code, message", _OUT_OF_RANGE)
+def test_transform_check_out_of_range_keeps_no_value(capsys, argv, code, message):
+    # each of these is refused at the law's first value, which the memo does not keep
+    numerics._symbol_value.cache_clear()
+    got, _, err = run(capsys, "transform-check", "--gamma", "0,-1,1,0", *argv)
+    assert (got, err) == (code, message + "\n")
+    assert numerics._symbol_value.cache_info().currsize == 0
+
+
+def _benchmark_transform_checks():
+    """The transform-check queries of perfbench's CLI query grid, as argv lists."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [q.split() for q in workloads.candidate_queries() if q.startswith("transform-check")]
+
+
+def test_transform_check_bytes_do_not_depend_on_the_memo(capsys):
+    # every transform-check of the benchmark's grid, a depth-one law and a
+    # signed-zero pair print the same bytes cold, in order and in reverse order
+    head = ["transform-check", "--function", "P_3", "--gamma", "0,-1,1,0"]
+    queries = _benchmark_transform_checks() + [
+        ["transform-check", "--function", "g_1_3", "--gamma", "1,0,1,1"],
+        head + ["--z=-0+0.25i"], head + ["--z=0+0.25i"]]
+
+    def outputs(order, cold):
+        numerics._symbol_value.cache_clear()
+        got = {}
+        for i in order:
+            if cold:
+                numerics._symbol_value.cache_clear()
+            got[i] = run(capsys, *queries[i])
+        return [got[i] for i in range(len(queries))]
+    forward = range(len(queries))
+    cold = outputs(forward, cold=True)
+    assert all(code == 0 for code, _, _ in cold)
+    assert outputs(forward, cold=False) == cold
+    assert outputs(reversed(forward), cold=False) == cold
+    assert numerics._symbol_value.cache_info().hits > 0
 
 
 def test_transform_check_depth_one_law(capsys):

@@ -1,10 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torusmodes import elliptic as el
 from torusmodes import numerics as nm
-from torusmodes import verify
+from torusmodes import symbols, verify
 from torusmodes.ratfunc import LaurentPoly
 from torusmodes.scaled import TWO_PI_I
 from torusmodes.symbols import (DeltaUnknownError, delta_of_symbol, function_symbol,
@@ -138,3 +139,93 @@ def test_zeta_sum_stops_where_terms_no_longer_count():
             full += n ** (-two_k)
         full += nm.ZETA_TERMS ** (1 - two_k) / (two_k - 1)
         assert nm.zeta_even_numeric(two_k).hex() == full.hex(), two_k
+
+
+# -- the symbol-value memo ------------------------------------------------------
+
+_MEMO_SYMBOLS = tuple(function_symbol(f) for f in
+                      ("Ptilde_1", "P_2", "P_3", "P_4", "g_1_3", "g_2_5", "G_2", "G_4", "G_6"))
+_PART = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.5]),
+                  st.floats(-0.9, 0.9, allow_subnormal=False))
+
+
+def _bits(value: complex) -> tuple[str, str]:
+    return value.real.hex(), value.imag.hex()
+
+
+def _equal_spellings(x: float, y: float) -> list:
+    """complex(x, y) with each zero part's sign flipped, and as a float and an int if it is one."""
+    def signs(v):
+        return (v, -v) if v == 0 else (v,)
+    out = [complex(a, b) for a in signs(x) for b in signs(y)]
+    if y == 0:
+        out += [float(a) for a in signs(x)] + ([int(x)] if x.is_integer() else [])
+    return out
+
+
+@given(sym=st.sampled_from(_MEMO_SYMBOLS), x=_PART, y=_PART, tau_re=_PART,
+       tau_im=st.floats(0.8, 1.6))
+def test_symbol_value_memo_returns_the_bits_of_a_cold_call(sym, x, y, tau_re, tau_im):
+    # every spelling of one point, signed zeros included, warm after the first and
+    # cold after a cleared memo, gives the first call's bits
+    zs, taus = _equal_spellings(x, y), _equal_spellings(tau_re, tau_im)
+    nm._symbol_value.cache_clear()
+    try:
+        first = _bits(nm.symbol_value(sym, zs[0], taus[0]))
+    except ZeroDivisionError:  # z on the lattice Z + tau Z
+        assert nm._symbol_value.cache_info().currsize == 0
+        return
+    for z in zs:
+        for tau in taus:
+            assert _bits(nm.symbol_value(sym, z, tau)) == first, (z, tau)
+            nm._symbol_value.cache_clear()
+            assert _bits(nm.symbol_value(sym, z, tau)) == first, (z, tau)
+
+
+def test_signed_zero_twins_sum_to_the_same_bits():
+    # the sums themselves, before the memo reads -0.0 as +0.0: no twin on this grid
+    # differs, so reading it so changes no value
+    raw = nm._symbol_value.__wrapped__
+    parts = (0.0, 0.25, -0.25, -0.4)
+    for sym in _MEMO_SYMBOLS:
+        for x in parts:
+            for y in parts:
+                for tau in (1.1j, complex(-0.3, 0.8)):
+                    z = None if sym[0] == "G" else complex(x, y)
+                    try:
+                        ref = _bits(raw(sym, z, tau))
+                    except ZeroDivisionError:
+                        continue
+                    twins = [complex(-a if a == 0 else a, -b if b == 0 else b)
+                             for a, b in ((x, y), (tau.real, tau.imag))]
+                    z_twin = None if z is None else twins[0]
+                    assert _bits(raw(sym, z_twin, tau)) == ref, (sym, z, tau)
+                    assert _bits(raw(sym, z, twins[1])) == ref, (sym, z, tau)
+
+
+def test_symbol_value_memo_is_bounded():
+    nm._symbol_value.cache_clear()
+    sym = function_symbol("G_4")
+    for n in range(nm.SYMBOL_VALUES + 10):
+        nm.symbol_value(sym, None, complex(0, 1 + n / 1000))
+    info = nm._symbol_value.cache_info()
+    assert info.maxsize == info.currsize == nm.SYMBOL_VALUES
+    nm.symbol_value(sym, None, complex(0, 1 + (nm.SYMBOL_VALUES + 9) / 1000))
+    assert nm._symbol_value.cache_info().hits == info.hits + 1
+
+
+def test_symbol_value_keeps_no_refused_call():
+    nm._symbol_value.cache_clear()
+    refused = [(("P", 3, 2, 1), 0j, 1.2j, ZeroDivisionError),  # a pole
+               (("G", 172), None, 1.2j, symbols.UnsupportedError),  # (2k-1)! past the floats
+               (("P", 4, 2, 1), 0.0001j, 0.0005j, symbols.UnsupportedError),  # the term cap
+               (("P", 3, 2, 1), 1e308, 1.2j, symbols.UnsupportedError),  # Re z past the floats
+               (("P", 3, 2, 1), 0.1, complex(1e308, 1), symbols.UnsupportedError),
+               (("g", 150, 151, 2, 1), 0.1, 0.5j, OverflowError),  # l**150 is no float
+               (("B",), 0.1, 1.2j, KeyError)]  # no numeric value
+    for sym, z, tau, error in refused:
+        with pytest.raises(error):
+            nm.symbol_value(sym, z, tau)
+    assert nm._symbol_value.cache_info().currsize == 0
+    # the largest G_2k whose sum stays in the floats is near 2 zeta(170) = 2 at tau = 1.2i
+    assert abs(nm.symbol_value(("G", 170), None, 1.2j) - 2) < 1e-6

@@ -16,6 +16,10 @@ package is imported from the ``src/`` next to this script:
 Its output is committed as ``tools/reports.txt``, so a checkout is compared
 with the table by ``python tools/reports.py | diff tools/reports.txt -``.  A
 change that moves a report regenerates the table.
+
+``python tools/reports.py --cold COMMAND`` prints the lines of that command's
+calls alone, each call run in a fresh interpreter, so that no memo of an
+earlier call can reach it; its output equals the table's lines for COMMAND.
 """
 
 from __future__ import annotations
@@ -23,11 +27,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
 
 from torusmodes import cli, verify  # noqa: E402
 
@@ -74,24 +81,42 @@ CALLS = (
 )
 
 
+def _sha(code: int, out: str, err: str) -> str:
+    h = hashlib.sha256()
+    for part in (str(code), out, err):
+        data = part.encode()
+        h.update(len(data).to_bytes(8, "big") + data)
+    return h.hexdigest()
+
+
 def digest(argv: list[str]) -> tuple[str, int]:
     """The sha256 of one call's exit code, stdout and stderr, and the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    h = hashlib.sha256()
-    for part in (str(code), out.getvalue(), err.getvalue()):
-        data = part.encode()
-        h.update(len(data).to_bytes(8, "big") + data)
-    return h.hexdigest(), code
+    return _sha(code, out.getvalue(), err.getvalue()), code
 
 
-def main() -> int:
-    for argv in CALLS:
-        sha, code = digest(argv)
+def cold_digest(argv: list[str]) -> tuple[str, int]:
+    """``digest(argv)``, with the call run by ``cli.main`` in a fresh interpreter."""
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from torusmodes import cli; sys.exit(cli.main())",
+         *argv], capture_output=True, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p)})
+    return _sha(run.returncode, run.stdout, run.stderr), run.returncode
+
+
+def main(args: list[str]) -> int:
+    if args and (len(args) != 2 or args[0] != "--cold"):
+        print("usage: python tools/reports.py [--cold COMMAND]", file=sys.stderr)
+        return 2
+    calls = [argv for argv in CALLS if argv[0] == args[1]] if args else CALLS
+    for argv in calls:
+        sha, code = cold_digest(argv) if args else digest(argv)
         print(f"{sha} {code} {shlex.join(argv)}", flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
