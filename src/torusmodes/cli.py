@@ -268,51 +268,37 @@ def _zero_mode_name(sym: hha.CorrSymbol) -> str:
     return "F(" + " ".join(f"{g_}0^{c}" for g_, c in sym.mode_counts().items()) + ")"
 
 
-# expand ids by name; each "_" in a form stands before one integer index
-_EXPAND_FORMS = {"G": "G_2k", "P": "P_k", "g": "g_i_j", "wp": "wp_k", "eta": "eta_l"}
-
-
-def _parse_function_id(fn: str):
-    """Split an expand id such as "g_1_3" into its name and integer indices."""
-    if fn in ("Ptilde_1", "P~1"):
-        return "Ptilde_1", ()
-    name, _, rest = fn.partition("_")
-    form = _EXPAND_FORMS.get(name)
-    if form is None:
-        raise UsageError(f"unknown function id {fn!r}")
-    try:
-        indices = tuple(int(t) for t in rest.split("_"))
-    except ValueError:
-        indices = ()
-    if len(indices) != form.count("_"):
-        raise UsageError(f"--function {fn!r} is not of the form {form} with integer indices")
-    return name, indices
+# expand ids -> (form, builder).  An id is a key with no "_" at its end, or a
+# key ending in "_" and then its integer indices, "_"-joined, one for each "_"
+# of its form; the builder takes the indices and then --order.
+_EXPAND = {"G_": ("G_2k", qs.eisenstein), "eta_": ("eta_l", qs.eta_power),
+           "P_": ("P_k", el.p_expansion), "g_": ("g_i_j", el.g_expansion),
+           "wp_": ("wp_k", el.wp_laurent), "Ptilde_1": ("P~1", el.p_tilde_1),
+           "P~1": ("P~1", el.p_tilde_1)}
 
 
 def cmd_expand(args) -> int:
-    name, idx = _parse_function_id(args.function)
-    order = args.order
+    fn, order, z_order = args.function, args.order, args.z_order
+    key = fn if fn in _EXPAND else fn.partition("_")[0] + "_"
+    if key not in _EXPAND:
+        raise UsageError(f"unknown function id {fn!r}")
+    form, build = _EXPAND[key]
+    try:
+        idx = tuple(int(t) for t in fn[len(key):].split("_"))
+    except ValueError:
+        idx = ()
+    if len(idx) != form.count("_"):
+        raise UsageError(f"--function {fn!r} is not of the form {form} with integer indices")
     _check_order_tol(order)
-    if name == "wp" and idx[0] >= 1 and args.z_order < -idx[0]:
-        raise UsageError(f"--z-order {args.z_order} is below -{idx[0]}, the leading z "
-                         f"order of {args.function}")
+    wp = key == "wp_"  # wp_laurent takes --z-order too, and returns {z-exponent: series}
+    if wp and idx[0] >= 1 and z_order < -idx[0]:
+        raise UsageError(f"--z-order {z_order} is below -{idx[0]}, the leading z order of {fn}")
     try:  # a builder refuses an index out of its range with a ValueError
-        if name == "G":
-            series = qs.eisenstein(idx[0], order)
-        elif name == "eta":
-            series = qs.eta_power(idx[0], order)
-        elif name == "Ptilde_1":
-            series = el.p_tilde_1(order)
-        elif name == "P":
-            series = el.p_expansion(idx[0], order)
-        elif name == "g":
-            series = el.g_expansion(idx[0], idx[1], order)
-        else:
-            z_coeffs = el.wp_laurent(idx[0], args.z_order, order)
+        series = build(*idx, z_order, order) if wp else build(*idx, order)
     except ValueError as exc:
-        raise UsageError(f"--function {args.function!r}: {exc}") from None
-    if name == "wp":
-        _emit({"z_coeffs": {str(e): partial(_write_series, z_coeffs[e]) for e in z_coeffs}})
+        raise UsageError(f"--function {fn!r}: {exc}") from None
+    if wp:
+        _emit({"z_coeffs": {str(e): partial(_write_series, series[e]) for e in series}})
     elif isinstance(series, el.BivariateExpansion):
         _emit(partial(_write_layers, series))
     else:
@@ -411,11 +397,42 @@ def cmd_transform_check(args) -> int:
     return 0 if report["status"] == "pass" else 1
 
 
+_REQUIRED = object()
+
+# command -> (its function, its help, {argument: (type, default, help)}): the
+# one statement of the CLI grammar.  A default of _REQUIRED marks a required
+# argument, type bool a store_true flag, and a name without "--" a positional
+# whose type is its choices.
+_COMMANDS = {
+    "expand": (cmd_expand, "emit a named series as JSON", {
+        "--function": (str, _REQUIRED, "G_2k | P_k | Ptilde_1 | g_i_j (g^i_j) | wp_k | eta_l"),
+        "--order": (int, qs.DEFAULT_ORDER, None),
+        "--z-order": (int, 8, "z order for wp_k")}),
+    "verify-suite": (cmd_verify_suite, "run a named verification suite", {
+        "suite": (sorted(verify.SUITES), _REQUIRED, None),
+        "--order": (int, None, None), "--tol": (float, None, None), "--seed": (int, None, None)}),
+    "reduce": (cmd_reduce, "expand a zero-mode correlator into full correlators", {
+        "--spec": (str, _REQUIRED, "HHA spec JSON file, or weight1|weight2"),
+        "--correlator": (str, _REQUIRED, 'e.g. "x0^3"')}),
+    "anomaly": (cmd_anomaly, "modular anomaly of a zero-mode correlator", {
+        "--spec": (str, _REQUIRED, None), "--correlator": (str, _REQUIRED, None)}),
+    "lattice-trace": (cmd_lattice_trace, "closed-form lattice trace (and oracle)", {
+        "--lattice": (str, _REQUIRED, "lattice JSON file, or e8|e8x3|a1"),
+        "--n": (int, _REQUIRED, "zero-mode power"),
+        "--order": (int, 6, None), "--oracle": (bool, False, None)}),
+    "transform-check": (cmd_transform_check, "check one modular transformation law", {
+        "--function": (str, _REQUIRED, _LAW_IDS),
+        "--gamma": (str, _REQUIRED, "a,b,c,d"),
+        "--z": (str, "0.1+0.3i", None), "--tau": (str, "1.2i", None),
+        "--tol": (float, 1e-10, None)}),
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first ``main`` call; its
-    ``commands`` map each command name to that command's parser, and each
-    command parser's ``flags`` is its ``_flag_table``.
+    """The argparse tree of ``_COMMANDS``, built once per process, by the first
+    argv that ``_read_flags`` declines; its ``commands`` map each command name
+    to that command's parser.
 
     Reuse is safe: ``parse_args`` leaves the parser unchanged and returns a
     fresh namespace, and argparse looks up ``sys.stdout`` and ``sys.stderr``
@@ -426,126 +443,75 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact q-expansions, quasi-Jacobi special functions, and "
                     "zero-mode correlator reductions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="emit a named series as JSON")
-    p.add_argument("--function", required=True,
-                   help="G_2k | P_k | Ptilde_1 | g_i_j (g^i_j) | wp_k | eta_l")
-    p.add_argument("--order", type=int, default=qs.DEFAULT_ORDER)
-    p.add_argument("--z-order", type=int, default=8, help="z order for wp_k")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("verify-suite", help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(verify.SUITES))
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_verify_suite)
-
-    p = sub.add_parser("reduce", help="expand a zero-mode correlator into full correlators")
-    p.add_argument("--spec", required=True, help="HHA spec JSON file, or weight1|weight2")
-    p.add_argument("--correlator", required=True, help='e.g. "x0^3"')
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("anomaly", help="modular anomaly of a zero-mode correlator")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--correlator", required=True)
-    p.set_defaults(func=cmd_anomaly)
-
-    p = sub.add_parser("lattice-trace", help="closed-form lattice trace (and oracle)")
-    p.add_argument("--lattice", required=True, help="lattice JSON file, or e8|e8x3|a1")
-    p.add_argument("--n", type=int, required=True, help="zero-mode power")
-    p.add_argument("--order", type=int, default=6)
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=cmd_lattice_trace)
-
-    p = sub.add_parser("transform-check", help="check one modular transformation law")
-    p.add_argument("--function", required=True, help=_LAW_IDS)
-    p.add_argument("--gamma", required=True, help="a,b,c,d")
-    p.add_argument("--z", default="0.1+0.3i")
-    p.add_argument("--tau", default="1.2i")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_transform_check)
+    for name, (_, help_, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for argument, (type_, default, text) in arguments.items():
+            if not argument.startswith("--"):
+                p.add_argument(argument, choices=type_, help=text)
+            elif type_ is bool:
+                p.add_argument(argument, action="store_true", help=text)
+            else:
+                p.add_argument(argument, type=type_, default=default,
+                               required=default is _REQUIRED, help=text)
     parser.commands = sub.choices
-    for command in sub.choices.values():
-        command.flags = _flag_table(command)
     return parser
 
 
-def _flag_table(parser: argparse.ArgumentParser):
-    """``parser``'s flags by full spelling, the namespace its ``parse_args``
-    starts from and the dests of its required flags, read from its actions.
-
-    None when the parser takes a positional, or a flag that is neither a
-    one-value store without choices nor a ``store_true``: only argparse
-    reads those.  A string default is converted as argparse converts it.
+def _read_flags(command: str, words):
+    """The namespace ``build_parser().commands[command].parse_args(words)``
+    returns, read from the command's ``_COMMANDS`` entry; None unless
+    ``words`` is a run of full-spelled flags, each but a ``store_true``
+    followed by one value word that does not start with "-" and converts by
+    the flag's type, and gives every required argument (so a positional is
+    left to argparse).  A repeated flag keeps its last value, as in argparse.
     """
-    flags, defaults, required = {}, {}, set()
-    for action in parser._actions:
-        if type(action) is argparse._HelpAction:
-            continue
-        if not action.option_strings or action.choices is not None or not (
-                type(action) is argparse._StoreAction and action.nargs is None
-                or type(action) is argparse._StoreTrueAction):
-            return None
-        flags.update(dict.fromkeys(action.option_strings, action))
-        if action.required:
-            required.add(action.dest)
-        defaults[action.dest] = (parser._get_value(action, action.default)
-                                 if isinstance(action.default, str) else action.default)
-    for dest, value in parser._defaults.items():  # set_defaults, func among them
-        defaults.setdefault(dest, value)
-    return flags, defaults, required
-
-
-def _read_flags(command: argparse.ArgumentParser, words):
-    """The namespace ``command.parse_args(words)`` returns, read from the
-    command's flag table; None unless ``words`` is a run of full-spelled
-    flags, each but a ``store_true`` followed by one value word that does not
-    start with "-" and converts by the flag's type, and gives every required
-    flag.  A repeated flag keeps its last value, as in argparse.
-    """
-    flags, defaults, required = command.flags
+    arguments = _COMMANDS[command][2]
     values = {}
     words = iter(words)
     for word in words:
-        action = flags.get(word)
-        if action is None:
+        spec = arguments.get(word) if word.startswith("--") else None
+        if spec is None:
             return None
-        if action.nargs == 0:  # store_true
-            values[action.dest] = action.const
+        type_ = spec[0]
+        if type_ is bool:  # store_true
+            values[word] = True
             continue
         value = next(words, "-")  # a missing value is declined as a "-"-led one is
         if value.startswith("-"):
             return None
         try:
-            values[action.dest] = command._get_value(action, value)
-        except argparse.ArgumentError:
+            values[word] = type_(value)
+        except ValueError:
             return None
-    if not required <= values.keys():
-        return None
-    return argparse.Namespace(**{**defaults, **values})
+    namespace = argparse.Namespace(command=command)
+    for argument, (_, default, _) in arguments.items():
+        value = values.get(argument, default)
+        if value is _REQUIRED:
+            return None
+        setattr(namespace, argument[2:].replace("-", "_"), value)
+    return namespace
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, less its ``command``, which no
-    command reads.
+    """``build_parser().parse_args(argv)``.
 
     A command and then a well-formed run of flags (see ``_read_flags``) is
-    read from the command's flag table, with no argparse parse.  Any other
-    words after a command (``-h``, ``--flag=value``, an abbreviated flag, a
-    missing or "-"-led value, a failed conversion, a missing required flag,
-    a positional) go to the command's own parser, as the top-level parser
-    would hand them on unchanged (its subparsers action takes
-    ``nargs=PARSER``).  Any other argv (empty, ``--help``, ``--``, an unknown
-    command) goes to the top-level parser.  Help and refusals stay
-    argparse's own.
+    read from ``_COMMANDS``, and no parser is built.  Any other words after a
+    command (``-h``, ``--flag=value``, an abbreviated flag, a missing or
+    "-"-led value, a failed conversion, a missing required argument, a
+    positional) go to the command's own parser, as the top-level parser would
+    hand them on unchanged (its subparsers action takes ``nargs=PARSER``).
+    Any other argv (empty, ``--help``, ``--``, an unknown command) goes to the
+    top-level parser.  Help and refusals stay argparse's own.
     """
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _read_flags(command, argv[1:]) if command else None
+    if args is not None:
+        return args
     parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args = _read_flags(command, argv[1:]) if command.flags else None
-    return command.parse_args(argv[1:]) if args is None else args
+    return parser.commands[command].parse_args(argv[1:], argparse.Namespace(command=command))
 
 
 def main(argv=None) -> int:
@@ -554,7 +520,7 @@ def main(argv=None) -> int:
         for flag, value in vars(args).items():
             if isinstance(value, list):  # argparse reads --flag=-- as an empty list
                 raise UsageError(f"--{flag.replace('_', '-')} expected one argument, got '--'")
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except SystemExit:  # --help; argparse's errors raise UsageError instead
         return 0
     except UnsupportedError as exc:

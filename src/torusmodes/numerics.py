@@ -35,7 +35,7 @@ from .combinatorics import eulerian_polynomial
 from .qseries import bernoulli, eisenstein
 from .ratfunc import LaurentPoly
 from .scaled import TWO_PI_I
-from .symbols import UnsupportedError, delta_of_symbol, function_symbol, sym_weight
+from .symbols import UnsupportedError, delta_of_symbol, derive, function_symbol, sym_weight
 
 LAMBERT_TOL = 1e-14  # a Lambert sum stops once its terms and tail bound are below this
 LAMBERT_TERMS = 4000  # a Lambert sum that needs more terms is refused as unsupported
@@ -309,16 +309,17 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-
     """Check one law (c*tau + d)**-w f(gamma z, gamma tau) = f + Delta f.
 
     ``value(sym, z, tau)`` evaluates f at both points; Delta f is delta_of_symbol's,
-    through :func:`poly_value`.  The law is derived before anything is evaluated,
-    so an id D does not reach raises DeltaUnknownError at every point, and a
-    gamma tau whose imaginary part is lost in floating point raises
-    UnsupportedError before anything is evaluated.  A side that leaves the
-    floating-point range raises UnsupportedError too.  Returns a residual report.
+    through :func:`poly_value`.  D f is taken before anything is evaluated, so an
+    id D does not reach raises DeltaUnknownError at every point, and a gamma tau
+    whose imaginary part is lost in floating point raises UnsupportedError before
+    anything is evaluated.  Delta f, whose expansion takes seconds for a deep
+    g^i_j, is expanded only once f(z, tau) is summed, and a side that leaves the
+    floating-point range raises UnsupportedError.  Returns a residual report.
     """
     gamma = sl2_check(gamma)
     _, _, c, d = gamma
     sym = function_symbol(fn_id)
-    delta = delta_of_symbol(sym)
+    derive(sym)  # DeltaUnknownError where D does not reach, before any sum
     w = sym_weight(sym)
     try:
         factor = (c * tau + d) ** w
@@ -331,7 +332,8 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-
                                f"floating point: |c*tau + d| is too large for it")
     b = TWO_PI_I * c / (c * tau + d)
     try:  # a sum's weight l**i, or a power of z in Delta f, can pass the largest float
-        rhs = factor * (value(sym, z, tau) + poly_value(delta, {2: z, 1: 0.0}, tau, b))
+        f = value(sym, z, tau)  # summed before Delta f is expanded
+        rhs = factor * (f + poly_value(delta_of_symbol(sym), {2: z, 1: 0.0}, tau, b))
         lhs = value(sym, gz, gt)
     except OverflowError:
         raise _law_out_of_range(fn_id, z, tau) from None

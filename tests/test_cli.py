@@ -451,6 +451,18 @@ def test_transform_check_out_of_range_keeps_no_value(capsys, argv, code, message
     assert numerics._symbol_value.cache_info().currsize == 0
 
 
+def test_a_law_out_of_range_is_refused_before_delta_f_is_expanded(capsys, monkeypatch):
+    # the sum of g^160_169 overflows in milliseconds, while Delta g^160_169 takes
+    # seconds to expand: the refusal comes before the expansion
+    expanded = []
+    monkeypatch.setattr(numerics, "delta_of_symbol", expanded.append)
+    got, out, err = run(capsys, "transform-check", "--function", "g_160_169",
+                        "--gamma", "0,-1,1,0", "--z", "0.1")
+    assert (got, out, expanded) == (3, "", [])
+    assert err == ("unsupported: the law of g_160_169 at z=(0.1+0j), tau=1.2j leaves the "
+                   "floating-point range\n")
+
+
 def _benchmark_transform_checks():
     """The transform-check queries of perfbench's CLI query grid, as argv lists."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -778,26 +790,6 @@ def test_transform_check_lambert_laws_pass(capsys, argv):
     assert report["status"] == "pass" and report["tolerance"] == 1e-10
 
 
-def test_parser_is_built_once(monkeypatch, capsys):
-    # one parser tree serves every call: a parser and one subparser per command
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli.build_parser.cache_clear()
-    run(capsys, "expand", "--function", "G_4", "--order", "2")
-    tree = len(built)
-    assert tree == 7
-    for _ in range(4):
-        run(capsys, "expand", "--function", "G_4", "--order", "2")
-        run(capsys, "nosuch")
-    assert len(built) == tree
-
-
 def _parse_outcome(parse, argv):
     """What ``parse(argv)`` gives: its namespace less ``command`` (as text, so that a NaN
     --tol compares equal), its refusal, or its exit."""
@@ -857,11 +849,35 @@ def test_one_parse_is_the_two_level_parse_at_the_edges(argv):
     assert_one_parse_is_the_two_level_parse(argv)
 
 
+def test_parser_is_built_once(monkeypatch, capsys):
+    # a well-formed query is read from _COMMANDS and builds no parser; the first argv
+    # that needs argparse builds one parser tree, a parser and one subparser per
+    # command, and that tree serves every later call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    run(capsys, "expand", "--function", "G_4", "--order", "2")
+    assert (built, cli.build_parser.cache_info().currsize) == ([], 0)
+    run(capsys, "nosuch")
+    tree = len(built)
+    assert tree == 7
+    for _ in range(4):
+        run(capsys, "expand", "--function", "G_4", "--order", "2")
+        run(capsys, "expand", "--order", "2")
+        run(capsys, "nosuch")
+    assert len(built) == tree
+
+
 def test_only_an_argv_off_the_flag_table_enters_argparse(monkeypatch, capsys):
-    # a well-formed query is read from its command's flag table; any other argv
+    # a well-formed query is read from _COMMANDS and enters no parser; any other argv
     # after a command enters that command's parser once, and the top-level parser
     # reads an argv only when its first word is not a command
-    parser = cli.build_parser()
     entered = []
     parse_known_args = cli._Parser.parse_known_args
 
@@ -871,33 +887,17 @@ def test_only_an_argv_off_the_flag_table_enters_argparse(monkeypatch, capsys):
 
     monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
     for argv in _VALID:
-        entered.clear()
         run(capsys, *argv)
-        assert entered == [], argv
+    assert entered == []
     for argv in [["expand", "--order", "3"], ["expand", "--help"], ["expand", "--function=G_4"],
-                 ["expand", "--func", "G_4"]]:
+                 ["expand", "--func", "G_4"], ["verify-suite", "--help"]]:
         entered.clear()
         run(capsys, *argv)
-        assert entered == [parser.commands[argv[0]]], argv
+        assert entered == [cli.build_parser().commands[argv[0]]], argv
     for argv in [[], ["nosuch"], ["--help"]]:
         entered.clear()
         run(capsys, *argv)
-        assert entered == [parser], argv
-
-
-def test_a_flag_table_is_made_only_for_flags_it_reads_as_argparse_does():
-    # a positional, choices, another nargs or another action leaves the whole command
-    # to argparse; a string default converts by the flag's type, as argparse converts it
-    for name, kwargs in [("suite", {}), ("--mode", {"choices": ["a"]}), ("--pair", {"nargs": 2}),
-                         ("--tag", {"action": "append"})]:
-        parser = cli._Parser(prog="t")
-        parser.add_argument("--n", type=int)
-        parser.add_argument(name, **kwargs)
-        assert cli._flag_table(parser) is None, name
-    parser = cli._Parser(prog="t")
-    parser.add_argument("--n", type=int, default="3")
-    parser.flags = cli._flag_table(parser)
-    assert cli._read_flags(parser, []) == parser.parse_args([]) == argparse.Namespace(n=3)
+        assert entered == [cli.build_parser()], argv
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["expand", "--function", "G_4", "--order", "2"]],
@@ -953,6 +953,16 @@ def test_argparse_refusals_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize("name", ["torusmodes", "expand", "verify-suite", "reduce", "anomaly",
+                                  "lattice-trace", "transform-check"])
+def test_help_texts_are_pinned(capsys, monkeypatch, name):
+    # argparse wraps help to the width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if name == "torusmodes" else [name, "--help"]
+    expected = (Path(__file__).resolve().parent / "help" / f"{name}.txt").read_text()
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 # -- random command lines -------------------------------------------------------
