@@ -313,8 +313,9 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-
     id D does not reach raises DeltaUnknownError at every point, and a gamma tau
     whose imaginary part is lost in floating point raises UnsupportedError before
     anything is evaluated.  Delta f, whose expansion takes seconds for a deep
-    g^i_j, is expanded only once f(z, tau) is summed, and a side that leaves the
-    floating-point range raises UnsupportedError.  Returns a residual report.
+    g^i_j, is expanded only once f(z, tau) and f(gamma z, gamma tau) are summed,
+    so a value out of the floating-point range is refused first, and a side that
+    leaves that range raises UnsupportedError.  Returns a residual report.
     """
     gamma = sl2_check(gamma)
     _, _, c, d = gamma
@@ -332,9 +333,9 @@ def verify_modular(fn_id: str, gamma, z: complex, tau: complex, tol: float = 1e-
                                f"floating point: |c*tau + d| is too large for it")
     b = TWO_PI_I * c / (c * tau + d)
     try:  # a sum's weight l**i, or a power of z in Delta f, can pass the largest float
-        f = value(sym, z, tau)  # summed before Delta f is expanded
-        rhs = factor * (f + poly_value(delta_of_symbol(sym), {2: z, 1: 0.0}, tau, b))
+        f = value(sym, z, tau)  # both values are summed before Delta f is expanded
         lhs = value(sym, gz, gt)
+        rhs = factor * (f + poly_value(delta_of_symbol(sym), {2: z, 1: 0.0}, tau, b))
     except OverflowError:
         raise _law_out_of_range(fn_id, z, tau) from None
     if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):

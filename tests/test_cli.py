@@ -426,13 +426,13 @@ _OUT_OF_RANGE = [
      "unsupported: gamma tau = (1-9.25185853854297e-37j) at tau=1.2j loses its imaginary "
      "part in floating point: |c*tau + d| is too large for it"),
     *_OUT_OF_RANGE,
-    # a side of the law overflows: G_170(0.01i) is about 1e340, and a power of z
-    # in Delta g^2_4 overflows after the values it multiplies are summed
+    # a side of the law overflows: G_170(0.01i) is about 1e340; g^2_4 at gamma z is
+    # refused before the power of z in Delta g^2_4 that would overflow is expanded
     (["--function", "G_170", "--tau", "0.01i"], 3,
      "unsupported: the law of G_170 at z=(0.1+0.3j), tau=0.01j leaves the floating-point range"),
     (["--function", "g_2_4", "--z", "1e200+0.1i", "--gamma", "1,0,1,1"], 3,
-     "unsupported: the law of g_2_4 at z=(1e+200+0.1j), tau=1.2j leaves the "
-     "floating-point range"),
+     "unsupported: the Lambert sums of g^2_4 at z=(4.098360655737705e+199-4.918032786885246e+199j) "
+     "leave the floating-point range: |Im z| is too large for them"),
 ])
 def test_transform_check_exit_table(capsys, argv, code, message):
     if "--gamma" not in argv:
@@ -452,15 +452,20 @@ def test_transform_check_out_of_range_keeps_no_value(capsys, argv, code, message
 
 
 def test_a_law_out_of_range_is_refused_before_delta_f_is_expanded(capsys, monkeypatch):
-    # the sum of g^160_169 overflows in milliseconds, while Delta g^160_169 takes
-    # seconds to expand: the refusal comes before the expansion
+    # a value of g^160_169 leaves the floating-point range in milliseconds, while
+    # Delta g^160_169 takes seconds to expand: the refusal comes before the expansion;
+    # in the second query f(z, tau) is in range and f(gamma z, gamma tau) is not
     expanded = []
     monkeypatch.setattr(numerics, "delta_of_symbol", expanded.append)
-    got, out, err = run(capsys, "transform-check", "--function", "g_160_169",
-                        "--gamma", "0,-1,1,0", "--z", "0.1")
-    assert (got, out, expanded) == (3, "", [])
-    assert err == ("unsupported: the law of g_160_169 at z=(0.1+0j), tau=1.2j leaves the "
-                   "floating-point range\n")
+    for argv, message in [
+            (["--gamma", "0,-1,1,0", "--z", "0.1"],
+             "the law of g_160_169 at z=(0.1+0j), tau=1.2j leaves the floating-point range"),
+            (["--gamma", "1,0,3,1", "--z", "0.1", "--tau", "2i"],
+             "the Lambert sums of g^160_169 at z=(0.0027027027027027024-0.016216216216216217j) "
+             "leave the floating-point range: |Im z| is too large for them")]:
+        got, out, err = run(capsys, "transform-check", "--function", "g_160_169", *argv)
+        assert (got, out, expanded) == (3, "", [])
+        assert err == f"unsupported: {message}\n"
 
 
 def _benchmark_transform_checks():

@@ -71,6 +71,16 @@ def test_theta_moments_of_a_permuted_e8_basis(first):
         assert (lt.theta_moment(permuted, p, 3) - lt.theta_moment(lt.e8(), p, 3)).is_zero(), p
 
 
+def test_completed_e8_moments_are_exact_multiples_of_modular_forms():
+    # sum_i (-E_2/24)^i p!/(i! (p-2i)!) theta_(p-2i) is E_4, -E_6/12, E_4^2/48 and
+    # -5 E_4 E_6/576 to q^8 exactly (p = 2 is Ramanujan's q dE_4/dq = (E_2 E_4 - E_6)/3),
+    # and no tolerance is read
+    cases = {case["id"]: case for case in verify.run_suite("lattice-modular")["cases"]}
+    assert [cases[f"theta_moment_weight_grading_2j={p}"] for p in (0, 2, 4, 6)] == [
+        {"id": f"theta_moment_weight_grading_2j={p}", "status": "pass", "multiple": m, "rows": 9}
+        for p, m in ((0, "1"), (2, "-1/12"), (4, "1/48"), (6, "-5/576"))]
+
+
 def test_quasimod_vs_oracle_e8():
     assert_case("lattice-oracle", "e8_closed_form_equals_oracle_n<=3")
     for n in range(0, 4):

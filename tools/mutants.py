@@ -38,7 +38,8 @@ MUTANTS = [
     ("lattice.py", "1 if lead and not v else 2", "2", ("lattice-oracle",)),
     ("ratfunc.py", "_lift(n.zeta_ddzeta(), 1) + n.shift(1) * k", "_lift(n.zeta_ddzeta(), 1)",
      ("elliptic-formal",)),
-    ("verify.py", "w = 4 + p", "w = 5 + p", ("lattice-modular",)),
+    ("verify.py", "ScaledRational(Fraction(1, 2), -2)", "ScaledRational(1, -2)",
+     ("lattice-modular",)),
     ("verify.py", "ys, m + 1)", "ys, m)", ("elliptic-numeric",)),
     ("numerics.py", "_lambert_sum(0, two_k, 1.0, tau) / factorial",
      "_lambert_sum(0, two_k, 1.0, tau) / 2 / factorial", ("elliptic-numeric",)),
